@@ -501,6 +501,18 @@ impl StaticFlag {
             StaticFlag::Unflagged => "none",
         }
     }
+
+    /// Inverse of [`StaticFlag::label`], for checkpoint decoding.
+    pub fn from_label(label: &str) -> Option<StaticFlag> {
+        [
+            StaticFlag::Structural,
+            StaticFlag::Abstract,
+            StaticFlag::Symbolic,
+            StaticFlag::Unflagged,
+        ]
+        .into_iter()
+        .find(|f| f.label() == label)
+    }
 }
 
 /// Probe inputs used for abstract fingerprinting: top, plus two distinct

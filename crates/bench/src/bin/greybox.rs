@@ -214,9 +214,7 @@ fn main() {
             executions = a.parse().expect("usage: greybox [executions] [--flags]");
         }
     }
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
+    let workers = druzhba_dsim::runtime::default_workers();
 
     // ------------------------------------------------------------------
     // ALU stack: machine-code mutants over the Table 1 corpus.

@@ -7,9 +7,7 @@
 //! Besides the human-readable tables, the run writes a machine-readable
 //! `BENCH_scaling.json` (PHVs/sec per backend per grid size and per Table 1
 //! program) so the performance trajectory is diffable across commits; CI
-//! runs a reduced-PHV smoke pass so regressions surface early. The JSON is
-//! written by hand — the vendored `serde` is a no-op stand-in (see
-//! DESIGN.md).
+//! runs a reduced-PHV smoke pass so regressions surface early.
 //!
 //! Throughput is measured over the batched in-place execution path
 //! (`Pipeline::process_batch`), which the property suite proves equivalent

@@ -7,12 +7,10 @@
 //! complexity and number of PHV containers the program uses dictated the
 //! pipeline dimensions" (§5.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Dimensions of a simulated RMT pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Number of pipeline stages.
     pub depth: usize,

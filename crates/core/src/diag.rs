@@ -61,8 +61,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Render one finding as a JSON object (hand-rolled: the vendored
-    /// serde is a no-op stand-in).
+    /// Render one finding as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"program\":{},\"stage\":{},\"pc\":{},\"code\":{},\"severity\":{},\"message\":{}}}",

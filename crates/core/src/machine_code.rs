@@ -18,8 +18,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::value::Value;
 
@@ -28,7 +26,7 @@ use crate::value::Value;
 ///
 /// Internally ordered (BTreeMap) so that serialization, diffing, and error
 /// messages are deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineCode {
     pairs: BTreeMap<String, Value>,
 }

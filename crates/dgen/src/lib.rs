@@ -93,4 +93,9 @@ impl OptLevel {
             OptLevel::Fused => "fused",
         }
     }
+
+    /// Inverse of [`OptLevel::key`], for checkpoint decoding.
+    pub fn from_key(key: &str) -> Option<OptLevel> {
+        OptLevel::ALL.into_iter().find(|l| l.key() == key)
+    }
 }

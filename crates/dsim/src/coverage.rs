@@ -80,7 +80,7 @@ pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE
 
 use crate::minimize::{minimize, minimize_trace_with, MinimizeConfig, MinimizedCounterExample};
 use crate::p4::{materialize_pattern, p4_differential, P4Traffic, P4Workload, PatternSeed};
-use crate::runtime::{catch_silent, RuntimeOptions};
+use crate::runtime::{catch_silent, default_workers, RuntimeOptions};
 use crate::snapshot;
 use crate::testing::{compare_against_spec, run_sharded, shard_seed, Specification, Verdict};
 
@@ -155,9 +155,7 @@ impl Default for GreyboxConfig {
             seed: 0x000D_122B,
             input_bits: 10,
             corpus_max: 64,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: default_workers(),
             merge_every: 64,
             initial_seeds: 4,
             minimize: true,

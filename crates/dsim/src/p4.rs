@@ -417,9 +417,7 @@ impl Default for P4CampaignConfig {
     fn default() -> Self {
         P4CampaignConfig {
             runs: 8,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: crate::runtime::default_workers(),
             base: P4FuzzConfig::default(),
         }
     }
@@ -427,7 +425,7 @@ impl Default for P4CampaignConfig {
 
 /// Run a deterministic sharded P4 fuzz campaign: `cfg.runs` independently
 /// seeded differential runs over the panic-isolated work-stealing pool
-/// ([`crate::runtime::run_stealing_observed`]). Results are a pure
+/// ([`crate::runtime::run_resumable`]). Results are a pure
 /// function of the configuration — never of the worker count.
 pub fn p4_fuzz_campaign(
     workload: &P4Workload,
@@ -590,6 +588,11 @@ impl P4FaultKind {
             P4FaultKind::ActionArg => "action_arg",
             P4FaultKind::MatchValue => "match_value",
         }
+    }
+
+    /// Inverse of [`P4FaultKind::key`], for checkpoint decoding.
+    pub fn from_key(key: &str) -> Option<P4FaultKind> {
+        P4FaultKind::ALL.into_iter().find(|k| k.key() == key)
     }
 }
 

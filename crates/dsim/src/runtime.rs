@@ -21,7 +21,8 @@
 //!
 //! [`RuntimeOptions`] carries the crash-proofing knobs (checkpoint
 //! directory and cadence, resume, wall-clock budget) from the CLI down
-//! into the campaign drivers.
+//! into the campaign drivers, and [`run_resumable`] is the one
+//! resume/checkpoint/budget loop every per-task campaign runs on.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -30,6 +31,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, Once};
 use std::time::{Duration, Instant};
+
+use crate::snapshot;
 
 /// A panic captured from one work item: the stringified payload, which for
 /// the deterministic hostile trap (and any `panic!` with a message) is a
@@ -110,6 +113,14 @@ pub struct RuntimeOptions {
     /// Wall-clock budget in seconds (`--budget-secs S`). When it expires
     /// the round ends cleanly and the report is marked truncated.
     pub budget_secs: Option<u64>,
+}
+
+/// The default pool size: the machine's available parallelism (4 when it
+/// cannot be queried).
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
 }
 
 impl RuntimeOptions {
@@ -246,6 +257,148 @@ where
         .collect()
 }
 
+/// The checkpoint codec of one campaign's per-task record. The engine
+/// never builds or parses a snapshot line itself, so each campaign kind
+/// keeps its own on-disk line format.
+pub trait RecordCodec: Sized {
+    /// The snapshot line for this record of task `idx`; `None` leaves the
+    /// task out of the checkpoint, so a resumed run re-evaluates it.
+    fn encode(&self, idx: usize) -> Option<String>;
+
+    /// Inverse of [`RecordCodec::encode`]: the task index and record, or
+    /// `None` for a malformed or foreign line.
+    fn decode(line: &str) -> Option<(usize, Self)>;
+}
+
+/// The identity of one resumable campaign: snapshot kind, configuration
+/// fingerprint, task count, pool size, and the crash-proofing options.
+#[derive(Debug, Clone, Copy)]
+pub struct Campaign<'a> {
+    /// Snapshot kind (`<dir>/<kind>.snapshot`, `status.json`'s `kind`).
+    pub kind: &'a str,
+    /// Fingerprint of the result-relevant configuration.
+    pub fingerprint: u64,
+    /// Number of tasks, indexed `0..total`.
+    pub total: usize,
+    /// Worker threads.
+    pub workers: usize,
+    /// Checkpoint directory and cadence, resume flag, wall-clock budget.
+    pub runtime: &'a RuntimeOptions,
+}
+
+/// What [`run_resumable`] hands back.
+#[derive(Debug)]
+pub struct Resumed<R, O> {
+    /// The record of every completed task (restored or fresh), in task
+    /// index order.
+    pub records: Vec<R>,
+    /// The outcomes this process evaluated, in task index order.
+    pub fresh: Vec<O>,
+    /// Tasks left unstarted because the wall-clock budget expired.
+    pub truncated: usize,
+}
+
+/// Run a campaign's tasks crash-proof: restore completed records from the
+/// latest good snapshot (malformed lines are warned about and re-run),
+/// evaluate the rest on the work-stealing pool under the budget deadline,
+/// and checkpoint plus heartbeat every `effective_every()` completions and
+/// once more at the end.
+///
+/// `evaluate(idx)` computes task `idx`; `record` projects an outcome onto
+/// its checkpointed record; `death(idx, payload)` stands in for a task
+/// whose worker panicked past every per-case guard.
+pub fn run_resumable<R, O, E, P, D>(
+    campaign: &Campaign<'_>,
+    evaluate: E,
+    record: P,
+    death: D,
+) -> Resumed<R, O>
+where
+    R: RecordCodec,
+    O: Send,
+    E: Fn(usize) -> O + Sync,
+    P: Fn(&O) -> R,
+    D: Fn(usize, &str) -> O,
+{
+    let Campaign {
+        kind,
+        fingerprint,
+        total,
+        workers,
+        runtime,
+    } = *campaign;
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(total).collect();
+    if let (true, Some(dir)) = (runtime.resume, &runtime.checkpoint_dir) {
+        let loaded = snapshot::load_latest(dir, kind, fingerprint);
+        for w in &loaded.warnings {
+            eprintln!("warning: {w}");
+        }
+        for line in loaded.lines.unwrap_or_default() {
+            match R::decode(&line) {
+                Some((idx, r)) if idx < total => slots[idx] = Some(r),
+                _ => eprintln!("warning: ignoring malformed {kind} checkpoint line"),
+            }
+        }
+    }
+    let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
+
+    let every = runtime.effective_every();
+    let mut since_save = 0usize;
+    let results = run_stealing_observed(
+        pending.clone(),
+        workers,
+        runtime.deadline(Instant::now()),
+        |_, idx| evaluate(idx),
+        |i, result| {
+            let idx = pending[i];
+            slots[idx] = Some(match result {
+                Ok(outcome) => record(outcome),
+                Err(p) => record(&death(idx, &p.payload)),
+            });
+            since_save += 1;
+            if since_save >= every {
+                since_save = 0;
+                checkpoint(campaign, &slots, false);
+            }
+        },
+    );
+
+    let mut fresh = Vec::new();
+    let mut truncated = 0usize;
+    for (i, result) in results.into_iter().enumerate() {
+        match result {
+            Some(Ok(outcome)) => fresh.push(outcome),
+            Some(Err(p)) => fresh.push(death(pending[i], &p.payload)),
+            None => truncated += 1,
+        }
+    }
+    checkpoint(campaign, &slots, truncated > 0);
+    Resumed {
+        records: slots.into_iter().flatten().collect(),
+        fresh,
+        truncated,
+    }
+}
+
+/// Save every encodable completed record (atomic write + rotation happen
+/// inside [`snapshot::save`]) and refresh the heartbeat; a no-op without a
+/// checkpoint directory.
+fn checkpoint<R: RecordCodec>(campaign: &Campaign<'_>, slots: &[Option<R>], truncated: bool) {
+    let Some(dir) = campaign.runtime.checkpoint_dir.as_deref() else {
+        return;
+    };
+    let lines: Vec<String> = slots
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.as_ref()?.encode(i))
+        .collect();
+    if let Err(e) = snapshot::save(dir, campaign.kind, campaign.fingerprint, &lines) {
+        eprintln!("warning: failed to write {} checkpoint: {e}", campaign.kind);
+    }
+    let completed = slots.iter().flatten().count();
+    snapshot::write_heartbeat(dir, campaign.kind, completed, campaign.total, truncated);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,5 +468,91 @@ mod tests {
         });
         let got: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, (1..=64).collect::<Vec<_>>());
+    }
+
+    /// A toy record: `"<idx> <value>"`, odd values never checkpointed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Square(usize);
+
+    impl RecordCodec for Square {
+        fn encode(&self, idx: usize) -> Option<String> {
+            self.0
+                .is_multiple_of(2)
+                .then(|| format!("{idx} {}", self.0))
+        }
+        fn decode(line: &str) -> Option<(usize, Self)> {
+            let (idx, value) = line.split_once(' ')?;
+            Some((idx.parse().ok()?, Square(value.parse().ok()?)))
+        }
+    }
+
+    fn campaign_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("druzhba-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn malformed_checkpoint_lines_are_rerun_not_trusted() {
+        let dir = campaign_dir("malformed");
+        let lines = ["0 0", "1 one", "garbage", "9 81"].map(String::from);
+        snapshot::save(&dir, "toy", 7, &lines).unwrap();
+        let runtime = RuntimeOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..RuntimeOptions::default()
+        };
+        let campaign = Campaign {
+            kind: "toy",
+            fingerprint: 7,
+            total: 4,
+            workers: 2,
+            runtime: &runtime,
+        };
+        let evaluated = Mutex::new(Vec::new());
+        let out = run_resumable(
+            &campaign,
+            |i| {
+                evaluated.lock().unwrap().push(i);
+                i * i
+            },
+            |&v| Square(v),
+            |_, _| unreachable!("no worker dies"),
+        );
+        let mut evaluated = evaluated.into_inner().unwrap();
+        evaluated.sort_unstable();
+        // Only task 0 had a well-formed in-range line; task 1's corrupt
+        // value and the out-of-range task 9 are recomputed, not trusted.
+        assert_eq!(evaluated, vec![1, 2, 3]);
+        assert_eq!(out.records, [0, 1, 4, 9].map(Square));
+        assert_eq!(out.fresh, vec![1, 4, 9]);
+        assert_eq!(out.truncated, 0);
+        // The final checkpoint holds exactly the encodable records.
+        let saved = snapshot::load_latest(&dir, "toy", 7).lines.unwrap();
+        assert_eq!(saved, ["0 0", "2 4"].map(String::from));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_dead_worker_becomes_the_death_outcome() {
+        let runtime = RuntimeOptions::default();
+        let campaign = Campaign {
+            kind: "toy",
+            fingerprint: 0,
+            total: 3,
+            workers: 2,
+            runtime: &runtime,
+        };
+        let out = run_resumable(
+            &campaign,
+            |i| if i == 1 { panic!("boom") } else { i },
+            |&v| Square(v),
+            |i, payload| {
+                assert_eq!(payload, "boom");
+                100 + i
+            },
+        );
+        assert_eq!(out.fresh, vec![0, 101, 2]);
+        assert_eq!(out.records, [0, 101, 2].map(Square));
     }
 }

@@ -59,6 +59,13 @@ pub fn fingerprint_of(parts: &[String]) -> u64 {
     fnv1a(&buf)
 }
 
+/// Fingerprint campaign `kind` by its configuration's `Debug` rendering.
+/// Callers reset the fields that must not orphan a snapshot (their
+/// `RuntimeOptions`) before passing the configuration in.
+pub fn fingerprint_of_config(kind: &str, config: &impl fmt::Debug) -> u64 {
+    fingerprint_of(&[kind.to_string(), format!("{config:?}")])
+}
+
 /// Escape one payload record for single-line storage (`\` and newline).
 pub fn escape_line(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

@@ -14,14 +14,15 @@
 //! *assertion failures between the pipeline output trace and the
 //! specification's output trace*.
 
-use std::time::Instant;
-
 use druzhba_core::trace::TraceMismatch;
 use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
-use crate::runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions};
+use crate::runtime::{
+    catch_silent, default_workers, run_resumable, run_stealing, Campaign, RecordCodec,
+    RuntimeOptions,
+};
 use crate::sim::Simulator;
 use crate::snapshot;
 use crate::traffic::TrafficGenerator;
@@ -211,6 +212,19 @@ impl VerdictClass {
             VerdictClass::StateMismatch => "state_mismatch",
             VerdictClass::BackendPanic => "backend_panic",
         }
+    }
+
+    /// Inverse of [`VerdictClass::key`], for checkpoint decoding.
+    pub fn from_key(key: &str) -> Option<VerdictClass> {
+        Some(match key {
+            "pass" => VerdictClass::Pass,
+            "incompatible" => VerdictClass::Incompatible,
+            "length_mismatch" => VerdictClass::LengthMismatch,
+            "container_mismatch" => VerdictClass::ContainerMismatch,
+            "state_mismatch" => VerdictClass::StateMismatch,
+            "backend_panic" => VerdictClass::BackendPanic,
+            _ => return None,
+        })
     }
 }
 
@@ -426,9 +440,7 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             runs: 8,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: default_workers(),
             base: FuzzConfig::default(),
         }
     }
@@ -602,15 +614,37 @@ where
     )
 }
 
-/// The generic resumable campaign driver shared by the ALU and P4 fuzz
-/// campaigns: evaluate `runs` independent runs on the stealing pool,
-/// checkpointing passed-run records, resuming from snapshots, capturing
-/// per-run backend panics as [`Verdict::BackendPanic`], and honouring the
-/// wall-clock budget.
-///
-/// `seed_of(run)` must return the traffic seed run `run` uses — it
-/// completes the replay recipe when a run panics before producing a
-/// report of its own.
+/// Checkpoint lines of the seeded campaigns (`campaign`, `p4-campaign`):
+/// `pass <run> <phvs> <seed>`. Only passes are recorded — a pass is fully
+/// reconstructible from those three numbers; a failed run re-runs on
+/// resume and re-derives its identical verdict.
+impl RecordCodec for FuzzReport {
+    fn encode(&self, run: usize) -> Option<String> {
+        self.passed()
+            .then(|| format!("pass {run} {} {}", self.phvs_tested, self.seed))
+    }
+
+    fn decode(line: &str) -> Option<(usize, Self)> {
+        let mut it = line.strip_prefix("pass ")?.split(' ');
+        let run = it.next()?.parse().ok()?;
+        let phvs_tested = it.next()?.parse().ok()?;
+        let seed = it.next()?.parse().ok()?;
+        Some((
+            run,
+            FuzzReport {
+                verdict: Verdict::Pass,
+                phvs_tested,
+                seed,
+                minimized: None,
+            },
+        ))
+    }
+}
+
+/// The resumable driver shared by the ALU and P4 fuzz campaigns: `runs`
+/// independent runs on [`run_resumable`], with a run whose worker panics
+/// recorded as [`Verdict::BackendPanic`] under its traffic seed
+/// `seed_of(run)` (the replay recipe).
 pub(crate) fn resumable_campaign<F, SeedOf>(
     kind: &str,
     fingerprint: u64,
@@ -624,108 +658,26 @@ where
     F: Fn(usize) -> FuzzReport + Sync,
     SeedOf: Fn(usize) -> u64,
 {
-    let mut done: Vec<Option<FuzzReport>> = vec![None; runs];
-    if runtime.resume {
-        if let Some(dir) = &runtime.checkpoint_dir {
-            let loaded = snapshot::load_latest(dir, kind, fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: checkpoint {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                // "pass <run> <phvs> <seed>" — only passes are recorded;
-                // anything else re-runs deterministically.
-                let mut it = line.split(' ');
-                if it.next() != Some("pass") {
-                    continue;
-                }
-                let (Some(run), Some(phvs), Some(seed)) = (
-                    it.next().and_then(|t| t.parse::<usize>().ok()),
-                    it.next().and_then(|t| t.parse::<usize>().ok()),
-                    it.next().and_then(|t| t.parse::<u64>().ok()),
-                ) else {
-                    continue;
-                };
-                if run < runs {
-                    done[run] = Some(FuzzReport {
-                        verdict: Verdict::Pass,
-                        phvs_tested: phvs,
-                        seed,
-                        minimized: None,
-                    });
-                }
-            }
-        }
-    }
-
-    let resumed = done.iter().filter(|d| d.is_some()).count();
-    let pending: Vec<usize> = (0..runs).filter(|&r| done[r].is_none()).collect();
-    let deadline = runtime.deadline(Instant::now());
-    let every = runtime.effective_every();
-
-    let mut pass_lines: Vec<(usize, String)> = done
-        .iter()
-        .enumerate()
-        .filter_map(|(run, d)| {
-            d.as_ref()
-                .map(|rep| (run, format!("pass {run} {} {}", rep.phvs_tested, rep.seed)))
-        })
-        .collect();
-    let mut completed = resumed;
-    let mut since_checkpoint = 0usize;
-    let pending_runs = pending.clone();
-    let results = run_stealing_observed(
-        pending,
+    let campaign = Campaign {
+        kind,
+        fingerprint,
+        total: runs,
         workers,
-        deadline,
-        |_, run| eval(run),
-        |i, res| {
-            completed += 1;
-            if let Ok(rep) = res {
-                if rep.passed() {
-                    let run = pending_runs[i];
-                    pass_lines.push((run, format!("pass {run} {} {}", rep.phvs_tested, rep.seed)));
-                }
-            }
-            since_checkpoint += 1;
-            if since_checkpoint >= every {
-                since_checkpoint = 0;
-                if let Some(dir) = &runtime.checkpoint_dir {
-                    pass_lines.sort_unstable_by_key(|(run, _)| *run);
-                    let lines: Vec<String> = pass_lines.iter().map(|(_, l)| l.clone()).collect();
-                    if let Err(e) = snapshot::save(dir, kind, fingerprint, &lines) {
-                        eprintln!("warning: checkpoint save failed: {e}");
-                    }
-                    snapshot::write_heartbeat(dir, kind, completed, runs, false);
-                }
-            }
-        },
-    );
-
-    for (i, slot) in results.into_iter().enumerate() {
-        let run = pending_runs[i];
-        done[run] = match slot {
-            Some(Ok(rep)) => Some(rep),
-            Some(Err(p)) => Some(FuzzReport {
-                verdict: Verdict::BackendPanic { payload: p.payload },
-                phvs_tested: 0,
-                seed: seed_of(run),
-                minimized: None,
-            }),
-            None => None,
-        };
-    }
-    let truncated = done.iter().filter(|d| d.is_none()).count();
-    if let Some(dir) = &runtime.checkpoint_dir {
-        pass_lines.sort_unstable_by_key(|(run, _)| *run);
-        let lines: Vec<String> = pass_lines.iter().map(|(_, l)| l.clone()).collect();
-        if let Err(e) = snapshot::save(dir, kind, fingerprint, &lines) {
-            eprintln!("warning: checkpoint save failed: {e}");
+        runtime,
+    };
+    let out = run_resumable(&campaign, eval, FuzzReport::clone, |run, payload| {
+        FuzzReport {
+            verdict: Verdict::BackendPanic {
+                payload: payload.to_string(),
+            },
+            phvs_tested: 0,
+            seed: seed_of(run),
+            minimized: None,
         }
-        snapshot::write_heartbeat(dir, kind, runs - truncated, runs, truncated > 0);
-    }
+    });
     CampaignReport {
-        runs: done.into_iter().flatten().collect(),
-        truncated,
+        runs: out.records,
+        truncated: out.truncated,
     }
 }
 

@@ -25,23 +25,26 @@
 //!    re-applying the fault per candidate, until the smallest program
 //!    that still diverges with the same [`VerdictClass`] remains.
 //!
-//! The campaign shares the crash-proof runtime of the corpus hunt:
-//! panic-isolated work stealing, per-program checkpoint records that
-//! `--resume` restores verbatim, wall-clock budgets that truncate at a
-//! clean per-program boundary.
+//! The campaign shares the crash-proof campaign engine of the corpus hunt
+//! ([`run_resumable`]): panic-isolated work stealing, per-program
+//! checkpoint records that `--resume` restores verbatim, wall-clock
+//! budgets that truncate at a clean per-program boundary.
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use druzhba_chipmunk::{compile, CompiledSpec, CompilerConfig};
+use druzhba_core::diag::json_string;
 use druzhba_dgen::OptLevel;
 use druzhba_domino::DominoProgram;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
-use druzhba_dsim::runtime::{catch_silent, run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{
+    catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
+};
 use druzhba_dsim::snapshot;
 use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
+
+use crate::hunt::{fault_json, levels_json};
 
 /// Salt mixed into the campaign seed for per-program task seeds
 /// (`"GENH"`), keeping traffic seeds independent of the candidate-seed
@@ -88,9 +91,7 @@ impl Default for GenHuntConfig {
             input_bits: 10,
             faults_per_program: 0,
             minimize_checks: 200,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: default_workers(),
             runtime: RuntimeOptions::default(),
         }
     }
@@ -129,55 +130,47 @@ pub struct GenRecord {
 }
 
 /// One checkpoint line: tab-separated counters, the JSON row last (the
-/// only field that may contain tabs, hence `splitn` on decode).
-fn record_line(r: &GenRecord) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.index,
-        r.name,
-        r.grid,
-        r.rejected,
-        r.alarming,
-        r.clean_divergences,
-        r.faults_seeded,
-        r.faults_detected,
-        r.minimized,
-        u8::from(r.panicked),
-        r.json
-    )
-}
+/// only field that may contain tabs, hence `splitn` on decode). The line
+/// leads with the program index, which is also the task index.
+impl RecordCodec for GenRecord {
+    fn encode(&self, _idx: usize) -> Option<String> {
+        Some(format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            self.index,
+            self.name,
+            self.grid,
+            self.rejected,
+            self.alarming,
+            self.clean_divergences,
+            self.faults_seeded,
+            self.faults_detected,
+            self.minimized,
+            u8::from(self.panicked),
+            self.json
+        ))
+    }
 
-/// Inverse of [`record_line`]; `None` rejects malformed/foreign lines.
-fn parse_record_line(line: &str) -> Option<GenRecord> {
-    let mut parts = line.splitn(11, '\t');
-    let index = parts.next()?.parse().ok()?;
-    let name = parts.next()?.to_string();
-    let grid = parts.next()?.to_string();
-    let rejected = parts.next()?.parse().ok()?;
-    let alarming = parts.next()?.parse().ok()?;
-    let clean_divergences = parts.next()?.parse().ok()?;
-    let faults_seeded = parts.next()?.parse().ok()?;
-    let faults_detected = parts.next()?.parse().ok()?;
-    let minimized = parts.next()?.parse().ok()?;
-    let panicked = match parts.next()? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    let json = parts.next()?.to_string();
-    Some(GenRecord {
-        index,
-        name,
-        grid,
-        rejected,
-        alarming,
-        clean_divergences,
-        faults_seeded,
-        faults_detected,
-        minimized,
-        panicked,
-        json,
-    })
+    fn decode(line: &str) -> Option<(usize, Self)> {
+        let mut parts = line.splitn(11, '\t');
+        let record = GenRecord {
+            index: parts.next()?.parse().ok()?,
+            name: parts.next()?.to_string(),
+            grid: parts.next()?.to_string(),
+            rejected: parts.next()?.parse().ok()?,
+            alarming: parts.next()?.parse().ok()?,
+            clean_divergences: parts.next()?.parse().ok()?,
+            faults_seeded: parts.next()?.parse().ok()?,
+            faults_detected: parts.next()?.parse().ok()?,
+            minimized: parts.next()?.parse().ok()?,
+            panicked: match parts.next()? {
+                "0" => false,
+                "1" => true,
+                _ => return None,
+            },
+            json: parts.next()?.to_string(),
+        };
+        Some((usize::try_from(record.index).ok()?, record))
+    }
 }
 
 /// Aggregate result of a generated-program campaign.
@@ -246,7 +239,6 @@ impl GenHuntReport {
     }
 
     /// Render the campaign as a JSON document (schema: DESIGN.md §13).
-    /// Hand-written — the vendored `serde` is a no-op stand-in.
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -254,12 +246,7 @@ impl GenHuntReport {
         let _ = writeln!(s, "  \"config\": {{");
         let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
         let _ = writeln!(s, "    \"count\": {},", cfg.count);
-        let levels: Vec<String> = cfg
-            .levels
-            .iter()
-            .map(|l| format!("\"{}\"", l.key()))
-            .collect();
-        let _ = writeln!(s, "    \"levels\": [{}],", levels.join(", "));
+        let _ = writeln!(s, "    \"levels\": [{}],", levels_json(&cfg.levels));
         let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
         let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
         let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
@@ -295,12 +282,6 @@ impl GenHuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// Run a generated-program campaign. Deterministic: the report is a pure
 /// function of the configuration, independent of worker count.
 pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
@@ -311,116 +292,48 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
         return Err("--generate needs a nonzero program count".into());
     }
 
-    let total = cfg.count as usize;
-    let fingerprint = snapshot::fingerprint_of(&[
-        "genhunt".to_string(),
-        format!(
-            "{:?}",
-            GenHuntConfig {
-                runtime: RuntimeOptions::default(),
-                ..cfg.clone()
-            }
-        ),
-    ]);
-
-    // Resume: restore completed sweeps by program index.
-    let mut slots: Vec<Option<GenRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "genhunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some(record) if (record.index as usize) < total => {
-                        let slot = record.index as usize;
-                        slots[slot] = Some(record);
-                    }
-                    _ => eprintln!("warning: ignoring malformed genhunt checkpoint line"),
-                }
-            }
-        }
-    }
-    let pending: Vec<u64> = (0..cfg.count)
-        .filter(|&i| slots[i as usize].is_none())
-        .collect();
-
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
-
-    // A worker that dies at the pool level (generation or synthesis
-    // panicking past the per-case guards) still yields a row.
-    let death_record = |index: u64, payload: &str| -> GenRecord {
-        GenRecord {
-            index,
-            name: format!("gen_{:016x}_{index}", cfg.seed),
-            grid: "?".to_string(),
-            rejected: 0,
-            alarming: 0,
-            clean_divergences: 0,
-            faults_seeded: 0,
-            faults_detected: 0,
-            minimized: 0,
-            panicked: true,
-            json: format!(
-                "    {{\"name\": \"gen_{:016x}_{index}\", \"index\": {index}, \
-                 \"panic\": \"{}\"}}",
-                cfg.seed,
-                esc(payload)
-            ),
-        }
+    let fingerprint_cfg = GenHuntConfig {
+        runtime: RuntimeOptions::default(),
+        ..cfg.clone()
     };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, index| sweep_program(cfg, index),
-            |i, result| {
-                let index = pending[i];
-                slots[index as usize] = Some(match result {
-                    Ok(record) => record.clone(),
-                    Err(p) => death_record(index, &p.payload),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "genhunt", completed, total, false);
-                    }
-                }
-            },
-        )
+    let campaign = Campaign {
+        kind: "genhunt",
+        fingerprint: snapshot::fingerprint_of_config("genhunt", &fingerprint_cfg),
+        total: cfg.count as usize,
+        workers: cfg.workers,
+        runtime: &cfg.runtime,
     };
-
-    let truncated = results.iter().filter(|r| r.is_none()).count();
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "genhunt", completed, total, truncated > 0);
-    }
-
-    let records: Vec<GenRecord> = slots.into_iter().flatten().collect();
+    let out = run_resumable(
+        &campaign,
+        |index| sweep_program(cfg, index as u64),
+        GenRecord::clone,
+        // A worker that dies at the pool level (generation or synthesis
+        // panicking past the per-case guards) still yields a row.
+        |index, payload| {
+            let name = format!("gen_{:016x}_{index}", cfg.seed);
+            GenRecord {
+                index: index as u64,
+                json: format!(
+                    "    {{\"name\": \"{name}\", \"index\": {index}, \"panic\": {}}}",
+                    json_string(payload)
+                ),
+                name,
+                grid: "?".to_string(),
+                rejected: 0,
+                alarming: 0,
+                clean_divergences: 0,
+                faults_seeded: 0,
+                faults_detected: 0,
+                minimized: 0,
+                panicked: true,
+            }
+        },
+    );
     Ok(GenHuntReport {
-        records,
-        truncated,
+        records: out.records,
+        truncated: out.truncated,
         config: cfg.clone(),
     })
-}
-
-/// Write every completed record to the campaign snapshot.
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<GenRecord>]) {
-    let lines: Vec<String> = slots.iter().flatten().map(record_line).collect();
-    if let Err(e) = snapshot::save(dir, "genhunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write genhunt checkpoint: {e}");
-    }
 }
 
 /// One clean-sweep or fault-sweep divergence, for the JSON row.
@@ -625,41 +538,18 @@ fn reproduces(
     verdict.class() == d.verdict
 }
 
-fn fault_json(fault: &Fault) -> String {
-    match fault {
-        Fault::RemovedPair { name } => {
-            format!(
-                "{{\"kind\": \"removed_pair\", \"name\": \"{}\"}}",
-                esc(name)
-            )
-        }
-        Fault::MutatedValue { name, old, new } => format!(
-            "{{\"kind\": \"mutated_value\", \"name\": \"{}\", \"old\": {old}, \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::OutOfRangeValue { name, new } => format!(
-            "{{\"kind\": \"out_of_range_value\", \"name\": \"{}\", \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::HostileTrap { name, old } => format!(
-            "{{\"kind\": \"hostile_trap\", \"name\": \"{}\", \"old\": {old}}}",
-            esc(name)
-        ),
-    }
-}
-
 /// Render one program's JSON row.
 fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
         "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \"atom\": \"{}\", \
-         \"recipe\": \"{}\", \"rejected\": {}, ",
+         \"recipe\": {}, \"rejected\": {}, ",
         g.name,
         g.index,
         g.grid,
         g.grid.atom,
-        esc(&g.recipe()),
+        json_string(&g.recipe()),
         g.rejects.total()
     );
     let clean_rows: Vec<String> = clean
@@ -698,11 +588,11 @@ fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) 
                     let _ = write!(
                         row,
                         "\"minimized\": {{\"size_before\": {}, \"size_after\": {}, \
-                         \"checks\": {}, \"source\": \"{}\"}}}}",
+                         \"checks\": {}, \"source\": {}}}}}",
                         m.size_before,
                         m.size_after,
                         m.checks,
-                        esc(&m.source)
+                        json_string(&m.source)
                     );
                 }
                 None => {

@@ -16,9 +16,9 @@
 //!    *witness*;
 //! 3. every mutant is evaluated on every requested [`OptLevel`] backend —
 //!    fresh seeded fuzzing first, then the witness seed, then bounded
-//!    exhaustive verification — scheduled over the panic-isolated
-//!    work-stealing pool (`run_stealing_observed`, the same scheduler
-//!    behind `fuzz_campaign`);
+//!    exhaustive verification — run by the resumable campaign engine
+//!    ([`run_resumable`], the same engine behind `fuzz_campaign`) on its
+//!    panic-isolated work-stealing pool;
 //! 4. every divergence is delta-debugged against the known-good baseline
 //!    ([`minimize_fault`]) so the report carries the essential machine-code
 //!    edits and a minimized reproducing input, not a raw 2000-packet dump.
@@ -40,19 +40,20 @@
 //! budget truncates the campaign at a clean per-evaluation boundary.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
+use std::fmt::{Display, Write as _};
 
 use druzhba_analysis::{flag_mutant, symbolic_equivalent, StaticFlag};
 use druzhba_chipmunk::CompiledProgram;
+use druzhba_core::diag::json_string;
 use druzhba_core::Trace;
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
 use druzhba_dsim::minimize::{minimize_fault, MinimizeConfig, MinimizedCounterExample};
-use druzhba_dsim::runtime::{catch_silent, run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{
+    catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
+};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, Verdict};
+use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, Verdict, VerdictClass};
 use druzhba_dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba_dsim::TrafficGenerator;
 use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
@@ -105,9 +106,7 @@ impl Default for HuntConfig {
             input_bits: 10,
             verify_bits: 2,
             verify_packets: 3,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: default_workers(),
             case_budget: None,
             runtime: RuntimeOptions::default(),
         }
@@ -211,8 +210,8 @@ pub struct EvalRecord {
     pub detector: &'static str,
     /// The static analyzer's verdict on the mutant.
     pub static_flag: StaticFlag,
-    /// Taxonomy key of the observed verdict (`"pass"` when undetected).
-    pub verdict_class: &'static str,
+    /// Class of the observed verdict (`Pass` when undetected).
+    pub verdict_class: VerdictClass,
     /// Differential batches executed (see
     /// [`MutantOutcome::executions`]).
     pub executions: usize,
@@ -229,87 +228,54 @@ fn record_of(o: &MutantOutcome) -> EvalRecord {
         level: o.level,
         detector: detector_key(&o.detection),
         static_flag: o.static_flag,
-        verdict_class: o.verdict.as_ref().map_or("pass", |v| v.class().key()),
+        verdict_class: o
+            .verdict
+            .as_ref()
+            .map_or(VerdictClass::Pass, Verdict::class),
         executions: o.executions,
         json: mutant_json(o),
     }
 }
 
-/// One checkpoint line: tab-separated keys, the JSON row last (it is the
-/// only field that may itself contain tabs, hence `splitn` on decode).
-fn record_line(idx: usize, r: &EvalRecord) -> String {
-    format!(
-        "{idx}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.program,
-        r.fault_kind.key(),
-        r.level.key(),
-        r.detector,
-        r.static_flag.label(),
-        r.verdict_class,
-        r.executions,
-        r.json
-    )
-}
+/// One checkpoint line per task: tab-separated keys, the JSON row last (it
+/// is the only field that may itself contain tabs, hence `splitn` on
+/// decode).
+impl RecordCodec for EvalRecord {
+    fn encode(&self, idx: usize) -> Option<String> {
+        Some(format!(
+            "{idx}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            self.program,
+            self.fault_kind.key(),
+            self.level.key(),
+            self.detector,
+            self.static_flag.label(),
+            self.verdict_class.key(),
+            self.executions,
+            self.json
+        ))
+    }
 
-/// Inverse of [`record_line`]; `None` rejects a malformed or foreign line.
-fn parse_record_line(line: &str) -> Option<(usize, EvalRecord)> {
-    let mut parts = line.splitn(9, '\t');
-    let idx = parts.next()?.parse().ok()?;
-    let program = parts.next()?.to_string();
-    let fault_kind = FaultKind::from_key(parts.next()?)?;
-    let level = opt_level_from_key(parts.next()?)?;
-    let detector = detector_from_key(parts.next()?)?;
-    let static_flag = static_flag_from_label(parts.next()?)?;
-    let verdict_class = verdict_class_from_key(parts.next()?)?;
-    let executions = parts.next()?.parse().ok()?;
-    let json = parts.next()?.to_string();
-    Some((
-        idx,
-        EvalRecord {
-            program,
-            fault_kind,
-            level,
-            detector,
-            static_flag,
-            verdict_class,
-            executions,
-            json,
-        },
-    ))
-}
-
-fn opt_level_from_key(key: &str) -> Option<OptLevel> {
-    OptLevel::ALL.into_iter().find(|l| l.key() == key)
+    fn decode(line: &str) -> Option<(usize, Self)> {
+        let mut parts = line.splitn(9, '\t');
+        let idx = parts.next()?.parse().ok()?;
+        let record = EvalRecord {
+            program: parts.next()?.to_string(),
+            fault_kind: FaultKind::from_key(parts.next()?)?,
+            level: OptLevel::from_key(parts.next()?)?,
+            detector: detector_from_key(parts.next()?)?,
+            static_flag: StaticFlag::from_label(parts.next()?)?,
+            verdict_class: VerdictClass::from_key(parts.next()?)?,
+            executions: parts.next()?.parse().ok()?,
+            json: parts.next()?.to_string(),
+        };
+        Some((idx, record))
+    }
 }
 
 fn detector_from_key(key: &str) -> Option<&'static str> {
     ["fuzz", "witness", "verify", "panic", "none"]
         .into_iter()
         .find(|k| *k == key)
-}
-
-fn static_flag_from_label(label: &str) -> Option<StaticFlag> {
-    [
-        StaticFlag::Structural,
-        StaticFlag::Abstract,
-        StaticFlag::Symbolic,
-        StaticFlag::Unflagged,
-    ]
-    .into_iter()
-    .find(|f| f.label() == label)
-}
-
-fn verdict_class_from_key(key: &str) -> Option<&'static str> {
-    [
-        "pass",
-        "incompatible",
-        "length_mismatch",
-        "container_mismatch",
-        "state_mismatch",
-        "backend_panic",
-    ]
-    .into_iter()
-    .find(|k| *k == key)
 }
 
 /// Aggregate result of a hunt campaign.
@@ -407,13 +373,12 @@ impl HuntReport {
     pub fn taxonomy(&self) -> BTreeMap<&'static str, usize> {
         let mut out = BTreeMap::new();
         for r in &self.records {
-            *out.entry(r.verdict_class).or_insert(0) += 1;
+            *out.entry(r.verdict_class.key()).or_insert(0) += 1;
         }
         out
     }
 
     /// Render the campaign as a JSON document (schema: DESIGN.md §7).
-    /// Hand-written — the vendored `serde` is a no-op stand-in.
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -421,12 +386,7 @@ impl HuntReport {
         let _ = writeln!(s, "  \"config\": {{");
         let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
         let _ = writeln!(s, "    \"mutants_per_class\": {},", cfg.mutants_per_class);
-        let levels: Vec<String> = cfg
-            .levels
-            .iter()
-            .map(|l| format!("\"{}\"", l.key()))
-            .collect();
-        let _ = writeln!(s, "    \"levels\": [{}],", levels.join(", "));
+        let _ = writeln!(s, "    \"levels\": [{}],", levels_json(&cfg.levels));
         let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
         let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
         let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
@@ -443,36 +403,19 @@ impl HuntReport {
         let _ = writeln!(s, "    \"detected\": {},", self.detected());
         let _ = writeln!(s, "    \"detection_rate\": {:.4},", self.detection_rate());
         let _ = writeln!(s, "    \"static_flagged\": {},", self.static_flagged());
-        let by_static: Vec<String> = self
-            .by_static_flag()
-            .into_iter()
-            .map(|(k, n)| format!("\"{k}\": {n}"))
-            .collect();
-        let _ = writeln!(s, "    \"by_static_flag\": {{{}}},", by_static.join(", "));
+        let by_static = json_map(self.by_static_flag());
+        let _ = writeln!(s, "    \"by_static_flag\": {{{by_static}}},");
         let _ = writeln!(s, "    \"neutral_discarded\": {},", self.neutral_discarded);
-        let by_detector: Vec<String> = self
-            .by_detector()
-            .into_iter()
-            .map(|(k, n)| format!("\"{k}\": {n}"))
-            .collect();
-        let _ = writeln!(s, "    \"by_detector\": {{{}}},", by_detector.join(", "));
-        let by_fault: Vec<String> = self
-            .by_fault_kind()
-            .into_iter()
-            .map(|(kind, (total, detected))| {
-                format!(
-                    "\"{}\": {{\"total\": {total}, \"detected\": {detected}}}",
-                    kind.key()
-                )
-            })
-            .collect();
-        let _ = writeln!(s, "    \"by_fault\": {{{}}},", by_fault.join(", "));
-        let taxonomy: Vec<String> = self
-            .taxonomy()
-            .into_iter()
-            .map(|(k, n)| format!("\"{k}\": {n}"))
-            .collect();
-        let _ = writeln!(s, "    \"taxonomy\": {{{}}}", taxonomy.join(", "));
+        let by_detector = json_map(self.by_detector());
+        let _ = writeln!(s, "    \"by_detector\": {{{by_detector}}},");
+        let by_fault = json_map(
+            self.by_fault_kind()
+                .into_iter()
+                .map(|(kind, counts)| (kind.key(), fault_counts_json(counts))),
+        );
+        let _ = writeln!(s, "    \"by_fault\": {{{by_fault}}},");
+        let taxonomy = json_map(self.taxonomy());
+        let _ = writeln!(s, "    \"taxonomy\": {{{taxonomy}}}");
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"mutants\": [");
         let rows: Vec<&str> = self.records.iter().map(|r| r.json.as_str()).collect();
@@ -483,51 +426,83 @@ impl HuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
+/// The body of a JSON object from `(key, rendered value)` pairs:
+/// `"k1": v1, "k2": v2`.
+pub(crate) fn json_map<K: Display, V: Display>(
+    entries: impl IntoIterator<Item = (K, V)>,
+) -> String {
+    let pairs: Vec<String> = entries
+        .into_iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    pairs.join(", ")
+}
+
+/// The body of a report's `levels` array: quoted backend keys.
+pub(crate) fn levels_json(levels: &[OptLevel]) -> String {
+    let keys: Vec<String> = levels.iter().map(|l| format!("\"{}\"", l.key())).collect();
+    keys.join(", ")
+}
+
+/// One `by_fault` entry's value from its `(total, detected)` counts.
+pub(crate) fn fault_counts_json((total, detected): (usize, usize)) -> String {
+    format!("{{\"total\": {total}, \"detected\": {detected}}}")
+}
+
+/// Render a fault as a JSON object (shared with the generated-program
+/// campaign's rows).
+pub(crate) fn fault_json(fault: &Fault) -> String {
+    match fault {
+        Fault::RemovedPair { name } => {
+            format!(
+                "{{\"kind\": \"removed_pair\", \"name\": {}}}",
+                json_string(name)
+            )
+        }
+        Fault::MutatedValue { name, old, new } => format!(
+            "{{\"kind\": \"mutated_value\", \"name\": {}, \"old\": {old}, \"new\": {new}}}",
+            json_string(name)
+        ),
+        Fault::OutOfRangeValue { name, new } => format!(
+            "{{\"kind\": \"out_of_range_value\", \"name\": {}, \"new\": {new}}}",
+            json_string(name)
+        ),
+        Fault::HostileTrap { name, old } => format!(
+            "{{\"kind\": \"hostile_trap\", \"name\": {}, \"old\": {old}}}",
+            json_string(name)
+        ),
+    }
+}
+
+/// Render a minimized input trace's packets as comma-separated JSON arrays
+/// (shared with the P4 campaign's rows).
+pub(crate) fn packets_json(input: &Trace) -> String {
+    let packets: Vec<String> = input
+        .phvs
+        .iter()
+        .map(|p| {
+            let vals: Vec<String> = (0..p.len()).map(|c| p.get(c).to_string()).collect();
+            format!("[{}]", vals.join(", "))
+        })
+        .collect();
+    packets.join(", ")
 }
 
 fn mutant_json(o: &MutantOutcome) -> String {
     let mut s = String::new();
     let _ = write!(s, "    {{\"program\": \"{}\", ", o.program);
-    let fault = match &o.fault {
-        Fault::RemovedPair { name } => {
-            format!(
-                "{{\"kind\": \"removed_pair\", \"name\": \"{}\"}}",
-                esc(name)
-            )
-        }
-        Fault::MutatedValue { name, old, new } => format!(
-            "{{\"kind\": \"mutated_value\", \"name\": \"{}\", \"old\": {old}, \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::OutOfRangeValue { name, new } => format!(
-            "{{\"kind\": \"out_of_range_value\", \"name\": \"{}\", \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::HostileTrap { name, old } => format!(
-            "{{\"kind\": \"hostile_trap\", \"name\": \"{}\", \"old\": {old}}}",
-            esc(name)
-        ),
-    };
-    let _ = write!(s, "\"fault\": {fault}, \"level\": \"{}\", ", o.level.key());
+    let _ = write!(
+        s,
+        "\"fault\": {}, \"level\": \"{}\", ",
+        fault_json(&o.fault),
+        o.level.key()
+    );
     let _ = write!(s, "\"static_flag\": \"{}\", ", o.static_flag.label());
-    match &o.detection {
-        Detection::Fuzz { seed } => {
-            let _ = write!(s, "\"detected_by\": \"fuzz\", \"seed\": {seed}, ");
-        }
-        Detection::Witness { seed } => {
-            let _ = write!(s, "\"detected_by\": \"witness\", \"seed\": {seed}, ");
-        }
-        Detection::Verify => {
-            let _ = write!(s, "\"detected_by\": \"verify\", ");
-        }
-        Detection::Panic { seed } => {
-            let _ = write!(s, "\"detected_by\": \"panic\", \"seed\": {seed}, ");
-        }
-        Detection::Undetected => {
-            let _ = write!(s, "\"detected_by\": \"none\", ");
-        }
+    let _ = write!(s, "\"detected_by\": \"{}\", ", detector_key(&o.detection));
+    if let Detection::Fuzz { seed } | Detection::Witness { seed } | Detection::Panic { seed } =
+        o.detection
+    {
+        let _ = write!(s, "\"seed\": {seed}, ");
     }
     let _ = write!(s, "\"executions_to_detection\": {}, ", o.executions);
     let verdict = o
@@ -540,15 +515,6 @@ fn mutant_json(o: &MutantOutcome) -> String {
             let _ = write!(s, "\"minimized\": null}}");
         }
         Some(mce) => {
-            let packets: Vec<String> = mce
-                .input
-                .phvs
-                .iter()
-                .map(|p| {
-                    let vals: Vec<String> = (0..p.len()).map(|c| p.get(c).to_string()).collect();
-                    format!("[{}]", vals.join(", "))
-                })
-                .collect();
             let edits = match &mce.essential_edits {
                 None => "null".to_string(),
                 Some(edits) => {
@@ -556,8 +522,8 @@ fn mutant_json(o: &MutantOutcome) -> String {
                         .iter()
                         .map(|e| {
                             format!(
-                                "{{\"name\": \"{}\", \"good\": {}, \"bad\": {}}}",
-                                esc(&e.name),
+                                "{{\"name\": {}, \"good\": {}, \"bad\": {}}}",
+                                json_string(&e.name),
                                 e.good.map_or("null".to_string(), |v| v.to_string()),
                                 e.bad.map_or("null".to_string(), |v| v.to_string()),
                             )
@@ -567,9 +533,9 @@ fn mutant_json(o: &MutantOutcome) -> String {
                 }
             };
             let mismatch = match &mce.verdict {
-                Verdict::Mismatch(m) => format!("\"{}\"", esc(&m.to_string())),
-                Verdict::Incompatible(e) => format!("\"{}\"", esc(&e.to_string())),
-                Verdict::BackendPanic { payload } => format!("\"{}\"", esc(payload)),
+                Verdict::Mismatch(m) => json_string(&m.to_string()),
+                Verdict::Incompatible(e) => json_string(&e.to_string()),
+                Verdict::BackendPanic { payload } => json_string(payload),
                 Verdict::Pass => "null".to_string(),
             };
             let _ = write!(
@@ -579,7 +545,7 @@ fn mutant_json(o: &MutantOutcome) -> String {
                  \"essential_edits\": {edits}, \"checks\": {}}}}}",
                 mce.original_packets,
                 mce.packets(),
-                packets.join(", "),
+                packets_json(&mce.input),
                 mce.checks,
             );
         }
@@ -728,136 +694,53 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
         .enumerate()
         .flat_map(|(mi, _)| cfg.levels.iter().map(move |&l| (mi, l)))
         .collect();
-    let total = tasks.len();
-    let fingerprint = snapshot::fingerprint_of(&[
-        "hunt".to_string(),
-        format!(
-            "{:?}",
-            HuntConfig {
-                runtime: RuntimeOptions::default(),
-                ..cfg.clone()
-            }
-        ),
-    ]);
-
-    // Resume: restore completed evaluations by task index; anything the
-    // snapshot does not cover (or covers malformedly) is re-evaluated.
-    let mut slots: Vec<Option<EvalRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "hunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some((idx, record)) if idx < total => slots[idx] = Some(record),
-                    _ => eprintln!("warning: ignoring malformed hunt checkpoint line"),
-                }
-            }
-        }
-    }
-    let pending: Vec<(usize, usize, OptLevel)> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| slots[*i].is_none())
-        .map(|(i, &(mi, level))| (i, mi, level))
-        .collect();
-
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
-    let mutants = &mutants;
-    let defs = &defs;
-    let compiled = &compiled;
-
-    // A worker that dies at the pool level (a panic escaping the
-    // per-case guards) still yields a per-task row instead of sinking
-    // the campaign: the panic becomes a `Detection::Panic` outcome.
-    let death_outcome = |gi: usize, mi: usize, level: OptLevel, payload: &str| -> MutantOutcome {
-        let mutant: &Mutant = &mutants[mi];
-        MutantOutcome {
-            program: defs[mutant.program].name,
-            fault: mutant.fault.clone(),
-            level,
-            detection: Detection::Panic {
-                seed: shard_seed(shard_seed(cfg.seed ^ 0x4855_4E54, gi as u64), 0),
-            },
-            static_flag: mutant.static_flag,
-            executions: 0,
-            verdict: Some(Verdict::BackendPanic {
-                payload: payload.to_string(),
-            }),
-            minimized: None,
-        }
+    let fingerprint_cfg = HuntConfig {
+        runtime: RuntimeOptions::default(),
+        ..cfg.clone()
     };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, (gi, mi, level)| evaluate(cfg, defs, compiled, &mutants[mi], level, gi as u64),
-            |i, result| {
-                let (gi, mi, level) = pending[i];
-                slots[gi] = Some(match result {
-                    Ok(outcome) => record_of(outcome),
-                    Err(p) => record_of(&death_outcome(gi, mi, level, &p.payload)),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "hunt", completed, total, false);
-                    }
-                }
-            },
-        )
+    let campaign = Campaign {
+        kind: "hunt",
+        fingerprint: snapshot::fingerprint_of_config("hunt", &fingerprint_cfg),
+        total: tasks.len(),
+        workers: cfg.workers,
+        runtime: &cfg.runtime,
     };
-
-    // Index-ordered post-pass: structured outcomes for this process's
-    // evaluations, truncation count for budget-expired slots.
-    let mut outcomes: Vec<MutantOutcome> = Vec::new();
-    let mut truncated = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let (gi, mi, level) = pending[i];
-        match result {
-            Some(Ok(outcome)) => outcomes.push(outcome),
-            Some(Err(p)) => outcomes.push(death_outcome(gi, mi, level, &p.payload)),
-            None => truncated += 1,
-        }
-    }
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "hunt", completed, total, truncated > 0);
-    }
-
-    let records: Vec<EvalRecord> = slots.into_iter().flatten().collect();
+    let out = run_resumable(
+        &campaign,
+        |gi| {
+            let (mi, level) = tasks[gi];
+            evaluate(cfg, &defs, &compiled, &mutants[mi], level, gi as u64)
+        },
+        record_of,
+        // A worker that dies at the pool level (a panic escaping the
+        // per-case guards) still yields a per-task row instead of sinking
+        // the campaign: the panic becomes a `Detection::Panic` outcome.
+        |gi, payload| {
+            let (mi, level) = tasks[gi];
+            let mutant = &mutants[mi];
+            MutantOutcome {
+                program: defs[mutant.program].name,
+                fault: mutant.fault.clone(),
+                level,
+                detection: Detection::Panic {
+                    seed: shard_seed(shard_seed(cfg.seed ^ 0x4855_4E54, gi as u64), 0),
+                },
+                static_flag: mutant.static_flag,
+                executions: 0,
+                verdict: Some(Verdict::BackendPanic {
+                    payload: payload.to_string(),
+                }),
+                minimized: None,
+            }
+        },
+    );
     Ok(HuntReport {
-        records,
-        outcomes,
-        truncated,
+        records: out.records,
+        outcomes: out.fresh,
+        truncated: out.truncated,
         neutral_discarded,
         config: cfg.clone(),
     })
-}
-
-/// Write every completed record to the campaign snapshot (atomic write +
-/// rotation happen inside [`snapshot::save`]).
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<EvalRecord>]) {
-    let lines: Vec<String> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().map(|r| record_line(i, r)))
-        .collect();
-    if let Err(e) = snapshot::save(dir, "hunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write hunt checkpoint: {e}");
-    }
 }
 
 /// Probe a value-mutation candidate for behavioral effect: seeded fuzz
@@ -987,7 +870,21 @@ fn evaluate(
         Some((report.verdict, minimized))
     };
 
+    let outcome = |detection, executions, verdict, minimized| MutantOutcome {
+        program: def.name,
+        fault: mutant.fault.clone(),
+        level,
+        detection,
+        static_flag: mutant.static_flag,
+        executions,
+        verdict,
+        minimized,
+    };
+
     // Phase 1: fresh seeded fuzzing (measures ordinary detection power).
+    // Phase 2: the screening probe's witness seed — a known-diverging
+    // input stream; backends are observationally equivalent, so it fires
+    // regardless of which level the probe ran on.
     // `executions` counts differential batches across all phases so the
     // report carries executions-to-detection per mutant. The per-case
     // budget caps that count: an expensive mutant degrades to a bounded
@@ -995,112 +892,49 @@ fn evaluate(
     let budget = cfg.case_budget.unwrap_or(usize::MAX).max(1);
     let mut executions = 0usize;
     let task_seed = shard_seed(cfg.seed ^ 0x4855_4E54, task_index); // "HUNT"
-    for run in 0..cfg.fuzz_runs {
+    let fresh = (0..cfg.fuzz_runs).map(|run| (shard_seed(task_seed, run as u64), false));
+    for (seed, witness) in fresh.chain(mutant.witness.map(|seed| (seed, true))) {
         if executions >= budget {
             break;
         }
-        let seed = shard_seed(task_seed, run as u64);
         executions += 1;
         if let Some((verdict, minimized)) = fuzz_round(seed, &mut reference) {
-            let detection = if matches!(verdict, Verdict::BackendPanic { .. }) {
-                Detection::Panic { seed }
-            } else {
-                Detection::Fuzz { seed }
+            let detection = match verdict {
+                Verdict::BackendPanic { .. } => Detection::Panic { seed },
+                _ if witness => Detection::Witness { seed },
+                _ => Detection::Fuzz { seed },
             };
-            return MutantOutcome {
-                program: def.name,
-                fault: mutant.fault.clone(),
-                level,
-                detection,
-                static_flag: mutant.static_flag,
-                executions,
-                verdict: Some(verdict),
-                minimized,
-            };
-        }
-    }
-
-    // Phase 2: the screening probe's witness seed — a known-diverging
-    // input stream; backends are observationally equivalent, so it fires
-    // regardless of which level the probe ran on.
-    if let Some(seed) = mutant.witness {
-        if executions < budget {
-            executions += 1;
-            if let Some((verdict, minimized)) = fuzz_round(seed, &mut reference) {
-                let detection = if matches!(verdict, Verdict::BackendPanic { .. }) {
-                    Detection::Panic { seed }
-                } else {
-                    Detection::Witness { seed }
-                };
-                return MutantOutcome {
-                    program: def.name,
-                    fault: mutant.fault.clone(),
-                    level,
-                    detection,
-                    static_flag: mutant.static_flag,
-                    executions,
-                    verdict: Some(verdict),
-                    minimized,
-                };
-            }
+            return outcome(detection, executions, Some(verdict), minimized);
         }
     }
 
     // Phase 3: bounded exhaustive verification over the input fields.
-    if executions >= budget {
-        return MutantOutcome {
-            program: def.name,
-            fault: mutant.fault.clone(),
-            level,
-            detection: Detection::Undetected,
-            static_flag: mutant.static_flag,
-            executions,
-            verdict: None,
-            minimized: None,
-        };
-    }
-    executions += 1;
-    if let Ok(VerifyOutcome::CounterExample {
-        input, mismatch, ..
-    }) = verify_bounded(
-        &comp.pipeline_spec,
-        &mutant.mc,
-        level,
-        &mut reference,
-        &hunt_verify_config(cfg, comp),
-    ) {
-        let minimized = minimize_fault(
+    if executions < budget {
+        executions += 1;
+        if let Ok(VerifyOutcome::CounterExample {
+            input, mismatch, ..
+        }) = verify_bounded(
             &comp.pipeline_spec,
-            &comp.machine_code,
             &mutant.mc,
             level,
             &mut reference,
-            &input,
-            &minimize_cfg,
-        )
-        .map(|(_, mce)| mce);
-        return MutantOutcome {
-            program: def.name,
-            fault: mutant.fault.clone(),
-            level,
-            detection: Detection::Verify,
-            static_flag: mutant.static_flag,
-            executions,
-            verdict: Some(Verdict::Mismatch(mismatch)),
-            minimized,
-        };
+            &hunt_verify_config(cfg, comp),
+        ) {
+            let minimized = minimize_fault(
+                &comp.pipeline_spec,
+                &comp.machine_code,
+                &mutant.mc,
+                level,
+                &mut reference,
+                &input,
+                &minimize_cfg,
+            )
+            .map(|(_, mce)| mce);
+            let verdict = Some(Verdict::Mismatch(mismatch));
+            return outcome(Detection::Verify, executions, verdict, minimized);
+        }
     }
-
-    MutantOutcome {
-        program: def.name,
-        fault: mutant.fault.clone(),
-        level,
-        detection: Detection::Undetected,
-        static_flag: mutant.static_flag,
-        executions,
-        verdict: None,
-        minimized: None,
-    }
+    outcome(Detection::Undetected, executions, None, None)
 }
 
 /// Replay one trace through the Fig. 5 differential check (used by hunt's

@@ -33,6 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use druzhba::chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
+use druzhba::core::diag::json_string;
 use druzhba::dgen::emit::emit_pipeline;
 use druzhba::dgen::mat::emit_mat_pipeline;
 use druzhba::dgen::OptLevel;
@@ -1202,13 +1203,13 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
                 .map(|g| {
                     format!(
                         "    {{\"name\": \"{}\", \"index\": {}, \"rejected\": {}, \
-                         \"recipe\": \"{}\", \"source\": \"{}\", \"entries\": \"{}\"}}",
+                         \"recipe\": {}, \"source\": {}, \"entries\": {}}}",
                         g.name,
                         g.index,
                         g.rejects.total(),
-                        json_escape(&g.recipe()),
-                        json_escape(&g.source),
-                        json_escape(&g.entries)
+                        json_string(&g.recipe()),
+                        json_string(&g.source),
+                        json_string(&g.entries)
                     )
                 })
                 .collect();
@@ -1237,15 +1238,15 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
                 .map(|g| {
                     format!(
                         "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \
-                         \"atom\": \"{}\", \"rejected\": {}, \"recipe\": \"{}\", \
-                         \"source\": \"{}\"}}",
+                         \"atom\": \"{}\", \"rejected\": {}, \"recipe\": {}, \
+                         \"source\": {}}}",
                         g.name,
                         g.index,
                         g.grid,
                         g.grid.atom,
                         g.rejects.total(),
-                        json_escape(&g.recipe()),
-                        json_escape(&g.source)
+                        json_string(&g.recipe()),
+                        json_string(&g.source)
                     )
                 })
                 .collect();
@@ -1284,13 +1285,6 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
         None => print!("{out}"),
     }
     Ok(())
-}
-
-/// JSON string escaping for the hand-written `generate --json` rows.
-fn json_escape(raw: &str) -> String {
-    raw.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// `druzhba hunt --generate N`: the Gauntlet-style generated-program

@@ -14,11 +14,11 @@
 //!    probe's diverging traffic seed becomes the mutant's *witness*;
 //! 3. every surviving mutant is evaluated on every requested
 //!    [`OptLevel`] backend — fresh seeded differential fuzzing first,
-//!    then the witness seed — spread across OS threads by the
-//!    work-stealing [`run_stealing_observed`] scheduler, with the same
-//!    crash-proofing as [`crate::hunt`]: per-case panic isolation,
-//!    periodic checkpoints, resume, and wall-clock/per-case budgets
-//!    (DESIGN.md §11);
+//!    then the witness seed — by the resumable campaign engine
+//!    [`run_resumable`], with the same crash-proofing as [`crate::hunt`]:
+//!    per-case panic isolation on a work-stealing pool, periodic
+//!    checkpoints, resume, and wall-clock/per-case budgets (DESIGN.md
+//!    §11);
 //! 4. every divergence is reduced by the shared delta-debugging engine
 //!    ([`druzhba_dsim::p4::p4_minimize`]) so the report carries a
 //!    minimized reproducing packet sequence.
@@ -30,10 +30,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
+use druzhba_core::diag::json_string;
 use druzhba_core::{Trace, Value};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
@@ -42,12 +41,16 @@ use druzhba_dsim::minimize::MinimizedCounterExample;
 use druzhba_dsim::p4::{
     p4_minimize, run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Traffic, P4Workload,
 };
-use druzhba_dsim::runtime::{run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{
+    default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
+};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{shard_seed, Verdict};
+use druzhba_dsim::testing::{shard_seed, Verdict, VerdictClass};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4_PROGRAMS};
+
+use crate::hunt::{fault_counts_json, json_map, levels_json, packets_json};
 
 /// Configuration of a P4 hunt campaign.
 #[derive(Debug, Clone)]
@@ -87,9 +90,7 @@ impl Default for P4HuntConfig {
             fuzz_phvs: 2_000,
             fuzz_runs: 2,
             input_bits: 16,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            workers: default_workers(),
             case_budget: None,
             runtime: RuntimeOptions::default(),
         }
@@ -172,8 +173,8 @@ pub struct P4EvalRecord {
     pub level: OptLevel,
     /// Stable detector key (`fuzz`/`witness`/`panic`/`none`).
     pub detector: &'static str,
-    /// The verdict's class key (`pass` when undetected).
-    pub verdict_class: &'static str,
+    /// The verdict's class (`Pass` when undetected).
+    pub verdict_class: VerdictClass,
     /// Differential batches executed.
     pub executions: usize,
     /// The verbatim JSON report row.
@@ -187,7 +188,10 @@ fn record_of(o: &P4MutantOutcome) -> P4EvalRecord {
         fault_kind: o.fault.kind(),
         level: o.level,
         detector: detector_key(&o.detection),
-        verdict_class: o.verdict.as_ref().map_or("pass", |v| v.class().key()),
+        verdict_class: o
+            .verdict
+            .as_ref()
+            .map_or(VerdictClass::Pass, Verdict::class),
         executions: o.executions,
         json: outcome_json(o),
     }
@@ -196,70 +200,40 @@ fn record_of(o: &P4MutantOutcome) -> P4EvalRecord {
 /// One snapshot line per completed task: tab-separated keys, JSON last
 /// (the JSON row never contains a raw tab or newline; snapshot escaping
 /// covers the rest).
-fn record_line(idx: usize, r: &P4EvalRecord) -> String {
-    format!(
-        "{idx}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.program,
-        r.fault_kind.key(),
-        r.level.key(),
-        r.detector,
-        r.verdict_class,
-        r.executions,
-        r.json
-    )
-}
+impl RecordCodec for P4EvalRecord {
+    fn encode(&self, idx: usize) -> Option<String> {
+        Some(format!(
+            "{idx}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            self.program,
+            self.fault_kind.key(),
+            self.level.key(),
+            self.detector,
+            self.verdict_class.key(),
+            self.executions,
+            self.json
+        ))
+    }
 
-fn p4_fault_kind_from_key(key: &str) -> Option<P4FaultKind> {
-    P4FaultKind::ALL.into_iter().find(|k| k.key() == key)
-}
-
-fn opt_level_from_key(key: &str) -> Option<OptLevel> {
-    OptLevel::ALL.into_iter().find(|l| l.key() == key)
+    fn decode(line: &str) -> Option<(usize, Self)> {
+        let mut parts = line.splitn(8, '\t');
+        let idx = parts.next()?.parse().ok()?;
+        let record = P4EvalRecord {
+            program: parts.next()?.to_string(),
+            fault_kind: P4FaultKind::from_key(parts.next()?)?,
+            level: OptLevel::from_key(parts.next()?)?,
+            detector: detector_from_key(parts.next()?)?,
+            verdict_class: VerdictClass::from_key(parts.next()?)?,
+            executions: parts.next()?.parse().ok()?,
+            json: parts.next()?.to_string(),
+        };
+        Some((idx, record))
+    }
 }
 
 fn detector_from_key(key: &str) -> Option<&'static str> {
     ["fuzz", "witness", "panic", "none"]
         .into_iter()
         .find(|k| *k == key)
-}
-
-fn verdict_class_from_key(key: &str) -> Option<&'static str> {
-    [
-        "pass",
-        "incompatible",
-        "length_mismatch",
-        "container_mismatch",
-        "state_mismatch",
-        "backend_panic",
-    ]
-    .into_iter()
-    .find(|k| *k == key)
-}
-
-/// Parse one snapshot line back into `(task_index, record)`; `None` on
-/// any malformed field (the caller re-evaluates that task).
-fn parse_record_line(line: &str) -> Option<(usize, P4EvalRecord)> {
-    let mut parts = line.splitn(8, '\t');
-    let idx: usize = parts.next()?.parse().ok()?;
-    let program = parts.next()?.to_string();
-    let fault_kind = p4_fault_kind_from_key(parts.next()?)?;
-    let level = opt_level_from_key(parts.next()?)?;
-    let detector = detector_from_key(parts.next()?)?;
-    let verdict_class = verdict_class_from_key(parts.next()?)?;
-    let executions: usize = parts.next()?.parse().ok()?;
-    let json = parts.next()?.to_string();
-    Some((
-        idx,
-        P4EvalRecord {
-            program,
-            fault_kind,
-            level,
-            detector,
-            verdict_class,
-            executions,
-            json,
-        },
-    ))
 }
 
 /// Aggregate result of a P4 hunt campaign.
@@ -310,8 +284,7 @@ impl P4HuntReport {
         out
     }
 
-    /// Render the campaign as a JSON document (hand-written — the
-    /// vendored `serde` is a no-op stand-in; schema in DESIGN.md §7).
+    /// Render the campaign as a JSON document (schema: DESIGN.md §7).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -319,12 +292,7 @@ impl P4HuntReport {
         let _ = writeln!(s, "  \"config\": {{");
         let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
         let _ = writeln!(s, "    \"mutants_per_class\": {},", cfg.mutants_per_class);
-        let levels: Vec<String> = cfg
-            .levels
-            .iter()
-            .map(|l| format!("\"{}\"", l.key()))
-            .collect();
-        let _ = writeln!(s, "    \"levels\": [{}],", levels.join(", "));
+        let _ = writeln!(s, "    \"levels\": [{}],", levels_json(&cfg.levels));
         let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
         let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
         let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
@@ -339,17 +307,12 @@ impl P4HuntReport {
         let _ = writeln!(s, "    \"detected\": {},", self.detected());
         let _ = writeln!(s, "    \"detection_rate\": {:.4},", self.detection_rate());
         let _ = writeln!(s, "    \"neutral_discarded\": {},", self.neutral_discarded);
-        let by_fault: Vec<String> = self
-            .by_fault_kind()
-            .into_iter()
-            .map(|(kind, (total, detected))| {
-                format!(
-                    "\"{}\": {{\"total\": {total}, \"detected\": {detected}}}",
-                    kind.key()
-                )
-            })
-            .collect();
-        let _ = writeln!(s, "    \"by_fault\": {{{}}}", by_fault.join(", "));
+        let by_fault = json_map(
+            self.by_fault_kind()
+                .into_iter()
+                .map(|(kind, counts)| (kind.key(), fault_counts_json(counts))),
+        );
+        let _ = writeln!(s, "    \"by_fault\": {{{by_fault}}}");
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"mutants\": [");
         let rows: Vec<&str> = self.records.iter().map(|r| r.json.as_str()).collect();
@@ -360,17 +323,13 @@ impl P4HuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn outcome_json(o: &P4MutantOutcome) -> String {
     let mut s = String::new();
-    let _ = write!(s, "    {{\"program\": \"{}\", ", esc(&o.program));
+    let _ = write!(s, "    {{\"program\": {}, ", json_string(&o.program));
     let fault = match &o.fault {
         P4Fault::RemovedEntry { table, priority } => format!(
-            "{{\"kind\": \"removed_entry\", \"table\": \"{}\", \"priority\": {priority}}}",
-            esc(table)
+            "{{\"kind\": \"removed_entry\", \"table\": {}, \"priority\": {priority}}}",
+            json_string(table)
         ),
         P4Fault::ActionArg {
             table,
@@ -379,9 +338,9 @@ fn outcome_json(o: &P4MutantOutcome) -> String {
             old,
             new,
         } => format!(
-            "{{\"kind\": \"action_arg\", \"table\": \"{}\", \"priority\": {priority}, \
+            "{{\"kind\": \"action_arg\", \"table\": {}, \"priority\": {priority}, \
              \"arg\": {arg}, \"old\": {old}, \"new\": {new}}}",
-            esc(table)
+            json_string(table)
         ),
         P4Fault::MatchValue {
             table,
@@ -390,25 +349,18 @@ fn outcome_json(o: &P4MutantOutcome) -> String {
             old,
             new,
         } => format!(
-            "{{\"kind\": \"match_value\", \"table\": \"{}\", \"priority\": {priority}, \
+            "{{\"kind\": \"match_value\", \"table\": {}, \"priority\": {priority}, \
              \"clause\": {clause}, \"old\": {old}, \"new\": {new}}}",
-            esc(table)
+            json_string(table)
         ),
     };
     let _ = write!(s, "\"fault\": {fault}, \"level\": \"{}\", ", o.level.key());
-    match &o.detection {
-        P4Detection::Fuzz { seed } => {
-            let _ = write!(s, "\"detected_by\": \"fuzz\", \"seed\": {seed}, ");
-        }
-        P4Detection::Witness { seed } => {
-            let _ = write!(s, "\"detected_by\": \"witness\", \"seed\": {seed}, ");
-        }
-        P4Detection::Panic { seed } => {
-            let _ = write!(s, "\"detected_by\": \"panic\", \"seed\": {seed}, ");
-        }
-        P4Detection::Undetected => {
-            let _ = write!(s, "\"detected_by\": \"none\", ");
-        }
+    let _ = write!(s, "\"detected_by\": \"{}\", ", detector_key(&o.detection));
+    if let P4Detection::Fuzz { seed }
+    | P4Detection::Witness { seed }
+    | P4Detection::Panic { seed } = o.detection
+    {
+        let _ = write!(s, "\"seed\": {seed}, ");
     }
     let _ = write!(s, "\"executions_to_detection\": {}, ", o.executions);
     let verdict = o
@@ -421,22 +373,13 @@ fn outcome_json(o: &P4MutantOutcome) -> String {
             let _ = write!(s, "\"minimized\": null}}");
         }
         Some(mce) => {
-            let packets: Vec<String> = mce
-                .input
-                .phvs
-                .iter()
-                .map(|p| {
-                    let vals: Vec<String> = (0..p.len()).map(|c| p.get(c).to_string()).collect();
-                    format!("[{}]", vals.join(", "))
-                })
-                .collect();
             let _ = write!(
                 s,
                 "\"minimized\": {{\"original_packets\": {}, \"packets\": {}, \
                  \"input\": [{}], \"checks\": {}}}}}",
                 mce.original_packets,
                 mce.packets(),
-                packets.join(", "),
+                packets_json(&mce.input),
                 mce.checks,
             );
         }
@@ -535,130 +478,50 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
         .enumerate()
         .flat_map(|(mi, _)| cfg.levels.iter().map(move |&l| (mi, l)))
         .collect();
-    let total = tasks.len();
-    let fingerprint = snapshot::fingerprint_of(&[
-        "p4-hunt".to_string(),
-        format!(
-            "{:?}",
-            P4HuntConfig {
-                runtime: RuntimeOptions::default(),
-                ..cfg.clone()
-            }
-        ),
-    ]);
-
-    // Resume: restore completed evaluations by task index.
-    let mut slots: Vec<Option<P4EvalRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "p4-hunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some((idx, record)) if idx < total => slots[idx] = Some(record),
-                    _ => eprintln!("warning: ignoring malformed p4-hunt checkpoint line"),
-                }
-            }
-        }
-    }
-    let pending: Vec<(usize, usize, OptLevel)> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| slots[*i].is_none())
-        .map(|(i, &(mi, level))| (i, mi, level))
-        .collect();
-
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
-    let mutants = &mutants;
-
-    // A worker that dies at the pool level still yields a per-task row:
-    // the panic becomes a `P4Detection::Panic` outcome.
-    let death_outcome = |gi: usize, mi: usize, level: OptLevel, payload: &str| -> P4MutantOutcome {
-        let mutant: &Mutant = &mutants[mi];
-        P4MutantOutcome {
-            program: targets[mutant.target].0.clone(),
-            fault: mutant.fault.clone(),
-            level,
-            detection: P4Detection::Panic {
-                seed: shard_seed(shard_seed(cfg.seed ^ 0x5034_4855, gi as u64), 0),
-            },
-            executions: 0,
-            verdict: Some(Verdict::BackendPanic {
-                payload: payload.to_string(),
-            }),
-            minimized: None,
-        }
+    let fingerprint_cfg = P4HuntConfig {
+        runtime: RuntimeOptions::default(),
+        ..cfg.clone()
     };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, (gi, mi, level)| evaluate(cfg, targets, &mutants[mi], level, gi as u64),
-            |i, result| {
-                let (gi, mi, level) = pending[i];
-                slots[gi] = Some(match result {
-                    Ok(outcome) => record_of(outcome),
-                    Err(p) => record_of(&death_outcome(gi, mi, level, &p.payload)),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "p4-hunt", completed, total, false);
-                    }
-                }
-            },
-        )
+    let campaign = Campaign {
+        kind: "p4-hunt",
+        fingerprint: snapshot::fingerprint_of_config("p4-hunt", &fingerprint_cfg),
+        total: tasks.len(),
+        workers: cfg.workers,
+        runtime: &cfg.runtime,
     };
-
-    // Index-ordered post-pass: structured outcomes for this process's
-    // evaluations, truncation count for budget-expired slots.
-    let mut outcomes: Vec<P4MutantOutcome> = Vec::new();
-    let mut truncated = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let (gi, mi, level) = pending[i];
-        match result {
-            Some(Ok(outcome)) => outcomes.push(outcome),
-            Some(Err(p)) => outcomes.push(death_outcome(gi, mi, level, &p.payload)),
-            None => truncated += 1,
-        }
-    }
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "p4-hunt", completed, total, truncated > 0);
-    }
-
-    let records: Vec<P4EvalRecord> = slots.into_iter().flatten().collect();
+    let out = run_resumable(
+        &campaign,
+        |gi| {
+            let (mi, level) = tasks[gi];
+            evaluate(cfg, targets, &mutants[mi], level, gi as u64)
+        },
+        record_of,
+        // A worker that dies at the pool level still yields a per-task
+        // row: the panic becomes a `P4Detection::Panic` outcome.
+        |gi, payload| {
+            let (mi, level) = tasks[gi];
+            let mutant = &mutants[mi];
+            P4MutantOutcome {
+                program: targets[mutant.target].0.clone(),
+                fault: mutant.fault.clone(),
+                level,
+                detection: P4Detection::Panic {
+                    seed: shard_seed(shard_seed(cfg.seed ^ 0x5034_4855, gi as u64), 0),
+                },
+                executions: 0,
+                verdict: Some(Verdict::BackendPanic {
+                    payload: payload.to_string(),
+                }),
+                minimized: None,
+            }
+        },
+    );
     P4HuntReport {
-        records,
-        outcomes,
-        truncated,
+        records: out.records,
+        outcomes: out.fresh,
+        truncated: out.truncated,
         neutral_discarded,
         config: cfg.clone(),
-    }
-}
-
-/// Write every completed record to the campaign snapshot (atomic write +
-/// rotation happen inside [`snapshot::save`]).
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<P4EvalRecord>]) {
-    let lines: Vec<String> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().map(|r| record_line(i, r)))
-        .collect();
-    if let Err(e) = snapshot::save(dir, "p4-hunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write p4-hunt checkpoint: {e}");
     }
 }
 
@@ -719,71 +582,40 @@ fn evaluate(
         Some((verdict, minimized))
     };
 
-    // Phase 1: fresh seeded fuzzing (ordinary detection power).
+    let outcome = |detection, executions, verdict, minimized| P4MutantOutcome {
+        program: name.clone(),
+        fault: mutant.fault.clone(),
+        level,
+        detection,
+        executions,
+        verdict,
+        minimized,
+    };
+
+    // Phase 1: fresh seeded fuzzing (ordinary detection power), then
+    // phase 2: the screening witness (a known-diverging stream; backends
+    // are observationally equivalent, so it fires on every level).
     // `executions` counts differential batches so the report carries
     // executions-to-detection per mutant; the per-case budget caps it.
     let budget = cfg.case_budget.unwrap_or(usize::MAX).max(1);
     let mut executions = 0usize;
     let task_seed = shard_seed(cfg.seed ^ 0x5034_4855, task_index); // "P4HU"
-    for run in 0..cfg.fuzz_runs {
+    let fresh = (0..cfg.fuzz_runs).map(|run| (shard_seed(task_seed, run as u64), false));
+    for (seed, witness) in fresh.chain([(mutant.witness, true)]) {
         if executions >= budget {
             break;
         }
-        let seed = shard_seed(task_seed, run as u64);
         executions += 1;
         if let Some((verdict, minimized)) = fuzz_round(seed) {
-            let detection = if matches!(verdict, Verdict::BackendPanic { .. }) {
-                P4Detection::Panic { seed }
-            } else {
-                P4Detection::Fuzz { seed }
+            let detection = match verdict {
+                Verdict::BackendPanic { .. } => P4Detection::Panic { seed },
+                _ if witness => P4Detection::Witness { seed },
+                _ => P4Detection::Fuzz { seed },
             };
-            return P4MutantOutcome {
-                program: name.clone(),
-                fault: mutant.fault.clone(),
-                level,
-                detection,
-                executions,
-                verdict: Some(verdict),
-                minimized,
-            };
+            return outcome(detection, executions, Some(verdict), minimized);
         }
     }
-
-    // Phase 2: the screening witness (a known-diverging stream; backends
-    // are observationally equivalent, so it fires on every level).
-    if executions < budget {
-        executions += 1;
-        if let Some((verdict, minimized)) = fuzz_round(mutant.witness) {
-            let detection = if matches!(verdict, Verdict::BackendPanic { .. }) {
-                P4Detection::Panic {
-                    seed: mutant.witness,
-                }
-            } else {
-                P4Detection::Witness {
-                    seed: mutant.witness,
-                }
-            };
-            return P4MutantOutcome {
-                program: name.clone(),
-                fault: mutant.fault.clone(),
-                level,
-                detection,
-                executions,
-                verdict: Some(verdict),
-                minimized,
-            };
-        }
-    }
-
-    P4MutantOutcome {
-        program: name.clone(),
-        fault: mutant.fault.clone(),
-        level,
-        detection: P4Detection::Undetected,
-        executions,
-        verdict: None,
-        minimized: None,
-    }
+    outcome(P4Detection::Undetected, executions, None, None)
 }
 
 // ----------------------------------------------------------------------

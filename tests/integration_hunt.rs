@@ -210,7 +210,7 @@ fn hunt_json_is_well_formed_enough_to_grep() {
     let report = hunt(&cfg).unwrap();
     let json = report.to_json();
     // Balanced braces/brackets (a cheap structural check without a JSON
-    // parser — the vendored serde is a no-op).
+    // parser).
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());
     for key in [
