@@ -26,6 +26,22 @@ fn campaign_config() -> HuntConfig {
     }
 }
 
+/// The whole report, byte for byte: config echo, aggregates, key order and
+/// every `mutants[]` row. Regenerate after an intentional change with
+/// `druzhba hunt --programs sampling,snap_heavy_hitter,conga --phvs 600
+/// --out tests/golden/hunt.json` (the same configuration).
+#[test]
+fn hunt_report_matches_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/hunt.json");
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert_eq!(
+        hunt(&campaign_config()).unwrap().to_json(),
+        golden,
+        "hunt report drifted from tests/golden/hunt.json"
+    );
+}
+
 #[test]
 fn hunt_detects_every_fault_class_on_three_corpus_programs() {
     let report = hunt(&campaign_config()).unwrap();

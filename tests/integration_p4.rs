@@ -100,6 +100,22 @@ fn cross_model_skips_drmt_on_shared_register_hazards() {
     assert_eq!(report.drmt_makespan, 0);
 }
 
+/// The whole P4 hunt report, byte for byte. The CLI cannot select two
+/// corpus programs, so an intentional change regenerates the file from
+/// this configuration: write `p4_hunt(&campaign_config())?.to_json()` to
+/// `tests/golden/p4hunt.json`.
+#[test]
+fn hunt_report_matches_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/p4hunt.json");
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert_eq!(
+        p4_hunt(&campaign_config()).unwrap().to_json(),
+        golden,
+        "P4 hunt report drifted from tests/golden/p4hunt.json"
+    );
+}
+
 #[test]
 fn hunt_detects_every_fault_class_and_minimizes() {
     let report = p4_hunt(&campaign_config()).unwrap();
