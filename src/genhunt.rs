@@ -44,7 +44,7 @@ use druzhba_dsim::snapshot;
 use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
 
-use crate::hunt::{fault_json, levels_json};
+use crate::mutation::{levels_json, HuntFault};
 
 /// Salt mixed into the campaign seed for per-program task seeds
 /// (`"GENH"`), keeping traffic seeds independent of the candidate-seed
@@ -246,7 +246,7 @@ impl GenHuntReport {
         let _ = writeln!(s, "  \"config\": {{");
         let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
         let _ = writeln!(s, "    \"count\": {},", cfg.count);
-        let _ = writeln!(s, "    \"levels\": [{}],", levels_json(&cfg.levels));
+        let _ = writeln!(s, "    \"levels\": {},", levels_json(&cfg.levels));
         let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
         let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
         let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
@@ -567,7 +567,7 @@ fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) 
     let fault_rows: Vec<String> = faults
         .iter()
         .map(|f| {
-            let mut row = format!("{{\"fault\": {}, ", fault_json(&f.fault));
+            let mut row = format!("{{\"fault\": {}, ", f.fault.json());
             match &f.divergence {
                 Some(d) => {
                     let _ = write!(

@@ -10,6 +10,7 @@
 pub mod analyze;
 pub mod genhunt;
 pub mod hunt;
+pub mod mutation;
 pub mod p4hunt;
 
 pub use druzhba_alu_dsl as alu_dsl;

@@ -50,6 +50,7 @@ use druzhba::dsim::testing::{fuzz_campaign_with_runtime, fuzz_test, CampaignConf
 use druzhba::dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba::genhunt::{genhunt, GenHuntConfig};
 use druzhba::hunt::{hunt, HuntConfig};
+use druzhba::mutation::{HuntFault, Report};
 use druzhba::p4::deps::build_dag;
 use druzhba::p4::lower::RmtConfig;
 use druzhba::p4hunt::{cross_model_check, p4_hunt_workloads, P4HuntConfig};
@@ -181,33 +182,42 @@ struct Args {
     flags: Vec<(String, String)>,
 }
 
+/// Flag groups several subcommands read: space-separated names without
+/// dashes.
+const GRID: &str = "depth width atom";
+const P4_TARGET: &str = "entries stages tables-per-stage";
+const RUNTIME: &str = "checkpoint every resume budget-secs";
+const GREYBOX: &str = "greybox gb-packets gb-max-packets corpus merge-every lanes";
+const FUZZ: &str = "seed level phvs bits runs jobs";
+const GENHUNT: &str = "generate faults minimize-checks";
+
 impl Args {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `cmd`'s arguments. `known` lists the flag groups `cmd` reads;
+    /// any other flag is an error, so a typo never silently runs the
+    /// defaults.
+    fn parse(cmd: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
         let mut file = None;
         let mut flags = Vec::new();
         // Flags that take no value (presence is the signal).
         const BOOLEAN_FLAGS: &[&str] = &["json", "lint", "symbolic", "p4"];
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&key) {
-                    flags.push((key.to_string(), "on".to_string()));
-                    continue;
+            let Some(key) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
+                if file.is_some() {
+                    return Err(format!("unexpected argument `{a}`"));
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
-                flags.push((key.to_string(), value.clone()));
-            } else if let Some(key) = a.strip_prefix('-') {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag -{key} needs a value"))?;
-                flags.push((key.to_string(), value.clone()));
-            } else if file.is_none() {
                 file = Some(a.clone());
-            } else {
-                return Err(format!("unexpected argument `{a}`"));
+                continue;
+            };
+            if !known.iter().any(|group| group.split(' ').any(|k| k == key)) {
+                return Err(format!("unknown flag `{a}` for `{cmd}`"));
             }
+            let value = if BOOLEAN_FLAGS.contains(&key) {
+                "on"
+            } else {
+                it.next().ok_or_else(|| format!("flag {a} needs a value"))?
+            };
+            flags.push((key.to_string(), value.to_string()));
         }
         Ok(Args { file, flags })
     }
@@ -220,18 +230,19 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// A number flag, `None` when absent.
+    fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("--{key}: bad number `{v}`")))
+            .transpose()
+    }
+
     fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
     fn get_u32(&self, key: &str, default: u32) -> Result<u32, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
     /// Seeds are printed as `0x…` in failure messages, so the flag accepts
@@ -246,6 +257,24 @@ impl Args {
             None => raw.parse(),
         };
         parsed.map_err(|_| format!("--{key}: bad seed `{raw}` (decimal or 0x-hex)"))
+    }
+
+    /// Worker threads: `--jobs J`, or `default` when absent or 0.
+    fn get_workers(&self, default: usize) -> Result<usize, String> {
+        match self.get_usize("jobs", 0)? {
+            0 => Ok(default),
+            jobs => Ok(jobs),
+        }
+    }
+
+    /// An `on|off` switch (`default` when absent).
+    fn get_on_off(&self, key: &str, default: bool) -> Result<bool, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some("on") => Ok(true),
+            Some("off") => Ok(false),
+            Some(other) => Err(format!("--{key} must be on|off, got `{other}`")),
+        }
     }
 
     /// Optimization levels: a single level, or `all` for every backend.
@@ -346,37 +375,27 @@ fn runtime_options(args: &Args) -> Result<RuntimeOptions, String> {
         (None, Some(dir)) => (Some(PathBuf::from(dir)), false),
         (None, None) => (None, false),
     };
-    let budget_secs = match args.get("budget-secs") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--budget-secs: bad number `{v}`"))?,
-        ),
-    };
     Ok(RuntimeOptions {
         checkpoint_dir,
         checkpoint_every: args.get_usize("every", defaults.checkpoint_every)?,
         resume,
-        budget_secs,
+        budget_secs: args.get_opt("budget-secs")?,
     })
 }
 
-/// The optional per-case budget (`--case-budget N`) for hunt campaigns.
-fn case_budget(args: &Args) -> Result<Option<usize>, String> {
-    match args.get("case-budget") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("--case-budget: bad number `{v}`")),
-    }
-}
-
-/// Write a report atomically (tmp + rename): a crash mid-write never
+/// Write `what` to `path` (`--out`/`-o`), or to stdout without one. The
+/// file is written atomically (tmp + rename): a crash mid-write never
 /// leaves a truncated file where a previous good report stood.
-fn atomic_write(path: &str, contents: &str) -> Result<(), String> {
-    snapshot::write_atomic(std::path::Path::new(path), contents)
-        .map_err(|e| format!("cannot write `{path}`: {e}"))
+fn write_out(path: Option<&str>, what: &str, contents: &str) -> Result<(), String> {
+    match path {
+        Some(path) => {
+            snapshot::write_atomic(std::path::Path::new(path), contents)
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            eprintln!("{what} written to {path}");
+        }
+        None => print!("{contents}"),
+    }
+    Ok(())
 }
 
 /// The exit-0-with-warning contract for budget-truncated campaigns: a
@@ -414,10 +433,7 @@ fn greybox_config(
         seed,
         input_bits: bits,
         corpus_max: args.get_usize("corpus", defaults.corpus_max)?,
-        workers: match args.get_usize("jobs", 0)? {
-            0 => defaults.workers,
-            jobs => jobs,
-        },
+        workers: args.get_workers(defaults.workers)?,
         merge_every: args.get_usize("merge-every", defaults.merge_every)?,
         initial_seeds: defaults.initial_seeds,
         minimize: true,
@@ -624,18 +640,12 @@ fn cmd_compile_p4(args: &Args, file: &str) -> Result<(), String> {
         workload.entries.len()
     );
     let report = p4_lowering_report(&name, &workload);
-    match args.get("o") {
-        Some(path) => {
-            atomic_write(path, &report)?;
-            eprintln!("lowering report written to {path}");
-        }
-        None => print!("{report}"),
-    }
-    Ok(())
+    write_out(args.get("o"), "lowering report", &report)
 }
 
 fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let own = "generate lint mutants mutate-entries case-budget cross-model out";
+    let args = Args::parse("p4-fuzz", &[P4_TARGET, RUNTIME, GREYBOX, FUZZ, own], rest)?;
     // `--generate N` swaps the corpus/file targets for N freshly
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
@@ -704,18 +714,13 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
     if greybox > 0 && mutants > 0 {
         return Err("--greybox and --mutants are separate campaign modes; pick one".into());
     }
+    let cross_model = args.get_on_off("cross-model", true)?;
 
     if greybox > 0 {
         // Coverage-guided differential mode: both sides run the same
         // (mutated) entries unless --mutate-entries off pins the corpus
         // entry set (DESIGN.md §9).
-        let mutate_entries = match args.get("mutate-entries") {
-            None | Some("on") => true,
-            Some("off") => false,
-            Some(other) => {
-                return Err(format!("--mutate-entries must be on|off, got `{other}`"));
-            }
-        };
+        let mutate_entries = args.get_on_off("mutate-entries", true)?;
         let gb_cfg = greybox_config(&args, greybox, seed, bits)?;
         for (name, workload) in &targets {
             for &level in &levels {
@@ -767,54 +772,12 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             fuzz_phvs: num_phvs,
             fuzz_runs: runs,
             input_bits: bits,
-            workers: if jobs == 0 { defaults.workers } else { jobs },
-            case_budget: case_budget(&args)?,
+            workers: args.get_workers(defaults.workers)?,
+            case_budget: args.get_opt("case-budget")?,
             runtime: runtime_options(&args)?,
         };
         let report = p4_hunt_workloads(&cfg, &targets);
-        for o in &report.outcomes {
-            if !o.detected() {
-                eprintln!(
-                    "SURVIVOR: {} {:?} at level {} went undetected",
-                    o.program,
-                    o.fault,
-                    o.level.key()
-                );
-            }
-        }
-        for (kind, (total, detected)) in &report.by_fault_kind() {
-            eprintln!("p4-hunt: {:<14} {detected}/{total} detected", kind.key());
-        }
-        if report.neutral_discarded > 0 {
-            eprintln!(
-                "p4-hunt: {} behaviorally neutral candidate(s) screened out",
-                report.neutral_discarded
-            );
-        }
-        eprintln!(
-            "p4-hunt: {} evaluation(s) -> {}/{} detected ({:.1}%)",
-            report.evaluations(),
-            report.detected(),
-            report.evaluations(),
-            report.detection_rate() * 100.0
-        );
-        warn_truncated("p4-hunt", report.truncated);
-        let json = report.to_json();
-        match args.get("out") {
-            Some(path) => {
-                atomic_write(path, &json)?;
-                eprintln!("p4-hunt report written to {path}");
-            }
-            None => print!("{json}"),
-        }
-        let undetected = report.evaluations() - report.detected();
-        if undetected > 0 {
-            return Err(format!(
-                "p4-hunt: {undetected} of {} injected-fault evaluation(s) went undetected",
-                report.evaluations()
-            ));
-        }
-        return Ok(());
+        return finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"));
     }
 
     for (name, workload) in &targets {
@@ -828,11 +791,7 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             if runs > 1 {
                 let campaign_cfg = P4CampaignConfig {
                     runs,
-                    workers: if jobs == 0 {
-                        P4CampaignConfig::default().workers
-                    } else {
-                        jobs
-                    },
+                    workers: args.get_workers(P4CampaignConfig::default().workers)?,
                     base: fuzz_cfg,
                 };
                 let campaign = p4_fuzz_campaign_with_runtime(
@@ -886,7 +845,7 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        if args.get("cross-model") != Some("off") {
+        if cross_model {
             let packets = num_phvs.min(1_000);
             let xm = cross_model_check(workload, seed, packets, bits)?;
             match &xm.drmt_skipped {
@@ -928,24 +887,21 @@ fn report(compiled: &CompiledProgram) {
 }
 
 fn cmd_compile(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("compile", &[GRID, P4_TARGET, "o"], rest)?;
     if let Some(file) = args.file.clone().filter(|f| is_p4_path(f)) {
         return cmd_compile_p4(&args, &file);
     }
     let (_, compiled) = compile_from(&args)?;
     report(&compiled);
-    match args.get("o") {
-        Some(path) => {
-            atomic_write(path, &compiled.machine_code.to_text())?;
-            eprintln!("machine code written to {path}");
-        }
-        None => print!("{}", compiled.machine_code.to_text()),
-    }
-    Ok(())
+    write_out(
+        args.get("o"),
+        "machine code",
+        &compiled.machine_code.to_text(),
+    )
 }
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("fuzz", &[GRID, RUNTIME, GREYBOX, FUZZ, "edit"], rest)?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let num_phvs = args.get_usize("phvs", 50_000)?;
@@ -1016,11 +972,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
             // run index.
             let campaign_cfg = CampaignConfig {
                 runs,
-                workers: if jobs == 0 {
-                    CampaignConfig::default().workers
-                } else {
-                    jobs
-                },
+                workers: args.get_workers(CampaignConfig::default().workers)?,
                 base: fuzz_cfg.clone(),
             };
             let campaign = fuzz_campaign_with_runtime(
@@ -1087,7 +1039,8 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let own = "bits packets max-cases lanes level";
+    let args = Args::parse("verify", &[GRID, own], rest)?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let bits = args.get_u32("bits", 2)?;
@@ -1175,7 +1128,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
 /// Program `k` of a seed is a pure function of `(seed, k)`, so the
 /// `--index` flag replays exactly the program a hunt report names.
 fn cmd_generate(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("generate", &["count seed index p4 json out"], rest)?;
     if let Some(file) = &args.file {
         return Err(format!(
             "generate takes no positional argument (got `{file}`); \
@@ -1277,14 +1230,7 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
             "domino"
         }
     );
-    match args.get("out") {
-        Some(path) => {
-            atomic_write(path, &out)?;
-            eprintln!("generated program(s) written to {path}");
-        }
-        None => print!("{out}"),
-    }
-    Ok(())
+    write_out(args.get("out"), "generated program(s)", &out)
 }
 
 /// `druzhba hunt --generate N`: the Gauntlet-style generated-program
@@ -1308,10 +1254,7 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
         input_bits: args.get_u32("bits", defaults.input_bits)?,
         faults_per_program: args.get_usize("faults", defaults.faults_per_program)?,
         minimize_checks: args.get_usize("minimize-checks", defaults.minimize_checks)?,
-        workers: match args.get_usize("jobs", 0)? {
-            0 => defaults.workers,
-            jobs => jobs,
-        },
+        workers: args.get_workers(defaults.workers)?,
         runtime: runtime_options(args)?,
     };
     let report = genhunt(&cfg)?;
@@ -1335,14 +1278,7 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
         );
     }
     warn_truncated("hunt --generate", report.truncated);
-    let json = report.to_json();
-    match args.get("out") {
-        Some(path) => {
-            atomic_write(path, &json)?;
-            eprintln!("hunt --generate report written to {path}");
-        }
-        None => print!("{json}"),
-    }
+    write_out(args.get("out"), "hunt --generate report", &report.to_json())?;
     if report.panics() > 0 {
         return Err(format!(
             "hunt --generate: {} program sweep(s) died to a worker panic",
@@ -1369,7 +1305,8 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
 }
 
 fn cmd_hunt(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let own = "programs mutants verify-bits verify-packets case-budget out";
+    let args = Args::parse("hunt", &[RUNTIME, FUZZ, GENHUNT, own], rest)?;
     if let Some(file) = &args.file {
         return Err(format!(
             "hunt runs over the built-in corpus (unexpected argument `{file}`); \
@@ -1394,21 +1331,26 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
         input_bits: args.get_u32("bits", defaults.input_bits)?,
         verify_bits: args.get_u32("verify-bits", defaults.verify_bits)?,
         verify_packets: args.get_usize("verify-packets", defaults.verify_packets)?,
-        workers: match args.get_usize("jobs", 0)? {
-            0 => defaults.workers,
-            jobs => jobs,
-        },
-        case_budget: case_budget(&args)?,
+        workers: args.get_workers(defaults.workers)?,
+        case_budget: args.get_opt("case-budget")?,
         runtime: runtime_options(&args)?,
     };
     let report = hunt(&cfg)?;
+    finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"))
+}
 
-    // Human summary on stderr, machine-readable JSON on stdout (or --out),
-    // so `druzhba hunt > report.json` composes.
-    for o in &report.outcomes {
-        if o.detected() {
-            continue;
-        }
+/// The tail of both mutation hunts (`hunt`, `p4-fuzz --mutants`): a human
+/// summary on stderr, the JSON report on stdout or `--out` (so
+/// `druzhba hunt > report.json` composes), and a nonzero exit if any
+/// injected fault survived.
+fn finish_hunt<F: HuntFault, C>(
+    report: &Report<F, C>,
+    json: String,
+    backends: usize,
+    out: Option<&str>,
+) -> Result<(), String> {
+    let label = F::CAMPAIGN;
+    for o in report.undetected() {
         eprintln!(
             "SURVIVOR: {} {:?} at level {} went undetected",
             o.program,
@@ -1416,48 +1358,42 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
             o.level.key()
         );
     }
-    let by_fault = report.by_fault_kind();
-    for (kind, (total, detected)) in &by_fault {
-        eprintln!("hunt: {:<18} {detected}/{total} detected", kind.key());
+    for (kind, (total, detected)) in report.by_fault_kind() {
+        let key = F::class_key(kind);
+        eprintln!("{label}: {key:<18} {detected}/{total} detected");
     }
     if report.neutral_discarded > 0 {
         eprintln!(
-            "hunt: {} behaviorally neutral mutation candidate(s) screened out",
+            "{label}: {} behaviorally neutral mutation candidate(s) screened out",
             report.neutral_discarded
         );
     }
-    let by_static: Vec<String> = report
-        .by_static_flag()
-        .into_iter()
-        .map(|(k, n)| format!("{k} {n}"))
-        .collect();
+    if F::STATIC_FLAG {
+        let by_static: Vec<String> = report
+            .by_static_flag()
+            .into_iter()
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect();
+        eprintln!(
+            "{label}: {}/{} evaluation(s) flagged statically before any packet ran ({})",
+            report.static_flagged(),
+            report.evaluations(),
+            by_static.join(", ")
+        );
+    }
     eprintln!(
-        "hunt: {}/{} evaluation(s) flagged statically before any packet ran ({})",
-        report.static_flagged(),
+        "{label}: {} evaluation(s) over {backends} backend(s) -> {}/{} detected ({:.1}%)",
         report.evaluations(),
-        by_static.join(", ")
-    );
-    eprintln!(
-        "hunt: {} evaluation(s) over {} backend(s) -> {}/{} detected ({:.1}%)",
-        report.evaluations(),
-        cfg.levels.len(),
         report.detected(),
         report.evaluations(),
         report.detection_rate() * 100.0
     );
-    warn_truncated("hunt", report.truncated);
-    let json = report.to_json();
-    match args.get("out") {
-        Some(path) => {
-            atomic_write(path, &json)?;
-            eprintln!("hunt report written to {path}");
-        }
-        None => print!("{json}"),
-    }
+    warn_truncated(label, report.truncated);
+    write_out(out, &format!("{label} report"), &json)?;
     let undetected = report.evaluations() - report.detected();
     if undetected > 0 {
         return Err(format!(
-            "hunt: {undetected} of {} injected-fault evaluation(s) went undetected",
+            "{label}: {undetected} of {} injected-fault evaluation(s) went undetected",
             report.evaluations()
         ));
     }
@@ -1469,7 +1405,7 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
         analyze_compiled, analyze_corpus, analyze_domino_def, analyze_p4_workload, CorpusAnalysis,
     };
 
-    let args = Args::parse(rest)?;
+    let args = Args::parse("analyze", &[GRID, P4_TARGET, "json out symbolic"], rest)?;
     let symbolic = args.get("symbolic").is_some();
     let analysis = match args.file.as_deref() {
         // No positional: the whole 17-program corpus.
@@ -1505,13 +1441,7 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
     } else {
         analysis.to_text()
     };
-    match args.get("out") {
-        Some(path) => {
-            atomic_write(path, &rendered)?;
-            eprintln!("analysis written to {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_out(args.get("out"), "analysis", &rendered)?;
     // Exit-code matrix (docs/FUZZING.md): 2 = proven miscompilation
     // (abstract TV mismatch or symbolic refutation), 0 = clean or
     // lint-only. Operational errors exit 1 via the generic Err path.
@@ -1528,7 +1458,7 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_emit(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("emit", &[GRID, P4_TARGET, "level"], rest)?;
     let level = match args.get_usize("level", 2)? {
         0 => OptLevel::Unoptimized,
         1 => OptLevel::Scc,

@@ -1,27 +1,15 @@
-//! `druzhba p4-fuzz --mutants`: mutation-driven bug-hunt campaigns over
-//! the P4 corpus, plus the cross-model dRMT-vs-RMT differential check.
+//! `druzhba p4-fuzz --mutants`: the P4 stack of the mutation hunt
+//! ([`crate::mutation`]) — table-entry faults in the P4 corpus — plus the
+//! cross-model dRMT-vs-RMT check.
 //!
-//! The structure mirrors [`crate::hunt`] — Gauntlet/FP4-style detection-
-//! power measurement — applied to the P4 workload:
-//!
-//! 1. every selected corpus program's entries are mutated by a
-//!    deterministic [`P4FaultInjector`]: `mutants_per_class` mutants per
-//!    [`P4FaultKind`] (removed entry, mutated action argument, mutated
-//!    match value);
-//! 2. candidates are *screened for behavioral effect* first (a mutated
-//!    match value under masked-out ternary bits, or a removed entry no
-//!    probe packet hits, is an equivalent mutant, not a fault); the
-//!    probe's diverging traffic seed becomes the mutant's *witness*;
-//! 3. every surviving mutant is evaluated on every requested
-//!    [`OptLevel`] backend — fresh seeded differential fuzzing first,
-//!    then the witness seed — by the resumable campaign engine
-//!    [`run_resumable`], with the same crash-proofing as [`crate::hunt`]:
-//!    per-case panic isolation on a work-stealing pool, periodic
-//!    checkpoints, resume, and wall-clock/per-case budgets (DESIGN.md
-//!    §11);
-//! 4. every divergence is reduced by the shared delta-debugging engine
-//!    ([`druzhba_dsim::p4::p4_minimize`]) so the report carries a
-//!    minimized reproducing packet sequence.
+//! A deterministic [`P4FaultInjector`] seeds `mutants_per_class` mutants
+//! of each [`P4FaultKind`] (removed entry, action argument, match value).
+//! Every candidate is screened for behavioral effect (a match-value flip
+//! under masked-out ternary bits is an equivalent mutant), and a fault
+//! already found neutral is never probed again. A fuzz round runs the
+//! reference interpreter against the lowered match-action pipeline and
+//! reduces any divergence with [`druzhba_dsim::p4::p4_minimize`]; the
+//! ladder has no verification step.
 //!
 //! [`cross_model_check`] is the second differential axis the paper's §4
 //! machinery enables: the *same* packets through the sequential
@@ -29,7 +17,6 @@
 //! dRMT machine, asserting identical outputs, registers, and counters.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
 use druzhba_core::diag::json_string;
@@ -37,20 +24,20 @@ use druzhba_core::{Trace, Value};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_drmt::{solve, DrmtMachine, ScheduleConfig};
-use druzhba_dsim::minimize::MinimizedCounterExample;
 use druzhba_dsim::p4::{
     p4_minimize, run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Traffic, P4Workload,
 };
-use druzhba_dsim::runtime::{
-    default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
-};
+use druzhba_dsim::runtime::{default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{shard_seed, Verdict, VerdictClass};
+use druzhba_dsim::testing::{shard_seed, Verdict};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
-use druzhba_programs::{p4_by_name, P4_PROGRAMS};
+use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
 
-use crate::hunt::{fault_counts_json, json_map, levels_json, packets_json};
+use crate::mutation::{
+    self, levels_json, opt_json, EvalRecord, HuntFault, Mutant, MutantOutcome, Report, Settings,
+    SCREEN_SALT,
+};
 
 /// Configuration of a P4 hunt campaign.
 #[derive(Debug, Clone)]
@@ -97,329 +84,110 @@ impl Default for P4HuntConfig {
     }
 }
 
-/// How (whether) one mutant evaluation detected its fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum P4Detection {
-    /// Caught by fresh seeded fuzzing (`druzhba p4-fuzz --seed` replays).
-    Fuzz {
-        /// The diverging traffic seed.
-        seed: u64,
-    },
-    /// Missed by fresh seeds, caught by the screening probe's witness.
-    Witness {
-        /// The witness traffic seed.
-        seed: u64,
-    },
-    /// A backend panicked while evaluating the mutant — recorded as a
-    /// detection (the crash *is* the divergence) with the replay seed.
-    Panic {
-        /// The traffic seed that provoked the panic.
-        seed: u64,
-    },
-    /// Survived every phase under this budget.
-    Undetected,
-}
-
-/// Stable JSON/snapshot key for a detection.
-fn detector_key(d: &P4Detection) -> &'static str {
-    match d {
-        P4Detection::Fuzz { .. } => "fuzz",
-        P4Detection::Witness { .. } => "witness",
-        P4Detection::Panic { .. } => "panic",
-        P4Detection::Undetected => "none",
-    }
-}
-
-/// Outcome of evaluating one mutant on one backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct P4MutantOutcome {
-    /// Corpus program name.
-    pub program: String,
-    /// The injected fault.
-    pub fault: P4Fault,
-    /// Backend evaluated.
-    pub level: OptLevel,
-    /// How the fault was detected, if at all.
-    pub detection: P4Detection,
-    /// Differential batches executed up to and including the detecting
-    /// one (fresh fuzz runs then the witness replay; the full budget when
-    /// undetected) — the per-mutant executions-to-detection figure
-    /// `BENCH_greybox.json` compares against greybox search.
-    pub executions: usize,
-    /// The observed divergence (`None` when undetected).
-    pub verdict: Option<Verdict>,
-    /// Minimized counterexample (`None` when undetected).
-    pub minimized: Option<MinimizedCounterExample>,
-}
-
-impl P4MutantOutcome {
-    /// True if the fault was detected on this backend.
-    pub fn detected(&self) -> bool {
-        !matches!(self.detection, P4Detection::Undetected)
-    }
-}
-
-/// The checkpoint-codable essence of one completed evaluation: the
-/// aggregate keys plus the verbatim JSON row. A resumed campaign restores
-/// these instead of re-evaluating, and because the JSON is stored
-/// verbatim the final report is byte-identical to an uninterrupted run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct P4EvalRecord {
-    /// Corpus program name.
-    pub program: String,
-    /// The injected fault's class.
-    pub fault_kind: P4FaultKind,
-    /// Backend evaluated.
-    pub level: OptLevel,
-    /// Stable detector key (`fuzz`/`witness`/`panic`/`none`).
-    pub detector: &'static str,
-    /// The verdict's class (`Pass` when undetected).
-    pub verdict_class: VerdictClass,
-    /// Differential batches executed.
-    pub executions: usize,
-    /// The verbatim JSON report row.
-    pub json: String,
-}
-
-/// Project one outcome into its checkpoint record.
-fn record_of(o: &P4MutantOutcome) -> P4EvalRecord {
-    P4EvalRecord {
-        program: o.program.clone(),
-        fault_kind: o.fault.kind(),
-        level: o.level,
-        detector: detector_key(&o.detection),
-        verdict_class: o
-            .verdict
-            .as_ref()
-            .map_or(VerdictClass::Pass, Verdict::class),
-        executions: o.executions,
-        json: outcome_json(o),
-    }
-}
-
-/// One snapshot line per completed task: tab-separated keys, JSON last
-/// (the JSON row never contains a raw tab or newline; snapshot escaping
-/// covers the rest).
-impl RecordCodec for P4EvalRecord {
-    fn encode(&self, idx: usize) -> Option<String> {
-        Some(format!(
-            "{idx}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.program,
-            self.fault_kind.key(),
-            self.level.key(),
-            self.detector,
-            self.verdict_class.key(),
-            self.executions,
-            self.json
-        ))
-    }
-
-    fn decode(line: &str) -> Option<(usize, Self)> {
-        let mut parts = line.splitn(8, '\t');
-        let idx = parts.next()?.parse().ok()?;
-        let record = P4EvalRecord {
-            program: parts.next()?.to_string(),
-            fault_kind: P4FaultKind::from_key(parts.next()?)?,
-            level: OptLevel::from_key(parts.next()?)?,
-            detector: detector_from_key(parts.next()?)?,
-            verdict_class: VerdictClass::from_key(parts.next()?)?,
-            executions: parts.next()?.parse().ok()?,
-            json: parts.next()?.to_string(),
-        };
-        Some((idx, record))
-    }
-}
-
-fn detector_from_key(key: &str) -> Option<&'static str> {
-    ["fuzz", "witness", "panic", "none"]
-        .into_iter()
-        .find(|k| *k == key)
-}
-
-/// Aggregate result of a P4 hunt campaign.
-#[derive(Debug, Clone)]
-pub struct P4HuntReport {
-    /// One record per completed (program, mutant, level) task in
-    /// deterministic task order — restored from a checkpoint or produced
-    /// by this process; the canonical source for aggregates and JSON.
-    pub records: Vec<P4EvalRecord>,
-    /// Structured outcomes for the evaluations *this process* ran (a
-    /// resumed campaign restores earlier tasks as records only).
-    pub outcomes: Vec<P4MutantOutcome>,
-    /// Tasks abandoned because the wall-clock budget expired.
-    pub truncated: usize,
-    /// Candidates discarded by screening as behaviorally neutral.
-    pub neutral_discarded: usize,
-    /// The configuration that produced the report.
-    pub config: P4HuntConfig,
-}
+/// The P4 stack's detections: the shared enum, never `Verify`.
+pub use crate::mutation::Detection as P4Detection;
+/// Outcome of evaluating one table-entry mutant on one backend.
+pub type P4MutantOutcome = MutantOutcome<P4Fault>;
+/// The checkpoint record of one P4 hunt evaluation (the v1 `p4-hunt`
+/// snapshot line, without a static-flag column).
+pub type P4EvalRecord = EvalRecord<P4Fault>;
+/// The P4 stack's aggregate report.
+pub type P4HuntReport = Report<P4Fault, P4HuntConfig>;
 
 impl P4HuntReport {
-    /// Total completed evaluations.
-    pub fn evaluations(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Detected evaluations.
-    pub fn detected(&self) -> usize {
-        self.records.iter().filter(|r| r.detector != "none").count()
-    }
-
-    /// Detected fraction (1.0 for an empty campaign).
-    pub fn detection_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 1.0;
-        }
-        self.detected() as f64 / self.evaluations() as f64
-    }
-
-    /// `(total, detected)` per fault class.
-    pub fn by_fault_kind(&self) -> BTreeMap<P4FaultKind, (usize, usize)> {
-        let mut out = BTreeMap::new();
-        for r in &self.records {
-            let e = out.entry(r.fault_kind).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += usize::from(r.detector != "none");
-        }
-        out
-    }
-
     /// Render the campaign as a JSON document (schema: DESIGN.md §7).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"config\": {{");
-        let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
-        let _ = writeln!(s, "    \"mutants_per_class\": {},", cfg.mutants_per_class);
-        let _ = writeln!(s, "    \"levels\": [{}],", levels_json(&cfg.levels));
-        let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
-        let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
-        let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
-        let case_budget = cfg
-            .case_budget
-            .map_or("null".to_string(), |b| b.to_string());
-        let _ = writeln!(s, "    \"case_budget\": {case_budget}");
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"summary\": {{");
-        let _ = writeln!(s, "    \"evaluations\": {},", self.evaluations());
-        let _ = writeln!(s, "    \"truncated\": {},", self.truncated);
-        let _ = writeln!(s, "    \"detected\": {},", self.detected());
-        let _ = writeln!(s, "    \"detection_rate\": {:.4},", self.detection_rate());
-        let _ = writeln!(s, "    \"neutral_discarded\": {},", self.neutral_discarded);
-        let by_fault = json_map(
-            self.by_fault_kind()
-                .into_iter()
-                .map(|(kind, counts)| (kind.key(), fault_counts_json(counts))),
-        );
-        let _ = writeln!(s, "    \"by_fault\": {{{by_fault}}}");
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"mutants\": [");
-        let rows: Vec<&str> = self.records.iter().map(|r| r.json.as_str()).collect();
-        let _ = writeln!(s, "{}", rows.join(",\n"));
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        let config = [
+            ("seed", cfg.seed.to_string()),
+            ("mutants_per_class", cfg.mutants_per_class.to_string()),
+            ("levels", levels_json(&cfg.levels)),
+            ("fuzz_phvs", cfg.fuzz_phvs.to_string()),
+            ("fuzz_runs", cfg.fuzz_runs.to_string()),
+            ("input_bits", cfg.input_bits.to_string()),
+            ("case_budget", opt_json(cfg.case_budget)),
+        ];
+        let mut summary = self.summary_head();
+        summary.extend([
+            ("neutral_discarded", self.neutral_discarded.to_string()),
+            self.by_fault_json(),
+        ]);
+        self.render(&config, &summary)
     }
 }
 
-fn outcome_json(o: &P4MutantOutcome) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "    {{\"program\": {}, ", json_string(&o.program));
-    let fault = match &o.fault {
-        P4Fault::RemovedEntry { table, priority } => format!(
-            "{{\"kind\": \"removed_entry\", \"table\": {}, \"priority\": {priority}}}",
-            json_string(table)
-        ),
-        P4Fault::ActionArg {
-            table,
-            priority,
-            arg,
-            old,
-            new,
-        } => format!(
-            "{{\"kind\": \"action_arg\", \"table\": {}, \"priority\": {priority}, \
-             \"arg\": {arg}, \"old\": {old}, \"new\": {new}}}",
-            json_string(table)
-        ),
-        P4Fault::MatchValue {
-            table,
-            priority,
-            clause,
-            old,
-            new,
-        } => format!(
-            "{{\"kind\": \"match_value\", \"table\": {}, \"priority\": {priority}, \
-             \"clause\": {clause}, \"old\": {old}, \"new\": {new}}}",
-            json_string(table)
-        ),
-    };
-    let _ = write!(s, "\"fault\": {fault}, \"level\": \"{}\", ", o.level.key());
-    let _ = write!(s, "\"detected_by\": \"{}\", ", detector_key(&o.detection));
-    if let P4Detection::Fuzz { seed }
-    | P4Detection::Witness { seed }
-    | P4Detection::Panic { seed } = o.detection
-    {
-        let _ = write!(s, "\"seed\": {seed}, ");
-    }
-    let _ = write!(s, "\"executions_to_detection\": {}, ", o.executions);
-    let verdict = o
-        .verdict
-        .as_ref()
-        .map_or("null".to_string(), |v| format!("\"{}\"", v.class().key()));
-    let _ = write!(s, "\"verdict\": {verdict}, ");
-    match &o.minimized {
-        None => {
-            let _ = write!(s, "\"minimized\": null}}");
-        }
-        Some(mce) => {
-            let _ = write!(
-                s,
-                "\"minimized\": {{\"original_packets\": {}, \"packets\": {}, \
-                 \"input\": [{}], \"checks\": {}}}}}",
-                mce.original_packets,
-                mce.packets(),
-                packets_json(&mce.input),
-                mce.checks,
-            );
-        }
-    }
-    s
-}
+/// The P4 stack: table-entry faults, no static flag, no verification step.
+impl HuntFault for P4Fault {
+    type Kind = P4FaultKind;
+    const CAMPAIGN: &'static str = "p4-hunt";
+    const SALT: u64 = 0x5034_4855; // "P4HU"
+    const STATIC_FLAG: bool = false;
 
-/// One seeded mutant awaiting evaluation.
-struct Mutant {
-    target: usize,
-    fault: P4Fault,
-    entries: Vec<TableEntry>,
-    /// Traffic seed under which the screening probe saw the divergence.
-    witness: u64,
+    fn class(&self) -> P4FaultKind {
+        self.kind()
+    }
+
+    fn class_key(kind: P4FaultKind) -> &'static str {
+        kind.key()
+    }
+
+    fn class_from_key(key: &str) -> Option<P4FaultKind> {
+        P4FaultKind::from_key(key)
+    }
+
+    fn json(&self) -> String {
+        match self {
+            P4Fault::RemovedEntry { table, priority } => format!(
+                "{{\"kind\": \"removed_entry\", \"table\": {}, \"priority\": {priority}}}",
+                json_string(table)
+            ),
+            P4Fault::ActionArg {
+                table,
+                priority,
+                arg,
+                old,
+                new,
+            } => format!(
+                "{{\"kind\": \"action_arg\", \"table\": {}, \"priority\": {priority}, \
+                 \"arg\": {arg}, \"old\": {old}, \"new\": {new}}}",
+                json_string(table)
+            ),
+            P4Fault::MatchValue {
+                table,
+                priority,
+                clause,
+                old,
+                new,
+            } => format!(
+                "{{\"kind\": \"match_value\", \"table\": {}, \"priority\": {priority}, \
+                 \"clause\": {clause}, \"old\": {old}, \"new\": {new}}}",
+                json_string(table)
+            ),
+        }
+    }
 }
 
 /// Run a hunt over named corpus programs (empty = the whole corpus).
 pub fn p4_hunt(cfg: &P4HuntConfig) -> Result<P4HuntReport, String> {
-    let targets: Vec<(String, P4Workload)> = if cfg.programs.is_empty() {
-        P4_PROGRAMS
-            .iter()
-            .map(|def| {
-                def.workload()
-                    .map(|w| (def.name.to_string(), w))
-                    .map_err(|e| format!("{}: {e}", def.name))
-            })
-            .collect::<Result<_, _>>()?
+    let defs: Vec<&P4ProgramDef> = if cfg.programs.is_empty() {
+        P4_PROGRAMS.iter().collect()
     } else {
         cfg.programs
             .iter()
             .map(|name| {
-                let def = p4_by_name(name).ok_or_else(|| {
-                    format!("unknown P4 program `{name}` (see `druzhba programs`)")
-                })?;
-                def.workload()
-                    .map(|w| (def.name.to_string(), w))
-                    .map_err(|e| format!("{name}: {e}"))
+                p4_by_name(name)
+                    .ok_or_else(|| format!("unknown P4 program `{name}` (see `druzhba programs`)"))
             })
             .collect::<Result<_, _>>()?
     };
+    let targets: Vec<(String, P4Workload)> = defs
+        .iter()
+        .map(|def| {
+            def.workload()
+                .map(|w| (def.name.to_string(), w))
+                .map_err(|e| format!("{}: {e}", def.name))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(p4_hunt_workloads(cfg, &targets))
 }
 
@@ -430,7 +198,7 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
     // screening candidates for behavioral effect (the P4 analog of
     // mutation testing's equivalent-mutant problem: a match-value flip
     // under masked-out ternary bits changes nothing).
-    let mut mutants: Vec<Mutant> = Vec::new();
+    let mut mutants: Vec<Mutant<P4Fault, Vec<TableEntry>>> = Vec::new();
     let mut neutral_discarded = 0usize;
     let mut candidate_counter = 0u64;
     for (ti, (_, workload)) in targets.iter().enumerate() {
@@ -451,7 +219,7 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
                 if seeded.contains(&fault) || known_neutral.contains(&fault) {
                     continue;
                 }
-                let probe_seed = shard_seed(cfg.seed ^ 0x5343_524E, candidate_counter); // "SCRN"
+                let probe_seed = shard_seed(cfg.seed ^ SCREEN_SALT, candidate_counter);
                 candidate_counter += 1;
                 let Some(witness) = screen(cfg, workload, &entries, probe_seed) else {
                     neutral_discarded += 1;
@@ -460,69 +228,60 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
                 };
                 seeded.push(fault.clone());
                 mutants.push(Mutant {
-                    target: ti,
+                    program: ti,
                     fault,
-                    entries,
-                    witness,
+                    payload: entries,
+                    static_flag: None,
+                    witness: Some(witness),
                 });
             }
         }
     }
 
-    // Every (mutant, level) pair is one evaluation task. Task order (and
-    // thus record order and every per-task seed) is a pure function of
-    // the configuration, so restored and fresh evaluations interleave
-    // into the exact report an uninterrupted run produces.
-    let tasks: Vec<(usize, OptLevel)> = mutants
-        .iter()
-        .enumerate()
-        .flat_map(|(mi, _)| cfg.levels.iter().map(move |&l| (mi, l)))
-        .collect();
-    let fingerprint_cfg = P4HuntConfig {
-        runtime: RuntimeOptions::default(),
-        ..cfg.clone()
-    };
-    let campaign = Campaign {
-        kind: "p4-hunt",
-        fingerprint: snapshot::fingerprint_of_config("p4-hunt", &fingerprint_cfg),
-        total: tasks.len(),
+    let settings = Settings {
+        seed: cfg.seed,
+        levels: &cfg.levels,
+        fuzz_runs: cfg.fuzz_runs,
+        case_budget: cfg.case_budget,
         workers: cfg.workers,
         runtime: &cfg.runtime,
+        fingerprint: snapshot::fingerprint_of_config(
+            P4Fault::CAMPAIGN,
+            &P4HuntConfig {
+                runtime: RuntimeOptions::default(),
+                ..cfg.clone()
+            },
+        ),
     };
-    let out = run_resumable(
-        &campaign,
-        |gi| {
-            let (mi, level) = tasks[gi];
-            evaluate(cfg, targets, &mutants[mi], level, gi as u64)
-        },
-        record_of,
-        // A worker that dies at the pool level still yields a per-task
-        // row: the panic becomes a `P4Detection::Panic` outcome.
-        |gi, payload| {
-            let (mi, level) = tasks[gi];
-            let mutant = &mutants[mi];
-            P4MutantOutcome {
-                program: targets[mutant.target].0.clone(),
-                fault: mutant.fault.clone(),
-                level,
-                detection: P4Detection::Panic {
-                    seed: shard_seed(shard_seed(cfg.seed ^ 0x5034_4855, gi as u64), 0),
-                },
-                executions: 0,
-                verdict: Some(Verdict::BackendPanic {
-                    payload: payload.to_string(),
-                }),
-                minimized: None,
-            }
-        },
-    );
-    P4HuntReport {
-        records: out.records,
-        outcomes: out.fresh,
-        truncated: out.truncated,
+    let names: Vec<&str> = targets.iter().map(|(name, _)| name.as_str()).collect();
+    mutation::run(
+        &settings,
+        &names,
+        &mutants,
         neutral_discarded,
-        config: cfg.clone(),
-    }
+        cfg.clone(),
+        |mutant, level, ladder| {
+            let workload = &targets[mutant.program].1;
+            let entries = &mutant.payload;
+            // One fuzz round; this stack's ladder has no verification
+            // step, so `seed` is always set.
+            ladder.run(false, |seed| {
+                let input = P4Traffic::new(workload, seed?, cfg.input_bits).trace(cfg.fuzz_phvs);
+                let verdict = run_p4_case(workload, entries, level, &input);
+                if verdict.passed() {
+                    return None;
+                }
+                // A panicking backend can't be delta-debugged —
+                // minimization would rebuild it outside the panic guard
+                // and re-trip the abort.
+                if matches!(verdict, Verdict::BackendPanic { .. }) {
+                    return Some((verdict, None));
+                }
+                let minimized = p4_minimize(workload, entries, level, &input, 3_000);
+                Some((verdict, minimized))
+            })
+        },
+    )
 }
 
 /// Probe a candidate for behavioral effect: seeded differential fuzz runs
@@ -554,68 +313,6 @@ fn screen(
         }
     }
     None
-}
-
-/// Evaluate one mutant on one backend: fresh seeded fuzzing, then the
-/// witness seed, then minimize whatever diverged.
-fn evaluate(
-    cfg: &P4HuntConfig,
-    targets: &[(String, P4Workload)],
-    mutant: &Mutant,
-    level: OptLevel,
-    task_index: u64,
-) -> P4MutantOutcome {
-    let (name, workload) = &targets[mutant.target];
-
-    let fuzz_round = |seed: u64| -> Option<(Verdict, Option<MinimizedCounterExample>)> {
-        let input = P4Traffic::new(workload, seed, cfg.input_bits).trace(cfg.fuzz_phvs);
-        let verdict = run_p4_case(workload, &mutant.entries, level, &input);
-        if verdict.passed() {
-            return None;
-        }
-        // A panicking backend can't be delta-debugged — minimization
-        // would rebuild it outside the panic guard and re-trip the abort.
-        if matches!(verdict, Verdict::BackendPanic { .. }) {
-            return Some((verdict, None));
-        }
-        let minimized = p4_minimize(workload, &mutant.entries, level, &input, 3_000);
-        Some((verdict, minimized))
-    };
-
-    let outcome = |detection, executions, verdict, minimized| P4MutantOutcome {
-        program: name.clone(),
-        fault: mutant.fault.clone(),
-        level,
-        detection,
-        executions,
-        verdict,
-        minimized,
-    };
-
-    // Phase 1: fresh seeded fuzzing (ordinary detection power), then
-    // phase 2: the screening witness (a known-diverging stream; backends
-    // are observationally equivalent, so it fires on every level).
-    // `executions` counts differential batches so the report carries
-    // executions-to-detection per mutant; the per-case budget caps it.
-    let budget = cfg.case_budget.unwrap_or(usize::MAX).max(1);
-    let mut executions = 0usize;
-    let task_seed = shard_seed(cfg.seed ^ 0x5034_4855, task_index); // "P4HU"
-    let fresh = (0..cfg.fuzz_runs).map(|run| (shard_seed(task_seed, run as u64), false));
-    for (seed, witness) in fresh.chain([(mutant.witness, true)]) {
-        if executions >= budget {
-            break;
-        }
-        executions += 1;
-        if let Some((verdict, minimized)) = fuzz_round(seed) {
-            let detection = match verdict {
-                Verdict::BackendPanic { .. } => P4Detection::Panic { seed },
-                _ if witness => P4Detection::Witness { seed },
-                _ => P4Detection::Fuzz { seed },
-            };
-            return outcome(detection, executions, Some(verdict), minimized);
-        }
-    }
-    outcome(P4Detection::Undetected, executions, None, None)
 }
 
 // ----------------------------------------------------------------------

@@ -446,3 +446,78 @@ fn compile_rejects_a_program_that_does_not_fit() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error:"), "stderr: {err}");
 }
+
+/// Every subcommand rejects a flag it does not read, naming the flag and
+/// the command, instead of silently running with the defaults.
+#[test]
+fn unknown_flags_fail_loudly() {
+    let file = write_sampling();
+    let file = file.to_str().unwrap();
+    let grid = ["--depth", "2", "--width", "1", "--atom", "if_else_raw"];
+    let cases: [(&[&str], &str, &str); 6] = [
+        (
+            &["verify", file, "--bogus-flag", "5"],
+            "--bogus-flag",
+            "verify",
+        ),
+        // A typo of `--phvs`.
+        (&["fuzz", file, "--phv", "100"], "--phv", "fuzz"),
+        // Valid for `fuzz`, but `verify` does not read it.
+        (&["verify", file, "--phvs", "100"], "--phvs", "verify"),
+        (&["compile", file, "-x", "out.txt"], "-x", "compile"),
+        (
+            &["hunt", "--programs", "sampling", "--mutant", "1"],
+            "--mutant",
+            "hunt",
+        ),
+        (
+            &["p4-fuzz", "l2_forward", "--phvs", "100", "--jsn"],
+            "--jsn",
+            "p4-fuzz",
+        ),
+    ];
+    for (args, flag, cmd) in cases {
+        let mut args = args.to_vec();
+        if cmd != "hunt" && cmd != "p4-fuzz" {
+            args.extend_from_slice(&grid);
+        }
+        let out = druzhba(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `{flag}` for `{cmd}`")),
+            "{args:?}: stderr: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+#[test]
+fn cross_model_switch_takes_only_on_or_off() {
+    let out = druzhba(&[
+        "p4-fuzz",
+        "l2_forward",
+        "--phvs",
+        "100",
+        "--cross-model",
+        "of",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--cross-model must be on|off, got `of`"),
+        "stderr: {err}"
+    );
+    assert!(out.stdout.is_empty(), "the campaign ran before failing");
+
+    let on = druzhba(&[
+        "p4-fuzz",
+        "l2_forward",
+        "--phvs",
+        "100",
+        "--cross-model",
+        "on",
+    ]);
+    assert!(on.status.success());
+    assert!(String::from_utf8_lossy(&on.stdout).contains("cross-model[l2_forward]"));
+}

@@ -52,7 +52,7 @@ fn hunt_detects_every_fault_class_on_three_corpus_programs() {
         report
             .undetected()
             .iter()
-            .map(|o| (o.program, &o.fault, o.level))
+            .map(|o| (&o.program, &o.fault, o.level))
             .collect::<Vec<_>>()
     );
     assert!((report.detection_rate() - 1.0).abs() < f64::EPSILON);
@@ -114,7 +114,7 @@ fn hunt_divergences_carry_reproducing_minimized_counterexamples() {
         assert_eq!(edits.len(), 1, "{}: {:?} -> {edits:?}", o.program, o.fault);
         assert_eq!(edits[0].name, o.fault.name());
         // …and still reproduces when replayed from scratch.
-        let def = by_name(o.program).unwrap();
+        let def = by_name(&o.program).unwrap();
         let compiled = def.compile_cached().unwrap();
         let mut bad = compiled.machine_code.clone();
         match edits[0].bad {
@@ -148,7 +148,7 @@ fn hunt_fuzz_seeds_replay_the_divergence() {
         };
         // Replay exactly the way `druzhba fuzz --seed` does: same seed,
         // same PHV count, same bit width, through the public fuzz_test.
-        let def = by_name(o.program).unwrap();
+        let def = by_name(&o.program).unwrap();
         let compiled = def.compile_cached().unwrap();
         let mut bad = compiled.machine_code.clone();
         let edits = o

@@ -203,7 +203,7 @@ fn fuzz_detected_faults_replay_from_their_seed() {
     for o in &report.outcomes {
         let seed = match &o.detection {
             P4Detection::Fuzz { seed } | P4Detection::Witness { seed } => *seed,
-            P4Detection::Panic { .. } | P4Detection::Undetected => continue,
+            P4Detection::Panic { .. } | P4Detection::Verify | P4Detection::Undetected => continue,
         };
         // A diverging seed replays to a failure of the same class via a
         // plain p4_fuzz_test over the mutant entries. Reconstructing the
