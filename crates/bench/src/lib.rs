@@ -13,9 +13,6 @@
 //! | `fig2` | Fig. 2 — structural dump of a depth-2/width-2 pipeline |
 //! | `scaling` | §5.1 scaling claim — optimization speedup vs. pipeline size |
 //! | `drmt_schedule` | §4 — table DAG, schedules, and dRMT simulation stats |
-//!
-//! Criterion benches (`cargo bench`) cover the same measurements with
-//! statistical rigor on smaller PHV counts.
 
 use std::time::{Duration, Instant};
 

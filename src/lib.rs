@@ -4,7 +4,8 @@
 //! mutation campaigns over the Domino corpus), [`genhunt`] (Gauntlet-style
 //! campaigns over freshly *generated* programs), [`p4hunt`] (table/
 //! action mutation campaigns and the cross-model dRMT-vs-RMT check over
-//! the P4 corpus), and [`analyze`] (the abstract-interpretation pass —
+//! the P4 corpus), [`mutation`] (the driver both mutation campaigns run
+//! on), and [`analyze`] (the abstract-interpretation pass —
 //! translation validation, lints, and the generator screen — over the
 //! same corpus).
 pub mod analyze;
