@@ -44,7 +44,7 @@ use druzhba_dsim::snapshot;
 use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
 
-use crate::mutation::{levels_json, HuntFault};
+use crate::mutation::{levels_json, render_report, HuntFault};
 
 /// Salt mixed into the campaign seed for per-program task seeds
 /// (`"GENH"`), keeping traffic seeds independent of the candidate-seed
@@ -241,44 +241,33 @@ impl GenHuntReport {
     /// Render the campaign as a JSON document (schema: DESIGN.md §13).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"config\": {{");
-        let _ = writeln!(s, "    \"seed\": {},", cfg.seed);
-        let _ = writeln!(s, "    \"count\": {},", cfg.count);
-        let _ = writeln!(s, "    \"levels\": {},", levels_json(&cfg.levels));
-        let _ = writeln!(s, "    \"fuzz_phvs\": {},", cfg.fuzz_phvs);
-        let _ = writeln!(s, "    \"fuzz_runs\": {},", cfg.fuzz_runs);
-        let _ = writeln!(s, "    \"input_bits\": {},", cfg.input_bits);
-        let _ = writeln!(s, "    \"faults_per_program\": {},", cfg.faults_per_program);
-        let _ = writeln!(s, "    \"minimize_checks\": {}", cfg.minimize_checks);
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"summary\": {{");
-        let _ = writeln!(s, "    \"programs\": {},", self.programs());
-        let _ = writeln!(s, "    \"truncated\": {},", self.truncated);
-        let _ = writeln!(
-            s,
-            "    \"rejected_candidates\": {},",
-            self.rejected_candidates()
-        );
-        let _ = writeln!(s, "    \"alarming_rejects\": {},", self.alarming_rejects());
-        let _ = writeln!(
-            s,
-            "    \"clean_divergences\": {},",
-            self.clean_divergences()
-        );
-        let _ = writeln!(s, "    \"faults_seeded\": {},", self.faults_seeded());
-        let _ = writeln!(s, "    \"faults_detected\": {},", self.faults_detected());
-        let _ = writeln!(s, "    \"detection_rate\": {:.4},", self.detection_rate());
-        let _ = writeln!(s, "    \"minimized\": {},", self.minimized());
-        let _ = writeln!(s, "    \"panics\": {}", self.panics());
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"programs\": [");
-        let rows: Vec<&str> = self.records.iter().map(|r| r.json.as_str()).collect();
-        let _ = writeln!(s, "{}", rows.join(",\n"));
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        let config = [
+            ("seed", cfg.seed.to_string()),
+            ("count", cfg.count.to_string()),
+            ("levels", levels_json(&cfg.levels)),
+            ("fuzz_phvs", cfg.fuzz_phvs.to_string()),
+            ("fuzz_runs", cfg.fuzz_runs.to_string()),
+            ("input_bits", cfg.input_bits.to_string()),
+            ("faults_per_program", cfg.faults_per_program.to_string()),
+            ("minimize_checks", cfg.minimize_checks.to_string()),
+        ];
+        let summary = [
+            ("programs", self.programs().to_string()),
+            ("truncated", self.truncated.to_string()),
+            (
+                "rejected_candidates",
+                self.rejected_candidates().to_string(),
+            ),
+            ("alarming_rejects", self.alarming_rejects().to_string()),
+            ("clean_divergences", self.clean_divergences().to_string()),
+            ("faults_seeded", self.faults_seeded().to_string()),
+            ("faults_detected", self.faults_detected().to_string()),
+            ("detection_rate", format!("{:.4}", self.detection_rate())),
+            ("minimized", self.minimized().to_string()),
+            ("panics", self.panics().to_string()),
+        ];
+        let rows = self.records.iter().map(|r| r.json.as_str());
+        render_report(&config, &summary, "programs", rows)
     }
 }
 

@@ -28,8 +28,8 @@ use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
 
 pub use crate::mutation::Detection;
 use crate::mutation::{
-    self, json_object, levels_json, opt_json, HuntFault, Ladder, Mutant, Report, Settings,
-    SCREEN_SALT,
+    self, json_object, levels_json, opt_json, render_report, HuntFault, Ladder, Mutant, Report,
+    Settings, SCREEN_SALT,
 };
 
 /// Configuration of a hunt campaign.
@@ -119,7 +119,8 @@ impl HuntReport {
             self.by_fault_json(),
             ("taxonomy", json_object(self.taxonomy())),
         ]);
-        self.render(&config, &summary)
+        let rows = self.records.iter().map(|r| r.json.as_str());
+        render_report(&config, &summary, "mutants", rows)
     }
 }
 

@@ -392,25 +392,31 @@ impl<F: HuntFault, C> Report<F, C> {
             });
         ("by_fault", json_object(counts))
     }
+}
 
-    /// The report document: `config` and `summary` objects from
-    /// `(key, rendered value)` entries, then the `mutants[]` rows.
-    pub(crate) fn render(&self, config: &[(&str, String)], summary: &[(&str, String)]) -> String {
-        let object = |entries: &[(&str, String)]| {
-            let lines: Vec<String> = entries
-                .iter()
-                .map(|(k, v)| format!("    \"{k}\": {v}"))
-                .collect();
-            lines.join(",\n")
-        };
-        let rows: Vec<&str> = self.records.iter().map(|r| r.json.as_str()).collect();
-        format!(
-            "{{\n  \"config\": {{\n{}\n  }},\n  \"summary\": {{\n{}\n  }},\n  \"mutants\": [\n{}\n  ]\n}}\n",
-            object(config),
-            object(summary),
-            rows.join(",\n")
-        )
-    }
+/// A campaign report document: `config` and `summary` objects from
+/// `(key, rendered value)` entries, then the pre-rendered rows as the
+/// `rows_key` array.
+pub(crate) fn render_report<'a>(
+    config: &[(&str, String)],
+    summary: &[(&str, String)],
+    rows_key: &str,
+    rows: impl Iterator<Item = &'a str>,
+) -> String {
+    let object = |entries: &[(&str, String)]| {
+        let lines: Vec<String> = entries
+            .iter()
+            .map(|(k, v)| format!("    \"{k}\": {v}"))
+            .collect();
+        lines.join(",\n")
+    };
+    let rows: Vec<&str> = rows.collect();
+    format!(
+        "{{\n  \"config\": {{\n{}\n  }},\n  \"summary\": {{\n{}\n  }},\n  \"{rows_key}\": [\n{}\n  ]\n}}\n",
+        object(config),
+        object(summary),
+        rows.join(",\n")
+    )
 }
 
 /// How often each key occurs.

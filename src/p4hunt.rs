@@ -35,8 +35,8 @@ use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
 
 use crate::mutation::{
-    self, levels_json, opt_json, EvalRecord, HuntFault, Mutant, MutantOutcome, Report, Settings,
-    SCREEN_SALT,
+    self, levels_json, opt_json, render_report, EvalRecord, HuntFault, Mutant, MutantOutcome,
+    Report, Settings, SCREEN_SALT,
 };
 
 /// Configuration of a P4 hunt campaign.
@@ -112,7 +112,8 @@ impl P4HuntReport {
             ("neutral_discarded", self.neutral_discarded.to_string()),
             self.by_fault_json(),
         ]);
-        self.render(&config, &summary)
+        let rows = self.records.iter().map(|r| r.json.as_str());
+        render_report(&config, &summary, "mutants", rows)
     }
 }
 
