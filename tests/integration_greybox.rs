@@ -203,7 +203,13 @@ const SAMPLING: &str = "state int count = 0;\n\
                         else { count = count + 1; pkt.sample = 0; }\n";
 
 fn write_sampling() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("druzhba-greybox-{}.domino", std::process::id()));
+    // Unique per call: tests run concurrently within one process, and a
+    // shared path lets one test truncate the file another test's binary
+    // is reading.
+    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("druzhba-greybox-{}-{n}.domino", std::process::id()));
     std::fs::write(&path, SAMPLING).expect("write temp domino file");
     path
 }
