@@ -30,9 +30,8 @@ use druzhba_core::MachineCode;
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::coverage::{greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig};
 use druzhba_dsim::fault::{FaultInjector, FaultKind};
-use druzhba_dsim::p4::{run_p4_case, P4FaultInjector, P4FaultKind, P4Traffic, P4Workload};
-use druzhba_dsim::testing::{run_case, run_sharded, shard_seed};
-use druzhba_dsim::TrafficGenerator;
+use druzhba_dsim::p4::{P4FaultInjector, P4FaultKind, P4Target, P4Workload};
+use druzhba_dsim::testing::{run_sharded, shard_seed, AluTarget, Target};
 use druzhba_programs::{ProgramDef, P4_PROGRAMS, PROGRAMS};
 
 /// One evaluation's outcome in one mode.
@@ -90,60 +89,43 @@ fn mode_json(s: &ModeStats) -> String {
     )
 }
 
-/// Blind-random baseline on the ALU stack: fresh `packets`-long traffic
-/// batches through `run_case` until divergence or budget exhaustion.
+/// Blind-random baseline on either stack: fresh `packets`-long traffic
+/// batches at `bits`-bit values through the target's check until
+/// divergence or budget exhaustion.
+fn random_baseline<R: ?Sized, T: Target<R>>(
+    target: &T,
+    reference: &mut R,
+    (budget, packets, bits): (usize, usize, u32),
+    base_seed: u64,
+) -> ModeOutcome {
+    let detected_at = (0..budget)
+        .find(|&i| {
+            let input = target.traffic(shard_seed(base_seed, i as u64), bits, packets);
+            !target.check(reference, &input).passed()
+        })
+        .map(|i| i + 1);
+    ModeOutcome { detected_at }
+}
+
+/// [`random_baseline`] on the ALU stack, against the program's interpreter spec.
 fn random_alu(
     def: &ProgramDef,
     comp: &druzhba_chipmunk::CompiledProgram,
     mc: &MachineCode,
     level: OptLevel,
-    budget: usize,
-    packets: usize,
+    (budget, packets): (usize, usize),
     base_seed: u64,
 ) -> ModeOutcome {
-    let mut reference = def.interpreter_spec(comp);
     let observable = comp.observable_containers();
-    for i in 0..budget {
-        let seed = shard_seed(base_seed, i as u64);
-        let input =
-            TrafficGenerator::new(seed, comp.pipeline_spec.config.phv_length, 10).trace(packets);
-        let verdict = run_case(
-            &comp.pipeline_spec,
-            mc,
-            level,
-            &mut reference,
-            &input,
-            Some(&observable),
-            &comp.state_cells,
-        );
-        if !verdict.passed() {
-            return ModeOutcome {
-                detected_at: Some(i + 1),
-            };
-        }
-    }
-    ModeOutcome { detected_at: None }
-}
-
-/// Blind-random baseline on the P4 stack.
-fn random_p4(
-    workload: &P4Workload,
-    entries: &[druzhba_p4::tables::TableEntry],
-    level: OptLevel,
-    budget: usize,
-    packets: usize,
-    base_seed: u64,
-) -> ModeOutcome {
-    for i in 0..budget {
-        let seed = shard_seed(base_seed, i as u64);
-        let input = P4Traffic::new(workload, seed, 16).trace(packets);
-        if !run_p4_case(workload, entries, level, &input).passed() {
-            return ModeOutcome {
-                detected_at: Some(i + 1),
-            };
-        }
-    }
-    ModeOutcome { detected_at: None }
+    let target = AluTarget {
+        pipeline_spec: &comp.pipeline_spec,
+        mc,
+        opt: level,
+        observable: Some(&observable),
+        state_cells: &comp.state_cells,
+    };
+    let mut reference = def.interpreter_spec(comp);
+    random_baseline(&target, &mut reference, (budget, packets, 10), base_seed)
 }
 
 fn greybox_cfg(budget: usize, packets: usize, bits: u32, seed: u64) -> GreyboxConfig {
@@ -264,8 +246,7 @@ fn main() {
                         comp,
                         &mc,
                         OptLevel::SccInline,
-                        4,
-                        2_000,
+                        (4, 2_000),
                         shard_seed(seed ^ 0x5343_524E, (pi * 100 + attempt) as u64),
                     );
                     if probe.detected_at.is_none() {
@@ -303,8 +284,7 @@ fn main() {
             comp,
             &m.mc,
             level,
-            executions,
-            packets,
+            (executions, packets),
             shard_seed(seed ^ 0x7A4D_0000, ti as u64),
         );
         let gb = greybox_fuzz_test(
@@ -363,14 +343,13 @@ fn main() {
                 let Some((entries, _fault)) = injector.inject(&workload.entries, kind) else {
                     break;
                 };
-                let probe = random_p4(
+                let target = P4Target {
                     workload,
-                    &entries,
-                    OptLevel::SccInline,
-                    4,
-                    2_000,
-                    shard_seed(seed ^ 0x5343_524E, (ti * 100 + attempt) as u64),
-                );
+                    entries: &entries,
+                    level: OptLevel::SccInline,
+                };
+                let probe_seed = shard_seed(seed ^ 0x5343_524E, (ti * 100 + attempt) as u64);
+                let probe = random_baseline(&target, &mut (), (4, 2_000, 16), probe_seed);
                 if probe.detected_at.is_none() {
                     p4_screened_out += 1;
                     continue;
@@ -400,12 +379,15 @@ fn main() {
     let p4_evals: Vec<Evaluation> = run_sharded(p4_tasks, workers, |ti, (mi, level)| {
         let m = &p4_mutants[mi];
         let (_, workload) = &workloads[m.target];
-        let random = random_p4(
+        let target = P4Target {
             workload,
-            &m.entries,
+            entries: &m.entries,
             level,
-            executions,
-            packets,
+        };
+        let random = random_baseline(
+            &target,
+            &mut (),
+            (executions, packets, 16),
             shard_seed(seed ^ 0x7A4D_0001, ti as u64),
         );
         let gb = p4_greybox_fuzz_test(

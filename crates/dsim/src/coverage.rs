@@ -1,7 +1,7 @@
 //! Coverage-guided greybox fuzzing shared by both differential stacks.
 //!
-//! The blind random workflows ([`crate::testing::fuzz_test`],
-//! [`crate::p4::p4_fuzz_test`]) sample every input independently; FP4 and
+//! The blind random workflows ([`crate::testing::fuzz_run`] on either
+//! stack's [`Target`]) sample every input independently; FP4 and
 //! Gauntlet (PAPERS.md) show that *feedback-driven* generation finds
 //! deeper compiler bugs with far fewer executions. This module is that
 //! feedback loop:
@@ -78,11 +78,16 @@ use druzhba_p4::tables::{parse_entries, render_entry, TableEntry};
 
 pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE};
 
-use crate::minimize::{minimize, minimize_trace_with, MinimizeConfig, MinimizedCounterExample};
-use crate::p4::{materialize_pattern, p4_differential, P4Traffic, P4Workload, PatternSeed};
+use crate::minimize::MinimizedCounterExample;
+use crate::p4::{
+    materialize_pattern, p4_differential, P4Target, P4Traffic, P4Workload, PatternSeed,
+};
 use crate::runtime::{catch_silent, default_workers, RuntimeOptions};
 use crate::snapshot;
-use crate::testing::{compare_against_spec, run_sharded, shard_seed, Specification, Verdict};
+use crate::testing::{
+    compare_against_spec, minimizable, run_sharded, shard_seed, AluTarget, Specification, Target,
+    Verdict,
+};
 
 // ----------------------------------------------------------------------
 // Configuration and reports.
@@ -924,15 +929,72 @@ where
 /// must not orphan a snapshot. The lane width is masked for the same
 /// reason: the lane engine is bit-identical to scalar execution, so
 /// switching `--lanes` mid-campaign resumes the same search.
-fn greybox_config_fingerprint(cfg: &GreyboxConfig) -> String {
-    format!(
+fn greybox_fingerprint<R: ?Sized, T: Target<R>>(
+    target: &T,
+    mode: Option<String>,
+    cfg: &GreyboxConfig,
+) -> u64 {
+    let mut parts = vec![format!("greybox-{}", T::STACK)];
+    parts.extend(target.program_parts(true));
+    parts.extend(target.observation_parts());
+    parts.extend(mode);
+    parts.push(format!(
         "{:?}",
         GreyboxConfig {
             lanes: 0,
             runtime: RuntimeOptions::default(),
             ..cfg.clone()
         }
-    )
+    ));
+    snapshot::fingerprint_of(&parts)
+}
+
+impl<I> SearchResult<I> {
+    /// The same result with the diverging input mapped through `f`.
+    fn map_input<J>(self, f: impl FnOnce(I) -> J) -> SearchResult<J> {
+        SearchResult {
+            executions: self.executions,
+            rounds: self.rounds,
+            corpus_size: self.corpus_size,
+            edges_covered: self.edges_covered,
+            first_divergence: self.first_divergence,
+            divergence: self.divergence.map(|(input, v)| (f(input), v)),
+            truncated: self.truncated,
+        }
+    }
+}
+
+/// The greybox tail shared by both stacks: minimize the search's
+/// diverging trace through `target` (unless a panic or
+/// [`GreyboxConfig::minimize`] forbids it) and assemble the report.
+fn greybox_report<R: ?Sized, T: Target<R>>(
+    target: &T,
+    reference: &mut R,
+    cfg: &GreyboxConfig,
+    result: SearchResult<Trace>,
+    diverging_entries: Option<Vec<TableEntry>>,
+) -> GreyboxReport {
+    let (diverging_input, verdict) = match result.divergence {
+        Some((input, verdict)) => (Some(input), verdict),
+        None => (None, Verdict::Pass),
+    };
+    let minimized = match &diverging_input {
+        Some(input) if cfg.minimize && minimizable(&verdict) => target.minimize(reference, input),
+        _ => None,
+    };
+    GreyboxReport {
+        seed: cfg.seed,
+        executions: result.executions,
+        edges_covered: result.edges_covered,
+        corpus_size: result.corpus_size,
+        rounds: result.rounds,
+        first_divergence: result.first_divergence,
+        verdict,
+        diverging_input,
+        diverging_entries,
+        minimized,
+        truncated: result.truncated,
+    }
 }
 
 /// Run a coverage-guided greybox campaign on the ALU stack: the
@@ -956,6 +1018,13 @@ where
     S: Specification,
     F: Fn() -> S + Sync,
 {
+    let target = AluTarget {
+        pipeline_spec,
+        mc,
+        opt,
+        observable,
+        state_cells,
+    };
     let model = AluTraceModel {
         phv_length: pipeline_spec.config.phv_length,
         input_bits: cfg.input_bits,
@@ -1001,57 +1070,33 @@ where
             }
         }
     };
-    let fingerprint = snapshot::fingerprint_of(&[
-        "greybox-alu".to_string(),
-        format!("{opt:?}"),
-        mc.to_text(),
-        format!("{observable:?}"),
-        format!("{state_cells:?}"),
-        greybox_config_fingerprint(cfg),
-    ]);
+    let fingerprint = greybox_fingerprint::<S, _>(&target, None, cfg);
     let result = greybox_search(&model, make_oracle, cfg, fingerprint);
-    let (diverging_input, verdict) = match result.divergence {
-        Some((input, verdict)) => (Some(input), verdict),
-        None => (None, Verdict::Pass),
-    };
-    // Panic verdicts are never minimized: delta-debugging would rebuild
-    // the backend outside the guard and re-trip the panic.
-    let should_minimize =
-        cfg.minimize && !verdict.passed() && !matches!(verdict, Verdict::BackendPanic { .. });
-    let minimized = match (&diverging_input, should_minimize) {
-        (Some(input), true) => minimize(
-            pipeline_spec,
-            mc,
-            opt,
-            &mut make_spec(),
-            input,
-            &MinimizeConfig {
-                observable: observable.map(<[usize]>::to_vec),
-                state_cells: state_cells.to_vec(),
-                ..MinimizeConfig::default()
-            },
-        ),
-        _ => None,
-    };
-    GreyboxReport {
-        seed: cfg.seed,
-        executions: result.executions,
-        edges_covered: result.edges_covered,
-        corpus_size: result.corpus_size,
-        rounds: result.rounds,
-        first_divergence: result.first_divergence,
-        verdict,
-        diverging_input,
-        diverging_entries: None,
-        minimized,
-        truncated: result.truncated,
+    greybox_report(&target, &mut make_spec(), cfg, result, None)
+}
+
+/// One P4 differential execution that folds both sides' coverage maps
+/// into `cov`.
+fn p4_covered(
+    pipeline: &mut MatPipeline,
+    interp: &mut Interpreter,
+    trace: &Trace,
+    cov: &mut CoverageMap,
+) -> Verdict {
+    let verdict = p4_differential(pipeline, interp, trace);
+    if let Some(c) = pipeline.coverage() {
+        cov.merge(c);
     }
+    if let Some(c) = interp.coverage() {
+        cov.merge(c);
+    }
+    verdict
 }
 
 /// Run a coverage-guided greybox campaign on the P4 stack: the
-/// differential oracle of [`crate::p4::p4_fuzz_test`] (match-action
-/// pipeline vs. reference interpreter), corpus-scheduled. `druzhba
-/// p4-fuzz --greybox` wires this up.
+/// differential oracle of [`P4Target`] (match-action pipeline vs.
+/// reference interpreter), corpus-scheduled. `druzhba p4-fuzz --greybox`
+/// wires this up.
 ///
 /// Two modes:
 ///
@@ -1069,6 +1114,11 @@ pub fn p4_greybox_fuzz_test(
     mutate_entries: bool,
     cfg: &GreyboxConfig,
 ) -> GreyboxReport {
+    let target = P4Target {
+        workload,
+        entries,
+        level,
+    };
     let model = P4TraceModel::new(
         workload,
         cfg.input_bits,
@@ -1105,14 +1155,7 @@ pub fn p4_greybox_fuzz_test(
                 };
                 pipe.enable_coverage();
                 reference.enable_coverage();
-                let verdict = p4_differential(&mut pipe, &mut reference, &input.trace);
-                if let Some(c) = pipe.coverage() {
-                    cov.merge(c);
-                }
-                if let Some(c) = reference.coverage() {
-                    cov.merge(c);
-                }
-                return verdict;
+                return p4_covered(&mut pipe, &mut reference, &input.trace, cov);
             };
             match pipeline {
                 Err(e) => Verdict::Incompatible(e.clone()),
@@ -1121,79 +1164,33 @@ pub fn p4_greybox_fuzz_test(
                     p.clear_coverage();
                     interp.reset();
                     interp.clear_coverage();
-                    let verdict = p4_differential(p, interp, &input.trace);
-                    if let Some(c) = p.coverage() {
-                        cov.merge(c);
-                    }
-                    if let Some(c) = interp.coverage() {
-                        cov.merge(c);
-                    }
-                    verdict
+                    p4_covered(p, interp, &input.trace, cov)
                 }
             }
         }
     };
-    let fingerprint = snapshot::fingerprint_of(&[
-        "greybox-p4".to_string(),
-        format!("{level:?}"),
-        format!("{:?}", workload.hlir),
-        format!("{entries:?}"),
-        format!("{mutate_entries:?}"),
-        greybox_config_fingerprint(cfg),
-    ]);
-    let result = greybox_search(&model, make_oracle, cfg, fingerprint);
-    let (diverging, verdict) = match result.divergence {
-        Some((input, verdict)) => (Some(input), verdict),
-        None => (None, Verdict::Pass),
-    };
-    // See `greybox_fuzz_test`: panic verdicts are never minimized.
-    let should_minimize =
-        cfg.minimize && !verdict.passed() && !matches!(verdict, Verdict::BackendPanic { .. });
-    let minimized = match (&diverging, should_minimize) {
-        (Some(input), true) => {
-            let case_entries: &[TableEntry] = if mutate_entries {
-                &input.entries
-            } else {
-                entries
+    let fingerprint = greybox_fingerprint(&target, Some(format!("{mutate_entries:?}")), cfg);
+    let mut diverging_entries = None;
+    let result = greybox_search(&model, make_oracle, cfg, fingerprint).map_input(|input| {
+        diverging_entries = mutate_entries.then_some(input.entries);
+        input.trace
+    });
+    match &diverging_entries {
+        // Shared-entries oracle: minimize with the diverging entry set
+        // installed on both sides (it validated, or it could not diverge).
+        Some(shared) => {
+            let shared = P4Workload {
+                entries: shared.clone(),
+                ..workload.clone()
             };
-            if mutate_entries {
-                // Shared-entries oracle: both sides regenerate per check.
-                let mut oracle = |phvs: &[Phv]| -> Verdict {
-                    let pipe = MatPipeline::generate(
-                        &workload.hlir,
-                        case_entries,
-                        &workload.lowering,
-                        level,
-                    );
-                    let reference = Interpreter::new(&workload.hlir, case_entries);
-                    let (Ok(mut pipe), Ok(mut reference)) = (pipe, reference) else {
-                        return Verdict::Pass;
-                    };
-                    p4_differential(&mut pipe, &mut reference, &Trace::from_phvs(phvs.to_vec()))
-                };
-                minimize_trace_with(&mut oracle, &input.trace, 3_000)
-            } else {
-                crate::p4::p4_minimize(workload, entries, level, &input.trace, 3_000)
-            }
+            let target = P4Target {
+                entries: &shared.entries,
+                workload: &shared,
+                level,
+            };
+            greybox_report(&target, &mut (), cfg, result, diverging_entries)
         }
-        _ => None,
-    };
-    let (diverging_input, diverging_entries) = match diverging {
-        Some(input) => (Some(input.trace), mutate_entries.then_some(input.entries)),
-        None => (None, None),
-    };
-    GreyboxReport {
-        seed: cfg.seed,
-        executions: result.executions,
-        edges_covered: result.edges_covered,
-        corpus_size: result.corpus_size,
-        rounds: result.rounds,
-        first_divergence: result.first_divergence,
-        verdict,
-        diverging_input,
-        diverging_entries,
-        minimized,
-        truncated: result.truncated,
+        None => greybox_report(&target, &mut (), cfg, result, None),
     }
 }
 

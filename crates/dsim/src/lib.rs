@@ -16,10 +16,12 @@
 //!   same input trace, and assertions check the equivalence of the two
 //!   output traces; failures are classified the way the paper's case study
 //!   classifies them (machine code incompatible with the pipeline vs.
-//!   behavioural trace mismatch). [`testing::fuzz_campaign`] scales the
-//!   loop the way FP4 and Gauntlet scale their testing campaigns: many
-//!   independently seeded runs sharded across OS threads, deterministic
-//!   per run index;
+//!   behavioural trace mismatch). Both differential stacks implement one
+//!   [`testing::Target`] trait, so one seeded run ([`testing::fuzz_run`]),
+//!   one resumable campaign ([`testing::fuzz_campaign`]) and one greybox
+//!   report serve both; the campaign scales the loop the way FP4 and
+//!   Gauntlet scale theirs: many independently seeded runs sharded across
+//!   OS threads, deterministic per run index;
 //! - [`fault`] — machine-code fault injection used to validate that the
 //!   tester actually detects the §5.2 failure classes;
 //! - [`mod@minimize`] — counterexample minimization: solver-free delta
@@ -32,7 +34,8 @@
 //! lowered match-action pipeline (dgen's `mat` backends) is
 //! differentially fuzzed against the sequential reference interpreter —
 //! seeded traffic ([`p4::P4Traffic`]), single-case checks
-//! ([`p4::run_p4_case`]), sharded campaigns ([`p4::p4_fuzz_campaign`]),
+//! ([`p4::run_p4_case`]), the stack's [`p4::P4Target`] for the shared
+//! seeded, campaign and greybox drivers,
 //! table/action fault injection ([`p4::P4FaultInjector`]), and
 //! counterexample minimization through the shared oracle-generic engine
 //! ([`minimize::minimize_trace_with`]).
@@ -62,8 +65,9 @@ pub use minimize::{
 pub use runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions, WorkerPanic};
 pub use sim::Simulator;
 pub use testing::{
-    fuzz_campaign, fuzz_test, run_case, run_sharded, shard_seed, CampaignConfig, CampaignReport,
-    FuzzConfig, FuzzReport, Specification, Verdict, VerdictClass,
+    fuzz_campaign, fuzz_run, fuzz_test, run_case, run_sharded, shard_seed, AluTarget,
+    CampaignConfig, CampaignReport, FuzzConfig, FuzzReport, Specification, Target, Verdict,
+    VerdictClass,
 };
 pub use traffic::TrafficGenerator;
 pub use verify::{

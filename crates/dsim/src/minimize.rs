@@ -371,11 +371,11 @@ fn diff_names(a: &MachineCode, b: &MachineCode) -> Vec<String> {
 /// minimize). The result's [`MinimizedCounterExample::verdict`] has the
 /// same [`VerdictClass`] as the original divergence, and its input is
 /// never longer than `input`.
-pub fn minimize(
+pub fn minimize<R: Specification + ?Sized>(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
     opt: OptLevel,
-    reference: &mut dyn Specification,
+    reference: &mut R,
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<MinimizedCounterExample> {
@@ -402,10 +402,10 @@ pub fn minimize(
 
 /// The standard ALU-pipeline differential oracle used by [`minimize`] and
 /// [`minimize_fault`]: one [`run_case`] per candidate.
-fn differential_oracle<'a>(
+fn differential_oracle<'a, R: Specification + ?Sized>(
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
-    reference: &'a mut dyn Specification,
+    reference: &'a mut R,
     cfg: &'a MinimizeConfig,
 ) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + 'a {
     move |mc, phvs| {

@@ -19,10 +19,12 @@
 //! - [`run_p4_case`] — one differential execution, returning the same
 //!   [`Verdict`] taxonomy (`Incompatible` when the entries cannot program
 //!   the pipeline, `Mismatch` on trace or state divergence);
-//! - [`p4_fuzz_test`] / [`p4_fuzz_campaign`] — seeded runs and
-//!   deterministic sharded campaigns returning the standard
-//!   [`FuzzReport`]/[`CampaignReport`], so seed replay works identically
-//!   (`shard_seed`, worker-count independence and all);
+//! - [`P4Target`] — the stack as a differential
+//!   [`Target`], so seeded runs ([`crate::testing::fuzz_run`]), resumable campaigns
+//!   ([`crate::testing::fuzz_campaign`]) and greybox reports run on the
+//!   same drivers as the ALU stack and return the standard
+//!   [`crate::testing::FuzzReport`] and [`crate::testing::CampaignReport`] (seed replay, worker-count
+//!   independence and all);
 //! - [`p4_minimize`] — counterexample minimization through the shared
 //!   oracle-generic delta-debugging engine
 //!   ([`minimize_trace_with`]);
@@ -42,7 +44,7 @@ use druzhba_p4::lower::{lower, RmtConfig, RmtLowering};
 use druzhba_p4::tables::{bind, parse_entries, TableEntry};
 
 use crate::minimize::{minimize_trace_with, MinimizedCounterExample};
-use crate::testing::{shard_seed, CampaignReport, FuzzReport, Verdict};
+use crate::testing::{Target, Verdict};
 
 /// A P4 program ready for differential testing: resolved source,
 /// validated entries, and the RMT lowering.
@@ -222,31 +224,6 @@ impl P4Traffic {
     }
 }
 
-/// Configuration of one P4 differential fuzz run.
-#[derive(Debug, Clone)]
-pub struct P4FuzzConfig {
-    /// Packets driven through both executions.
-    pub num_phvs: usize,
-    /// Traffic seed.
-    pub seed: u64,
-    /// Bit-width cap on randomized header fields.
-    pub input_bits: u32,
-    /// Minimize counterexamples on failure (shared delta-debugging
-    /// engine; see [`mod@crate::minimize`]).
-    pub minimize: bool,
-}
-
-impl Default for P4FuzzConfig {
-    fn default() -> Self {
-        P4FuzzConfig {
-            num_phvs: 1000,
-            seed: 0x000D_122B,
-            input_bits: 16,
-            minimize: true,
-        }
-    }
-}
-
 /// Compare the final stateful objects of the two executions; maps
 /// register/counter divergence onto [`TraceMismatch::StateMismatch`]
 /// with `stage` = object index (registers first, then counters) and
@@ -296,8 +273,8 @@ fn state_mismatch(
 /// reference interpreter (over the workload's intended entries) on the
 /// same packets, and compare output traces and final state.
 ///
-/// This is the single-case core shared by [`p4_fuzz_test`] and
-/// [`p4_minimize`] — the P4 analog of [`crate::testing::run_case`].
+/// This is the single-case core of [`P4Target`] and [`p4_minimize`] — the
+/// P4 analog of [`crate::testing::run_case`].
 ///
 /// Like the ALU side, the evaluation runs under panic isolation: a
 /// panicking match-action backend yields [`Verdict::BackendPanic`]
@@ -365,118 +342,52 @@ pub(crate) fn p4_differential(
     Verdict::Pass
 }
 
-/// Run the Fig. 5 workflow on a P4 workload: seeded random packets
-/// through interpreter and pipeline, trace + state equivalence, minimized
-/// counterexample on failure.
-pub fn p4_fuzz_test(
-    workload: &P4Workload,
-    entries: &[TableEntry],
-    level: OptLevel,
-    cfg: &P4FuzzConfig,
-) -> FuzzReport {
-    let input = P4Traffic::new(workload, cfg.seed, cfg.input_bits).trace(cfg.num_phvs);
-    let verdict = run_p4_case(workload, entries, level, &input);
-    let phvs_tested = if matches!(
-        verdict,
-        Verdict::Incompatible(_) | Verdict::BackendPanic { .. }
-    ) {
-        0
-    } else {
-        cfg.num_phvs
-    };
-    // Panic verdicts are never minimized: delta-debugging would rebuild
-    // the backend outside the guard and re-trip the panic.
-    let minimized =
-        if cfg.minimize && !verdict.passed() && !matches!(verdict, Verdict::BackendPanic { .. }) {
-            p4_minimize(workload, entries, level, &input, 3_000)
-        } else {
-            None
-        };
-    FuzzReport {
-        verdict,
-        phvs_tested,
-        seed: cfg.seed,
-        minimized,
+/// The P4 stack as a differential [`Target`]: the match-action pipeline
+/// generated from `entries` at `level` against the reference interpreter
+/// over the workload's intended entries ([`run_p4_case`]), with
+/// entry-aware [`P4Traffic`] and [`p4_minimize`]. The reference is rebuilt
+/// inside every guarded case, so the per-run reference is `()`.
+#[derive(Debug, Clone, Copy)]
+pub struct P4Target<'a> {
+    /// The program, its intended entries and its lowering.
+    pub workload: &'a P4Workload,
+    /// The entries the pipeline runs (the intended ones, or a mutant).
+    pub entries: &'a [TableEntry],
+    /// The backend under test.
+    pub level: OptLevel,
+}
+
+impl Target<()> for P4Target<'_> {
+    const STACK: &'static str = "p4";
+    const CAMPAIGN: &'static str = "p4-campaign";
+
+    fn traffic(&self, seed: u64, input_bits: u32, phvs: usize) -> Trace {
+        P4Traffic::new(self.workload, seed, input_bits).trace(phvs)
     }
-}
 
-/// Configuration of a multi-run P4 fuzz campaign (see
-/// [`crate::testing::CampaignConfig`]; run `i` uses
-/// [`shard_seed`]`(base.seed, i)`).
-#[derive(Debug, Clone)]
-pub struct P4CampaignConfig {
-    /// Number of independent runs.
-    pub runs: usize,
-    /// Worker threads (clamped to `1..=runs`).
-    pub workers: usize,
-    /// Template for every run; only the seed varies.
-    pub base: P4FuzzConfig,
-}
+    fn check(&self, _: &mut (), input: &Trace) -> Verdict {
+        run_p4_case(self.workload, self.entries, self.level, input)
+    }
 
-impl Default for P4CampaignConfig {
-    fn default() -> Self {
-        P4CampaignConfig {
-            runs: 8,
-            workers: crate::runtime::default_workers(),
-            base: P4FuzzConfig::default(),
+    fn minimize(&self, _: &mut (), input: &Trace) -> Option<MinimizedCounterExample> {
+        p4_minimize(self.workload, self.entries, self.level, input, 3_000)
+    }
+
+    /// The greybox snapshot also binds the program source; the seeded
+    /// campaign's binds only the entries (both as first written, so
+    /// existing checkpoints keep resuming).
+    fn program_parts(&self, greybox: bool) -> Vec<String> {
+        let mut parts = vec![format!("{:?}", self.level)];
+        if greybox {
+            parts.push(format!("{:?}", self.workload.hlir));
         }
+        parts.push(format!("{:?}", self.entries));
+        parts
     }
-}
 
-/// Run a deterministic sharded P4 fuzz campaign: `cfg.runs` independently
-/// seeded differential runs over the panic-isolated work-stealing pool
-/// ([`crate::runtime::run_resumable`]). Results are a pure
-/// function of the configuration — never of the worker count.
-pub fn p4_fuzz_campaign(
-    workload: &P4Workload,
-    entries: &[TableEntry],
-    level: OptLevel,
-    cfg: &P4CampaignConfig,
-) -> CampaignReport {
-    p4_fuzz_campaign_with_runtime(
-        workload,
-        entries,
-        level,
-        cfg,
-        &crate::runtime::RuntimeOptions::default(),
-    )
-}
-
-/// [`p4_fuzz_campaign`] with the crash-proof runtime attached:
-/// checkpoint/resume of per-run progress and a wall-clock budget, via the
-/// same resumable driver the ALU campaign uses (see
-/// [`crate::testing::fuzz_campaign_with_runtime`] for the determinism
-/// contract).
-pub fn p4_fuzz_campaign_with_runtime(
-    workload: &P4Workload,
-    entries: &[TableEntry],
-    level: OptLevel,
-    cfg: &P4CampaignConfig,
-    runtime: &crate::runtime::RuntimeOptions,
-) -> CampaignReport {
-    let fingerprint = crate::snapshot::fingerprint_of(&[
-        "p4-campaign".to_string(),
-        format!("{:?}", level),
-        format!("{:?}", entries),
-        cfg.runs.to_string(),
-        cfg.base.num_phvs.to_string(),
-        cfg.base.seed.to_string(),
-        cfg.base.input_bits.to_string(),
-        cfg.base.minimize.to_string(),
-    ]);
-    crate::testing::resumable_campaign(
-        "p4-campaign",
-        fingerprint,
-        cfg.runs,
-        cfg.workers,
-        runtime,
-        |run| shard_seed(cfg.base.seed, run as u64),
-        |run| {
-            let mut fuzz_cfg = cfg.base.clone();
-            fuzz_cfg.seed = shard_seed(cfg.base.seed, run as u64);
-            p4_fuzz_test(workload, entries, level, &fuzz_cfg)
-        },
-    )
+    fn observation_parts(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// Minimize a failing input trace for a fixed entry set through the
@@ -742,7 +653,28 @@ impl P4FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::VerdictClass;
+    use crate::runtime::RuntimeOptions;
+    use crate::testing::{
+        fuzz_campaign, fuzz_run, CampaignConfig, FuzzConfig, FuzzReport, VerdictClass,
+    };
+
+    /// One seeded run of the P4 target.
+    fn p4_fuzz(workload: &P4Workload, entries: &[TableEntry], level: OptLevel) -> FuzzReport {
+        let target = P4Target {
+            workload,
+            entries,
+            level,
+        };
+        fuzz_run(&target, &mut (), &p4_cfg())
+    }
+
+    /// The P4 stack's historical run shape: 1000 packets at 16-bit fields.
+    fn p4_cfg() -> FuzzConfig {
+        FuzzConfig {
+            input_bits: 16,
+            ..FuzzConfig::default()
+        }
+    }
 
     const PROGRAM: &str = r#"
         header_type pkt_t { fields { dst : 8; len : 16; } }
@@ -780,7 +712,7 @@ mod tests {
     fn clean_workload_passes_on_every_backend() {
         let w = workload();
         for level in OptLevel::ALL {
-            let report = p4_fuzz_test(&w, &w.entries, level, &P4FuzzConfig::default());
+            let report = p4_fuzz(&w, &w.entries, level);
             assert!(report.passed(), "{level:?}: {:?}", report.verdict);
             assert_eq!(report.phvs_tested, 1000);
         }
@@ -807,7 +739,7 @@ mod tests {
         // Forward to port 11 instead of 10: audit stops matching too.
         let mut bad = w.entries.clone();
         bad[0].args[0] = 11;
-        let report = p4_fuzz_test(&w, &bad, OptLevel::Fused, &P4FuzzConfig::default());
+        let report = p4_fuzz(&w, &bad, OptLevel::Fused);
         assert!(!report.passed());
         let mce = report.minimized.expect("minimized");
         assert_eq!(mce.packets(), 1, "one packet suffices");
@@ -829,7 +761,7 @@ mod tests {
         // crafted single field. Here: remove audit entry and assert the
         // verdict is a mismatch of some class.
         let bad: Vec<TableEntry> = w.entries[..2].to_vec();
-        let report = p4_fuzz_test(&w, &bad, OptLevel::Scc, &P4FuzzConfig::default());
+        let report = p4_fuzz(&w, &bad, OptLevel::Scc);
         assert!(!report.passed());
     }
 
@@ -838,7 +770,7 @@ mod tests {
         let w = workload();
         let mut bad = w.entries.clone();
         bad[0].table = "ghost".into();
-        let report = p4_fuzz_test(&w, &bad, OptLevel::SccInline, &P4FuzzConfig::default());
+        let report = p4_fuzz(&w, &bad, OptLevel::SccInline);
         assert!(matches!(report.verdict, Verdict::Incompatible(_)));
         assert_eq!(report.phvs_tested, 0);
         let mce = report.minimized.expect("incompatibility minimizes");
@@ -849,15 +781,20 @@ mod tests {
     fn campaign_is_worker_count_independent() {
         let w = workload();
         let run_with = |workers: usize| {
-            let cfg = P4CampaignConfig {
+            let cfg = CampaignConfig {
                 runs: 6,
                 workers,
-                base: P4FuzzConfig {
+                base: FuzzConfig {
                     num_phvs: 200,
-                    ..P4FuzzConfig::default()
+                    ..p4_cfg()
                 },
             };
-            p4_fuzz_campaign(&w, &w.entries, OptLevel::Fused, &cfg)
+            let target = P4Target {
+                workload: &w,
+                entries: &w.entries,
+                level: OptLevel::Fused,
+            };
+            fuzz_campaign(&target, || (), &cfg, &RuntimeOptions::default())
         };
         let serial = run_with(1);
         let parallel = run_with(4);

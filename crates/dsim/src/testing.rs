@@ -99,7 +99,11 @@ impl<S: Clone, F: FnMut(&mut S, &Phv) -> Phv> Specification for ClosureSpec<S, F
     }
 }
 
-/// Configuration of a fuzzing run.
+/// Configuration of a fuzzing run, on either stack. The driver
+/// ([`fuzz_run`]) reads the traffic shape and `minimize`; `observable` and
+/// `state_cells` are the ALU stack's observation points, read by
+/// [`AluTarget::new`] (the P4 oracle compares every container and every
+/// register and counter).
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// Number of random PHVs to drive through the pipeline (the paper's
@@ -262,11 +266,11 @@ impl FuzzReport {
 /// pipeline and simulator are constructed and dropped inside the guard,
 /// and the specification is `reset()` before any comparison — so no
 /// broken invariant escapes a captured panic.
-pub fn run_case(
+pub fn run_case<R: Specification + ?Sized>(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
     opt: OptLevel,
-    reference: &mut dyn Specification,
+    reference: &mut R,
     input: &Trace,
     observable: Option<&[usize]>,
     state_cells: &[(usize, usize, usize)],
@@ -291,8 +295,8 @@ pub fn run_case(
 /// shared with the greybox oracle ([`crate::coverage`]), which executes
 /// the pipeline itself (to reuse it, and its coverage map, across
 /// executions).
-pub(crate) fn compare_against_spec(
-    reference: &mut dyn Specification,
+pub(crate) fn compare_against_spec<R: Specification + ?Sized>(
+    reference: &mut R,
     input: &Trace,
     actual: &Trace,
     observable: Option<&[usize]>,
@@ -327,10 +331,172 @@ pub(crate) fn compare_against_spec(
     Verdict::Pass
 }
 
-/// Run the full Fig. 5 workflow: generate the pipeline from machine code,
-/// drive a random input trace through pipeline and specification, and
-/// assert trace equivalence. Failures carry a minimized counterexample
-/// unless [`FuzzConfig::minimize`] is off.
+// ----------------------------------------------------------------------
+// Differential targets: one driver for both stacks.
+// ----------------------------------------------------------------------
+
+/// One differential stack as the drivers see it: seeded traffic, the
+/// guarded single-case check, the minimizer, and the parts that bind a
+/// snapshot to the program under test.
+///
+/// `R` is the mutable reference a check compares against — a
+/// [`Specification`] on the ALU stack ([`AluTarget`]), nothing (`()`) on
+/// the P4 stack ([`crate::p4::P4Target`]), whose reference interpreter is
+/// rebuilt inside every guarded case. The seeded run ([`fuzz_run`]), the
+/// resumable seeded campaign ([`fuzz_campaign`]) and the greybox report
+/// ([`crate::coverage`]) are written once over this trait and
+/// monomorphized per stack.
+pub trait Target<R: ?Sized>: Sync {
+    /// Stack label in snapshot fingerprints (`alu-campaign`, `greybox-p4`, …).
+    const STACK: &'static str;
+    /// Snapshot kind of the seeded campaign.
+    const CAMPAIGN: &'static str;
+
+    /// The seeded input trace of `phvs` packets at `input_bits`-bit values.
+    fn traffic(&self, seed: u64, input_bits: u32, phvs: usize) -> Trace;
+
+    /// One differential execution under panic isolation.
+    fn check(&self, reference: &mut R, input: &Trace) -> Verdict;
+
+    /// Minimize a diverging input through the shared delta-debugging
+    /// engine; `None` when `input` does not diverge.
+    fn minimize(&self, reference: &mut R, input: &Trace) -> Option<MinimizedCounterExample>;
+
+    /// Fingerprint parts naming the program under test: the level, then
+    /// the code (`greybox` adds what the greybox snapshot also binds).
+    fn program_parts(&self, greybox: bool) -> Vec<String>;
+
+    /// Fingerprint parts naming what the check observes.
+    fn observation_parts(&self) -> Vec<String>;
+}
+
+/// The ALU stack: a compiled pipeline against a [`Specification`],
+/// comparing the `observable` containers and the `state_cells`.
+#[derive(Debug, Clone, Copy)]
+pub struct AluTarget<'a> {
+    /// The pipeline shape.
+    pub pipeline_spec: &'a PipelineSpec,
+    /// The machine code under test.
+    pub mc: &'a MachineCode,
+    /// The backend under test.
+    pub opt: OptLevel,
+    /// Containers asserted for equality (`None` = all).
+    pub observable: Option<&'a [usize]>,
+    /// State cells compared against [`Specification::state`].
+    pub state_cells: &'a [(usize, usize, usize)],
+}
+
+impl<'a> AluTarget<'a> {
+    /// A target observing what `cfg` names ([`FuzzConfig::observable`],
+    /// [`FuzzConfig::state_cells`]).
+    pub fn new(
+        pipeline_spec: &'a PipelineSpec,
+        mc: &'a MachineCode,
+        opt: OptLevel,
+        cfg: &'a FuzzConfig,
+    ) -> Self {
+        AluTarget {
+            pipeline_spec,
+            mc,
+            opt,
+            observable: cfg.observable.as_deref(),
+            state_cells: &cfg.state_cells,
+        }
+    }
+}
+
+impl<R: Specification + ?Sized> Target<R> for AluTarget<'_> {
+    const STACK: &'static str = "alu";
+    const CAMPAIGN: &'static str = "campaign";
+
+    fn traffic(&self, seed: u64, input_bits: u32, phvs: usize) -> Trace {
+        TrafficGenerator::new(seed, self.pipeline_spec.config.phv_length, input_bits).trace(phvs)
+    }
+
+    fn check(&self, reference: &mut R, input: &Trace) -> Verdict {
+        run_case(
+            self.pipeline_spec,
+            self.mc,
+            self.opt,
+            reference,
+            input,
+            self.observable,
+            self.state_cells,
+        )
+    }
+
+    fn minimize(&self, reference: &mut R, input: &Trace) -> Option<MinimizedCounterExample> {
+        minimize(
+            self.pipeline_spec,
+            self.mc,
+            self.opt,
+            reference,
+            input,
+            &MinimizeConfig {
+                observable: self.observable.map(<[usize]>::to_vec),
+                state_cells: self.state_cells.to_vec(),
+                ..MinimizeConfig::default()
+            },
+        )
+    }
+
+    fn program_parts(&self, _greybox: bool) -> Vec<String> {
+        vec![format!("{:?}", self.opt), self.mc.to_text()]
+    }
+
+    fn observation_parts(&self) -> Vec<String> {
+        vec![
+            format!("{:?}", self.observable),
+            format!("{:?}", self.state_cells),
+        ]
+    }
+}
+
+/// True for verdicts delta debugging may reduce: a failure that is not a
+/// backend panic (minimizing would rebuild the backend outside the panic
+/// guard and re-trip it; the replay recipe is the counterexample).
+pub(crate) fn minimizable(verdict: &Verdict) -> bool {
+    !verdict.passed() && !matches!(verdict, Verdict::BackendPanic { .. })
+}
+
+/// One seeded run of the Fig. 5 workflow on any [`Target`]: seeded
+/// traffic through the guarded check, minimized on failure unless
+/// [`FuzzConfig::minimize`] is off. Reads `num_phvs`, `seed`,
+/// `input_bits` and `minimize` from `cfg`; what the check observes is the
+/// target's.
+pub fn fuzz_run<R: ?Sized, T: Target<R>>(
+    target: &T,
+    reference: &mut R,
+    cfg: &FuzzConfig,
+) -> FuzzReport {
+    let input = target.traffic(cfg.seed, cfg.input_bits, cfg.num_phvs);
+    let verdict = target.check(reference, &input);
+    let phvs_tested = if matches!(
+        verdict,
+        Verdict::Incompatible(_) | Verdict::BackendPanic { .. }
+    ) {
+        0
+    } else {
+        cfg.num_phvs
+    };
+    let minimized = if cfg.minimize && minimizable(&verdict) {
+        target.minimize(reference, &input)
+    } else {
+        None
+    };
+    FuzzReport {
+        verdict,
+        phvs_tested,
+        seed: cfg.seed,
+        minimized,
+    }
+}
+
+/// Run the full Fig. 5 workflow on the ALU stack: generate the pipeline
+/// from machine code, drive a random input trace through pipeline and
+/// specification, and assert trace equivalence ([`fuzz_run`] over an
+/// [`AluTarget`]). Failures carry a minimized counterexample unless
+/// [`FuzzConfig::minimize`] is off.
 ///
 /// ```
 /// use druzhba_alu_dsl::atoms::atom;
@@ -369,52 +535,7 @@ pub fn fuzz_test(
     reference: &mut dyn Specification,
     cfg: &FuzzConfig,
 ) -> FuzzReport {
-    let mut traffic =
-        TrafficGenerator::new(cfg.seed, pipeline_spec.config.phv_length, cfg.input_bits);
-    let input = traffic.trace(cfg.num_phvs);
-    let verdict = run_case(
-        pipeline_spec,
-        mc,
-        opt,
-        reference,
-        &input,
-        cfg.observable.as_deref(),
-        &cfg.state_cells,
-    );
-    let phvs_tested = if matches!(
-        verdict,
-        Verdict::Incompatible(_) | Verdict::BackendPanic { .. }
-    ) {
-        0
-    } else {
-        cfg.num_phvs
-    };
-    // Never minimize a panic verdict: delta-debugging would regenerate
-    // the backend outside the panic guard and re-trip it. The replay
-    // recipe (seed + config) is the counterexample.
-    let minimized =
-        if cfg.minimize && !verdict.passed() && !matches!(verdict, Verdict::BackendPanic { .. }) {
-            minimize(
-                pipeline_spec,
-                mc,
-                opt,
-                reference,
-                &input,
-                &MinimizeConfig {
-                    observable: cfg.observable.clone(),
-                    state_cells: cfg.state_cells.clone(),
-                    ..MinimizeConfig::default()
-                },
-            )
-        } else {
-            None
-        };
-    FuzzReport {
-        verdict,
-        phvs_tested,
-        seed: cfg.seed,
-        minimized,
-    }
+    fuzz_run(&AluTarget::new(pipeline_spec, mc, opt, cfg), reference, cfg)
 }
 
 // ----------------------------------------------------------------------
@@ -481,7 +602,7 @@ impl CampaignReport {
     }
 
     /// The first failing run, if any (its recorded seed replays the
-    /// failure through a plain [`fuzz_test`]).
+    /// failure through a plain [`fuzz_run`]).
     pub fn first_failure(&self) -> Option<&FuzzReport> {
         self.runs.iter().find(|r| !r.passed())
     }
@@ -535,83 +656,77 @@ where
     out
 }
 
-/// Run a deterministic multi-threaded fuzz campaign: `cfg.runs`
-/// independently seeded Fig. 5 workflows sharded across `cfg.workers` OS
-/// threads via [`run_sharded`].
+/// Run a deterministic multi-threaded fuzz campaign on any [`Target`]:
+/// `cfg.runs` independently seeded [`fuzz_run`]s on the resumable
+/// work-stealing engine ([`run_resumable`]), each against a fresh
+/// reference from `make_reference`, so nothing mutable is shared. Reports
+/// come back ordered by run index; a campaign's output is a pure function
+/// of its configuration, independent of scheduling.
 ///
-/// Every worker generates its own pipeline from `(pipeline_spec, mc, opt)`
-/// and builds a fresh specification via `make_spec`, so nothing mutable is
-/// shared. Reports come back ordered by run index; a campaign's output is a
-/// pure function of its configuration, independent of scheduling.
-pub fn fuzz_campaign<S, F>(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    make_spec: F,
-    cfg: &CampaignConfig,
-) -> CampaignReport
-where
-    S: Specification,
-    F: Fn() -> S + Sync,
-{
-    fuzz_campaign_with_runtime(
-        pipeline_spec,
-        mc,
-        opt,
-        make_spec,
-        cfg,
-        &RuntimeOptions::default(),
-    )
-}
-
-/// [`fuzz_campaign`] with the crash-proof runtime attached: checkpointed
-/// progress (`--checkpoint DIR --every N`), resume from the latest good
-/// snapshot (`--resume DIR`), and a wall-clock budget that ends the
-/// campaign cleanly with the report marked truncated.
-///
-/// The snapshot records the *passed* run indices only (a pass is fully
-/// reconstructible from `(run, phvs, seed)`); failed runs are re-evaluated
-/// on resume, which re-derives the identical verdict deterministically —
-/// so a killed-and-resumed campaign's final report is byte-identical to an
-/// uninterrupted one.
-pub fn fuzz_campaign_with_runtime<S, F>(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    make_spec: F,
+/// `runtime` attaches the crash-proof runtime: checkpointed progress
+/// (`--checkpoint DIR --every N`), resume from the latest good snapshot
+/// (`--resume DIR`), and a wall-clock budget that ends the campaign
+/// cleanly with the report marked truncated. The snapshot records the
+/// *passed* run indices only (a pass is fully reconstructible from
+/// `(run, phvs, seed)`); failed runs are re-evaluated on resume, which
+/// re-derives the identical verdict deterministically — so a
+/// killed-and-resumed campaign's final report is byte-identical to an
+/// uninterrupted one. A run whose worker panics is recorded as
+/// [`Verdict::BackendPanic`] under its traffic seed (the replay recipe).
+pub fn fuzz_campaign<R, T, F>(
+    target: &T,
+    make_reference: F,
     cfg: &CampaignConfig,
     runtime: &RuntimeOptions,
 ) -> CampaignReport
 where
-    S: Specification,
-    F: Fn() -> S + Sync,
+    T: Target<R>,
+    F: Fn() -> R + Sync,
 {
-    let fingerprint = snapshot::fingerprint_of(&[
-        "alu-campaign".to_string(),
-        format!("{:?}", opt),
-        mc.to_text(),
+    let base = &cfg.base;
+    let mut parts = vec![format!("{}-campaign", T::STACK)];
+    parts.extend(target.program_parts(false));
+    parts.extend([
         cfg.runs.to_string(),
-        cfg.base.num_phvs.to_string(),
-        cfg.base.seed.to_string(),
-        cfg.base.input_bits.to_string(),
-        format!("{:?}", cfg.base.observable),
-        format!("{:?}", cfg.base.state_cells),
-        cfg.base.minimize.to_string(),
+        base.num_phvs.to_string(),
+        base.seed.to_string(),
+        base.input_bits.to_string(),
     ]);
-    resumable_campaign(
-        "campaign",
-        fingerprint,
-        cfg.runs,
-        cfg.workers,
+    parts.extend(target.observation_parts());
+    parts.push(base.minimize.to_string());
+    let campaign = Campaign {
+        kind: T::CAMPAIGN,
+        fingerprint: snapshot::fingerprint_of(&parts),
+        total: cfg.runs,
+        workers: cfg.workers,
         runtime,
-        |run| shard_seed(cfg.base.seed, run as u64),
-        |run| {
-            let mut fuzz_cfg = cfg.base.clone();
-            fuzz_cfg.seed = shard_seed(cfg.base.seed, run as u64);
-            let mut reference = make_spec();
-            fuzz_test(pipeline_spec, mc, opt, &mut reference, &fuzz_cfg)
-        },
-    )
+    };
+    let seed_of = |run: usize| shard_seed(base.seed, run as u64);
+    let eval = |run: usize| {
+        // The target already holds what the check observes; a run only
+        // needs the traffic shape, so nothing is cloned per run.
+        let run_cfg = FuzzConfig {
+            seed: seed_of(run),
+            observable: None,
+            state_cells: Vec::new(),
+            ..*base
+        };
+        fuzz_run(target, &mut make_reference(), &run_cfg)
+    };
+    let out = run_resumable(&campaign, eval, FuzzReport::clone, |run, payload| {
+        FuzzReport {
+            verdict: Verdict::BackendPanic {
+                payload: payload.to_string(),
+            },
+            phvs_tested: 0,
+            seed: seed_of(run),
+            minimized: None,
+        }
+    });
+    CampaignReport {
+        runs: out.records,
+        truncated: out.truncated,
+    }
 }
 
 /// Checkpoint lines of the seeded campaigns (`campaign`, `p4-campaign`):
@@ -638,46 +753,6 @@ impl RecordCodec for FuzzReport {
                 minimized: None,
             },
         ))
-    }
-}
-
-/// The resumable driver shared by the ALU and P4 fuzz campaigns: `runs`
-/// independent runs on [`run_resumable`], with a run whose worker panics
-/// recorded as [`Verdict::BackendPanic`] under its traffic seed
-/// `seed_of(run)` (the replay recipe).
-pub(crate) fn resumable_campaign<F, SeedOf>(
-    kind: &str,
-    fingerprint: u64,
-    runs: usize,
-    workers: usize,
-    runtime: &RuntimeOptions,
-    seed_of: SeedOf,
-    eval: F,
-) -> CampaignReport
-where
-    F: Fn(usize) -> FuzzReport + Sync,
-    SeedOf: Fn(usize) -> u64,
-{
-    let campaign = Campaign {
-        kind,
-        fingerprint,
-        total: runs,
-        workers,
-        runtime,
-    };
-    let out = run_resumable(&campaign, eval, FuzzReport::clone, |run, payload| {
-        FuzzReport {
-            verdict: Verdict::BackendPanic {
-                payload: payload.to_string(),
-            },
-            phvs_tested: 0,
-            seed: seed_of(run),
-            minimized: None,
-        }
-    });
-    CampaignReport {
-        runs: out.records,
-        truncated: out.truncated,
     }
 }
 
@@ -843,7 +918,12 @@ mod tests {
                     ..FuzzConfig::default()
                 },
             };
-            fuzz_campaign(&spec, &mc, OptLevel::Fused, accumulator_spec, &cfg)
+            fuzz_campaign(
+                &AluTarget::new(&spec, &mc, OptLevel::Fused, &cfg.base),
+                accumulator_spec,
+                &cfg,
+                &RuntimeOptions::default(),
+            )
         };
         let serial = run_with(1);
         let parallel = run_with(4);
@@ -873,7 +953,12 @@ mod tests {
                 ..FuzzConfig::default()
             },
         };
-        let campaign = fuzz_campaign(&spec, &mc, OptLevel::Fused, accumulator_spec, &cfg);
+        let campaign = fuzz_campaign(
+            &AluTarget::new(&spec, &mc, OptLevel::Fused, &cfg.base),
+            accumulator_spec,
+            &cfg,
+            &RuntimeOptions::default(),
+        );
         assert!(!campaign.passed());
         let (_, incompatible, mismatched, panicked) = campaign.counts();
         assert_eq!(incompatible, 0);
@@ -942,7 +1027,12 @@ mod tests {
                 ..FuzzConfig::default()
             },
         };
-        let campaign = fuzz_campaign(&spec, &mc, OptLevel::Scc, accumulator_spec, &cfg);
+        let campaign = fuzz_campaign(
+            &AluTarget::new(&spec, &mc, OptLevel::Scc, &cfg.base),
+            accumulator_spec,
+            &cfg,
+            &RuntimeOptions::default(),
+        );
         let (passed, _, _, panicked) = campaign.counts();
         assert_eq!(passed, 0);
         assert_eq!(panicked, 4, "every run records the panic, none aborts");
@@ -970,58 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_campaign_resumes_to_identical_report() {
-        let (spec, mut mc) = accumulator_setup();
-        // Subtract instead of add so some runs fail (failures re-run on
-        // resume and must re-derive identical verdicts).
-        mc.set("stateful_alu_0_0_arith_op_0", 1);
-        let cfg = CampaignConfig {
-            runs: 6,
-            workers: 2,
-            base: FuzzConfig {
-                num_phvs: 100,
-                ..FuzzConfig::default()
-            },
-        };
-        let clean = fuzz_campaign(&spec, &mc, OptLevel::Fused, accumulator_spec, &cfg);
-
-        let dir =
-            std::env::temp_dir().join(format!("druzhba-campaign-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let runtime = RuntimeOptions {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            resume: false,
-            budget_secs: None,
-        };
-        let first = fuzz_campaign_with_runtime(
-            &spec,
-            &mc,
-            OptLevel::Fused,
-            accumulator_spec,
-            &cfg,
-            &runtime,
-        );
-        assert_eq!(first, clean);
-        // Resume from the snapshot: passed runs come from disk, failures
-        // re-evaluate — the report must be indistinguishable.
-        let resumed_rt = RuntimeOptions {
-            resume: true,
-            ..runtime
-        };
-        let resumed = fuzz_campaign_with_runtime(
-            &spec,
-            &mc,
-            OptLevel::Fused,
-            accumulator_spec,
-            &cfg,
-            &resumed_rt,
-        );
-        assert_eq!(resumed, clean, "resume reproduces the identical report");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn zero_budget_truncates_cleanly() {
         let (spec, mc) = accumulator_setup();
         let cfg = CampaignConfig {
@@ -1036,10 +1074,8 @@ mod tests {
             budget_secs: Some(0),
             ..RuntimeOptions::default()
         };
-        let report = fuzz_campaign_with_runtime(
-            &spec,
-            &mc,
-            OptLevel::Fused,
+        let report = fuzz_campaign(
+            &AluTarget::new(&spec, &mc, OptLevel::Fused, &cfg.base),
             accumulator_spec,
             &cfg,
             &runtime,

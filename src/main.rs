@@ -39,14 +39,16 @@ use druzhba::dgen::mat::emit_mat_pipeline;
 use druzhba::dgen::OptLevel;
 use druzhba::domino::{parse_program, DominoProgram};
 use druzhba::drmt::{solve, ScheduleConfig};
-use druzhba::dsim::coverage::{greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig};
-use druzhba::dsim::minimize::MinimizedCounterExample;
-use druzhba::dsim::p4::{
-    p4_fuzz_campaign_with_runtime, p4_fuzz_test, P4CampaignConfig, P4FuzzConfig, P4Workload,
+use druzhba::dsim::coverage::{
+    greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig, GreyboxReport,
 };
+use druzhba::dsim::minimize::MinimizedCounterExample;
+use druzhba::dsim::p4::{P4Target, P4Workload};
 use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::snapshot;
-use druzhba::dsim::testing::{fuzz_campaign_with_runtime, fuzz_test, CampaignConfig, FuzzConfig};
+use druzhba::dsim::testing::{
+    fuzz_campaign, fuzz_run, AluTarget, CampaignConfig, FuzzConfig, Target,
+};
 use druzhba::dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba::genhunt::{genhunt, GenHuntConfig};
 use druzhba::hunt::{hunt, HuntConfig};
@@ -155,6 +157,7 @@ USAGE:
   druzhba p4-fuzz --greybox E [--mutate-entries on|off] [...same flags...]
                   coverage-guided differential campaign over packets and (by
                   default) table entries; same tuning flags as fuzz --greybox
+                  except --lanes
   druzhba p4-fuzz --mutants N [...same flags...] [--out FILE]
                   table/action-fault mutation campaign (JSON report; nonzero
                   exit if any injected fault survives)
@@ -164,6 +167,10 @@ USAGE:
                   cross-model check all compose with the generated targets
   druzhba atoms      list the ALU DSL atom library
   druzhba programs   list the Table 1 benchmark programs and the P4 corpus
+
+Each campaign mode reads only its own flags: a flag the selected mode does
+not read (e.g. --corpus without --greybox, --out without --mutants) or a
+repeated flag fails with exit 1.
 
 CRASH-PROOFING (campaign modes of fuzz / hunt / p4-fuzz; docs/FUZZING.md):
   --checkpoint DIR [--every N]   snapshot campaign progress into DIR every N
@@ -187,9 +194,13 @@ struct Args {
 const GRID: &str = "depth width atom";
 const P4_TARGET: &str = "entries stages tables-per-stage";
 const RUNTIME: &str = "checkpoint every resume budget-secs";
-const GREYBOX: &str = "greybox gb-packets gb-max-packets corpus merge-every lanes";
 const FUZZ: &str = "seed level phvs bits runs jobs";
 const GENHUNT: &str = "generate faults minimize-checks";
+/// What the `fuzz`/`p4-fuzz` modes read beyond their command's common
+/// flags (see [`FuzzMode`]).
+const GREYBOX_MODE: &str = "gb-packets gb-max-packets corpus merge-every jobs";
+const CAMPAIGN_MODE: &str = "phvs runs jobs";
+const SINGLE_MODE: &str = "phvs runs";
 
 impl Args {
     /// Parse `cmd`'s arguments. `known` lists the flag groups `cmd` reads;
@@ -212,6 +223,9 @@ impl Args {
             if !known.iter().any(|group| group.split(' ').any(|k| k == key)) {
                 return Err(format!("unknown flag `{a}` for `{cmd}`"));
             }
+            if flags.iter().any(|(k, _)| k == key) {
+                return Err(format!("flag `{a}` given twice for `{cmd}`"));
+            }
             let value = if BOOLEAN_FLAGS.contains(&key) {
                 "on"
             } else {
@@ -225,9 +239,21 @@ impl Args {
     fn get(&self, key: &str) -> Option<&str> {
         self.flags
             .iter()
-            .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Fail on any flag `cmd` does not read in `mode`; `reads` lists the
+    /// flag groups that mode reads. A flag another mode reads is never
+    /// silently ignored.
+    fn check_mode(&self, cmd: &str, mode: &str, reads: &[&str]) -> Result<(), String> {
+        let read = |key: &str| reads.iter().any(|group| group.split(' ').any(|k| k == key));
+        match self.flags.iter().find(|(k, _)| !read(k)) {
+            Some((key, _)) => Err(format!(
+                "flag `--{key}` does not apply to `{cmd}` in {mode} mode"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// A number flag, `None` when absent.
@@ -497,6 +523,179 @@ fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
     )
 }
 
+/// The differential modes `fuzz` and `p4-fuzz` share, selected by flags:
+/// a greybox campaign (`--greybox E`), a seeded campaign (`--runs R`,
+/// R > 1) or one seeded run.
+enum FuzzMode {
+    Greybox(GreyboxConfig),
+    Campaign(CampaignConfig, RuntimeOptions),
+    Single(FuzzConfig),
+}
+
+impl FuzzMode {
+    /// Select the mode and reject every flag it does not read. `common`
+    /// lists the groups each mode of `cmd` reads; `greybox` and `seeded`
+    /// are the command's own additions to the greybox and seeded modes.
+    fn parse(
+        cmd: &str,
+        args: &Args,
+        common: &[&str],
+        (greybox, seeded): (&str, &str),
+        (phvs, bits): (usize, u32),
+    ) -> Result<Self, String> {
+        let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
+        let bits = args.get_u32("bits", bits)?;
+        let executions = args.get_usize("greybox", 0)?;
+        if executions > 0 {
+            args.check_mode(
+                cmd,
+                "greybox",
+                &[common, &[GREYBOX_MODE, RUNTIME, greybox]].concat(),
+            )?;
+            return Ok(FuzzMode::Greybox(greybox_config(
+                args, executions, seed, bits,
+            )?));
+        }
+        let runs = args.get_usize("runs", 1)?;
+        if args.get_usize("jobs", 0)? > 0 && runs <= 1 {
+            return Err(
+                "--jobs shards a multi-run campaign; pass --runs R (R > 1) or --greybox E with it"
+                    .into(),
+            );
+        }
+        let base = FuzzConfig {
+            num_phvs: args.get_usize("phvs", phvs)?,
+            seed,
+            input_bits: bits,
+            ..FuzzConfig::default()
+        };
+        if runs <= 1 {
+            args.check_mode(
+                cmd,
+                "single-run",
+                &[common, &[SINGLE_MODE, seeded]].concat(),
+            )?;
+            return Ok(FuzzMode::Single(base));
+        }
+        args.check_mode(
+            cmd,
+            "campaign",
+            &[common, &[CAMPAIGN_MODE, RUNTIME, seeded]].concat(),
+        )?;
+        let workers = args.get_workers(CampaignConfig::default().workers)?;
+        let campaign = CampaignConfig {
+            runs,
+            workers,
+            base,
+        };
+        Ok(FuzzMode::Campaign(campaign, runtime_options(args)?))
+    }
+
+    /// The seeded run shape (`None` in greybox mode).
+    fn seeded(&self) -> Option<&FuzzConfig> {
+        match self {
+            FuzzMode::Greybox(_) => None,
+            FuzzMode::Campaign(campaign, _) => Some(&campaign.base),
+            FuzzMode::Single(cfg) => Some(cfg),
+        }
+    }
+
+    /// Run this mode on one target at `level`, print its outcome, and turn
+    /// a divergence into an error carrying the replay recipe. `p4` names
+    /// the P4 program (`None` on the ALU stack); `replay` is appended to
+    /// every recipe and `greybox_mode` to the greybox flags; `greybox`
+    /// runs the target's greybox campaign.
+    fn run<R, T: Target<R>>(
+        &self,
+        (p4, replay, greybox_mode): (Option<&str>, &str, &str),
+        level: OptLevel,
+        target: &T,
+        make_reference: impl Fn() -> R + Sync,
+        greybox: impl FnOnce(&GreyboxConfig) -> GreyboxReport,
+    ) -> Result<(), String> {
+        let lv = level.key();
+        let tag = |alu: &str| p4.map_or(format!("{alu}[{lv}]"), |n| format!("p4-fuzz[{n}:{lv}]"));
+        let unit = if p4.is_some() { "packets" } else { "PHVs" };
+        let found = |mode: &str| match p4 {
+            None => format!("{mode}fuzzing found a divergence at level {lv}"),
+            Some(n) => format!("p4 {mode}fuzzing found a divergence in `{n}` at level {lv}"),
+        };
+        let (failure, cfg, verdict) = match self {
+            FuzzMode::Greybox(cfg) => {
+                let report = greybox(cfg);
+                print_greybox(p4.unwrap_or("fuzz"), level, cfg, &report);
+                if report.passed() {
+                    return Ok(());
+                }
+                if let Some(mce) = &report.minimized {
+                    print_minimized(mce);
+                }
+                if let Some(entries) = &report.diverging_entries {
+                    eprintln!("diverging entry set ({} entries):", entries.len());
+                    for e in entries {
+                        eprintln!("  {e:?}");
+                    }
+                }
+                return Err(format!(
+                    "{} (replay with `{} --level {lv} --bits {}{replay}`): {:?}",
+                    found("greybox "),
+                    greybox_replay(cfg, greybox_mode),
+                    cfg.input_bits,
+                    report.verdict
+                ));
+            }
+            FuzzMode::Campaign(campaign, runtime) => {
+                let report = fuzz_campaign(target, make_reference, campaign, runtime);
+                let (passed, incompatible, mismatched, panicked) = report.counts();
+                let cfg = &campaign.base;
+                let workers = match p4 {
+                    None => format!(" on {} workers", campaign.workers),
+                    Some(_) => String::new(),
+                };
+                println!(
+                    "{}: {} runs x {} {unit} at {}-bit inputs{workers} -> {passed} passed, \
+                     {incompatible} incompatible, {mismatched} mismatched, {panicked} panicked",
+                    tag("campaign"),
+                    campaign.runs,
+                    cfg.num_phvs,
+                    cfg.input_bits,
+                );
+                warn_truncated(p4.map_or("fuzz campaign", |_| "p4-fuzz"), report.truncated);
+                let Some(failure) = report.first_failure() else {
+                    return Ok(());
+                };
+                let verdict = format!(": {:?}", failure.verdict);
+                (failure.clone(), cfg, verdict)
+            }
+            FuzzMode::Single(cfg) => {
+                let report = fuzz_run(target, &mut make_reference(), cfg);
+                println!(
+                    "{}: {} {unit} at {}-bit inputs (seed {:#x}) -> {:?}",
+                    tag("fuzz"),
+                    report.phvs_tested,
+                    cfg.input_bits,
+                    report.seed,
+                    report.verdict
+                );
+                if report.passed() {
+                    return Ok(());
+                }
+                (report, cfg, String::new())
+            }
+        };
+        if let Some(mce) = &failure.minimized {
+            print_minimized(mce);
+        }
+        Err(format!(
+            "{} (replay with `--seed {:#x} --level {lv} --phvs {} --bits {}{replay}`){verdict}",
+            found(""),
+            failure.seed,
+            cfg.num_phvs,
+            cfg.input_bits,
+        ))
+    }
+}
+
 fn load(args: &Args) -> Result<(DominoProgram, CompilerConfig), String> {
     let file = args.file.as_deref().ok_or("missing <file.domino>")?;
     if is_p4_path(file) {
@@ -644,8 +843,33 @@ fn cmd_compile_p4(args: &Args, file: &str) -> Result<(), String> {
 }
 
 fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
-    let own = "generate lint mutants mutate-entries case-budget cross-model out";
-    let args = Args::parse("p4-fuzz", &[P4_TARGET, RUNTIME, GREYBOX, FUZZ, own], rest)?;
+    let common = [P4_TARGET, "generate lint seed level bits greybox mutants"];
+    let mutants_mode = "mutants phvs runs jobs case-budget out";
+    let own = "mutate-entries cross-model";
+    let known = [&common[..], &[GREYBOX_MODE, RUNTIME, mutants_mode, own]].concat();
+    let args = Args::parse("p4-fuzz", &known, rest)?;
+    let mutants = args.get_usize("mutants", 0)?;
+    if args.get_usize("greybox", 0)? > 0 && mutants > 0 {
+        return Err("--greybox and --mutants are separate campaign modes; pick one".into());
+    }
+    let mode = if mutants > 0 {
+        args.check_mode(
+            "p4-fuzz",
+            "mutants",
+            &[&common[..], &[mutants_mode, RUNTIME]].concat(),
+        )?;
+        None
+    } else {
+        let extra = ("mutate-entries", "cross-model");
+        Some(FuzzMode::parse(
+            "p4-fuzz",
+            &args,
+            &common,
+            extra,
+            (10_000, 16),
+        )?)
+    };
+    let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
     // `--generate N` swaps the corpus/file targets for N freshly
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
@@ -656,11 +880,10 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
                 "--generate replaces the corpus/file targets; drop the positional argument".into(),
             );
         }
-        let base = args.get_seed("seed", P4FuzzConfig::default().seed)?;
-        let generated = generate_p4(base, generate as u64);
+        let generated = generate_p4(seed, generate as u64);
         let rejected: u64 = generated.iter().map(|g| u64::from(g.rejects.total())).sum();
         eprintln!(
-            "p4-fuzz --generate: {} workload(s) generated from seed {base:#x} \
+            "p4-fuzz --generate: {} workload(s) generated from seed {seed:#x} \
              ({rejected} candidate(s) rejected by the validity screen)",
             generated.len()
         );
@@ -697,71 +920,10 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             ));
         }
     }
-    let mutants = args.get_usize("mutants", 0)?;
-    let num_phvs = args.get_usize("phvs", if mutants > 0 { 2_000 } else { 10_000 })?;
-    let bits = args.get_u32("bits", 16)?;
-    let seed = args.get_seed("seed", P4FuzzConfig::default().seed)?;
     let levels = args.get_levels("level", &OptLevel::ALL)?;
-    let runs = args.get_usize("runs", if mutants > 0 { 2 } else { 1 })?;
-    let jobs = args.get_usize("jobs", 0)?;
-    let greybox = args.get_usize("greybox", 0)?;
-    if jobs > 0 && runs <= 1 && mutants == 0 && greybox == 0 {
-        return Err(
-            "--jobs shards a multi-run campaign; pass --runs R (R > 1) or --greybox E with it"
-                .into(),
-        );
-    }
-    if greybox > 0 && mutants > 0 {
-        return Err("--greybox and --mutants are separate campaign modes; pick one".into());
-    }
-    let cross_model = args.get_on_off("cross-model", true)?;
+    let bits = args.get_u32("bits", 16)?;
 
-    if greybox > 0 {
-        // Coverage-guided differential mode: both sides run the same
-        // (mutated) entries unless --mutate-entries off pins the corpus
-        // entry set (DESIGN.md §9).
-        let mutate_entries = args.get_on_off("mutate-entries", true)?;
-        let gb_cfg = greybox_config(&args, greybox, seed, bits)?;
-        for (name, workload) in &targets {
-            for &level in &levels {
-                let report = p4_greybox_fuzz_test(
-                    workload,
-                    &workload.entries,
-                    level,
-                    mutate_entries,
-                    &gb_cfg,
-                );
-                print_greybox(name, level, &gb_cfg, &report);
-                if !report.passed() {
-                    if let Some(mce) = &report.minimized {
-                        print_minimized(mce);
-                    }
-                    if let Some(entries) = &report.diverging_entries {
-                        eprintln!("diverging entry set ({} entries):", entries.len());
-                        for e in entries {
-                            eprintln!("  {e:?}");
-                        }
-                    }
-                    let mode = if mutate_entries {
-                        ""
-                    } else {
-                        " --mutate-entries off"
-                    };
-                    return Err(format!(
-                        "p4 greybox fuzzing found a divergence in `{name}` at level {} \
-                         (replay with `{} --level {} --bits {bits}`): {:?}",
-                        level.key(),
-                        greybox_replay(&gb_cfg, mode),
-                        level.key(),
-                        report.verdict
-                    ));
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    if mutants > 0 {
+    let Some(mode) = mode else {
         // Mutation campaign: seed table/action faults, require detection.
         let defaults = P4HuntConfig::default();
         let cfg = P4HuntConfig {
@@ -769,8 +931,8 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             mutants_per_class: mutants,
             seed,
             levels,
-            fuzz_phvs: num_phvs,
-            fuzz_runs: runs,
+            fuzz_phvs: args.get_usize("phvs", 2_000)?,
+            fuzz_runs: args.get_usize("runs", 2)?,
             input_bits: bits,
             workers: args.get_workers(defaults.workers)?,
             case_budget: args.get_opt("case-budget")?,
@@ -778,75 +940,34 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
         };
         let report = p4_hunt_workloads(&cfg, &targets);
         return finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"));
-    }
+    };
 
+    // Greybox mode: both sides run the same (mutated) entries unless
+    // --mutate-entries off pins the corpus entry set (DESIGN.md §9).
+    let mutate_entries = args.get_on_off("mutate-entries", true)?;
+    let greybox_mode = if mutate_entries {
+        ""
+    } else {
+        " --mutate-entries off"
+    };
+    let cross_model = args.get_on_off("cross-model", true)?;
     for (name, workload) in &targets {
         for &level in &levels {
-            let fuzz_cfg = P4FuzzConfig {
-                num_phvs,
-                seed,
-                input_bits: bits,
-                minimize: true,
+            let target = P4Target {
+                workload,
+                entries: &workload.entries,
+                level,
             };
-            if runs > 1 {
-                let campaign_cfg = P4CampaignConfig {
-                    runs,
-                    workers: args.get_workers(P4CampaignConfig::default().workers)?,
-                    base: fuzz_cfg,
-                };
-                let campaign = p4_fuzz_campaign_with_runtime(
-                    workload,
-                    &workload.entries,
-                    level,
-                    &campaign_cfg,
-                    &runtime_options(&args)?,
-                );
-                let (passed, incompatible, mismatched, panicked) = campaign.counts();
-                println!(
-                    "p4-fuzz[{name}:{}]: {runs} runs x {num_phvs} packets at {bits}-bit inputs \
-                     -> {passed} passed, {incompatible} incompatible, {mismatched} mismatched, \
-                     {panicked} panicked",
-                    level.key()
-                );
-                warn_truncated("p4-fuzz", campaign.truncated);
-                if let Some(f) = campaign.first_failure() {
-                    if let Some(mce) = &f.minimized {
-                        print_minimized(mce);
-                    }
-                    return Err(format!(
-                        "p4 fuzzing found a divergence in `{name}` at level {} (replay with \
-                         `--seed {:#x} --level {} --phvs {num_phvs} --bits {bits}`): {:?}",
-                        level.key(),
-                        f.seed,
-                        level.key(),
-                        f.verdict
-                    ));
-                }
-                continue;
-            }
-            let report = p4_fuzz_test(workload, &workload.entries, level, &fuzz_cfg);
-            println!(
-                "p4-fuzz[{name}:{}]: {} packets at {bits}-bit inputs (seed {:#x}) -> {:?}",
-                level.key(),
-                report.phvs_tested,
-                report.seed,
-                report.verdict
-            );
-            if !report.passed() {
-                if let Some(mce) = &report.minimized {
-                    print_minimized(mce);
-                }
-                return Err(format!(
-                    "p4 fuzzing found a divergence in `{name}` at level {} (replay with \
-                     `--seed {:#x} --level {} --phvs {num_phvs} --bits {bits}`)",
-                    level.key(),
-                    report.seed,
-                    level.key()
-                ));
-            }
+            mode.run(
+                (Some(name.as_str()), "", greybox_mode),
+                level,
+                &target,
+                || (),
+                |cfg| p4_greybox_fuzz_test(workload, &workload.entries, level, mutate_entries, cfg),
+            )?;
         }
-        if cross_model {
-            let packets = num_phvs.min(1_000);
+        if let (true, Some(cfg)) = (cross_model, mode.seeded()) {
+            let packets = cfg.num_phvs.min(1_000);
             let xm = cross_model_check(workload, seed, packets, bits)?;
             match &xm.drmt_skipped {
                 None => println!(
@@ -901,139 +1022,47 @@ fn cmd_compile(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse("fuzz", &[GRID, RUNTIME, GREYBOX, FUZZ, "edit"], rest)?;
+    let common = [GRID, "edit seed level bits greybox"];
+    let known = [
+        &common[..],
+        &[GREYBOX_MODE, CAMPAIGN_MODE, RUNTIME, "lanes"],
+    ]
+    .concat();
+    let args = Args::parse("fuzz", &known, rest)?;
+    let mode = FuzzMode::parse("fuzz", &args, &common, ("lanes", ""), (50_000, 10))?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
-    let num_phvs = args.get_usize("phvs", 50_000)?;
-    let bits = args.get_u32("bits", 10)?;
-    let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
     let levels = args.get_levels("level", &[OptLevel::Fused])?;
-    let runs = args.get_usize("runs", 1)?;
-    let jobs = args.get_usize("jobs", 0)?;
-    let greybox = args.get_usize("greybox", 0)?;
-    if jobs > 0 && runs <= 1 && greybox == 0 {
-        return Err(
-            "--jobs shards a multi-run campaign; pass --runs R (R > 1) or --greybox E with it"
-                .into(),
-        );
-    }
     let mut machine_code = compiled.machine_code.clone();
     if let Some(raw) = args.get("edit") {
         apply_edits(&mut machine_code, raw)?;
         eprintln!("applied machine-code edit(s): {raw}");
     }
-    let replay_edit = args
+    let replay = args
         .get("edit")
         .map(|raw| format!(" --edit '{raw}'"))
         .unwrap_or_default();
-    let fuzz_cfg = FuzzConfig {
-        num_phvs,
-        seed,
-        input_bits: bits,
-        observable: Some(compiled.observable_containers()),
-        state_cells: compiled.state_cells.clone(),
-        ..FuzzConfig::default()
-    };
-    if greybox > 0 {
-        // Coverage-guided mode: corpus-scheduled mutation instead of
-        // independent random batches (DESIGN.md §9).
-        let gb_cfg = greybox_config(&args, greybox, seed, bits)?;
-        for &level in &levels {
-            let report = greybox_fuzz_test(
-                &compiled.pipeline_spec,
-                &machine_code,
-                level,
-                || CompiledSpec::new(program.clone(), &compiled),
-                Some(&compiled.observable_containers()),
-                &compiled.state_cells,
-                &gb_cfg,
-            );
-            print_greybox("fuzz", level, &gb_cfg, &report);
-            if !report.passed() {
-                if let Some(mce) = &report.minimized {
-                    print_minimized(mce);
-                }
-                return Err(format!(
-                    "greybox fuzzing found a divergence at level {} (replay with \
-                     `{} --level {} --bits {bits}{replay_edit}`): {:?}",
-                    level.key(),
-                    greybox_replay(&gb_cfg, ""),
-                    level.key(),
-                    report.verdict
-                ));
-            }
-        }
-        return Ok(());
-    }
+    let observable = compiled.observable_containers();
+    let make_spec = || CompiledSpec::new(program.clone(), &compiled);
     for &level in &levels {
-        if runs > 1 {
-            // Parallel campaign: `runs` independently seeded Fig. 5
-            // workflows sharded across worker threads, deterministic per
-            // run index.
-            let campaign_cfg = CampaignConfig {
-                runs,
-                workers: args.get_workers(CampaignConfig::default().workers)?,
-                base: fuzz_cfg.clone(),
-            };
-            let campaign = fuzz_campaign_with_runtime(
-                &compiled.pipeline_spec,
-                &machine_code,
+        let target = AluTarget {
+            pipeline_spec: &compiled.pipeline_spec,
+            mc: &machine_code,
+            opt: level,
+            observable: Some(&observable),
+            state_cells: &compiled.state_cells,
+        };
+        mode.run((None, &replay, ""), level, &target, make_spec, |cfg| {
+            greybox_fuzz_test(
+                target.pipeline_spec,
+                target.mc,
                 level,
-                || CompiledSpec::new(program.clone(), &compiled),
-                &campaign_cfg,
-                &runtime_options(&args)?,
-            );
-            let (passed, incompatible, mismatched, panicked) = campaign.counts();
-            println!(
-                "campaign[{}]: {runs} runs x {num_phvs} PHVs at {bits}-bit inputs on {} \
-                 workers -> {passed} passed, {incompatible} incompatible, {mismatched} \
-                 mismatched, {panicked} panicked",
-                level.key(),
-                campaign_cfg.workers
-            );
-            warn_truncated("fuzz campaign", campaign.truncated);
-            if let Some(f) = campaign.first_failure() {
-                if let Some(mce) = &f.minimized {
-                    print_minimized(mce);
-                }
-                return Err(format!(
-                    "fuzzing found a divergence at level {} (replay with \
-                     `--seed {:#x} --level {} --phvs {num_phvs} --bits {bits}{replay_edit}`): {:?}",
-                    level.key(),
-                    f.seed,
-                    level.key(),
-                    f.verdict
-                ));
-            }
-            continue;
-        }
-        let mut spec = CompiledSpec::new(program.clone(), &compiled);
-        let report = fuzz_test(
-            &compiled.pipeline_spec,
-            &machine_code,
-            level,
-            &mut spec,
-            &fuzz_cfg,
-        );
-        println!(
-            "fuzz[{}]: {} PHVs at {bits}-bit inputs (seed {:#x}) -> {:?}",
-            level.key(),
-            report.phvs_tested,
-            report.seed,
-            report.verdict
-        );
-        if !report.passed() {
-            if let Some(mce) = &report.minimized {
-                print_minimized(mce);
-            }
-            return Err(format!(
-                "fuzzing found a divergence at level {} (replay with \
-                 `--seed {:#x} --level {} --phvs {num_phvs} --bits {bits}{replay_edit}`)",
-                level.key(),
-                report.seed,
-                level.key()
-            ));
-        }
+                make_spec,
+                target.observable,
+                target.state_cells,
+                cfg,
+            )
+        })?;
     }
     Ok(())
 }
@@ -1244,6 +1273,7 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
                 .into(),
         );
     }
+    args.check_mode("hunt", "generate", &[RUNTIME, FUZZ, GENHUNT, "out"])?;
     let defaults = GenHuntConfig::default();
     let cfg = GenHuntConfig {
         count,
@@ -1317,6 +1347,7 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
     if generate > 0 {
         return cmd_genhunt(&args, generate as u64);
     }
+    args.check_mode("hunt", "corpus", &[RUNTIME, FUZZ, "generate", own])?;
     let defaults = HuntConfig::default();
     let cfg = HuntConfig {
         programs: args
@@ -1459,12 +1490,12 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_emit(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("emit", &[GRID, P4_TARGET, "level"], rest)?;
-    let level = match args.get_usize("level", 2)? {
-        0 => OptLevel::Unoptimized,
-        1 => OptLevel::Scc,
-        2 => OptLevel::SccInline,
-        3 => OptLevel::Fused,
-        other => return Err(format!("--level must be 0, 1, 2, or 3 (got {other})")),
+    let level = match args.get("level") {
+        None => OptLevel::SccInline,
+        Some("all") => {
+            return Err("emit renders one backend; pick one --level (0|1|2|3), not `all`".into())
+        }
+        Some(tok) => parse_level(tok)?,
     };
     if let Some(file) = args.file.clone().filter(|f| is_p4_path(f)) {
         let (_, workload) = load_p4_target(&args, &file)?;

@@ -25,11 +25,11 @@ use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_drmt::{solve, DrmtMachine, ScheduleConfig};
 use druzhba_dsim::p4::{
-    p4_minimize, run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Traffic, P4Workload,
+    run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
 };
 use druzhba_dsim::runtime::{default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{shard_seed, Verdict};
+use druzhba_dsim::testing::{fuzz_run, shard_seed, FuzzConfig, Verdict};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
@@ -262,24 +262,23 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
         neutral_discarded,
         cfg.clone(),
         |mutant, level, ladder| {
-            let workload = &targets[mutant.program].1;
-            let entries = &mutant.payload;
-            // One fuzz round; this stack's ladder has no verification
-            // step, so `seed` is always set.
+            let target = P4Target {
+                workload: &targets[mutant.program].1,
+                entries: &mutant.payload,
+                level,
+            };
+            // One minimized fuzz round (panics are never minimized); this
+            // stack's ladder has no verification step, so `seed` is
+            // always set.
             ladder.run(false, |seed| {
-                let input = P4Traffic::new(workload, seed?, cfg.input_bits).trace(cfg.fuzz_phvs);
-                let verdict = run_p4_case(workload, entries, level, &input);
-                if verdict.passed() {
-                    return None;
-                }
-                // A panicking backend can't be delta-debugged —
-                // minimization would rebuild it outside the panic guard
-                // and re-trip the abort.
-                if matches!(verdict, Verdict::BackendPanic { .. }) {
-                    return Some((verdict, None));
-                }
-                let minimized = p4_minimize(workload, entries, level, &input, 3_000);
-                Some((verdict, minimized))
+                let round = FuzzConfig {
+                    num_phvs: cfg.fuzz_phvs,
+                    seed: seed?,
+                    input_bits: cfg.input_bits,
+                    ..FuzzConfig::default()
+                };
+                let report = fuzz_run(&target, &mut (), &round);
+                (!report.passed()).then_some((report.verdict, report.minimized))
             })
         },
     )

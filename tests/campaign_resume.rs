@@ -1,16 +1,20 @@
 //! The resumable campaign engine's on-disk contract: every campaign kind
 //! keeps its version-1 checkpoint line format byte for byte, and a P4 hunt
-//! resumes from its checkpoint to the byte-identical report.
+//! and the seeded campaigns of both stacks resume from their checkpoints
+//! to the identical report.
 
 use std::fs;
 use std::path::PathBuf;
 
 use druzhba::dgen::OptLevel;
 use druzhba::dsim::fault::FaultKind;
-use druzhba::dsim::p4::P4FaultKind;
+use druzhba::dsim::p4::{P4FaultKind, P4Target};
 use druzhba::dsim::runtime::{RecordCodec, RuntimeOptions};
 use druzhba::dsim::snapshot;
-use druzhba::dsim::testing::{FuzzReport, Verdict, VerdictClass};
+use druzhba::dsim::testing::{
+    fuzz_campaign, AluTarget, CampaignConfig, CampaignReport, FuzzConfig, FuzzReport, Target,
+    Verdict, VerdictClass,
+};
 use druzhba::genhunt::GenRecord;
 use druzhba::hunt::EvalRecord;
 use druzhba::p4hunt::{p4_hunt, P4EvalRecord, P4HuntConfig};
@@ -169,4 +173,98 @@ fn resumed_p4_hunt_report_is_byte_identical() {
     );
     assert_eq!(resumed.outcomes.len(), total - total / 2);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// One seeded campaign on `target`, at `workers` workers under `runtime`.
+fn campaign<R, T: Target<R>>(
+    target: &T,
+    make_reference: impl Fn() -> R + Sync,
+    base: &FuzzConfig,
+    workers: usize,
+    runtime: &RuntimeOptions,
+) -> CampaignReport {
+    let cfg = CampaignConfig {
+        runs: 6,
+        workers,
+        base: base.clone(),
+    };
+    fuzz_campaign(target, make_reference, &cfg, runtime)
+}
+
+/// The seeded-campaign contract, written once for any [`Target`]: the
+/// report is the same at 1 and 4 workers, and a checkpointed campaign
+/// resumed after losing its newest snapshot reproduces it exactly.
+fn assert_resumes_to_clean_report<R, T: Target<R>>(
+    label: &str,
+    target: &T,
+    make_reference: impl Fn() -> R + Sync,
+    base: &FuzzConfig,
+) -> CampaignReport {
+    let none = RuntimeOptions::default();
+    let clean = campaign(target, &make_reference, base, 2, &none);
+    assert_eq!(clean.runs.len(), 6, "{label}");
+    for workers in [1, 4] {
+        let sharded = campaign(target, &make_reference, base, workers, &none);
+        assert_eq!(sharded, clean, "{label}: {workers} worker(s)");
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "druzhba-seeded-resume-{}-{label}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let checkpointed = RuntimeOptions {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        ..RuntimeOptions::default()
+    };
+    let first = campaign(target, &make_reference, base, 2, &checkpointed);
+    assert_eq!(first, clean, "{label}: checkpointing perturbed the report");
+    // Die before the last snapshot landed: resume from the previous one.
+    fs::remove_file(snapshot::current_path(&dir, T::CAMPAIGN)).unwrap();
+    let resumed = RuntimeOptions {
+        resume: true,
+        ..checkpointed
+    };
+    let again = campaign(target, &make_reference, base, 4, &resumed);
+    assert_eq!(again, clean, "{label}: resumed report differs");
+    let _ = fs::remove_dir_all(&dir);
+    clean
+}
+
+#[test]
+fn seeded_campaigns_resume_to_the_clean_report_on_both_stacks() {
+    let def = druzhba::programs::by_name("sampling").unwrap();
+    let compiled = def.compile_cached().unwrap();
+    let base = def.fuzz_config(&compiled, 200);
+    let mut faulty = compiled.machine_code.clone();
+    faulty.set("output_mux_phv_0_1", 1);
+    for (label, mc) in [("alu", &compiled.machine_code), ("alu-faulty", &faulty)] {
+        let target = AluTarget::new(&compiled.pipeline_spec, mc, OptLevel::Fused, &base);
+        let report =
+            assert_resumes_to_clean_report(label, &target, || def.hand_spec(&compiled), &base);
+        // Failed runs are not checkpointed: the faulty campaign checks
+        // that resume re-derives them.
+        assert_eq!(report.passed(), mc == &compiled.machine_code, "{label}");
+    }
+
+    let w = druzhba::programs::p4_by_name("lpm_router")
+        .unwrap()
+        .workload()
+        .unwrap();
+    let mut bad = w.entries.clone();
+    bad[0].args[0] ^= 1;
+    let base = FuzzConfig {
+        num_phvs: 200,
+        input_bits: 16,
+        ..FuzzConfig::default()
+    };
+    for (label, entries) in [("p4", &w.entries), ("p4-faulty", &bad)] {
+        let target = P4Target {
+            workload: &w,
+            entries,
+            level: OptLevel::Fused,
+        };
+        let report = assert_resumes_to_clean_report(label, &target, || (), &base);
+        assert_eq!(report.passed(), entries == &w.entries, "{label}");
+    }
 }

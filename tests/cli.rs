@@ -521,3 +521,109 @@ fn cross_model_switch_takes_only_on_or_off() {
     assert!(on.status.success());
     assert!(String::from_utf8_lossy(&on.stdout).contains("cross-model[l2_forward]"));
 }
+
+#[test]
+fn mode_inapplicable_and_repeated_flags_fail_loudly() {
+    let file = write_sampling();
+    let file = file.to_str().unwrap();
+    let grid = ["--depth", "2", "--width", "1", "--atom", "if_else_raw"];
+    let cases: [(&[&str], &str); 13] = [
+        // Only the mutant campaign writes a report or caps its cases.
+        (
+            &["p4-fuzz", "l2_forward", "--out", "x.json"],
+            "flag `--out` does not apply to `p4-fuzz` in single-run mode",
+        ),
+        (
+            &["p4-fuzz", "l2_forward", "--case-budget", "3"],
+            "flag `--case-budget` does not apply to `p4-fuzz` in single-run mode",
+        ),
+        // Greybox tuning outside `--greybox`, on both commands.
+        (
+            &["fuzz", file, "--gb-packets", "4", "--lanes", "7"],
+            "flag `--gb-packets` does not apply to `fuzz` in single-run mode",
+        ),
+        (
+            &["fuzz", file, "--gb-max-packets", "9"],
+            "flag `--gb-max-packets` does not apply to `fuzz` in single-run mode",
+        ),
+        (
+            &["fuzz", file, "--runs", "3", "--corpus", "8"],
+            "flag `--corpus` does not apply to `fuzz` in campaign mode",
+        ),
+        (
+            &["fuzz", file, "--merge-every", "8"],
+            "flag `--merge-every` does not apply to `fuzz` in single-run mode",
+        ),
+        (
+            &["p4-fuzz", "l2_forward", "--mutate-entries", "off"],
+            "flag `--mutate-entries` does not apply to `p4-fuzz` in single-run mode",
+        ),
+        (
+            &["p4-fuzz", "l2_forward", "--mutants", "1", "--corpus", "8"],
+            "flag `--corpus` does not apply to `p4-fuzz` in mutants mode",
+        ),
+        // The P4 greybox oracle has no lane engine.
+        (
+            &["p4-fuzz", "--greybox", "20", "--lanes", "32"],
+            "unknown flag `--lanes` for `p4-fuzz`",
+        ),
+        // The generated-program hunt has no verification step.
+        (
+            &["hunt", "--generate", "2", "--verify-bits", "3"],
+            "flag `--verify-bits` does not apply to `hunt` in generate mode",
+        ),
+        (
+            &["hunt", "--generate", "2", "--verify-packets", "3"],
+            "flag `--verify-packets` does not apply to `hunt` in generate mode",
+        ),
+        (
+            &["hunt", "--generate", "2", "--case-budget", "1"],
+            "flag `--case-budget` does not apply to `hunt` in generate mode",
+        ),
+        // A repeated flag never silently takes the last value.
+        (
+            &["fuzz", file, "--phvs", "100", "--phvs", "200"],
+            "flag `--phvs` given twice for `fuzz`",
+        ),
+    ];
+    for (args, message) in cases {
+        let mut args = args.to_vec();
+        if args[0] == "fuzz" {
+            args.extend_from_slice(&grid);
+        }
+        let out = druzhba(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: stderr: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+#[test]
+fn emit_accepts_level_names_and_rejects_all() {
+    let file = write_sampling();
+    let file = file.to_str().unwrap();
+    let emit = |level: &str| {
+        druzhba(&[
+            "emit",
+            file,
+            "--depth",
+            "2",
+            "--width",
+            "1",
+            "--atom",
+            "if_else_raw",
+            "--level",
+            level,
+        ])
+    };
+    let named = emit("fused");
+    let numbered = emit("3");
+    assert!(named.status.success(), "{named:?}");
+    assert!(!named.stdout.is_empty());
+    assert_eq!(named.stdout, numbered.stdout, "`fused` is level 3");
+    let all = emit("all");
+    assert_eq!(all.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&all.stderr);
+    assert!(err.contains("emit renders one backend"), "stderr: {err}");
+}

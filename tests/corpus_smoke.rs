@@ -6,7 +6,8 @@
 
 use druzhba::core::{MachineCode, Trace, ValueGen};
 use druzhba::dgen::{expected_machine_code, OptLevel, Pipeline};
-use druzhba::dsim::testing::{fuzz_campaign, fuzz_test, CampaignConfig};
+use druzhba::dsim::runtime::RuntimeOptions;
+use druzhba::dsim::testing::{fuzz_campaign, fuzz_test, AluTarget, CampaignConfig};
 use druzhba::dsim::{Simulator, TrafficGenerator};
 use druzhba::programs::PROGRAMS;
 
@@ -87,11 +88,15 @@ fn every_asset_passes_a_parallel_fused_campaign() {
             base: def.fuzz_config(&compiled, 100),
         };
         let campaign = fuzz_campaign(
-            &compiled.pipeline_spec,
-            &compiled.machine_code,
-            OptLevel::Fused,
+            &AluTarget::new(
+                &compiled.pipeline_spec,
+                &compiled.machine_code,
+                OptLevel::Fused,
+                &cfg.base,
+            ),
             || def.hand_spec(&compiled),
             &cfg,
+            &RuntimeOptions::default(),
         );
         assert!(
             campaign.passed(),

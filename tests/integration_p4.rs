@@ -6,12 +6,36 @@
 //! pipeline, scheduled dRMT machine) must agree packet-for-packet.
 
 use druzhba::dgen::OptLevel;
-use druzhba::dsim::p4::{
-    apply_fault, p4_fuzz_campaign, p4_fuzz_test, P4CampaignConfig, P4FaultKind, P4FuzzConfig,
+use druzhba::dsim::p4::{apply_fault, P4FaultKind, P4Target, P4Workload};
+use druzhba::dsim::runtime::RuntimeOptions;
+use druzhba::dsim::testing::{
+    fuzz_campaign, fuzz_run, CampaignConfig, FuzzConfig, FuzzReport, VerdictClass,
 };
-use druzhba::dsim::testing::VerdictClass;
 use druzhba::p4hunt::{cross_model_check, p4_hunt, p4_replay, P4Detection, P4HuntConfig};
 use druzhba::programs::P4_PROGRAMS;
+
+/// One seeded run of the P4 target.
+fn p4_fuzz_test(
+    workload: &P4Workload,
+    entries: &[druzhba::p4::tables::TableEntry],
+    level: OptLevel,
+    cfg: &FuzzConfig,
+) -> FuzzReport {
+    let target = P4Target {
+        workload,
+        entries,
+        level,
+    };
+    fuzz_run(&target, &mut (), cfg)
+}
+
+/// The P4 stack's historical run shape: 1000 packets at 16-bit fields.
+fn p4_cfg() -> FuzzConfig {
+    FuzzConfig {
+        input_bits: 16,
+        ..FuzzConfig::default()
+    }
+}
 
 /// Reduced-budget campaign over two corpus programs (quick in debug CI).
 fn campaign_config() -> P4HuntConfig {
@@ -30,9 +54,9 @@ fn corpus_runs_clean_on_all_four_backends() {
     for def in &P4_PROGRAMS {
         let w = def.workload().unwrap();
         for level in OptLevel::ALL {
-            let cfg = P4FuzzConfig {
+            let cfg = FuzzConfig {
                 num_phvs: 1_500,
-                ..P4FuzzConfig::default()
+                ..p4_cfg()
             };
             let report = p4_fuzz_test(&w, &w.entries, level, &cfg);
             assert!(
@@ -91,7 +115,7 @@ fn cross_model_skips_drmt_on_shared_register_hazards() {
     .unwrap();
     // Interpreter vs. RMT pipeline still must agree on every backend.
     for level in OptLevel::ALL {
-        let report = p4_fuzz_test(&w, &w.entries, level, &P4FuzzConfig::default());
+        let report = p4_fuzz_test(&w, &w.entries, level, &p4_cfg());
         assert!(report.passed(), "{level:?}: {:?}", report.verdict);
     }
     let report = cross_model_check(&w, 0xC0DE, 200, 8).expect("no spurious divergence");
@@ -211,11 +235,12 @@ fn fuzz_detected_faults_replay_from_their_seed() {
         // on that same seed (the divergence is the mutant's, not the
         // traffic's).
         let (_, workload) = targets.iter().find(|(n, _)| *n == o.program).unwrap();
-        let cfg = P4FuzzConfig {
+        let cfg = FuzzConfig {
             num_phvs: campaign_config().fuzz_phvs,
             seed,
             input_bits: campaign_config().input_bits,
             minimize: false,
+            ..FuzzConfig::default()
         };
         let clean = p4_fuzz_test(workload, &workload.entries, o.level, &cfg);
         assert!(clean.passed(), "baseline diverges on its own seed");
@@ -229,15 +254,20 @@ fn differential_campaign_is_deterministic_across_workers() {
     let def = druzhba::programs::p4_by_name("flow_meter").unwrap();
     let w = def.workload().unwrap();
     let run_with = |workers: usize| {
-        let cfg = P4CampaignConfig {
+        let cfg = CampaignConfig {
             runs: 6,
             workers,
-            base: P4FuzzConfig {
+            base: FuzzConfig {
                 num_phvs: 300,
-                ..P4FuzzConfig::default()
+                ..p4_cfg()
             },
         };
-        p4_fuzz_campaign(&w, &w.entries, OptLevel::Fused, &cfg)
+        let target = P4Target {
+            workload: &w,
+            entries: &w.entries,
+            level: OptLevel::Fused,
+        };
+        fuzz_campaign(&target, || (), &cfg, &RuntimeOptions::default())
     };
     let serial = run_with(1);
     let parallel = run_with(4);
@@ -256,7 +286,7 @@ fn injected_fault_minimizes_to_a_tiny_counterexample() {
     assert_eq!(bad[0].args, vec![1]);
     bad[0].args[0] = 7;
     for level in OptLevel::ALL {
-        let report = p4_fuzz_test(&w, &bad, level, &P4FuzzConfig::default());
+        let report = p4_fuzz_test(&w, &bad, level, &p4_cfg());
         assert!(!report.passed(), "{level:?}");
         let mce = report.minimized.expect("minimized");
         assert!(mce.packets() <= 2, "{level:?}: {:?}", mce.input);
