@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::json;
+
 /// How bad a finding is. `Error` findings (translation-validation
 /// mismatches) fail the analyzer's exit status; warnings and notes are
 /// gated by the golden baseline in CI instead.
@@ -65,12 +67,12 @@ impl Diagnostic {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"program\":{},\"stage\":{},\"pc\":{},\"code\":{},\"severity\":{},\"message\":{}}}",
-            json_string(&self.program),
+            json::string(&self.program),
             self.stage,
             self.pc,
-            json_string(self.code),
-            json_string(self.severity.label()),
-            json_string(&self.message)
+            json::string(self.code),
+            json::string(self.severity.label()),
+            json::string(&self.message)
         )
     }
 }
@@ -91,26 +93,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
         (&a.program, a.stage, a.pc, a.code, &a.message)
             .cmp(&(&b.program, b.stage, b.pc, b.code, &b.message))
     });
-}
-
-/// Minimal JSON string escaping for diagnostic text (ASCII control, quote,
-/// backslash).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -152,8 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn diagnostic_json_is_compact() {
         let d = Diagnostic {
             program: "p".into(),
             stage: 2,

@@ -20,6 +20,7 @@ pub mod coverage;
 pub mod diag;
 pub mod error;
 pub mod hostile;
+pub mod json;
 pub mod machine_code;
 pub mod names;
 pub mod phv;

@@ -34,6 +34,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use druzhba_core::json::Object;
+
 /// Current snapshot format version; bumped on incompatible layout change.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
@@ -313,11 +315,13 @@ pub fn load_latest(dir: &Path, kind: &str, fingerprint: u64) -> Loaded {
 /// into the checkpoint directory: external monitors can watch campaign
 /// progress without touching the snapshot files.
 pub fn write_heartbeat(dir: &Path, kind: &str, completed: usize, total: usize, truncated: bool) {
-    let json = format!(
-        "{{\n  \"kind\": \"{kind}\",\n  \"completed\": {completed},\n  \"total\": {total},\n  \"truncated\": {truncated}\n}}\n"
-    );
+    let status = Object::block(2)
+        .field("kind", kind)
+        .field("completed", completed)
+        .field("total", total)
+        .field("truncated", truncated);
     let _ = fs::create_dir_all(dir);
-    let _ = write_atomic(&dir.join("status.json"), &json);
+    let _ = write_atomic(&dir.join("status.json"), &format!("{status}\n"));
 }
 
 #[cfg(test)]

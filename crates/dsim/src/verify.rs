@@ -166,59 +166,11 @@ pub fn verify_bounded(
     let mut assignment = vec![0u32; slots];
     let max = (values_per_slot - 1) as u32;
     let mut checked = 0u64;
+    let nrel = cfg.relevant_containers.len();
     loop {
-        // Build the input trace for this assignment.
-        let mut phvs = Vec::with_capacity(cfg.packets);
-        for p in 0..cfg.packets {
-            let mut phv = Phv::zeroed(phv_length);
-            for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
-                phv.set(
-                    container,
-                    assignment[p * cfg.relevant_containers.len() + ci],
-                );
-            }
-            phvs.push(phv);
-        }
-        let input = Trace::from_phvs(phvs);
-
-        // Run both sides from clean state.
-        sim.reset();
-        let actual = sim.run(&input);
-        reference.reset();
-        let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-
-        if let Some(mismatch) = expected.first_mismatch(&actual, cfg.observable.as_deref()) {
-            let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-            return Ok(VerifyOutcome::CounterExample {
-                input,
-                mismatch,
-                minimized,
-            });
-        }
-        if !cfg.state_cells.is_empty() {
-            let snapshot = actual.state.as_ref().expect("run records state");
-            let expected_state = reference.state();
-            for (i, &(stage, slot, var)) in cfg.state_cells.iter().enumerate() {
-                let actual_v = snapshot
-                    .get(stage)
-                    .and_then(|s| s.get(slot))
-                    .and_then(|vars| vars.get(var))
-                    .copied();
-                if actual_v != expected_state.get(i).copied() {
-                    let minimized =
-                        minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-                    return Ok(VerifyOutcome::CounterExample {
-                        input,
-                        mismatch: TraceMismatch::StateMismatch {
-                            stage,
-                            slot,
-                            expected: expected_state.get(i).copied().into_iter().collect(),
-                            actual: actual_v.into_iter().collect(),
-                        },
-                        minimized,
-                    });
-                }
-            }
+        let input = case_input(cfg, phv_length, |p, ci| assignment[p * nrel + ci]);
+        if let Some(cex) = check_case(&mut sim, (pipeline_spec, mc, opt), reference, cfg, input) {
+            return Ok(cex);
         }
         checked += 1;
 
@@ -427,21 +379,77 @@ fn verify_bounded_lanes(
                 // Rebuild this case's input trace and re-run the *scalar*
                 // verification path on it so the returned outcome is
                 // byte-identical to what scalar mode would produce.
-                let mut phvs = Vec::with_capacity(cfg.packets);
-                for p in 0..cfg.packets {
-                    let mut phv = Phv::zeroed(phv_length);
-                    for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
-                        phv.set(container, assign_buf[(p * nrel + ci) * width + lane]);
-                    }
-                    phvs.push(phv);
-                }
-                let input = Trace::from_phvs(phvs);
+                let input = case_input(cfg, phv_length, |p, ci| {
+                    assign_buf[(p * nrel + ci) * width + lane]
+                });
                 return scalar_recheck(pipeline_spec, mc, opt, reference, cfg, input);
             }
             checked += 1;
         }
     }
     Ok(VerifyOutcome::Verified { cases: checked })
+}
+
+/// One enumerated case: `cfg.packets` PHVs whose relevant containers
+/// hold `value(packet, relevant container index)`, every other container 0.
+fn case_input(cfg: &VerifyConfig, phv_length: usize, value: impl Fn(usize, usize) -> u32) -> Trace {
+    let phvs = (0..cfg.packets).map(|p| {
+        let mut phv = Phv::zeroed(phv_length);
+        for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
+            phv.set(container, value(p, ci));
+        }
+        phv
+    });
+    Trace::from_phvs(phvs.collect())
+}
+
+/// Run `input` through `sim` and `reference`, both from clean state; the
+/// (minimized) counterexample when an observable container or a state
+/// cell disagrees.
+fn check_case(
+    sim: &mut Simulator,
+    (pipeline_spec, mc, opt): (&PipelineSpec, &MachineCode, OptLevel),
+    reference: &mut dyn Specification,
+    cfg: &VerifyConfig,
+    input: Trace,
+) -> Option<VerifyOutcome> {
+    sim.reset();
+    let actual = sim.run(&input);
+    reference.reset();
+    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
+    let state_mismatch = || {
+        if cfg.state_cells.is_empty() {
+            return None;
+        }
+        let snapshot = actual.state.as_ref().expect("run records state");
+        let expected_state = reference.state();
+        cfg.state_cells
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(stage, slot, var))| {
+                let actual_v = snapshot
+                    .get(stage)
+                    .and_then(|s| s.get(slot))
+                    .and_then(|vars| vars.get(var))
+                    .copied();
+                let expected_v = expected_state.get(i).copied();
+                (actual_v != expected_v).then(|| TraceMismatch::StateMismatch {
+                    stage,
+                    slot,
+                    expected: expected_v.into_iter().collect(),
+                    actual: actual_v.into_iter().collect(),
+                })
+            })
+    };
+    let mismatch = expected
+        .first_mismatch(&actual, cfg.observable.as_deref())
+        .or_else(state_mismatch)?;
+    let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
+    Some(VerifyOutcome::CounterExample {
+        input,
+        mismatch,
+        minimized,
+    })
 }
 
 /// Re-run one diverging case through the scalar simulator and build the
@@ -457,50 +465,14 @@ fn scalar_recheck(
     cfg: &VerifyConfig,
     input: Trace,
 ) -> Result<VerifyOutcome> {
-    let pipeline = Pipeline::generate(pipeline_spec, mc, opt)?;
-    let mut sim = Simulator::new(pipeline);
-    sim.reset();
-    let actual = sim.run(&input);
-    reference.reset();
-    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-    if let Some(mismatch) = expected.first_mismatch(&actual, cfg.observable.as_deref()) {
-        let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-        return Ok(VerifyOutcome::CounterExample {
-            input,
-            mismatch,
-            minimized,
-        });
-    }
-    if !cfg.state_cells.is_empty() {
-        let snapshot = actual.state.as_ref().expect("run records state");
-        let expected_state = reference.state();
-        for (i, &(stage, slot, var)) in cfg.state_cells.iter().enumerate() {
-            let actual_v = snapshot
-                .get(stage)
-                .and_then(|s| s.get(slot))
-                .and_then(|vars| vars.get(var))
-                .copied();
-            if actual_v != expected_state.get(i).copied() {
-                let minimized =
-                    minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-                return Ok(VerifyOutcome::CounterExample {
-                    input,
-                    mismatch: TraceMismatch::StateMismatch {
-                        stage,
-                        slot,
-                        expected: expected_state.get(i).copied().into_iter().collect(),
-                        actual: actual_v.into_iter().collect(),
-                    },
-                    minimized,
-                });
-            }
+    let mut sim = Simulator::new(Pipeline::generate(pipeline_spec, mc, opt)?);
+    check_case(&mut sim, (pipeline_spec, mc, opt), reference, cfg, input).ok_or_else(|| {
+        Error::Other {
+            message: "lane-swept enumeration found a divergence the scalar \
+                      backend does not reproduce — this is a lane-engine bug, \
+                      not a compiler bug"
+                .to_string(),
         }
-    }
-    Err(Error::Other {
-        message: "lane-swept enumeration found a divergence the scalar \
-                  backend does not reproduce — this is a lane-engine bug, \
-                  not a compiler bug"
-            .to_string(),
     })
 }
 

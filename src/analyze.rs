@@ -16,6 +16,7 @@ use druzhba_analysis::{
     symbolic_validate, translation_validate, AbsVal, LintRecord, Screened, SymbolicVerdict, TvSite,
 };
 use druzhba_core::diag::{sort_diagnostics, Diagnostic, Severity};
+use druzhba_core::json::{array, Object, Raw};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::p4::P4Workload;
 use druzhba_programs::{P4ProgramDef, ProgramDef, P4_PROGRAMS, PROGRAMS};
@@ -103,19 +104,17 @@ impl CorpusAnalysis {
     /// Deterministic JSON rendering (golden baseline:
     /// `tests/golden/analyze.json`).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"programs\": [");
-        let rows: Vec<String> = self.programs.iter().map(program_json).collect();
-        let _ = writeln!(s, "{}", rows.join(",\n"));
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"summary\": {{");
-        let _ = writeln!(s, "    \"programs\": {},", self.programs.len());
-        let _ = writeln!(s, "    \"tv_mismatches\": {},", self.tv_mismatches());
-        let _ = writeln!(s, "    \"warnings\": {}", self.warnings());
-        let _ = writeln!(s, "  }}");
-        let _ = writeln!(s, "}}");
-        s
+        let summary = Object::block(4)
+            .field("programs", self.programs.len())
+            .field("tv_mismatches", self.tv_mismatches())
+            .field("warnings", self.warnings());
+        let report = Object::block(2)
+            .field(
+                "programs",
+                array(self.programs.iter().map(program_json), Some(4)),
+            )
+            .field("summary", summary);
+        format!("{report}\n")
     }
 
     /// Human-readable rendering.
@@ -180,62 +179,22 @@ fn symbolic_label(v: &SymbolicVerdict) -> String {
     }
 }
 
-fn program_json(p: &ProgramAnalysis) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "    {{\"name\": \"{}\", \"kind\": \"{}\", ",
-        p.name, p.kind
-    );
-    match p.screen {
-        Some(v) => {
-            let _ = write!(s, "\"screen\": \"{}\", ", v.label());
-        }
-        None => {
-            let _ = write!(s, "\"screen\": null, ");
-        }
-    }
-    let tv: Vec<String> = p
-        .tv_mismatches
-        .iter()
-        .map(|m| druzhba_core::diag::json_string(m))
-        .collect();
-    let _ = write!(s, "\"tv_mismatches\": [{}], ", tv.join(", "));
-    let dead: Vec<String> = p
-        .proven_dead
-        .iter()
-        .map(|(level, n)| format!("\"{level}\": {n}"))
-        .collect();
-    let _ = write!(s, "\"proven_dead_edges\": {{{}}}, ", dead.join(", "));
-    match &p.symbolic {
-        Some(v) => {
-            let _ = write!(
-                s,
-                "\"symbolic\": {}, ",
-                druzhba_core::diag::json_string(&symbolic_label(v))
-            );
-        }
-        None => {
-            let _ = write!(s, "\"symbolic\": null, ");
-        }
-    }
-    let imp: Vec<String> = p
-        .imprecision
-        .iter()
-        .map(|e| druzhba_core::diag::json_string(e))
-        .collect();
-    let _ = write!(s, "\"imprecision\": [{}], ", imp.join(", "));
-    let diags: Vec<String> = p
-        .diagnostics
-        .iter()
-        .map(|d| format!("      {}", d.to_json()))
-        .collect();
-    if diags.is_empty() {
-        let _ = write!(s, "\"diagnostics\": []}}");
-    } else {
-        let _ = write!(s, "\"diagnostics\": [\n{}\n    ]}}", diags.join(",\n"));
-    }
-    s
+fn program_json(p: &ProgramAnalysis) -> Object {
+    let diagnostics = p.diagnostics.iter().map(|d| Raw(d.to_json()));
+    // A program without findings keeps its row on one line.
+    let layout = (!p.diagnostics.is_empty()).then_some(6);
+    Object::new()
+        .field("name", &p.name)
+        .field("kind", p.kind)
+        .field("screen", p.screen.map(|v| v.label()))
+        .field("tv_mismatches", array(&p.tv_mismatches, None))
+        .field(
+            "proven_dead_edges",
+            Object::from_iter(p.proven_dead.iter().copied()),
+        )
+        .field("symbolic", p.symbolic.as_ref().map(symbolic_label))
+        .field("imprecision", array(&p.imprecision, None))
+        .field("diagnostics", array(diagnostics, layout))
 }
 
 fn lints_to_diags(name: &str, lints: &[LintRecord]) -> Vec<Diagnostic> {

@@ -30,10 +30,9 @@
 //! checkpoint records that `--resume` restores verbatim, wall-clock
 //! budgets that truncate at a clean per-program boundary.
 
-use std::fmt::Write as _;
-
-use druzhba_chipmunk::{compile, CompiledSpec, CompilerConfig};
-use druzhba_core::diag::json_string;
+use druzhba_chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
+use druzhba_core::json::{array, Object};
+use druzhba_core::MachineCode;
 use druzhba_dgen::OptLevel;
 use druzhba_domino::DominoProgram;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
@@ -44,7 +43,7 @@ use druzhba_dsim::snapshot;
 use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
 
-use crate::mutation::{levels_json, render_report, HuntFault};
+use crate::mutation::{rate, render_report, HuntFault, ROW_INDENT};
 
 /// Salt mixed into the campaign seed for per-program task seeds
 /// (`"GENH"`), keeping traffic seeds independent of the candidate-seed
@@ -135,7 +134,7 @@ pub struct GenRecord {
 impl RecordCodec for GenRecord {
     fn encode(&self, _idx: usize) -> Option<String> {
         Some(format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{ROW_INDENT}{}",
             self.index,
             self.name,
             self.grid,
@@ -167,7 +166,7 @@ impl RecordCodec for GenRecord {
                 "1" => true,
                 _ => return None,
             },
-            json: parts.next()?.to_string(),
+            json: parts.next()?.strip_prefix(ROW_INDENT)?.to_string(),
         };
         Some((usize::try_from(record.index).ok()?, record))
     }
@@ -241,33 +240,28 @@ impl GenHuntReport {
     /// Render the campaign as a JSON document (schema: DESIGN.md §13).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let config = [
-            ("seed", cfg.seed.to_string()),
-            ("count", cfg.count.to_string()),
-            ("levels", levels_json(&cfg.levels)),
-            ("fuzz_phvs", cfg.fuzz_phvs.to_string()),
-            ("fuzz_runs", cfg.fuzz_runs.to_string()),
-            ("input_bits", cfg.input_bits.to_string()),
-            ("faults_per_program", cfg.faults_per_program.to_string()),
-            ("minimize_checks", cfg.minimize_checks.to_string()),
-        ];
-        let summary = [
-            ("programs", self.programs().to_string()),
-            ("truncated", self.truncated.to_string()),
-            (
-                "rejected_candidates",
-                self.rejected_candidates().to_string(),
-            ),
-            ("alarming_rejects", self.alarming_rejects().to_string()),
-            ("clean_divergences", self.clean_divergences().to_string()),
-            ("faults_seeded", self.faults_seeded().to_string()),
-            ("faults_detected", self.faults_detected().to_string()),
-            ("detection_rate", format!("{:.4}", self.detection_rate())),
-            ("minimized", self.minimized().to_string()),
-            ("panics", self.panics().to_string()),
-        ];
+        let config = Object::block(4)
+            .field("seed", cfg.seed)
+            .field("count", cfg.count)
+            .field("levels", array(cfg.levels.iter().map(|l| l.key()), None))
+            .field("fuzz_phvs", cfg.fuzz_phvs)
+            .field("fuzz_runs", cfg.fuzz_runs)
+            .field("input_bits", cfg.input_bits)
+            .field("faults_per_program", cfg.faults_per_program)
+            .field("minimize_checks", cfg.minimize_checks);
+        let summary = Object::block(4)
+            .field("programs", self.programs())
+            .field("truncated", self.truncated)
+            .field("rejected_candidates", self.rejected_candidates())
+            .field("alarming_rejects", self.alarming_rejects())
+            .field("clean_divergences", self.clean_divergences())
+            .field("faults_seeded", self.faults_seeded())
+            .field("faults_detected", self.faults_detected())
+            .field("detection_rate", rate(self.detection_rate()))
+            .field("minimized", self.minimized())
+            .field("panics", self.panics());
         let rows = self.records.iter().map(|r| r.json.as_str());
-        render_report(&config, &summary, "programs", rows)
+        render_report(config, summary, "programs", rows)
     }
 }
 
@@ -302,10 +296,11 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
             let name = format!("gen_{:016x}_{index}", cfg.seed);
             GenRecord {
                 index: index as u64,
-                json: format!(
-                    "    {{\"name\": \"{name}\", \"index\": {index}, \"panic\": {}}}",
-                    json_string(payload)
-                ),
+                json: Object::new()
+                    .field("name", &name)
+                    .field("index", index)
+                    .field("panic", payload)
+                    .to_string(),
                 name,
                 grid: "?".to_string(),
                 rejected: 0,
@@ -345,7 +340,8 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
     for (li, &level) in cfg.levels.iter().enumerate() {
         for run in 0..cfg.fuzz_runs.max(1) {
             let seed = shard_seed(task_seed, (li * cfg.fuzz_runs.max(1) + run) as u64);
-            let verdict = clean_run(cfg, &g, level, seed);
+            let (program, mc) = (&g.program, &g.compiled.machine_code);
+            let verdict = fuzz_class(cfg, (program, &g.compiled), mc, level, seed);
             if verdict != VerdictClass::Pass {
                 clean.push(Divergence {
                     level,
@@ -389,26 +385,27 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
     }
 }
 
-/// One differential fuzz run of the unmutated program.
-fn clean_run(cfg: &GenHuntConfig, g: &GeneratedDomino, level: OptLevel, seed: u64) -> VerdictClass {
-    let mut reference = g.interpreter_spec();
+/// The verdict class of one differential fuzz run of `mc` (the
+/// compilation `comp` of `program`, or a fault injected into it) at
+/// `level` under traffic `seed`.
+fn fuzz_class(
+    cfg: &GenHuntConfig,
+    (program, comp): (&DominoProgram, &CompiledProgram),
+    mc: &MachineCode,
+    level: OptLevel,
+    seed: u64,
+) -> VerdictClass {
+    let mut reference = CompiledSpec::new(program.clone(), comp);
     let fuzz_cfg = FuzzConfig {
         num_phvs: cfg.fuzz_phvs,
         seed,
         input_bits: cfg.input_bits,
-        observable: Some(g.compiled.observable_containers()),
-        state_cells: g.compiled.state_cells.clone(),
+        observable: Some(comp.observable_containers()),
+        state_cells: comp.state_cells.clone(),
         minimize: false,
     };
-    fuzz_test(
-        &g.compiled.pipeline_spec,
-        &g.compiled.machine_code,
-        level,
-        &mut reference,
-        &fuzz_cfg,
-    )
-    .verdict
-    .class()
+    let report = fuzz_test(&comp.pipeline_spec, mc, level, &mut reference, &fuzz_cfg);
+    report.verdict.class()
 }
 
 /// One injected fault's sweep result.
@@ -436,33 +433,17 @@ fn sweep_fault(
     task_seed: u64,
     slot: usize,
     fault: Fault,
-    bad_mc: &druzhba_core::MachineCode,
+    bad_mc: &MachineCode,
 ) -> FaultRow {
     let mut divergence = None;
     for (li, &level) in cfg.levels.iter().enumerate() {
         let seed = shard_seed(task_seed, 0x4644 + (slot * cfg.levels.len() + li) as u64);
-        let mut reference = g.interpreter_spec();
-        let fuzz_cfg = FuzzConfig {
-            num_phvs: cfg.fuzz_phvs,
-            seed,
-            input_bits: cfg.input_bits,
-            observable: Some(g.compiled.observable_containers()),
-            state_cells: g.compiled.state_cells.clone(),
-            minimize: false,
-        };
-        let verdict = fuzz_test(
-            &g.compiled.pipeline_spec,
-            bad_mc,
-            level,
-            &mut reference,
-            &fuzz_cfg,
-        )
-        .verdict;
-        if verdict.class() != VerdictClass::Pass {
+        let verdict = fuzz_class(cfg, (&g.program, &g.compiled), bad_mc, level, seed);
+        if verdict != VerdictClass::Pass {
             divergence = Some(Divergence {
                 level,
                 seed,
-                verdict: verdict.class(),
+                verdict,
             });
             break;
         }
@@ -507,90 +488,42 @@ fn reproduces(
     let Some(bad_mc) = fault.apply(&comp.machine_code) else {
         return false;
     };
-    let mut reference = CompiledSpec::new(candidate.clone(), &comp);
-    let fuzz_cfg = FuzzConfig {
-        num_phvs: cfg.fuzz_phvs,
-        seed: d.seed,
-        input_bits: cfg.input_bits,
-        observable: Some(comp.observable_containers()),
-        state_cells: comp.state_cells.clone(),
-        minimize: false,
-    };
-    let verdict = fuzz_test(
-        &comp.pipeline_spec,
-        &bad_mc,
-        d.level,
-        &mut reference,
-        &fuzz_cfg,
-    )
-    .verdict;
-    verdict.class() == d.verdict
+    fuzz_class(cfg, (candidate, &comp), &bad_mc, d.level, d.seed) == d.verdict
 }
 
 /// Render one program's JSON row.
 fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \"atom\": \"{}\", \
-         \"recipe\": {}, \"rejected\": {}, ",
-        g.name,
-        g.index,
-        g.grid,
-        g.grid.atom,
-        json_string(&g.recipe()),
-        g.rejects.total()
-    );
-    let clean_rows: Vec<String> = clean
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"level\": \"{}\", \"seed\": {}, \"verdict\": \"{}\"}}",
-                d.level.key(),
-                d.seed,
-                d.verdict.key()
-            )
-        })
-        .collect();
-    let _ = write!(s, "\"clean_divergences\": [{}], ", clean_rows.join(", "));
-    let fault_rows: Vec<String> = faults
-        .iter()
-        .map(|f| {
-            let mut row = format!("{{\"fault\": {}, ", f.fault.json());
-            match &f.divergence {
-                Some(d) => {
-                    let _ = write!(
-                        row,
-                        "\"detected\": true, \"level\": \"{}\", \"seed\": {}, \
-                         \"verdict\": \"{}\", ",
-                        d.level.key(),
-                        d.seed,
-                        d.verdict.key()
-                    );
-                }
-                None => {
-                    let _ = write!(row, "\"detected\": false, ");
-                }
-            }
-            match &f.minimized {
-                Some(m) => {
-                    let _ = write!(
-                        row,
-                        "\"minimized\": {{\"size_before\": {}, \"size_after\": {}, \
-                         \"checks\": {}, \"source\": {}}}}}",
-                        m.size_before,
-                        m.size_after,
-                        m.checks,
-                        json_string(&m.source)
-                    );
-                }
-                None => {
-                    let _ = write!(row, "\"minimized\": null}}");
-                }
-            }
-            row
-        })
-        .collect();
-    let _ = write!(s, "\"faults\": [{}]}}", fault_rows.join(", "));
-    s
+    let divergence = |d: &Divergence, row: Object| {
+        row.field("level", d.level.key())
+            .field("seed", d.seed)
+            .field("verdict", d.verdict.key())
+    };
+    let faults = faults.iter().map(|f| {
+        let row = Object::new().field("fault", f.fault.json());
+        let row = match &f.divergence {
+            Some(d) => divergence(d, row.field("detected", true)),
+            None => row.field("detected", false),
+        };
+        let minimized = f.minimized.as_ref().map(|m| {
+            Object::new()
+                .field("size_before", m.size_before)
+                .field("size_after", m.size_after)
+                .field("checks", m.checks)
+                .field("source", &m.source)
+        });
+        row.field("minimized", minimized)
+    });
+    Object::new()
+        .field("name", &g.name)
+        .field("index", g.index)
+        .field("grid", g.grid.to_string())
+        .field("atom", g.grid.atom)
+        .field("recipe", g.recipe())
+        .field("rejected", g.rejects.total())
+        .field(
+            "clean_divergences",
+            array(clean.iter().map(|d| divergence(d, Object::new())), None),
+        )
+        .field("faults", array(faults, None))
+        .to_string()
 }

@@ -14,7 +14,7 @@
 
 use druzhba_analysis::{flag_mutant, symbolic_equivalent, StaticFlag};
 use druzhba_chipmunk::CompiledProgram;
-use druzhba_core::diag::json_string;
+use druzhba_core::json::{array, Object};
 use druzhba_core::{MachineCode, Trace};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
@@ -28,8 +28,7 @@ use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
 
 pub use crate::mutation::Detection;
 use crate::mutation::{
-    self, json_object, levels_json, opt_json, render_report, HuntFault, Ladder, Mutant, Report,
-    Settings, SCREEN_SALT,
+    self, render_report, HuntFault, Ladder, Mutant, Report, Settings, SCREEN_SALT,
 };
 
 /// Configuration of a hunt campaign.
@@ -99,28 +98,26 @@ impl HuntReport {
     /// Render the campaign as a JSON document (schema: DESIGN.md §7).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let config = [
-            ("seed", cfg.seed.to_string()),
-            ("mutants_per_class", cfg.mutants_per_class.to_string()),
-            ("levels", levels_json(&cfg.levels)),
-            ("fuzz_phvs", cfg.fuzz_phvs.to_string()),
-            ("fuzz_runs", cfg.fuzz_runs.to_string()),
-            ("input_bits", cfg.input_bits.to_string()),
-            ("verify_bits", cfg.verify_bits.to_string()),
-            ("verify_packets", cfg.verify_packets.to_string()),
-            ("case_budget", opt_json(cfg.case_budget)),
-        ];
-        let mut summary = self.summary_head();
-        summary.extend([
-            ("static_flagged", self.static_flagged().to_string()),
-            ("by_static_flag", json_object(self.by_static_flag())),
-            ("neutral_discarded", self.neutral_discarded.to_string()),
-            ("by_detector", json_object(self.by_detector())),
-            self.by_fault_json(),
-            ("taxonomy", json_object(self.taxonomy())),
-        ]);
+        let config = Object::block(4)
+            .field("seed", cfg.seed)
+            .field("mutants_per_class", cfg.mutants_per_class)
+            .field("levels", array(cfg.levels.iter().map(|l| l.key()), None))
+            .field("fuzz_phvs", cfg.fuzz_phvs)
+            .field("fuzz_runs", cfg.fuzz_runs)
+            .field("input_bits", cfg.input_bits)
+            .field("verify_bits", cfg.verify_bits)
+            .field("verify_packets", cfg.verify_packets)
+            .field("case_budget", cfg.case_budget);
+        let summary = self
+            .summary_head()
+            .field("static_flagged", self.static_flagged())
+            .field("by_static_flag", Object::from_iter(self.by_static_flag()))
+            .field("neutral_discarded", self.neutral_discarded)
+            .field("by_detector", Object::from_iter(self.by_detector()))
+            .field("by_fault", self.by_fault())
+            .field("taxonomy", Object::from_iter(self.taxonomy()));
         let rows = self.records.iter().map(|r| r.json.as_str());
-        render_report(&config, &summary, "mutants", rows)
+        render_report(config, summary, "mutants", rows)
     }
 }
 
@@ -145,54 +142,41 @@ impl HuntFault for Fault {
         FaultKind::from_key(key)
     }
 
-    fn json(&self) -> String {
-        match self {
-            Fault::RemovedPair { name } => {
-                format!(
-                    "{{\"kind\": \"removed_pair\", \"name\": {}}}",
-                    json_string(name)
-                )
-            }
-            Fault::MutatedValue { name, old, new } => format!(
-                "{{\"kind\": \"mutated_value\", \"name\": {}, \"old\": {old}, \"new\": {new}}}",
-                json_string(name)
-            ),
-            Fault::OutOfRangeValue { name, new } => format!(
-                "{{\"kind\": \"out_of_range_value\", \"name\": {}, \"new\": {new}}}",
-                json_string(name)
-            ),
-            Fault::HostileTrap { name, old } => format!(
-                "{{\"kind\": \"hostile_trap\", \"name\": {}, \"old\": {old}}}",
-                json_string(name)
-            ),
+    fn json(&self) -> Object {
+        let (Fault::RemovedPair { name }
+        | Fault::MutatedValue { name, .. }
+        | Fault::OutOfRangeValue { name, .. }
+        | Fault::HostileTrap { name, .. }) = self;
+        let fault = Object::new()
+            .field("kind", self.kind().key())
+            .field("name", name);
+        match *self {
+            Fault::RemovedPair { .. } => fault,
+            Fault::MutatedValue { old, new, .. } => fault.field("old", old).field("new", new),
+            Fault::OutOfRangeValue { new, .. } => fault.field("new", new),
+            Fault::HostileTrap { old, .. } => fault.field("old", old),
         }
     }
 
-    fn minimized_detail(mce: &MinimizedCounterExample) -> String {
-        let edits = match &mce.essential_edits {
-            None => "null".to_string(),
-            Some(edits) => {
-                let rows: Vec<String> = edits
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"name\": {}, \"good\": {}, \"bad\": {}}}",
-                            json_string(&e.name),
-                            e.good.map_or("null".to_string(), |v| v.to_string()),
-                            e.bad.map_or("null".to_string(), |v| v.to_string()),
-                        )
-                    })
-                    .collect();
-                format!("[{}]", rows.join(", "))
-            }
-        };
+    fn minimized_detail(mce: &MinimizedCounterExample, minimized: Object) -> Object {
+        let edits = mce.essential_edits.as_ref().map(|edits| {
+            let edits = edits.iter().map(|e| {
+                Object::new()
+                    .field("name", &e.name)
+                    .field("good", e.good)
+                    .field("bad", e.bad)
+            });
+            array(edits, None)
+        });
         let mismatch = match &mce.verdict {
-            Verdict::Mismatch(m) => json_string(&m.to_string()),
-            Verdict::Incompatible(e) => json_string(&e.to_string()),
-            Verdict::BackendPanic { payload } => json_string(payload),
-            Verdict::Pass => "null".to_string(),
+            Verdict::Mismatch(m) => Some(m.to_string()),
+            Verdict::Incompatible(e) => Some(e.to_string()),
+            Verdict::BackendPanic { payload } => Some(payload.clone()),
+            Verdict::Pass => None,
         };
-        format!("\"mismatch\": {mismatch}, \"essential_edits\": {edits}, ")
+        minimized
+            .field("mismatch", mismatch)
+            .field("essential_edits", edits)
     }
 }
 

@@ -1,39 +1,22 @@
 //! The `druzhba` command-line tool: the compiler-testing workflow from a
 //! shell.
 //!
-//! ```text
-//! druzhba compile <file.domino> --depth D --width W --atom NAME [-o mc.txt]
-//! druzhba compile <file.p4> [--entries FILE] [--stages N] [-o report.txt]
-//! druzhba fuzz    <file.domino> --depth D --width W --atom NAME [--phvs N] [--bits B]
-//!                 [--seed S] [--level L|all] [--runs R] [--jobs J] [--edit name=v,...]
-//! druzhba verify  <file.domino> --depth D --width W --atom NAME [--bits B] [--packets N]
-//!                 [--level L|all]
-//! druzhba emit    <file.domino> --depth D --width W --atom NAME [--level 0|1|2|3]
-//! druzhba emit    <file.p4> [--entries FILE] [--level 0|1|2|3]
-//! druzhba hunt    [--programs a,b,c] [--mutants N] [--seed S] [--level L|all]
-//!                 [--phvs N] [--bits B] [--runs R] [--jobs J] [--out FILE]
-//! druzhba hunt    --generate N [--faults F] [--minimize-checks C] [--seed S]
-//!                 [--level L|all] [--phvs N] [--bits B] [--jobs J] [--out FILE]
-//! druzhba generate [--count N] [--seed S] [--index K] [--p4] [--json] [--out FILE]
-//! druzhba analyze [<file.domino>|<file.p4>|<program>] [--json] [--out FILE]
-//!                 [--depth D --width W --atom NAME] [--entries FILE]
-//! druzhba p4-fuzz [<file.p4>|<p4-program>] [--entries FILE] [--lint] [--phvs N] [--bits B]
-//!                 [--seed S] [--level L|all] [--runs R] [--jobs J] [--mutants N]
-//!                 [--stages N] [--tables-per-stage T] [--cross-model on|off] [--out FILE]
-//! druzhba p4-fuzz --generate N [...same flags...]
-//! druzhba atoms
-//! druzhba programs
-//! ```
-//!
-//! Argument parsing is hand-rolled (no CLI dependency); every subcommand
-//! maps onto a library call, so the tool is a thin shell over the public
-//! API.
+//! Every command is declared once, in [`COMMANDS`]: its positional
+//! input, its modes, and each flag it reads with the modes that read it.
+//! Parsing ([`Args::parse`]), the mode checks ([`Args::check_mode`]) and
+//! `druzhba help` all read that table. Argument parsing is hand-rolled (no
+//! CLI dependency); every command maps onto a library call, so the tool is
+//! a thin shell over the public API.
 
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use druzhba::analyze::{
+    analyze_compiled, analyze_corpus, analyze_domino_def, analyze_p4_workload, CorpusAnalysis,
+};
 use druzhba::chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
-use druzhba::core::diag::json_string;
+use druzhba::core::json::{array, Object};
 use druzhba::dgen::emit::emit_pipeline;
 use druzhba::dgen::mat::emit_mat_pipeline;
 use druzhba::dgen::OptLevel;
@@ -61,156 +44,278 @@ use druzhba::programs::{p4_by_name, P4_PROGRAMS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+    let Some(name) = args.first() else {
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "compile" => cmd_compile(&args[1..]),
-        "fuzz" => cmd_fuzz(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "emit" => cmd_emit(&args[1..]),
-        "hunt" => cmd_hunt(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "analyze" => match cmd_analyze(&args[1..]) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "p4-fuzz" => cmd_p4_fuzz(&args[1..]),
-        "atoms" => cmd_atoms(),
-        "programs" => cmd_programs(),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => Args::parse(cmd, &args[1..]).and_then(|args| (cmd.run)(&args)),
+        None => Err(format!("unknown command `{name}`\n{}", usage())),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// One command: its positional input, its modes and every flag it reads.
+struct Command {
+    name: &'static str,
+    /// The positional input as `help` shows it (empty: none).
+    positional: &'static str,
+    /// One line on what the command does.
+    about: &'static str,
+    /// Each mode with what selects it; empty for a one-mode command.
+    modes: &'static [(&'static str, &'static str)],
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<ExitCode, String>,
+}
+
+/// One flag of a command.
+struct Flag {
+    /// The name without dashes.
+    name: &'static str,
+    /// What the value is, as `help` shows it; empty for a switch, a flag
+    /// that takes no value.
+    metavar: &'static str,
+    /// The modes that read the flag; empty for every mode.
+    modes: &'static [&'static str],
+    help: &'static str,
+}
+
+// Mode names, as the mode checks print them.
+const DOMINO_FILE: &str = "domino-file";
+const P4_FILE: &str = "p4-file";
+const DOMINO_PROGRAM: &str = "domino-program";
+const P4_PROGRAM: &str = "p4-program";
+const WHOLE_CORPUS: &str = "whole-corpus";
+const SINGLE: &str = "single-run";
+const CAMPAIGN: &str = "campaign";
+const GREYBOX: &str = "greybox";
+const MUTANTS: &str = "mutants";
+const CORPUS: &str = "corpus";
+const GENERATE: &str = "generate";
+
+/// The modes of a flag every mode of its command reads.
+const ALL: &[&str] = &[];
+const INPUT_MODES: &[(&str, &str)] = &[(DOMINO_FILE, "a .domino file"), (P4_FILE, "a .p4 file")];
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compile", positional: "<file.domino>|<file.p4>", run: cmd_compile, modes: INPUT_MODES,
+        about: "synthesize machine code for a Domino program, or print a P4 program's RMT lowering",
+        flags: &[
+            Flag { name: "depth", metavar: "D", modes: &[DOMINO_FILE], help: "pipeline stages of the synthesis grid" },
+            Flag { name: "width", metavar: "W", modes: &[DOMINO_FILE], help: "ALUs per stage" },
+            Flag { name: "atom", metavar: "NAME", modes: &[DOMINO_FILE], help: "stateful atom (see `druzhba atoms`)" },
+            Flag { name: "entries", metavar: "FILE", modes: &[P4_FILE], help: "table entries (default: the sibling .entries file)" },
+            Flag { name: "stages", metavar: "N", modes: &[P4_FILE], help: "RMT stages the lowering may use" },
+            Flag { name: "tables-per-stage", metavar: "T", modes: &[P4_FILE], help: "RMT tables per stage" },
+            Flag { name: "o", metavar: "FILE", modes: ALL, help: "write the machine code or lowering report to FILE" },
+        ],
+    },
+    Command {
+        name: "fuzz", positional: "<file.domino>", run: cmd_fuzz,
+        modes: &[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0")],
+        about: "differential fuzzing of every selected backend against the Domino program",
+        flags: &[
+            Flag { name: "depth", metavar: "D", modes: ALL, help: "pipeline stages of the synthesis grid" },
+            Flag { name: "width", metavar: "W", modes: ALL, help: "ALUs per stage" },
+            Flag { name: "atom", metavar: "NAME", modes: ALL, help: "stateful atom (see `druzhba atoms`)" },
+            Flag { name: "edit", metavar: "name=v,name=-", modes: ALL, help: "apply machine-code edits (`-` removes a pair); replays essential_edits" },
+            Flag { name: "seed", metavar: "S", modes: ALL, help: "traffic seed (decimal or 0x-hex)" },
+            Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
+            Flag { name: "bits", metavar: "B", modes: ALL, help: "bit width of generated input values" },
+            Flag { name: "greybox", metavar: "E", modes: ALL, help: "coverage-guided campaign with an E-execution budget" },
+            Flag { name: "phvs", metavar: "N", modes: &[SINGLE, CAMPAIGN], help: "random PHVs per run" },
+            Flag { name: "runs", metavar: "R", modes: &[SINGLE, CAMPAIGN], help: "independently seeded runs" },
+            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, GREYBOX], help: "worker threads" },
+            Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
+            Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
+            Flag { name: "corpus", metavar: "N", modes: &[GREYBOX], help: "seed-pool capacity" },
+            Flag { name: "merge-every", metavar: "M", modes: &[GREYBOX], help: "executions per shard between corpus merges" },
+            Flag { name: "lanes", metavar: "L", modes: &[GREYBOX], help: "SIMD lane width of the fused oracle: 0|1|8|16|32|64" },
+            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "snapshot campaign progress into DIR" },
+            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
+            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "restore DIR's snapshot and keep checkpointing there" },
+            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN, GREYBOX], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
+        ],
+    },
+    Command {
+        name: "verify", positional: "<file.domino>", run: cmd_verify, modes: &[],
+        about: "bounded exhaustive verification of every selected backend against the Domino program",
+        flags: &[
+            Flag { name: "depth", metavar: "D", modes: ALL, help: "pipeline stages of the synthesis grid" },
+            Flag { name: "width", metavar: "W", modes: ALL, help: "ALUs per stage" },
+            Flag { name: "atom", metavar: "NAME", modes: ALL, help: "stateful atom (see `druzhba atoms`)" },
+            Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
+            Flag { name: "bits", metavar: "B", modes: ALL, help: "input bit width" },
+            Flag { name: "packets", metavar: "N", modes: ALL, help: "packets per enumerated trace" },
+            Flag { name: "max-cases", metavar: "N", modes: ALL, help: "enumeration budget" },
+            Flag { name: "lanes", metavar: "L", modes: ALL, help: "sweep the fused backend's SIMD lane engine: 1|8|16|32|64" },
+        ],
+    },
+    Command {
+        name: "emit", positional: "<file.domino>|<file.p4>", run: cmd_emit, modes: INPUT_MODES,
+        about: "render the generated pipeline source of one backend",
+        flags: &[
+            Flag { name: "depth", metavar: "D", modes: &[DOMINO_FILE], help: "pipeline stages of the synthesis grid" },
+            Flag { name: "width", metavar: "W", modes: &[DOMINO_FILE], help: "ALUs per stage" },
+            Flag { name: "atom", metavar: "NAME", modes: &[DOMINO_FILE], help: "stateful atom (see `druzhba atoms`)" },
+            Flag { name: "entries", metavar: "FILE", modes: &[P4_FILE], help: "table entries (default: the sibling .entries file)" },
+            Flag { name: "stages", metavar: "N", modes: &[P4_FILE], help: "RMT stages the lowering may use" },
+            Flag { name: "tables-per-stage", metavar: "T", modes: &[P4_FILE], help: "RMT tables per stage" },
+            Flag { name: "level", metavar: "L", modes: ALL, help: "the one backend to render: 0|1|2|3 or a name" },
+        ],
+    },
+    Command {
+        name: "hunt", positional: "", run: cmd_hunt,
+        about: "mutation campaign: inject faults, require the workflow to detect them (JSON report)",
+        modes: &[(CORPUS, "the default; machine-code faults in the Table 1 corpus"),
+            (GENERATE, "--generate N, N > 0; a sweep of N generated, screen-vetted programs")],
+        flags: &[
+            Flag { name: "programs", metavar: "a,b,c", modes: &[CORPUS], help: "corpus programs to hunt over (default: all)" },
+            Flag { name: "mutants", metavar: "N", modes: &[CORPUS], help: "mutants per fault class per program" },
+            Flag { name: "generate", metavar: "N", modes: ALL, help: "sweep N freshly generated programs instead of the corpus" },
+            Flag { name: "faults", metavar: "F", modes: &[GENERATE], help: "faults injected per generated program" },
+            Flag { name: "minimize-checks", metavar: "C", modes: &[GENERATE], help: "oracle budget of program-level minimization" },
+            Flag { name: "seed", metavar: "S", modes: ALL, help: "campaign seed (decimal or 0x-hex)" },
+            Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
+            Flag { name: "phvs", metavar: "N", modes: ALL, help: "PHVs per fuzz run" },
+            Flag { name: "runs", metavar: "R", modes: ALL, help: "fresh fuzz runs per evaluation" },
+            Flag { name: "bits", metavar: "B", modes: ALL, help: "bit width of fuzzed inputs" },
+            Flag { name: "verify-bits", metavar: "B", modes: &[CORPUS], help: "input width of the bounded-verification fallback" },
+            Flag { name: "verify-packets", metavar: "N", modes: &[CORPUS], help: "trace length of the bounded-verification fallback" },
+            Flag { name: "case-budget", metavar: "N", modes: &[CORPUS], help: "cap on differential batches per evaluation" },
+            Flag { name: "jobs", metavar: "J", modes: ALL, help: "worker threads" },
+            Flag { name: "checkpoint", metavar: "DIR", modes: ALL, help: "snapshot campaign progress into DIR" },
+            Flag { name: "every", metavar: "N", modes: ALL, help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
+            Flag { name: "resume", metavar: "DIR", modes: ALL, help: "restore DIR's snapshot and keep checkpointing there" },
+            Flag { name: "budget-secs", metavar: "S", modes: ALL, help: "wall-clock budget; expiry ends in a partial report, exit 0" },
+            Flag { name: "out", metavar: "FILE", modes: ALL, help: "write the JSON report to FILE" },
+        ],
+    },
+    Command {
+        name: "generate", positional: "", run: cmd_generate, modes: &[],
+        about: "print generated programs without running packets; program K of a seed replays alone",
+        flags: &[
+            Flag { name: "count", metavar: "N", modes: ALL, help: "programs to generate" },
+            Flag { name: "seed", metavar: "S", modes: ALL, help: "generation seed (decimal or 0x-hex)" },
+            Flag { name: "index", metavar: "K", modes: ALL, help: "index of the first program" },
+            Flag { name: "p4", metavar: "", modes: ALL, help: "generate P4 workloads instead of Domino programs" },
+            Flag { name: "json", metavar: "", modes: ALL, help: "print JSON instead of source text" },
+            Flag { name: "out", metavar: "FILE", modes: ALL, help: "write the output to FILE" },
+        ],
+    },
+    Command {
+        name: "analyze", positional: "[<file.domino>|<file.p4>|<program>]", run: cmd_analyze,
+        about: "static analysis: translation validation, lints and screens; exit 2 on a proven miscompilation",
+        modes: &[(WHOLE_CORPUS, "no positional input"), (DOMINO_PROGRAM, "a Table 1 program name, at its Table 1 grid"),
+            (P4_PROGRAM, "a P4 corpus program name"), (P4_FILE, "a .p4 file"), (DOMINO_FILE, "any other file")],
+        flags: &[
+            Flag { name: "depth", metavar: "D", modes: &[DOMINO_FILE], help: "pipeline stages of the synthesis grid" },
+            Flag { name: "width", metavar: "W", modes: &[DOMINO_FILE], help: "ALUs per stage" },
+            Flag { name: "atom", metavar: "NAME", modes: &[DOMINO_FILE], help: "stateful atom (see `druzhba atoms`)" },
+            Flag { name: "entries", metavar: "FILE", modes: &[P4_FILE], help: "table entries (default: the sibling .entries file)" },
+            Flag { name: "stages", metavar: "N", modes: &[P4_FILE, P4_PROGRAM], help: "RMT stages the lowering may use" },
+            Flag { name: "tables-per-stage", metavar: "T", modes: &[P4_FILE, P4_PROGRAM], help: "RMT tables per stage" },
+            Flag { name: "symbolic", metavar: "", modes: ALL, help: "add a term-level equivalence proof per backend" },
+            Flag { name: "json", metavar: "", modes: ALL, help: "print JSON instead of text" },
+            Flag { name: "out", metavar: "FILE", modes: ALL, help: "write the analysis to FILE" },
+        ],
+    },
+    Command {
+        name: "p4-fuzz", positional: "[<file.p4>|<p4-program>]", run: cmd_p4_fuzz,
+        about: "differential fuzzing of the lowered RMT pipeline against the P4 reference interpreter",
+        modes: &[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0"),
+            (MUTANTS, "--mutants N, N > 0; a table/action-fault campaign (JSON report)")],
+        flags: &[
+            Flag { name: "entries", metavar: "FILE", modes: ALL, help: "table entries (default: the sibling .entries file)" },
+            Flag { name: "stages", metavar: "N", modes: ALL, help: "RMT stages the lowering may use" },
+            Flag { name: "tables-per-stage", metavar: "T", modes: ALL, help: "RMT tables per stage" },
+            Flag { name: "generate", metavar: "N", modes: ALL, help: "replace the targets by N generated, TV-vetted P4 workloads" },
+            Flag { name: "lint", metavar: "", modes: ALL, help: "lint and translation-validate every target first" },
+            Flag { name: "seed", metavar: "S", modes: ALL, help: "traffic seed (decimal or 0x-hex)" },
+            Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
+            Flag { name: "bits", metavar: "B", modes: ALL, help: "bit-width cap on randomized header fields" },
+            Flag { name: "greybox", metavar: "E", modes: ALL, help: "coverage-guided campaign with an E-execution budget" },
+            Flag { name: "mutants", metavar: "N", modes: ALL, help: "mutants per fault class per program" },
+            Flag { name: "phvs", metavar: "N", modes: &[SINGLE, CAMPAIGN, MUTANTS], help: "packets per run" },
+            Flag { name: "runs", metavar: "R", modes: &[SINGLE, CAMPAIGN, MUTANTS], help: "independently seeded runs" },
+            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "worker threads" },
+            Flag { name: "cross-model", metavar: "on|off", modes: &[SINGLE, CAMPAIGN], help: "check interpreter == RMT(fused) == dRMT" },
+            Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
+            Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
+            Flag { name: "corpus", metavar: "N", modes: &[GREYBOX], help: "seed-pool capacity" },
+            Flag { name: "merge-every", metavar: "M", modes: &[GREYBOX], help: "executions per shard between corpus merges" },
+            Flag { name: "mutate-entries", metavar: "on|off", modes: &[GREYBOX], help: "mutate the shared table entries alongside packets" },
+            Flag { name: "case-budget", metavar: "N", modes: &[MUTANTS], help: "cap on differential batches per evaluation" },
+            Flag { name: "out", metavar: "FILE", modes: &[MUTANTS], help: "write the JSON report to FILE" },
+            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "snapshot campaign progress into DIR" },
+            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
+            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "restore DIR's snapshot and keep checkpointing there" },
+            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
+        ],
+    },
+    Command {
+        name: "atoms", positional: "", run: cmd_atoms, modes: &[], flags: &[],
+        about: "list the ALU DSL atom library",
+    },
+    Command {
+        name: "programs", positional: "", run: cmd_programs, modes: &[], flags: &[],
+        about: "list the Table 1 benchmark programs and the P4 corpus",
+    },
+];
+
+/// `druzhba help`, rendered from [`COMMANDS`].
+fn usage() -> String {
+    let mut s = String::from(
+        "druzhba — programmable switch simulation for compiler testing\n\n\
+         USAGE: druzhba <command> [<input>] [--flag value]...\n\n\
+         A flag marked [mode, ...] is read only in those modes; a flag the selected\n\
+         mode does not read, or a repeated flag, fails with exit 1. Defaults and\n\
+         examples: docs/FUZZING.md.\n",
+    );
+    for cmd in COMMANDS {
+        let head = format!("druzhba {} {}", cmd.name, cmd.positional);
+        let _ = writeln!(s, "\n{}", head.trim_end());
+        let _ = writeln!(s, "  {}", cmd.about);
+        for (mode, selected_by) in cmd.modes {
+            let _ = writeln!(s, "  mode {mode}: {selected_by}");
+        }
+        for f in cmd.flags {
+            let dashes = if f.name.len() == 1 { "-" } else { "--" };
+            let name = format!("{dashes}{} {}", f.name, f.metavar);
+            let modes = match f.modes {
+                [] => String::new(),
+                modes => format!(" [{}]", modes.join(", ")),
+            };
+            let _ = writeln!(s, "    {:<24}{}{modes}", name.trim_end(), f.help);
         }
     }
+    s
 }
 
-const USAGE: &str = "druzhba — programmable switch simulation for compiler testing
-
-USAGE:
-  druzhba compile <file.domino> --depth D --width W --atom NAME [-o out.txt]
-  druzhba compile <file.p4> [--entries FILE] [--stages N] [--tables-per-stage T] [-o out.txt]
-                  (P4 inputs print the RMT lowering: container map, stage map,
-                   bound entries, dRMT schedule)
-  druzhba fuzz    <file.domino> --depth D --width W --atom NAME [--phvs N] [--bits B]
-                  [--seed S] [--level 0|1|2|3|all]
-                  [--edit name=v,name=-]  (apply machine-code edits, `-` removes;
-                                           replays a hunt report's essential_edits)
-                  [--runs R --jobs J]   (R > 1: parallel seeded campaign)
-                  [--greybox E]         (coverage-guided campaign with an E-execution
-                                         budget; tune with --gb-packets P
-                                         --gb-max-packets N --corpus N --merge-every M
-                                         --jobs J --lanes 0|1|8|16|32|64;
-                                         see docs/FUZZING.md)
-  druzhba verify  <file.domino> --depth D --width W --atom NAME [--bits B] [--packets N]
-                  [--level 0|1|2|3|all]  (default: all backends)
-                  [--max-cases N] [--lanes 1|8|16|32|64]
-                  (--lanes sweeps the fused backend's SIMD lane engine, 64
-                   inputs per instruction stream; raises the exhaustive wall
-                   to 32-bit inputs under the --max-cases budget)
-  druzhba emit    <file.domino> --depth D --width W --atom NAME [--level 0|1|2|3]
-  druzhba emit    <file.p4> [--entries FILE] [--level 0|1|2|3] [--stages N]
-                  (render the lowered match-action pipeline at that backend)
-  druzhba hunt    [--programs a,b,c] [--mutants N] [--seed S] [--level 0|1|2|3|all]
-                  [--phvs N] [--bits B] [--runs R] [--jobs J]
-                  [--verify-bits B] [--verify-packets N] [--out FILE]
-                  [--case-budget N]  (cap differential batches per evaluation)
-                  mutation campaign over the Table 1 corpus (JSON report;
-                  every mutant also carries its static-analysis flag)
-  druzhba hunt    --generate N [--faults F] [--minimize-checks C] [--seed S]
-                  [--level 0|1|2|3|all] [--phvs N] [--bits B] [--runs R]
-                  [--jobs J] [--out FILE]
-                  Gauntlet-style campaign over N freshly *generated*,
-                  screen-vetted Domino programs: a clean differential sweep
-                  on every backend (any divergence is a compiler bug and the
-                  exit is nonzero), plus optional fault injection (--faults F
-                  per program) with program-level ddmin of every divergence
-  druzhba generate [--count N] [--seed S] [--index K] [--p4] [--json] [--out FILE]
-                  emit generated programs without running packets; program K
-                  of a seed is a pure function of (seed, K), so
-                  `--seed S --index K` replays exactly the program a
-                  hunt --generate report names in its replay recipe
-  druzhba analyze [<file.domino>|<file.p4>|<program>] [--json] [--out FILE]
-                  [--depth D --width W --atom NAME] [--entries FILE] [--symbolic]
-                  abstract-interpretation static analysis: translation
-                  validation across every backend, lint diagnostics, the
-                  generator screen, and the greybox imprecision list; with
-                  --symbolic, a term-level equivalence proof per backend;
-                  no positional = the whole 17-program corpus; exit 2 on a
-                  proven miscompilation (TV mismatch or symbolic refutation),
-                  0 for clean or lint-only output, 1 on operational errors
-  druzhba p4-fuzz [<file.p4>|<p4-program>] [--entries FILE] [--lint] [--phvs N]
-                  [--bits B] [--seed S] [--level 0|1|2|3|all] [--runs R --jobs J]
-                  [--stages N] [--tables-per-stage T] [--cross-model on|off]
-                  differential fuzz: reference interpreter vs. the lowered RMT
-                  match-action pipeline on every backend, plus a cross-model
-                  dRMT-vs-RMT check; no positional = the whole P4 corpus
-  druzhba p4-fuzz --greybox E [--mutate-entries on|off] [...same flags...]
-                  coverage-guided differential campaign over packets and (by
-                  default) table entries; same tuning flags as fuzz --greybox
-                  except --lanes
-  druzhba p4-fuzz --mutants N [...same flags...] [--out FILE]
-                  table/action-fault mutation campaign (JSON report; nonzero
-                  exit if any injected fault survives)
-  druzhba p4-fuzz --generate N [...same flags...]
-                  swap the corpus for N freshly generated, TV-vetted P4
-                  workloads; --lint, --runs, --mutants, --greybox, and the
-                  cross-model check all compose with the generated targets
-  druzhba atoms      list the ALU DSL atom library
-  druzhba programs   list the Table 1 benchmark programs and the P4 corpus
-
-Each campaign mode reads only its own flags: a flag the selected mode does
-not read (e.g. --corpus without --greybox, --out without --mutants) or a
-repeated flag fails with exit 1.
-
-CRASH-PROOFING (campaign modes of fuzz / hunt / p4-fuzz; docs/FUZZING.md):
-  --checkpoint DIR [--every N]   snapshot campaign progress into DIR every N
-                                 completed tasks (atomic write + rotation)
-  --resume DIR                   restore the snapshot in DIR, re-run only what
-                                 is missing, keep checkpointing there; the
-                                 resumed report is byte-identical to an
-                                 uninterrupted run
-  --budget-secs S                wall-clock budget: expiry ends the campaign
-                                 cleanly with a partial (truncated) report and
-                                 exit code 0 plus a warning";
-
-/// Minimal flag parser: positional file plus `--key value` pairs.
+/// A parsed command line: the positional input plus `--key value` pairs
+/// (`on` for a switch).
 struct Args {
+    cmd: &'static Command,
     file: Option<String>,
-    flags: Vec<(String, String)>,
+    flags: Vec<(&'static Flag, String)>,
 }
-
-/// Flag groups several subcommands read: space-separated names without
-/// dashes.
-const GRID: &str = "depth width atom";
-const P4_TARGET: &str = "entries stages tables-per-stage";
-const RUNTIME: &str = "checkpoint every resume budget-secs";
-const FUZZ: &str = "seed level phvs bits runs jobs";
-const GENHUNT: &str = "generate faults minimize-checks";
-/// What the `fuzz`/`p4-fuzz` modes read beyond their command's common
-/// flags (see [`FuzzMode`]).
-const GREYBOX_MODE: &str = "gb-packets gb-max-packets corpus merge-every jobs";
-const CAMPAIGN_MODE: &str = "phvs runs jobs";
-const SINGLE_MODE: &str = "phvs runs";
 
 impl Args {
-    /// Parse `cmd`'s arguments. `known` lists the flag groups `cmd` reads;
-    /// any other flag is an error, so a typo never silently runs the
+    /// Parse `cmd`'s arguments. Any flag `cmd` does not declare, and any
+    /// repeated flag, is an error, so a typo never silently runs the
     /// defaults.
-    fn parse(cmd: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
+    fn parse(cmd: &'static Command, args: &[String]) -> Result<Self, String> {
         let mut file = None;
-        let mut flags = Vec::new();
-        // Flags that take no value (presence is the signal).
-        const BOOLEAN_FLAGS: &[&str] = &["json", "lint", "symbolic", "p4"];
+        let mut flags: Vec<(&Flag, String)> = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
@@ -220,37 +325,41 @@ impl Args {
                 file = Some(a.clone());
                 continue;
             };
-            if !known.iter().any(|group| group.split(' ').any(|k| k == key)) {
-                return Err(format!("unknown flag `{a}` for `{cmd}`"));
+            let Some(flag) = cmd.flags.iter().find(|f| f.name == key) else {
+                return Err(format!("unknown flag `{a}` for `{}`", cmd.name));
+            };
+            if flags.iter().any(|(f, _)| f.name == key) {
+                return Err(format!("flag `{a}` given twice for `{}`", cmd.name));
             }
-            if flags.iter().any(|(k, _)| k == key) {
-                return Err(format!("flag `{a}` given twice for `{cmd}`"));
-            }
-            let value = if BOOLEAN_FLAGS.contains(&key) {
+            let value = if flag.metavar.is_empty() {
                 "on"
             } else {
                 it.next().ok_or_else(|| format!("flag {a} needs a value"))?
             };
-            flags.push((key.to_string(), value.to_string()));
+            flags.push((flag, value.to_string()));
         }
-        Ok(Args { file, flags })
+        Ok(Args { cmd, file, flags })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
         self.flags
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(f, _)| f.name == key)
             .map(|(_, v)| v.as_str())
     }
 
-    /// Fail on any flag `cmd` does not read in `mode`; `reads` lists the
-    /// flag groups that mode reads. A flag another mode reads is never
-    /// silently ignored.
-    fn check_mode(&self, cmd: &str, mode: &str, reads: &[&str]) -> Result<(), String> {
-        let read = |key: &str| reads.iter().any(|group| group.split(' ').any(|k| k == key));
-        match self.flags.iter().find(|(k, _)| !read(k)) {
-            Some((key, _)) => Err(format!(
-                "flag `--{key}` does not apply to `{cmd}` in {mode} mode"
+    /// Fail on any flag the command does not read in `mode`: a flag
+    /// another mode reads is never silently ignored.
+    fn check_mode(&self, mode: &str) -> Result<(), String> {
+        debug_assert!(self.cmd.modes.iter().any(|(m, _)| *m == mode));
+        match self
+            .flags
+            .iter()
+            .find(|(f, _)| !f.modes.is_empty() && !f.modes.contains(&mode))
+        {
+            Some((f, _)) => Err(format!(
+                "flag `--{}` does not apply to `{}` in {mode} mode",
+                f.name, self.cmd.name
             )),
             None => Ok(()),
         }
@@ -303,11 +412,13 @@ impl Args {
         }
     }
 
-    /// Optimization levels: a single level, or `all` for every backend.
+    /// Optimization levels: a comma list of levels, or `all` for every
+    /// backend.
     fn get_levels(&self, key: &str, default: &[OptLevel]) -> Result<Vec<OptLevel>, String> {
         match self.get(key) {
             None => Ok(default.to_vec()),
-            Some(raw) => parse_levels(raw),
+            Some("all") => Ok(OptLevel::ALL.to_vec()),
+            Some(raw) => raw.split(',').map(|tok| parse_level(tok.trim())).collect(),
         }
     }
 }
@@ -322,13 +433,6 @@ fn parse_level(tok: &str) -> Result<OptLevel, String> {
             "--level must be 0|1|2|3 (or unoptimized|scc|scc_inline|fused) or `all`, got `{other}`"
         )),
     }
-}
-
-fn parse_levels(raw: &str) -> Result<Vec<OptLevel>, String> {
-    if raw == "all" {
-        return Ok(OptLevel::ALL.to_vec());
-    }
-    raw.split(',').map(|tok| parse_level(tok.trim())).collect()
 }
 
 /// Apply `--edit name=value,name=-` machine-code edits (a `-` value
@@ -382,11 +486,8 @@ fn print_minimized(mce: &MinimizedCounterExample) {
     }
 }
 
-/// Crash-proofing flags shared by the campaign subcommands
-/// (docs/FUZZING.md "Checkpoint, resume, and budgets"):
-/// `--checkpoint DIR [--every N]` snapshots progress into DIR,
-/// `--resume DIR` restores a prior snapshot and keeps checkpointing
-/// there, `--budget-secs S` bounds the campaign's wall clock.
+/// The crash-proofing flags of the campaign modes (docs/FUZZING.md
+/// "Checkpoint, resume, and budgets").
 fn runtime_options(args: &Args) -> Result<RuntimeOptions, String> {
     let defaults = RuntimeOptions::default();
     if args.get("checkpoint").is_some() && args.get("resume").is_some() {
@@ -401,6 +502,12 @@ fn runtime_options(args: &Args) -> Result<RuntimeOptions, String> {
         (None, Some(dir)) => (Some(PathBuf::from(dir)), false),
         (None, None) => (None, false),
     };
+    if checkpoint_dir.is_none() && args.get("every").is_some() {
+        return Err(
+            "--every sets the snapshot interval; pass --checkpoint DIR or --resume DIR with it"
+                .into(),
+        );
+    }
     Ok(RuntimeOptions {
         checkpoint_dir,
         checkpoint_every: args.get_usize("every", defaults.checkpoint_every)?,
@@ -409,13 +516,24 @@ fn runtime_options(args: &Args) -> Result<RuntimeOptions, String> {
     })
 }
 
+/// The runtime options of one (program, level) run: each run checkpoints
+/// into its own `DIR/<program>/<level>/`, so a campaign over several
+/// programs or levels never resumes one run from another's snapshot.
+fn scoped(runtime: &RuntimeOptions, program: &str, level: OptLevel) -> RuntimeOptions {
+    RuntimeOptions {
+        checkpoint_dir: (runtime.checkpoint_dir.as_ref())
+            .map(|d| d.join(program).join(level.key())),
+        ..runtime.clone()
+    }
+}
+
 /// Write `what` to `path` (`--out`/`-o`), or to stdout without one. The
 /// file is written atomically (tmp + rename): a crash mid-write never
 /// leaves a truncated file where a previous good report stood.
 fn write_out(path: Option<&str>, what: &str, contents: &str) -> Result<(), String> {
     match path {
         Some(path) => {
-            snapshot::write_atomic(std::path::Path::new(path), contents)
+            snapshot::write_atomic(Path::new(path), contents)
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("{what} written to {path}");
         }
@@ -435,9 +553,8 @@ fn warn_truncated(what: &str, truncated: usize) {
     }
 }
 
-/// Build the greybox configuration from the flags shared by
-/// `fuzz --greybox` and `p4-fuzz --greybox` (`--gb-packets`, `--corpus`,
-/// `--merge-every`, `--jobs`; defaults in [`GreyboxConfig`]).
+/// The greybox configuration of `fuzz --greybox` and `p4-fuzz --greybox`
+/// (defaults in [`GreyboxConfig`]).
 fn greybox_config(
     args: &Args,
     executions: usize,
@@ -507,20 +624,17 @@ fn print_greybox(
 /// byte-identically. `mode` carries campaign-mode flags that change the
 /// search space (e.g. `--mutate-entries off`).
 fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
-    let cap = if cfg.max_packets == 0 {
-        String::new()
-    } else {
-        format!(" --gb-max-packets {}", cfg.max_packets)
-    };
-    let lanes = if cfg.lanes == 0 {
-        String::new()
-    } else {
-        format!(" --lanes {}", cfg.lanes)
-    };
-    format!(
-        "--greybox {} --seed {:#x} --jobs {} --gb-packets {} --corpus {} --merge-every {}{cap}{lanes}{mode}",
+    let mut replay = format!(
+        "--greybox {} --seed {:#x} --jobs {} --gb-packets {} --corpus {} --merge-every {}",
         cfg.executions, cfg.seed, cfg.workers, cfg.packets, cfg.corpus_max, cfg.merge_every
-    )
+    );
+    if cfg.max_packets != 0 {
+        let _ = write!(replay, " --gb-max-packets {}", cfg.max_packets);
+    }
+    if cfg.lanes != 0 {
+        let _ = write!(replay, " --lanes {}", cfg.lanes);
+    }
+    replay + mode
 }
 
 /// The differential modes `fuzz` and `p4-fuzz` share, selected by flags:
@@ -533,25 +647,14 @@ enum FuzzMode {
 }
 
 impl FuzzMode {
-    /// Select the mode and reject every flag it does not read. `common`
-    /// lists the groups each mode of `cmd` reads; `greybox` and `seeded`
-    /// are the command's own additions to the greybox and seeded modes.
-    fn parse(
-        cmd: &str,
-        args: &Args,
-        common: &[&str],
-        (greybox, seeded): (&str, &str),
-        (phvs, bits): (usize, u32),
-    ) -> Result<Self, String> {
+    /// Select the mode and reject every flag it does not read; `phvs`
+    /// and `bits` are the command's defaults.
+    fn parse(args: &Args, (phvs, bits): (usize, u32)) -> Result<Self, String> {
         let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
         let bits = args.get_u32("bits", bits)?;
         let executions = args.get_usize("greybox", 0)?;
         if executions > 0 {
-            args.check_mode(
-                cmd,
-                "greybox",
-                &[common, &[GREYBOX_MODE, RUNTIME, greybox]].concat(),
-            )?;
+            args.check_mode(GREYBOX)?;
             return Ok(FuzzMode::Greybox(greybox_config(
                 args, executions, seed, bits,
             )?));
@@ -570,18 +673,10 @@ impl FuzzMode {
             ..FuzzConfig::default()
         };
         if runs <= 1 {
-            args.check_mode(
-                cmd,
-                "single-run",
-                &[common, &[SINGLE_MODE, seeded]].concat(),
-            )?;
+            args.check_mode(SINGLE)?;
             return Ok(FuzzMode::Single(base));
         }
-        args.check_mode(
-            cmd,
-            "campaign",
-            &[common, &[CAMPAIGN_MODE, RUNTIME, seeded]].concat(),
-        )?;
+        args.check_mode(CAMPAIGN)?;
         let workers = args.get_workers(CampaignConfig::default().workers)?;
         let campaign = CampaignConfig {
             runs,
@@ -600,19 +695,20 @@ impl FuzzMode {
         }
     }
 
-    /// Run this mode on one target at `level`, print its outcome, and turn
-    /// a divergence into an error carrying the replay recipe. `p4` names
-    /// the P4 program (`None` on the ALU stack); `replay` is appended to
-    /// every recipe and `greybox_mode` to the greybox flags; `greybox`
-    /// runs the target's greybox campaign.
+    /// Run this mode on `program`'s target at `level`, print its outcome,
+    /// and turn a divergence into an error carrying the replay recipe. `p4`
+    /// marks the P4 stack; `replay` is appended to every recipe and
+    /// `greybox_mode` to the greybox flags; `greybox` runs the target's
+    /// greybox campaign.
     fn run<R, T: Target<R>>(
         &self,
-        (p4, replay, greybox_mode): (Option<&str>, &str, &str),
+        (program, p4, replay, greybox_mode): (&str, bool, &str, &str),
         level: OptLevel,
         target: &T,
         make_reference: impl Fn() -> R + Sync,
         greybox: impl FnOnce(&GreyboxConfig) -> GreyboxReport,
     ) -> Result<(), String> {
+        let p4 = p4.then_some(program);
         let lv = level.key();
         let tag = |alu: &str| p4.map_or(format!("{alu}[{lv}]"), |n| format!("p4-fuzz[{n}:{lv}]"));
         let unit = if p4.is_some() { "packets" } else { "PHVs" };
@@ -622,6 +718,10 @@ impl FuzzMode {
         };
         let (failure, cfg, verdict) = match self {
             FuzzMode::Greybox(cfg) => {
+                let cfg = &GreyboxConfig {
+                    runtime: scoped(&cfg.runtime, program, level),
+                    ..cfg.clone()
+                };
                 let report = greybox(cfg);
                 print_greybox(p4.unwrap_or("fuzz"), level, cfg, &report);
                 if report.passed() {
@@ -645,7 +745,8 @@ impl FuzzMode {
                 ));
             }
             FuzzMode::Campaign(campaign, runtime) => {
-                let report = fuzz_campaign(target, make_reference, campaign, runtime);
+                let runtime = scoped(runtime, program, level);
+                let report = fuzz_campaign(target, make_reference, campaign, &runtime);
                 let (passed, incompatible, mismatched, panicked) = report.counts();
                 let cfg = &campaign.base;
                 let workers = match p4 {
@@ -713,9 +814,24 @@ fn load(args: &Args) -> Result<(DominoProgram, CompilerConfig), String> {
 }
 
 fn is_p4_path(file: &str) -> bool {
-    std::path::Path::new(file)
+    Path::new(file)
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("p4"))
+}
+
+/// A program's name: its file's stem.
+fn stem(file: &str) -> String {
+    Path::new(file)
+        .file_stem()
+        .map_or_else(|| file.to_string(), |s| s.to_string_lossy().into_owned())
+}
+
+/// Check the flags against the mode a `.domino`/`.p4` input selects, and
+/// return the input if it is a P4 file.
+fn p4_input(args: &Args) -> Result<Option<&str>, String> {
+    let p4 = args.file.as_deref().filter(|f| is_p4_path(f));
+    args.check_mode(if p4.is_some() { P4_FILE } else { DOMINO_FILE })?;
+    Ok(p4)
 }
 
 /// The RMT grid flags shared by the P4 paths.
@@ -735,8 +851,8 @@ fn load_p4_target(args: &Args, positional: &str) -> Result<(String, P4Workload),
         let source = std::fs::read_to_string(positional)
             .map_err(|e| format!("cannot read `{positional}`: {e}"))?;
         let entries_path = match args.get("entries") {
-            Some(path) => std::path::PathBuf::from(path),
-            None => std::path::Path::new(positional).with_extension("entries"),
+            Some(path) => PathBuf::from(path),
+            None => Path::new(positional).with_extension("entries"),
         };
         let entries_text = std::fs::read_to_string(&entries_path).map_err(|e| {
             format!(
@@ -744,13 +860,9 @@ fn load_p4_target(args: &Args, positional: &str) -> Result<(String, P4Workload),
                 entries_path.display()
             )
         })?;
-        let name = std::path::Path::new(positional)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| positional.to_string());
         let workload =
             P4Workload::parse(&source, &entries_text, &cfg).map_err(|e| e.to_string())?;
-        Ok((name, workload))
+        Ok((stem(positional), workload))
     } else {
         let def = p4_by_name(positional).ok_or_else(|| {
             format!("`{positional}` is neither a .p4 file nor a P4 corpus program")
@@ -765,23 +877,15 @@ fn load_p4_target(args: &Args, positional: &str) -> Result<(String, P4Workload),
 fn load_p4_targets(args: &Args) -> Result<Vec<(String, P4Workload)>, String> {
     match args.file.as_deref() {
         Some(positional) => Ok(vec![load_p4_target(args, positional)?]),
-        None => {
-            let cfg = rmt_config(args)?;
-            P4_PROGRAMS
-                .iter()
-                .map(|def| {
-                    P4Workload::parse(def.source, def.entries, &cfg)
-                        .map(|w| (def.name.to_string(), w))
-                        .map_err(|e| format!("{}: {e}", def.name))
-                })
-                .collect()
-        }
+        None => P4_PROGRAMS
+            .iter()
+            .map(|def| load_p4_target(args, def.name).map_err(|e| format!("{}: {e}", def.name)))
+            .collect(),
     }
 }
 
 /// The `compile` report for a P4 input: the RMT lowering as text.
 fn p4_lowering_report(name: &str, workload: &P4Workload) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
     let layout = &workload.lowering.layout;
     let _ = writeln!(s, "# p4 lowering: {name}");
@@ -829,45 +933,16 @@ fn p4_lowering_report(name: &str, workload: &P4Workload) -> String {
     s
 }
 
-fn cmd_compile_p4(args: &Args, file: &str) -> Result<(), String> {
-    let (name, workload) = load_p4_target(args, file)?;
-    eprintln!(
-        "lowered: {} field container(s) + drop flag, {} stage(s), {} table(s), {} entr(ies)",
-        workload.lowering.layout.fields().len(),
-        workload.lowering.num_stages(),
-        workload.hlir.tables.len(),
-        workload.entries.len()
-    );
-    let report = p4_lowering_report(&name, &workload);
-    write_out(args.get("o"), "lowering report", &report)
-}
-
-fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
-    let common = [P4_TARGET, "generate lint seed level bits greybox mutants"];
-    let mutants_mode = "mutants phvs runs jobs case-budget out";
-    let own = "mutate-entries cross-model";
-    let known = [&common[..], &[GREYBOX_MODE, RUNTIME, mutants_mode, own]].concat();
-    let args = Args::parse("p4-fuzz", &known, rest)?;
+fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
     let mutants = args.get_usize("mutants", 0)?;
     if args.get_usize("greybox", 0)? > 0 && mutants > 0 {
         return Err("--greybox and --mutants are separate campaign modes; pick one".into());
     }
     let mode = if mutants > 0 {
-        args.check_mode(
-            "p4-fuzz",
-            "mutants",
-            &[&common[..], &[mutants_mode, RUNTIME]].concat(),
-        )?;
+        args.check_mode(MUTANTS)?;
         None
     } else {
-        let extra = ("mutate-entries", "cross-model");
-        Some(FuzzMode::parse(
-            "p4-fuzz",
-            &args,
-            &common,
-            extra,
-            (10_000, 16),
-        )?)
+        Some(FuzzMode::parse(args, (10_000, 16))?)
     };
     let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
     // `--generate N` swaps the corpus/file targets for N freshly
@@ -892,14 +967,14 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             .map(|g| (g.name, g.workload))
             .collect()
     } else {
-        load_p4_targets(&args)?
+        load_p4_targets(args)?
     };
     if args.get("lint").is_some() {
         // Static pre-pass: lint every target and translation-validate the
         // lowered program before spending any fuzz budget.
         let mut tv_mismatches = 0usize;
         for (name, workload) in &targets {
-            let analysis = druzhba::analyze::analyze_p4_workload(name, workload, false)?;
+            let analysis = analyze_p4_workload(name, workload, false)?;
             for d in &analysis.diagnostics {
                 eprintln!("lint: {d}");
             }
@@ -936,7 +1011,7 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             input_bits: bits,
             workers: args.get_workers(defaults.workers)?,
             case_budget: args.get_opt("case-budget")?,
-            runtime: runtime_options(&args)?,
+            runtime: runtime_options(args)?,
         };
         let report = p4_hunt_workloads(&cfg, &targets);
         return finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"));
@@ -959,7 +1034,7 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
                 level,
             };
             mode.run(
-                (Some(name.as_str()), "", greybox_mode),
+                (name, true, "", greybox_mode),
                 level,
                 &target,
                 || (),
@@ -983,7 +1058,7 @@ fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 fn compile_from(args: &Args) -> Result<(DominoProgram, CompiledProgram), String> {
@@ -1007,30 +1082,32 @@ fn report(compiled: &CompiledProgram) {
     eprintln!("outputs: {:?}", compiled.output_fields);
 }
 
-fn cmd_compile(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse("compile", &[GRID, P4_TARGET, "o"], rest)?;
-    if let Some(file) = args.file.clone().filter(|f| is_p4_path(f)) {
-        return cmd_compile_p4(&args, &file);
-    }
-    let (_, compiled) = compile_from(&args)?;
-    report(&compiled);
-    write_out(
-        args.get("o"),
-        "machine code",
-        &compiled.machine_code.to_text(),
-    )
+fn cmd_compile(args: &Args) -> Result<ExitCode, String> {
+    let (what, text) = match p4_input(args)? {
+        Some(file) => {
+            let (name, workload) = load_p4_target(args, file)?;
+            eprintln!(
+                "lowered: {} field container(s) + drop flag, {} stage(s), {} table(s), {} entr(ies)",
+                workload.lowering.layout.fields().len(),
+                workload.lowering.num_stages(),
+                workload.hlir.tables.len(),
+                workload.entries.len()
+            );
+            ("lowering report", p4_lowering_report(&name, &workload))
+        }
+        None => {
+            let (_, compiled) = compile_from(args)?;
+            report(&compiled);
+            ("machine code", compiled.machine_code.to_text())
+        }
+    };
+    write_out(args.get("o"), what, &text)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    let common = [GRID, "edit seed level bits greybox"];
-    let known = [
-        &common[..],
-        &[GREYBOX_MODE, CAMPAIGN_MODE, RUNTIME, "lanes"],
-    ]
-    .concat();
-    let args = Args::parse("fuzz", &known, rest)?;
-    let mode = FuzzMode::parse("fuzz", &args, &common, ("lanes", ""), (50_000, 10))?;
-    let (program, compiled) = compile_from(&args)?;
+fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
+    let mode = FuzzMode::parse(args, (50_000, 10))?;
+    let (program, compiled) = compile_from(args)?;
     report(&compiled);
     let levels = args.get_levels("level", &[OptLevel::Fused])?;
     let mut machine_code = compiled.machine_code.clone();
@@ -1044,6 +1121,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
         .unwrap_or_default();
     let observable = compiled.observable_containers();
     let make_spec = || CompiledSpec::new(program.clone(), &compiled);
+    let name = stem(args.file.as_deref().unwrap_or_default());
     for &level in &levels {
         let target = AluTarget {
             pipeline_spec: &compiled.pipeline_spec,
@@ -1052,25 +1130,29 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
             observable: Some(&observable),
             state_cells: &compiled.state_cells,
         };
-        mode.run((None, &replay, ""), level, &target, make_spec, |cfg| {
-            greybox_fuzz_test(
-                target.pipeline_spec,
-                target.mc,
-                level,
-                make_spec,
-                target.observable,
-                target.state_cells,
-                cfg,
-            )
-        })?;
+        mode.run(
+            (&name, false, &replay, ""),
+            level,
+            &target,
+            make_spec,
+            |cfg| {
+                greybox_fuzz_test(
+                    target.pipeline_spec,
+                    target.mc,
+                    level,
+                    make_spec,
+                    target.observable,
+                    target.state_cells,
+                    cfg,
+                )
+            },
+        )?;
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let own = "bits packets max-cases lanes level";
-    let args = Args::parse("verify", &[GRID, own], rest)?;
-    let (program, compiled) = compile_from(&args)?;
+fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
+    let (program, compiled) = compile_from(args)?;
     report(&compiled);
     let bits = args.get_u32("bits", 2)?;
     let packets = args.get_usize("packets", 3)?;
@@ -1149,15 +1231,14 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `druzhba generate`: emit generated programs without running any
 /// packets — the inspection/replay face of the Gauntlet-style campaign.
 /// Program `k` of a seed is a pure function of `(seed, k)`, so the
 /// `--index` flag replays exactly the program a hunt report names.
-fn cmd_generate(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse("generate", &["count seed index p4 json out"], rest)?;
+fn cmd_generate(args: &Args) -> Result<ExitCode, String> {
     if let Some(file) = &args.file {
         return Err(format!(
             "generate takes no positional argument (got `{file}`); \
@@ -1170,102 +1251,78 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
     if count == 0 {
         return Err("--count needs a nonzero program count".into());
     }
-    let json = args.get("json").is_some();
-    let mut out = String::new();
-    let rejected: u64;
-    if args.get("p4").is_some() {
-        let programs: Vec<_> = (start..start + count)
-            .map(|i| generate_p4_at(seed, i))
-            .collect();
-        rejected = programs.iter().map(|g| u64::from(g.rejects.total())).sum();
-        if json {
-            out.push_str("{\n  \"kind\": \"p4\",\n  \"programs\": [\n");
-            let rows: Vec<String> = programs
-                .iter()
-                .map(|g| {
-                    format!(
-                        "    {{\"name\": \"{}\", \"index\": {}, \"rejected\": {}, \
-                         \"recipe\": {}, \"source\": {}, \"entries\": {}}}",
-                        g.name,
-                        g.index,
-                        g.rejects.total(),
-                        json_string(&g.recipe()),
-                        json_string(&g.source),
-                        json_string(&g.entries)
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(",\n"));
-            out.push_str("\n  ]\n}\n");
-        } else {
-            for g in &programs {
-                use std::fmt::Write as _;
-                let _ = writeln!(out, "// {} (replay: {})", g.name, g.recipe());
-                out.push_str(&g.source);
-                let _ = writeln!(out, "// entries for {}:", g.name);
-                for line in g.entries.lines() {
-                    let _ = writeln!(out, "//   {line}");
-                }
+    let end = start.checked_add(count).ok_or_else(|| {
+        format!("--index {start} --count {count} runs past the last program index")
+    })?;
+    let p4 = args.get("p4").is_some();
+    let mut text = String::new();
+    let mut rows = Vec::new();
+    let mut rejected = 0u64;
+    for i in start..end {
+        if p4 {
+            let g = generate_p4_at(seed, i);
+            rejected += u64::from(g.rejects.total());
+            let _ = writeln!(text, "// {} (replay: {})", g.name, g.recipe());
+            text.push_str(&g.source);
+            let _ = writeln!(text, "// entries for {}:", g.name);
+            for line in g.entries.lines() {
+                let _ = writeln!(text, "//   {line}");
             }
-        }
-    } else {
-        let programs: Vec<_> = (start..start + count)
-            .map(|i| generate_domino_at(seed, i))
-            .collect();
-        rejected = programs.iter().map(|g| u64::from(g.rejects.total())).sum();
-        if json {
-            out.push_str("{\n  \"kind\": \"domino\",\n  \"programs\": [\n");
-            let rows: Vec<String> = programs
-                .iter()
-                .map(|g| {
-                    format!(
-                        "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \
-                         \"atom\": \"{}\", \"rejected\": {}, \"recipe\": {}, \
-                         \"source\": {}}}",
-                        g.name,
-                        g.index,
-                        g.grid,
-                        g.grid.atom,
-                        g.rejects.total(),
-                        json_string(&g.recipe()),
-                        json_string(&g.source)
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(",\n"));
-            out.push_str("\n  ]\n}\n");
+            rows.push(
+                Object::new()
+                    .field("name", &g.name)
+                    .field("index", g.index)
+                    .field("rejected", g.rejects.total())
+                    .field("recipe", g.recipe())
+                    .field("source", &g.source)
+                    .field("entries", &g.entries),
+            );
         } else {
-            for g in &programs {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    out,
-                    "// {}: --depth {} --width {} --atom {} (replay: {})",
-                    g.name,
-                    g.grid.depth,
-                    g.grid.width,
-                    g.grid.atom,
-                    g.recipe()
-                );
-                out.push_str(&g.source);
-            }
+            let g = generate_domino_at(seed, i);
+            rejected += u64::from(g.rejects.total());
+            let _ = writeln!(
+                text,
+                "// {}: --depth {} --width {} --atom {} (replay: {})",
+                g.name,
+                g.grid.depth,
+                g.grid.width,
+                g.grid.atom,
+                g.recipe()
+            );
+            text.push_str(&g.source);
+            rows.push(
+                Object::new()
+                    .field("name", &g.name)
+                    .field("index", g.index)
+                    .field("grid", g.grid.to_string())
+                    .field("atom", g.grid.atom)
+                    .field("rejected", g.rejects.total())
+                    .field("recipe", g.recipe())
+                    .field("source", &g.source),
+            );
         }
     }
+    let kind = if p4 { "p4" } else { "domino" };
     eprintln!(
-        "generate: {count} {} program(s) from seed {seed:#x} starting at index {start} \
-         ({rejected} candidate(s) rejected by the validity screen)",
-        if args.get("p4").is_some() {
-            "p4"
-        } else {
-            "domino"
-        }
+        "generate: {count} {kind} program(s) from seed {seed:#x} starting at index {start} \
+         ({rejected} candidate(s) rejected by the validity screen)"
     );
-    write_out(args.get("out"), "generated program(s)", &out)
+    let out = if args.get("json").is_some() {
+        let doc = Object::block(2)
+            .field("kind", kind)
+            .field("programs", array(rows, Some(4)));
+        format!("{doc}\n")
+    } else {
+        text
+    };
+    write_out(args.get("out"), "generated program(s)", &out)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `druzhba hunt --generate N`: the Gauntlet-style generated-program
 /// campaign (clean differential sweep, optional fault injection with
 /// program-level minimization).
-fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
+fn cmd_genhunt(args: &Args, count: u64) -> Result<ExitCode, String> {
     if args.get("programs").is_some() || args.get("mutants").is_some() {
         return Err(
             "--generate sweeps freshly generated programs; --programs/--mutants \
@@ -1273,7 +1330,7 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
                 .into(),
         );
     }
-    args.check_mode("hunt", "generate", &[RUNTIME, FUZZ, GENHUNT, "out"])?;
+    args.check_mode(GENERATE)?;
     let defaults = GenHuntConfig::default();
     let cfg = GenHuntConfig {
         count,
@@ -1331,12 +1388,10 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
             report.alarming_rejects()
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_hunt(rest: &[String]) -> Result<(), String> {
-    let own = "programs mutants verify-bits verify-packets case-budget out";
-    let args = Args::parse("hunt", &[RUNTIME, FUZZ, GENHUNT, own], rest)?;
+fn cmd_hunt(args: &Args) -> Result<ExitCode, String> {
     if let Some(file) = &args.file {
         return Err(format!(
             "hunt runs over the built-in corpus (unexpected argument `{file}`); \
@@ -1345,9 +1400,9 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
     }
     let generate = args.get_usize("generate", 0)?;
     if generate > 0 {
-        return cmd_genhunt(&args, generate as u64);
+        return cmd_genhunt(args, generate as u64);
     }
-    args.check_mode("hunt", "corpus", &[RUNTIME, FUZZ, "generate", own])?;
+    args.check_mode(CORPUS)?;
     let defaults = HuntConfig::default();
     let cfg = HuntConfig {
         programs: args
@@ -1364,7 +1419,7 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
         verify_packets: args.get_usize("verify-packets", defaults.verify_packets)?,
         workers: args.get_workers(defaults.workers)?,
         case_budget: args.get_opt("case-budget")?,
-        runtime: runtime_options(&args)?,
+        runtime: runtime_options(args)?,
     };
     let report = hunt(&cfg)?;
     finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"))
@@ -1379,7 +1434,7 @@ fn finish_hunt<F: HuntFault, C>(
     json: String,
     backends: usize,
     out: Option<&str>,
-) -> Result<(), String> {
+) -> Result<ExitCode, String> {
     let label = F::CAMPAIGN;
     for o in report.undetected() {
         eprintln!(
@@ -1428,45 +1483,51 @@ fn finish_hunt<F: HuntFault, C>(
             report.evaluations()
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
-    use druzhba::analyze::{
-        analyze_compiled, analyze_corpus, analyze_domino_def, analyze_p4_workload, CorpusAnalysis,
-    };
-
-    let args = Args::parse("analyze", &[GRID, P4_TARGET, "json out symbolic"], rest)?;
+fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let symbolic = args.get("symbolic").is_some();
-    let analysis = match args.file.as_deref() {
+    let Some(file) = args.file.as_deref() else {
         // No positional: the whole 17-program corpus.
-        None => analyze_corpus(symbolic)?,
-        Some(file) if is_p4_path(file) || p4_by_name(file).is_some() => {
-            let (name, workload) = load_p4_target(&args, file)?;
-            CorpusAnalysis {
-                programs: vec![analyze_p4_workload(&name, &workload, symbolic)?],
-            }
-        }
-        Some(name_or_file) => {
-            let program = if let Some(def) = druzhba::programs::by_name(name_or_file) {
-                analyze_domino_def(def, symbolic)?
-            } else {
-                let (_, compiled) = compile_from(&args)?;
-                let observable = compiled.observable_containers();
-                analyze_compiled(
-                    name_or_file,
-                    &compiled.pipeline_spec,
-                    &compiled.machine_code,
-                    Some(&observable),
-                    symbolic,
-                )?
-            };
-            CorpusAnalysis {
-                programs: vec![program],
-            }
-        }
+        args.check_mode(WHOLE_CORPUS)?;
+        return report_analysis(args, &analyze_corpus(symbolic)?);
     };
+    let p4_mode = if is_p4_path(file) {
+        Some(P4_FILE)
+    } else {
+        p4_by_name(file).map(|_| P4_PROGRAM)
+    };
+    let program = if let Some(mode) = p4_mode {
+        args.check_mode(mode)?;
+        let (name, workload) = load_p4_target(args, file)?;
+        analyze_p4_workload(&name, &workload, symbolic)?
+    } else if let Some(def) = druzhba::programs::by_name(file) {
+        // A corpus program always runs at its Table 1 grid.
+        args.check_mode(DOMINO_PROGRAM)?;
+        analyze_domino_def(def, symbolic)?
+    } else {
+        args.check_mode(DOMINO_FILE)?;
+        let (_, compiled) = compile_from(args)?;
+        let observable = compiled.observable_containers();
+        analyze_compiled(
+            file,
+            &compiled.pipeline_spec,
+            &compiled.machine_code,
+            Some(&observable),
+            symbolic,
+        )?
+    };
+    report_analysis(
+        args,
+        &CorpusAnalysis {
+            programs: vec![program],
+        },
+    )
+}
 
+/// Print or write the analysis and pick `analyze`'s exit code.
+fn report_analysis(args: &Args, analysis: &CorpusAnalysis) -> Result<ExitCode, String> {
     let rendered = if args.get("json").is_some() {
         analysis.to_json()
     } else {
@@ -1488,8 +1549,8 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(code))
 }
 
-fn cmd_emit(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse("emit", &[GRID, P4_TARGET, "level"], rest)?;
+fn cmd_emit(args: &Args) -> Result<ExitCode, String> {
+    let p4 = p4_input(args)?;
     let level = match args.get("level") {
         None => OptLevel::SccInline,
         Some("all") => {
@@ -1497,21 +1558,21 @@ fn cmd_emit(rest: &[String]) -> Result<(), String> {
         }
         Some(tok) => parse_level(tok)?,
     };
-    if let Some(file) = args.file.clone().filter(|f| is_p4_path(f)) {
-        let (_, workload) = load_p4_target(&args, &file)?;
-        let src = emit_mat_pipeline(&workload.hlir, &workload.entries, &workload.lowering, level)
-            .map_err(|e| e.to_string())?;
-        print!("{src}");
-        return Ok(());
-    }
-    let (_, compiled) = compile_from(&args)?;
-    let src = emit_pipeline(&compiled.pipeline_spec, &compiled.machine_code, level)
-        .map_err(|e| e.to_string())?;
-    print!("{src}");
-    Ok(())
+    let src = match p4 {
+        Some(file) => {
+            let (_, workload) = load_p4_target(args, file)?;
+            emit_mat_pipeline(&workload.hlir, &workload.entries, &workload.lowering, level)
+        }
+        None => {
+            let (_, compiled) = compile_from(args)?;
+            emit_pipeline(&compiled.pipeline_spec, &compiled.machine_code, level)
+        }
+    };
+    print!("{}", src.map_err(|e| e.to_string())?);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_atoms() -> Result<(), String> {
+fn cmd_atoms(_: &Args) -> Result<ExitCode, String> {
     use druzhba::alu_dsl::atoms::{atom, STATEFUL_ATOMS, STATELESS_ATOMS};
     println!("stateful atoms:");
     for name in STATEFUL_ATOMS {
@@ -1527,10 +1588,10 @@ fn cmd_atoms() -> Result<(), String> {
         let spec = atom(name).map_err(|e| e.to_string())?;
         println!("  {name:<18} {} hole(s)", spec.holes.len());
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_programs() -> Result<(), String> {
+fn cmd_programs(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<20} {:>11} {:>12}  source",
         "program", "depth,width", "atom"
@@ -1549,5 +1610,33 @@ fn cmd_programs() -> Result<(), String> {
     for def in &P4_PROGRAMS {
         println!("{:<20} {:>6}  {}", def.name, def.stages, def.description);
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    /// No command or flag is declared twice, and every flag is marked
+    /// with modes its command declares.
+    #[test]
+    fn the_command_table_is_consistent() {
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            assert!(
+                COMMANDS[..i].iter().all(|c| c.name != cmd.name),
+                "{}",
+                cmd.name
+            );
+            for (j, f) in cmd.flags.iter().enumerate() {
+                let name = format!("{} --{}", cmd.name, f.name);
+                assert!(
+                    cmd.flags[..j].iter().all(|g| g.name != f.name),
+                    "{name} twice"
+                );
+                for mode in f.modes {
+                    assert!(cmd.modes.iter().any(|(m, _)| m == mode), "{name}: `{mode}`");
+                }
+            }
+        }
+    }
 }

@@ -14,11 +14,10 @@
 //! real but this backend's fresh seeds missed it".
 
 use std::collections::BTreeMap;
-use std::fmt::{Debug, Display, Write as _};
+use std::fmt::Debug;
 
 use druzhba_analysis::StaticFlag;
-use druzhba_core::diag::json_string;
-use druzhba_core::Trace;
+use druzhba_core::json::{array, Object, Raw};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::minimize::MinimizedCounterExample;
 use druzhba_dsim::runtime::{run_resumable, Campaign, RecordCodec, RuntimeOptions};
@@ -43,11 +42,11 @@ pub trait HuntFault: Clone + Debug + Eq + Send + Sync {
     /// Inverse of [`HuntFault::class_key`].
     fn class_from_key(key: &str) -> Option<Self::Kind>;
     /// The fault as a JSON object.
-    fn json(&self) -> String;
-    /// The stack's extra fields of a row's `minimized` object, each
-    /// followed by `, ` (none by default).
-    fn minimized_detail(_mce: &MinimizedCounterExample) -> String {
-        String::new()
+    fn json(&self) -> Object;
+    /// Add the stack's extra fields to a row's `minimized` object (none
+    /// by default).
+    fn minimized_detail(_mce: &MinimizedCounterExample, minimized: Object) -> Object {
+        minimized
     }
 }
 
@@ -145,40 +144,29 @@ impl<F: HuntFault> MutantOutcome<F> {
     }
 
     /// The report's `mutants[]` row.
-    fn row_json(&self) -> String {
-        let mut s = format!(
-            "    {{\"program\": {}, \"fault\": {}, \"level\": \"{}\", ",
-            json_string(&self.program),
-            self.fault.json(),
-            self.level.key()
-        );
-        if let Some(flag) = self.static_flag {
-            let _ = write!(s, "\"static_flag\": \"{}\", ", flag.label());
-        }
-        let _ = write!(s, "\"detected_by\": \"{}\", ", self.detection.key());
-        if let Some(seed) = self.detection.seed() {
-            let _ = write!(s, "\"seed\": {seed}, ");
-        }
-        let verdict = self
-            .verdict
-            .as_ref()
-            .map_or("null".to_string(), |v| format!("\"{}\"", v.class().key()));
-        let minimized = self.minimized.as_ref().map_or("null".to_string(), |mce| {
-            format!(
-                "{{\"original_packets\": {}, \"packets\": {}, \"input\": [{}], {}\"checks\": {}}}",
-                mce.original_packets,
-                mce.packets(),
-                packets_json(&mce.input),
-                F::minimized_detail(mce),
-                mce.checks
-            )
+    fn row_json(&self) -> Object {
+        let minimized = self.minimized.as_ref().map(|mce| {
+            let packets = mce.input.phvs.iter().map(|p| array(p.containers(), None));
+            let head = Object::new()
+                .field("original_packets", mce.original_packets)
+                .field("packets", mce.packets())
+                .field("input", array(packets, None));
+            F::minimized_detail(mce, head).field("checks", mce.checks)
         });
-        let _ = write!(
-            s,
-            "\"executions_to_detection\": {}, \"verdict\": {verdict}, \"minimized\": {minimized}}}",
-            self.executions
-        );
-        s
+        let mut row = Object::new()
+            .field("program", &self.program)
+            .field("fault", self.fault.json())
+            .field("level", self.level.key());
+        if let Some(flag) = self.static_flag {
+            row = row.field("static_flag", flag.label());
+        }
+        row = row.field("detected_by", self.detection.key());
+        if let Some(seed) = self.detection.seed() {
+            row = row.field("seed", seed);
+        }
+        row.field("executions_to_detection", self.executions)
+            .field("verdict", self.verdict.as_ref().map(|v| v.class().key()))
+            .field("minimized", minimized)
     }
 }
 
@@ -224,15 +212,15 @@ impl<F: HuntFault> EvalRecord<F> {
                 .as_ref()
                 .map_or(VerdictClass::Pass, Verdict::class),
             executions: o.executions,
-            json: o.row_json(),
+            json: o.row_json().to_string(),
         }
     }
 }
 
 /// One checkpoint line per task: tab-separated keys (the static flag only
-/// on stacks that compute one), the JSON row last. The row never holds a
-/// raw tab or newline (strings are JSON-escaped; snapshot escaping covers
-/// the rest).
+/// on stacks that compute one), the JSON row last, indented as in the
+/// report. The row never holds a raw tab or newline (strings are
+/// JSON-escaped; snapshot escaping covers the rest).
 impl<F: HuntFault> RecordCodec for EvalRecord<F> {
     fn encode(&self, idx: usize) -> Option<String> {
         let mut cols = vec![
@@ -246,7 +234,7 @@ impl<F: HuntFault> RecordCodec for EvalRecord<F> {
         cols.extend([
             self.verdict_class.key().to_string(),
             self.executions.to_string(),
-            self.json.clone(),
+            format!("{ROW_INDENT}{}", self.json),
         ]);
         Some(cols.join("\t"))
     }
@@ -272,7 +260,7 @@ impl<F: HuntFault> RecordCodec for EvalRecord<F> {
             static_flag,
             verdict_class: VerdictClass::from_key(parts.next()?)?,
             executions: parts.next()?.parse().ok()?,
-            json: parts.next()?.to_string(),
+            json: parts.next()?.strip_prefix(ROW_INDENT)?.to_string(),
         };
         Some((idx, record))
     }
@@ -371,52 +359,52 @@ impl<F: HuntFault, C> Report<F, C> {
         tally(self.records.iter().map(|r| r.verdict_class.key()))
     }
 
-    /// The summary entries both stacks open with.
-    pub(crate) fn summary_head(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("evaluations", self.evaluations().to_string()),
-            ("truncated", self.truncated.to_string()),
-            ("detected", self.detected().to_string()),
-            ("detection_rate", format!("{:.4}", self.detection_rate())),
-        ]
+    /// The summary both stacks open with.
+    pub(crate) fn summary_head(&self) -> Object {
+        Object::block(4)
+            .field("evaluations", self.evaluations())
+            .field("truncated", self.truncated)
+            .field("detected", self.detected())
+            .field("detection_rate", rate(self.detection_rate()))
     }
 
-    /// The summary's `by_fault` entry.
-    pub(crate) fn by_fault_json(&self) -> (&'static str, String) {
-        let counts = self
-            .by_fault_kind()
+    /// The summary's `by_fault` object.
+    pub(crate) fn by_fault(&self) -> Object {
+        self.by_fault_kind()
             .into_iter()
             .map(|(kind, (total, detected))| {
-                let value = format!("{{\"total\": {total}, \"detected\": {detected}}}");
-                (F::class_key(kind), value)
-            });
-        ("by_fault", json_object(counts))
+                let counts = Object::new()
+                    .field("total", total)
+                    .field("detected", detected);
+                (F::class_key(kind), counts)
+            })
+            .collect()
     }
 }
 
-/// A campaign report document: `config` and `summary` objects from
-/// `(key, rendered value)` entries, then the pre-rendered rows as the
-/// `rows_key` array.
+/// The indent a checkpoint line keeps before its report row: snapshot
+/// format v1 stores the row as the report indents it.
+pub(crate) const ROW_INDENT: &str = "    ";
+
+/// A campaign report document: the `config` and `summary` objects, then
+/// the pre-rendered rows as the `rows_key` array.
 pub(crate) fn render_report<'a>(
-    config: &[(&str, String)],
-    summary: &[(&str, String)],
+    config: Object,
+    summary: Object,
     rows_key: &str,
     rows: impl Iterator<Item = &'a str>,
 ) -> String {
-    let object = |entries: &[(&str, String)]| {
-        let lines: Vec<String> = entries
-            .iter()
-            .map(|(k, v)| format!("    \"{k}\": {v}"))
-            .collect();
-        lines.join(",\n")
-    };
-    let rows: Vec<&str> = rows.collect();
-    format!(
-        "{{\n  \"config\": {{\n{}\n  }},\n  \"summary\": {{\n{}\n  }},\n  \"{rows_key}\": [\n{}\n  ]\n}}\n",
-        object(config),
-        object(summary),
-        rows.join(",\n")
-    )
+    let rows = array(rows.map(|r| Raw(r.to_string())), Some(4));
+    let report = Object::block(2)
+        .field("config", config)
+        .field("summary", summary)
+        .field(rows_key, rows);
+    format!("{report}\n")
+}
+
+/// A rate as the reports print it: four decimals.
+pub(crate) fn rate(r: f64) -> Raw {
+    Raw(format!("{r:.4}"))
 }
 
 /// How often each key occurs.
@@ -426,42 +414,6 @@ fn tally<K: Ord>(keys: impl Iterator<Item = K>) -> BTreeMap<K, usize> {
         *out.entry(k).or_insert(0) += 1;
     }
     out
-}
-
-/// A one-line JSON object from `(key, rendered value)` pairs:
-/// `{"k1": v1, "k2": v2}`.
-pub(crate) fn json_object<K: Display, V: Display>(
-    entries: impl IntoIterator<Item = (K, V)>,
-) -> String {
-    let pairs: Vec<String> = entries
-        .into_iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    format!("{{{}}}", pairs.join(", "))
-}
-
-/// A report's `levels` array: quoted backend keys.
-pub(crate) fn levels_json(levels: &[OptLevel]) -> String {
-    let keys: Vec<String> = levels.iter().map(|l| format!("\"{}\"", l.key())).collect();
-    format!("[{}]", keys.join(", "))
-}
-
-/// A trace's packets as comma-separated JSON arrays.
-fn packets_json(input: &Trace) -> String {
-    let packets: Vec<String> = input
-        .phvs
-        .iter()
-        .map(|p| {
-            let vals: Vec<String> = (0..p.len()).map(|c| p.get(c).to_string()).collect();
-            format!("[{}]", vals.join(", "))
-        })
-        .collect();
-    packets.join(", ")
-}
-
-/// An optional count as JSON (`null` when absent).
-pub(crate) fn opt_json(n: Option<usize>) -> String {
-    n.map_or("null".to_string(), |n| n.to_string())
 }
 
 /// Salt of the screening probes' seeds (`"SCRN"`), shared by both stacks.

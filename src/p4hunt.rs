@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
-use druzhba_core::diag::json_string;
+use druzhba_core::json::{array, Object};
 use druzhba_core::{Trace, Value};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
@@ -35,8 +35,8 @@ use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
 
 use crate::mutation::{
-    self, levels_json, opt_json, render_report, EvalRecord, HuntFault, Mutant, MutantOutcome,
-    Report, Settings, SCREEN_SALT,
+    self, render_report, EvalRecord, HuntFault, Mutant, MutantOutcome, Report, Settings,
+    SCREEN_SALT,
 };
 
 /// Configuration of a P4 hunt campaign.
@@ -98,22 +98,20 @@ impl P4HuntReport {
     /// Render the campaign as a JSON document (schema: DESIGN.md §7).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
-        let config = [
-            ("seed", cfg.seed.to_string()),
-            ("mutants_per_class", cfg.mutants_per_class.to_string()),
-            ("levels", levels_json(&cfg.levels)),
-            ("fuzz_phvs", cfg.fuzz_phvs.to_string()),
-            ("fuzz_runs", cfg.fuzz_runs.to_string()),
-            ("input_bits", cfg.input_bits.to_string()),
-            ("case_budget", opt_json(cfg.case_budget)),
-        ];
-        let mut summary = self.summary_head();
-        summary.extend([
-            ("neutral_discarded", self.neutral_discarded.to_string()),
-            self.by_fault_json(),
-        ]);
+        let config = Object::block(4)
+            .field("seed", cfg.seed)
+            .field("mutants_per_class", cfg.mutants_per_class)
+            .field("levels", array(cfg.levels.iter().map(|l| l.key()), None))
+            .field("fuzz_phvs", cfg.fuzz_phvs)
+            .field("fuzz_runs", cfg.fuzz_runs)
+            .field("input_bits", cfg.input_bits)
+            .field("case_budget", cfg.case_budget);
+        let summary = self
+            .summary_head()
+            .field("neutral_discarded", self.neutral_discarded)
+            .field("by_fault", self.by_fault());
         let rows = self.records.iter().map(|r| r.json.as_str());
-        render_report(&config, &summary, "mutants", rows)
+        render_report(config, summary, "mutants", rows)
     }
 }
 
@@ -136,34 +134,29 @@ impl HuntFault for P4Fault {
         P4FaultKind::from_key(key)
     }
 
-    fn json(&self) -> String {
-        match self {
-            P4Fault::RemovedEntry { table, priority } => format!(
-                "{{\"kind\": \"removed_entry\", \"table\": {}, \"priority\": {priority}}}",
-                json_string(table)
-            ),
-            P4Fault::ActionArg {
-                table,
-                priority,
-                arg,
-                old,
-                new,
-            } => format!(
-                "{{\"kind\": \"action_arg\", \"table\": {}, \"priority\": {priority}, \
-                 \"arg\": {arg}, \"old\": {old}, \"new\": {new}}}",
-                json_string(table)
-            ),
+    fn json(&self) -> Object {
+        let (P4Fault::RemovedEntry { table, priority }
+        | P4Fault::ActionArg {
+            table, priority, ..
+        }
+        | P4Fault::MatchValue {
+            table, priority, ..
+        }) = self;
+        let fault = Object::new()
+            .field("kind", self.kind().key())
+            .field("table", table)
+            .field("priority", priority);
+        match *self {
+            P4Fault::RemovedEntry { .. } => fault,
+            P4Fault::ActionArg { arg, old, new, .. } => {
+                fault.field("arg", arg).field("old", old).field("new", new)
+            }
             P4Fault::MatchValue {
-                table,
-                priority,
-                clause,
-                old,
-                new,
-            } => format!(
-                "{{\"kind\": \"match_value\", \"table\": {}, \"priority\": {priority}, \
-                 \"clause\": {clause}, \"old\": {old}, \"new\": {new}}}",
-                json_string(table)
-            ),
+                clause, old, new, ..
+            } => fault
+                .field("clause", clause)
+                .field("old", old)
+                .field("new", new),
         }
     }
 }

@@ -527,7 +527,15 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
     let file = write_sampling();
     let file = file.to_str().unwrap();
     let grid = ["--depth", "2", "--width", "1", "--atom", "if_else_raw"];
-    let cases: [(&[&str], &str); 13] = [
+    let p4 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/programs/assets/p4/l2_forward.p4"
+    );
+    let rcp = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/programs/assets/rcp.domino"
+    );
+    let cases: [(&[&str], &str); 19] = [
         // Only the mutant campaign writes a report or caps its cases.
         (
             &["p4-fuzz", "l2_forward", "--out", "x.json"],
@@ -585,6 +593,36 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
             &["fuzz", file, "--phvs", "100", "--phvs", "200"],
             "flag `--phvs` given twice for `fuzz`",
         ),
+        // The input kind selects the mode: grid flags are Domino-only,
+        // lowering flags P4-only, and a corpus name brings its own grid.
+        (
+            &["compile", p4, "--depth", "3"],
+            "flag `--depth` does not apply to `compile` in p4-file mode",
+        ),
+        (
+            &["emit", rcp, "--stages", "3", "--depth", "3"],
+            "flag `--stages` does not apply to `emit` in domino-file mode",
+        ),
+        (
+            &["analyze", "l2_forward", "--depth", "3"],
+            "flag `--depth` does not apply to `analyze` in p4-program mode",
+        ),
+        (
+            &[
+                "analyze", "rcp", "--depth", "9", "--width", "9", "--atom", "nope",
+            ],
+            "flag `--depth` does not apply to `analyze` in domino-program mode",
+        ),
+        (
+            &["analyze", "--symbolic", "--tables-per-stage", "2"],
+            "flag `--tables-per-stage` does not apply to `analyze` in whole-corpus mode",
+        ),
+        // `--every` is the snapshot interval; without a checkpoint
+        // directory there is nothing to snapshot.
+        (
+            &["hunt", "--every", "3", "--programs", "rcp"],
+            "--every sets the snapshot interval; pass --checkpoint DIR or --resume DIR",
+        ),
     ];
     for (args, message) in cases {
         let mut args = args.to_vec();
@@ -626,4 +664,96 @@ fn emit_accepts_level_names_and_rejects_all() {
     assert_eq!(all.status.code(), Some(1));
     let err = String::from_utf8_lossy(&all.stderr);
     assert!(err.contains("emit renders one backend"), "stderr: {err}");
+}
+
+/// `druzhba help` and the flag tables of docs/FUZZING.md list the same
+/// flags for every command (and mode) the guide documents, both ways.
+#[test]
+fn help_and_the_fuzzing_guide_list_the_same_flags() {
+    use std::collections::BTreeSet;
+
+    let out = druzhba(&["help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout).into_owned();
+    // Flags `help` lists for `cmd`: every flag when `mode` is `None`,
+    // else the unmarked ones plus those marked `[.., mode, ..]`.
+    let help_flags = |cmd: &str, mode: Option<&str>| -> BTreeSet<String> {
+        let head = format!("druzhba {cmd}");
+        let block = help
+            .split("\n\n")
+            .find(|b| {
+                b.lines()
+                    .next()
+                    .unwrap_or("")
+                    .split(' ')
+                    .take(2)
+                    .eq(head.split(' '))
+            })
+            .unwrap_or_else(|| panic!("help has no `{head}` block:\n{help}"));
+        block
+            .lines()
+            .filter(|l| l.trim_start().starts_with('-'))
+            .filter(|l| {
+                let marked = l
+                    .ends_with(']')
+                    .then(|| &l[l.rfind('[').unwrap() + 1..l.len() - 1]);
+                match (marked, mode) {
+                    (Some(modes), Some(mode)) => modes.split(", ").any(|m| m == mode),
+                    _ => true,
+                }
+            })
+            .map(|l| l.split_whitespace().next().unwrap().to_string())
+            .collect()
+    };
+
+    let guide = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FUZZING.md"))
+        .expect("read docs/FUZZING.md");
+    // Flags named in the first column of the tables in the sections
+    // whose headings start with one of `headings`.
+    let guide_flags = |headings: &[&str]| -> BTreeSet<String> {
+        let mut flags = BTreeSet::new();
+        for section in guide.split("\n## ").skip(1) {
+            if !headings.iter().any(|h| section.starts_with(h)) {
+                continue;
+            }
+            for row in section.lines().filter(|l| l.starts_with("| `")) {
+                let cell = row.split(" | ").next().unwrap();
+                flags.extend(
+                    cell.split(|c: char| c == '`' || c.is_whitespace())
+                        .filter(|t| t.starts_with('-') && t.len() > 2)
+                        .map(str::to_string),
+                );
+            }
+        }
+        flags
+    };
+
+    let greybox = "`--greybox`";
+    let runtime = "Checkpoint, resume, and budgets";
+    let cases: [(&str, Option<&str>, Vec<&str>); 5] = [
+        ("fuzz", None, vec!["`druzhba fuzz`", greybox, runtime]),
+        ("verify", None, vec!["`druzhba verify"]),
+        ("p4-fuzz", None, vec!["`druzhba p4-fuzz`", greybox, runtime]),
+        ("hunt", Some("corpus"), vec!["`druzhba hunt` ", runtime]),
+        (
+            "hunt",
+            Some("generate"),
+            vec!["`druzhba hunt --generate`", runtime],
+        ),
+    ];
+    for (cmd, mode, headings) in cases {
+        let documented = guide_flags(&headings);
+        let listed = help_flags(cmd, mode);
+        assert!(!listed.is_empty(), "{cmd} {mode:?}: no flags in help");
+        assert_eq!(
+            listed.difference(&documented).collect::<Vec<_>>(),
+            Vec::<&String>::new(),
+            "{cmd} {mode:?}: flags in help but not in docs/FUZZING.md"
+        );
+        assert_eq!(
+            documented.difference(&listed).collect::<Vec<_>>(),
+            Vec::<&String>::new(),
+            "{cmd} {mode:?}: flags in docs/FUZZING.md but not in help"
+        );
+    }
 }

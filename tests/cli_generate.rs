@@ -216,3 +216,21 @@ fn p4_fuzz_generate_rejects_a_positional_target() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("drop the positional"), "stderr: {err}");
 }
+
+#[test]
+fn generate_rejects_an_index_range_past_the_last_program() {
+    let out = druzhba(&[
+        "generate",
+        "--index",
+        "18446744073709551615",
+        "--count",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--index 18446744073709551615 --count 2 runs past the last program index"),
+        "stderr: {err}"
+    );
+    assert!(out.stdout.is_empty(), "programs were emitted");
+}

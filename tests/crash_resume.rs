@@ -274,3 +274,72 @@ fn budgeted_hunt_exits_zero_with_a_truncation_warning() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"truncated\""), "stdout: {stdout}");
 }
+
+/// Campaigns over several programs or levels checkpoint each
+/// (program, level) run into its own `DIR/<program>/<level>/`, so a
+/// resume restores every run from its own snapshot: no fingerprint
+/// warnings, nothing rerun, and the stdout of the clean run.
+#[test]
+fn multi_run_campaigns_resume_each_run_from_its_own_snapshot() {
+    let bin = env!("CARGO_BIN_EXE_druzhba");
+    let dir = std::env::temp_dir().join(format!("druzhba-keyed-resume-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let campaigns: [(&[&str], &str); 3] = [
+        (
+            &[
+                "p4-fuzz",
+                "l2_forward",
+                "--runs",
+                "3",
+                "--phvs",
+                "200",
+                "--level",
+                "all",
+            ],
+            "l2_forward/scc_inline/p4-campaign.snapshot",
+        ),
+        (
+            &[
+                "p4-fuzz",
+                "l2_forward",
+                "--greybox",
+                "200",
+                "--level",
+                "0,3",
+            ],
+            "l2_forward/fused/greybox.snapshot",
+        ),
+        (
+            &["p4-fuzz", "--runs", "2", "--phvs", "200", "--level", "3"],
+            "lpm_router/fused/p4-campaign.snapshot",
+        ),
+    ];
+    for (i, (args, snapshot)) in campaigns.into_iter().enumerate() {
+        let ckpt = dir.join(i.to_string());
+        let ckpt = ckpt.to_str().unwrap();
+        let run = |extra: &[&str]| {
+            let out = Command::new(bin)
+                .args(args)
+                .args(extra)
+                .output()
+                .expect("spawn p4-fuzz");
+            assert!(out.status.success(), "{args:?} {extra:?}: {out:?}");
+            out
+        };
+        let clean = run(&[]);
+        run(&["--checkpoint", ckpt]);
+        assert!(
+            dir.join(i.to_string()).join(snapshot).exists(),
+            "{args:?}: no snapshot at {snapshot}"
+        );
+        let resumed = run(&["--resume", ckpt]);
+        assert_eq!(
+            String::from_utf8_lossy(&clean.stdout),
+            String::from_utf8_lossy(&resumed.stdout),
+            "{args:?}: resumed stdout differs from the clean run"
+        );
+        let err = String::from_utf8_lossy(&resumed.stderr);
+        assert!(!err.contains("fingerprint mismatch"), "{args:?}: {err}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
