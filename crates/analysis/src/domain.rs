@@ -19,8 +19,8 @@
 //! Transfer functions mirror `dgen`'s concrete semantics exactly:
 //! wrapping `+`/`-`/`*`, *total* division and modulo (`x / 0 == x % 0 ==
 //! 0`), comparisons and logical connectives producing `0`/`1`, and the
-//! canned ALU primitives (`rel_op`, `arith_op`, `opt`, `mux2`, `mux3`)
-//! with concrete opcode holes.
+//! bitwise AND and constant right shift of the lowered P4 match
+//! conditions.
 
 use druzhba_alu_dsl::ast::{BinOp, UnOp};
 use druzhba_core::value::{self, Value};
@@ -447,59 +447,22 @@ impl AbsVal {
         }
     }
 
+    /// Bitwise AND: `x & y <= min(x, y)` in the unsigned domain.
+    pub fn bit_and(self, rhs: AbsVal) -> Self {
+        AbsVal::range(0, self.iv.hi.min(rhs.iv.hi))
+    }
+
+    /// Logical right shift by a constant below 32 (monotone over the
+    /// unsigned interval).
+    pub fn shr(self, shift: u32) -> Self {
+        AbsVal::range(self.iv.lo >> shift, self.iv.hi >> shift)
+    }
+
     /// Abstract counterpart of `eval::apply_unop`.
     pub fn unop(op: UnOp, x: AbsVal) -> Self {
         match op {
             UnOp::Neg => x.neg(),
             UnOp::Not => x.not(),
-        }
-    }
-
-    // --- Canned ALU primitives (concrete opcodes) --------------------
-
-    /// `rel_op(opcode)(a, b)`: `0 >=`, `1 <=`, `2 ==`, `3 !=`.
-    pub fn rel_op(opcode: Value, a: AbsVal, b: AbsVal) -> Self {
-        match opcode & 3 {
-            0 => a.cmp_ge(b),
-            1 => a.cmp_le(b),
-            2 => a.cmp_eq(b),
-            _ => a.cmp_ne(b),
-        }
-    }
-
-    /// `arith_op(opcode)(a, b)`: `0` add, `1` sub (wrapping).
-    pub fn arith_op(opcode: Value, a: AbsVal, b: AbsVal) -> Self {
-        if opcode & 1 == 0 {
-            a.add(b)
-        } else {
-            a.sub(b)
-        }
-    }
-
-    /// `opt(opcode)(x)`: identity for opcode 0, constant 0 otherwise.
-    pub fn opt(opcode: Value, x: AbsVal) -> Self {
-        if opcode == 0 {
-            x
-        } else {
-            AbsVal::constant(0)
-        }
-    }
-
-    /// Two-way multiplexer with a concrete selector.
-    pub fn mux2(opcode: Value, a: AbsVal, b: AbsVal) -> Self {
-        if opcode == 0 {
-            a
-        } else {
-            b
-        }
-    }
-
-    /// Three-way multiplexer with a concrete selector.
-    pub fn mux3(opcode: Value, a: AbsVal, b: AbsVal, c: AbsVal) -> Self {
-        match opcode {
-            0 => a,
-            1 => b,
-            _ => c,
         }
     }
 }

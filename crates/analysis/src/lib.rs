@@ -26,10 +26,7 @@
 //! property tests in `tests/analysis_soundness.rs` pin this against all
 //! backends over the shipped corpus.
 
-pub mod alu;
-pub mod bytecode;
 pub mod domain;
-pub mod fused;
 pub mod p4;
 pub mod pipeline;
 pub mod rewrite;

@@ -2,26 +2,29 @@
 //! it: static translation validation, lint extraction, and the generator
 //! screen.
 //!
-//! The analyzer never re-derives wiring from machine-code names: it walks
-//! the very [`Pipeline`] the simulator generates (units, operand
-//! selections, output muxes, fused program), so the abstract and concrete
-//! executions cannot drift structurally. Cross-packet state is resolved by
-//! a join/widen fixpoint: starting from all-zero state (the hardware
-//! reset), abstract packets are pushed through until the state
-//! abstraction stops growing — the result over-approximates the pipeline
-//! after *any* number of packets drawn from the abstract input.
+//! The analyzer does not interpret any IR itself. It runs the symbolic
+//! executor of [`crate::symbolic`] once over the very [`Pipeline`] the
+//! simulator generates, with every entry container and state variable a
+//! free symbol, and reads the abstraction off the resulting transfer DAG
+//! with [`TermStore::abs_eval`]. Cross-packet state is resolved by a
+//! join/widen fixpoint over the state terms: starting from all-zero state
+//! (the hardware reset), the state abstraction is pushed through the
+//! transfer function until it stops growing. The result over-approximates
+//! the pipeline after *any* number of packets drawn from the abstract
+//! input. Lints and branch edges come from the sites the executors record
+//! while they walk, evaluated under the fixpoint valuation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use druzhba_core::{MachineCode, Result};
-use druzhba_dgen::fused::FUSED_SITE;
-use druzhba_dgen::pipeline::{validate_machine_code, AluUnit, PipelineSpec};
+use druzhba_dgen::bytecode::Instr;
+use druzhba_dgen::fused::{FusedInstr, FUSED_SITE};
+use druzhba_dgen::pipeline::{validate_machine_code, PipelineSpec};
 use druzhba_dgen::{OptLevel, Pipeline};
 
-use crate::alu::{abs_eval_alu, widen_states, LintEvent};
-use crate::bytecode::abs_eval_bytecode;
-use crate::domain::AbsVal;
-use crate::fused::abs_eval_fused;
+use crate::domain::{AbsVal, Tri};
+use crate::symbolic::{sym_run_pipeline, Decision, Site, Sites, SymTransfer, UnitLoc};
+use crate::term::{Sym, TermId, TermStore};
 
 /// Maximum fixpoint iterations before declaring non-convergence (the
 /// widening operator guarantees convergence far sooner; this is a belt).
@@ -42,6 +45,9 @@ pub struct LintRecord {
 /// `druzhba_core::coverage::edge_id`.
 pub type EdgeKey = (u32, u32, u32);
 
+/// Abstract stateful-ALU state: `state[stage][slot][var]`.
+type AbsState = Vec<Vec<Vec<AbsVal>>>;
+
 /// The abstract result of running a pipeline to its cross-packet state
 /// fixpoint from one abstract input PHV.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,19 +56,24 @@ pub struct PipelineAbs {
     /// Abstract output PHV (per container) at the state fixpoint.
     pub phv: Vec<AbsVal>,
     /// Abstract stateful-ALU state: `state[stage][slot][var]`.
-    pub state: Vec<Vec<Vec<AbsVal>>>,
+    pub state: AbsState,
     /// Conditional-branch coverage edges proven unreachable. Only levels
     /// with statically-keyed branch edges report here (`SccInline`,
     /// `Fused`); the AST-walking levels key edges by execution-order
     /// event ordinals, which have no static identity.
     pub dead_edges: Vec<EdgeKey>,
-    /// Conditional-branch edges the analysis could not rule out.
+    /// Conditional-branch edges the analysis could not rule out, plus
+    /// (at the same levels) the mux-selection or stage-entry edges every
+    /// packet records.
     pub live_edges: Vec<EdgeKey>,
     pub lints: Vec<LintRecord>,
 }
 
 /// Abstractly execute `(spec, mc)` at `level` from the abstract input
 /// `input` (one [`AbsVal`] per PHV container).
+///
+/// If the symbolic executor bails (path explosion), the result is the
+/// sound all-top abstraction: no lints, no dead edges, every edge live.
 pub fn analyze_pipeline(
     spec: &PipelineSpec,
     mc: &MachineCode,
@@ -70,261 +81,328 @@ pub fn analyze_pipeline(
     input: &[AbsVal],
 ) -> Result<PipelineAbs> {
     let pipeline = Pipeline::generate(spec, mc, level)?;
-    let cfg = *pipeline.config();
-    debug_assert_eq!(input.len(), cfg.phv_length);
-    let n_state = spec.stateful_alu.state_vars.len();
-    let zero_state = vec![vec![vec![AbsVal::constant(0); n_state]; cfg.width]; cfg.depth];
-
-    let mut state = zero_state;
-    let mut iters = 0;
-    loop {
-        let step = run_once(&pipeline, spec, input, &state, false);
-        let merged: Vec<Vec<Vec<AbsVal>>> = state
-            .iter()
-            .zip(&step.state)
-            .map(|(srow, nrow)| {
-                srow.iter()
-                    .zip(nrow)
-                    .map(|(s, n)| {
-                        let joined = crate::alu::join_states(s, n);
-                        if iters < JOIN_ITERS {
-                            joined
-                        } else {
-                            widen_states(s, &joined)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        if merged == state || iters >= MAX_ITERS {
-            state = merged;
-            break;
-        }
-        state = merged;
-        iters += 1;
+    let mut store = TermStore::new();
+    let mut sites = Sites::default();
+    let tr = sym_run_pipeline(&mut store, &pipeline, spec, Some(&mut sites));
+    let (phv, state) = abstract_run(&store, tr.as_ref(), spec, input);
+    let branches = branch_sites(&pipeline);
+    // The edges every packet records are live at the statically keyed
+    // levels, so the live list covers every edge the backend records.
+    let mut live_edges = match level {
+        OptLevel::SccInline | OptLevel::Fused => pipeline.fixed_edges(),
+        OptLevel::Unoptimized | OptLevel::Scc => Vec::new(),
+    };
+    if tr.is_none() {
+        live_edges.extend(
+            branches
+                .iter()
+                .flat_map(|&(site, pc)| [(site, pc, 1), (site, pc, 0)]),
+        );
+        return Ok(PipelineAbs {
+            level,
+            phv,
+            state,
+            dead_edges: Vec::new(),
+            live_edges,
+            lints: Vec::new(),
+        });
     }
 
-    // Reporting run at the fixpoint.
-    let step = run_once(&pipeline, spec, input, &state, true);
+    let seen = read_sites(&store, &sites, &valuation(input, &state));
+
+    let mut dead_edges = Vec::new();
+    for (site, pc) in branches {
+        // The jump is taken when the tested value is falsy.
+        let truth = seen.get(&Site::Branch { site, pc }).map(|t| t[0].truth());
+        for (taken, live) in [
+            (1, truth.is_some_and(|t| t != Tri::True)),
+            (0, truth.is_some_and(|t| t != Tri::False)),
+        ] {
+            if live {
+                live_edges.push((site, pc, taken));
+            } else {
+                dead_edges.push((site, pc, taken));
+            }
+        }
+    }
+
     Ok(PipelineAbs {
         level,
-        phv: step.phv,
+        phv,
         state,
-        dead_edges: step.dead_edges,
-        live_edges: step.live_edges,
-        lints: step.lints,
+        dead_edges,
+        live_edges,
+        lints: lints(&seen),
     })
 }
 
-/// One abstract packet through the pipeline from the given abstract state.
-struct StepResult {
-    phv: Vec<AbsVal>,
-    state: Vec<Vec<Vec<AbsVal>>>,
-    dead_edges: Vec<EdgeKey>,
-    live_edges: Vec<EdgeKey>,
-    lints: Vec<LintRecord>,
+/// Join each site's terms over the visits whose path is abstractly
+/// possible under `valuation`.
+fn read_sites<'s>(
+    store: &TermStore,
+    sites: &'s Sites,
+    valuation: &dyn Fn(Sym) -> AbsVal,
+) -> BTreeMap<&'s Site, [AbsVal; 2]> {
+    let mut memo = HashMap::new();
+    let mut abs = |t: TermId| store.abs_eval_memo(t, valuation, &mut memo);
+    let mut seen: BTreeMap<&Site, [AbsVal; 2]> = BTreeMap::new();
+    for v in &sites.visits {
+        if !feasible(&v.decisions, &mut abs) {
+            continue;
+        }
+        let terms = [abs(v.terms[0]), abs(v.terms[1])];
+        seen.entry(&v.site)
+            .and_modify(|acc| *acc = [acc[0].join(terms[0]), acc[1].join(terms[1])])
+            .or_insert(terms);
+    }
+    seen
 }
 
-fn run_once(
-    pipeline: &Pipeline,
+/// Is every decision on a path abstractly possible?
+fn feasible(decisions: &[Decision], abs: &mut impl FnMut(TermId) -> AbsVal) -> bool {
+    decisions.iter().all(|&(c, taken)| match abs(c).truth() {
+        Tri::True => taken,
+        Tri::False => !taken,
+        Tri::Unknown => true,
+    })
+}
+
+/// The valuation of the entry symbols: `input` for the PHV, `state` for
+/// the stateful-ALU variables.
+fn valuation<'a>(input: &'a [AbsVal], state: &'a AbsState) -> impl Fn(Sym) -> AbsVal + 'a {
+    move |s| match s {
+        Sym::Phv(c) => input[c as usize],
+        Sym::State { stage, slot, var } => state[stage as usize][slot as usize][var as usize],
+        Sym::RegCell(_) | Sym::TableArg(_) => AbsVal::top(),
+    }
+}
+
+/// The abstract output PHV and the cross-packet state fixpoint of one
+/// transfer function under `input`; all-top when the executor bailed.
+/// The fixpoint starts from the zero reset state, joins for
+/// [`JOIN_ITERS`] rounds and then widens.
+fn abstract_run(
+    store: &TermStore,
+    tr: Option<&SymTransfer>,
     spec: &PipelineSpec,
     input: &[AbsVal],
-    state_in: &[Vec<Vec<AbsVal>>],
-    report: bool,
-) -> StepResult {
-    match pipeline.fused_program() {
-        Some(fp) => run_once_fused(fp, input, state_in),
-        None => run_once_staged(pipeline, spec, input, state_in, report),
-    }
-}
-
-fn run_once_staged(
-    pipeline: &Pipeline,
-    _spec: &PipelineSpec,
-    input: &[AbsVal],
-    state_in: &[Vec<Vec<AbsVal>>],
-    report: bool,
-) -> StepResult {
-    let cfg = pipeline.config();
-    let width = cfg.width;
-    let mut phv = input.to_vec();
-    let mut state_out = state_in.to_vec();
-    let mut dead_edges = Vec::new();
-    let mut live_edges = Vec::new();
-    let mut lints = Vec::new();
-
-    for (si, stage) in pipeline.stages().iter().enumerate() {
-        // Which stateless slots feed an output mux this stage (lint gate:
-        // unselected stateless ALUs are configuration filler).
-        let selected: Vec<bool> = (0..width)
-            .map(|slot| (0..cfg.phv_length).any(|c| stage.output_selection(c) == 1 + slot))
-            .collect();
-
-        let mut stateless_out = Vec::with_capacity(width);
-        for (slot, unit) in stage.stateless_alus().iter().enumerate() {
-            let mut st: Vec<AbsVal> = Vec::new();
-            let (out, events) = abs_execute_unit(
-                unit,
-                &phv,
-                &mut st,
-                report && selected[slot],
-                &mut dead_edges,
-                &mut live_edges,
-            );
-            stateless_out.push(out);
-            push_lints(&mut lints, si, slot, false, events);
-        }
-
-        let mut stateful_out = Vec::with_capacity(width);
-        for (slot, unit) in stage.stateful_alus().iter().enumerate() {
-            let mut st = state_in[si][slot].clone();
-            let (out, events) = abs_execute_unit(
-                unit,
-                &phv,
-                &mut st,
-                report,
-                &mut dead_edges,
-                &mut live_edges,
-            );
-            stateful_out.push(out);
-            state_out[si][slot] = st;
-            push_lints(&mut lints, si, slot, true, events);
-        }
-
-        // Output multiplexers: 0 = pass-through, 1..=w stateless,
-        // w+1..=2w stateful.
-        let mut next = phv.clone();
-        for (c, slot) in next.iter_mut().enumerate() {
-            let sel = stage.output_selection(c);
-            if (1..=width).contains(&sel) {
-                *slot = stateless_out[sel - 1];
-            } else if sel > width {
-                *slot = stateful_out[sel - 1 - width];
-            }
-        }
-        phv = next;
-    }
-
-    StepResult {
-        phv,
-        state: state_out,
-        dead_edges,
-        live_edges,
-        lints,
-    }
-}
-
-/// Abstractly execute one ALU unit; returns its output abstraction and
-/// (when `lint` is set) the body's lint events. State is updated in
-/// place. Branch-edge bookkeeping only applies to the bytecode backend.
-fn abs_execute_unit(
-    unit: &AluUnit,
-    phv: &[AbsVal],
-    state: &mut Vec<AbsVal>,
-    lint: bool,
-    dead_edges: &mut Vec<EdgeKey>,
-    live_edges: &mut Vec<EdgeKey>,
-) -> (AbsVal, Vec<LintEvent>) {
-    let spec = unit.spec();
-    let operands: Vec<AbsVal> = (0..spec.operand_count())
-        .map(|k| {
-            phv.get(unit.operand_selection(k))
-                .copied()
-                .unwrap_or(AbsVal::constant(0))
-        })
-        .collect();
-    let mut events = Vec::new();
-    let sink = lint.then_some(&mut events);
-
-    if let Some(holes) = unit.hole_env() {
-        let out = abs_eval_alu(spec, holes, &operands, state, sink);
-        *state = out.state;
-        return (out.output, events);
-    }
-    if let Some(sspec) = unit.specialized_spec() {
-        let out = abs_eval_alu(sspec, &HashMap::new(), &operands, state, sink);
-        *state = out.state;
-        return (out.output, events);
-    }
-    if let Some(prog) = unit.bytecode() {
-        if let Some(abs) = abs_eval_bytecode(prog, &operands, state) {
-            let site = unit.site();
-            for (pc, taken) in abs.dead_branches {
-                dead_edges.push((site, pc, u32::from(taken)));
-            }
-            for (pc, taken) in abs.live_branches {
-                live_edges.push((site, pc, u32::from(taken)));
-            }
-            *state = abs.state;
-            return (abs.output, events);
-        }
-    }
-    // Unknown backend or structural surprise: stay sound.
-    for v in state.iter_mut() {
-        *v = AbsVal::top();
-    }
-    (AbsVal::top(), events)
-}
-
-fn push_lints(
-    lints: &mut Vec<LintRecord>,
-    stage: usize,
-    slot: usize,
-    stateful: bool,
-    events: Vec<LintEvent>,
-) {
-    for e in events {
-        let kind = if stateful { "stateful" } else { "stateless" };
-        lints.push(LintRecord {
-            stage: stage as u32,
-            pc: (u32::from(stateful) << 15) | ((slot as u32) << 8) | (e.pc & 0xFF),
-            code: e.code,
-            message: format!("{kind} ALU slot {slot}: {}", e.message),
-        });
-    }
-}
-
-fn run_once_fused(
-    fp: &druzhba_dgen::FusedPipeline,
-    input: &[AbsVal],
-    state_in: &[Vec<Vec<AbsVal>>],
-) -> StepResult {
-    let phv_len = fp.phv_len();
-    let mut frame = vec![AbsVal::top(); fp.frame_len()];
-    frame[..phv_len].copy_from_slice(input);
-    for (si, row) in fp.state_regs().iter().enumerate() {
-        for (slot, &(first, count)) in row.iter().enumerate() {
-            for v in 0..count as usize {
-                frame[first as usize + v] = state_in[si][slot][v];
-            }
-        }
-    }
-    let abs = abs_eval_fused(fp, &frame);
-    let (frame, dead, live) = match abs {
-        Some(a) => (a.frame, a.dead_branches, a.live_branches),
-        None => (vec![AbsVal::top(); fp.frame_len()], Vec::new(), Vec::new()),
+) -> (Vec<AbsVal>, AbsState) {
+    let cfg = &spec.config;
+    debug_assert_eq!(input.len(), cfg.phv_length);
+    let n_state = spec.stateful_alu.state_vars.len();
+    let shaped = |v: AbsVal| vec![vec![vec![v; n_state]; cfg.width]; cfg.depth];
+    let Some(tr) = tr else {
+        return (vec![AbsVal::top(); cfg.phv_length], shaped(AbsVal::top()));
     };
-    let mut state_out = state_in.to_vec();
-    for (si, row) in fp.state_regs().iter().enumerate() {
-        for (slot, &(first, count)) in row.iter().enumerate() {
-            for v in 0..count as usize {
-                state_out[si][slot][v] = frame[first as usize + v];
+
+    let mut state = shaped(AbsVal::constant(0));
+    for iters in 0.. {
+        let next = abs_eval_cells(store, &tr.state, &valuation(input, &state));
+        let mut changed = false;
+        for (s, &n) in state
+            .iter_mut()
+            .flatten()
+            .flatten()
+            .zip(next.iter().flatten().flatten())
+        {
+            let joined = s.join(n);
+            let merged = if iters < JOIN_ITERS {
+                joined
+            } else {
+                s.widen(joined)
+            };
+            changed |= merged != *s;
+            *s = merged;
+        }
+        if !changed || iters >= MAX_ITERS {
+            break;
+        }
+    }
+    let phv = abs_eval_all(store, &tr.phv, &valuation(input, &state));
+    (phv, state)
+}
+
+/// Abstractly evaluate `terms` under one valuation, sharing the memo.
+fn abs_eval_all(
+    store: &TermStore,
+    terms: &[TermId],
+    valuation: &dyn Fn(Sym) -> AbsVal,
+) -> Vec<AbsVal> {
+    let mut memo = HashMap::new();
+    terms
+        .iter()
+        .map(|&t| store.abs_eval_memo(t, valuation, &mut memo))
+        .collect()
+}
+
+/// [`abs_eval_all`] over the `state[stage][slot][var]` terms.
+fn abs_eval_cells(
+    store: &TermStore,
+    cells: &[Vec<Vec<TermId>>],
+    valuation: &dyn Fn(Sym) -> AbsVal,
+) -> AbsState {
+    let mut memo = HashMap::new();
+    cells
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|vars| {
+                    vars.iter()
+                        .map(|&t| store.abs_eval_memo(t, valuation, &mut memo))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every statically keyed conditional branch `(site, pc)` of the
+/// pipeline: each jump of the fused program, or of every SCC-inline
+/// bytecode unit (stateless ones included, selected or not).
+fn branch_sites(pipeline: &Pipeline) -> Vec<(u32, u32)> {
+    if let Some(fp) = pipeline.fused_program() {
+        return fp
+            .instrs()
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| {
+                matches!(
+                    i,
+                    FusedInstr::JumpIfZero { .. }
+                        | FusedInstr::CmpJumpIfZero { .. }
+                        | FusedInstr::CmpImmJumpIfZero { .. }
+                )
+            })
+            .map(|(pc, _)| (FUSED_SITE, pc as u32))
+            .collect();
+    }
+    let mut out = Vec::new();
+    for stage in pipeline.stages() {
+        for unit in stage.stateless_alus().iter().chain(stage.stateful_alus()) {
+            let Some(prog) = unit.bytecode() else {
+                continue;
+            };
+            for (pc, instr) in prog.instrs().iter().enumerate() {
+                if matches!(instr, Instr::JumpIfZero(_)) {
+                    out.push((unit.site(), pc as u32));
+                }
             }
         }
     }
-    StepResult {
-        phv: frame[..phv_len].to_vec(),
-        state: state_out,
-        dead_edges: dead
-            .into_iter()
-            .map(|(pc, taken)| (FUSED_SITE, pc, u32::from(taken)))
-            .collect(),
-        live_edges: live
-            .into_iter()
-            .map(|(pc, taken)| (FUSED_SITE, pc, u32::from(taken)))
-            .collect(),
-        lints: Vec::new(),
+    out
+}
+
+/// The lints of the ALU-body sites seen on a possible path, with their
+/// terms joined over those paths (`seen`, in site order).
+fn lints(seen: &BTreeMap<&Site, [AbsVal; 2]>) -> Vec<LintRecord> {
+    let mut out = Vec::new();
+    let mut push = |unit: UnitLoc, pc: u32, code: &'static str, message: String| {
+        let kind = if unit.stateful {
+            "stateful"
+        } else {
+            "stateless"
+        };
+        out.push(LintRecord {
+            stage: unit.stage,
+            pc: (u32::from(unit.stateful) << 15) | (unit.slot << 8) | (pc & 0xFF),
+            code,
+            message: format!("{kind} ALU slot {}: {message}", unit.slot),
+        });
+    };
+    // Whether the arms before the current one of an `if` chain may all
+    // fall through; reset at each chain's arm 0.
+    let mut may_reach = true;
+    for (site, [l, r]) in seen {
+        match **site {
+            Site::Arm {
+                unit,
+                pc,
+                arm,
+                arms,
+                has_else,
+            } => {
+                if arm == 0 {
+                    may_reach = true;
+                }
+                if !may_reach {
+                    // An earlier arm is always taken.
+                    continue;
+                }
+                match l.truth() {
+                    Tri::False => push(
+                        unit,
+                        pc,
+                        "unreachable-arm",
+                        format!("condition of arm {} of `if` chain is always false", arm + 1),
+                    ),
+                    Tri::True => {
+                        may_reach = false;
+                        for later in arm + 1..arms {
+                            push(
+                                unit,
+                                pc,
+                                "unreachable-arm",
+                                format!("arm {} of `if` chain can never be reached", later + 1),
+                            );
+                        }
+                        if has_else {
+                            push(
+                                unit,
+                                pc,
+                                "unreachable-arm",
+                                "`else` body of `if` chain can never be reached".to_string(),
+                            );
+                        }
+                    }
+                    Tri::Unknown => {}
+                }
+            }
+            Site::Arith { unit, pc, sym, .. } => {
+                let wraps = match sym {
+                    "+" => u64::from(l.iv.lo) + u64::from(r.iv.lo) > u64::from(u32::MAX),
+                    "-" => l.iv.hi < r.iv.lo,
+                    _ => u64::from(l.iv.lo) * u64::from(r.iv.lo) > u64::from(u32::MAX),
+                };
+                if wraps {
+                    push(
+                        unit,
+                        pc,
+                        "overflow",
+                        format!("`{sym}` always wraps modulo 2^32 here"),
+                    );
+                }
+            }
+            Site::Div { unit, pc, sym, .. } => {
+                if r.as_const() == Some(0) {
+                    push(
+                        unit,
+                        pc,
+                        "div-by-zero",
+                        format!(
+                            "right operand of `{sym}` is always zero (total semantics yield 0)"
+                        ),
+                    );
+                }
+            }
+            Site::Overwrite {
+                unit,
+                pc,
+                at,
+                ref var,
+            } => push(
+                unit,
+                pc,
+                "dead-write",
+                format!("state variable `{var}` is overwritten at pc {at} before being read"),
+            ),
+            Site::Branch { .. } => {}
+        }
     }
+    out.sort_by(|a, b| {
+        (a.stage, a.pc, a.code, &a.message).cmp(&(b.stage, b.pc, b.code, &b.message))
+    });
+    out.dedup();
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -365,11 +443,21 @@ pub fn translation_validate(
     mc: &MachineCode,
     input: &[AbsVal],
 ) -> Result<Vec<TvMismatch>> {
-    let reference = analyze_pipeline(spec, mc, OptLevel::Unoptimized, input)?;
+    // All four transfer functions in one store.
+    let mut store = TermStore::new();
+    let mut transfer = |level| -> Result<Option<SymTransfer>> {
+        let pipeline = Pipeline::generate(spec, mc, level)?;
+        Ok(sym_run_pipeline(&mut store, &pipeline, spec, None))
+    };
+    let source = transfer(OptLevel::Unoptimized)?;
+    let compiled = [OptLevel::Scc, OptLevel::SccInline, OptLevel::Fused]
+        .map(|level| transfer(level).map(|tr| (level, tr)));
+    let (ref_phv, ref_state) = abstract_run(&store, source.as_ref(), spec, input);
     let mut out = Vec::new();
-    for level in [OptLevel::Scc, OptLevel::SccInline, OptLevel::Fused] {
-        let abs = analyze_pipeline(spec, mc, level, input)?;
-        for (c, (&s, &a)) in reference.phv.iter().zip(&abs.phv).enumerate() {
+    for compiled in compiled {
+        let (level, tr) = compiled?;
+        let (phv, state) = abstract_run(&store, tr.as_ref(), spec, input);
+        for (c, (&s, &a)) in ref_phv.iter().zip(&phv).enumerate() {
             if s.is_disjoint(a) {
                 out.push(TvMismatch {
                     level,
@@ -379,7 +467,7 @@ pub fn translation_validate(
                 });
             }
         }
-        for (stage, (srow, arow)) in reference.state.iter().zip(&abs.state).enumerate() {
+        for (stage, (srow, arow)) in ref_state.iter().zip(&state).enumerate() {
             for (slot, (svars, avars)) in srow.iter().zip(arow).enumerate() {
                 for (var, (&s, &a)) in svars.iter().zip(avars).enumerate() {
                     if s.is_disjoint(a) {
@@ -540,43 +628,157 @@ pub fn flag_mutant(
     if !validate_machine_code(spec, mutant).is_empty() {
         return StaticFlag::Structural;
     }
+    let (Ok(good), Ok(bad)) = (
+        Pipeline::generate(spec, baseline, OptLevel::Unoptimized),
+        Pipeline::generate(spec, mutant, OptLevel::Unoptimized),
+    ) else {
+        return StaticFlag::Structural;
+    };
+    // Both transfer functions in one store, so they compare by id.
+    let mut store = TermStore::new();
+    let good = sym_run_pipeline(&mut store, &good, spec, None);
+    let bad = sym_run_pipeline(&mut store, &bad, spec, None);
     for probe in probes(spec.config.phv_length) {
-        let good = analyze_pipeline(spec, baseline, OptLevel::Unoptimized, &probe);
-        let bad = analyze_pipeline(spec, mutant, OptLevel::Unoptimized, &probe);
-        match (good, bad) {
-            (Ok(g), Ok(b)) => {
-                if g.phv != b.phv || g.state != b.state {
-                    return StaticFlag::Abstract;
-                }
-            }
-            (Err(_), _) | (_, Err(_)) => return StaticFlag::Structural,
+        if abstract_run(&store, good.as_ref(), spec, &probe)
+            != abstract_run(&store, bad.as_ref(), spec, &probe)
+        {
+            return StaticFlag::Abstract;
         }
     }
     // Abstract ranges agree everywhere: compare canonical symbolic
-    // transfer functions. An executor bail (`None`) leaves the mutant
-    // unflagged — never flag without a definite difference.
-    if crate::symbolic::symbolic_equivalent(spec, baseline, mutant) == Some(false) {
-        return StaticFlag::Symbolic;
+    // transfer functions. An executor bail leaves the mutant unflagged —
+    // never flag without a definite difference.
+    match (good, bad) {
+        (Some(g), Some(b)) if g != b => StaticFlag::Symbolic,
+        _ => StaticFlag::Unflagged,
     }
-    StaticFlag::Unflagged
 }
 
-/// Sort-and-dedup helper for edge lists (the fixpoint's reporting run can
-/// record the same edge many times).
-pub fn normalize_edges(edges: &mut Vec<EdgeKey>) {
-    edges.sort_unstable();
-    edges.dedup();
-}
-
-/// The dead-edge set with live sightings removed: an edge is only *proven*
-/// dead if no abstract path reaches it, which for edges recorded per
-/// conditional requires subtracting the live list (a pc can be reached on
-/// one fixpoint path and not another).
+/// The dead-edge set of an analysis: an edge is only *proven* dead if no
+/// abstractly possible path reaches it, so no dead edge is also live.
 pub fn proven_dead_edges(abs: &PipelineAbs) -> Vec<EdgeKey> {
     let mut dead = abs.dead_edges.clone();
-    normalize_edges(&mut dead);
-    let mut live = abs.live_edges.clone();
-    normalize_edges(&mut live);
-    dead.retain(|e| live.binary_search(e).is_err());
+    dead.retain(|e| !abs.live_edges.contains(e));
     dead
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use druzhba_alu_dsl::atoms::atom;
+    use druzhba_alu_dsl::parse_alu;
+    use druzhba_core::{Phv, PipelineConfig};
+    use druzhba_dgen::expected_machine_code;
+
+    /// A 1×1 pipeline whose stateful ALU is `src` (packet field `p` reads
+    /// container 0) and whose output drives container 1.
+    fn one_alu(src: &str) -> (PipelineSpec, MachineCode) {
+        let spec = PipelineSpec::new(
+            PipelineConfig::with_phv_length(1, 1, 2),
+            parse_alu(src).expect("parses"),
+            atom("stateless_mux").expect("library atom"),
+        )
+        .expect("valid spec");
+        let mut mc = MachineCode::from_pairs(
+            expected_machine_code(&spec)
+                .into_iter()
+                .map(|(n, _)| (n, 0)),
+        );
+        mc.set("output_mux_phv_0_1", 2);
+        (spec, mc)
+    }
+
+    /// Push every packet sequence of length 3 over `ps` through the
+    /// concrete `level` backend and require each output PHV and state to
+    /// stay inside `abs`.
+    fn assert_contains_runs(spec: &PipelineSpec, mc: &MachineCode, abs: &PipelineAbs, ps: &[u32]) {
+        for &a in ps {
+            for &b in ps {
+                for &c in ps {
+                    let mut pipeline = Pipeline::generate(spec, mc, abs.level).expect("generates");
+                    for p in [a, b, c] {
+                        let out = pipeline.process(&Phv::new(vec![p, 0]));
+                        for (k, v) in abs.phv.iter().enumerate() {
+                            assert!(v.contains(out.get(k)), "container {k}: {out:?} ∉ {v:?}");
+                        }
+                        let s = pipeline.state_snapshot()[0][0][0];
+                        assert!(
+                            abs.state[0][0][0].contains(s),
+                            "state {s} ∉ {:?}",
+                            abs.state
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn abstract_result_contains_concrete_runs() {
+        let (spec, mc) = one_alu(
+            "name: abs_if_else\ntype: stateful\nstate variables: {s}\n\
+             hole variables: {}\npacket fields: {p}\n\
+             if (p > 5) { s = s + 1; }\nelse { s = 0; }\n",
+        );
+        let input = [AbsVal::bits(4), AbsVal::top()];
+        for level in [OptLevel::Unoptimized, OptLevel::Scc] {
+            let abs = analyze_pipeline(&spec, &mc, level, &input).expect("analyzes");
+            assert_contains_runs(&spec, &mc, &abs, &[0, 5, 6, 15]);
+        }
+    }
+
+    #[test]
+    fn bytecode_abstraction_contains_concrete_runs() {
+        let (spec, mc) = one_alu(
+            "name: abs_bc\ntype: stateful\nstate variables: {s}\n\
+             hole variables: {}\npacket fields: {p}\n\
+             if (p == 3) { s = s + 2; }\nelse { s = s - 1; }\n",
+        );
+        let input = [AbsVal::bits(3), AbsVal::top()];
+        for level in [OptLevel::SccInline, OptLevel::Fused] {
+            let abs = analyze_pipeline(&spec, &mc, level, &input).expect("analyzes");
+            assert_contains_runs(&spec, &mc, &abs, &[0, 3, 7]);
+            // p == 3 is possible and avoidable: both branch outcomes live.
+            assert!(proven_dead_edges(&abs).is_empty(), "{abs:?}");
+            // An impossible condition kills a branch side.
+            let narrow = [AbsVal::range(8, 20), AbsVal::top()];
+            let abs = analyze_pipeline(&spec, &mc, level, &narrow).expect("analyzes");
+            assert!(
+                !proven_dead_edges(&abs).is_empty(),
+                "p in [8,20] can never equal 3"
+            );
+        }
+    }
+
+    #[test]
+    fn constant_condition_yields_unreachable_arm_lint() {
+        let (spec, mc) = one_alu(
+            "name: abs_const_cond\ntype: stateful\nstate variables: {s}\n\
+             hole variables: {}\npacket fields: {p}\n\
+             if (0) { s = 1; }\nelse { s = p; }\n",
+        );
+        let input = [AbsVal::top(); 2];
+        let abs = analyze_pipeline(&spec, &mc, OptLevel::Unoptimized, &input).expect("analyzes");
+        assert!(
+            abs.lints.iter().any(|l| l.code == "unreachable-arm"),
+            "{:?}",
+            abs.lints
+        );
+    }
+
+    #[test]
+    fn overwrite_before_read_yields_dead_write_lint() {
+        let (spec, mc) = one_alu(
+            "name: abs_dead_write\ntype: stateful\nstate variables: {s}\n\
+             hole variables: {}\npacket fields: {p}\n\
+             s = p + 1;\ns = p + 2;\n",
+        );
+        let input = [AbsVal::top(); 2];
+        let abs = analyze_pipeline(&spec, &mc, OptLevel::Unoptimized, &input).expect("analyzes");
+        assert!(
+            abs.lints.iter().any(|l| l.code == "dead-write"),
+            "{:?}",
+            abs.lints
+        );
+    }
 }

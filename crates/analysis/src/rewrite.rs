@@ -258,8 +258,7 @@ pub(crate) fn bit_and(store: &mut TermStore, l: TermId, r: TermId) -> TermId {
         return l;
     }
     let (l, r) = if l > r { (r, l) } else { (l, r) };
-    // `x & y <= min(x, y)` in the unsigned domain.
-    let abs = AbsVal::range(0, store.abs(l).iv.hi.min(store.abs(r).iv.hi));
+    let abs = store.abs(l).bit_and(store.abs(r));
     store.intern(Node::BitAnd(l, r), abs)
 }
 
@@ -277,9 +276,7 @@ pub(crate) fn shr(store: &mut TermStore, x: TermId, shift: u32) -> TermId {
     if let Node::Shr(y, s1) = store.node(x) {
         return shr(store, y, (s1 + shift).min(32));
     }
-    // Right shift is monotone over the unsigned interval.
-    let a = store.abs(x);
-    let abs = AbsVal::range(a.iv.lo >> shift, a.iv.hi >> shift);
+    let abs = store.abs(x).shr(shift);
     store.intern(Node::Shr(x, shift), abs)
 }
 

@@ -30,11 +30,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use druzhba_alu_dsl::ast::{AluSpec, Expr, Stmt};
+use druzhba_alu_dsl::ast::{AluSpec, BinOp, Expr, Stmt};
 use druzhba_core::value::Value;
 use druzhba_core::MachineCode;
 use druzhba_dgen::bytecode::{BytecodeProgram, Instr};
-use druzhba_dgen::fused::FusedInstr;
+use druzhba_dgen::fused::{FusedInstr, FUSED_SITE};
 use druzhba_dgen::pipeline::{AluUnit, Pipeline, PipelineSpec};
 use druzhba_dgen::{FusedPipeline, OptLevel};
 
@@ -49,7 +49,7 @@ const MAX_PATHS: usize = 4096;
 const MAX_STEPS: usize = 1 << 20;
 
 /// One branch decision: the condition term and whether it was truthy.
-type Decision = (TermId, bool);
+pub(crate) type Decision = (TermId, bool);
 
 /// Completed ALU-local paths: `(decisions, output term, state')`.
 type AluPaths = Vec<(Vec<Decision>, TermId, Vec<TermId>)>;
@@ -157,6 +157,115 @@ fn merge_at(
 }
 
 // ---------------------------------------------------------------------
+// Recorded sites
+// ---------------------------------------------------------------------
+
+/// An ALU's place in the staged pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct UnitLoc {
+    pub stage: u32,
+    pub slot: u32,
+    pub stateful: bool,
+}
+
+/// A program point whose abstract facts the analyzer reads back at the
+/// state fixpoint (`pipeline::analyze_pipeline`). An ALU-body `pc` is the
+/// pre-order statement index; a bytecode or fused `pc` is the
+/// instruction index.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Site {
+    /// Arm `arm` of the `if` chain at `pc` (`arms` arms, and a non-empty
+    /// `else` iff `has_else`). Term: the arm's condition.
+    Arm {
+        unit: UnitLoc,
+        pc: u32,
+        arm: u32,
+        arms: u32,
+        has_else: bool,
+    },
+    /// A wrapping `+`, `-` or `*` (`sym`) in the statement at `pc`;
+    /// `expr` tells apart the expression nodes of one statement. Terms:
+    /// the operands.
+    Arith {
+        unit: UnitLoc,
+        pc: u32,
+        expr: usize,
+        sym: &'static str,
+    },
+    /// A `/` or `%` (`sym`) in the statement at `pc`. Terms: the operands.
+    Div {
+        unit: UnitLoc,
+        pc: u32,
+        expr: usize,
+        sym: &'static str,
+    },
+    /// State variable `var`, written at `pc`, is written again at `at`
+    /// with no read in between. Term: the value written at `at`.
+    Overwrite {
+        unit: UnitLoc,
+        pc: u32,
+        at: u32,
+        var: String,
+    },
+    /// The conditional jump at `pc` of coverage site `site` (a bytecode
+    /// unit, or the fused program). Term: the tested value.
+    Branch { site: u32, pc: u32 },
+}
+
+/// One path's visit of a [`Site`]: its terms, and every decision the path
+/// took from pipeline entry to get there.
+pub(crate) struct Visit {
+    pub site: Site,
+    pub terms: [TermId; 2],
+    pub decisions: Vec<Decision>,
+}
+
+/// What the symbolic executors record while they walk.
+#[derive(Default)]
+pub(crate) struct Sites {
+    pub visits: Vec<Visit>,
+    /// Source rel-op conditions decided for every input.
+    relops: Vec<DecidedRelop>,
+}
+
+/// The recording context of one ALU invocation: the sink, the unit's
+/// place, whether its lints count (an unselected stateless ALU is
+/// configuration filler), and the decisions of the whole-pipeline path
+/// it runs on.
+struct Recorder<'r> {
+    sites: &'r mut Sites,
+    unit: UnitLoc,
+    lint: bool,
+    prefix: &'r [Decision],
+}
+
+impl Recorder<'_> {
+    fn visit(&mut self, site: Site, terms: [TermId; 2], local: &[Decision]) {
+        let mut decisions = self.prefix.to_vec();
+        decisions.extend_from_slice(local);
+        self.sites.visits.push(Visit {
+            site,
+            terms,
+            decisions,
+        });
+    }
+}
+
+/// Number of statements in `stmts`, nested ones included (the span of
+/// pre-order pcs the block occupies).
+fn block_len(stmts: &[Stmt]) -> u32 {
+    stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::If { arms, else_body } => {
+                1 + arms.iter().map(|(_, b)| block_len(b)).sum::<u32>() + block_len(else_body)
+            }
+            _ => 1,
+        })
+        .sum()
+}
+
+// ---------------------------------------------------------------------
 // ALU executors (AST walk and stack bytecode), path-producing
 // ---------------------------------------------------------------------
 
@@ -178,14 +287,40 @@ struct AluWalk<'a> {
     spec: &'a AluSpec,
     holes: &'a HashMap<String, Value>,
     operands: &'a [TermId],
-    /// When set, receives `taken` for every *decided* (pruned, not
-    /// forked) source-level rel-op condition — the always-taken lint.
-    decided_relops: Option<&'a mut Vec<bool>>,
+    rec: Option<Recorder<'a>>,
+    /// pc of the statement being evaluated (anchors operand sites).
+    stmt_pc: u32,
+    /// State writes of the current straight-line run not yet read:
+    /// `(var, pc)`. Cleared at every block entry and `if` chain.
+    pending: Vec<(usize, u32)>,
 }
 
 impl<'a> AluWalk<'a> {
+    fn new(
+        store: &'a mut TermStore,
+        spec: &'a AluSpec,
+        holes: &'a HashMap<String, Value>,
+        operands: &'a [TermId],
+        rec: Option<Recorder<'a>>,
+    ) -> Self {
+        AluWalk {
+            store,
+            spec,
+            holes,
+            operands,
+            rec,
+            stmt_pc: 0,
+            pending: Vec::new(),
+        }
+    }
+
     fn hole(&self, name: &str) -> Value {
         self.holes.get(name).copied().unwrap_or(0)
+    }
+
+    /// The recorder, when this unit's lints count.
+    fn linter(&mut self) -> Option<&mut Recorder<'a>> {
+        self.rec.as_mut().filter(|r| r.lint)
     }
 
     /// Run the body; each completed path yields `(decisions, output,
@@ -203,7 +338,7 @@ impl<'a> AluWalk<'a> {
         };
         let mut done = Vec::new();
         let body: &'a [Stmt] = &self.spec.body;
-        let live = self.block(body, vec![root], &mut done)?;
+        let live = self.block(body, 0, vec![root], &mut done)?;
         Some(
             done.into_iter()
                 .chain(live)
@@ -212,42 +347,53 @@ impl<'a> AluWalk<'a> {
         )
     }
 
+    /// Run `stmts`, whose first statement has pc `pc`.
     fn block(
         &mut self,
         stmts: &'a [Stmt],
+        mut pc: u32,
         mut live: Vec<LocalPath>,
         done: &mut Vec<LocalPath>,
     ) -> Option<Vec<LocalPath>> {
+        self.pending.clear();
         for stmt in stmts {
             if live.is_empty() {
                 break;
             }
+            self.stmt_pc = pc;
             match stmt {
                 Stmt::Assign { target, value } => {
                     let idx = self.spec.state_var_index(target);
+                    let mut written = Vec::with_capacity(live.len());
                     for path in live.iter_mut() {
-                        let v = self.eval(value, &path.state);
+                        let v = self.eval(value, &path.state, &path.decisions);
+                        written.push(v);
                         if let Some(j) = idx {
                             if j < path.state.len() {
                                 path.state[j] = v;
                             }
                         }
                     }
+                    if let Some(j) = idx.filter(|_| self.rec.as_ref().is_some_and(|r| r.lint)) {
+                        self.note_write(j, target, &live, &written);
+                    }
                 }
                 Stmt::If { arms, else_body } => {
                     let mut survivors = Vec::new();
                     for p in std::mem::take(&mut live) {
-                        self.if_chain(arms, else_body, p, &mut survivors, done)?;
+                        self.if_chain(arms, else_body, pc, p, &mut survivors, done)?;
                     }
+                    self.pending.clear();
                     live = survivors;
                 }
                 Stmt::Return(e) => {
                     for mut p in live.drain(..) {
-                        p.ret = Some(self.eval(e, &p.state));
+                        p.ret = Some(self.eval(e, &p.state, &p.decisions));
                         done.push(p);
                     }
                 }
             }
+            pc += block_len(std::slice::from_ref(stmt));
             if done.len() + live.len() > MAX_PATHS {
                 return None;
             }
@@ -255,25 +401,70 @@ impl<'a> AluWalk<'a> {
         Some(live)
     }
 
+    /// Track the write of state variable `j` at the current pc, recording
+    /// an overwrite site on every live path when an unread write of `j`
+    /// is pending.
+    fn note_write(&mut self, j: usize, target: &str, live: &[LocalPath], written: &[TermId]) {
+        let at = self.stmt_pc;
+        match self.pending.iter_mut().find(|(var, _)| *var == j) {
+            Some(entry) => {
+                let pc = std::mem::replace(&mut entry.1, at);
+                let Some(rec) = self.linter() else { return };
+                let unit = rec.unit;
+                for (p, &v) in live.iter().zip(written) {
+                    let site = Site::Overwrite {
+                        unit,
+                        pc,
+                        at,
+                        var: target.to_string(),
+                    };
+                    rec.visit(site, [v, v], &p.decisions);
+                }
+            }
+            None => self.pending.push((j, at)),
+        }
+    }
+
     fn if_chain(
         &mut self,
         arms: &'a [(Expr, Vec<Stmt>)],
         else_body: &'a [Stmt],
+        pc: u32,
         path: LocalPath,
         out: &mut Vec<LocalPath>,
         done: &mut Vec<LocalPath>,
     ) -> Option<()> {
+        // pc of each arm body's first statement, then the `else` body's.
+        let mut bases = Vec::with_capacity(arms.len() + 1);
+        let mut next = pc + 1;
+        for (_, body) in arms {
+            bases.push(next);
+            next += block_len(body);
+        }
+        bases.push(next);
+
         let mut pending = vec![(path, 0usize)];
         while let Some((p, i)) = pending.pop() {
             let Some((cond, body)) = arms.get(i) else {
-                out.extend(self.block(else_body, vec![p], done)?);
+                out.extend(self.block(else_body, bases[i], vec![p], done)?);
                 continue;
             };
-            let c = self.eval(cond, &p.state);
+            self.stmt_pc = pc;
+            let c = self.eval(cond, &p.state, &p.decisions);
+            if let Some(rec) = self.linter() {
+                let site = Site::Arm {
+                    unit: rec.unit,
+                    pc,
+                    arm: i as u32,
+                    arms: arms.len() as u32,
+                    has_else: !else_body.is_empty(),
+                };
+                rec.visit(site, [c, c], &p.decisions);
+            }
             match self.store.truth(c) {
                 Tri::True => {
                     self.note_decided(cond, true);
-                    out.extend(self.block(body, vec![p], done)?);
+                    out.extend(self.block(body, bases[i], vec![p], done)?);
                 }
                 Tri::False => {
                     self.note_decided(cond, false);
@@ -282,7 +473,7 @@ impl<'a> AluWalk<'a> {
                 Tri::Unknown => {
                     let mut taken = p.clone();
                     taken.decisions.push((c, true));
-                    out.extend(self.block(body, vec![taken], done)?);
+                    out.extend(self.block(body, bases[i], vec![taken], done)?);
                     let mut fall = p;
                     fall.decisions.push((c, false));
                     pending.push((fall, i + 1));
@@ -295,22 +486,62 @@ impl<'a> AluWalk<'a> {
         Some(())
     }
 
+    /// Record a source rel-op condition decided for every input.
     fn note_decided(&mut self, cond: &Expr, taken: bool) {
         let relop = match cond {
             Expr::RelOp { .. } => true,
             Expr::Binary { op, .. } => op.is_boolean(),
             _ => false,
         };
-        if relop {
-            if let Some(sink) = self.decided_relops.as_deref_mut() {
-                sink.push(taken);
-            }
+        if let (true, Some(rec)) = (relop, self.linter()) {
+            let UnitLoc {
+                stage,
+                slot,
+                stateful,
+            } = rec.unit;
+            rec.sites.relops.push(DecidedRelop {
+                stage,
+                slot,
+                stateful,
+                taken,
+            });
         }
     }
 
+    /// Record an operand site of `expr` on the path with `decisions`.
+    fn note_operands(
+        &mut self,
+        expr: &Expr,
+        div: bool,
+        sym: &'static str,
+        terms: [TermId; 2],
+        decisions: &[Decision],
+    ) {
+        let pc = self.stmt_pc;
+        let Some(rec) = self.linter() else { return };
+        let (unit, expr) = (rec.unit, expr as *const Expr as usize);
+        let site = if div {
+            Site::Div {
+                unit,
+                pc,
+                expr,
+                sym,
+            }
+        } else {
+            Site::Arith {
+                unit,
+                pc,
+                expr,
+                sym,
+            }
+        };
+        rec.visit(site, terms, decisions);
+    }
+
     /// Mirror of `Evaluator::eval` over terms; mux arms need not be
-    /// forced eagerly (terms are pure).
-    fn eval(&mut self, expr: &Expr, state: &[TermId]) -> TermId {
+    /// forced eagerly (terms are pure), but every operand is evaluated so
+    /// that state reads and operand sites match the concrete semantics.
+    fn eval(&mut self, expr: &Expr, state: &[TermId], decisions: &[Decision]) -> TermId {
         match expr {
             Expr::Const(v) => self.store.konst(*v),
             Expr::Var(name) => {
@@ -321,6 +552,7 @@ impl<'a> AluWalk<'a> {
                     };
                 }
                 if let Some(i) = self.spec.state_var_index(name) {
+                    self.pending.retain(|&(var, _)| var != i);
                     return match state.get(i) {
                         Some(&t) => t,
                         None => self.store.konst(0),
@@ -334,7 +566,7 @@ impl<'a> AluWalk<'a> {
                 self.store.konst(v)
             }
             Expr::Opt { hole, arg } => {
-                let x = self.eval(arg, state);
+                let x = self.eval(arg, state, decisions);
                 if self.hole(hole) == 0 {
                     x
                 } else {
@@ -342,7 +574,8 @@ impl<'a> AluWalk<'a> {
                 }
             }
             Expr::Mux2 { hole, a, b } => {
-                let (a, b) = (self.eval(a, state), self.eval(b, state));
+                let a = self.eval(a, state, decisions);
+                let b = self.eval(b, state, decisions);
                 if self.hole(hole) == 0 {
                     a
                 } else {
@@ -350,11 +583,9 @@ impl<'a> AluWalk<'a> {
                 }
             }
             Expr::Mux3 { hole, a, b, c } => {
-                let (a, b, c) = (
-                    self.eval(a, state),
-                    self.eval(b, state),
-                    self.eval(c, state),
-                );
+                let a = self.eval(a, state, decisions);
+                let b = self.eval(b, state, decisions);
+                let c = self.eval(c, state, decisions);
                 match self.hole(hole) {
                     0 => a,
                     1 => b,
@@ -362,8 +593,8 @@ impl<'a> AluWalk<'a> {
                 }
             }
             Expr::RelOp { hole, a, b } => {
-                use druzhba_alu_dsl::ast::BinOp;
-                let (a, b) = (self.eval(a, state), self.eval(b, state));
+                let a = self.eval(a, state, decisions);
+                let b = self.eval(b, state, decisions);
                 let op = match self.hole(hole) & 3 {
                     0 => BinOp::Ge,
                     1 => BinOp::Le,
@@ -373,21 +604,32 @@ impl<'a> AluWalk<'a> {
                 self.store.bin(op, a, b)
             }
             Expr::ArithOp { hole, a, b } => {
-                use druzhba_alu_dsl::ast::BinOp;
-                let (a, b) = (self.eval(a, state), self.eval(b, state));
+                let a = self.eval(a, state, decisions);
+                let b = self.eval(b, state, decisions);
                 let op = if self.hole(hole) & 1 == 0 {
                     BinOp::Add
                 } else {
                     BinOp::Sub
                 };
+                self.note_operands(expr, false, op.symbol(), [a, b], decisions);
                 self.store.bin(op, a, b)
             }
             Expr::Binary { op, l, r } => {
-                let (l, r) = (self.eval(l, state), self.eval(r, state));
+                let l = self.eval(l, state, decisions);
+                let r = self.eval(r, state, decisions);
+                match op {
+                    BinOp::Add | BinOp::Sub | BinOp::Mul => {
+                        self.note_operands(expr, false, op.symbol(), [l, r], decisions);
+                    }
+                    BinOp::Div | BinOp::Mod => {
+                        self.note_operands(expr, true, op.symbol(), [l, r], decisions);
+                    }
+                    _ => {}
+                }
                 self.store.bin(*op, l, r)
             }
             Expr::Unary { op, x } => {
-                let x = self.eval(x, state);
+                let x = self.eval(x, state, decisions);
                 self.store.un(*op, x)
             }
         }
@@ -397,12 +639,15 @@ impl<'a> AluWalk<'a> {
 /// Symbolic stack machine over the SCC-inline bytecode, mirroring
 /// `BytecodeProgram::run_with_coverage` (out-of-range reads push 0,
 /// `JumpIfZero` takes on falsy, `Halt` yields the entry-captured default
-/// output).
+/// output). Every conditional jump is recorded as a branch site of
+/// coverage site `site`.
 fn sym_eval_bytecode(
     store: &mut TermStore,
     prog: &BytecodeProgram,
     operands: &[TermId],
     state_in: &[TermId],
+    site: u32,
+    mut rec: Option<Recorder>,
 ) -> Option<AluPaths> {
     struct P {
         pc: usize,
@@ -466,6 +711,10 @@ fn sym_eval_bytecode(
                 }
                 Instr::JumpIfZero(target) => {
                     let v = p.stack.pop()?;
+                    if let Some(rec) = rec.as_mut() {
+                        let pc = p.pc as u32;
+                        rec.visit(Site::Branch { site, pc }, [v, v], &p.decisions);
+                    }
                     match store.truth(v) {
                         Tri::True => p.pc += 1,
                         Tri::False => p.pc = target as usize,
@@ -509,7 +758,7 @@ fn exec_unit(
     unit: &AluUnit,
     phv: &[TermId],
     state_in: &[TermId],
-    decided_relops: Option<&mut Vec<bool>>,
+    rec: Option<Recorder>,
 ) -> Option<AluPaths> {
     let spec = unit.spec();
     let zero = store.konst(0);
@@ -517,28 +766,14 @@ fn exec_unit(
         .map(|k| phv.get(unit.operand_selection(k)).copied().unwrap_or(zero))
         .collect();
     if let Some(holes) = unit.hole_env() {
-        return AluWalk {
-            store,
-            spec,
-            holes,
-            operands: &operands,
-            decided_relops,
-        }
-        .run(state_in);
+        return AluWalk::new(store, spec, holes, &operands, rec).run(state_in);
     }
     if let Some(sspec) = unit.specialized_spec() {
         let empty = HashMap::new();
-        return AluWalk {
-            store,
-            spec: sspec,
-            holes: &empty,
-            operands: &operands,
-            decided_relops,
-        }
-        .run(state_in);
+        return AluWalk::new(store, sspec, &empty, &operands, rec).run(state_in);
     }
     if let Some(prog) = unit.bytecode() {
-        return sym_eval_bytecode(store, prog, &operands, state_in);
+        return sym_eval_bytecode(store, prog, &operands, state_in, unit.site(), rec);
     }
     None
 }
@@ -568,24 +803,26 @@ struct DecidedRelop {
 /// paths into the canonical per-site transfer function. The entry PHV and
 /// state are fresh symbols interned in `store` (shared across calls, so
 /// transfer functions from different levels or machine codes compare by
-/// id). Returns `None` if the executor bails (sound).
+/// id). Returns `None` if the pipeline does not generate or the executor
+/// bails (sound).
 pub fn symbolic_transfer(
     store: &mut TermStore,
     spec: &PipelineSpec,
     mc: &MachineCode,
     level: OptLevel,
 ) -> Option<SymTransfer> {
-    sym_run_level(store, spec, mc, level, None)
+    let pipeline = Pipeline::generate(spec, mc, level).ok()?;
+    sym_run_pipeline(store, &pipeline, spec, None)
 }
 
-fn sym_run_level(
+/// Symbolically execute one invocation of a generated pipeline, recording
+/// its sites into `sites` when given.
+pub(crate) fn sym_run_pipeline(
     store: &mut TermStore,
+    pipeline: &Pipeline,
     spec: &PipelineSpec,
-    mc: &MachineCode,
-    level: OptLevel,
-    decided_sink: Option<&mut Vec<DecidedRelop>>,
+    sites: Option<&mut Sites>,
 ) -> Option<SymTransfer> {
-    let pipeline = Pipeline::generate(spec, mc, level).ok()?;
     let cfg = *pipeline.config();
     let n_state = spec.stateful_alu.state_vars.len();
 
@@ -614,8 +851,8 @@ fn sym_run_level(
         .collect();
 
     let completed: Vec<(Vec<Decision>, Vec<TermId>)> = match pipeline.fused_program() {
-        Some(fp) => sym_run_fused(store, fp, &phv0, &state0)?,
-        None => sym_run_staged(store, &pipeline, &cfg, phv0, state0, decided_sink)?,
+        Some(fp) => sym_run_fused(store, fp, &phv0, &state0, sites)?,
+        None => sym_run_staged(store, pipeline, &cfg, phv0, state0, sites)?,
     };
 
     let merged = merge_paths(store, &completed)?;
@@ -655,13 +892,15 @@ fn flatten(phv: &[TermId], state: &[Vec<Vec<TermId>>]) -> Vec<TermId> {
 /// Unselected stateless ALUs are skipped on every backend (pure and
 /// unobservable; the fuser does not even emit them), which keeps the
 /// global decision sequences of staged and fused execution identical.
+/// When recording, an unselected ALU is still walked on every path for
+/// its sites (the concrete staged backends run it), without forking.
 fn sym_run_staged(
     store: &mut TermStore,
     pipeline: &Pipeline,
     cfg: &druzhba_core::PipelineConfig,
     phv0: Vec<TermId>,
     state0: Vec<Vec<Vec<TermId>>>,
-    mut decided_sink: Option<&mut Vec<DecidedRelop>>,
+    mut sites: Option<&mut Sites>,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let width = cfg.width;
     let zero = store.konst(0);
@@ -692,16 +931,37 @@ fn sym_run_staged(
             .collect();
 
         for (slot, unit) in stage.stateless_alus().iter().enumerate() {
+            let unit_loc = UnitLoc {
+                stage: si as u32,
+                slot: slot as u32,
+                stateful: false,
+            };
             if !selected[slot] {
+                if let Some(sites) = sites.as_deref_mut() {
+                    for s in &sub {
+                        let rec = Recorder {
+                            sites: &mut *sites,
+                            unit: unit_loc,
+                            lint: false,
+                            prefix: &s.gp.decisions,
+                        };
+                        exec_unit(store, unit, &s.gp.phv, &[], Some(rec))?;
+                    }
+                }
                 for s in &mut sub {
                     s.stateless_out.push(zero);
                 }
                 continue;
             }
-            let mut events = Vec::new();
             let mut next_sub = Vec::new();
             for s in sub {
-                let results = exec_unit(store, unit, &s.gp.phv, &[], Some(&mut events))?;
+                let rec = sites.as_deref_mut().map(|sites| Recorder {
+                    sites,
+                    unit: unit_loc,
+                    lint: true,
+                    prefix: &s.gp.decisions,
+                });
+                let results = exec_unit(store, unit, &s.gp.phv, &[], rec)?;
                 for (decs, out, _st) in results {
                     let mut s2 = StagePath {
                         gp: s.gp.clone(),
@@ -717,22 +977,24 @@ fn sym_run_staged(
                 }
             }
             sub = next_sub;
-            if let Some(sink) = decided_sink.as_deref_mut() {
-                sink.extend(events.into_iter().map(|taken| DecidedRelop {
-                    stage: si as u32,
-                    slot: slot as u32,
-                    stateful: false,
-                    taken,
-                }));
-            }
         }
 
         for (slot, unit) in stage.stateful_alus().iter().enumerate() {
-            let mut events = Vec::new();
+            let unit_loc = UnitLoc {
+                stage: si as u32,
+                slot: slot as u32,
+                stateful: true,
+            };
             let mut next_sub = Vec::new();
             for s in sub {
                 let state_in = s.gp.state[si][slot].clone();
-                let results = exec_unit(store, unit, &s.gp.phv, &state_in, Some(&mut events))?;
+                let rec = sites.as_deref_mut().map(|sites| Recorder {
+                    sites,
+                    unit: unit_loc,
+                    lint: true,
+                    prefix: &s.gp.decisions,
+                });
+                let results = exec_unit(store, unit, &s.gp.phv, &state_in, rec)?;
                 for (decs, out, st) in results {
                     let mut s2 = StagePath {
                         gp: s.gp.clone(),
@@ -749,18 +1011,10 @@ fn sym_run_staged(
                 }
             }
             sub = next_sub;
-            if let Some(sink) = decided_sink.as_deref_mut() {
-                sink.extend(events.into_iter().map(|taken| DecidedRelop {
-                    stage: si as u32,
-                    slot: slot as u32,
-                    stateful: true,
-                    taken,
-                }));
-            }
         }
 
         // Output multiplexers: 0 pass-through, 1..=w stateless, else
-        // stateful — identical to the concrete and abstract pipelines.
+        // stateful — identical to the concrete pipelines.
         for s in &mut sub {
             let mut next = s.gp.phv.clone();
             for (c, out) in next.iter_mut().enumerate() {
@@ -786,12 +1040,14 @@ fn sym_run_staged(
 
 /// Fused symbolic execution: the whole register program in one path
 /// space, state windows seeded from the entry symbols and read back at
-/// the end.
+/// the end. Every conditional jump is recorded as a `FUSED_SITE` branch
+/// site.
 fn sym_run_fused(
     store: &mut TermStore,
     fp: &FusedPipeline,
     phv0: &[TermId],
     state0: &[Vec<Vec<TermId>>],
+    mut sites: Option<&mut Sites>,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let phv_len = fp.phv_len();
     let zero = store.konst(0);
@@ -843,63 +1099,75 @@ fn sym_run_fused(
                 out.push((p.decisions, flatten(&phv, &state)));
                 break;
             };
-            let branch =
-                |store: &mut TermStore, p: &mut P, work: &mut Vec<P>, cond: TermId, target: u32| {
-                    match store.truth(cond) {
-                        Tri::True => p.pc += 1,
-                        Tri::False => p.pc = target as usize,
-                        Tri::Unknown => {
-                            let mut jumped = P {
-                                pc: target as usize,
-                                frame: p.frame.clone(),
-                                decisions: p.decisions.clone(),
-                            };
-                            jumped.decisions.push((cond, false));
-                            work.push(jumped);
-                            p.decisions.push((cond, true));
-                            p.pc += 1;
-                        }
-                    }
-                };
-            match *instr {
+            // Conditional jumps yield `(tested value, target)`.
+            let (cond, target) = match *instr {
                 FusedInstr::Const { dst, v } => {
                     p.frame[dst as usize] = store.konst(v);
                     p.pc += 1;
+                    continue;
                 }
                 FusedInstr::Copy { dst, src } => {
                     p.frame[dst as usize] = p.frame[src as usize];
                     p.pc += 1;
+                    continue;
                 }
                 FusedInstr::Bin { op, dst, l, r } => {
                     let t = store.bin(op, p.frame[l as usize], p.frame[r as usize]);
                     p.frame[dst as usize] = t;
                     p.pc += 1;
+                    continue;
                 }
                 FusedInstr::BinImm { op, dst, l, imm } => {
                     let i = store.konst(imm);
                     let t = store.bin(op, p.frame[l as usize], i);
                     p.frame[dst as usize] = t;
                     p.pc += 1;
+                    continue;
                 }
                 FusedInstr::Un { op, dst, src } => {
                     let t = store.un(op, p.frame[src as usize]);
                     p.frame[dst as usize] = t;
                     p.pc += 1;
+                    continue;
                 }
-                FusedInstr::JumpIfZero { src, target } => {
-                    let cond = p.frame[src as usize];
-                    branch(store, &mut p, &mut work, cond, target);
+                FusedInstr::Jump { target } => {
+                    p.pc = target as usize;
+                    continue;
                 }
-                FusedInstr::CmpJumpIfZero { op, l, r, target } => {
-                    let cond = store.bin(op, p.frame[l as usize], p.frame[r as usize]);
-                    branch(store, &mut p, &mut work, cond, target);
-                }
+                FusedInstr::JumpIfZero { src, target } => (p.frame[src as usize], target),
+                FusedInstr::CmpJumpIfZero { op, l, r, target } => (
+                    store.bin(op, p.frame[l as usize], p.frame[r as usize]),
+                    target,
+                ),
                 FusedInstr::CmpImmJumpIfZero { op, l, imm, target } => {
                     let i = store.konst(imm);
-                    let cond = store.bin(op, p.frame[l as usize], i);
-                    branch(store, &mut p, &mut work, cond, target);
+                    (store.bin(op, p.frame[l as usize], i), target)
                 }
-                FusedInstr::Jump { target } => p.pc = target as usize,
+            };
+            if let Some(sites) = sites.as_deref_mut() {
+                sites.visits.push(Visit {
+                    site: Site::Branch {
+                        site: FUSED_SITE,
+                        pc: p.pc as u32,
+                    },
+                    terms: [cond, cond],
+                    decisions: p.decisions.clone(),
+                });
+            }
+            match store.truth(cond) {
+                Tri::True => p.pc += 1,
+                Tri::False => p.pc = target as usize,
+                Tri::Unknown => {
+                    let mut jumped = P {
+                        pc: target as usize,
+                        frame: p.frame.clone(),
+                        decisions: p.decisions.clone(),
+                    };
+                    jumped.decisions.push((cond, false));
+                    work.push(jumped);
+                    p.decisions.push((cond, true));
+                    p.pc += 1;
+                }
             }
         }
         if out.len() + work.len() > MAX_PATHS {
@@ -1042,15 +1310,12 @@ pub fn symbolic_equivalent(spec: &PipelineSpec, a: &MachineCode, b: &MachineCode
 /// packet input, and source rel-ops whose outcome is decided for every
 /// packet. Deterministic (sorted, deduped); empty if the executor bails.
 pub fn symbolic_lints(spec: &PipelineSpec, mc: &MachineCode) -> Vec<LintRecord> {
+    let Ok(pipeline) = Pipeline::generate(spec, mc, OptLevel::Unoptimized) else {
+        return Vec::new();
+    };
     let mut store = TermStore::new();
-    let mut decided = Vec::new();
-    let Some(tr) = sym_run_level(
-        &mut store,
-        spec,
-        mc,
-        OptLevel::Unoptimized,
-        Some(&mut decided),
-    ) else {
+    let mut sites = Sites::default();
+    let Some(tr) = sym_run_pipeline(&mut store, &pipeline, spec, Some(&mut sites)) else {
         return Vec::new();
     };
     let cfg = spec.config;
@@ -1095,7 +1360,7 @@ pub fn symbolic_lints(spec: &PipelineSpec, mc: &MachineCode) -> Vec<LintRecord> 
         }
     }
 
-    let events: BTreeSet<DecidedRelop> = decided.into_iter().collect();
+    let events: BTreeSet<DecidedRelop> = sites.relops.into_iter().collect();
     for e in events {
         out.push(LintRecord {
             stage: e.stage,
@@ -1154,7 +1419,7 @@ fn reg_read_term(
     let mut acc = store.konst(0);
     for i in (0..len).rev() {
         let iv = store.konst(i as Value);
-        let hit = store.bin(druzhba_alu_dsl::ast::BinOp::Eq, idx, iv);
+        let hit = store.bin(BinOp::Eq, idx, iv);
         acc = store.ite(hit, regs[base + i], acc);
     }
     Some(acc)
@@ -1181,7 +1446,7 @@ fn reg_write_term(
     }
     for i in 0..len {
         let iv = store.konst(i as Value);
-        let hit = store.bin(druzhba_alu_dsl::ast::BinOp::Eq, idx, iv);
+        let hit = store.bin(BinOp::Eq, idx, iv);
         regs[base + i] = store.ite(hit, v, regs[base + i]);
     }
     Some(())
@@ -1446,7 +1711,6 @@ fn p4_src_term(store: &mut TermStore, frame: &[TermId], src: Src) -> TermId {
 }
 
 fn p4_apply_op(store: &mut TermStore, p: &mut P4Path, op: SymOp) -> Option<()> {
-    use druzhba_alu_dsl::ast::BinOp;
     match op {
         SymOp::Set { dst, src } => p.frame[dst] = p4_src_term(store, &p.frame, src),
         SymOp::Add { dst, src } => {
@@ -1483,7 +1747,6 @@ fn p4_apply_op(store: &mut TermStore, p: &mut P4Path, op: SymOp) -> Option<()> {
 /// The match condition of one pattern against the stage snapshot, built
 /// in the exact shape both executors share.
 fn pattern_cond(store: &mut TermStore, snap: &[TermId], pat: SymPat) -> TermId {
-    use druzhba_alu_dsl::ast::BinOp;
     match pat {
         SymPat::Exact { slot, value } => {
             let v = store.konst(value);
@@ -1653,12 +1916,12 @@ fn sym_run_mat(
                 }
                 MatInstr::Add { dst, src } => {
                     let v = p4_src_term(store, &p.frame, src);
-                    p.frame[dst] = store.bin(druzhba_alu_dsl::ast::BinOp::Add, p.frame[dst], v);
+                    p.frame[dst] = store.bin(BinOp::Add, p.frame[dst], v);
                     pc += 1;
                 }
                 MatInstr::Sub { dst, src } => {
                     let v = p4_src_term(store, &p.frame, src);
-                    p.frame[dst] = store.bin(druzhba_alu_dsl::ast::BinOp::Sub, p.frame[dst], v);
+                    p.frame[dst] = store.bin(BinOp::Sub, p.frame[dst], v);
                     pc += 1;
                 }
                 MatInstr::RegRead {

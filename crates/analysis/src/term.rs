@@ -253,6 +253,53 @@ impl TermStore {
         v
     }
 
+    /// Abstractly evaluate `t` under an abstract valuation of its free
+    /// symbols, memoized over the DAG: the abstract counterpart of
+    /// [`TermStore::eval`], and how the analyzer reads an abstract
+    /// execution off a symbolic one. Each node applies the same
+    /// `domain.rs` transfer function its construction-time abstraction
+    /// came from; an `Ite` takes the arm its condition's truth decides
+    /// and joins both arms otherwise.
+    pub fn abs_eval(&self, t: TermId, valuation: &dyn Fn(Sym) -> AbsVal) -> AbsVal {
+        self.abs_eval_memo(t, valuation, &mut HashMap::new())
+    }
+
+    /// [`TermStore::abs_eval`] sharing `memo` across calls under one
+    /// valuation.
+    pub(crate) fn abs_eval_memo(
+        &self,
+        t: TermId,
+        valuation: &dyn Fn(Sym) -> AbsVal,
+        memo: &mut HashMap<TermId, AbsVal>,
+    ) -> AbsVal {
+        if let Some(&v) = memo.get(&t) {
+            return v;
+        }
+        let v = match self.node(t) {
+            Node::Const(v) => AbsVal::constant(v),
+            Node::Sym(s) => valuation(s),
+            Node::Bin(op, l, r) => AbsVal::binop(
+                op,
+                self.abs_eval_memo(l, valuation, memo),
+                self.abs_eval_memo(r, valuation, memo),
+            ),
+            Node::Un(op, x) => AbsVal::unop(op, self.abs_eval_memo(x, valuation, memo)),
+            Node::BitAnd(l, r) => self
+                .abs_eval_memo(l, valuation, memo)
+                .bit_and(self.abs_eval_memo(r, valuation, memo)),
+            Node::Shr(x, sh) => self.abs_eval_memo(x, valuation, memo).shr(sh),
+            Node::Ite(c, th, el) => match self.abs_eval_memo(c, valuation, memo).truth() {
+                Tri::True => self.abs_eval_memo(th, valuation, memo),
+                Tri::False => self.abs_eval_memo(el, valuation, memo),
+                Tri::Unknown => self
+                    .abs_eval_memo(th, valuation, memo)
+                    .join(self.abs_eval_memo(el, valuation, memo)),
+            },
+        };
+        memo.insert(t, v);
+        v
+    }
+
     /// Does `t` reference any `Sym::Phv` input? (Drives the
     /// input-independent-write lint.)
     pub fn depends_on_phv(&self, t: TermId) -> bool {

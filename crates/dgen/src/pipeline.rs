@@ -530,6 +530,35 @@ impl Pipeline {
         self.fused.as_ref()
     }
 
+    /// The coverage edges every processed packet records, whatever its
+    /// contents: each ALU's input-mux and each stage's output-mux
+    /// selections on the staged backends, each stage entry on the fused
+    /// one. Branch edges, which depend on the packet, are not included.
+    pub fn fixed_edges(&self) -> Vec<(u32, u32, u32)> {
+        if let Some(fp) = &self.fused {
+            return (0..fp.stage_bounds().len() as u32)
+                .map(|stage| (crate::fused::FUSED_SITE, 0x8000 + stage, 0))
+                .collect();
+        }
+        let mut out = Vec::new();
+        for stage in &self.stages {
+            for unit in stage.stateless.iter().chain(&stage.stateful) {
+                for (k, &sel) in unit.operand_sel.iter().enumerate() {
+                    out.push((unit.site, 0x4000 + k as u32, sel as Value));
+                }
+            }
+            for container in 0..self.config.phv_length {
+                let sel = stage.output_selection(container) as Value;
+                out.push((
+                    0x0A00_0000 | stage.stage_index as u32,
+                    container as u32,
+                    sel,
+                ));
+            }
+        }
+        out
+    }
+
     /// Execute one stage against a PHV (used by the tick-accurate
     /// simulator, which holds one in-flight PHV per stage).
     pub fn execute_stage(&mut self, stage: usize, input: &Phv) -> Phv {
