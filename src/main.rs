@@ -949,6 +949,23 @@ fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
     let generate = args.get_usize("generate", 0)?;
+    // The target kind is a second mode axis: the lowering flags configure
+    // a corpus or file target, and `--entries` only a `.p4` file.
+    let unread: &[&str] = if generate > 0 {
+        &["entries", "stages", "tables-per-stage"]
+    } else if args.file.as_deref().is_some_and(is_p4_path) {
+        &[]
+    } else {
+        &["entries"]
+    };
+    if let Some(f) = unread.iter().find(|f| args.get(f).is_some()) {
+        let target = if generate > 0 {
+            "with --generate"
+        } else {
+            "without a .p4 file"
+        };
+        return Err(format!("flag `--{f}` does not apply to `p4-fuzz` {target}"));
+    }
     let targets = if generate > 0 {
         if args.file.is_some() {
             return Err(

@@ -256,3 +256,56 @@ fn unknown_p4_target_reports_cleanly() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn p4_fuzz_rejects_target_flags_its_target_does_not_read() {
+    let cases: &[&[&str]] = &[
+        &["p4-fuzz", "l2_forward", "--entries", "/nonexistent.entries"],
+        &[
+            "p4-fuzz",
+            "--entries",
+            "/nonexistent.entries",
+            "--phvs",
+            "10",
+        ],
+        &[
+            "p4-fuzz",
+            "--generate",
+            "1",
+            "--stages",
+            "1",
+            "--entries",
+            "/nope",
+        ],
+        &["p4-fuzz", "--generate", "1", "--stages", "1"],
+        &["p4-fuzz", "--generate", "1", "--tables-per-stage", "2"],
+    ];
+    for args in cases {
+        let out = druzhba(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = args
+            .iter()
+            .any(|a| a.starts_with("--") && stderr.contains(&format!("flag `{a}` does not apply")));
+        assert!(named, "{args:?} must name the flag; stderr: {stderr}");
+    }
+    // A `.p4` file reads `--entries` (and the lowering flags).
+    let (dir, p4) = write_demo();
+    let entries = dir.join("golden_demo.entries");
+    let out = druzhba(&[
+        "p4-fuzz",
+        p4.to_str().unwrap(),
+        "--entries",
+        entries.to_str().unwrap(),
+        "--stages",
+        "12",
+        "--phvs",
+        "50",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
