@@ -11,18 +11,20 @@
 //!   contain every run in which that same packet repeats (the state
 //!   fixpoint covers any packet count).
 //!
-//! Covered: all 12 Table 1 Domino programs across all four dgen backends,
-//! and all 5 P4 corpus programs against both the HLIR interpreter and the
-//! lowered fused `MatInstr` pipeline.
+//! Covered: all 12 Table 1 Domino programs and a few generated ones across
+//! all four dgen backends, and all 5 P4 corpus programs against both the
+//! HLIR interpreter and the lowered fused `MatInstr` pipeline.
 
 use proptest::prelude::*;
 
 use druzhba::analysis::{abstract_input, analyze_hlir, analyze_mat, analyze_pipeline, AbsVal};
+use druzhba::chipmunk::CompiledProgram;
 use druzhba::core::Trace;
 use druzhba::dgen::mat::MatPipeline;
 use druzhba::dgen::{OptLevel, Pipeline};
 use druzhba::dsim::p4::P4Traffic;
 use druzhba::dsim::TrafficGenerator;
+use druzhba::progen::generate_domino_at;
 use druzhba::programs::{P4_PROGRAMS, PROGRAMS};
 
 const LEVELS: [OptLevel; 4] = [
@@ -59,35 +61,31 @@ fn check_state(
 /// each output PHV and the final state to stay inside the abstraction
 /// computed from `input`.
 fn check_domino(
-    def: &druzhba::programs::ProgramDef,
+    name: &str,
+    compiled: &CompiledProgram,
     input: &[AbsVal],
     trace: &Trace,
 ) -> Result<(), String> {
-    let compiled = def
-        .compile_cached()
-        .map_err(|e| format!("{}: {e}", def.name))?;
     let spec = &compiled.pipeline_spec;
     let mc = &compiled.machine_code;
     for level in LEVELS {
-        let abs =
-            analyze_pipeline(spec, mc, level, input).map_err(|e| format!("{}: {e}", def.name))?;
+        let abs = analyze_pipeline(spec, mc, level, input).map_err(|e| format!("{name}: {e}"))?;
         let mut pipeline =
-            Pipeline::generate(spec, mc, level).map_err(|e| format!("{}: {e}", def.name))?;
+            Pipeline::generate(spec, mc, level).map_err(|e| format!("{name}: {e}"))?;
         for phv in &trace.phvs {
             let out = pipeline.process(phv);
             for (c, a) in abs.phv.iter().enumerate() {
                 let v = out.get(c);
                 if !a.contains(v) {
                     return Err(format!(
-                        "{} at {level:?}: output container[{c}] = {v} escapes \
-                         the abstraction {a:?}",
-                        def.name
+                        "{name} at {level:?}: output container[{c}] = {v} escapes \
+                         the abstraction {a:?}"
                     ));
                 }
             }
             // State soundness must hold after *every* packet, not just
             // the last one — the fixpoint covers all intermediate states.
-            check_state(def.name, level, &abs.state, &pipeline.state_snapshot())?;
+            check_state(name, level, &abs.state, &pipeline.state_snapshot())?;
         }
     }
     Ok(())
@@ -101,12 +99,20 @@ proptest! {
         seed in 0u64..0xFFFF_FFFF,
         npackets in 1usize..5,
     ) {
-        for def in &PROGRAMS {
-            let compiled = def.compile_cached().unwrap();
+        // The corpus, plus a few generated programs: the analysis also
+        // screens and translation-validates every `gen-sweep` candidate.
+        let generated = (0..3).map(|index| {
+            let g = generate_domino_at(seed, index);
+            (g.name, g.compiled)
+        });
+        let corpus = PROGRAMS
+            .iter()
+            .map(|def| (def.name.to_string(), def.compile_cached().unwrap()));
+        for (name, compiled) in corpus.chain(generated) {
             let len = compiled.pipeline_spec.config.phv_length;
             let input = vec![AbsVal::top(); len];
             let trace = TrafficGenerator::new(seed, len, 16).trace(npackets);
-            if let Err(e) = check_domino(def, &input, &trace) {
+            if let Err(e) = check_domino(&name, &compiled, &input, &trace) {
                 prop_assert!(false, "{e}");
             }
         }
@@ -124,7 +130,7 @@ proptest! {
             let input: Vec<AbsVal> =
                 (0..len).map(|c| AbsVal::constant(phv.get(c))).collect();
             let trace = Trace::from_phvs(vec![phv; npackets]);
-            if let Err(e) = check_domino(def, &input, &trace) {
+            if let Err(e) = check_domino(def.name, &compiled, &input, &trace) {
                 prop_assert!(false, "{e}");
             }
         }

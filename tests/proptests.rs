@@ -421,7 +421,9 @@ mod symbolic {
 
     /// Substitute a concrete packet and entry state into a symbolic
     /// transfer function and require exact agreement with the concrete
-    /// backend, packet by packet, state snapshot by state snapshot.
+    /// backend, packet by packet, state snapshot by state snapshot. Each
+    /// concrete value must also lie in `abs_eval` of its term under the
+    /// all-top valuation (the abstraction the analyzer reads off the DAG).
     fn check_substitution(
         spec: &PipelineSpec,
         mc: &MachineCode,
@@ -434,6 +436,14 @@ mod symbolic {
             let mut pipeline =
                 Pipeline::generate(spec, mc, level).map_err(|e| format!("{level:?}: {e}"))?;
             let mut state = pipeline.state_snapshot();
+            let in_top = |t: TermId, v: u32, site: &str| {
+                let abs = store.abs_eval(t, &|_| AbsVal::top());
+                if abs.contains(v) {
+                    Ok(())
+                } else {
+                    Err(format!("{level:?}: {site} = {v} escapes abs_eval {abs:?}"))
+                }
+            };
             for (i, phv) in phvs.iter().enumerate() {
                 let entry = state.clone();
                 let valuation = move |sym: Sym| match sym {
@@ -452,6 +462,7 @@ mod symbolic {
                             out.get(c)
                         ));
                     }
+                    in_top(t, got, &format!("packet {i} container[{c}]"))?;
                 }
                 let next: Vec<Vec<Vec<u32>>> = tr
                     .state
@@ -468,6 +479,10 @@ mod symbolic {
                         "{level:?} packet {i}: symbolic state {next:?} != concrete {:?}",
                         pipeline.state_snapshot()
                     ));
+                }
+                let cells = tr.state.iter().flatten().flatten();
+                for (&t, &v) in cells.zip(next.iter().flatten().flatten()) {
+                    in_top(t, v, &format!("packet {i} state cell"))?;
                 }
                 state = next;
             }
