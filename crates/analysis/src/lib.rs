@@ -1,15 +1,21 @@
 //! Abstract-interpretation static analyzer for the Druzhba stacks.
 //!
 //! One reduced-product domain — intervals × known bits ([`domain::AbsVal`])
-//! — drives three passes over the existing IRs:
+//! — drives three passes. On the Domino stack the abstraction is read off
+//! the symbolic transfer DAG of [`symbolic`]: each term node carries its
+//! `AbsVal`, [`TermStore::abs_eval`] re-evaluates the DAG under an
+//! abstract valuation of the entry symbols, and [`pipeline`] iterates that
+//! to the cross-packet state fixpoint. The P4 stack walks its HLIR and
+//! lowered `MatInstr` program abstractly ([`p4`]).
 //!
 //! 1. **Static translation validation** ([`pipeline::translation_validate`],
-//!    [`p4::p4_translation_validate`]): the source semantics (ALU-DSL AST,
-//!    P4 HLIR) and every compiled form (stack bytecode, staged pipeline,
-//!    fused register program, lowered `MatInstr` program) are abstractly
-//!    evaluated from the same abstract input; any observable whose two
-//!    abstractions are *disjoint* is a proven miscompilation — no concrete
-//!    execution of either side can agree there.
+//!    [`p4::p4_translation_validate`]): the source semantics (Unoptimized
+//!    transfer function, P4 HLIR) and every compiled form (specialized
+//!    pipeline, stack bytecode, fused register program, lowered `MatInstr`
+//!    program) are abstractly evaluated from the same abstract input; any
+//!    observable whose two abstractions are *disjoint* is a proven
+//!    miscompilation — no concrete execution of either side can agree
+//!    there.
 //! 2. **Lint diagnostics**: statically unreachable `if`/mux arms, dead
 //!    stateful writes, certain-overflow arithmetic, division by a constant
 //!    zero, unreachable tables/entries/actions, always-match LPM prefixes,
@@ -24,7 +30,7 @@
 //! Soundness contract: for every pass, the concrete result of any run the
 //! backends can produce is *contained* in the abstract result. The
 //! property tests in `tests/analysis_soundness.rs` pin this against all
-//! backends over the shipped corpus.
+//! backends over the shipped corpus and generated programs.
 
 pub mod domain;
 pub mod p4;

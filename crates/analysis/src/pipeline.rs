@@ -85,35 +85,28 @@ pub fn analyze_pipeline(
     let mut sites = Sites::default();
     let tr = sym_run_pipeline(&mut store, &pipeline, spec, Some(&mut sites));
     let (phv, state) = abstract_run(&store, tr.as_ref(), spec, input);
-    let branches = branch_sites(&pipeline);
     // The edges every packet records are live at the statically keyed
     // levels, so the live list covers every edge the backend records.
     let mut live_edges = match level {
         OptLevel::SccInline | OptLevel::Fused => pipeline.fixed_edges(),
         OptLevel::Unoptimized | OptLevel::Scc => Vec::new(),
     };
-    if tr.is_none() {
-        live_edges.extend(
-            branches
-                .iter()
-                .flat_map(|&(site, pc)| [(site, pc, 1), (site, pc, 0)]),
-        );
-        return Ok(PipelineAbs {
-            level,
-            phv,
-            state,
-            dead_edges: Vec::new(),
-            live_edges,
-            lints: Vec::new(),
-        });
-    }
-
-    let seen = read_sites(&store, &sites, &valuation(input, &state));
+    // A bail leaves the recorded sites partial: read none of them, and
+    // keep every branch outcome live.
+    let seen = if tr.is_some() {
+        read_sites(&store, &sites, &valuation(input, &state))
+    } else {
+        BTreeMap::new()
+    };
 
     let mut dead_edges = Vec::new();
-    for (site, pc) in branches {
+    for (site, pc) in branch_sites(&pipeline) {
         // The jump is taken when the tested value is falsy.
-        let truth = seen.get(&Site::Branch { site, pc }).map(|t| t[0].truth());
+        let truth = if tr.is_some() {
+            seen.get(&Site::Branch { site, pc }).map(|t| t[0].truth())
+        } else {
+            Some(Tri::Unknown)
+        };
         for (taken, live) in [
             (1, truth.is_some_and(|t| t != Tri::True)),
             (0, truth.is_some_and(|t| t != Tri::False)),
@@ -357,31 +350,23 @@ fn lints(seen: &BTreeMap<&Site, [AbsVal; 2]>) -> Vec<LintRecord> {
                     Tri::Unknown => {}
                 }
             }
-            Site::Arith { unit, pc, sym, .. } => {
+            Site::Operands { unit, pc, sym, .. } => {
+                let max = u64::from(u32::MAX);
                 let wraps = match sym {
-                    "+" => u64::from(l.iv.lo) + u64::from(r.iv.lo) > u64::from(u32::MAX),
+                    "+" => u64::from(l.iv.lo) + u64::from(r.iv.lo) > max,
                     "-" => l.iv.hi < r.iv.lo,
-                    _ => u64::from(l.iv.lo) * u64::from(r.iv.lo) > u64::from(u32::MAX),
+                    "*" => u64::from(l.iv.lo) * u64::from(r.iv.lo) > max,
+                    _ => false,
                 };
                 if wraps {
-                    push(
-                        unit,
-                        pc,
-                        "overflow",
-                        format!("`{sym}` always wraps modulo 2^32 here"),
-                    );
+                    let message = format!("`{sym}` always wraps modulo 2^32 here");
+                    push(unit, pc, "overflow", message);
                 }
-            }
-            Site::Div { unit, pc, sym, .. } => {
-                if r.as_const() == Some(0) {
-                    push(
-                        unit,
-                        pc,
-                        "div-by-zero",
-                        format!(
-                            "right operand of `{sym}` is always zero (total semantics yield 0)"
-                        ),
+                if matches!(sym, "/" | "%") && r.as_const() == Some(0) {
+                    let message = format!(
+                        "right operand of `{sym}` is always zero (total semantics yield 0)"
                     );
+                    push(unit, pc, "div-by-zero", message);
                 }
             }
             Site::Overwrite {
@@ -654,12 +639,10 @@ pub fn flag_mutant(
     }
 }
 
-/// The dead-edge set of an analysis: an edge is only *proven* dead if no
-/// abstractly possible path reaches it, so no dead edge is also live.
+/// The edges an analysis proves dead: those no abstractly possible path
+/// reaches (no dead edge is also live).
 pub fn proven_dead_edges(abs: &PipelineAbs) -> Vec<EdgeKey> {
-    let mut dead = abs.dead_edges.clone();
-    dead.retain(|e| !abs.live_edges.contains(e));
-    dead
+    abs.dead_edges.clone()
 }
 
 #[cfg(test)]

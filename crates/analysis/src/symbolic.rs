@@ -27,6 +27,14 @@
 //! Executors bail to `None` (never a wrong term) on path explosion or
 //! structurally surprising programs; [`symbolic_validate`] then reports
 //! `Unknown` and callers fall back to bounded concrete verification.
+//!
+//! ## Recorded sites
+//!
+//! The Domino executors are also the abstract interpreter of
+//! `pipeline::analyze_pipeline`. On request they record a `Site` visit
+//! wherever a lint or a coverage edge is decided — each `if` arm, each
+//! arithmetic and division operand pair, each overwritten state write,
+//! each conditional jump — with its terms and the decisions of its path.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -183,17 +191,10 @@ pub(crate) enum Site {
         arms: u32,
         has_else: bool,
     },
-    /// A wrapping `+`, `-` or `*` (`sym`) in the statement at `pc`;
+    /// A `+`, `-`, `*`, `/` or `%` (`sym`) in the statement at `pc`;
     /// `expr` tells apart the expression nodes of one statement. Terms:
     /// the operands.
-    Arith {
-        unit: UnitLoc,
-        pc: u32,
-        expr: usize,
-        sym: &'static str,
-    },
-    /// A `/` or `%` (`sym`) in the statement at `pc`. Terms: the operands.
-    Div {
+    Operands {
         unit: UnitLoc,
         pc: u32,
         expr: usize,
@@ -364,18 +365,16 @@ impl<'a> AluWalk<'a> {
             match stmt {
                 Stmt::Assign { target, value } => {
                     let idx = self.spec.state_var_index(target);
-                    let mut written = Vec::with_capacity(live.len());
                     for path in live.iter_mut() {
                         let v = self.eval(value, &path.state, &path.decisions);
-                        written.push(v);
                         if let Some(j) = idx {
                             if j < path.state.len() {
                                 path.state[j] = v;
                             }
                         }
                     }
-                    if let Some(j) = idx.filter(|_| self.rec.as_ref().is_some_and(|r| r.lint)) {
-                        self.note_write(j, target, &live, &written);
+                    if let Some(j) = idx {
+                        self.note_write(j, target, &live);
                     }
                 }
                 Stmt::If { arms, else_body } => {
@@ -404,24 +403,23 @@ impl<'a> AluWalk<'a> {
     /// Track the write of state variable `j` at the current pc, recording
     /// an overwrite site on every live path when an unread write of `j`
     /// is pending.
-    fn note_write(&mut self, j: usize, target: &str, live: &[LocalPath], written: &[TermId]) {
+    fn note_write(&mut self, j: usize, target: &str, live: &[LocalPath]) {
         let at = self.stmt_pc;
-        match self.pending.iter_mut().find(|(var, _)| *var == j) {
-            Some(entry) => {
-                let pc = std::mem::replace(&mut entry.1, at);
-                let Some(rec) = self.linter() else { return };
-                let unit = rec.unit;
-                for (p, &v) in live.iter().zip(written) {
-                    let site = Site::Overwrite {
-                        unit,
-                        pc,
-                        at,
-                        var: target.to_string(),
-                    };
-                    rec.visit(site, [v, v], &p.decisions);
-                }
-            }
-            None => self.pending.push((j, at)),
+        let Some(entry) = self.pending.iter_mut().find(|(var, _)| *var == j) else {
+            self.pending.push((j, at));
+            return;
+        };
+        let pc = std::mem::replace(&mut entry.1, at);
+        let Some(rec) = self.linter() else { return };
+        for p in live {
+            let Some(&v) = p.state.get(j) else { continue };
+            let site = Site::Overwrite {
+                unit: rec.unit,
+                pc,
+                at,
+                var: target.to_string(),
+            };
+            rec.visit(site, [v, v], &p.decisions);
         }
     }
 
@@ -508,32 +506,22 @@ impl<'a> AluWalk<'a> {
         }
     }
 
-    /// Record an operand site of `expr` on the path with `decisions`.
+    /// Record the operands of the arithmetic `expr` on the path with
+    /// `decisions`.
     fn note_operands(
         &mut self,
         expr: &Expr,
-        div: bool,
-        sym: &'static str,
+        op: BinOp,
         terms: [TermId; 2],
         decisions: &[Decision],
     ) {
         let pc = self.stmt_pc;
         let Some(rec) = self.linter() else { return };
-        let (unit, expr) = (rec.unit, expr as *const Expr as usize);
-        let site = if div {
-            Site::Div {
-                unit,
-                pc,
-                expr,
-                sym,
-            }
-        } else {
-            Site::Arith {
-                unit,
-                pc,
-                expr,
-                sym,
-            }
+        let site = Site::Operands {
+            unit: rec.unit,
+            pc,
+            expr: expr as *const Expr as usize,
+            sym: op.symbol(),
         };
         rec.visit(site, terms, decisions);
     }
@@ -611,20 +599,17 @@ impl<'a> AluWalk<'a> {
                 } else {
                     BinOp::Sub
                 };
-                self.note_operands(expr, false, op.symbol(), [a, b], decisions);
+                self.note_operands(expr, op, [a, b], decisions);
                 self.store.bin(op, a, b)
             }
             Expr::Binary { op, l, r } => {
                 let l = self.eval(l, state, decisions);
                 let r = self.eval(r, state, decisions);
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                        self.note_operands(expr, false, op.symbol(), [l, r], decisions);
-                    }
-                    BinOp::Div | BinOp::Mod => {
-                        self.note_operands(expr, true, op.symbol(), [l, r], decisions);
-                    }
-                    _ => {}
+                if matches!(
+                    op,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
+                ) {
+                    self.note_operands(expr, *op, [l, r], decisions);
                 }
                 self.store.bin(*op, l, r)
             }
