@@ -188,16 +188,12 @@ fn abstract_run(
         return (vec![AbsVal::top(); cfg.phv_length], shaped(AbsVal::top()));
     };
 
+    let cells: Vec<TermId> = tr.state.iter().flatten().flatten().copied().collect();
     let mut state = shaped(AbsVal::constant(0));
     for iters in 0.. {
-        let next = abs_eval_cells(store, &tr.state, &valuation(input, &state));
+        let next = abs_eval_all(store, &cells, &valuation(input, &state));
         let mut changed = false;
-        for (s, &n) in state
-            .iter_mut()
-            .flatten()
-            .flatten()
-            .zip(next.iter().flatten().flatten())
-        {
+        for (s, n) in state.iter_mut().flatten().flatten().zip(next) {
             let joined = s.join(n);
             let merged = if iters < JOIN_ITERS {
                 joined
@@ -225,27 +221,6 @@ fn abs_eval_all(
     terms
         .iter()
         .map(|&t| store.abs_eval_memo(t, valuation, &mut memo))
-        .collect()
-}
-
-/// [`abs_eval_all`] over the `state[stage][slot][var]` terms.
-fn abs_eval_cells(
-    store: &TermStore,
-    cells: &[Vec<Vec<TermId>>],
-    valuation: &dyn Fn(Sym) -> AbsVal,
-) -> AbsState {
-    let mut memo = HashMap::new();
-    cells
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|vars| {
-                    vars.iter()
-                        .map(|&t| store.abs_eval_memo(t, valuation, &mut memo))
-                        .collect()
-                })
-                .collect()
-        })
         .collect()
 }
 
