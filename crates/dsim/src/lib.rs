@@ -28,7 +28,10 @@
 //!   debugging (packet ddmin, value shrinking, machine-code reduction
 //!   against a known-good baseline) that turns a raw divergence into the
 //!   smallest reproducing input. Fuzzing and verification failures carry
-//!   a [`minimize::MinimizedCounterExample`] in their reports.
+//!   a [`minimize::MinimizedCounterExample`] in their reports. A
+//!   minimization checks every candidate through one
+//!   [`testing::AluChecker`] (or [`p4::P4Checker`]), which keeps the
+//!   built pipeline while the machine code (or entry set) stays the same.
 //!
 //! The paper's §4 P4 direction gets the same treatment in [`p4`]: the
 //! lowered match-action pipeline (dgen's `mat` backends) is
@@ -65,7 +68,7 @@ pub use minimize::{
 pub use runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions, WorkerPanic};
 pub use sim::Simulator;
 pub use testing::{
-    fuzz_campaign, fuzz_run, fuzz_test, run_case, run_sharded, shard_seed, AluTarget,
+    fuzz_campaign, fuzz_run, fuzz_test, run_case, run_sharded, shard_seed, AluChecker, AluTarget,
     CampaignConfig, CampaignReport, FuzzConfig, FuzzReport, Specification, Target, Verdict,
     VerdictClass,
 };

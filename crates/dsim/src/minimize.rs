@@ -27,14 +27,20 @@
 //!    state; pairs whose reset kills the divergence are *essential* and
 //!    reported as the fault's footprint.
 //!
-//! Every candidate evaluation costs one differential simulation; the
-//! [`MinimizeConfig::max_checks`] budget bounds the total, and the search
-//! degrades gracefully (returns the best reduction so far) when exhausted.
+//! Every candidate evaluation costs one differential simulation, not a
+//! pipeline build: a minimization keeps one checker
+//! ([`AluChecker`], [`crate::p4::P4Checker`]) that holds one build per
+//! machine code or entry set, resets it before each check, and drops it
+//! after a captured panic. Value shrinking also remembers the values that
+//! already failed for the current container and charges a repeat without
+//! simulating it. The [`MinimizeConfig::max_checks`] budget bounds the
+//! total, and the search degrades gracefully (returns the best reduction
+//! so far) when exhausted.
 
 use druzhba_core::{MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, PipelineSpec};
 
-use crate::testing::{run_case, Specification, Verdict, VerdictClass};
+use crate::testing::{AluChecker, Specification, Verdict, VerdictClass};
 
 /// Observation points and budget for a minimization run.
 #[derive(Debug, Clone)]
@@ -102,9 +108,9 @@ impl MinimizedCounterExample {
 ///
 /// The engine is *oracle-generic*: it knows nothing about pipelines or
 /// specifications, only that a candidate `(program, input)` pair can be
-/// differentially evaluated to a [`Verdict`]. The ALU workflow passes a
-/// [`run_case`] closure over `(PipelineSpec, OptLevel, Specification)`;
-/// the P4 workflow ([`crate::p4`]) passes an interpreter-vs-match-action
+/// differentially evaluated to a [`Verdict`]. The ALU workflow passes an
+/// [`AluChecker`] closure over `(PipelineSpec, OptLevel, Specification)`;
+/// the P4 workflow ([`crate::p4`]) passes a [`crate::p4::P4Checker`]
 /// closure — both share every reduction strategy below.
 struct Minimizer<'a> {
     /// Differential oracle: evaluate one `(machine code, input)` pair.
@@ -164,6 +170,13 @@ impl Minimizer<'_> {
 
     /// Shrink every container value toward zero while the divergence
     /// persists (try zero, then halving, then decrement).
+    ///
+    /// Inside one container's loop only that cell changes, so a candidate
+    /// value that already failed there names the same trace and gets the
+    /// same verdict. Such a repeat is charged one check while budget
+    /// remains, exactly as if it were re-simulated, but is not simulated:
+    /// `checks`, budget exhaustion and the result stay what a full
+    /// re-check would give.
     fn shrink_values(
         &mut self,
         mc: &MachineCode,
@@ -171,8 +184,10 @@ impl Minimizer<'_> {
         mut verdict: Verdict,
         target: VerdictClass,
     ) -> (Vec<Phv>, Verdict) {
+        let mut failed: Vec<Value> = Vec::new();
         for p in 0..phvs.len() {
             for c in 0..phvs[p].len() {
+                failed.clear();
                 loop {
                     let v = phvs[p].get(c);
                     if v == 0 {
@@ -188,6 +203,10 @@ impl Minimizer<'_> {
                             continue;
                         }
                         tried = Some(cand);
+                        if failed.contains(&cand) {
+                            self.checks = (self.checks + 1).min(self.max_checks);
+                            continue;
+                        }
                         let mut next = phvs.clone();
                         next[p].set(c, cand);
                         if let Some(vd) = self.reproduces(mc, &next, target) {
@@ -196,6 +215,7 @@ impl Minimizer<'_> {
                             reduced = true;
                             break;
                         }
+                        failed.push(cand);
                     }
                     if !reduced {
                         break;
@@ -401,24 +421,21 @@ pub fn minimize<R: Specification + ?Sized>(
 }
 
 /// The standard ALU-pipeline differential oracle used by [`minimize`] and
-/// [`minimize_fault`]: one [`run_case`] per candidate.
+/// [`minimize_fault`]: one [`AluChecker`] for the whole minimization, so a
+/// candidate rebuilds the pipeline only when its machine code changes.
 fn differential_oracle<'a, R: Specification + ?Sized>(
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
     reference: &'a mut R,
     cfg: &'a MinimizeConfig,
 ) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + 'a {
-    move |mc, phvs| {
-        run_case(
-            pipeline_spec,
-            mc,
-            opt,
-            reference,
-            &Trace::from_phvs(phvs.to_vec()),
-            cfg.observable.as_deref(),
-            &cfg.state_cells,
-        )
-    }
+    let mut checker = AluChecker::new(
+        pipeline_spec,
+        opt,
+        cfg.observable.as_deref(),
+        &cfg.state_cells,
+    );
+    move |mc, phvs| checker.check(reference, mc, &Trace::from_phvs(phvs.to_vec()))
 }
 
 /// Minimize a failing input trace against an arbitrary differential
@@ -523,7 +540,7 @@ pub fn minimize_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::ClosureSpec;
+    use crate::testing::{run_case, ClosureSpec};
     use druzhba_alu_dsl::atoms::atom;
     use druzhba_core::PipelineConfig;
     use druzhba_dgen::expected_machine_code;
@@ -717,6 +734,54 @@ mod tests {
         assert_eq!(edits.len(), 1);
         assert_eq!(edits[0].name, "output_mux_phv_0_1");
         assert_eq!(edits[0].bad, None);
+    }
+
+    /// Shrink one container of one packet against a counting oracle that
+    /// diverges iff container 0 is at least 7. Returns the result and the
+    /// number of oracle invocations.
+    fn shrink_threshold(max_checks: usize) -> (MinimizedCounterExample, usize) {
+        let mut calls = 0usize;
+        let mut oracle = |phvs: &[Phv]| {
+            calls += 1;
+            if phvs.first().is_some_and(|p| p.get(0) >= 7) {
+                Verdict::Mismatch(druzhba_core::trace::TraceMismatch::StateMismatch {
+                    stage: 0,
+                    slot: 0,
+                    expected: Vec::new(),
+                    actual: Vec::new(),
+                })
+            } else {
+                Verdict::Pass
+            }
+        };
+        let input = Trace::from_phvs(vec![Phv::new(vec![1000])]);
+        let mce = minimize_trace_with(&mut oracle, &input, max_checks).expect("diverges");
+        (mce, calls)
+    }
+
+    #[test]
+    fn shrink_memo_charges_repeats_without_simulating_them() {
+        // One packet and a state mismatch: no truncation, halving or
+        // ddmin, so every check after the first is a shrink candidate.
+        // Per value, (candidates tried) → result:
+        //   1000: 0 ✗, 500 ✓    500: 0 ✗, 250 ✓    250: 0 ✗, 125 ✓
+        //   125: 0 ✗, 62 ✓      62: 0 ✗, 31 ✓      31: 0 ✗, 15 ✓
+        //   15: 0 ✗, 7 ✓        7: 0 ✗, 3 ✗, 6 ✗ (stop)
+        // = 1 + 7 × 2 + 3 = 18 checks, as before the memo. The seven
+        // re-tests of 0 after the first are charged but not simulated.
+        let (mce, calls) = shrink_threshold(3_000);
+        assert_eq!(mce.input.phvs[0].get(0), 7);
+        assert_eq!(mce.checks, 18);
+        assert_eq!(calls, 11);
+        assert!(calls < mce.checks);
+
+        // A budget below that count still bounds the charged checks, and
+        // whatever was reached still diverges.
+        let (mce, calls) = shrink_threshold(10);
+        assert!(mce.checks <= 10, "{}", mce.checks);
+        assert!(calls <= mce.checks);
+        assert!(mce.input.phvs[0].get(0) >= 7);
+        assert_eq!(mce.verdict.class(), VerdictClass::StateMismatch);
     }
 
     #[test]

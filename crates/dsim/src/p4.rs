@@ -273,32 +273,87 @@ fn state_mismatch(
 /// reference interpreter (over the workload's intended entries) on the
 /// same packets, and compare output traces and final state.
 ///
-/// This is the single-case core of [`P4Target`] and [`p4_minimize`] — the
-/// P4 analog of [`crate::testing::run_case`].
+/// This is the single-case core of [`P4Target`] — the P4 analog of
+/// [`crate::testing::run_case`] — and a one-shot use of [`P4Checker`],
+/// whose build is dropped when the call returns.
 ///
 /// Like the ALU side, the evaluation runs under panic isolation: a
 /// panicking match-action backend yields [`Verdict::BackendPanic`]
-/// instead of unwinding the campaign. Pipeline and interpreter are both
-/// constructed inside the guard, so nothing half-mutated survives a
-/// captured panic.
+/// instead of unwinding the campaign.
 pub fn run_p4_case(
     workload: &P4Workload,
     entries: &[TableEntry],
     level: OptLevel,
     input: &Trace,
 ) -> Verdict {
-    let guarded = crate::runtime::catch_silent(|| {
-        let mut pipeline =
-            match MatPipeline::generate(&workload.hlir, entries, &workload.lowering, level) {
+    P4Checker::new(workload, level).check(entries, input)
+}
+
+/// The guarded generate → run → compare check of the P4 stack, keeping
+/// one built pipeline and reference interpreter across checks.
+///
+/// A checker holds the workload and the backend, plus at most one
+/// `(entry set, MatPipeline, Interpreter)` build. A check rebuilds only
+/// when its entry set differs from the cached one, and resets both sides
+/// (registers and counters) before every run, so each verdict equals a
+/// fresh [`run_p4_case`] on the same inputs. [`p4_minimize`] keeps one
+/// checker for the whole minimization, so a check costs a simulation,
+/// not a pipeline generation and an HLIR clone.
+///
+/// Generation, simulation and comparison all run under
+/// [`catch_silent`](crate::runtime::catch_silent). An entry set that does
+/// not bind ([`Verdict::Incompatible`]) caches nothing, and a captured
+/// panic drops the build.
+#[derive(Debug)]
+pub struct P4Checker<'a> {
+    workload: &'a P4Workload,
+    level: OptLevel,
+    built: Option<(Vec<TableEntry>, MatPipeline, Interpreter)>,
+}
+
+impl<'a> P4Checker<'a> {
+    /// A checker with nothing built yet.
+    pub fn new(workload: &'a P4Workload, level: OptLevel) -> Self {
+        P4Checker {
+            workload,
+            level,
+            built: None,
+        }
+    }
+
+    /// Differentially execute `input` on the pipeline generated from
+    /// `entries` (see [`run_p4_case`]).
+    pub fn check(&mut self, entries: &[TableEntry], input: &Trace) -> Verdict {
+        match crate::runtime::catch_silent(|| self.run(entries, input)) {
+            Ok(verdict) => verdict,
+            Err(p) => {
+                self.built = None;
+                Verdict::BackendPanic { payload: p.payload }
+            }
+        }
+    }
+
+    /// The unguarded check: (re)build when `entries` is not the cached
+    /// entry set, reset both sides, run, compare.
+    fn run(&mut self, entries: &[TableEntry], input: &Trace) -> Verdict {
+        if self
+            .built
+            .as_ref()
+            .is_none_or(|(cached, ..)| cached != entries)
+        {
+            // Drop the old build first: at most one is ever alive.
+            self.built = None;
+            let w = self.workload;
+            let pipeline = match MatPipeline::generate(&w.hlir, entries, &w.lowering, self.level) {
                 Ok(p) => p,
                 Err(e) => return Verdict::Incompatible(e),
             };
-        let mut interp = workload.interpreter();
-        p4_differential(&mut pipeline, &mut interp, input)
-    });
-    match guarded {
-        Ok(verdict) => verdict,
-        Err(p) => Verdict::BackendPanic { payload: p.payload },
+            self.built = Some((entries.to_vec(), pipeline, w.interpreter()));
+        }
+        let (_, pipeline, interp) = self.built.as_mut().expect("built above");
+        pipeline.reset();
+        interp.reset();
+        p4_differential(pipeline, interp, input)
     }
 }
 
@@ -393,8 +448,8 @@ impl Target<()> for P4Target<'_> {
 /// Minimize a failing input trace for a fixed entry set through the
 /// shared oracle-generic delta-debugging engine ([`minimize_trace_with`]):
 /// truncation at the diverging tick, prefix halving, packet ddmin, and
-/// per-container value shrinking, every candidate re-checked through
-/// [`run_p4_case`].
+/// per-container value shrinking, every candidate re-checked through one
+/// [`P4Checker`] (one pipeline generation for the whole minimization).
 pub fn p4_minimize(
     workload: &P4Workload,
     entries: &[TableEntry],
@@ -402,8 +457,8 @@ pub fn p4_minimize(
     input: &Trace,
     max_checks: usize,
 ) -> Option<MinimizedCounterExample> {
-    let mut oracle =
-        |phvs: &[Phv]| run_p4_case(workload, entries, level, &Trace::from_phvs(phvs.to_vec()));
+    let mut checker = P4Checker::new(workload, level);
+    let mut oracle = |phvs: &[Phv]| checker.check(entries, &Trace::from_phvs(phvs.to_vec()));
     minimize_trace_with(&mut oracle, input, max_checks)
 }
 

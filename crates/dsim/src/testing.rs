@@ -257,15 +257,13 @@ impl FuzzReport {
 /// Differentially execute one concrete input trace: generate the pipeline,
 /// run it and the specification over `input`, and compare output traces
 /// (and the configured state cells). This is the single-case core shared
-/// by [`fuzz_test`] and [`mod@crate::minimize`].
+/// by [`fuzz_test`] and [`mod@crate::minimize`]: a one-shot use of
+/// [`AluChecker`], whose build is dropped when the call returns.
 ///
 /// The whole evaluation runs under panic isolation: a backend that
 /// panics while building or executing the pipeline yields
 /// [`Verdict::BackendPanic`] instead of unwinding the caller, so one
-/// crashing case can never abort a campaign. Nothing outlives the case —
-/// pipeline and simulator are constructed and dropped inside the guard,
-/// and the specification is `reset()` before any comparison — so no
-/// broken invariant escapes a captured panic.
+/// crashing case can never abort a campaign.
 pub fn run_case<R: Specification + ?Sized>(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
@@ -275,18 +273,89 @@ pub fn run_case<R: Specification + ?Sized>(
     observable: Option<&[usize]>,
     state_cells: &[(usize, usize, usize)],
 ) -> Verdict {
-    let guarded = catch_silent(|| {
-        let pipeline = match Pipeline::generate(pipeline_spec, mc, opt) {
-            Ok(p) => p,
-            Err(e) => return Verdict::Incompatible(e),
-        };
-        let mut sim = Simulator::new(pipeline);
+    AluChecker::new(pipeline_spec, opt, observable, state_cells).check(reference, mc, input)
+}
+
+/// The guarded generate → run → compare check of the ALU stack, keeping
+/// one built pipeline across checks.
+///
+/// A checker holds the pipeline shape, the backend and the observation
+/// points, plus at most one `(machine code, simulator)` build. A check
+/// rebuilds only when its machine code differs from the cached one, and
+/// resets the simulator (pipeline state and in-flight PHVs) before every
+/// run, so each verdict equals a fresh [`run_case`] on the same inputs.
+/// Delta debugging re-checks one machine code thousands of times, so one
+/// checker per minimization turns a check from a compile plus a
+/// simulation into a simulation.
+///
+/// Generation, simulation and comparison all run under
+/// [`catch_silent`]. A machine code the pipeline rejects
+/// ([`Verdict::Incompatible`]) caches nothing, and a captured panic drops
+/// the build, so no half-mutated simulator outlives its panic.
+#[derive(Debug)]
+pub struct AluChecker<'a> {
+    pipeline_spec: &'a PipelineSpec,
+    opt: OptLevel,
+    observable: Option<&'a [usize]>,
+    state_cells: &'a [(usize, usize, usize)],
+    built: Option<(MachineCode, Simulator)>,
+}
+
+impl<'a> AluChecker<'a> {
+    /// A checker with nothing built yet.
+    pub fn new(
+        pipeline_spec: &'a PipelineSpec,
+        opt: OptLevel,
+        observable: Option<&'a [usize]>,
+        state_cells: &'a [(usize, usize, usize)],
+    ) -> Self {
+        AluChecker {
+            pipeline_spec,
+            opt,
+            observable,
+            state_cells,
+            built: None,
+        }
+    }
+
+    /// Differentially execute `input` on the pipeline `mc` programs,
+    /// against `reference` (see [`run_case`]).
+    pub fn check<R: Specification + ?Sized>(
+        &mut self,
+        reference: &mut R,
+        mc: &MachineCode,
+        input: &Trace,
+    ) -> Verdict {
+        match catch_silent(|| self.run(reference, mc, input)) {
+            Ok(verdict) => verdict,
+            Err(p) => {
+                self.built = None;
+                Verdict::BackendPanic { payload: p.payload }
+            }
+        }
+    }
+
+    /// The unguarded check: (re)build when `mc` is not the cached machine
+    /// code, reset, run, compare.
+    fn run<R: Specification + ?Sized>(
+        &mut self,
+        reference: &mut R,
+        mc: &MachineCode,
+        input: &Trace,
+    ) -> Verdict {
+        if self.built.as_ref().is_none_or(|(cached, _)| cached != mc) {
+            // Drop the old build first: at most one is ever alive.
+            self.built = None;
+            let pipeline = match Pipeline::generate(self.pipeline_spec, mc, self.opt) {
+                Ok(p) => p,
+                Err(e) => return Verdict::Incompatible(e),
+            };
+            self.built = Some((mc.clone(), Simulator::new(pipeline)));
+        }
+        let (_, sim) = self.built.as_mut().expect("built above");
+        sim.reset();
         let actual = sim.run(input);
-        compare_against_spec(reference, input, &actual, observable, state_cells)
-    });
-    match guarded {
-        Ok(verdict) => verdict,
-        Err(p) => Verdict::BackendPanic { payload: p.payload },
+        compare_against_spec(reference, input, &actual, self.observable, self.state_cells)
     }
 }
 

@@ -69,8 +69,9 @@ struct Command {
     positional: &'static str,
     /// One line on what the command does.
     about: &'static str,
-    /// Each mode with what selects it; empty for a one-mode command.
-    modes: &'static [(&'static str, &'static str)],
+    /// The mode axes, each a list of modes with what selects them; a run
+    /// is in one mode of every axis. Empty for a one-mode command.
+    modes: &'static [&'static [(&'static str, &'static str)]],
     flags: &'static [Flag],
     run: fn(&Args) -> Result<ExitCode, String>,
 }
@@ -82,7 +83,8 @@ struct Flag {
     /// What the value is, as `help` shows it; empty for a switch, a flag
     /// that takes no value.
     metavar: &'static str,
-    /// The modes that read the flag; empty for every mode.
+    /// The modes that read the flag; empty for every mode. On an axis
+    /// none of these modes belongs to, every mode reads the flag.
     modes: &'static [&'static str],
     help: &'static str,
 }
@@ -102,7 +104,8 @@ const GENERATE: &str = "generate";
 
 /// The modes of a flag every mode of its command reads.
 const ALL: &[&str] = &[];
-const INPUT_MODES: &[(&str, &str)] = &[(DOMINO_FILE, "a .domino file"), (P4_FILE, "a .p4 file")];
+const INPUT_MODES: &[&[(&str, &str)]] =
+    &[&[(DOMINO_FILE, "a .domino file"), (P4_FILE, "a .p4 file")]];
 
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
@@ -121,7 +124,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "fuzz", positional: "<file.domino>", run: cmd_fuzz,
-        modes: &[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0")],
+        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0")]],
         about: "differential fuzzing of every selected backend against the Domino program",
         flags: &[
             Flag { name: "depth", metavar: "D", modes: ALL, help: "pipeline stages of the synthesis grid" },
@@ -176,8 +179,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "hunt", positional: "", run: cmd_hunt,
         about: "mutation campaign: inject faults, require the workflow to detect them (JSON report)",
-        modes: &[(CORPUS, "the default; machine-code faults in the Table 1 corpus"),
-            (GENERATE, "--generate N, N > 0; a sweep of N generated, screen-vetted programs")],
+        modes: &[&[(CORPUS, "the default; machine-code faults in the Table 1 corpus"),
+            (GENERATE, "--generate N, N > 0; a sweep of N generated, screen-vetted programs")]],
         flags: &[
             Flag { name: "programs", metavar: "a,b,c", modes: &[CORPUS], help: "corpus programs to hunt over (default: all)" },
             Flag { name: "mutants", metavar: "N", modes: &[CORPUS], help: "mutants per fault class per program" },
@@ -215,8 +218,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "analyze", positional: "[<file.domino>|<file.p4>|<program>]", run: cmd_analyze,
         about: "static analysis: translation validation, lints and screens; exit 2 on a proven miscompilation",
-        modes: &[(WHOLE_CORPUS, "no positional input"), (DOMINO_PROGRAM, "a Table 1 program name, at its Table 1 grid"),
-            (P4_PROGRAM, "a P4 corpus program name"), (P4_FILE, "a .p4 file"), (DOMINO_FILE, "any other file")],
+        modes: &[&[(WHOLE_CORPUS, "no positional input"), (DOMINO_PROGRAM, "a Table 1 program name, at its Table 1 grid"),
+            (P4_PROGRAM, "a P4 corpus program name"), (P4_FILE, "a .p4 file"), (DOMINO_FILE, "any other file")]],
         flags: &[
             Flag { name: "depth", metavar: "D", modes: &[DOMINO_FILE], help: "pipeline stages of the synthesis grid" },
             Flag { name: "width", metavar: "W", modes: &[DOMINO_FILE], help: "ALUs per stage" },
@@ -232,12 +235,14 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "p4-fuzz", positional: "[<file.p4>|<p4-program>]", run: cmd_p4_fuzz,
         about: "differential fuzzing of the lowered RMT pipeline against the P4 reference interpreter",
-        modes: &[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0"),
+        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0"),
             (MUTANTS, "--mutants N, N > 0; a table/action-fault campaign (JSON report)")],
+            &[(CORPUS, "no positional input (the whole P4 corpus) or a corpus program name"), (P4_FILE, "a .p4 file"),
+            (GENERATE, "--generate N, N > 0; N generated, TV-vetted P4 workloads")]],
         flags: &[
-            Flag { name: "entries", metavar: "FILE", modes: ALL, help: "table entries (default: the sibling .entries file)" },
-            Flag { name: "stages", metavar: "N", modes: ALL, help: "RMT stages the lowering may use" },
-            Flag { name: "tables-per-stage", metavar: "T", modes: ALL, help: "RMT tables per stage" },
+            Flag { name: "entries", metavar: "FILE", modes: &[P4_FILE], help: "table entries (default: the sibling .entries file)" },
+            Flag { name: "stages", metavar: "N", modes: &[CORPUS, P4_FILE], help: "RMT stages the lowering may use" },
+            Flag { name: "tables-per-stage", metavar: "T", modes: &[CORPUS, P4_FILE], help: "RMT tables per stage" },
             Flag { name: "generate", metavar: "N", modes: ALL, help: "replace the targets by N generated, TV-vetted P4 workloads" },
             Flag { name: "lint", metavar: "", modes: ALL, help: "lint and translation-validate every target first" },
             Flag { name: "seed", metavar: "S", modes: ALL, help: "traffic seed (decimal or 0x-hex)" },
@@ -285,7 +290,7 @@ fn usage() -> String {
         let head = format!("druzhba {} {}", cmd.name, cmd.positional);
         let _ = writeln!(s, "\n{}", head.trim_end());
         let _ = writeln!(s, "  {}", cmd.about);
-        for (mode, selected_by) in cmd.modes {
+        for (mode, selected_by) in cmd.modes.iter().copied().flatten() {
             let _ = writeln!(s, "  mode {mode}: {selected_by}");
         }
         for f in cmd.flags {
@@ -349,14 +354,17 @@ impl Args {
     }
 
     /// Fail on any flag the command does not read in `mode`: a flag
-    /// another mode reads is never silently ignored.
+    /// another mode of the same axis reads is never silently ignored.
     fn check_mode(&self, mode: &str) -> Result<(), String> {
-        debug_assert!(self.cmd.modes.iter().any(|(m, _)| *m == mode));
-        match self
-            .flags
+        let axis = self
+            .cmd
+            .modes
             .iter()
-            .find(|(f, _)| !f.modes.is_empty() && !f.modes.contains(&mode))
-        {
+            .find(|axis| axis.iter().any(|(m, _)| *m == mode))
+            .expect("a mode of the command");
+        match self.flags.iter().find(|(f, _)| {
+            axis.iter().any(|(m, _)| f.modes.contains(m)) && !f.modes.contains(&mode)
+        }) {
             Some((f, _)) => Err(format!(
                 "flag `--{}` does not apply to `{}` in {mode} mode",
                 f.name, self.cmd.name
@@ -949,23 +957,13 @@ fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
     let generate = args.get_usize("generate", 0)?;
-    // The target kind is a second mode axis: the lowering flags configure
-    // a corpus or file target, and `--entries` only a `.p4` file.
-    let unread: &[&str] = if generate > 0 {
-        &["entries", "stages", "tables-per-stage"]
+    args.check_mode(if generate > 0 {
+        GENERATE
     } else if args.file.as_deref().is_some_and(is_p4_path) {
-        &[]
+        P4_FILE
     } else {
-        &["entries"]
-    };
-    if let Some(f) = unread.iter().find(|f| args.get(f).is_some()) {
-        let target = if generate > 0 {
-            "with --generate"
-        } else {
-            "without a .p4 file"
-        };
-        return Err(format!("flag `--{f}` does not apply to `p4-fuzz` {target}"));
-    }
+        CORPUS
+    })?;
     let targets = if generate > 0 {
         if args.file.is_some() {
             return Err(
@@ -1644,6 +1642,21 @@ mod tests {
                 "{}",
                 cmd.name
             );
+            // `check_mode` finds a mode's axis by its name.
+            let modes: Vec<&str> = cmd
+                .modes
+                .iter()
+                .copied()
+                .flatten()
+                .map(|(m, _)| *m)
+                .collect();
+            for (k, mode) in modes.iter().enumerate() {
+                assert!(
+                    !modes[..k].contains(mode),
+                    "{}: mode `{mode}` twice",
+                    cmd.name
+                );
+            }
             for (j, f) in cmd.flags.iter().enumerate() {
                 let name = format!("{} --{}", cmd.name, f.name);
                 assert!(
@@ -1651,7 +1664,10 @@ mod tests {
                     "{name} twice"
                 );
                 for mode in f.modes {
-                    assert!(cmd.modes.iter().any(|(m, _)| m == mode), "{name}: `{mode}`");
+                    assert!(
+                        cmd.modes.iter().copied().flatten().any(|(m, _)| m == mode),
+                        "{name}: `{mode}`"
+                    );
                 }
             }
         }

@@ -25,7 +25,7 @@ use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_drmt::{solve, DrmtMachine, ScheduleConfig};
 use druzhba_dsim::p4::{
-    run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
+    run_p4_case, P4Checker, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
 };
 use druzhba_dsim::runtime::{default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
@@ -298,10 +298,11 @@ fn screen(
     {
         return None;
     }
+    let mut checker = P4Checker::new(workload, OptLevel::SccInline);
     for run in 0..cfg.fuzz_runs.max(1) {
         let seed = shard_seed(probe_seed, run as u64);
         let input = P4Traffic::new(workload, seed, cfg.input_bits).trace(cfg.fuzz_phvs);
-        if !run_p4_case(workload, entries, OptLevel::SccInline, &input).passed() {
+        if !checker.check(entries, &input).passed() {
             return Some(seed);
         }
     }

@@ -5,8 +5,12 @@
 //! and the three execution models (sequential interpreter, staged RMT
 //! pipeline, scheduled dRMT machine) must agree packet-for-packet.
 
+use druzhba::core::ValueGen;
 use druzhba::dgen::OptLevel;
-use druzhba::dsim::p4::{apply_fault, P4FaultKind, P4Target, P4Workload};
+use druzhba::dsim::p4::{
+    apply_fault, run_p4_case, P4Checker, P4FaultInjector, P4FaultKind, P4Target, P4Traffic,
+    P4Workload,
+};
 use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::testing::{
     fuzz_campaign, fuzz_run, CampaignConfig, FuzzConfig, FuzzReport, VerdictClass,
@@ -293,5 +297,45 @@ fn injected_fault_minimizes_to_a_tiny_counterexample() {
         assert_eq!(mce.verdict.class(), VerdictClass::ContainerMismatch);
         let v = p4_replay(&w, &bad, level, &mce.input);
         assert_eq!(v.class(), mce.verdict.class(), "{level:?}");
+    }
+}
+
+/// One checker over a seeded sequence of checks gives every verdict a
+/// fresh `run_p4_case` gives, on every corpus workload and backend, while
+/// it switches between the intended entries, two injected faults and an
+/// entry set that does not bind. `flow_meter` writes registers and counts
+/// on every packet, so a checker that skipped `MatPipeline::reset` or
+/// `Interpreter::reset` would report state carried over from the trace
+/// before.
+#[test]
+fn checker_verdicts_equal_fresh_run_p4_case() {
+    for def in &P4_PROGRAMS {
+        let w = def.workload().unwrap();
+        let mut injector = P4FaultInjector::new(0xD122B);
+        let mut fault = |kind| {
+            injector
+                .inject(&w.entries, kind)
+                .map_or_else(|| w.entries.clone(), |(entries, _)| entries)
+        };
+        let removed = fault(P4FaultKind::RemovedEntry);
+        let mismatched = fault(P4FaultKind::MatchValue);
+        let mut unbound = w.entries.clone();
+        unbound[0].table = "no_such_table".into();
+        let sets = [w.entries.clone(), removed, mismatched, unbound];
+        for level in OptLevel::ALL {
+            let mut checker = P4Checker::new(&w, level);
+            let mut gen = ValueGen::new(level as u64, 32);
+            for _ in 0..24 {
+                let entries = &sets[gen.value_below(4) as usize];
+                let len = gen.value_below(41) as usize;
+                let input = P4Traffic::new(&w, u64::from(gen.value()), 16).trace(len);
+                assert_eq!(
+                    checker.check(entries, &input),
+                    run_p4_case(&w, entries, level, &input),
+                    "{} at {level:?}",
+                    def.name
+                );
+            }
+        }
     }
 }

@@ -177,8 +177,11 @@ mod minimize_props {
     use super::*;
     use druzhba::dsim::fault::FaultInjector;
     use druzhba::dsim::minimize::{minimize, minimize_fault, MinimizeConfig};
-    use druzhba::dsim::testing::{fuzz_test, run_case, ClosureSpec, FuzzConfig, Specification};
+    use druzhba::dsim::testing::{
+        fuzz_test, run_case, AluChecker, ClosureSpec, FuzzConfig, Specification,
+    };
     use druzhba::dsim::TrafficGenerator;
+    use druzhba::programs::PROGRAMS;
 
     /// 1-stage accumulator grid with the correct machine code: state +=
     /// container 0, old state -> container 1.
@@ -300,6 +303,54 @@ mod minimize_props {
                 None => { restored.remove(&edits[0].name); }
             }
             prop_assert_eq!(restored, good);
+        }
+
+        /// One checker over a random sequence of checks gives every
+        /// verdict a fresh `run_case` gives, while it switches between
+        /// the baseline, a live-value mutant, a removed-pair
+        /// (incompatible) mutant and a hostile-trap (panicking) mutant.
+        /// A checker that skipped the reset between checks would carry
+        /// state (or in-flight PHVs) from one trace into the next; one
+        /// that kept its build after a panic or an incompatible build
+        /// would run the wrong program.
+        #[test]
+        fn checker_verdicts_equal_fresh_run_case(
+            program in 0usize..PROGRAMS.len(),
+            level in 0usize..OptLevel::ALL.len(),
+            fault_seed in 0u64..10_000,
+            checks in proptest::collection::vec((0usize..4, 0usize..41, 0u64..10_000), 16),
+        ) {
+            let def = &PROGRAMS[program];
+            let comp = def.compile_cached().unwrap();
+            let spec = &comp.pipeline_spec;
+            let baseline = comp.machine_code.clone();
+            let mut injector = FaultInjector::new(fault_seed);
+            let live = injector
+                .mutate_live_value(spec, &baseline)
+                .map_or_else(|| baseline.clone(), |(mc, _)| mc);
+            let (removed, _) = injector.remove_random_pair(&baseline);
+            let hostile = injector
+                .hostile_trap(spec, &baseline)
+                .map_or_else(|| baseline.clone(), |(mc, _)| mc);
+            let codes = [baseline, live, removed, hostile];
+            let opt = OptLevel::ALL[level];
+            let observable = comp.observable_containers();
+            let mut checker = AluChecker::new(spec, opt, Some(&observable), &comp.state_cells);
+            let mut reference = def.interpreter_spec(&comp);
+            for (which, len, seed) in checks {
+                let input = TrafficGenerator::new(seed, spec.config.phv_length, 10).trace(len);
+                let cached = checker.check(&mut reference, &codes[which], &input);
+                let fresh = run_case(
+                    spec,
+                    &codes[which],
+                    opt,
+                    &mut def.interpreter_spec(&comp),
+                    &input,
+                    Some(&observable),
+                    &comp.state_cells,
+                );
+                prop_assert_eq!(cached, fresh);
+            }
         }
 
         /// Minimization is idempotent enough to trust: minimizing an
