@@ -14,25 +14,39 @@ use druzhba_dsim::testing::Specification;
 use crate::compile::CompiledProgram;
 
 /// A [`Specification`] that interprets the Domino program against the
-/// compiled container layout.
+/// compiled container layout. Field and state names are resolved once, in
+/// [`CompiledSpec::new`]; a packet costs one walk of the program.
 pub struct CompiledSpec {
     interp: Interpreter,
-    input_fields: Vec<String>,
-    output_fields: Vec<(String, usize)>,
+    state: Vec<Value>,
     phv_length: usize,
 }
 
 impl CompiledSpec {
     /// Pair a program with its compilation result.
     pub fn new(program: DominoProgram, compiled: &CompiledProgram) -> Self {
+        // When several written fields share an output container, the one
+        // last in name order owns it: its value, or 0 on a packet that
+        // does not write it.
+        let owner: HashMap<usize, &str> = compiled
+            .output_fields
+            .iter()
+            .map(|(field, &container)| (container, field.as_str()))
+            .collect();
+        let interp = Interpreter::new(
+            &program,
+            |field| compiled.input_fields.iter().position(|f| f == field),
+            |field| {
+                compiled
+                    .output_fields
+                    .get(field)
+                    .copied()
+                    .filter(|container| owner[container] == field)
+            },
+        );
         CompiledSpec {
-            interp: Interpreter::new(program),
-            input_fields: compiled.input_fields.clone(),
-            output_fields: compiled
-                .output_fields
-                .iter()
-                .map(|(f, &c)| (f.clone(), c))
-                .collect(),
+            state: interp.initial_state().to_vec(),
+            interp,
             phv_length: compiled.pipeline_spec.config.phv_length,
         }
     }
@@ -40,32 +54,39 @@ impl CompiledSpec {
     /// Expected state in `state_cells` order (declaration order — exactly
     /// how [`CompiledProgram::state_cells`] is ordered).
     pub fn expected_state(&self) -> Vec<Value> {
-        self.interp.state().to_vec()
+        self.state()
     }
 }
 
 impl Specification for CompiledSpec {
     fn reset(&mut self) {
-        self.interp.reset();
+        self.state.copy_from_slice(self.interp.initial_state());
     }
 
     fn process(&mut self, input: &Phv) -> Phv {
-        let fields: HashMap<String, Value> = self
-            .input_fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.clone(), input.get(i)))
-            .collect();
-        let written = self.interp.step(&fields);
         let mut out = Phv::zeroed(self.phv_length);
-        for (field, container) in &self.output_fields {
-            out.set(*container, written.get(field).copied().unwrap_or(0));
-        }
+        self.process_into(input, &mut out);
         out
     }
 
     fn state(&self) -> Vec<Value> {
-        self.interp.state().to_vec()
+        self.state.clone()
+    }
+
+    fn process_into(&mut self, input: &Phv, out: &mut Phv) {
+        // The caller reuses `out` across packets: every container the
+        // step does not write must read 0, never the previous packet's.
+        if out.len() == self.phv_length {
+            out.containers_mut().fill(0);
+        } else {
+            *out = Phv::zeroed(self.phv_length);
+        }
+        self.interp.step(input, out, &mut self.state);
+    }
+
+    fn state_into(&mut self, out: &mut Vec<Value>) {
+        out.clear();
+        out.extend_from_slice(&self.state);
     }
 }
 
@@ -98,6 +119,103 @@ mod tests {
             );
             assert!(report.passed(), "{level:?}: {:?}", report.verdict);
         }
+    }
+
+    /// Compile `layout_src` and pair the resulting container layout with
+    /// the (possibly different) program `spec_src`.
+    fn spec_over(
+        layout_src: &str,
+        spec_src: &str,
+        cfg: CompilerConfig,
+    ) -> (CompiledSpec, CompiledProgram) {
+        let compiled = compile(&parse_program(layout_src).unwrap(), &cfg).unwrap();
+        let spec = CompiledSpec::new(parse_program(spec_src).unwrap(), &compiled);
+        (spec, compiled)
+    }
+
+    /// A PHV of the spec's length with `values` in its first containers.
+    fn packet(spec: &CompiledSpec, values: &[Value]) -> Phv {
+        let mut phv = Phv::zeroed(spec.phv_length);
+        phv.containers_mut()[..values.len()].copy_from_slice(values);
+        phv
+    }
+
+    #[test]
+    fn output_written_on_one_branch_reads_zero_on_the_other() {
+        // Chipmunk rejects a field written on only some paths, so the
+        // layout comes from a program that always writes `o`.
+        let (mut spec, compiled) = spec_over(
+            "pkt.o = pkt.x + 1;",
+            "if (pkt.x == 1) { pkt.o = 7; }",
+            CompilerConfig::new(1, 1, "raw"),
+        );
+        let o = compiled.output_fields["o"];
+        let mut out = Phv::zeroed(spec.phv_length);
+        spec.process_into(&packet(&spec, &[1]), &mut out);
+        assert_eq!(out.get(o), 7);
+        spec.process_into(&packet(&spec, &[2]), &mut out);
+        assert_eq!(
+            out.get(o),
+            0,
+            "the reused buffer must not leak the last packet's write"
+        );
+    }
+
+    #[test]
+    fn process_and_process_into_agree_on_every_packet() {
+        let src = "state int count = 0;\n\
+                   if (count == 9) { count = 0; pkt.sample = 1; }\n\
+                   else { count = count + 1; pkt.sample = 0; }\n\
+                   pkt.y = pkt.x + 3;";
+        let cfg = || CompilerConfig::new(2, 2, "if_else_raw");
+        let (mut by_value, _) = spec_over(src, src, cfg());
+        let (mut in_place, _) = spec_over(src, src, cfg());
+        let mut out = Phv::zeroed(in_place.phv_length);
+        let mut gen = druzhba_core::rng::ValueGen::new(0xd122b, 32);
+        for _ in 0..200 {
+            let input = packet(&in_place, &[gen.value()]);
+            in_place.process_into(&input, &mut out);
+            assert_eq!(by_value.process(&input), out);
+            assert_eq!(by_value.state(), in_place.state());
+        }
+    }
+
+    #[test]
+    fn field_read_without_input_container_reads_zero() {
+        // The layout has a container for `x` only; the spec reads `ghost`.
+        let (mut spec, compiled) = spec_over(
+            "pkt.o = pkt.x + 1;",
+            "pkt.o = pkt.ghost + 1;",
+            CompilerConfig::new(1, 1, "raw"),
+        );
+        let o = compiled.output_fields["o"];
+        let mut out = Phv::zeroed(spec.phv_length);
+        for x in [0, 41, u32::MAX] {
+            spec.process_into(&packet(&spec, &[x]), &mut out);
+            assert_eq!(out.get(o), 1, "o = 0 + 1 whatever x = {x} holds");
+            assert_eq!(spec.process(&packet(&spec, &[x])), out);
+        }
+    }
+
+    #[test]
+    fn reset_restores_a_nonzero_declared_init() {
+        // Switch state powers up zeroed, so the layout comes from the
+        // zero-initialized twin of the program the spec runs.
+        let (mut spec, _) = spec_over(
+            "state int s = 0;\ns = s + pkt.x;",
+            "state int s = 100;\ns = s + pkt.x;",
+            CompilerConfig::new(1, 1, "raw"),
+        );
+        let mut out = Phv::zeroed(spec.phv_length);
+        assert_eq!(spec.state(), [100]);
+        spec.process_into(&packet(&spec, &[5]), &mut out);
+        assert_eq!(spec.expected_state(), [105]);
+        spec.reset();
+        assert_eq!(spec.state(), [100]);
+        spec.process_into(&packet(&spec, &[1]), &mut out);
+        let mut state = Vec::new();
+        spec.state_into(&mut state);
+        assert_eq!(state, [101]);
     }
 
     #[test]

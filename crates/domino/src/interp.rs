@@ -1,125 +1,202 @@
 //! Reference interpreter for Domino programs.
 //!
-//! Used in two roles: as the *synthesis oracle* inside the compiler (the
-//! semantics every synthesized atom must match) and as an executable
-//! *high-level specification* in the fuzz-testing workflow of Fig. 5 (the
-//! "program spec" box).
-
-use std::collections::HashMap;
+//! The executable *high-level specification* of the fuzz-testing workflow
+//! of Fig. 5 (the "program spec" box): the Domino file that was compiled
+//! to machine code also runs here, packet by packet, and the harnesses
+//! assert that the two agree.
+//!
+//! Every name is resolved once, when the interpreter is built: a field
+//! read becomes an input-container index, a field write an
+//! output-container index, a state variable a state slot. A packet step
+//! is then a plain walk of the resolved tree with no hashing, no string
+//! comparison and no allocation. The walker shares no code with the
+//! compiler or the backends it checks beyond [`apply_binop`], the one
+//! definition of the total operator semantics.
 
 use druzhba_core::value::{self, Value};
+use druzhba_core::Phv;
 
 use crate::ast::{BinOp, DominoExpr, DominoProgram, DominoStmt, UnOp};
 
-/// An interpreter holding a program's persistent state across packets.
+/// A Domino program resolved against a container layout, ready to run
+/// packets. The persistent state lives with the caller (see
+/// [`Interpreter::step`]); [`Interpreter::initial_state`] is its reset
+/// value.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
-    program: DominoProgram,
-    state: Vec<Value>,
+    body: Vec<Stmt>,
+    init: Vec<Value>,
+}
+
+/// A statement with every name resolved.
+#[derive(Debug, Clone)]
+enum Stmt {
+    /// Write an output container.
+    Output { container: usize, value: Expr },
+    /// Write a state slot.
+    State { slot: usize, value: Expr },
+    If {
+        cond: Expr,
+        then_body: Vec<Stmt>,
+        else_body: Vec<Stmt>,
+    },
+}
+
+/// An expression with every name resolved.
+#[derive(Debug, Clone)]
+enum Expr {
+    Const(Value),
+    /// Read an input container.
+    Input(usize),
+    /// Read a state slot.
+    State(usize),
+    Binary {
+        op: BinOp,
+        l: Box<Expr>,
+        r: Box<Expr>,
+    },
+    Unary {
+        op: UnOp,
+        x: Box<Expr>,
+    },
 }
 
 impl Interpreter {
-    /// Create an interpreter with state initialized from the declarations.
-    pub fn new(program: DominoProgram) -> Self {
-        let state = program.state_vars.iter().map(|d| d.init).collect();
-        Interpreter { program, state }
-    }
-
-    /// The program being interpreted.
-    pub fn program(&self) -> &DominoProgram {
-        &self.program
-    }
-
-    /// Current state values, in declaration order.
-    pub fn state(&self) -> &[Value] {
-        &self.state
-    }
-
-    /// Reset state to the declared initial values.
-    pub fn reset(&mut self) {
-        for (slot, decl) in self.state.iter_mut().zip(&self.program.state_vars) {
-            *slot = decl.init;
+    /// Resolve `program` against a container layout: `input_container`
+    /// maps a field the program reads to the input container holding it,
+    /// `output_container` a field it writes to the output container that
+    /// receives it. A read of a field with no input container evaluates to
+    /// 0 (a zeroed PHV container); a write of a field with no output
+    /// container is dropped.
+    pub fn new(
+        program: &DominoProgram,
+        input_container: impl Fn(&str) -> Option<usize>,
+        output_container: impl Fn(&str) -> Option<usize>,
+    ) -> Self {
+        let resolver = Resolver {
+            program,
+            input_container: &input_container,
+            output_container: &output_container,
+        };
+        Interpreter {
+            body: resolver.stmts(&program.body),
+            init: program.state_vars.iter().map(|d| d.init).collect(),
         }
     }
 
-    /// Run the transaction once on a packet, returning the fields it wrote.
+    /// The declared initial state values, in declaration order.
+    pub fn initial_state(&self) -> &[Value] {
+        &self.init
+    }
+
+    /// Run the transaction once: read fields from `input`, write the
+    /// fields the taken path assigns into `out`, and update `state` (in
+    /// declaration order, [`Interpreter::initial_state`]'s length) in
+    /// place. Containers the path does not write keep their value, so a
+    /// caller that wants unwritten outputs to read 0 zeroes `out` first.
     ///
-    /// `fields` carries the input packet's field values; reads of fields
-    /// absent from the map evaluate to 0 (matching a zeroed PHV container).
-    pub fn step(&mut self, fields: &HashMap<String, Value>) -> HashMap<String, Value> {
-        let mut written = HashMap::new();
-        // Clone of state for the body to mutate; committed at the end so a
-        // failed step cannot half-apply (there are no failure paths today,
-        // but the transactional shape is the Domino model).
-        let mut state = self.state.clone();
-        exec_stmts(
-            &self.program,
-            &self.program.body,
-            fields,
-            &mut state,
-            &mut written,
-        );
-        self.state = state;
-        written
+    /// # Panics
+    /// Panics if a resolved container is out of range for `input` or
+    /// `out`, or `state` is shorter than the declared state.
+    pub fn step(&self, input: &Phv, out: &mut Phv, state: &mut [Value]) {
+        exec_stmts(&self.body, input, out, state);
     }
 }
 
-fn exec_stmts(
-    program: &DominoProgram,
-    stmts: &[DominoStmt],
-    fields: &HashMap<String, Value>,
-    state: &mut [Value],
-    written: &mut HashMap<String, Value>,
-) {
+struct Resolver<'a> {
+    program: &'a DominoProgram,
+    input_container: &'a dyn Fn(&str) -> Option<usize>,
+    output_container: &'a dyn Fn(&str) -> Option<usize>,
+}
+
+impl Resolver<'_> {
+    fn stmts(&self, stmts: &[DominoStmt]) -> Vec<Stmt> {
+        stmts
+            .iter()
+            .filter_map(|stmt| match stmt {
+                DominoStmt::AssignField { field, value } => {
+                    (self.output_container)(field).map(|container| Stmt::Output {
+                        container,
+                        value: self.expr(value),
+                    })
+                }
+                DominoStmt::AssignState { var, value } => Some(Stmt::State {
+                    slot: self.slot(var),
+                    value: self.expr(value),
+                }),
+                DominoStmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => Some(Stmt::If {
+                    cond: self.expr(cond),
+                    then_body: self.stmts(then_body),
+                    else_body: self.stmts(else_body),
+                }),
+            })
+            .collect()
+    }
+
+    fn expr(&self, expr: &DominoExpr) -> Expr {
+        match expr {
+            DominoExpr::Const(v) => Expr::Const(*v),
+            DominoExpr::Field(name) => match (self.input_container)(name) {
+                Some(container) => Expr::Input(container),
+                None => Expr::Const(0),
+            },
+            DominoExpr::State(name) => Expr::State(self.slot(name)),
+            DominoExpr::Binary { op, l, r } => Expr::Binary {
+                op: *op,
+                l: Box::new(self.expr(l)),
+                r: Box::new(self.expr(r)),
+            },
+            DominoExpr::Unary { op, x } => Expr::Unary {
+                op: *op,
+                x: Box::new(self.expr(x)),
+            },
+        }
+    }
+
+    fn slot(&self, var: &str) -> usize {
+        self.program
+            .state_index(var)
+            .expect("validated programs declare every state variable they use")
+    }
+}
+
+fn exec_stmts(stmts: &[Stmt], input: &Phv, out: &mut Phv, state: &mut [Value]) {
     for stmt in stmts {
         match stmt {
-            DominoStmt::AssignField { field, value } => {
-                let v = eval(program, value, fields, state);
-                written.insert(field.clone(), v);
+            Stmt::Output { container, value } => {
+                let v = eval(value, input, state);
+                out.set(*container, v);
             }
-            DominoStmt::AssignState { var, value } => {
-                let v = eval(program, value, fields, state);
-                let idx = program.state_index(var).expect("validated");
-                state[idx] = v;
+            Stmt::State { slot, value } => {
+                state[*slot] = eval(value, input, state);
             }
-            DominoStmt::If {
+            Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                if value::truthy(eval(program, cond, fields, state)) {
-                    exec_stmts(program, then_body, fields, state, written);
+                if value::truthy(eval(cond, input, state)) {
+                    exec_stmts(then_body, input, out, state);
                 } else {
-                    exec_stmts(program, else_body, fields, state, written);
+                    exec_stmts(else_body, input, out, state);
                 }
             }
         }
     }
 }
 
-/// Evaluate a Domino expression against packet fields and current state.
-pub fn eval(
-    program: &DominoProgram,
-    expr: &DominoExpr,
-    fields: &HashMap<String, Value>,
-    state: &[Value],
-) -> Value {
+fn eval(expr: &Expr, input: &Phv, state: &[Value]) -> Value {
     match expr {
-        DominoExpr::Const(v) => *v,
-        DominoExpr::Field(name) => fields.get(name).copied().unwrap_or(0),
-        DominoExpr::State(name) => {
-            let idx = program.state_index(name).expect("validated");
-            state[idx]
-        }
-        DominoExpr::Binary { op, l, r } => {
-            let (l, r) = (
-                eval(program, l, fields, state),
-                eval(program, r, fields, state),
-            );
-            apply_binop(*op, l, r)
-        }
-        DominoExpr::Unary { op, x } => {
-            let x = eval(program, x, fields, state);
+        Expr::Const(v) => *v,
+        Expr::Input(container) => input.get(*container),
+        Expr::State(slot) => state[*slot],
+        Expr::Binary { op, l, r } => apply_binop(*op, eval(l, input, state), eval(r, input, state)),
+        Expr::Unary { op, x } => {
+            let x = eval(x, input, state);
             match op {
                 UnOp::Neg => value::wneg(x),
                 UnOp::Not => value::from_bool(!value::truthy(x)),
@@ -152,13 +229,57 @@ mod tests {
     use super::*;
     use crate::parse_program;
 
-    fn fields(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// A program resolved against a test layout: input fields in
+    /// container order, output fields in container order, one PHV of
+    /// `max(inputs, outputs)` containers on each side.
+    struct Harness {
+        interp: Interpreter,
+        state: Vec<Value>,
+        inputs: Vec<&'static str>,
+        outputs: Vec<&'static str>,
+        len: usize,
+    }
+
+    impl Harness {
+        fn new(src: &str, inputs: &[&'static str], outputs: &[&'static str]) -> Self {
+            let program = parse_program(src).unwrap();
+            let position = |fields: &[&str], name: &str| fields.iter().position(|f| *f == name);
+            let interp =
+                Interpreter::new(&program, |f| position(inputs, f), |f| position(outputs, f));
+            Harness {
+                state: interp.initial_state().to_vec(),
+                interp,
+                inputs: inputs.to_vec(),
+                outputs: outputs.to_vec(),
+                len: inputs.len().max(outputs.len()),
+            }
+        }
+
+        /// One packet; returns every output field with its value.
+        fn step(&mut self, fields: &[(&str, Value)]) -> Vec<(&'static str, Value)> {
+            let mut input = Phv::zeroed(self.len);
+            for &(name, v) in fields {
+                let c = self.inputs.iter().position(|f| *f == name).unwrap();
+                input.set(c, v);
+            }
+            let mut out = Phv::zeroed(self.len);
+            self.interp.step(&input, &mut out, &mut self.state);
+            self.outputs
+                .iter()
+                .enumerate()
+                .map(|(c, &f)| (f, out.get(c)))
+                .collect()
+        }
+
+        fn out(&mut self, fields: &[(&str, Value)], field: &str) -> Value {
+            let written = self.step(fields);
+            written.iter().find(|(f, _)| *f == field).unwrap().1
+        }
     }
 
     #[test]
     fn sampling_program_counts_to_ten() {
-        let p = parse_program(
+        let mut h = Harness::new(
             "state int count = 0;\n\
              if (count == 9) {\n\
                  count = 0;\n\
@@ -167,83 +288,102 @@ mod tests {
                  count = count + 1;\n\
                  pkt.sample = 0;\n\
              }",
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(p);
+            &[],
+            &["sample"],
+        );
         let mut samples = 0;
         for _ in 0..30 {
-            let out = interp.step(&fields(&[]));
-            samples += out["sample"];
+            samples += h.out(&[], "sample");
         }
         assert_eq!(samples, 3, "every 10th packet is sampled");
-        assert_eq!(interp.state(), &[0]);
+        assert_eq!(h.state, [0]);
     }
 
     #[test]
     fn state_persists_across_steps() {
-        let p = parse_program("state int sum = 0;\nsum = sum + pkt.x;").unwrap();
-        let mut interp = Interpreter::new(p);
-        interp.step(&fields(&[("x", 5)]));
-        interp.step(&fields(&[("x", 7)]));
-        assert_eq!(interp.state(), &[12]);
-        interp.reset();
-        assert_eq!(interp.state(), &[0]);
+        let mut h = Harness::new("state int sum = 0;\nsum = sum + pkt.x;", &["x"], &[]);
+        h.step(&[("x", 5)]);
+        h.step(&[("x", 7)]);
+        assert_eq!(h.state, [12]);
+        assert_eq!(h.interp.initial_state(), &[0]);
     }
 
     #[test]
     fn nonzero_initial_state_honoured() {
-        let p = parse_program("state int s = 100;\ns = s - pkt.x;\npkt.o = 1;").unwrap();
-        let mut interp = Interpreter::new(p);
-        interp.step(&fields(&[("x", 30)]));
-        assert_eq!(interp.state(), &[70]);
+        let mut h = Harness::new(
+            "state int s = 100;\ns = s - pkt.x;\npkt.o = 1;",
+            &["x"],
+            &["o"],
+        );
+        assert_eq!(h.interp.initial_state(), &[100]);
+        h.step(&[("x", 30)]);
+        assert_eq!(h.state, [70]);
     }
 
     #[test]
     fn sequential_statements_see_updates() {
-        let p = parse_program(
+        let mut h = Harness::new(
             "state int s = 0;\n\
              s = s + 1;\n\
              s = s * 2;\n\
              pkt.o = 5;",
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(p);
-        interp.step(&fields(&[]));
-        assert_eq!(interp.state(), &[2]);
-        interp.step(&fields(&[]));
-        assert_eq!(interp.state(), &[6]);
+            &[],
+            &["o"],
+        );
+        h.step(&[]);
+        assert_eq!(h.state, [2]);
+        h.step(&[]);
+        assert_eq!(h.state, [6]);
     }
 
     #[test]
     fn missing_fields_read_as_zero() {
-        let p = parse_program("pkt.o = pkt.ghost + 1;").unwrap();
-        let mut interp = Interpreter::new(p);
-        let out = interp.step(&fields(&[]));
-        assert_eq!(out["o"], 1);
+        let mut h = Harness::new("pkt.o = pkt.ghost + 1;", &[], &["o"]);
+        assert_eq!(h.out(&[], "o"), 1);
+    }
+
+    #[test]
+    fn writes_without_an_output_container_are_dropped() {
+        let mut h = Harness::new(
+            "state int s = 0;\npkt.hidden = 7;\ns = s + 1;\npkt.o = 2;",
+            &[],
+            &["o"],
+        );
+        assert_eq!(h.step(&[]), [("o", 2)]);
+        assert_eq!(h.state, [1], "dropping a write leaves the rest of the body");
     }
 
     #[test]
     fn wrapping_semantics_match_core() {
-        let p = parse_program("pkt.o = pkt.a - pkt.b;\npkt.d = pkt.a / pkt.b;").unwrap();
-        let mut interp = Interpreter::new(p);
-        let out = interp.step(&fields(&[("a", 0), ("b", 1)]));
-        assert_eq!(out["o"], u32::MAX);
-        assert_eq!(out["d"], 0, "division by b=1 is 0/1");
-        let out = interp.step(&fields(&[("a", 5), ("b", 0)]));
-        assert_eq!(out["d"], 0, "division by zero is total");
+        let mut h = Harness::new(
+            "pkt.o = pkt.a - pkt.b;\npkt.d = pkt.a / pkt.b;",
+            &["a", "b"],
+            &["o", "d"],
+        );
+        assert_eq!(h.out(&[("a", 0), ("b", 1)], "o"), u32::MAX);
+        assert_eq!(
+            h.out(&[("a", 0), ("b", 1)], "d"),
+            0,
+            "division by b=1 is 0/1"
+        );
+        assert_eq!(
+            h.out(&[("a", 5), ("b", 0)], "d"),
+            0,
+            "division by zero is total"
+        );
     }
 
     #[test]
     fn branch_conditions_on_fields() {
-        let p = parse_program(
+        let mut h = Harness::new(
             "state int hits = 0;\n\
              if (pkt.port == 80 || pkt.port == 443) { hits = hits + 1; }",
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(p);
-        interp.step(&fields(&[("port", 80)]));
-        interp.step(&fields(&[("port", 22)]));
-        interp.step(&fields(&[("port", 443)]));
-        assert_eq!(interp.state(), &[2]);
+            &["port"],
+            &[],
+        );
+        h.step(&[("port", 80)]);
+        h.step(&[("port", 22)]);
+        h.step(&[("port", 443)]);
+        assert_eq!(h.state, [2]);
     }
 }

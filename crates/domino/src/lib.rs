@@ -29,9 +29,8 @@
 //! assert_eq!(program.fields_written(), vec!["sample".to_string()]);
 //! ```
 //!
-//! The [`interp`] module provides a reference interpreter used both as the
-//! synthesis oracle inside the compiler and as an executable specification
-//! in the fuzz-testing workflow.
+//! The [`interp`] module provides the reference interpreter that runs a
+//! program as the executable specification of the fuzz-testing workflow.
 
 pub mod ast;
 pub mod interp;

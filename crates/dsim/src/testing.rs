@@ -49,6 +49,10 @@ pub trait Specification {
     /// expected output into `out`. Hot enumeration loops (the lane-swept
     /// verifier runs billions of cases) call this; the default simply
     /// delegates, so existing specifications need no changes.
+    ///
+    /// The verifier reuses one `out` buffer for every packet, so an
+    /// implementation must write every output container, zero included:
+    /// a container left untouched still holds the previous packet's value.
     fn process_into(&mut self, input: &Phv, out: &mut Phv) {
         *out = self.process(input);
     }

@@ -1167,8 +1167,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
-    let (program, compiled) = compile_from(args)?;
-    report(&compiled);
+    // Every flag is checked before `compile_from` runs synthesis.
     let bits = args.get_u32("bits", 2)?;
     let packets = args.get_usize("packets", 3)?;
     let max_cases = args.get_usize("max-cases", 10_000_000)? as u64;
@@ -1196,6 +1195,8 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
                 .into(),
         );
     }
+    let (program, compiled) = compile_from(args)?;
+    report(&compiled);
     for &level in &levels {
         let mut spec = CompiledSpec::new(program.clone(), &compiled);
         let outcome = verify_bounded(

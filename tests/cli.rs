@@ -380,6 +380,37 @@ fn verify_exhausts_small_input_space() {
 }
 
 #[test]
+fn verify_rejects_lane_flags_before_synthesis() {
+    let rcp = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/programs/assets/rcp.domino"
+    );
+    let grid = ["--depth", "3", "--width", "3", "--atom", "pred_raw"];
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--lanes", "64", "--level", "0"],
+            "combine it only with --level fused",
+        ),
+        (&["--lanes", "7"], "--lanes 7 is not a supported width"),
+    ];
+    for (flags, message) in cases {
+        let out = druzhba(&[&["verify", rcp][..], &grid, flags].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: stderr: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flags:?}: stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(err.contains(message), "{flags:?}: stderr: {err}");
+        assert!(
+            !err.contains("compiled:"),
+            "{flags:?} synthesized first: {err}"
+        );
+    }
+}
+
+#[test]
 fn hunt_smoke_detects_all_faults_and_emits_json() {
     let out = druzhba(&[
         "hunt",
