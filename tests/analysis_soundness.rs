@@ -12,8 +12,9 @@
 //!   fixpoint covers any packet count).
 //!
 //! Covered: all 12 Table 1 Domino programs and a few generated ones across
-//! all four dgen backends, and all 5 P4 corpus programs against both the
-//! HLIR interpreter and the lowered fused `MatInstr` pipeline.
+//! all four dgen backends, and all 5 P4 corpus programs plus a few
+//! generated ones against both the HLIR interpreter and the lowered fused
+//! `MatInstr` pipeline.
 
 use proptest::prelude::*;
 
@@ -24,7 +25,7 @@ use druzhba::dgen::mat::MatPipeline;
 use druzhba::dgen::{OptLevel, Pipeline};
 use druzhba::dsim::p4::P4Traffic;
 use druzhba::dsim::TrafficGenerator;
-use druzhba::progen::generate_domino_at;
+use druzhba::progen::{generate_domino_at, generate_p4_at};
 use druzhba::programs::{P4_PROGRAMS, PROGRAMS};
 
 const LEVELS: [OptLevel; 4] = [
@@ -141,8 +142,16 @@ proptest! {
         seed in 0u64..0xFFFF_FFFF,
         npackets in 1usize..6,
     ) {
-        for def in &P4_PROGRAMS {
-            let workload = def.workload().unwrap();
+        // The corpus, plus a few generated programs: their metadata-keyed
+        // entries drive the register fixpoint.
+        let corpus = P4_PROGRAMS
+            .iter()
+            .map(|def| (def.name.to_string(), def.workload().unwrap()));
+        let generated = (0..3).map(|index| {
+            let g = generate_p4_at(seed, index);
+            (g.name, g.workload)
+        });
+        for (program, workload) in corpus.chain(generated) {
             let input = abstract_input(&workload.hlir, &workload.lowering);
             let habs = analyze_hlir(&workload.hlir, &workload.entries, &input).unwrap();
             let mabs =
@@ -164,13 +173,13 @@ proptest! {
                     prop_assert!(
                         a.contains(v),
                         "{}: field {f} = {v} escapes the HLIR abstraction {a:?}",
-                        def.name
+                        program
                     );
                 }
                 prop_assert!(
                     habs.dropped.contains(u32::from(packet.dropped)),
                     "{}: drop flag escapes the HLIR abstraction",
-                    def.name
+                    program
                 );
             }
             for (name, cells) in interp.registers() {
@@ -179,7 +188,7 @@ proptest! {
                     prop_assert!(
                         a.contains(c),
                         "{}: register {name}[{i}] = {c} escapes the HLIR abstraction {a:?}",
-                        def.name
+                        program
                     );
                 }
             }
@@ -199,7 +208,7 @@ proptest! {
                     prop_assert!(
                         a.contains(v),
                         "{}: lowered container[{slot}] = {v} escapes the MAT abstraction {a:?}",
-                        def.name
+                        program
                     );
                 }
             }
@@ -210,7 +219,7 @@ proptest! {
                         a.contains(c),
                         "{}: lowered register {name}[{i}] = {c} escapes the MAT \
                          abstraction {a:?}",
-                        def.name
+                        program
                     );
                 }
             }

@@ -132,6 +132,36 @@ fn cli_p4_fuzz_lint_reports_diagnostics_before_fuzzing() {
     assert!(stderr.contains("invalid-header-read"), "{stderr}");
 }
 
+#[test]
+fn cli_analyze_reports_the_semantic_p4_lints() {
+    // A zero-length LPM prefix, and a `resolve` entry keyed on a next hop
+    // that no `route` action ever sets.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let program = format!("{root}/crates/programs/assets/p4/lpm_router.p4");
+    let entries = format!("{root}/tests/fixtures/lpm_router_lints.entries");
+    let out = druzhba(&["analyze", &program, "--entries", &entries]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("lpm_router [p4]: 0 TV mismatch(es), 2 diagnostic(s)"),
+        "{stdout}"
+    );
+    let diagnostics: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("  lpm_router: "))
+        .collect();
+    assert_eq!(
+        diagnostics,
+        [
+            "note [lpm-always-match] stage 0 pc 2: entry 1 of table `route` uses a \
+             zero-length LPM prefix (matches every packet)",
+            "warning [unreachable-entry] stage 1 pc 2: entry 1 of table `resolve` can \
+             never match any reachable packet",
+        ],
+        "{stdout}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Exit-code matrix (documented in docs/FUZZING.md):
 //   0 — clean corpus, or lint diagnostics only
