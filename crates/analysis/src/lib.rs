@@ -1,15 +1,16 @@
 //! Abstract-interpretation static analyzer for the Druzhba stacks.
 //!
 //! One reduced-product domain — intervals × known bits ([`domain::AbsVal`])
-//! — drives three passes. On the Domino stack the abstraction is read off
-//! the symbolic transfer DAG of [`symbolic`]: each term node carries its
+//! — drives three passes. On both stacks the abstraction is read off the
+//! symbolic transfer DAG of [`symbolic`]: each term node carries its
 //! `AbsVal`, [`TermStore::abs_eval`] re-evaluates the DAG under an
-//! abstract valuation of the entry symbols, and [`pipeline`] iterates that
-//! to the cross-packet state fixpoint. The P4 stack walks its HLIR and
-//! lowered `MatInstr` program abstractly ([`p4`]).
+//! abstract valuation of the entry symbols, and one join/widen loop
+//! ([`pipeline`]) iterates that to the cross-packet fixpoint of the
+//! Domino state or the P4 registers ([`p4`]). No pass interprets an IR
+//! by itself.
 //!
 //! 1. **Static translation validation** ([`pipeline::translation_validate`],
-//!    [`p4::p4_translation_validate`]): the source semantics (Unoptimized
+//!    [`p4::analyze_p4`]): the source semantics (Unoptimized
 //!    transfer function, P4 HLIR) and every compiled form (specialized
 //!    pipeline, stack bytecode, fused register program, lowered `MatInstr`
 //!    program) are abstractly evaluated from the same abstract input; any
@@ -40,9 +41,7 @@ pub mod symbolic;
 pub mod term;
 
 pub use domain::{AbsVal, Interval, KnownBits, Tri};
-pub use p4::{
-    abstract_input, analyze_hlir, analyze_mat, p4_translation_validate, MatAbs, P4Abs, P4TvMismatch,
-};
+pub use p4::{abstract_input, analyze_p4, P4Abs, P4Analysis, P4TvMismatch};
 pub use pipeline::{
     analyze_pipeline, flag_mutant, proven_dead_edges, screen, translation_validate, EdgeKey,
     LintRecord, PipelineAbs, Screened, StaticFlag, TvMismatch, TvSite,

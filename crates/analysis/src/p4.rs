@@ -1,80 +1,69 @@
-//! Abstract interpretation of the P4 stack: the HLIR match-action
-//! semantics on one side, the lowered `MatInstr` register program on the
-//! other, and translation validation between them.
+//! Abstract analysis of the P4 stack, read off its symbolic executors: the
+//! HLIR match-action semantics on one side, the lowered fused `MatInstr`
+//! program on the other, and translation validation between them.
 //!
-//! The HLIR side joins over every table outcome an abstract packet could
-//! select (each possibly-matching entry, the default action, the
-//! no-default skip); the lowered side is the same forward-dataflow sweep
-//! used for the other compiled forms. Registers persist across packets,
-//! so both sides run the join/widen fixpoint before comparing.
+//! [`analyze_p4`] runs both executors of [`crate::symbolic`] once, into
+//! one [`TermStore`] and from one symbolic entry state, and merges each
+//! side's paths into one term per layout container and register cell.
+//! Registers persist across packets, so each side's register terms go
+//! through the join/widen fixpoint shared with the Domino stack
+//! ([`crate::pipeline`]); the frame terms are then evaluated there with
+//! [`TermStore::abs_eval`]. The entry lints come from the table-entry hits
+//! the HLIR executor records: an entry none of whose hits lies on an
+//! abstractly possible path can never match.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use druzhba_core::{Result, Value};
-use druzhba_dgen::mat::{MatInstr, MatPipeline, Src};
+use druzhba_core::Result;
+use druzhba_dgen::mat::{MatInstr, MatPipeline};
 use druzhba_dgen::OptLevel;
-use druzhba_p4::ast::{ActionArg, FieldRef, Primitive};
+use druzhba_p4::ast::{ActionArg, FieldRef, MatchKind, Primitive};
 use druzhba_p4::hlir::Hlir;
 use druzhba_p4::lower::RmtLowering;
-use druzhba_p4::tables::{bind, BoundPattern, TableEntry};
+use druzhba_p4::tables::{bind, TableEntry};
 
 use crate::domain::AbsVal;
-use crate::pipeline::LintRecord;
+use crate::pipeline::{fixpoint, read_sites, LintRecord};
+use crate::symbolic::{
+    merge_paths, p4_entry_path, p4_site, reg_layout, resolve_sym_stages, sym_run_hlir, sym_run_mat,
+    Site, Sites,
+};
+use crate::term::{Sym, TermId, TermStore};
 
-/// Maximum cross-packet fixpoint iterations (widening converges sooner).
-const MAX_ITERS: usize = 64;
-const JOIN_ITERS: usize = 8;
-
-/// Abstract result of running the HLIR semantics to the register
-/// fixpoint.
+/// The abstraction of one side of the P4 stack at its register fixpoint.
 #[derive(Debug, Clone)]
 pub struct P4Abs {
-    /// Abstract output field values (post-pipeline packet).
+    /// One value per layout container, drop flag included.
+    pub frame: Vec<AbsVal>,
+    /// Output field values (the containers of `frame` by field).
     pub fields: BTreeMap<FieldRef, AbsVal>,
-    /// Abstract drop flag (`{0,1}`).
+    /// The drop flag (`{0,1}`).
     pub dropped: AbsVal,
-    /// Abstract register cells by declaration name.
+    /// Register cells by declaration name.
     pub registers: BTreeMap<String, Vec<AbsVal>>,
+}
+
+/// A disjoint pair of abstractions for the same P4 observable.
+#[derive(Debug, Clone, PartialEq)]
+pub struct P4TvMismatch {
+    /// Human-readable site (`pkt.dst`, `drop`, `reg[3]`).
+    pub site: String,
+    pub hlir: AbsVal,
+    pub lowered: AbsVal,
+}
+
+/// The static pass over one P4 workload.
+#[derive(Debug, Clone)]
+pub struct P4Analysis {
+    /// The HLIR (source) semantics.
+    pub hlir: P4Abs,
+    /// The lowered fused `MatInstr` program.
+    pub mat: P4Abs,
+    /// Observables whose two abstractions are disjoint. An empty list does
+    /// not prove equivalence; a non-empty one proves a miscompilation.
+    pub mismatches: Vec<P4TvMismatch>,
     /// Lints: `stage` is the applied-table index.
     pub lints: Vec<LintRecord>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct AbsPacket {
-    fields: BTreeMap<FieldRef, AbsVal>,
-    dropped: AbsVal,
-}
-
-impl AbsPacket {
-    fn get(&self, f: &FieldRef) -> AbsVal {
-        self.fields.get(f).copied().unwrap_or(AbsVal::constant(0))
-    }
-}
-
-type AbsRegs = BTreeMap<String, Vec<AbsVal>>;
-
-fn join_regs(a: &AbsRegs, b: &AbsRegs) -> AbsRegs {
-    a.iter()
-        .map(|(k, cells)| {
-            let other = &b[k];
-            (
-                k.clone(),
-                cells.iter().zip(other).map(|(x, y)| x.join(*y)).collect(),
-            )
-        })
-        .collect()
-}
-
-fn widen_regs(prev: &AbsRegs, next: &AbsRegs) -> AbsRegs {
-    prev.iter()
-        .map(|(k, cells)| {
-            let other = &next[k];
-            (
-                k.clone(),
-                cells.iter().zip(other).map(|(p, n)| p.widen(*n)).collect(),
-            )
-        })
-        .collect()
 }
 
 /// The abstract input the P4 passes share: parser-visible header fields
@@ -101,356 +90,158 @@ pub fn abstract_input(hlir: &Hlir, lowering: &RmtLowering) -> BTreeMap<FieldRef,
         .collect()
 }
 
-/// Abstractly interpret the HLIR semantics over `entries` from the given
-/// abstract input fields.
-pub fn analyze_hlir(
+/// Abstractly run the HLIR semantics and the lowered fused program over
+/// `entries` from [`abstract_input`], validate one against the other, and
+/// lint the program. An executor that bails leaves its side all top, and
+/// a bail of the HLIR executor leaves only the structural lints.
+pub fn analyze_p4(
     hlir: &Hlir,
     entries: &[TableEntry],
-    input: &BTreeMap<FieldRef, AbsVal>,
-) -> Result<P4Abs> {
+    lowering: &RmtLowering,
+) -> Result<P4Analysis> {
+    let mat = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused)?;
+    let prog = mat
+        .fused_program()
+        .expect("fused level exposes its program");
+    analyze_lowered(hlir, entries, lowering, prog)
+}
+
+/// [`analyze_p4`] against the lowered program `prog`.
+fn analyze_lowered(
+    hlir: &Hlir,
+    entries: &[TableEntry],
+    lowering: &RmtLowering,
+    prog: &[MatInstr],
+) -> Result<P4Analysis> {
     let tables = bind(hlir, entries)?;
-    let mut regs: AbsRegs = hlir
-        .program
-        .registers
+    let layout = &lowering.layout;
+    let mut input = vec![AbsVal::constant(0); layout.phv_length()];
+    for (f, abs) in abstract_input(hlir, lowering) {
+        if let Some(c) = layout.container(&f) {
+            input[c] = abs;
+        }
+    }
+    let value = |s: Sym, regs: &[AbsVal]| match s {
+        Sym::Phv(c) => input[c as usize],
+        Sym::RegCell(i) => regs[i as usize],
+        Sym::State { .. } => AbsVal::top(),
+    };
+
+    // Both transfer functions in one store, from one entry state.
+    let mut store = TermStore::new();
+    let entry = p4_entry_path(&mut store, hlir, lowering);
+    let mut sites = Sites::default();
+    let source = resolve_sym_stages(hlir, entries, lowering)
+        .and_then(|stages| sym_run_hlir(&mut store, &stages, entry.clone(), Some(&mut sites)))
+        .and_then(|paths| merge_paths(&mut store, &paths));
+    let lowered =
+        sym_run_mat(&mut store, prog, entry).and_then(|paths| merge_paths(&mut store, &paths));
+    let n_regs = reg_layout(hlir).1;
+    let run = |transfer: Option<&Vec<TermId>>| match transfer {
+        Some(t) => {
+            let (frame, regs) = t.split_at(layout.phv_length());
+            fixpoint(&store, frame, regs, value)
+        }
+        None => (
+            vec![AbsVal::top(); layout.phv_length()],
+            vec![AbsVal::top(); n_regs],
+        ),
+    };
+    let (hframe, hregs) = run(source.as_ref());
+    let (mframe, mregs) = run(lowered.as_ref());
+
+    let mismatches = hframe
         .iter()
-        .map(|r| {
-            (
-                r.name.clone(),
-                vec![AbsVal::constant(0); r.instance_count as usize],
-            )
+        .chain(&hregs)
+        .zip(mframe.iter().chain(&mregs))
+        .enumerate()
+        .filter(|(_, (h, m))| h.is_disjoint(**m))
+        .map(|(i, (&hlir_abs, &lowered_abs))| P4TvMismatch {
+            site: p4_site(hlir, lowering, i),
+            hlir: hlir_abs,
+            lowered: lowered_abs,
         })
         .collect();
 
-    let run = |regs: &AbsRegs, lints: Option<&mut Vec<LintRecord>>| -> (AbsPacket, AbsRegs) {
-        let mut packet = AbsPacket {
-            fields: input.clone(),
-            dropped: AbsVal::constant(0),
-        };
-        let mut regs = regs.clone();
-        let mut lints = lints;
+    let mut lints = static_lints(hlir, entries);
+    // A bail leaves the recorded hits partial: read none of them.
+    if source.is_some() {
+        let seen = read_sites(&store, &sites, &|s| value(s, &hregs));
         for (t, info) in hlir.tables.iter().enumerate() {
-            let guard_ok = info
-                .guards
-                .iter()
-                .all(|(h, pol)| hlir.header_valid(h) == *pol);
-            if !guard_ok {
-                if let Some(sink) = lints.as_deref_mut() {
-                    sink.push(LintRecord {
-                        stage: t as u32,
-                        pc: 0,
-                        code: "unreachable-table",
-                        message: format!(
-                            "table `{}` is guarded by a statically-false header-validity \
-                             condition and can never apply",
-                            info.name
-                        ),
-                    });
-                }
+            if !hlir.table_applies(t) {
                 continue;
             }
-            let rt = tables.table(t);
-            // Possible outcomes of this table on the abstract packet.
-            let mut results: Vec<(AbsPacket, AbsRegs)> = Vec::new();
-            let mut any_must_match = false;
-            for (ei, entry) in rt.entries.iter().enumerate() {
-                let may = entry
+            for (ei, e) in tables.table(t).entries.iter().enumerate() {
+                let hit = Site::Entry {
+                    table: t as u32,
+                    entry: ei as u32,
+                };
+                let (code, what) = if !seen.contains_key(&hit) {
+                    ("unreachable-entry", "can never match any reachable packet")
+                } else if e
                     .patterns
                     .iter()
-                    .all(|p| pattern_may_match(packet.get(&p.field), p));
-                if !may {
-                    if let Some(sink) = lints.as_deref_mut() {
-                        sink.push(LintRecord {
-                            stage: t as u32,
-                            pc: 1 + ei as u32,
-                            code: "unreachable-entry",
-                            message: format!(
-                                "entry {ei} of table `{}` can never match any \
-                                 reachable packet",
-                                info.name
-                            ),
-                        });
-                    }
-                    continue;
-                }
-                if entry
-                    .patterns
-                    .iter()
-                    .all(|p| pattern_must_match(packet.get(&p.field), p))
+                    .any(|p| matches!(p.kind, MatchKind::Lpm) && p.lpm_len() == 0)
                 {
-                    any_must_match = true;
-                }
-                if let Some(sink) = lints.as_deref_mut() {
-                    if entry.patterns.iter().any(|p| {
-                        matches!(p.kind, druzhba_p4::ast::MatchKind::Lpm) && p.lpm_len() == 0
-                    }) {
-                        sink.push(LintRecord {
-                            stage: t as u32,
-                            pc: 1 + ei as u32,
-                            code: "lpm-always-match",
-                            message: format!(
-                                "entry {ei} of table `{}` uses a zero-length LPM prefix \
-                                 (matches every packet)",
-                                info.name
-                            ),
-                        });
-                    }
-                }
-                let mut p = packet.clone();
-                let mut r = regs.clone();
-                abs_execute_action(hlir, &entry.action, &entry.args, &mut p, &mut r);
-                results.push((p, r));
-            }
-            // A miss is possible unless some entry provably always hits.
-            if !any_must_match {
-                if let Some(default) = &rt.default_action {
-                    let mut p = packet.clone();
-                    let mut r = regs.clone();
-                    abs_execute_action(hlir, default, &[], &mut p, &mut r);
-                    results.push((p, r));
+                    (
+                        "lpm-always-match",
+                        "uses a zero-length LPM prefix (matches every packet)",
+                    )
                 } else {
-                    results.push((packet.clone(), regs.clone()));
-                }
+                    continue;
+                };
+                lints.push(LintRecord {
+                    stage: t as u32,
+                    pc: 1 + ei as u32,
+                    code,
+                    message: format!("entry {ei} of table `{}` {what}", info.name),
+                });
             }
-            let Some((mut jp, mut jr)) = results.pop() else {
-                // No outcome at all (no entries, no default, must-match
-                // impossible): the table is a no-op.
-                continue;
-            };
-            for (p, r) in results {
-                jp = join_packets(&jp, &p);
-                jr = join_regs(&jr, &r);
-            }
-            packet = jp;
-            regs = jr;
         }
-        (packet, regs)
-    };
-
-    let mut iters = 0;
-    loop {
-        let (_, new_regs) = run(&regs, None);
-        let joined = join_regs(&regs, &new_regs);
-        let merged = if iters < JOIN_ITERS {
-            joined
-        } else {
-            widen_regs(&regs, &joined)
-        };
-        if merged == regs || iters >= MAX_ITERS {
-            regs = merged;
-            break;
-        }
-        regs = merged;
-        iters += 1;
     }
 
-    let mut lints = Vec::new();
-    let (packet, regs) = run(&regs, Some(&mut lints));
-    lints.extend(static_lints(hlir, entries));
-    Ok(P4Abs {
-        fields: packet.fields,
-        dropped: packet.dropped,
-        registers: regs,
+    let side = |frame: Vec<AbsVal>, regs: Vec<AbsVal>| P4Abs {
+        fields: layout
+            .fields()
+            .iter()
+            .filter_map(|(f, _)| Some((f.clone(), frame[layout.container(f)?])))
+            .collect(),
+        dropped: frame[layout.drop_flag()],
+        registers: reg_layout(hlir)
+            .0
+            .into_iter()
+            .map(|(name, base, len)| (name, regs[base..base + len].to_vec()))
+            .collect(),
+        frame,
+    };
+    Ok(P4Analysis {
+        hlir: side(hframe, hregs),
+        mat: side(mframe, mregs),
+        mismatches,
         lints,
     })
 }
 
-fn join_packets(a: &AbsPacket, b: &AbsPacket) -> AbsPacket {
-    let mut fields = BTreeMap::new();
-    for key in a.fields.keys().chain(b.fields.keys()) {
-        if !fields.contains_key(key) {
-            fields.insert(key.clone(), a.get(key).join(b.get(key)));
-        }
-    }
-    AbsPacket {
-        fields,
-        dropped: a.dropped.join(b.dropped),
-    }
-}
-
-/// Could a concrete value drawn from `abs` satisfy the pattern?
-fn pattern_may_match(abs: AbsVal, p: &BoundPattern) -> bool {
-    use druzhba_p4::ast::MatchKind;
-    match p.kind {
-        MatchKind::Exact => abs.contains(p.value),
-        MatchKind::Ternary => {
-            let mask = p.qualifier.unwrap_or(Value::MAX);
-            // A known bit inside the mask that disagrees kills the match.
-            ((abs.kb.ones ^ p.value) & mask & abs.kb.known()) == 0
-        }
-        MatchKind::Lpm => {
-            let len = p.lpm_len();
-            if len == 0 {
-                return true;
-            }
-            let shift = p.width - len;
-            if shift >= 32 {
-                return true;
-            }
-            let shifted = shr_const(abs, shift);
-            shifted.contains(p.value >> shift)
-        }
-    }
-}
-
-/// Does every concrete value drawn from `abs` satisfy the pattern?
-fn pattern_must_match(abs: AbsVal, p: &BoundPattern) -> bool {
-    use druzhba_p4::ast::MatchKind;
-    match p.kind {
-        MatchKind::Exact => abs.as_const() == Some(p.value),
-        MatchKind::Ternary => {
-            let mask = p.qualifier.unwrap_or(Value::MAX);
-            (abs.kb.known() & mask) == mask && (abs.kb.ones & mask) == (p.value & mask)
-        }
-        MatchKind::Lpm => {
-            let len = p.lpm_len();
-            if len == 0 {
-                return true;
-            }
-            let shift = p.width - len;
-            if shift >= 32 {
-                return true;
-            }
-            shr_const(abs, shift).as_const() == Some(p.value >> shift)
-        }
-    }
-}
-
-/// Logical right shift by a constant (`shift < 32`).
-fn shr_const(abs: AbsVal, shift: u32) -> AbsVal {
-    let iv_lo = abs.iv.lo >> shift;
-    let iv_hi = abs.iv.hi >> shift;
-    let mut out = AbsVal::range(iv_lo, iv_hi);
-    // Bit i of the result is source bit i + shift; shifted-in high bits
-    // are known zero (already implied by the interval bound).
-    let ones = abs.kb.ones >> shift;
-    let unknown = abs.kb.unknown >> shift;
-    out.kb.ones |= ones & out.kb.unknown;
-    out.kb.unknown &= unknown | !(ones | unknown) | !out.kb.unknown;
-    out
-}
-
-fn abs_resolve_arg(
-    arg: &ActionArg,
-    params: &[String],
-    args: &[Value],
-    packet: &AbsPacket,
-) -> AbsVal {
-    match arg {
-        ActionArg::Const(v) => AbsVal::constant(*v),
-        ActionArg::Field(f) => packet.get(f),
-        ActionArg::Param(p) => {
-            let idx = params.iter().position(|q| q == p).unwrap_or(usize::MAX);
-            AbsVal::constant(args.get(idx).copied().unwrap_or(0))
-        }
-        ActionArg::Stateful(_) => AbsVal::constant(0),
-    }
-}
-
-fn abs_execute_action(
-    hlir: &Hlir,
-    action_name: &str,
-    args: &[Value],
-    packet: &mut AbsPacket,
-    regs: &mut AbsRegs,
-) {
-    let Some(action) = hlir.program.action(action_name) else {
-        return;
-    };
-    for prim in &action.body {
-        match prim {
-            Primitive::ModifyField { dst, src } => {
-                let v = abs_resolve_arg(src, &action.params, args, packet);
-                packet.fields.insert(dst.clone(), v);
-            }
-            Primitive::AddToField { dst, src } => {
-                let v = abs_resolve_arg(src, &action.params, args, packet);
-                let cur = packet.get(dst);
-                packet.fields.insert(dst.clone(), cur.add(v));
-            }
-            Primitive::SubtractFromField { dst, src } => {
-                let v = abs_resolve_arg(src, &action.params, args, packet);
-                let cur = packet.get(dst);
-                packet.fields.insert(dst.clone(), cur.sub(v));
-            }
-            Primitive::RegisterRead {
-                dst,
-                register,
-                index,
-            } => {
-                let idx = abs_resolve_arg(index, &action.params, args, packet);
-                let v = abs_reg_read(regs, register, idx);
-                packet.fields.insert(dst.clone(), v);
-            }
-            Primitive::RegisterWrite {
-                register,
-                index,
-                src,
-            } => {
-                let idx = abs_resolve_arg(index, &action.params, args, packet);
-                let v = abs_resolve_arg(src, &action.params, args, packet);
-                abs_reg_write(regs, register, idx, v);
-            }
-            Primitive::Count { .. } => {}
-            Primitive::Drop => packet.dropped = AbsVal::constant(1),
-            Primitive::NoOp => {}
-        }
-    }
-}
-
-fn abs_reg_read(regs: &AbsRegs, register: &str, idx: AbsVal) -> AbsVal {
-    let Some(cells) = regs.get(register) else {
-        return AbsVal::constant(0);
-    };
-    if let Some(i) = idx.as_const() {
-        return cells
-            .get(i as usize)
-            .copied()
-            .unwrap_or(AbsVal::constant(0));
-    }
-    // Unknown index: any in-range cell, or 0 when out of range.
-    let lo = idx.iv.lo as usize;
-    let hi = (idx.iv.hi as usize).min(cells.len().saturating_sub(1));
-    let mut out = if idx.iv.hi as usize >= cells.len() {
-        Some(AbsVal::constant(0))
-    } else {
-        None
-    };
-    for &cell in cells.iter().take(hi + 1).skip(lo) {
-        out = Some(match out {
-            Some(acc) => acc.join(cell),
-            None => cell,
-        });
-    }
-    out.unwrap_or(AbsVal::constant(0))
-}
-
-fn abs_reg_write(regs: &mut AbsRegs, register: &str, idx: AbsVal, v: AbsVal) {
-    let Some(cells) = regs.get_mut(register) else {
-        return;
-    };
-    if let Some(i) = idx.as_const() {
-        if let Some(cell) = cells.get_mut(i as usize) {
-            // Constant index: strong update (this outcome's path is
-            // definite about which cell it writes).
-            *cell = v;
-        }
-        return;
-    }
-    // Unknown index: weak update of every cell the interval allows.
-    let lo = idx.iv.lo as usize;
-    let hi = (idx.iv.hi as usize).min(cells.len().saturating_sub(1));
-    for cell in cells.iter_mut().take(hi + 1).skip(lo) {
-        *cell = cell.join(v);
-    }
-}
-
-/// Purely structural lints: unused table actions and reads of
-/// never-extracted (invalid) headers.
+/// Purely structural lints: tables behind a statically false validity
+/// guard, unused table actions, and reads of never-extracted (invalid)
+/// headers.
 fn static_lints(hlir: &Hlir, entries: &[TableEntry]) -> Vec<LintRecord> {
     let mut out = Vec::new();
-    // Actions declared on a table but bound by no entry and not the
-    // default: unreachable.
     for (t, info) in hlir.tables.iter().enumerate() {
+        if !hlir.table_applies(t) {
+            out.push(LintRecord {
+                stage: t as u32,
+                pc: 0,
+                code: "unreachable-table",
+                message: format!(
+                    "table `{}` is guarded by a statically-false header-validity \
+                     condition and can never apply",
+                    info.name
+                ),
+            });
+        }
+        // Actions declared on a table but bound by no entry and not the
+        // default: unreachable.
         let Some(decl) = hlir.program.table(&info.name) else {
             continue;
         };
@@ -535,390 +326,57 @@ fn static_lints(hlir: &Hlir, entries: &[TableEntry]) -> Vec<LintRecord> {
     out
 }
 
-// ---------------------------------------------------------------------
-// The lowered MatInstr side.
-// ---------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use druzhba_dgen::mat::Src;
+    use druzhba_p4::{lower::lower, parse_entries, parse_p4, RmtConfig};
 
-/// Abstract result of the lowered fused `MatInstr` program at the
-/// register fixpoint.
-#[derive(Debug, Clone)]
-pub struct MatAbs {
-    /// Abstract frame (one slot per layout container, drop flag last).
-    pub frame: Vec<AbsVal>,
-    /// Abstract register cells by declaration name.
-    pub registers: BTreeMap<String, Vec<AbsVal>>,
-}
+    /// One exact-match table keyed on a metadata field, which is 0 on
+    /// every packet: its one entry always hits, so `h.x` is the constant
+    /// the entry binds on every path.
+    const ONE_ENTRY: &str = "
+        header_type h_t { fields { x : 8; } }
+        header_type m_t { fields { k : 8; } }
+        header h_t h;
+        metadata m_t m;
+        parser start { extract(h); return ingress; }
+        action set_x(v) { modify_field(h.x, v); }
+        table t { reads { m.k : exact; } actions { set_x; } size : 4; }
+        control ingress { apply(t); }
+    ";
 
-#[derive(Debug, Clone, PartialEq)]
-struct MState {
-    cur: Vec<AbsVal>,
-    snap: Vec<AbsVal>,
-    regs: Vec<AbsVal>,
-}
+    #[test]
+    fn translation_validation_flags_an_altered_lowered_constant() {
+        let hlir = parse_p4(ONE_ENTRY).expect("parses");
+        let entries = parse_entries("t : m.k=0 => set_x(5)\n").expect("entries parse");
+        let lowering = lower(&hlir, &RmtConfig::default()).expect("lowers");
+        let mat =
+            MatPipeline::generate(&hlir, &entries, &lowering, OptLevel::Fused).expect("generates");
+        let mut prog = mat.fused_program().expect("fused program").to_vec();
 
-fn join_mstates(a: &MState, b: &MState) -> MState {
-    let j = |x: &[AbsVal], y: &[AbsVal]| -> Vec<AbsVal> {
-        x.iter().zip(y).map(|(p, q)| p.join(*q)).collect()
-    };
-    MState {
-        cur: j(&a.cur, &b.cur),
-        snap: j(&a.snap, &b.snap),
-        regs: j(&a.regs, &b.regs),
+        let clean = analyze_lowered(&hlir, &entries, &lowering, &prog).expect("analyzes");
+        assert_eq!(clean.mismatches, [], "the faithful lowering validates");
+
+        let set = prog
+            .iter_mut()
+            .find_map(|i| match i {
+                MatInstr::Set {
+                    src: Src::Const(v @ 5),
+                    ..
+                } => Some(v),
+                _ => None,
+            })
+            .expect("the lowered program sets h.x to 5");
+        *set = 6;
+        let altered = analyze_lowered(&hlir, &entries, &lowering, &prog).expect("analyzes");
+        assert_eq!(
+            altered.mismatches,
+            [P4TvMismatch {
+                site: "h.x".to_string(),
+                hlir: AbsVal::constant(5),
+                lowered: AbsVal::constant(6),
+            }]
+        );
     }
-}
-
-/// Abstractly execute the lowered fused program from the same abstract
-/// input the HLIR pass uses.
-pub fn analyze_mat(
-    hlir: &Hlir,
-    entries: &[TableEntry],
-    lowering: &RmtLowering,
-    input: &BTreeMap<FieldRef, AbsVal>,
-) -> Result<MatAbs> {
-    let mat = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused)?;
-    let prog: Vec<MatInstr> = mat
-        .fused_program()
-        .expect("fused level exposes its program")
-        .to_vec();
-    let layout = mat.layout();
-    let phv_len = layout.phv_length();
-
-    // Register layout mirrors `mat.rs`: declaration order, cumulative
-    // bases.
-    let reg_decls: Vec<(String, usize)> = hlir
-        .program
-        .registers
-        .iter()
-        .map(|r| (r.name.clone(), r.instance_count as usize))
-        .collect();
-    let total_regs: usize = reg_decls.iter().map(|(_, n)| n).sum();
-
-    let mut cur_in = vec![AbsVal::constant(0); phv_len];
-    for (f, abs) in input {
-        if let Some(c) = layout.container(f) {
-            cur_in[c] = *abs;
-        }
-    }
-
-    let mut persistent = MState {
-        cur: cur_in.clone(),
-        snap: vec![AbsVal::constant(0); phv_len],
-        regs: vec![AbsVal::constant(0); total_regs],
-    };
-
-    let run = |p: &MState| -> Option<MState> {
-        let entry = MState {
-            cur: cur_in.clone(),
-            snap: p.snap.clone(),
-            regs: p.regs.clone(),
-        };
-        abs_run_mat(&prog, entry)
-    };
-
-    let mut iters = 0;
-    loop {
-        let Some(exit) = run(&persistent) else {
-            // Structural surprise (backward jump): give up soundly.
-            return Ok(MatAbs {
-                frame: vec![AbsVal::top(); phv_len],
-                registers: slice_regs(&reg_decls, &vec![AbsVal::top(); total_regs]),
-            });
-        };
-        let joined = join_mstates(&persistent, &exit);
-        let merged = if iters < JOIN_ITERS {
-            joined
-        } else {
-            MState {
-                cur: persistent
-                    .cur
-                    .iter()
-                    .zip(&joined.cur)
-                    .map(|(p, n)| p.widen(*n))
-                    .collect(),
-                snap: persistent
-                    .snap
-                    .iter()
-                    .zip(&joined.snap)
-                    .map(|(p, n)| p.widen(*n))
-                    .collect(),
-                regs: persistent
-                    .regs
-                    .iter()
-                    .zip(&joined.regs)
-                    .map(|(p, n)| p.widen(*n))
-                    .collect(),
-            }
-        };
-        if merged == persistent || iters >= MAX_ITERS {
-            persistent = merged;
-            break;
-        }
-        persistent = merged;
-        iters += 1;
-    }
-
-    let exit = run(&persistent).unwrap_or(MState {
-        cur: vec![AbsVal::top(); phv_len],
-        snap: vec![AbsVal::top(); phv_len],
-        regs: vec![AbsVal::top(); total_regs],
-    });
-    Ok(MatAbs {
-        frame: exit.cur,
-        registers: slice_regs(&reg_decls, &exit.regs),
-    })
-}
-
-fn slice_regs(decls: &[(String, usize)], flat: &[AbsVal]) -> BTreeMap<String, Vec<AbsVal>> {
-    let mut out = BTreeMap::new();
-    let mut base = 0;
-    for (name, len) in decls {
-        out.insert(name.clone(), flat[base..base + len].to_vec());
-        base += len;
-    }
-    out
-}
-
-/// Forward dataflow over the (forward-jump-only) MatInstr program.
-fn abs_run_mat(prog: &[MatInstr], entry: MState) -> Option<MState> {
-    let mut inflow: Vec<Option<MState>> = vec![None; prog.len()];
-    let mut exit: Option<MState> = None;
-    if prog.is_empty() {
-        return Some(entry);
-    }
-    inflow[0] = Some(entry);
-
-    fn flow(
-        inflow: &mut [Option<MState>],
-        exit: &mut Option<MState>,
-        target: usize,
-        state: &MState,
-    ) {
-        let slot = if target >= inflow.len() {
-            exit
-        } else {
-            &mut inflow[target]
-        };
-        match slot {
-            None => *slot = Some(state.clone()),
-            Some(acc) => *acc = join_mstates(acc, state),
-        }
-    }
-
-    let src_val = |s: &MState, src: Src| -> AbsVal {
-        match src {
-            Src::Slot(i) => s.cur[i],
-            Src::Const(v) => AbsVal::constant(v),
-        }
-    };
-
-    for pc in 0..prog.len() {
-        let Some(mut st) = inflow[pc].clone() else {
-            continue;
-        };
-        match prog[pc] {
-            MatInstr::Snapshot => st.snap = st.cur.clone(),
-            MatInstr::CmpExact { slot, value, miss } => {
-                let v = st.snap[slot];
-                if miss <= pc {
-                    return None;
-                }
-                let may_hit = v.contains(value);
-                let must_hit = v.as_const() == Some(value);
-                if !must_hit {
-                    flow(&mut inflow, &mut exit, miss, &st);
-                }
-                if may_hit {
-                    flow(&mut inflow, &mut exit, pc + 1, &st);
-                }
-                continue;
-            }
-            MatInstr::CmpTernary {
-                slot,
-                value,
-                mask,
-                miss,
-            } => {
-                let v = st.snap[slot];
-                if miss <= pc {
-                    return None;
-                }
-                // `value` is pre-masked: hit iff `v & mask == value`.
-                let may_hit = ((v.kb.ones ^ value) & mask & v.kb.known()) == 0;
-                let must_hit = (v.kb.known() & mask) == mask && (v.kb.ones & mask) == value;
-                if !must_hit {
-                    flow(&mut inflow, &mut exit, miss, &st);
-                }
-                if may_hit {
-                    flow(&mut inflow, &mut exit, pc + 1, &st);
-                }
-                continue;
-            }
-            MatInstr::CmpLpm {
-                slot,
-                value,
-                shift,
-                miss,
-            } => {
-                let v = st.snap[slot];
-                if miss <= pc {
-                    return None;
-                }
-                // `value` is pre-shifted: hit iff `v >> shift == value`.
-                let shifted = shr_const(v, shift.min(31));
-                let may_hit = shift >= 32 || shifted.contains(value);
-                let must_hit = shift >= 32 || shifted.as_const() == Some(value);
-                if !must_hit {
-                    flow(&mut inflow, &mut exit, miss, &st);
-                }
-                if may_hit {
-                    flow(&mut inflow, &mut exit, pc + 1, &st);
-                }
-                continue;
-            }
-            MatInstr::Jump { target } => {
-                if target <= pc {
-                    return None;
-                }
-                flow(&mut inflow, &mut exit, target, &st);
-                continue;
-            }
-            MatInstr::Set { dst, src } => st.cur[dst] = src_val(&st, src),
-            MatInstr::Add { dst, src } => {
-                let v = src_val(&st, src);
-                st.cur[dst] = st.cur[dst].add(v);
-            }
-            MatInstr::Sub { dst, src } => {
-                let v = src_val(&st, src);
-                st.cur[dst] = st.cur[dst].sub(v);
-            }
-            MatInstr::RegRead {
-                dst,
-                base,
-                len,
-                idx,
-            } => {
-                let i = src_val(&st, idx);
-                st.cur[dst] = window_read(&st.regs, base, len, i);
-            }
-            MatInstr::RegWrite {
-                base,
-                len,
-                idx,
-                src,
-            } => {
-                let i = src_val(&st, idx);
-                let v = src_val(&st, src);
-                window_write(&mut st.regs, base, len, i, v);
-            }
-            MatInstr::Count { .. } => {}
-        }
-        flow(&mut inflow, &mut exit, pc + 1, &st);
-    }
-    exit
-}
-
-fn window_read(regs: &[AbsVal], base: usize, len: usize, idx: AbsVal) -> AbsVal {
-    if let Some(i) = idx.as_const() {
-        return if (i as usize) < len {
-            regs[base + i as usize]
-        } else {
-            AbsVal::constant(0)
-        };
-    }
-    let lo = idx.iv.lo as usize;
-    let hi = (idx.iv.hi as usize).min(len.saturating_sub(1));
-    let mut out = if idx.iv.hi as usize >= len {
-        Some(AbsVal::constant(0))
-    } else {
-        None
-    };
-    for i in lo..=hi.min(len.saturating_sub(1)) {
-        out = Some(match out {
-            Some(acc) => acc.join(regs[base + i]),
-            None => regs[base + i],
-        });
-    }
-    out.unwrap_or(AbsVal::constant(0))
-}
-
-fn window_write(regs: &mut [AbsVal], base: usize, len: usize, idx: AbsVal, v: AbsVal) {
-    if let Some(i) = idx.as_const() {
-        if (i as usize) < len {
-            regs[base + i as usize] = v;
-        }
-        return;
-    }
-    let lo = idx.iv.lo as usize;
-    let hi = (idx.iv.hi as usize).min(len.saturating_sub(1));
-    for i in lo..=hi {
-        if i < len {
-            regs[base + i] = regs[base + i].join(v);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// P4 translation validation.
-// ---------------------------------------------------------------------
-
-/// A disjoint pair of abstractions for the same P4 observable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct P4TvMismatch {
-    /// Human-readable site (`pkt.dst`, `drop`, `reg[3]`).
-    pub site: String,
-    pub hlir: AbsVal,
-    pub lowered: AbsVal,
-}
-
-/// Statically validate the lowered fused program against the HLIR
-/// semantics. Returns the mismatches plus the HLIR-side analysis (whose
-/// lints the caller reports).
-pub fn p4_translation_validate(
-    hlir: &Hlir,
-    entries: &[TableEntry],
-    lowering: &RmtLowering,
-) -> Result<(Vec<P4TvMismatch>, P4Abs)> {
-    let input = abstract_input(hlir, lowering);
-    let habs = analyze_hlir(hlir, entries, &input)?;
-    let mabs = analyze_mat(hlir, entries, lowering, &input)?;
-    let layout = &lowering.layout;
-
-    let mut out = Vec::new();
-    for (f, _) in layout.fields() {
-        let h = habs.fields.get(f).copied().unwrap_or(AbsVal::constant(0));
-        let m = layout
-            .container(f)
-            .map(|c| mabs.frame[c])
-            .unwrap_or(AbsVal::top());
-        if h.is_disjoint(m) {
-            out.push(P4TvMismatch {
-                site: f.to_string(),
-                hlir: h,
-                lowered: m,
-            });
-        }
-    }
-    let mdrop = mabs.frame[layout.drop_flag()];
-    if habs.dropped.is_disjoint(mdrop) {
-        out.push(P4TvMismatch {
-            site: "drop".to_string(),
-            hlir: habs.dropped,
-            lowered: mdrop,
-        });
-    }
-    for (name, hcells) in &habs.registers {
-        let Some(mcells) = mabs.registers.get(name) else {
-            continue;
-        };
-        for (i, (h, m)) in hcells.iter().zip(mcells).enumerate() {
-            if h.is_disjoint(*m) {
-                out.push(P4TvMismatch {
-                    site: format!("{name}[{i}]"),
-                    hlir: *h,
-                    lowered: *m,
-                });
-            }
-        }
-    }
-    Ok((out, habs))
 }

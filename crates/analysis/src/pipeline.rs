@@ -12,7 +12,8 @@
 //! transfer function until it stops growing. The result over-approximates
 //! the pipeline after *any* number of packets drawn from the abstract
 //! input. Lints and branch edges come from the sites the executors record
-//! while they walk, evaluated under the fixpoint valuation.
+//! while they walk, evaluated under the fixpoint valuation. The P4 stack
+//! ([`crate::p4`]) resolves its registers through the same `fixpoint`.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -94,7 +95,9 @@ pub fn analyze_pipeline(
     // A bail leaves the recorded sites partial: read none of them, and
     // keep every branch outcome live.
     let seen = if tr.is_some() {
-        read_sites(&store, &sites, &valuation(input, &state))
+        let cells: Vec<AbsVal> = state.iter().flatten().flatten().copied().collect();
+        let valuation = valuation(input, spec);
+        read_sites(&store, &sites, &|s| valuation(s, &cells))
     } else {
         BTreeMap::new()
     };
@@ -131,7 +134,7 @@ pub fn analyze_pipeline(
 
 /// Join each site's terms over the visits whose path is abstractly
 /// possible under `valuation`.
-fn read_sites<'s>(
+pub(crate) fn read_sites<'s>(
     store: &TermStore,
     sites: &'s Sites,
     valuation: &dyn Fn(Sym) -> AbsVal,
@@ -160,20 +163,62 @@ fn feasible(decisions: &[Decision], abs: &mut impl FnMut(TermId) -> AbsVal) -> b
     })
 }
 
-/// The valuation of the entry symbols: `input` for the PHV, `state` for
-/// the stateful-ALU variables.
-fn valuation<'a>(input: &'a [AbsVal], state: &'a AbsState) -> impl Fn(Sym) -> AbsVal + 'a {
-    move |s| match s {
+/// The valuation of the entry symbols: `input` for the PHV, the state
+/// cells (flattened stage-, slot-, then var-major) for the stateful-ALU
+/// variables.
+fn valuation<'a>(
+    input: &'a [AbsVal],
+    spec: &PipelineSpec,
+) -> impl Fn(Sym, &[AbsVal]) -> AbsVal + Copy + 'a {
+    let width = spec.config.width;
+    let n_state = spec.stateful_alu.state_vars.len();
+    move |s, cells| match s {
         Sym::Phv(c) => input[c as usize],
-        Sym::State { stage, slot, var } => state[stage as usize][slot as usize][var as usize],
-        Sym::RegCell(_) | Sym::TableArg(_) => AbsVal::top(),
+        Sym::State { stage, slot, var } => {
+            cells[(stage as usize * width + slot as usize) * n_state + var as usize]
+        }
+        Sym::RegCell(_) => AbsVal::top(),
     }
 }
 
-/// The abstract output PHV and the cross-packet state fixpoint of one
+/// Abstractly evaluate a transfer function at its cross-packet fixpoint.
+/// `cells` are the terms of the persistent cells (stateful-ALU variables,
+/// P4 register cells) after one packet; `valuation(sym, state)` values an
+/// entry symbol under the current abstraction `state` of those cells.
+/// From the zero reset state, the cells are pushed through the transfer
+/// function, joining for [`JOIN_ITERS`] rounds and widening after, until
+/// they stop growing. Returns `outputs` evaluated at the fixpoint, and
+/// the fixpoint. Both stacks resolve persistent state through this loop.
+pub(crate) fn fixpoint(
+    store: &TermStore,
+    outputs: &[TermId],
+    cells: &[TermId],
+    valuation: impl Fn(Sym, &[AbsVal]) -> AbsVal,
+) -> (Vec<AbsVal>, Vec<AbsVal>) {
+    let mut state = vec![AbsVal::constant(0); cells.len()];
+    for iters in 0.. {
+        let next = abs_eval_all(store, cells, &|s| valuation(s, &state));
+        let mut changed = false;
+        for (s, n) in state.iter_mut().zip(next) {
+            let joined = s.join(n);
+            let merged = if iters < JOIN_ITERS {
+                joined
+            } else {
+                s.widen(joined)
+            };
+            changed |= merged != *s;
+            *s = merged;
+        }
+        if !changed || iters >= MAX_ITERS {
+            break;
+        }
+    }
+    let out = abs_eval_all(store, outputs, &|s| valuation(s, &state));
+    (out, state)
+}
+
+/// The abstract output PHV and the cross-packet state [`fixpoint`] of one
 /// transfer function under `input`; all-top when the executor bailed.
-/// The fixpoint starts from the zero reset state, joins for
-/// [`JOIN_ITERS`] rounds and then widens.
 fn abstract_run(
     store: &TermStore,
     tr: Option<&SymTransfer>,
@@ -189,25 +234,11 @@ fn abstract_run(
     };
 
     let cells: Vec<TermId> = tr.state.iter().flatten().flatten().copied().collect();
+    let (phv, fixed) = fixpoint(store, &tr.phv, &cells, valuation(input, spec));
     let mut state = shaped(AbsVal::constant(0));
-    for iters in 0.. {
-        let next = abs_eval_all(store, &cells, &valuation(input, &state));
-        let mut changed = false;
-        for (s, n) in state.iter_mut().flatten().flatten().zip(next) {
-            let joined = s.join(n);
-            let merged = if iters < JOIN_ITERS {
-                joined
-            } else {
-                s.widen(joined)
-            };
-            changed |= merged != *s;
-            *s = merged;
-        }
-        if !changed || iters >= MAX_ITERS {
-            break;
-        }
+    for (s, v) in state.iter_mut().flatten().flatten().zip(fixed) {
+        *s = v;
     }
-    let phv = abs_eval_all(store, &tr.phv, &valuation(input, &state));
     (phv, state)
 }
 
@@ -355,7 +386,7 @@ fn lints(seen: &BTreeMap<&Site, [AbsVal; 2]>) -> Vec<LintRecord> {
                 "dead-write",
                 format!("state variable `{var}` is overwritten at pc {at} before being read"),
             ),
-            Site::Branch { .. } => {}
+            Site::Branch { .. } | Site::Entry { .. } => {}
         }
     }
     out.sort_by(|a, b| {

@@ -30,11 +30,12 @@
 //!
 //! ## Recorded sites
 //!
-//! The Domino executors are also the abstract interpreter of
-//! `pipeline::analyze_pipeline`. On request they record a `Site` visit
-//! wherever a lint or a coverage edge is decided — each `if` arm, each
-//! arithmetic and division operand pair, each overwritten state write,
-//! each conditional jump — with its terms and the decisions of its path.
+//! The executors are also the abstract interpreters of
+//! `pipeline::analyze_pipeline` and `p4::analyze_p4`. On request they
+//! record a `Site` visit wherever a lint or a coverage edge is decided —
+//! each `if` arm, each arithmetic and division operand pair, each
+//! overwritten state write, each conditional jump, each P4 table-entry
+//! hit — with its terms and the decisions of its path.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -108,7 +109,7 @@ pub struct SymTransfer {
 /// sharing a prefix agree on the next condition; a path that finished
 /// before a sibling's fork flows into both branches. Returns `None` on
 /// irreconcilable shapes (sound bail).
-fn merge_paths(
+pub(crate) fn merge_paths(
     store: &mut TermStore,
     paths: &[(Vec<Decision>, Vec<TermId>)],
 ) -> Option<Vec<TermId>> {
@@ -177,9 +178,9 @@ pub(crate) struct UnitLoc {
 }
 
 /// A program point whose abstract facts the analyzer reads back at the
-/// state fixpoint (`pipeline::analyze_pipeline`). An ALU-body `pc` is the
-/// pre-order statement index; a bytecode or fused `pc` is the
-/// instruction index.
+/// state fixpoint (`pipeline::analyze_pipeline`, `p4::analyze_p4`). An
+/// ALU-body `pc` is the pre-order statement index; a bytecode or fused
+/// `pc` is the instruction index.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Site {
     /// Arm `arm` of the `if` chain at `pc` (`arms` arms, and a non-empty
@@ -211,6 +212,9 @@ pub(crate) enum Site {
     /// The conditional jump at `pc` of coverage site `site` (a bytecode
     /// unit, or the fused program). Term: the tested value.
     Branch { site: u32, pc: u32 },
+    /// A hit of entry `entry` (file order) of applied P4 table `table`
+    /// (HLIR index). No terms: only the path's feasibility is read.
+    Entry { table: u32, entry: u32 },
 }
 
 /// One path's visit of a [`Site`]: its terms, and every decision the path
@@ -1491,18 +1495,22 @@ enum SymOp {
 }
 
 struct SymEntry {
+    /// Index in file order (LPM tables re-sort their entries).
+    index: u32,
     patterns: Vec<SymPat>,
     ops: Vec<SymOp>,
 }
 
-struct SymTable {
+pub(crate) struct SymTable {
+    /// HLIR applied-table index.
+    table: u32,
     entries: Vec<SymEntry>,
     default_ops: Option<Vec<SymOp>>,
 }
 
 /// Flat register layout mirror of `mat.rs::StateLayout`: declaration
 /// order, cumulative bases.
-fn reg_layout(hlir: &Hlir) -> (Vec<(String, usize, usize)>, usize) {
+pub(crate) fn reg_layout(hlir: &Hlir) -> (Vec<(String, usize, usize)>, usize) {
     let mut decls = Vec::new();
     let mut next = 0;
     for r in &hlir.program.registers {
@@ -1517,7 +1525,7 @@ fn reg_layout(hlir: &Hlir) -> (Vec<(String, usize, usize)>, usize) {
 /// `resolve_stages`: guard-false tables eliminated, LPM entries sorted
 /// (total prefix desc, priority asc), patterns pre-masked/pre-shifted,
 /// entry arguments folded into the action ops.
-fn resolve_sym_stages(
+pub(crate) fn resolve_sym_stages(
     hlir: &Hlir,
     entries: &[TableEntry],
     lowering: &RmtLowering,
@@ -1602,12 +1610,7 @@ fn resolve_sym_stages(
     for table_indices in &lowering.stages {
         let mut stage = Vec::new();
         for &t in table_indices {
-            let info = &hlir.tables[t];
-            let guard_ok = info
-                .guards
-                .iter()
-                .all(|(h, pol)| hlir.header_valid(h) == *pol);
-            if !guard_ok {
+            if !hlir.table_applies(t) {
                 continue;
             }
             let rt = tables.table(t);
@@ -1653,6 +1656,7 @@ fn resolve_sym_stages(
                     }
                 }
                 sym_entries.push(SymEntry {
+                    index: ei as u32,
                     patterns,
                     ops: resolve_ops(&e.action, &e.args)?,
                 });
@@ -1662,6 +1666,7 @@ fn resolve_sym_stages(
                 None => None,
             };
             stage.push(SymTable {
+                table: t as u32,
                 entries: sym_entries,
                 default_ops,
             });
@@ -1673,7 +1678,7 @@ fn resolve_sym_stages(
 
 /// One in-flight path through the P4 pipeline (either executor).
 #[derive(Clone)]
-struct P4Path {
+pub(crate) struct P4Path {
     frame: Vec<TermId>,
     snap: Vec<TermId>,
     regs: Vec<TermId>,
@@ -1754,11 +1759,13 @@ fn pattern_cond(store: &mut TermStore, snap: &[TermId], pat: SymPat) -> TermId {
 /// Symbolically execute the source semantics: stages in order (snapshot
 /// at each boundary), tables in control order within a stage, entries
 /// first-hit in resolved order (≡ longest-prefix for LPM tables), the
-/// hit entry's action on the live frame.
-fn sym_run_hlir(
+/// hit entry's action on the live frame. Each hit is recorded into
+/// `sites` when given.
+pub(crate) fn sym_run_hlir(
     store: &mut TermStore,
     stages: &[Vec<SymTable>],
     entry_path: P4Path,
+    mut sites: Option<&mut Sites>,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let mut paths = vec![entry_path];
     for stage in stages {
@@ -1783,6 +1790,16 @@ fn sym_run_hlir(
                 };
                 let Some(&pat) = entry.patterns.get(k) else {
                     // Hit: run the action, skip the rest of the table.
+                    if let Some(sites) = sites.as_deref_mut() {
+                        sites.visits.push(Visit {
+                            site: Site::Entry {
+                                table: table.table,
+                                entry: entry.index,
+                            },
+                            terms: [store.konst(1); 2],
+                            decisions: p.decisions.clone(),
+                        });
+                    }
                     for &op in &entry.ops {
                         p4_apply_op(store, &mut p, op)?;
                     }
@@ -1818,7 +1835,7 @@ fn sym_run_hlir(
 }
 
 /// Symbolically execute the lowered fused `MatInstr` program.
-fn sym_run_mat(
+pub(crate) fn sym_run_mat(
     store: &mut TermStore,
     prog: &[MatInstr],
     entry_path: P4Path,
@@ -1942,7 +1959,7 @@ fn sym_run_mat(
 
 /// The shared P4 entry state: container symbols with the abstract-input
 /// widths (metadata folds to 0), zero drop flag, register-cell symbols.
-fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLowering) -> P4Path {
+pub(crate) fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLowering) -> P4Path {
     let layout = &lowering.layout;
     let phv_len = layout.phv_length();
     let input = crate::p4::abstract_input(hlir, lowering);
@@ -1965,7 +1982,7 @@ fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLowering) -> 
 }
 
 /// Render a P4 comparison site: field name, `drop`, or register cell.
-fn p4_site(hlir: &Hlir, lowering: &RmtLowering, index: usize) -> String {
+pub(crate) fn p4_site(hlir: &Hlir, lowering: &RmtLowering, index: usize) -> String {
     let layout = &lowering.layout;
     let phv_len = layout.phv_length();
     if index < phv_len {
@@ -2009,7 +2026,7 @@ pub fn p4_symbolic_validate(
     };
     let mut store = TermStore::new();
     let entry_path = p4_entry_path(&mut store, hlir, lowering);
-    let Some(src_paths) = sym_run_hlir(&mut store, &stages, entry_path.clone()) else {
+    let Some(src_paths) = sym_run_hlir(&mut store, &stages, entry_path.clone(), None) else {
         return unknown("<source not symbolically executable>");
     };
     let Some(src) = merge_paths(&mut store, &src_paths) else {

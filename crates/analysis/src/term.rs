@@ -37,9 +37,6 @@ pub enum Sym {
     State { stage: u32, slot: u32, var: u32 },
     /// One flat register cell (P4 `StateLayout` flattening) at entry.
     RegCell(u32),
-    /// One bound table-action argument (reserved for entry-symbolic
-    /// validation; bound entries are concrete today).
-    TableArg(u32),
 }
 
 /// One interned term node. Children are [`TermId`]s into the same store,

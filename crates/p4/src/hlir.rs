@@ -72,6 +72,16 @@ impl Hlir {
             None => false,
         }
     }
+
+    /// Whether applied table `t` can run: every validity guard on the path
+    /// to its `apply` holds. Validity is static, so a table is either
+    /// applied on every packet or on none.
+    pub fn table_applies(&self, t: usize) -> bool {
+        self.tables[t]
+            .guards
+            .iter()
+            .all(|(h, pol)| self.header_valid(h) == *pol)
+    }
 }
 
 /// Resolve and analyse a parsed program.

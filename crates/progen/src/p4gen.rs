@@ -9,7 +9,7 @@
 //! RMT configuration, and passes abstract P4 translation validation
 //! with zero mismatches.
 
-use druzhba_analysis::p4_translation_validate;
+use druzhba_analysis::analyze_p4;
 use druzhba_core::rng::ValueGen;
 use druzhba_core::Value;
 use druzhba_dsim::p4::P4Workload;
@@ -187,8 +187,8 @@ pub fn p4_candidate(seed: u64) -> P4Candidate {
 pub fn vet_p4(cand: &P4Candidate) -> Result<P4Workload, Reject> {
     let workload = P4Workload::parse(&cand.source, &cand.entries, &RmtConfig::default())
         .map_err(|_| Reject::Compile)?;
-    match p4_translation_validate(&workload.hlir, &workload.entries, &workload.lowering) {
-        Ok((mismatches, _)) if mismatches.is_empty() => {}
+    match analyze_p4(&workload.hlir, &workload.entries, &workload.lowering) {
+        Ok(analysis) if analysis.mismatches.is_empty() => {}
         _ => return Err(Reject::Tv),
     }
     Ok(workload)

@@ -12,8 +12,8 @@
 use std::fmt::Write as _;
 
 use druzhba_analysis::{
-    p4_symbolic_validate, p4_translation_validate, proven_dead_edges, screen, symbolic_lints,
-    symbolic_validate, translation_validate, AbsVal, LintRecord, Screened, SymbolicVerdict, TvSite,
+    analyze_p4, p4_symbolic_validate, proven_dead_edges, screen, symbolic_lints, symbolic_validate,
+    translation_validate, AbsVal, LintRecord, Screened, SymbolicVerdict, TvSite,
 };
 use druzhba_core::diag::{sort_diagnostics, Diagnostic, Severity};
 use druzhba_core::json::{array, Object, Raw};
@@ -335,9 +335,10 @@ pub fn analyze_p4_workload(
     workload: &P4Workload,
     symbolic: bool,
 ) -> Result<ProgramAnalysis, String> {
-    let (tv, habs) = p4_translation_validate(&workload.hlir, &workload.entries, &workload.lowering)
+    let analysis = analyze_p4(&workload.hlir, &workload.entries, &workload.lowering)
         .map_err(|e| format!("{name}: {e}"))?;
-    let tv_mismatches: Vec<String> = tv
+    let tv_mismatches: Vec<String> = analysis
+        .mismatches
         .iter()
         .map(|m| format!("lowered vs hlir at {}", m.site))
         .collect();
@@ -345,7 +346,7 @@ pub fn analyze_p4_workload(
         name: name.to_string(),
         kind: "p4",
         tv_mismatches,
-        diagnostics: lints_to_diags(name, &habs.lints),
+        diagnostics: lints_to_diags(name, &analysis.lints),
         screen: None,
         proven_dead: Vec::new(),
         imprecision: Vec::new(),

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use druzhba::analysis::{abstract_input, analyze_hlir, analyze_mat, analyze_pipeline, AbsVal};
+use druzhba::analysis::{analyze_p4, analyze_pipeline, AbsVal};
 use druzhba::chipmunk::CompiledProgram;
 use druzhba::core::Trace;
 use druzhba::dgen::mat::MatPipeline;
@@ -152,11 +152,9 @@ proptest! {
             (g.name, g.workload)
         });
         for (program, workload) in corpus.chain(generated) {
-            let input = abstract_input(&workload.hlir, &workload.lowering);
-            let habs = analyze_hlir(&workload.hlir, &workload.entries, &input).unwrap();
-            let mabs =
-                analyze_mat(&workload.hlir, &workload.entries, &workload.lowering, &input)
-                    .unwrap();
+            let analysis =
+                analyze_p4(&workload.hlir, &workload.entries, &workload.lowering).unwrap();
+            let (habs, mabs) = (&analysis.hlir, &analysis.mat);
             let layout = &workload.lowering.layout;
 
             let mut traffic = P4Traffic::new(&workload, seed, 16);
