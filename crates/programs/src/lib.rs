@@ -135,13 +135,12 @@ impl Specification for HandSpec {
     }
 
     fn process(&mut self, input: &Phv) -> Phv {
-        let fields: HashMap<&str, Value> = self
-            .input_fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.as_str(), input.get(i)))
-            .collect();
-        let get = |name: &str| fields.get(name).copied().unwrap_or(0);
+        let get = |name: &str| {
+            self.input_fields
+                .iter()
+                .position(|f| f == name)
+                .map_or(0, |i| input.get(i))
+        };
         let written = (self.step)(&mut self.state, &get);
         let mut out = Phv::zeroed(self.phv_length);
         for (field, container) in &self.output_fields {
