@@ -115,21 +115,16 @@ fn analyze_lowered(
 ) -> Result<P4Analysis> {
     let tables = bind(hlir, entries)?;
     let layout = &lowering.layout;
-    let mut input = vec![AbsVal::constant(0); layout.phv_length()];
-    for (f, abs) in abstract_input(hlir, lowering) {
-        if let Some(c) = layout.container(&f) {
-            input[c] = abs;
-        }
-    }
+    // Both transfer functions in one store, from one entry state whose
+    // symbols carry the abstract input.
+    let mut store = TermStore::new();
+    let entry = p4_entry_path(&mut store, hlir, lowering);
+    let input: Vec<AbsVal> = entry.frame.iter().map(|&t| store.abs(t)).collect();
     let value = |s: Sym, regs: &[AbsVal]| match s {
         Sym::Phv(c) => input[c as usize],
         Sym::RegCell(i) => regs[i as usize],
         Sym::State { .. } => AbsVal::top(),
     };
-
-    // Both transfer functions in one store, from one entry state.
-    let mut store = TermStore::new();
-    let entry = p4_entry_path(&mut store, hlir, lowering);
     let mut sites = Sites::default();
     let source = resolve_sym_stages(hlir, entries, lowering)
         .and_then(|stages| sym_run_hlir(&mut store, &stages, entry.clone(), Some(&mut sites)))

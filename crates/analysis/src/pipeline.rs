@@ -169,7 +169,7 @@ fn feasible(decisions: &[Decision], abs: &mut impl FnMut(TermId) -> AbsVal) -> b
 fn valuation<'a>(
     input: &'a [AbsVal],
     spec: &PipelineSpec,
-) -> impl Fn(Sym, &[AbsVal]) -> AbsVal + Copy + 'a {
+) -> impl Fn(Sym, &[AbsVal]) -> AbsVal + 'a {
     let width = spec.config.width;
     let n_state = spec.stateful_alu.state_vars.len();
     move |s, cells| match s {

@@ -1679,7 +1679,7 @@ pub(crate) fn resolve_sym_stages(
 /// One in-flight path through the P4 pipeline (either executor).
 #[derive(Clone)]
 pub(crate) struct P4Path {
-    frame: Vec<TermId>,
+    pub frame: Vec<TermId>,
     snap: Vec<TermId>,
     regs: Vec<TermId>,
     decisions: Vec<Decision>,
