@@ -265,15 +265,6 @@ impl FusedPipeline {
         self.state_window
     }
 
-    /// Mutable view of the live state window. The lane engine executes
-    /// its serial regions directly against this slice so that scalar and
-    /// lane-batched execution share one state store (and therefore one
-    /// [`FusedPipeline::state_snapshot`] / [`FusedPipeline::reset`]).
-    pub(crate) fn state_mut(&mut self) -> &mut [Value] {
-        let (base, len) = self.state_window;
-        &mut self.frame[base..base + len]
-    }
-
     /// Push one PHV through every stage, in place and allocation-free.
     pub fn process_in_place(&mut self, phv: &mut Phv) {
         self.process_in_place_cov(phv, None);

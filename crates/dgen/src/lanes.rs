@@ -26,48 +26,25 @@
 //! dst[lane] = (value & m) | (dst[lane] & !m)
 //! ```
 //!
-//! The same sentinel makes partial batches safe: tail lanes start with
-//! `resume_pc = instruction count`, are never active, and therefore never
-//! write a register, never touch state, and never record coverage.
+//! The same sentinel makes partial sweeps safe: lanes past `active`
+//! start with `resume_pc = instruction count`, are never active, and
+//! therefore never write a register or touch state.
 //!
-//! # Two execution modes over one lowering
+//! # Sweep mode
 //!
-//! **Batch mode** ([`crate::Pipeline::process_batch_lanes`]) reproduces the
-//! scalar [`FusedPipeline::process_in_place`] chain *bit-identically*,
-//! including the cross-PHV stateful-ALU ordering: PHV `i` must observe the
-//! state writes of PHV `i-1`. Lowering classifies the program into
-//! *regions*: instruction spans that touch a stateful ALU's state window
-//! run **serial** (lane-major: each lane in order against the shared
-//! scalar state), everything else runs **transposed** (instruction-major
-//! across all lanes at once). Stateless spans — input muxes, specialized
-//! stateless ALU bodies, output copies — dominate wide pipelines, and
-//! those are exactly the spans that vectorize.
-//!
-//! **Sweep mode** ([`LanePipeline::sweep`]) gives every lane its own
-//! independent state lanes inside the SoA frame and runs the *whole*
-//! program transposed. That is the native shape of bounded verification
-//! and greybox fuzzing (every input is an independent execution from reset
-//! state), and it is where the full SIMD win lives: no serial regions at
-//! all.
-//!
-//! # Determinism guarantee
-//!
-//! For a fixed program and input batch, batch mode produces the same
-//! outputs, final state, and coverage totals for **every** lane width in
-//! [`LANE_WIDTHS`] — identical to scalar width 1. Ops are exact u32
-//! semantics (no floating point, no reassociation), serial regions
-//! preserve scalar state order, and the coverage map's saturating per-edge
-//! counters make hit totals independent of the order lanes record them.
-//! Greybox campaigns can therefore adopt lanes without changing a single
-//! report byte.
+//! [`LanePipeline::sweep`] gives every lane its own independent state
+//! lanes inside the SoA frame and runs the *whole* program transposed.
+//! That is the native shape of bounded verification (every input is an
+//! independent execution from reset state): lane `i` after `k` steps holds
+//! exactly what `k` scalar [`FusedPipeline::process_in_place`] calls on a
+//! fresh pipeline would. Ops are exact u32 semantics (no floating point,
+//! no reassociation), so the result is the same at every width in
+//! [`LANE_WIDTHS`].
 
 use druzhba_alu_dsl::{BinOp, UnOp};
-use druzhba_core::coverage::{edge_id, CoverageMap};
-use druzhba_core::value::{self, Value};
-use druzhba_core::Phv;
+use druzhba_core::value::Value;
 
-use crate::eval::{apply_binop, apply_unop};
-use crate::fused::{FusedInstr, FusedPipeline, Reg, FUSED_SITE};
+use crate::fused::{FusedInstr, FusedPipeline, Reg};
 
 /// Lane widths the const-generic dispatch supports. Width 1 is the
 /// degenerate scalar case (useful for differential testing); 8–64 are the
@@ -82,17 +59,6 @@ pub fn supported_width(width: usize) -> bool {
     matches!(width, 1 | 8 | 16 | 32 | 64)
 }
 
-/// One contiguous instruction span of the lowered program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Region {
-    /// Touches at least one stateful ALU's state window: executed
-    /// lane-major against the shared scalar state so cross-PHV ordering
-    /// matches the scalar backend exactly.
-    Serial { start: usize, end: usize },
-    /// Touches no state: executed instruction-major across all lanes.
-    Transposed { start: usize, end: usize },
-}
-
 /// A fused register program lowered to lane-parallel form.
 ///
 /// The lowering is width-independent: one `LanePipeline` serves every
@@ -101,26 +67,19 @@ enum Region {
 #[derive(Debug, Clone)]
 pub struct LanePipeline {
     instrs: Vec<FusedInstr>,
-    regions: Vec<Region>,
-    stage_count: usize,
     frame_len: usize,
     phv_len: usize,
-    /// Shared-state window `[base, base+len)` in fused-frame register
-    /// numbering (batch mode executes serial regions against the fused
-    /// pipeline's own state slice; sweep mode gives each lane its own
-    /// copy of these registers inside the SoA frame).
+    /// State window `[base, base+len)` in fused-frame register numbering;
+    /// each lane holds its own copy of these registers in the SoA frame.
     state_window: (usize, usize),
     /// `state_regs[stage][slot]` = (first register, register count).
     state_regs: Vec<Vec<(Reg, Reg)>>,
-    /// Batch-mode SoA scratch frame (`frame_len * width` values), kept
-    /// across calls so steady-state batch processing allocates nothing.
-    scratch: Vec<Value>,
 }
 
 impl LanePipeline {
     /// Lower a fused program. Returns `None` when the program violates
     /// the forward-jump invariant the predication scheme relies on (the
-    /// fuser never emits such programs; callers fall back to scalar).
+    /// fuser never emits such programs; callers report an error).
     pub fn lower(fused: &FusedPipeline) -> Option<Self> {
         let instrs = fused.instrs().to_vec();
         for (pc, instr) in instrs.iter().enumerate() {
@@ -131,191 +90,18 @@ impl LanePipeline {
             }
         }
 
-        // One span per stateful ALU: [first, last] over every instruction
-        // touching any register of its state window. Spans are contiguous
-        // by construction (only the owning ALU body references its state),
-        // but merging overlapping/adjacent spans keeps this correct even
-        // for exotic programs — anything between two touches of the same
-        // window (e.g. the branch guarding a conditional state write) must
-        // stay inside the serial region.
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for row in fused.state_regs() {
-            for &(base, count) in row {
-                if count == 0 {
-                    continue;
-                }
-                let mut first = None;
-                let mut last = 0usize;
-                for (pc, instr) in instrs.iter().enumerate() {
-                    if touches_window(instr, base, base + count) {
-                        first.get_or_insert(pc);
-                        last = pc;
-                    }
-                }
-                if let Some(f) = first {
-                    spans.push((f, last + 1));
-                }
-            }
-        }
-        spans.sort_unstable();
-        let mut merged: Vec<(usize, usize)> = Vec::new();
-        for (s, e) in spans {
-            match merged.last_mut() {
-                Some(m) if s <= m.1 => m.1 = m.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-
-        let len = instrs.len();
-        let mut regions = Vec::new();
-        let mut pos = 0;
-        for (s, e) in merged {
-            if pos < s {
-                regions.push(Region::Transposed { start: pos, end: s });
-            }
-            regions.push(Region::Serial { start: s, end: e });
-            pos = e;
-        }
-        if pos < len {
-            regions.push(Region::Transposed {
-                start: pos,
-                end: len,
-            });
-        }
-
         Some(LanePipeline {
             instrs,
-            regions,
-            stage_count: fused.stage_bounds().len(),
             frame_len: fused.frame_len(),
             phv_len: fused.phv_len(),
             state_window: fused.state_window(),
             state_regs: fused.state_regs().to_vec(),
-            scratch: Vec::new(),
         })
-    }
-
-    /// Number of instructions in the lowered program.
-    pub fn instr_count(&self) -> usize {
-        self.instrs.len()
     }
 
     /// PHV length the program was compiled for.
     pub fn phv_len(&self) -> usize {
         self.phv_len
-    }
-
-    /// Fraction of instructions living in transposed (vectorizable)
-    /// regions — a quick Amdahl diagnostic for batch mode.
-    pub fn transposed_fraction(&self) -> f64 {
-        if self.instrs.is_empty() {
-            return 1.0;
-        }
-        let t: usize = self
-            .regions
-            .iter()
-            .map(|r| match *r {
-                Region::Transposed { start, end } => end - start,
-                Region::Serial { .. } => 0,
-            })
-            .sum();
-        t as f64 / self.instrs.len() as f64
-    }
-
-    /// Batch mode: process `phvs` in lane chunks of `width`,
-    /// bit-identically to running the scalar fused backend over the batch
-    /// in order — same outputs, same final `state`, same coverage totals.
-    ///
-    /// `state` must be the owning fused pipeline's live state window
-    /// ([`FusedPipeline::state_mut`]) so snapshots and resets keep working
-    /// unchanged. Panics if `width` is not in [`LANE_WIDTHS`].
-    pub(crate) fn process_batch_cov(
-        &mut self,
-        width: usize,
-        state: &mut [Value],
-        phvs: &mut [Phv],
-        cov: Option<&mut CoverageMap>,
-    ) {
-        assert!(supported_width(width), "unsupported lane width {width}");
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize(self.frame_len * width, 0);
-        match width {
-            1 => self.chunks::<1>(&mut scratch, state, phvs, cov),
-            8 => self.chunks::<8>(&mut scratch, state, phvs, cov),
-            16 => self.chunks::<16>(&mut scratch, state, phvs, cov),
-            32 => self.chunks::<32>(&mut scratch, state, phvs, cov),
-            64 => self.chunks::<64>(&mut scratch, state, phvs, cov),
-            _ => unreachable!(),
-        }
-        self.scratch = scratch;
-    }
-
-    fn chunks<const L: usize>(
-        &self,
-        scratch: &mut [Value],
-        state: &mut [Value],
-        phvs: &mut [Phv],
-        mut cov: Option<&mut CoverageMap>,
-    ) {
-        let end_pc = self.instrs.len() as u32;
-        let (sbase, slen) = self.state_window;
-        for chunk in phvs.chunks_mut(L) {
-            let n = chunk.len();
-            // The scalar path records one edge per stage per PHV before
-            // executing it; totals are order-independent, so batching the
-            // hits per chunk lands on the identical coverage map.
-            if let Some(c) = cov.as_deref_mut() {
-                for stage in 0..self.stage_count {
-                    let e = edge_id(FUSED_SITE, 0x8000 + stage as u32, 0);
-                    for _ in 0..n {
-                        c.hit(e);
-                    }
-                }
-            }
-            for (lane, phv) in chunk.iter().enumerate() {
-                debug_assert_eq!(phv.len(), self.phv_len);
-                for c in 0..self.phv_len {
-                    scratch[c * L + lane] = phv.get(c);
-                }
-            }
-            let mut resume = [end_pc; L];
-            for r in resume.iter_mut().take(n) {
-                *r = 0;
-            }
-            for &region in &self.regions {
-                match region {
-                    Region::Transposed { start, end } => exec_transposed::<L>(
-                        &self.instrs,
-                        scratch,
-                        &mut resume,
-                        start,
-                        end,
-                        cov.as_deref_mut(),
-                    ),
-                    Region::Serial { start, end } => {
-                        for (lane, r) in resume.iter_mut().enumerate().take(n) {
-                            exec_serial_lane::<L>(
-                                &self.instrs,
-                                scratch,
-                                state,
-                                sbase,
-                                slen,
-                                lane,
-                                r,
-                                start,
-                                end,
-                                cov.as_deref_mut(),
-                            );
-                        }
-                    }
-                }
-            }
-            for (lane, phv) in chunk.iter_mut().enumerate() {
-                for c in 0..self.phv_len {
-                    phv.set(c, scratch[c * L + lane]);
-                }
-            }
-        }
     }
 
     /// Sweep mode: `width` independent executions in lockstep, each lane
@@ -414,7 +200,7 @@ impl LaneSweep<'_> {
         for r in resume.iter_mut().take(active) {
             *r = 0;
         }
-        exec_transposed::<L>(&self.lp.instrs, &mut self.frame, &mut resume, 0, end, None);
+        exec_transposed::<L>(&self.lp.instrs, &mut self.frame, &mut resume);
     }
 }
 
@@ -428,26 +214,11 @@ fn jump_target(instr: &FusedInstr) -> Option<u32> {
     }
 }
 
-/// Does `instr` read or write any register in `[lo, hi)`?
-fn touches_window(instr: &FusedInstr, lo: Reg, hi: Reg) -> bool {
-    let hit = |r: Reg| r >= lo && r < hi;
-    match *instr {
-        FusedInstr::Const { dst, .. } => hit(dst),
-        FusedInstr::Copy { dst, src } => hit(dst) || hit(src),
-        FusedInstr::Bin { dst, l, r, .. } => hit(dst) || hit(l) || hit(r),
-        FusedInstr::BinImm { dst, l, .. } => hit(dst) || hit(l),
-        FusedInstr::Un { dst, src, .. } => hit(dst) || hit(src),
-        FusedInstr::JumpIfZero { src, .. } => hit(src),
-        FusedInstr::CmpJumpIfZero { l, r, .. } => hit(l) || hit(r),
-        FusedInstr::CmpImmJumpIfZero { l, .. } => hit(l),
-        FusedInstr::Jump { .. } => false,
-    }
-}
-
 /// Dispatch a [`BinOp`] to a lane macro, appending the op's scalar
 /// semantics as a `|a, b| expr` closure-shaped token tree. Each arm
-/// mirrors [`apply_binop`] exactly (wrapping arithmetic, total division,
-/// 0/1 booleans) so lane results are bit-identical to scalar.
+/// mirrors [`crate::eval::apply_binop`] exactly (wrapping arithmetic,
+/// total division, 0/1 booleans) so lane results are bit-identical to
+/// scalar.
 macro_rules! binop_dispatch {
     ($op:expr, $mac:ident ! ($($pre:tt)*)) => {
         match $op {
@@ -468,23 +239,19 @@ macro_rules! binop_dispatch {
     };
 }
 
-/// Execute `instrs[start..end]` instruction-major across all `L` lanes.
+/// Execute `instrs` instruction-major across all `L` lanes.
 ///
 /// Every lane op is a fixed-trip loop over local `[u32; L]` arrays — the
-/// shape LLVM reliably auto-vectorizes. Inactive lanes (tail lanes of a
-/// partial chunk, lanes that took a forward jump past `pc`) compute
-/// alongside active ones but their stores are masked to a no-op, their
-/// jumps ignored, and their coverage unrecorded.
+/// shape LLVM reliably auto-vectorizes. Inactive lanes (lanes masked out
+/// of the step, lanes that took a forward jump past `pc`) compute
+/// alongside active ones but their stores are masked to a no-op and their
+/// jumps ignored.
 fn exec_transposed<const L: usize>(
     instrs: &[FusedInstr],
     frame: &mut [Value],
     resume: &mut [u32; L],
-    start: usize,
-    end: usize,
-    mut cov: Option<&mut CoverageMap>,
 ) {
-    debug_assert!(end <= instrs.len());
-    for (pc, instr) in instrs.iter().enumerate().take(end).skip(start) {
+    for (pc, instr) in instrs.iter().enumerate() {
         let pcw = pc as u32;
         let mut mask = [0u32; L];
         let mut any = false;
@@ -497,8 +264,8 @@ fn exec_transposed<const L: usize>(
             continue;
         }
 
-        // Hygiene requires locals (`frame`, `mask`, `resume`, `pcw`,
-        // `cov`) to be bound before these macros are defined.
+        // Hygiene requires locals (`frame`, `mask`, `resume`, `pcw`) to be
+        // bound before these macros are defined.
         macro_rules! read_lanes {
             ($r:expr) => {{
                 let base = $r as usize * L;
@@ -529,30 +296,12 @@ fn exec_transposed<const L: usize>(
                 let av = $av;
                 let bv = $bv;
                 let target: u32 = $target;
-                match cov.as_deref_mut() {
-                    None => {
-                        for i in 0..L {
-                            let $a = av[i];
-                            let $b = bv[i];
-                            let v: u32 = $res;
-                            let taken = (resume[i] <= pcw) & (v == 0);
-                            resume[i] = if taken { target } else { resume[i] };
-                        }
-                    }
-                    Some(c) => {
-                        for i in 0..L {
-                            if resume[i] <= pcw {
-                                let $a = av[i];
-                                let $b = bv[i];
-                                let v: u32 = $res;
-                                let taken = v == 0;
-                                c.hit(edge_id(FUSED_SITE, pcw, u32::from(taken)));
-                                if taken {
-                                    resume[i] = target;
-                                }
-                            }
-                        }
-                    }
+                for i in 0..L {
+                    let $a = av[i];
+                    let $b = bv[i];
+                    let v: u32 = $res;
+                    let taken = (resume[i] <= pcw) & (v == 0);
+                    resume[i] = if taken { target } else { resume[i] };
                 }
             }};
         }
@@ -595,7 +344,6 @@ fn exec_transposed<const L: usize>(
                 binop_dispatch!(op, lane_cmp_jump!(av, [imm; L], target,));
             }
             FusedInstr::Jump { target } => {
-                // Matches scalar: unconditional jumps record no coverage.
                 for r in resume.iter_mut() {
                     *r = if *r <= pcw { target } else { *r };
                 }
@@ -604,106 +352,12 @@ fn exec_transposed<const L: usize>(
     }
 }
 
-/// Execute `instrs[start..end]` for one lane with the plain scalar
-/// interpreter, reading/writing the shared `state` slice for registers in
-/// the state window and the lane's SoA rows for everything else. Used for
-/// batch mode's serial regions, where cross-PHV state order must match the
-/// scalar backend.
-#[allow(clippy::too_many_arguments)]
-fn exec_serial_lane<const L: usize>(
-    instrs: &[FusedInstr],
-    frame: &mut [Value],
-    state: &mut [Value],
-    sbase: usize,
-    slen: usize,
-    lane: usize,
-    resume: &mut u32,
-    start: usize,
-    end: usize,
-    mut cov: Option<&mut CoverageMap>,
-) {
-    if *resume as usize >= end {
-        return;
-    }
-    let mut pc = (*resume as usize).max(start);
-    macro_rules! get {
-        ($r:expr) => {{
-            let r = $r as usize;
-            if r.wrapping_sub(sbase) < slen {
-                state[r - sbase]
-            } else {
-                frame[r * L + lane]
-            }
-        }};
-    }
-    macro_rules! set {
-        ($r:expr, $v:expr) => {{
-            let value = $v;
-            let r = $r as usize;
-            if r.wrapping_sub(sbase) < slen {
-                state[r - sbase] = value;
-            } else {
-                frame[r * L + lane] = value;
-            }
-        }};
-    }
-    while pc < end {
-        macro_rules! branch {
-            ($taken:expr, $target:expr) => {{
-                let taken = $taken;
-                if let Some(c) = cov.as_deref_mut() {
-                    c.hit(edge_id(FUSED_SITE, pc as u32, u32::from(taken)));
-                }
-                if taken {
-                    let t = $target;
-                    if (t as usize) < end {
-                        pc = t as usize;
-                        continue;
-                    }
-                    *resume = t;
-                    return;
-                }
-            }};
-        }
-        match instrs[pc] {
-            FusedInstr::Const { dst, v } => set!(dst, v),
-            FusedInstr::Copy { dst, src } => set!(dst, get!(src)),
-            FusedInstr::Bin { op, dst, l, r } => {
-                set!(dst, apply_binop(op, get!(l), get!(r)));
-            }
-            FusedInstr::BinImm { op, dst, l, imm } => {
-                set!(dst, apply_binop(op, get!(l), imm));
-            }
-            FusedInstr::Un { op, dst, src } => set!(dst, apply_unop(op, get!(src))),
-            FusedInstr::JumpIfZero { src, target } => {
-                branch!(!value::truthy(get!(src)), target);
-            }
-            FusedInstr::CmpJumpIfZero { op, l, r, target } => {
-                branch!(!value::truthy(apply_binop(op, get!(l), get!(r))), target);
-            }
-            FusedInstr::CmpImmJumpIfZero { op, l, imm, target } => {
-                branch!(!value::truthy(apply_binop(op, get!(l), imm)), target);
-            }
-            FusedInstr::Jump { target } => {
-                if (target as usize) < end {
-                    pc = target as usize;
-                    continue;
-                }
-                *resume = target;
-                return;
-            }
-        }
-        pc += 1;
-    }
-    *resume = end as u32;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{expected_machine_code, PipelineSpec};
     use druzhba_alu_dsl::atoms::atom;
-    use druzhba_core::{MachineCode, PipelineConfig, ValueGen};
+    use druzhba_core::{MachineCode, Phv, PipelineConfig, ValueGen};
 
     fn spec_for(stateful: &str, stateless: &str, depth: usize, width: usize) -> PipelineSpec {
         PipelineSpec::new(
@@ -727,119 +381,6 @@ mod tests {
 
     fn batch(gen: &mut ValueGen, phv_len: usize, count: usize) -> Vec<Phv> {
         (0..count).map(|_| Phv::new(gen.values(phv_len))).collect()
-    }
-
-    #[test]
-    fn regions_tile_the_program_and_contain_every_state_touch() {
-        let spec = spec_for("if_else_raw", "stateless_full", 3, 2);
-        let mut gen = ValueGen::new(0x1A1E5, 32);
-        for _ in 0..8 {
-            let mc = random_mc(&spec, &mut gen);
-            let fused = FusedPipeline::fuse(&spec, &mc);
-            let lp = LanePipeline::lower(&fused).unwrap();
-            // Regions tile [0, len) exactly, in order, without overlap.
-            let mut pos = 0;
-            for r in &lp.regions {
-                let (s, e) = match *r {
-                    Region::Serial { start, end } | Region::Transposed { start, end } => {
-                        (start, end)
-                    }
-                };
-                assert_eq!(s, pos, "gap or overlap before {r:?}");
-                assert!(e > s, "empty region {r:?}");
-                pos = e;
-            }
-            assert_eq!(pos, lp.instrs.len());
-            // Every state-touching instruction sits in a Serial region.
-            let (sbase, slen) = lp.state_window;
-            for (pc, instr) in lp.instrs.iter().enumerate() {
-                if touches_window(instr, sbase as Reg, (sbase + slen) as Reg) {
-                    let serial = lp.regions.iter().any(
-                        |r| matches!(*r, Region::Serial { start, end } if start <= pc && pc < end),
-                    );
-                    assert!(serial, "state touch at pc {pc} in transposed region");
-                }
-            }
-            assert!(lp.transposed_fraction() <= 1.0);
-        }
-    }
-
-    #[test]
-    fn batch_mode_matches_scalar_for_every_width() {
-        let spec = spec_for("if_else_raw", "stateless_full", 2, 2);
-        let mut gen = ValueGen::new(0x0005_0A01, 32);
-        for trial in 0..10 {
-            let mc = random_mc(&spec, &mut gen);
-            let phvs = batch(&mut gen, spec.config.phv_length, 13);
-            // Scalar reference: one fused pipeline, one PHV at a time.
-            let mut scalar = FusedPipeline::fuse(&spec, &mc);
-            let mut scalar_cov = CoverageMap::new();
-            let mut expect = phvs.clone();
-            for phv in &mut expect {
-                scalar.process_in_place_cov(phv, Some(&mut scalar_cov));
-            }
-            for &w in &LANE_WIDTHS {
-                let mut fused = FusedPipeline::fuse(&spec, &mc);
-                let mut lp = LanePipeline::lower(&fused).unwrap();
-                let mut cov = CoverageMap::new();
-                let mut got = phvs.clone();
-                lp.process_batch_cov(w, fused.state_mut(), &mut got, Some(&mut cov));
-                assert_eq!(got, expect, "trial {trial} width {w}: outputs");
-                assert_eq!(
-                    fused.state_snapshot(),
-                    scalar.state_snapshot(),
-                    "trial {trial} width {w}: state"
-                );
-                assert_eq!(
-                    cov.as_bytes(),
-                    scalar_cov.as_bytes(),
-                    "trial {trial} width {w}: coverage"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn masked_tail_lanes_never_touch_state_outputs_or_coverage() {
-        let spec = spec_for("pred_raw", "stateless_full", 2, 1);
-        let mut gen = ValueGen::new(0xBAD_1A9E, 32);
-        let mc = random_mc(&spec, &mut gen);
-        let phv_len = spec.config.phv_length;
-
-        let mut fused = FusedPipeline::fuse(&spec, &mc);
-        let mut lp = LanePipeline::lower(&fused).unwrap();
-        let mut cov = CoverageMap::new();
-        let mut scalar = FusedPipeline::fuse(&spec, &mc);
-        let mut scov = CoverageMap::new();
-
-        // Poison the scratch lanes with a full-width batch first, so a
-        // masked-lane leak in the later partial batches has garbage to
-        // leak.
-        let warm = batch(&mut gen, phv_len, 64);
-        let mut lane_in = warm.clone();
-        lp.process_batch_cov(64, fused.state_mut(), &mut lane_in, Some(&mut cov));
-        let mut scal_in = warm;
-        for phv in &mut scal_in {
-            scalar.process_in_place_cov(phv, Some(&mut scov));
-        }
-        assert_eq!(lane_in, scal_in);
-
-        // Single-PHV batch: 63 poisoned lanes ride along masked out.
-        let single = batch(&mut gen, phv_len, 1);
-        let mut lane_one = single.clone();
-        lp.process_batch_cov(64, fused.state_mut(), &mut lane_one, Some(&mut cov));
-        let mut scal_one = single;
-        for phv in &mut scal_one {
-            scalar.process_in_place_cov(phv, Some(&mut scov));
-        }
-        assert_eq!(lane_one, scal_one);
-
-        // Empty batch: a strict no-op on outputs, state, and coverage.
-        let mut empty: Vec<Phv> = Vec::new();
-        lp.process_batch_cov(64, fused.state_mut(), &mut empty, Some(&mut cov));
-
-        assert_eq!(fused.state_snapshot(), scalar.state_snapshot());
-        assert_eq!(cov.as_bytes(), scov.as_bytes());
     }
 
     #[test]

@@ -455,15 +455,11 @@ impl MatPipeline {
                 let mut packet = self.layout.phv_to_packet(0, phv);
                 for stage in 0..self.num_stages {
                     let snapshot = packet.clone();
-                    for (t, info) in b.hlir.tables.iter().enumerate() {
+                    for t in 0..b.hlir.tables.len() {
                         if b.stage_of[t] != stage {
                             continue;
                         }
-                        let guard_ok = info
-                            .guards
-                            .iter()
-                            .all(|(h, pol)| b.hlir.header_valid(h) == *pol);
-                        if !guard_ok {
+                        if !b.hlir.table_applies(t) {
                             continue;
                         }
                         let Some(sel) = b.tables.table(t).lookup(&mut |f| snapshot.get(f)) else {
@@ -911,12 +907,7 @@ fn resolve_stages(
     let mut stages: Vec<Vec<SlotTable>> = vec![Vec::new(); lowering.num_stages()];
     for (s, table_indices) in lowering.stages.iter().enumerate() {
         for &t in table_indices {
-            let info = &hlir.tables[t];
-            let guard_ok = info
-                .guards
-                .iter()
-                .all(|(h, pol)| hlir.header_valid(h) == *pol);
-            if !guard_ok {
+            if !hlir.table_applies(t) {
                 // Dead control path: eliminated, exactly like SCC's dead
                 // branch elimination on the ALU side.
                 continue;

@@ -24,7 +24,6 @@ use druzhba_core::{Error, MachineCode, Phv, PipelineConfig, Result, Value};
 
 use crate::bytecode::BytecodeProgram;
 use crate::fused::FusedPipeline;
-use crate::lanes::{self, LanePipeline};
 use crate::opt::specialize;
 use crate::OptLevel;
 
@@ -406,10 +405,6 @@ pub struct Pipeline {
     stages: Vec<Stage>,
     /// The fused whole-pipeline register program ([`OptLevel::Fused`] only).
     fused: Option<FusedPipeline>,
-    /// Lazily lane-lowered form of `fused`, cached on the first
-    /// [`Pipeline::process_batch_lanes`] call (one lowering serves every
-    /// lane width).
-    lanes: Option<Box<LanePipeline>>,
     /// Optional execution-coverage map ([`Pipeline::enable_coverage`]);
     /// allocated once, reused allocation-free across PHVs.
     cov: Option<Box<CoverageMap>>,
@@ -437,7 +432,6 @@ impl Pipeline {
                 opt_level,
                 stages: Vec::new(),
                 fused: Some(FusedPipeline::fuse(spec, mc)),
-                lanes: None,
                 cov: None,
             });
         }
@@ -478,7 +472,6 @@ impl Pipeline {
             opt_level,
             stages,
             fused: None,
-            lanes: None,
             cov: None,
         })
     }
@@ -611,37 +604,6 @@ impl Pipeline {
         for phv in phvs {
             self.process_in_place(phv);
         }
-    }
-
-    /// Process a batch through the SIMD/SoA lane engine ([`crate::lanes`])
-    /// at the given lane width, bit-identically to
-    /// [`Pipeline::process_batch`]: same outputs, same final state, same
-    /// coverage totals, for every width in [`crate::lanes::LANE_WIDTHS`]
-    /// (including partial final chunks, the empty batch, and single-PHV
-    /// batches — masked-out lanes never contribute to state or coverage).
-    ///
-    /// Falls back to the scalar path when the width is unsupported or the
-    /// pipeline is not [`OptLevel::Fused`], so callers can pass a
-    /// user-supplied width straight through.
-    pub fn process_batch_lanes(&mut self, phvs: &mut [Phv], width: usize) {
-        if !lanes::supported_width(width) || self.fused.is_none() {
-            self.process_batch(phvs);
-            return;
-        }
-        if self.lanes.is_none() {
-            match self.fused.as_ref().and_then(LanePipeline::lower) {
-                Some(lp) => self.lanes = Some(Box::new(lp)),
-                None => {
-                    // Not lane-lowerable (the fuser never emits such
-                    // programs, but the fallback keeps the API total).
-                    self.process_batch(phvs);
-                    return;
-                }
-            }
-        }
-        let lp = self.lanes.as_mut().expect("cached above");
-        let fused = self.fused.as_mut().expect("checked above");
-        lp.process_batch_cov(width, fused.state_mut(), phvs, self.cov.as_deref_mut());
     }
 
     /// Snapshot of every stateful ALU's state: `snapshot[stage][slot]`.

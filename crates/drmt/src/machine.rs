@@ -189,11 +189,7 @@ impl DrmtMachine {
                     // Guards: header validity is static (metadata and
                     // extracted headers are valid), so each guard path
                     // resolves per program.
-                    let guard_ok = self.hlir.tables[t]
-                        .guards
-                        .iter()
-                        .all(|(h, pol)| self.hlir.header_valid(h) == *pol);
-                    if guard_ok {
+                    if self.hlir.table_applies(t) {
                         matches_per_proc[fl.processor] += 1;
                         self.stats.matches_issued += 1;
                         self.stats.crossbar_accesses += 1;

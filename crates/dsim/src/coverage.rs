@@ -135,15 +135,6 @@ pub struct GreyboxConfig {
     /// Minimize the diverging input on failure (shared delta-debugging
     /// engine; see [`mod@crate::minimize`]).
     pub minimize: bool,
-    /// SIMD lane width for the fused oracle (`0` = scalar). When nonzero
-    /// and the level under test is [`OptLevel::Fused`], each execution's
-    /// trace runs through the lane-batched engine
-    /// ([`druzhba_dgen::LanePipeline`]) instead of per-PHV scalar
-    /// processing. The lane engine is bit-identical to scalar execution
-    /// (outputs, state chain, and coverage counts), so campaign reports
-    /// are byte-identical across lane widths; excluded from the snapshot
-    /// fingerprint for the same reason.
-    pub lanes: usize,
     /// Crash-resilience options: checkpoint/resume and wall-clock budget
     /// (see [`RuntimeOptions`]). Excluded from the snapshot fingerprint,
     /// so a resumed campaign may move its checkpoint directory or change
@@ -164,7 +155,6 @@ impl Default for GreyboxConfig {
             merge_every: 64,
             initial_seeds: 4,
             minimize: true,
-            lanes: 0,
             runtime: RuntimeOptions::default(),
         }
     }
@@ -926,9 +916,7 @@ where
 /// The configuration contribution to a greybox snapshot fingerprint:
 /// every field that shapes the search, with the runtime options masked
 /// out — moving a checkpoint directory or changing the wall-clock budget
-/// must not orphan a snapshot. The lane width is masked for the same
-/// reason: the lane engine is bit-identical to scalar execution, so
-/// switching `--lanes` mid-campaign resumes the same search.
+/// must not orphan a snapshot.
 fn greybox_fingerprint<R: ?Sized, T: Target<R>>(
     target: &T,
     mode: Option<String>,
@@ -941,7 +929,6 @@ fn greybox_fingerprint<R: ?Sized, T: Target<R>>(
     parts.push(format!(
         "{:?}",
         GreyboxConfig {
-            lanes: 0,
             runtime: RuntimeOptions::default(),
             ..cfg.clone()
         }
@@ -1045,19 +1032,9 @@ where
                     // Per-PHV full traversal is property-tested equivalent
                     // to tick-accurate simulation (state is ALU-local and
                     // PHVs are FIFO), and it lets one pipeline — and its
-                    // coverage map — serve every execution. With a lane
-                    // width configured, the same traversal runs through
-                    // the SoA lane engine (bit-identical outputs, state
-                    // chain, and coverage counts; scalar fallback on
-                    // non-fused levels).
+                    // coverage map — serve every execution.
                     let mut out: Vec<Phv> = input.phvs.to_vec();
-                    if cfg.lanes > 0 {
-                        p.process_batch_lanes(&mut out, cfg.lanes);
-                    } else {
-                        for x in &mut out {
-                            p.process_in_place(x);
-                        }
-                    }
+                    p.process_batch(&mut out);
                     let actual = Trace {
                         phvs: out,
                         state: Some(p.state_snapshot()),

@@ -365,8 +365,9 @@ impl<'a> AluChecker<'a> {
 
 /// Compare one pipeline output trace against the specification's expected
 /// behaviour on the same input — the assertion half of [`run_case`],
-/// shared with the greybox oracle ([`crate::coverage`]), which executes
-/// the pipeline itself (to reuse it, and its coverage map, across
+/// shared with the greybox oracle ([`crate::coverage`]) and bounded
+/// verification ([`crate::verify`]), which execute the pipeline
+/// themselves (to reuse it, and the greybox coverage map, across
 /// executions).
 pub(crate) fn compare_against_spec<R: Specification + ?Sized>(
     reference: &mut R,

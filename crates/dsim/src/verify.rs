@@ -21,7 +21,7 @@ use druzhba_dgen::{LanePipeline, OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use crate::sim::Simulator;
-use crate::testing::Specification;
+use crate::testing::{compare_against_spec, Specification, Verdict};
 
 /// Bounds and observation points for exhaustive verification.
 #[derive(Debug, Clone)]
@@ -415,35 +415,15 @@ fn check_case(
 ) -> Option<VerifyOutcome> {
     sim.reset();
     let actual = sim.run(&input);
-    reference.reset();
-    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-    let state_mismatch = || {
-        if cfg.state_cells.is_empty() {
-            return None;
-        }
-        let snapshot = actual.state.as_ref().expect("run records state");
-        let expected_state = reference.state();
-        cfg.state_cells
-            .iter()
-            .enumerate()
-            .find_map(|(i, &(stage, slot, var))| {
-                let actual_v = snapshot
-                    .get(stage)
-                    .and_then(|s| s.get(slot))
-                    .and_then(|vars| vars.get(var))
-                    .copied();
-                let expected_v = expected_state.get(i).copied();
-                (actual_v != expected_v).then(|| TraceMismatch::StateMismatch {
-                    stage,
-                    slot,
-                    expected: expected_v.into_iter().collect(),
-                    actual: actual_v.into_iter().collect(),
-                })
-            })
+    let Verdict::Mismatch(mismatch) = compare_against_spec(
+        reference,
+        &input,
+        &actual,
+        cfg.observable.as_deref(),
+        &cfg.state_cells,
+    ) else {
+        return None;
     };
-    let mismatch = expected
-        .first_mismatch(&actual, cfg.observable.as_deref())
-        .or_else(state_mismatch)?;
     let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
     Some(VerifyOutcome::CounterExample {
         input,

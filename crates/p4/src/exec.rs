@@ -291,15 +291,11 @@ impl Interpreter {
     /// mutating it in place; returns the per-table hit trace.
     pub fn process(&mut self, packet: &mut Packet) -> Vec<TableHit> {
         let mut hits = Vec::new();
-        for (t, info) in self.hlir.tables.iter().enumerate() {
+        for t in 0..self.hlir.tables.len() {
             // Header validity is static in this model (the parser chain is
             // linear and unconditional), so guards resolve per program,
             // not per packet.
-            let guard_ok = info
-                .guards
-                .iter()
-                .all(|(h, pol)| self.hlir.header_valid(h) == *pol);
-            if !guard_ok {
+            if !self.hlir.table_applies(t) {
                 continue;
             }
             let selected = self.tables.table(t).lookup(&mut |f| packet.get(f));

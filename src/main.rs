@@ -142,7 +142,6 @@ const COMMANDS: &[Command] = &[
             Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
             Flag { name: "corpus", metavar: "N", modes: &[GREYBOX], help: "seed-pool capacity" },
             Flag { name: "merge-every", metavar: "M", modes: &[GREYBOX], help: "executions per shard between corpus merges" },
-            Flag { name: "lanes", metavar: "L", modes: &[GREYBOX], help: "SIMD lane width of the fused oracle: 0|1|8|16|32|64" },
             Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "snapshot campaign progress into DIR" },
             Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
             Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "restore DIR's snapshot and keep checkpointing there" },
@@ -570,13 +569,6 @@ fn greybox_config(
     bits: u32,
 ) -> Result<GreyboxConfig, String> {
     let defaults = GreyboxConfig::default();
-    let lanes = args.get_usize("lanes", defaults.lanes)?;
-    if lanes != 0 && !druzhba::dgen::lanes::supported_width(lanes) {
-        return Err(format!(
-            "--lanes {lanes} is not a supported width; pick one of 1, 8, 16, 32, 64 \
-             (or 0 for the scalar oracle)"
-        ));
-    }
     Ok(GreyboxConfig {
         executions,
         packets: args.get_usize("gb-packets", defaults.packets)?,
@@ -588,7 +580,6 @@ fn greybox_config(
         merge_every: args.get_usize("merge-every", defaults.merge_every)?,
         initial_seeds: defaults.initial_seeds,
         minimize: true,
-        lanes,
         runtime: runtime_options(args)?,
     })
 }
@@ -638,9 +629,6 @@ fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
     );
     if cfg.max_packets != 0 {
         let _ = write!(replay, " --gb-max-packets {}", cfg.max_packets);
-    }
-    if cfg.lanes != 0 {
-        let _ = write!(replay, " --lanes {}", cfg.lanes);
     }
     replay + mode
 }

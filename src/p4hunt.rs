@@ -341,11 +341,7 @@ pub struct CrossModelReport {
 pub fn drmt_state_consistent(workload: &P4Workload) -> Option<String> {
     let mut owner: BTreeMap<&str, usize> = BTreeMap::new();
     for (t, info) in workload.hlir.tables.iter().enumerate() {
-        let live = info
-            .guards
-            .iter()
-            .all(|(h, pol)| workload.hlir.header_valid(h) == *pol);
-        if !live {
+        if !workload.hlir.table_applies(t) {
             continue;
         }
         for obj in &info.stateful {

@@ -23,7 +23,7 @@ use druzhba::chipmunk::CompiledProgram;
 use druzhba::core::Trace;
 use druzhba::dgen::mat::MatPipeline;
 use druzhba::dgen::{OptLevel, Pipeline};
-use druzhba::dsim::p4::P4Traffic;
+use druzhba::dsim::p4::{P4Traffic, P4Workload};
 use druzhba::dsim::TrafficGenerator;
 use druzhba::progen::{generate_domino_at, generate_p4_at};
 use druzhba::programs::{P4_PROGRAMS, PROGRAMS};
@@ -92,6 +92,86 @@ fn check_domino(
     Ok(())
 }
 
+/// Run `npackets` packets of `seed`'s 16-bit traffic through the HLIR
+/// interpreter and the lowered fused `MatInstr` pipeline, and require
+/// every field, drop flag, lowered container and final register cell to
+/// stay inside `analyze_p4`'s abstraction of that side.
+fn check_p4(
+    program: &str,
+    workload: &P4Workload,
+    seed: u64,
+    npackets: usize,
+) -> Result<(), String> {
+    let analysis = analyze_p4(&workload.hlir, &workload.entries, &workload.lowering)
+        .map_err(|e| format!("{program}: {e}"))?;
+    let (habs, mabs) = (&analysis.hlir, &analysis.mat);
+    let layout = &workload.lowering.layout;
+
+    let mut traffic = P4Traffic::new(workload, seed, 16);
+    let trace = traffic.trace(npackets);
+
+    // HLIR interpreter side.
+    let mut interp = workload.interpreter();
+    for (i, phv) in trace.phvs.iter().enumerate() {
+        let mut packet = layout.phv_to_packet(i as u64, phv);
+        interp.process(&mut packet);
+        for (f, _) in layout.fields() {
+            let v = packet.get(f);
+            let a = habs.fields.get(f).copied().unwrap_or_else(AbsVal::top);
+            if !a.contains(v) {
+                return Err(format!(
+                    "{program}: field {f} = {v} escapes the HLIR abstraction {a:?}"
+                ));
+            }
+        }
+        if !habs.dropped.contains(u32::from(packet.dropped)) {
+            return Err(format!("{program}: drop flag escapes the HLIR abstraction"));
+        }
+    }
+    for (name, cells) in interp.registers() {
+        let acells = habs.registers.get(name).cloned().unwrap_or_default();
+        for (i, (&c, a)) in cells.iter().zip(&acells).enumerate() {
+            if !a.contains(c) {
+                return Err(format!(
+                    "{program}: register {name}[{i}] = {c} escapes the HLIR abstraction {a:?}"
+                ));
+            }
+        }
+    }
+
+    // Lowered fused MatInstr side.
+    let mut mat = MatPipeline::generate(
+        &workload.hlir,
+        &workload.entries,
+        &workload.lowering,
+        OptLevel::Fused,
+    )
+    .map_err(|e| format!("{program}: {e}"))?;
+    let out = mat.run(&trace);
+    for phv in &out.phvs {
+        for (slot, a) in mabs.frame.iter().enumerate() {
+            let v = phv.get(slot);
+            if !a.contains(v) {
+                return Err(format!(
+                    "{program}: lowered container[{slot}] = {v} escapes the MAT abstraction {a:?}"
+                ));
+            }
+        }
+    }
+    for (name, cells) in &mat.registers() {
+        let acells = mabs.registers.get(name).cloned().unwrap_or_default();
+        for (i, (&c, a)) in cells.iter().zip(&acells).enumerate() {
+            if !a.contains(c) {
+                return Err(format!(
+                    "{program}: lowered register {name}[{i}] = {c} escapes the MAT \
+                     abstraction {a:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -152,74 +232,25 @@ proptest! {
             (g.name, g.workload)
         });
         for (program, workload) in corpus.chain(generated) {
-            let analysis =
-                analyze_p4(&workload.hlir, &workload.entries, &workload.lowering).unwrap();
-            let (habs, mabs) = (&analysis.hlir, &analysis.mat);
-            let layout = &workload.lowering.layout;
-
-            let mut traffic = P4Traffic::new(&workload, seed, 16);
-            let trace = traffic.trace(npackets);
-
-            // HLIR interpreter side.
-            let mut interp = workload.interpreter();
-            for (i, phv) in trace.phvs.iter().enumerate() {
-                let mut packet = layout.phv_to_packet(i as u64, phv);
-                interp.process(&mut packet);
-                for (f, _) in layout.fields() {
-                    let v = packet.get(f);
-                    let a = habs.fields.get(f).copied().unwrap_or_else(AbsVal::top);
-                    prop_assert!(
-                        a.contains(v),
-                        "{}: field {f} = {v} escapes the HLIR abstraction {a:?}",
-                        program
-                    );
-                }
-                prop_assert!(
-                    habs.dropped.contains(u32::from(packet.dropped)),
-                    "{}: drop flag escapes the HLIR abstraction",
-                    program
-                );
+            if let Err(e) = check_p4(&program, &workload, seed, npackets) {
+                prop_assert!(false, "{e}");
             }
-            for (name, cells) in interp.registers() {
-                let acells = habs.registers.get(name).cloned().unwrap_or_default();
-                for (i, (&c, a)) in cells.iter().zip(&acells).enumerate() {
-                    prop_assert!(
-                        a.contains(c),
-                        "{}: register {name}[{i}] = {c} escapes the HLIR abstraction {a:?}",
-                        program
-                    );
-                }
-            }
+        }
+    }
+}
 
-            // Lowered fused MatInstr side.
-            let mut mat = MatPipeline::generate(
-                &workload.hlir,
-                &workload.entries,
-                &workload.lowering,
-                OptLevel::Fused,
-            )
-            .unwrap();
-            let out = mat.run(&trace);
-            for phv in &out.phvs {
-                for (slot, a) in mabs.frame.iter().enumerate() {
-                    let v = phv.get(slot);
-                    prop_assert!(
-                        a.contains(v),
-                        "{}: lowered container[{slot}] = {v} escapes the MAT abstraction {a:?}",
-                        program
-                    );
-                }
-            }
-            for (name, cells) in &mat.registers() {
-                let acells = mabs.registers.get(name).cloned().unwrap_or_default();
-                for (i, (&c, a)) in cells.iter().zip(&acells).enumerate() {
-                    prop_assert!(
-                        a.contains(c),
-                        "{}: lowered register {name}[{i}] = {c} escapes the MAT \
-                         abstraction {a:?}",
-                        program
-                    );
-                }
+/// The proptest above runs a handful of short traces per program, too
+/// few packets to push a register past a reset-valued abstraction. Long
+/// traces close that gap: 256 packets per seed on every P4 corpus
+/// program, so accumulating registers (`flow_meter`'s byte meter) run far
+/// from their reset value.
+#[test]
+fn p4_long_traces_stay_inside_abstraction() {
+    for def in &P4_PROGRAMS {
+        let workload = def.workload().unwrap();
+        for seed in [1, 7, 0xbeef] {
+            if let Err(e) = check_p4(def.name, &workload, seed, 256) {
+                panic!("seed {seed:#x}: {e}");
             }
         }
     }

@@ -566,7 +566,7 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/programs/assets/rcp.domino"
     );
-    let cases: [(&[&str], &str); 19] = [
+    let cases: [(&[&str], &str); 20] = [
         // Only the mutant campaign writes a report or caps its cases.
         (
             &["p4-fuzz", "l2_forward", "--out", "x.json"],
@@ -578,7 +578,7 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         ),
         // Greybox tuning outside `--greybox`, on both commands.
         (
-            &["fuzz", file, "--gb-packets", "4", "--lanes", "7"],
+            &["fuzz", file, "--gb-packets", "4"],
             "flag `--gb-packets` does not apply to `fuzz` in single-run mode",
         ),
         (
@@ -601,7 +601,11 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
             &["p4-fuzz", "l2_forward", "--mutants", "1", "--corpus", "8"],
             "flag `--corpus` does not apply to `p4-fuzz` in mutants mode",
         ),
-        // The P4 greybox oracle has no lane engine.
+        // Neither greybox oracle has a lane knob.
+        (
+            &["fuzz", file, "--greybox", "20", "--lanes", "32"],
+            "unknown flag `--lanes` for `fuzz`",
+        ),
         (
             &["p4-fuzz", "--greybox", "20", "--lanes", "32"],
             "unknown flag `--lanes` for `p4-fuzz`",

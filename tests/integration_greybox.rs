@@ -139,34 +139,6 @@ fn greybox_reports_are_a_pure_function_of_seed_and_workers() {
     assert_eq!(a, b, "same seed + same workers must reproduce exactly");
 }
 
-/// Lane-engine adoption: a lanes-enabled campaign is *byte-identical* to
-/// the scalar one for a fixed `(seed, jobs)` — same coverage totals, same
-/// corpus evolution, same first divergence — at every lane width. The
-/// lane engine changes how the oracle executes, never what it observes.
-#[test]
-fn greybox_reports_identical_across_lane_widths() {
-    let def = by_name("sampling").expect("corpus program");
-    let comp = def.compile_cached().expect("compiles");
-    let run = |lanes: usize| {
-        greybox_fuzz_test(
-            &comp.pipeline_spec,
-            &comp.machine_code,
-            OptLevel::Fused,
-            || def.interpreter_spec(&comp),
-            Some(&comp.observable_containers()),
-            &comp.state_cells,
-            &GreyboxConfig {
-                lanes,
-                ..small_cfg()
-            },
-        )
-    };
-    let scalar = run(0);
-    for lanes in [1usize, 8, 32] {
-        assert_eq!(run(lanes), scalar, "lane width {lanes}");
-    }
-}
-
 #[test]
 fn campaign_seed_actually_drives_input_generation() {
     // The engine must consume the campaign seed: different seeds must
@@ -240,44 +212,6 @@ fn cli_fuzz_greybox_passes_on_correct_machine_code() {
     assert!(stdout.contains("greybox[fuzz:fused]"), "stdout: {stdout}");
     assert!(stdout.contains("edges covered"), "stdout: {stdout}");
     assert!(stdout.contains("no divergence"), "stdout: {stdout}");
-}
-
-/// The CLI face of lane adoption: `fuzz --greybox --lanes 32` succeeds
-/// and prints exactly the campaign summary the scalar run prints.
-#[test]
-fn cli_fuzz_greybox_lanes_output_matches_scalar() {
-    let file = write_sampling();
-    let base = [
-        "fuzz",
-        file.to_str().unwrap(),
-        "--depth",
-        "2",
-        "--width",
-        "1",
-        "--atom",
-        "if_else_raw",
-        "--greybox",
-        "150",
-        "--jobs",
-        "2",
-        "--seed",
-        "0x5",
-    ];
-    let scalar = druzhba(&base);
-    let mut lane_args = base.to_vec();
-    lane_args.extend_from_slice(&["--lanes", "32"]);
-    let lanes = druzhba(&lane_args);
-    assert!(
-        scalar.status.success() && lanes.status.success(),
-        "stderr: {} / {}",
-        String::from_utf8_lossy(&scalar.stderr),
-        String::from_utf8_lossy(&lanes.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&scalar.stdout),
-        String::from_utf8_lossy(&lanes.stdout),
-        "lane-enabled campaign output must be byte-identical to scalar"
-    );
 }
 
 #[test]

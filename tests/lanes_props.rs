@@ -1,22 +1,29 @@
 //! Differential lane-vs-scalar properties for the SoA lane engine
-//! (`dgen::lanes`): for any in-domain machine code and any PHV batch,
-//! [`Pipeline::process_batch_lanes`] must be *bit-identical* to the scalar
-//! fused [`Pipeline::process_batch`] — outputs, threaded state, coverage
-//! bytes, and (under injected faults) the divergence a differential oracle
-//! reports. Partial final batches and the empty/single-PHV edge cases are
-//! pinned explicitly.
+//! (`dgen::lanes`): for any in-domain machine code, a
+//! [`LanePipeline::sweep`] of up to `width` independent executions must
+//! be *bit-identical* to running each execution through a fresh scalar
+//! [`FusedPipeline`] from reset: every output container after every
+//! packet, every state cell, and (under injected faults) the divergence a
+//! differential oracle reports. Lanes masked out of a step keep their
+//! inputs and state untouched; the empty and single-lane steps are pinned
+//! explicitly.
 
 use proptest::prelude::*;
 
 use druzhba::alu_dsl::atoms::atom;
 use druzhba::alu_dsl::HoleDomain;
-use druzhba::core::{MachineCode, Phv, PipelineConfig, Trace};
-use druzhba::dgen::{expected_machine_code, OptLevel, Pipeline, PipelineSpec};
+use druzhba::core::{MachineCode, Phv, PipelineConfig, Trace, Value};
+use druzhba::dgen::{
+    expected_machine_code, FusedPipeline, LanePipeline, LaneSweep, PipelineSpec, LANE_WIDTHS,
+};
 use druzhba::dsim::fault::FaultInjector;
 
 /// The widths the differential harness sweeps (the engine also supports
 /// 16; {1, 8, 32, 64} covers the degenerate, narrow, and widest shapes).
 const WIDTHS: [usize; 4] = [1, 8, 32, 64];
+
+/// Longest execution the properties sweep, in packets.
+const MAX_PACKETS: usize = 4;
 
 fn spec_for(stateful: &str, stateless: &str, depth: usize, width: usize) -> PipelineSpec {
     PipelineSpec::new(
@@ -48,9 +55,9 @@ fn machine_code_strategy(spec: &PipelineSpec) -> impl Strategy<Value = MachineCo
     values.prop_map(move |vs| MachineCode::from_pairs(names.iter().cloned().zip(vs)))
 }
 
-/// The vendored proptest only generates fixed-length vecs; batch-size
-/// variation (partial final chunks, empty batches) comes from pairing the
-/// full-size stream with a random truncation length.
+/// The vendored proptest only generates fixed-length vecs; execution
+/// lengths and active-lane counts come from pairing the full-size stream
+/// with random per-lane lengths and a random truncation.
 fn phv_stream(len: usize, count: usize) -> impl Strategy<Value = Vec<Phv>> {
     proptest::collection::vec(
         proptest::collection::vec(0u32..1024, len).prop_map(Phv::new),
@@ -58,88 +65,180 @@ fn phv_stream(len: usize, count: usize) -> impl Strategy<Value = Vec<Phv>> {
     )
 }
 
-/// Run a batch through the scalar fused path and return everything a
-/// differential check can observe: outputs, final state, coverage bytes.
-fn scalar_run(
-    spec: &PipelineSpec,
-    mc: &MachineCode,
-    batch: &[Phv],
-) -> (Vec<Phv>, Vec<Vec<Vec<u32>>>, Vec<u8>) {
-    let mut p = Pipeline::generate(spec, mc, OptLevel::Fused).unwrap();
-    p.enable_coverage();
-    let mut out = batch.to_vec();
-    p.process_batch(&mut out);
-    let cov = p.coverage().unwrap().as_bytes().to_vec();
-    (out, p.state_snapshot(), cov)
+/// Everything a scalar run observes of one execution: the output PHV and
+/// the state snapshot after each packet.
+type Observed = Vec<(Phv, Vec<Vec<Vec<Value>>>)>;
+
+/// Run one execution through a fresh scalar fused pipeline.
+fn scalar_run(spec: &PipelineSpec, mc: &MachineCode, packets: &[Phv]) -> Observed {
+    let mut p = FusedPipeline::fuse(spec, mc);
+    packets
+        .iter()
+        .map(|phv| {
+            let mut out = phv.clone();
+            p.process_in_place(&mut out);
+            (out, p.state_snapshot())
+        })
+        .collect()
 }
 
-/// Same observation through the lane engine at `width`.
-fn lane_run(
+/// Load one PHV into `lane`'s input containers.
+fn load(sweep: &mut LaneSweep<'_>, lane: usize, phv: &Phv) {
+    for c in 0..phv.len() {
+        sweep.set_input(lane, c, phv.get(c));
+    }
+}
+
+/// One lane's PHV registers as a PHV.
+fn lane_phv(sweep: &LaneSweep<'_>, lane: usize, len: usize) -> Phv {
+    Phv::new((0..len).map(|c| sweep.output(lane, c)).collect())
+}
+
+/// Every state cell of `lane`, read through [`LaneSweep::state_value`],
+/// in the shape of `like` (a scalar snapshot of the same program).
+fn lane_state(
+    sweep: &LaneSweep<'_>,
+    lane: usize,
+    like: &[Vec<Vec<Value>>],
+) -> Vec<Vec<Vec<Value>>> {
+    like.iter()
+        .enumerate()
+        .map(|(stage, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(slot, cells)| {
+                    (0..cells.len())
+                        .map(|var| sweep.state_value(lane, stage, slot, var).unwrap())
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The sweep property at every width in [`WIDTHS`]. `lens[i]` (1..=4) is
+/// lane `i`'s execution length; `active_pick` chooses how many lanes run
+/// (all of them when it is below 64, else `active_pick % width`, usually
+/// fewer); `stream` supplies the packets of lane `i` at
+/// `stream[i * MAX_PACKETS..]` and, past the active lanes, the inputs
+/// parked in the inactive ones.
+///
+/// Lanes are sorted longest-first, so the lanes still running at step `t`
+/// are a prefix and `step(active_t)` masks the finished ones out. After
+/// every step: each running lane matches its scalar run after that packet;
+/// each other lane still holds exactly the inputs parked in it and the
+/// state it had (its final state, or the reset 0).
+fn check_sweep(
     spec: &PipelineSpec,
     mc: &MachineCode,
-    batch: &[Phv],
-    width: usize,
-) -> (Vec<Phv>, Vec<Vec<Vec<u32>>>, Vec<u8>) {
-    let mut p = Pipeline::generate(spec, mc, OptLevel::Fused).unwrap();
-    p.enable_coverage();
-    let mut out = batch.to_vec();
-    p.process_batch_lanes(&mut out, width);
-    let cov = p.coverage().unwrap().as_bytes().to_vec();
-    (out, p.state_snapshot(), cov)
+    stream: &[Phv],
+    lens: &[usize],
+    active_pick: usize,
+) -> Result<(), TestCaseError> {
+    let phv_len = spec.config.phv_length;
+    let fused = FusedPipeline::fuse(spec, mc);
+    let lp = LanePipeline::lower(&fused).expect("the fuser emits forward jumps only");
+    let zero_state = FusedPipeline::fuse(spec, mc).state_snapshot();
+    for width in WIDTHS {
+        let active = if active_pick < 64 {
+            width
+        } else {
+            active_pick % width
+        };
+        let mut lens: Vec<usize> = lens[..active].to_vec();
+        lens.sort_unstable_by(|a, b| b.cmp(a));
+        let execution = |lane: usize| &stream[lane * MAX_PACKETS..lane * MAX_PACKETS + lens[lane]];
+        let expected: Vec<Observed> = (0..active)
+            .map(|lane| scalar_run(spec, mc, execution(lane)))
+            .collect();
+        let parked = |lane: usize, t: usize| &stream[(lane * MAX_PACKETS + t) % stream.len()];
+
+        let mut sweep = lp.sweep(width).unwrap();
+        // Poison every register with a full-width step first, so a lane
+        // the mask fails to protect has garbage to leak.
+        for lane in 0..width {
+            load(&mut sweep, lane, parked(lane, 3));
+        }
+        sweep.step(width);
+        sweep.reset();
+        for t in 0..lens.first().copied().unwrap_or(1) {
+            let running = lens.iter().take_while(|&&len| len > t).count();
+            sweep.clear_phv();
+            for lane in 0..width {
+                let input = if lane < running {
+                    &execution(lane)[t]
+                } else {
+                    parked(lane, t)
+                };
+                load(&mut sweep, lane, input);
+            }
+            sweep.step(running);
+            for lane in 0..width {
+                let (want_phv, want_state) = if lane < running {
+                    let (phv, state) = &expected[lane][t];
+                    (phv, state)
+                } else if lane < active {
+                    (parked(lane, t), &expected[lane][lens[lane] - 1].1)
+                } else {
+                    (parked(lane, t), &zero_state)
+                };
+                let got = lane_phv(&sweep, lane, phv_len);
+                prop_assert!(
+                    &got == want_phv,
+                    "width {width} lane {lane} packet {t}: {got:?} != {want_phv:?}"
+                );
+                let state = lane_state(&sweep, lane, want_state);
+                prop_assert!(
+                    &state == want_state,
+                    "width {width} lane {lane} packet {t}: state {state:?} != {want_state:?}"
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any machine code, any batch (including sizes that leave a partial
-    /// final chunk at every width): outputs, the cross-PHV state chain,
-    /// and coverage bytes are identical at every lane width.
+    /// Any machine code, up to `width` executions of 1–4 packets each,
+    /// sometimes fewer active lanes than the width: every lane matches its
+    /// own scalar run from reset, and masked lanes are left untouched.
     #[test]
     fn lane_batches_bit_identical_to_scalar_fused(
         mc in machine_code_strategy(&spec_for("if_else_raw", "stateless_full", 2, 2)),
-        batch in phv_stream(2, 70),
-        size in 0usize..71,
+        stream in phv_stream(2, 64 * MAX_PACKETS),
+        lens in proptest::collection::vec(1usize..MAX_PACKETS + 1, 64),
+        active_pick in 0usize..128,
     ) {
         let spec = spec_for("if_else_raw", "stateless_full", 2, 2);
-        let batch = &batch[..size];
-        let scalar = scalar_run(&spec, &mc, batch);
-        for width in WIDTHS {
-            let lane = lane_run(&spec, &mc, batch, width);
-            prop_assert_eq!(&lane.0, &scalar.0);
-            prop_assert_eq!(&lane.1, &scalar.1);
-            prop_assert_eq!(&lane.2, &scalar.2);
-        }
+        check_sweep(&spec, &mc, &stream, &lens, active_pick)?;
     }
 
     /// Same property over a stateful two-variable atom on a deeper grid —
-    /// the shape that exercises serial (state-chained) regions hardest.
+    /// the shape where every lane's state chain runs through three stages.
     #[test]
     fn lane_batches_bit_identical_for_pair_atom(
         mc in machine_code_strategy(&spec_for("pair", "stateless_arith", 3, 1)),
-        batch in phv_stream(1, 40),
-        size in 1usize..41,
+        stream in phv_stream(1, 64 * MAX_PACKETS),
+        lens in proptest::collection::vec(1usize..MAX_PACKETS + 1, 64),
+        active_pick in 0usize..128,
     ) {
         let spec = spec_for("pair", "stateless_arith", 3, 1);
-        let batch = &batch[..size];
-        let scalar = scalar_run(&spec, &mc, batch);
-        for width in WIDTHS {
-            let lane = lane_run(&spec, &mc, batch, width);
-            prop_assert_eq!(&lane.0, &scalar.0);
-            prop_assert_eq!(&lane.1, &scalar.1);
-            prop_assert_eq!(&lane.2, &scalar.2);
-        }
+        check_sweep(&spec, &mc, &stream, &lens, active_pick)?;
     }
 
     /// Divergence-detection parity under injected faults: a differential
-    /// oracle that swaps the scalar fused backend for the lane engine
-    /// reports exactly the same first mismatch against the specification,
-    /// at every width. (The accumulator's correct behaviour is computed
-    /// inline; the fault injector corrupts the machine code.)
+    /// oracle that swaps the scalar fused backend for a lane sweep reports
+    /// exactly the same first mismatch against the specification for every
+    /// execution, at every width. (The accumulator's correct behaviour is
+    /// computed inline; the fault injector corrupts the machine code.)
     #[test]
     fn fault_divergences_detected_identically(
         fault_seed in 0u64..10_000,
-        batch in phv_stream(2, 50),
-        size in 1usize..51,
+        stream in phv_stream(2, 50 * MAX_PACKETS),
+        executions in 1usize..51,
+        packets in 1usize..MAX_PACKETS + 1,
     ) {
         let spec = PipelineSpec::new(
             PipelineConfig::with_phv_length(1, 1, 2),
@@ -155,34 +254,61 @@ proptest! {
         else {
             return Ok(());
         };
+        let runs: Vec<&[Phv]> = stream.chunks(packets).take(executions).collect();
         // The specification: state += container 0, old state -> container 1.
-        let batch = &batch[..size];
-        let mut state = 0u32;
-        let expected: Vec<Phv> = batch
+        let expected: Vec<Trace> = runs
             .iter()
-            .map(|p| {
-                let old = state;
-                state = state.wrapping_add(p.get(0));
-                Phv::new(vec![p.get(0), old])
+            .map(|run| {
+                let mut state = 0u32;
+                Trace::from_phvs(
+                    run.iter()
+                        .map(|p| {
+                            let old = state;
+                            state = state.wrapping_add(p.get(0));
+                            Phv::new(vec![p.get(0), old])
+                        })
+                        .collect(),
+                )
             })
             .collect();
-        let expected = Trace::from_phvs(expected);
-        let scalar = scalar_run(&spec, &bad, batch);
-        let scalar_verdict = expected.first_mismatch(&Trace::from_phvs(scalar.0.clone()), None);
+        let scalar: Vec<Vec<Phv>> = runs
+            .iter()
+            .map(|run| scalar_run(&spec, &bad, run).into_iter().map(|(phv, _)| phv).collect())
+            .collect();
+        let fused = FusedPipeline::fuse(&spec, &bad);
+        let lp = LanePipeline::lower(&fused).unwrap();
         for width in WIDTHS {
-            let lane = lane_run(&spec, &bad, batch, width);
-            prop_assert_eq!(&lane.0, &scalar.0);
-            prop_assert_eq!(&lane.1, &scalar.1);
-            let lane_verdict = expected.first_mismatch(&Trace::from_phvs(lane.0), None);
-            prop_assert_eq!(&lane_verdict, &scalar_verdict);
+            let mut sweep = lp.sweep(width).unwrap();
+            for (chunk, first) in runs.chunks(width).zip((0..).step_by(width)) {
+                sweep.reset();
+                let mut lane_out = vec![Vec::new(); chunk.len()];
+                for t in 0..packets {
+                    sweep.clear_phv();
+                    for (lane, run) in chunk.iter().enumerate() {
+                        load(&mut sweep, lane, &run[t]);
+                    }
+                    sweep.step(chunk.len());
+                    for (lane, out) in lane_out.iter_mut().enumerate() {
+                        out.push(lane_phv(&sweep, lane, 2));
+                    }
+                }
+                for (lane, out) in lane_out.into_iter().enumerate() {
+                    let run = first + lane;
+                    prop_assert_eq!(&out, &scalar[run]);
+                    let lane_verdict = expected[run].first_mismatch(&Trace::from_phvs(out), None);
+                    let scalar_verdict =
+                        expected[run].first_mismatch(&Trace::from_phvs(scalar[run].clone()), None);
+                    prop_assert_eq!(&lane_verdict, &scalar_verdict);
+                }
+            }
         }
     }
 }
 
-/// Empty batches and single-PHV batches run through the lane engine
-/// without touching uninitialized lanes: state, outputs, and coverage
-/// match scalar exactly, including when the engine's caches are warm from
-/// a prior full-width batch.
+/// An empty step and a single-lane step at the widest width, on a frame
+/// poisoned by a full-width step: the single execution matches scalar
+/// exactly, the 63 masked lanes keep their inputs and reset state, and the
+/// empty step changes nothing at all.
 #[test]
 fn empty_and_single_phv_batches_are_exact() {
     let spec = spec_for("pred_raw", "stateless_full", 2, 1);
@@ -192,72 +318,72 @@ fn empty_and_single_phv_batches_are_exact() {
             .map(|(n, _)| (n, 0)),
     );
     let phv_len = spec.config.phv_length;
-    let warm: Vec<Phv> = (0..64)
-        .map(|i| Phv::new((0..phv_len).map(|c| (i * 7 + c as u32 * 3) % 100).collect()))
-        .collect();
-    let single = vec![Phv::new((0..phv_len).map(|c| 41 + c as u32).collect())];
+    let width = *LANE_WIDTHS.last().unwrap();
+    let warm = |lane: usize| {
+        Phv::new(
+            (0..phv_len)
+                .map(|c| (lane as u32 * 7 + c as u32 * 3) % 100)
+                .collect(),
+        )
+    };
+    let single = Phv::new((0..phv_len).map(|c| 41 + c as u32).collect());
 
-    let mut scalar = Pipeline::generate(&spec, &mc, OptLevel::Fused).unwrap();
-    scalar.enable_coverage();
-    let mut lanes = Pipeline::generate(&spec, &mc, OptLevel::Fused).unwrap();
-    lanes.enable_coverage();
+    let fused = FusedPipeline::fuse(&spec, &mc);
+    let lp = LanePipeline::lower(&fused).unwrap();
+    let mut sweep = lp.sweep(width).unwrap();
+    for lane in 0..width {
+        load(&mut sweep, lane, &warm(lane));
+    }
+    sweep.step(width);
+    sweep.reset();
 
-    // Warm both engines with a full-width batch (poisons lane scratch),
-    // then push a single-PHV batch and an empty batch through each.
-    let (mut a, mut b) = (warm.clone(), warm);
-    scalar.process_batch(&mut a);
-    lanes.process_batch_lanes(&mut b, 64);
-    assert_eq!(a, b, "warm batch");
+    let mut scalar = FusedPipeline::fuse(&spec, &mc);
+    let zero = scalar.state_snapshot();
+    let mut want = single.clone();
+    scalar.process_in_place(&mut want);
+    let want_state = scalar.state_snapshot();
 
-    let (mut a, mut b) = (single.clone(), single);
-    scalar.process_batch(&mut a);
-    lanes.process_batch_lanes(&mut b, 64);
-    assert_eq!(a, b, "single-PHV batch");
+    sweep.clear_phv();
+    load(&mut sweep, 0, &single);
+    for lane in 1..width {
+        load(&mut sweep, lane, &warm(lane));
+    }
+    sweep.step(1);
+    assert_eq!(lane_phv(&sweep, 0, phv_len), want, "single-lane step");
     assert_eq!(
-        scalar.state_snapshot(),
-        lanes.state_snapshot(),
+        lane_state(&sweep, 0, &want_state),
+        want_state,
         "state after single"
     );
-
-    let mut empty: Vec<Phv> = Vec::new();
-    lanes.process_batch_lanes(&mut empty, 64);
-    assert!(empty.is_empty());
-    assert_eq!(
-        scalar.state_snapshot(),
-        lanes.state_snapshot(),
-        "state after empty"
-    );
-    assert_eq!(
-        scalar.coverage().unwrap().as_bytes(),
-        lanes.coverage().unwrap().as_bytes(),
-        "coverage after warm + single + empty"
-    );
-}
-
-/// Unsupported widths and non-fused levels fall back to the scalar batch
-/// path instead of panicking or corrupting the run.
-#[test]
-fn unsupported_width_and_level_fall_back_to_scalar() {
-    let spec = spec_for("raw", "stateless_mux", 1, 1);
-    let mc = MachineCode::from_pairs(
-        expected_machine_code(&spec)
-            .into_iter()
-            .map(|(n, _)| (n, 0)),
-    );
-    let phv_len = spec.config.phv_length;
-    let batch: Vec<Phv> = (0..9u32)
-        .map(|i| Phv::new((0..phv_len as u32).map(|c| i * 2 + c).collect()))
-        .collect();
-    for (opt, width) in [
-        (OptLevel::Fused, 7),     // unsupported width
-        (OptLevel::SccInline, 8), // no fused program to lower
-    ] {
-        let mut reference = Pipeline::generate(&spec, &mc, opt).unwrap();
-        let mut fallback = Pipeline::generate(&spec, &mc, opt).unwrap();
-        let (mut a, mut b) = (batch.clone(), batch.clone());
-        reference.process_batch(&mut a);
-        fallback.process_batch_lanes(&mut b, width);
-        assert_eq!(a, b, "{opt:?} width {width}");
-        assert_eq!(reference.state_snapshot(), fallback.state_snapshot());
+    for lane in 1..width {
+        assert_eq!(
+            lane_phv(&sweep, lane, phv_len),
+            warm(lane),
+            "masked lane {lane}"
+        );
+        assert_eq!(
+            lane_state(&sweep, lane, &zero),
+            zero,
+            "masked lane {lane} state"
+        );
     }
+
+    let before: Vec<(Phv, _)> = (0..width)
+        .map(|lane| {
+            (
+                lane_phv(&sweep, lane, phv_len),
+                lane_state(&sweep, lane, &zero),
+            )
+        })
+        .collect();
+    sweep.step(0);
+    let after: Vec<(Phv, _)> = (0..width)
+        .map(|lane| {
+            (
+                lane_phv(&sweep, lane, phv_len),
+                lane_state(&sweep, lane, &zero),
+            )
+        })
+        .collect();
+    assert_eq!(before, after, "an empty step is a no-op");
 }
