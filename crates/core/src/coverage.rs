@@ -149,11 +149,22 @@ impl CoverageMap {
     /// greybox "interesting input" predicate.
     pub fn accumulate_buckets(&mut self, run: &CoverageMap) -> bool {
         let mut interesting = false;
-        for (acc, &raw) in self.counts.iter_mut().zip(run.counts.iter()) {
-            let b = bucket(raw);
-            if b > *acc {
-                *acc = b;
-                interesting = true;
+        // A run's map is mostly zero: skip it eight counters at a time.
+        for (acc, raw) in self
+            .counts
+            .chunks_exact_mut(8)
+            .zip(run.counts.chunks_exact(8))
+        {
+            let word: [u8; 8] = raw.try_into().expect("chunks of eight");
+            if u64::from_ne_bytes(word) == 0 {
+                continue;
+            }
+            for (acc, &raw) in acc.iter_mut().zip(raw) {
+                let b = bucket(raw);
+                if b > *acc {
+                    *acc = b;
+                    interesting = true;
+                }
             }
         }
         interesting

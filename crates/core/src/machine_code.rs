@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -25,10 +26,19 @@ use crate::value::Value;
 /// values that program them.
 ///
 /// Internally ordered (BTreeMap) so that serialization, diffing, and error
-/// messages are deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// messages are deterministic. The map is shared copy-on-write, so a clone
+/// is a pointer copy and compares equal to its original without walking
+/// the pairs: a checker that caches the machine code it built compares it
+/// once per check.
+#[derive(Debug, Clone, Default, Eq)]
 pub struct MachineCode {
-    pairs: BTreeMap<String, Value>,
+    pairs: Arc<BTreeMap<String, Value>>,
+}
+
+impl PartialEq for MachineCode {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.pairs, &other.pairs) || self.pairs == other.pairs
+    }
 }
 
 impl MachineCode {
@@ -45,10 +55,12 @@ impl MachineCode {
         S: Into<String>,
     {
         MachineCode {
-            pairs: pairs
-                .into_iter()
-                .map(|(name, v)| (name.into(), v))
-                .collect(),
+            pairs: Arc::new(
+                pairs
+                    .into_iter()
+                    .map(|(name, v)| (name.into(), v))
+                    .collect(),
+            ),
         }
     }
 
@@ -82,12 +94,14 @@ impl MachineCode {
                 });
             }
         }
-        Ok(MachineCode { pairs })
+        Ok(MachineCode {
+            pairs: Arc::new(pairs),
+        })
     }
 
     /// Insert (or overwrite) a pair.
     pub fn set(&mut self, name: impl Into<String>, value: Value) {
-        self.pairs.insert(name.into(), value);
+        Arc::make_mut(&mut self.pairs).insert(name.into(), value);
     }
 
     /// Look up a pair, returning a [`Error::MissingMachineCode`] if absent.
@@ -117,7 +131,7 @@ impl MachineCode {
     /// Remove a pair, returning its value if present. Used by the fault
     /// injector to reproduce the "missing machine code pairs" failure class.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.pairs.remove(name)
+        Arc::make_mut(&mut self.pairs).remove(name)
     }
 
     /// Number of pairs.
@@ -142,8 +156,9 @@ impl MachineCode {
 
     /// Merge `other` into `self`; pairs in `other` win on conflict.
     pub fn merge(&mut self, other: &MachineCode) {
+        let pairs = Arc::make_mut(&mut self.pairs);
         for (name, v) in other.iter() {
-            self.pairs.insert(name.to_string(), v);
+            pairs.insert(name.to_string(), v);
         }
     }
 

@@ -51,9 +51,6 @@ use crate::fused::{FusedInstr, FusedPipeline, Reg};
 /// SIMD sweet spots (one to eight 256-bit vectors per register row).
 pub const LANE_WIDTHS: [usize; 5] = [1, 8, 16, 32, 64];
 
-/// Largest supported lane width.
-pub const MAX_LANES: usize = 64;
-
 /// True if `width` is one of [`LANE_WIDTHS`].
 pub fn supported_width(width: usize) -> bool {
     matches!(width, 1 | 8 | 16 | 32 | 64)

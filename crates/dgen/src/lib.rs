@@ -42,7 +42,7 @@ pub mod pipeline;
 
 pub use bytecode::BytecodeProgram;
 pub use fused::{FusedInstr, FusedPipeline};
-pub use lanes::{LanePipeline, LaneSweep, LANE_WIDTHS, MAX_LANES};
+pub use lanes::{LanePipeline, LaneSweep, LANE_WIDTHS};
 pub use mat::{emit_mat_pipeline, MatInstr, MatPipeline};
 pub use opt::specialize;
 pub use pipeline::{expected_machine_code, AluUnit, Pipeline, PipelineSpec, Stage};

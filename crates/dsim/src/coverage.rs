@@ -71,22 +71,17 @@ use std::time::Instant;
 
 use druzhba_core::value::max_for_bits;
 use druzhba_core::{MachineCode, Phv, Trace, Value, ValueGen};
-use druzhba_dgen::mat::MatPipeline;
-use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
-use druzhba_p4::exec::Interpreter;
+use druzhba_dgen::{OptLevel, PipelineSpec};
 use druzhba_p4::tables::{parse_entries, render_entry, TableEntry};
 
 pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE};
 
 use crate::minimize::MinimizedCounterExample;
-use crate::p4::{
-    materialize_pattern, p4_differential, P4Target, P4Traffic, P4Workload, PatternSeed,
-};
-use crate::runtime::{catch_silent, default_workers, RuntimeOptions};
+use crate::p4::{materialize_pattern, P4Checker, P4Target, P4Traffic, P4Workload, PatternSeed};
+use crate::runtime::{default_workers, RuntimeOptions};
 use crate::snapshot;
 use crate::testing::{
-    compare_against_spec, minimizable, run_sharded, shard_seed, AluTarget, Specification, Target,
-    Verdict,
+    minimizable, run_sharded, shard_seed, AluChecker, AluTarget, Specification, Target, Verdict,
 };
 
 // ----------------------------------------------------------------------
@@ -124,14 +119,8 @@ pub struct GreyboxConfig {
     /// Bit-width cap on generated/mutated container values (the P4 side
     /// additionally caps each field at its declared width).
     pub input_bits: u32,
-    /// Seed-pool capacity; when full, the lowest-energy seed is evicted.
-    pub corpus_max: usize,
     /// Worker threads per round (clamped to the remaining budget).
     pub workers: usize,
-    /// Executions each shard runs between corpus merges.
-    pub merge_every: usize,
-    /// Fresh (unmutated) traffic inputs seeded before the guided loop.
-    pub initial_seeds: usize,
     /// Minimize the diverging input on failure (shared delta-debugging
     /// engine; see [`mod@crate::minimize`]).
     pub minimize: bool,
@@ -142,6 +131,13 @@ pub struct GreyboxConfig {
     pub runtime: RuntimeOptions,
 }
 
+/// Seed-pool capacity; when full, the lowest-energy seed is evicted.
+const CORPUS_MAX: usize = 64;
+/// Executions each shard runs between corpus merges.
+const MERGE_EVERY: usize = 64;
+/// Fresh (unmutated) traffic inputs seeded before the guided loop.
+const INITIAL_SEEDS: usize = 4;
+
 impl Default for GreyboxConfig {
     fn default() -> Self {
         GreyboxConfig {
@@ -150,10 +146,7 @@ impl Default for GreyboxConfig {
             max_packets: 0,
             seed: 0x000D_122B,
             input_bits: 10,
-            corpus_max: 64,
             workers: default_workers(),
-            merge_every: 64,
-            initial_seeds: 4,
             minimize: true,
             runtime: RuntimeOptions::default(),
         }
@@ -531,6 +524,57 @@ impl InputModel for P4TraceModel<'_> {
     }
 }
 
+/// One worker's differential check with coverage capture: the stack's
+/// checker ([`AluChecker`], [`P4Checker`]) plus what it checks against.
+/// The checkers guard every check, so a panicking backend comes back as
+/// [`Verdict::BackendPanic`] and ends the campaign as a divergence.
+trait CoveredCheck<I> {
+    /// Differentially execute one greybox input.
+    fn check(&mut self, input: &I) -> Verdict;
+    /// The coverage map of the last check, read only after a check that
+    /// passed (and so ran with coverage on).
+    fn coverage(&self) -> &CoverageMap;
+}
+
+/// The ALU stack's check: one machine code against a specification.
+struct AluCheck<'a, S> {
+    checker: AluChecker<'a>,
+    reference: S,
+    mc: &'a MachineCode,
+}
+
+impl<S: Specification> CoveredCheck<Trace> for AluCheck<'_, S> {
+    fn check(&mut self, input: &Trace) -> Verdict {
+        self.checker.check(&mut self.reference, self.mc, input)
+    }
+
+    fn coverage(&self) -> &CoverageMap {
+        self.checker
+            .coverage()
+            .expect("a passing check ran with coverage on")
+    }
+}
+
+/// The P4 stack's check: the target's fixed entries, or (`None`) each
+/// input's own entry set on both sides.
+struct P4Check<'a> {
+    checker: P4Checker<'a>,
+    entries: Option<&'a [TableEntry]>,
+}
+
+impl CoveredCheck<P4GreyboxInput> for P4Check<'_> {
+    fn check(&mut self, input: &P4GreyboxInput) -> Verdict {
+        let entries = self.entries.unwrap_or(&input.entries);
+        self.checker.check(entries, &input.trace)
+    }
+
+    fn coverage(&self) -> &CoverageMap {
+        self.checker
+            .coverage()
+            .expect("a passing check ran with coverage on")
+    }
+}
+
 // ----------------------------------------------------------------------
 // The corpus scheduler and sharded campaign loop.
 // ----------------------------------------------------------------------
@@ -617,16 +661,11 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 
 /// The generic greybox loop: seed, then mutate-execute-merge rounds until
 /// the budget is spent, the wall clock runs out, or a divergence appears.
-/// `make_oracle` builds one oracle per worker (oracles own mutable
-/// pipelines and are never shared across threads).
+/// `make_check` builds one check per worker (checks own mutable pipelines
+/// and are never shared across threads).
 ///
 /// Crash resilience (`cfg.runtime`):
 ///
-/// - every differential execution runs under [`catch_silent`] — the
-///   oracle is built lazily *inside* the guard, so a panicking backend
-///   (generation or simulation) yields [`Verdict::BackendPanic`] and ends
-///   the campaign as a divergence instead of unwinding it, and the
-///   possibly-corrupted oracle is never reused;
 /// - at round boundaries the corpus, the global coverage accumulator and
 ///   the execution counters snapshot to the checkpoint directory
 ///   (`fingerprint` binds the snapshot to the campaign configuration);
@@ -635,16 +674,16 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 ///   continuation is byte-identical to an uninterrupted run;
 /// - the wall-clock budget is checked at round boundaries; expiry sets
 ///   `truncated` and returns the statistics accumulated so far.
-fn greybox_search<M, O, F>(
+fn greybox_search<M, C, F>(
     model: &M,
-    make_oracle: F,
+    make_check: F,
     cfg: &GreyboxConfig,
     fingerprint: u64,
 ) -> SearchResult<M::Input>
 where
     M: InputModel,
-    O: FnMut(&M::Input, &mut CoverageMap) -> Verdict,
-    F: Fn() -> O + Sync,
+    C: CoveredCheck<M::Input>,
+    F: Fn() -> C + Sync,
 {
     let budget = cfg.executions.max(1);
     let deadline = cfg.runtime.deadline(Instant::now());
@@ -658,14 +697,6 @@ where
     let mut first_divergence = None;
     let mut divergence = None;
     let mut truncated = false;
-
-    // One guarded differential execution (see the function docs).
-    let run_one = |oracle: &mut Option<O>, input: &M::Input, cov: &mut CoverageMap| -> Verdict {
-        match catch_silent(|| oracle.get_or_insert_with(&make_oracle)(input, cov)) {
-            Ok(verdict) => verdict,
-            Err(p) => Verdict::BackendPanic { payload: p.payload },
-        }
-    };
 
     // Serialize the campaign state: counters, the raw global coverage
     // counts, then one corpus seed per line in corpus order (order is
@@ -752,11 +783,10 @@ where
     let add_seed = |corpus: &mut Vec<Seed<M::Input>>,
                     freq: &mut Vec<u32>,
                     input: M::Input,
-                    cov: &CoverageMap,
-                    corpus_max: usize| {
+                    cov: &CoverageMap| {
         let edges: Vec<u16> = cov.covered_edges().map(|e| e as u16).collect();
         let seed = Seed { input, edges };
-        if corpus.len() >= corpus_max.max(1) {
+        if corpus.len() >= CORPUS_MAX {
             // Evict the lowest-energy seed (ties: lowest index) — the one
             // contributing least rarity to the schedule.
             let victim = (0..corpus.len())
@@ -777,25 +807,24 @@ where
     // Skipped on resume — snapshots only exist past the bootstrap, and
     // replaying it would double-count its executions.
     if !resumed {
-        let mut oracle: Option<O> = None;
-        let mut cov = CoverageMap::new();
-        for i in 0..cfg.initial_seeds.max(1).min(budget) {
+        let mut check = make_check();
+        for i in 0..INITIAL_SEEDS.min(budget) {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 truncated = true;
                 break;
             }
             let mut rng = ValueGen::new(shard_seed(cfg.seed ^ 0x5EED_0000, i as u64), 32);
             let input = model.seed_input(&mut rng, cfg.packets);
-            cov.clear();
-            let verdict = run_one(&mut oracle, &input, &mut cov);
+            let verdict = check.check(&input);
             executions += 1;
             if !verdict.passed() {
                 first_divergence = Some(executions);
                 divergence = Some((input, verdict));
                 break;
             }
-            if global.accumulate_buckets(&cov) || corpus.is_empty() {
-                add_seed(&mut corpus, &mut freq, input, &cov, cfg.corpus_max);
+            let cov = check.coverage();
+            if global.accumulate_buckets(cov) || corpus.is_empty() {
+                add_seed(&mut corpus, &mut freq, input, cov);
             }
         }
     }
@@ -807,7 +836,7 @@ where
             break;
         }
         rounds += 1;
-        let per_shard = cfg.merge_every.max(1);
+        let per_shard = MERGE_EVERY;
         let remaining = budget - executions;
         let shards = cfg.workers.max(1).min(remaining.div_ceil(per_shard));
         let tasks: Vec<usize> = (0..shards)
@@ -819,7 +848,7 @@ where
         let round = rounds as u64;
         let outcomes: Vec<ShardOutcome<M::Input>> =
             run_sharded(tasks, shards, |shard, shard_budget| {
-                let mut oracle: Option<O> = None;
+                let mut check = make_check();
                 let mut rng = ValueGen::new(
                     shard_seed(cfg.seed ^ 0x6B0C_5000, round << 16 | shard as u64),
                     32,
@@ -828,7 +857,6 @@ where
                 let mut local_freq = freq_ref.to_vec();
                 let mut finds: Vec<(M::Input, CoverageMap)> = Vec::new();
                 let mut local_seeds: Vec<Seed<M::Input>> = Vec::new();
-                let mut cov = CoverageMap::new();
                 let mut divergence = None;
                 let mut executed = 0;
                 for k in 0..shard_budget {
@@ -839,14 +867,14 @@ where
                         local_seeds[pick - corpus_ref.len()].input.clone()
                     };
                     model.mutate(&mut rng, &mut input);
-                    cov.clear();
-                    let verdict = run_one(&mut oracle, &input, &mut cov);
+                    let verdict = check.check(&input);
                     executed += 1;
                     if !verdict.passed() {
                         divergence = Some((k, input, verdict));
                         break;
                     }
-                    if local_global.accumulate_buckets(&cov) {
+                    let cov = check.coverage();
+                    if local_global.accumulate_buckets(cov) {
                         let edges: Vec<u16> = cov.covered_edges().map(|e| e as u16).collect();
                         for &e in &edges {
                             local_freq[e as usize] += 1;
@@ -880,7 +908,7 @@ where
             }
             for (input, cov) in outcome.finds {
                 if global.accumulate_buckets(&cov) {
-                    add_seed(&mut corpus, &mut freq, input, &cov, cfg.corpus_max);
+                    add_seed(&mut corpus, &mut freq, input, &cov);
                 }
             }
         }
@@ -989,9 +1017,10 @@ fn greybox_report<R: ?Sized, T: Target<R>>(
 /// pipeline vs. specification), driven by the corpus scheduler instead of
 /// independent random batches. `druzhba fuzz --greybox` wires this up.
 ///
-/// The pipeline is generated once per worker and *reset* between
-/// executions (state zeroing is part of the oracle contract), so the
-/// per-execution cost is simulation, not regeneration.
+/// Every execution is one [`AluChecker`] check on the tick-accurate
+/// simulator. The pipeline is generated once per worker and *reset*
+/// between executions, so the per-execution cost is simulation, not
+/// regeneration.
 pub fn greybox_fuzz_test<S, F>(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
@@ -1017,57 +1046,18 @@ where
         input_bits: cfg.input_bits,
         max_packets: effective_max_packets(cfg),
     };
-    let make_oracle = || {
-        let mut pipeline = Pipeline::generate(pipeline_spec, mc, opt);
-        if let Ok(p) = &mut pipeline {
-            p.enable_coverage();
-        }
-        let mut reference = make_spec();
-        move |input: &Trace, cov: &mut CoverageMap| -> Verdict {
-            match &mut pipeline {
-                Err(e) => Verdict::Incompatible(e.clone()),
-                Ok(p) => {
-                    p.reset();
-                    p.clear_coverage();
-                    // Per-PHV full traversal is property-tested equivalent
-                    // to tick-accurate simulation (state is ALU-local and
-                    // PHVs are FIFO), and it lets one pipeline — and its
-                    // coverage map — serve every execution.
-                    let mut out: Vec<Phv> = input.phvs.to_vec();
-                    p.process_batch(&mut out);
-                    let actual = Trace {
-                        phvs: out,
-                        state: Some(p.state_snapshot()),
-                    };
-                    if let Some(c) = p.coverage() {
-                        cov.merge(c);
-                    }
-                    compare_against_spec(&mut reference, input, &actual, observable, state_cells)
-                }
-            }
+    let make_check = || {
+        let mut checker = AluChecker::new(pipeline_spec, opt, observable, state_cells);
+        checker.enable_coverage();
+        AluCheck {
+            checker,
+            reference: make_spec(),
+            mc,
         }
     };
     let fingerprint = greybox_fingerprint::<S, _>(&target, None, cfg);
-    let result = greybox_search(&model, make_oracle, cfg, fingerprint);
+    let result = greybox_search(&model, make_check, cfg, fingerprint);
     greybox_report(&target, &mut make_spec(), cfg, result, None)
-}
-
-/// One P4 differential execution that folds both sides' coverage maps
-/// into `cov`.
-fn p4_covered(
-    pipeline: &mut MatPipeline,
-    interp: &mut Interpreter,
-    trace: &Trace,
-    cov: &mut CoverageMap,
-) -> Verdict {
-    let verdict = p4_differential(pipeline, interp, trace);
-    if let Some(c) = pipeline.coverage() {
-        cov.merge(c);
-    }
-    if let Some(c) = interp.coverage() {
-        cov.merge(c);
-    }
-    verdict
 }
 
 /// Run a coverage-guided greybox campaign on the P4 stack: the
@@ -1079,11 +1069,14 @@ fn p4_covered(
 ///
 /// - `mutate_entries == false` (mutant hunts): the pipeline runs
 ///   `entries` while the interpreter runs the workload's intended
-///   entries — the injected-fault oracle. Both sides are generated once
-///   per worker and reset between executions.
+///   entries — the injected-fault oracle of [`P4Checker::new`].
 /// - `mutate_entries == true` (compiler-bug search): both sides run the
 ///   *same* entry set, which the mutation stack perturbs alongside the
-///   packets; entry sets that fail validation are skipped, not reported.
+///   packets ([`P4Checker::with_shared_entries`]); entry sets that fail
+///   to bind are skipped, not reported.
+///
+/// Either way every execution is one [`P4Checker`] check, and each
+/// worker's checker rebuilds only when an input's entry set changes.
 pub fn p4_greybox_fuzz_test(
     workload: &P4Workload,
     entries: &[TableEntry],
@@ -1102,53 +1095,21 @@ pub fn p4_greybox_fuzz_test(
         mutate_entries,
         effective_max_packets(cfg),
     );
-    let make_oracle = || {
-        // The cached, reset-between-executions sides only serve the
-        // fixed-entry mode; entry-mutating campaigns regenerate both
-        // sides per execution and must not pay for an unused pipeline.
-        let mut fixed = (!mutate_entries).then(|| {
-            let mut pipeline =
-                MatPipeline::generate(&workload.hlir, entries, &workload.lowering, level);
-            if let Ok(p) = &mut pipeline {
-                p.enable_coverage();
-            }
-            let mut interp = workload.interpreter();
-            interp.enable_coverage();
-            (pipeline, interp)
-        });
-        move |input: &P4GreyboxInput, cov: &mut CoverageMap| -> Verdict {
-            let Some((pipeline, interp)) = fixed.as_mut() else {
-                // Dynamic entries: regenerate both sides against the
-                // input's (shared) entry set; invalid sets are skipped.
-                let pipe = MatPipeline::generate(
-                    &workload.hlir,
-                    &input.entries,
-                    &workload.lowering,
-                    level,
-                );
-                let reference = Interpreter::new(&workload.hlir, &input.entries);
-                let (Ok(mut pipe), Ok(mut reference)) = (pipe, reference) else {
-                    return Verdict::Pass;
-                };
-                pipe.enable_coverage();
-                reference.enable_coverage();
-                return p4_covered(&mut pipe, &mut reference, &input.trace, cov);
-            };
-            match pipeline {
-                Err(e) => Verdict::Incompatible(e.clone()),
-                Ok(p) => {
-                    p.reset();
-                    p.clear_coverage();
-                    interp.reset();
-                    interp.clear_coverage();
-                    p4_covered(p, interp, &input.trace, cov)
-                }
-            }
+    let make_check = || {
+        let mut checker = if mutate_entries {
+            P4Checker::with_shared_entries(workload, level)
+        } else {
+            P4Checker::new(workload, level)
+        };
+        checker.enable_coverage();
+        P4Check {
+            checker,
+            entries: (!mutate_entries).then_some(entries),
         }
     };
     let fingerprint = greybox_fingerprint(&target, Some(format!("{mutate_entries:?}")), cfg);
     let mut diverging_entries = None;
-    let result = greybox_search(&model, make_oracle, cfg, fingerprint).map_input(|input| {
+    let result = greybox_search(&model, make_check, cfg, fingerprint).map_input(|input| {
         diverging_entries = mutate_entries.then_some(input.entries);
         input.trace
     });
@@ -1208,12 +1169,12 @@ mod tests {
         )
     }
 
+    /// Three merge rounds: 4 bootstrap seeds, then 3 shards of 64.
     fn small_cfg() -> GreyboxConfig {
         GreyboxConfig {
-            executions: 120,
+            executions: 400,
             packets: 8,
             workers: 3,
-            merge_every: 16,
             ..GreyboxConfig::default()
         }
     }
@@ -1225,10 +1186,10 @@ mod tests {
             let report =
                 greybox_fuzz_test(&spec, &mc, level, accumulator_spec, None, &[], &small_cfg());
             assert!(report.passed(), "{level:?}: {:?}", report.verdict);
-            assert_eq!(report.executions, 120, "{level:?}");
+            assert_eq!(report.executions, 400, "{level:?}");
             assert!(report.edges_covered > 0, "{level:?}");
             assert!(report.corpus_size >= 1, "{level:?}");
-            assert!(report.rounds >= 1, "{level:?}");
+            assert!(report.rounds >= 2, "{level:?}");
         }
     }
 
@@ -1367,16 +1328,13 @@ mod tests {
         let narrow = GreyboxConfig {
             executions: 4, // bootstrap only
             packets: 4,
-            initial_seeds: 4,
             workers: 1,
             ..GreyboxConfig::default()
         };
         let wide = GreyboxConfig {
-            executions: 300,
+            executions: 300, // three merge rounds of 2 shards x 64
             packets: 4,
-            initial_seeds: 4,
             workers: 2,
-            merge_every: 32,
             ..GreyboxConfig::default()
         };
         let base = p4_greybox_fuzz_test(&w, &w.entries, OptLevel::Fused, true, &narrow);

@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 
 use druzhba_core::trace::TraceMismatch;
-use druzhba_core::{Phv, Result, Trace, Value, ValueGen};
+use druzhba_core::{CoverageMap, Phv, Result, Trace, Value, ValueGen};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_p4::exec::Interpreter;
@@ -304,21 +304,57 @@ pub fn run_p4_case(
 /// [`catch_silent`](crate::runtime::catch_silent). An entry set that does
 /// not bind ([`Verdict::Incompatible`]) caches nothing, and a captured
 /// panic drops the build.
+///
+/// Greybox campaigns ([`crate::coverage`]) also read each check's
+/// coverage map ([`P4Checker::enable_coverage`]), and their entry-mutating
+/// search runs the reference over the pipeline's own entries
+/// ([`P4Checker::with_shared_entries`]).
 #[derive(Debug)]
 pub struct P4Checker<'a> {
     workload: &'a P4Workload,
     level: OptLevel,
+    shared_entries: bool,
+    coverage: Option<CoverageMap>,
     built: Option<(Vec<TableEntry>, MatPipeline, Interpreter)>,
 }
 
 impl<'a> P4Checker<'a> {
-    /// A checker with nothing built yet.
+    /// A checker with nothing built yet, whose reference runs the
+    /// workload's intended entries (the injected-fault oracle).
     pub fn new(workload: &'a P4Workload, level: OptLevel) -> Self {
         P4Checker {
             workload,
             level,
+            shared_entries: false,
+            coverage: None,
             built: None,
         }
+    }
+
+    /// A checker whose reference runs each check's own entry set, so a
+    /// divergence is a compiler bug under those entries. A check whose
+    /// entries do not bind is skipped as [`Verdict::Pass`].
+    pub fn with_shared_entries(workload: &'a P4Workload, level: OptLevel) -> Self {
+        P4Checker {
+            shared_entries: true,
+            ..P4Checker::new(workload, level)
+        }
+    }
+
+    /// Record both sides' coverage of every later check, readable through
+    /// [`P4Checker::coverage`].
+    pub fn enable_coverage(&mut self) {
+        self.coverage = Some(CoverageMap::new());
+        if let Some((_, pipeline, interp)) = &mut self.built {
+            pipeline.enable_coverage();
+            interp.enable_coverage();
+        }
+    }
+
+    /// The merged pipeline and reference coverage of the last check;
+    /// `None` when coverage is off.
+    pub fn coverage(&self) -> Option<&CoverageMap> {
+        self.coverage.as_ref()
     }
 
     /// Differentially execute `input` on the pipeline generated from
@@ -336,6 +372,9 @@ impl<'a> P4Checker<'a> {
     /// The unguarded check: (re)build when `entries` is not the cached
     /// entry set, reset both sides, run, compare.
     fn run(&mut self, entries: &[TableEntry], input: &Trace) -> Verdict {
+        if let Some(cov) = &mut self.coverage {
+            cov.clear();
+        }
         if self
             .built
             .as_ref()
@@ -344,29 +383,48 @@ impl<'a> P4Checker<'a> {
             // Drop the old build first: at most one is ever alive.
             self.built = None;
             let w = self.workload;
-            let pipeline = match MatPipeline::generate(&w.hlir, entries, &w.lowering, self.level) {
-                Ok(p) => p,
-                Err(e) => return Verdict::Incompatible(e),
+            let mut interp = if self.shared_entries {
+                match Interpreter::new(&w.hlir, entries) {
+                    Ok(interp) => interp,
+                    Err(_) => return Verdict::Pass,
+                }
+            } else {
+                w.interpreter()
             };
-            self.built = Some((entries.to_vec(), pipeline, w.interpreter()));
+            let mut pipeline =
+                match MatPipeline::generate(&w.hlir, entries, &w.lowering, self.level) {
+                    Ok(p) => p,
+                    Err(e) => return Verdict::Incompatible(e),
+                };
+            if self.coverage.is_some() {
+                pipeline.enable_coverage();
+                interp.enable_coverage();
+            }
+            self.built = Some((entries.to_vec(), pipeline, interp));
         }
         let (_, pipeline, interp) = self.built.as_mut().expect("built above");
         pipeline.reset();
         interp.reset();
-        p4_differential(pipeline, interp, input)
+        pipeline.clear_coverage();
+        interp.clear_coverage();
+        let verdict = p4_differential(pipeline, interp, input);
+        if let Some(cov) = &mut self.coverage {
+            for side in [pipeline.coverage(), interp.coverage()]
+                .into_iter()
+                .flatten()
+            {
+                cov.merge(side);
+            }
+        }
+        verdict
     }
 }
 
-/// The differential core shared by [`run_p4_case`] and the greybox oracle
-/// ([`crate::coverage`]): run one input trace through an already-generated
-/// pipeline and reference interpreter (both assumed freshly reset) and
-/// compare output traces and final register/counter state. Coverage maps
-/// attached to either side keep accumulating as usual.
-pub(crate) fn p4_differential(
-    pipeline: &mut MatPipeline,
-    interp: &mut Interpreter,
-    input: &Trace,
-) -> Verdict {
+/// The differential core of [`P4Checker`]: run one input trace through an
+/// already-generated pipeline and reference interpreter (both assumed
+/// freshly reset) and compare output traces and final register/counter
+/// state. Coverage maps attached to either side keep accumulating as usual.
+fn p4_differential(pipeline: &mut MatPipeline, interp: &mut Interpreter, input: &Trace) -> Verdict {
     let actual = pipeline.run(input);
 
     let layout = pipeline.layout();

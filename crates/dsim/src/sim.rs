@@ -67,6 +67,12 @@ impl Simulator {
         &self.pipeline
     }
 
+    /// Mutable access to the underlying pipeline (e.g. to enable or clear
+    /// its coverage map).
+    pub fn pipeline_mut(&mut self) -> &mut Pipeline {
+        &mut self.pipeline
+    }
+
     /// Consume the simulator, returning the pipeline.
     pub fn into_pipeline(self) -> Pipeline {
         self.pipeline
@@ -199,8 +205,8 @@ mod tests {
     #[test]
     fn tick_accurate_equals_per_phv_processing() {
         // The pipelining invariant: running PHVs tick-by-tick produces the
-        // same per-PHV outputs and final state as pushing each PHV through
-        // all stages immediately.
+        // same per-PHV outputs, final state and coverage map as pushing
+        // each PHV through all stages immediately, on every backend.
         use druzhba_core::ValueGen;
         let s = PipelineSpec::new(
             PipelineConfig::new(3, 2),
@@ -216,22 +222,32 @@ mod tests {
                     (name, gen.value_below(bound))
                 },
             ));
-            let mut tick_pipe =
-                Simulator::new(Pipeline::generate(&s, &mc, OptLevel::SccInline).unwrap());
-            let mut immediate_pipe = Pipeline::generate(&s, &mc, OptLevel::SccInline).unwrap();
             let input = TrafficGenerator::new(trial, 2, 10).trace(40);
-            let ticked = tick_pipe.run(&input);
-            let immediate: Vec<_> = input
-                .phvs
-                .iter()
-                .map(|p| immediate_pipe.process(p))
-                .collect();
-            assert_eq!(ticked.phvs, immediate, "trial {trial}");
-            assert_eq!(
-                ticked.state.unwrap(),
-                immediate_pipe.state_snapshot(),
-                "trial {trial}"
-            );
+            for level in OptLevel::ALL {
+                let mut tick_pipe = Simulator::new(Pipeline::generate(&s, &mc, level).unwrap());
+                tick_pipe.pipeline_mut().enable_coverage();
+                let mut immediate_pipe = Pipeline::generate(&s, &mc, level).unwrap();
+                immediate_pipe.enable_coverage();
+                let ticked = tick_pipe.run(&input);
+                let immediate: Vec<_> = input
+                    .phvs
+                    .iter()
+                    .map(|p| immediate_pipe.process(p))
+                    .collect();
+                assert_eq!(ticked.phvs, immediate, "trial {trial} {level:?}");
+                assert_eq!(
+                    ticked.state.unwrap(),
+                    immediate_pipe.state_snapshot(),
+                    "trial {trial} {level:?}"
+                );
+                let coverage = tick_pipe.pipeline().coverage().unwrap();
+                assert!(!coverage.is_empty(), "trial {trial} {level:?}");
+                assert_eq!(
+                    coverage,
+                    immediate_pipe.coverage().unwrap(),
+                    "trial {trial} {level:?}"
+                );
+            }
         }
     }
 

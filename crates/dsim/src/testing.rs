@@ -15,7 +15,7 @@
 //! specification's output trace*.
 
 use druzhba_core::trace::TraceMismatch;
-use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
+use druzhba_core::{CoverageMap, Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
@@ -296,12 +296,17 @@ pub fn run_case<R: Specification + ?Sized>(
 /// [`catch_silent`]. A machine code the pipeline rejects
 /// ([`Verdict::Incompatible`]) caches nothing, and a captured panic drops
 /// the build, so no half-mutated simulator outlives its panic.
+///
+/// Greybox campaigns ([`crate::coverage`]) also read each check's
+/// coverage map ([`AluChecker::enable_coverage`]); with coverage off, a
+/// check runs the uninstrumented pipeline.
 #[derive(Debug)]
 pub struct AluChecker<'a> {
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
     observable: Option<&'a [usize]>,
     state_cells: &'a [(usize, usize, usize)],
+    coverage: bool,
     built: Option<(MachineCode, Simulator)>,
 }
 
@@ -318,8 +323,25 @@ impl<'a> AluChecker<'a> {
             opt,
             observable,
             state_cells,
+            coverage: false,
             built: None,
         }
+    }
+
+    /// Record the coverage of every later check, readable through
+    /// [`AluChecker::coverage`].
+    pub fn enable_coverage(&mut self) {
+        self.coverage = true;
+        if let Some((_, sim)) = &mut self.built {
+            sim.pipeline_mut().enable_coverage();
+        }
+    }
+
+    /// The pipeline coverage of the last check; `None` when coverage is
+    /// off or that check built nothing (an incompatible machine code or a
+    /// panic).
+    pub fn coverage(&self) -> Option<&CoverageMap> {
+        self.built.as_ref()?.1.pipeline().coverage()
     }
 
     /// Differentially execute `input` on the pipeline `mc` programs,
@@ -350,14 +372,18 @@ impl<'a> AluChecker<'a> {
         if self.built.as_ref().is_none_or(|(cached, _)| cached != mc) {
             // Drop the old build first: at most one is ever alive.
             self.built = None;
-            let pipeline = match Pipeline::generate(self.pipeline_spec, mc, self.opt) {
+            let mut pipeline = match Pipeline::generate(self.pipeline_spec, mc, self.opt) {
                 Ok(p) => p,
                 Err(e) => return Verdict::Incompatible(e),
             };
+            if self.coverage {
+                pipeline.enable_coverage();
+            }
             self.built = Some((mc.clone(), Simulator::new(pipeline)));
         }
         let (_, sim) = self.built.as_mut().expect("built above");
         sim.reset();
+        sim.pipeline_mut().clear_coverage();
         let actual = sim.run(input);
         compare_against_spec(reference, input, &actual, self.observable, self.state_cells)
     }
@@ -365,10 +391,8 @@ impl<'a> AluChecker<'a> {
 
 /// Compare one pipeline output trace against the specification's expected
 /// behaviour on the same input — the assertion half of [`run_case`],
-/// shared with the greybox oracle ([`crate::coverage`]) and bounded
-/// verification ([`crate::verify`]), which execute the pipeline
-/// themselves (to reuse it, and the greybox coverage map, across
-/// executions).
+/// shared with bounded verification ([`crate::verify`]), which executes
+/// the pipeline itself.
 pub(crate) fn compare_against_spec<R: Specification + ?Sized>(
     reference: &mut R,
     input: &Trace,

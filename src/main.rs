@@ -140,8 +140,6 @@ const COMMANDS: &[Command] = &[
             Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, GREYBOX], help: "worker threads" },
             Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
             Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
-            Flag { name: "corpus", metavar: "N", modes: &[GREYBOX], help: "seed-pool capacity" },
-            Flag { name: "merge-every", metavar: "M", modes: &[GREYBOX], help: "executions per shard between corpus merges" },
             Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "snapshot campaign progress into DIR" },
             Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
             Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "restore DIR's snapshot and keep checkpointing there" },
@@ -255,8 +253,6 @@ const COMMANDS: &[Command] = &[
             Flag { name: "cross-model", metavar: "on|off", modes: &[SINGLE, CAMPAIGN], help: "check interpreter == RMT(fused) == dRMT" },
             Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
             Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
-            Flag { name: "corpus", metavar: "N", modes: &[GREYBOX], help: "seed-pool capacity" },
-            Flag { name: "merge-every", metavar: "M", modes: &[GREYBOX], help: "executions per shard between corpus merges" },
             Flag { name: "mutate-entries", metavar: "on|off", modes: &[GREYBOX], help: "mutate the shared table entries alongside packets" },
             Flag { name: "case-budget", metavar: "N", modes: &[MUTANTS], help: "cap on differential batches per evaluation" },
             Flag { name: "out", metavar: "FILE", modes: &[MUTANTS], help: "write the JSON report to FILE" },
@@ -575,10 +571,7 @@ fn greybox_config(
         max_packets: args.get_usize("gb-max-packets", defaults.max_packets)?,
         seed,
         input_bits: bits,
-        corpus_max: args.get_usize("corpus", defaults.corpus_max)?,
         workers: args.get_workers(defaults.workers)?,
-        merge_every: args.get_usize("merge-every", defaults.merge_every)?,
-        initial_seeds: defaults.initial_seeds,
         minimize: true,
         runtime: runtime_options(args)?,
     })
@@ -624,8 +617,8 @@ fn print_greybox(
 /// search space (e.g. `--mutate-entries off`).
 fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
     let mut replay = format!(
-        "--greybox {} --seed {:#x} --jobs {} --gb-packets {} --corpus {} --merge-every {}",
-        cfg.executions, cfg.seed, cfg.workers, cfg.packets, cfg.corpus_max, cfg.merge_every
+        "--greybox {} --seed {:#x} --jobs {} --gb-packets {}",
+        cfg.executions, cfg.seed, cfg.workers, cfg.packets
     );
     if cfg.max_packets != 0 {
         let _ = write!(replay, " --gb-max-packets {}", cfg.max_packets);

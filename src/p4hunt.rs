@@ -20,16 +20,16 @@ use std::collections::BTreeMap;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
 use druzhba_core::json::{array, Object};
-use druzhba_core::{Trace, Value};
+use druzhba_core::Value;
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_drmt::{solve, DrmtMachine, ScheduleConfig};
 use druzhba_dsim::p4::{
-    run_p4_case, P4Checker, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
+    P4Checker, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
 };
 use druzhba_dsim::runtime::{default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_run, shard_seed, FuzzConfig, Verdict};
+use druzhba_dsim::testing::{fuzz_run, shard_seed, FuzzConfig};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
@@ -476,15 +476,4 @@ pub fn cross_model_check(
         rmt_stages: workload.lowering.num_stages(),
         drmt_skipped,
     })
-}
-
-/// Replay one input trace through the P4 differential check (used by the
-/// integration tests to re-validate minimized counterexamples).
-pub fn p4_replay(
-    workload: &P4Workload,
-    entries: &[TableEntry],
-    level: OptLevel,
-    input: &Trace,
-) -> Verdict {
-    run_p4_case(workload, entries, level, input)
 }

@@ -566,7 +566,7 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/programs/assets/rcp.domino"
     );
-    let cases: [(&[&str], &str); 20] = [
+    let cases: [(&[&str], &str); 22] = [
         // Only the mutant campaign writes a report or caps its cases.
         (
             &["p4-fuzz", "l2_forward", "--out", "x.json"],
@@ -586,20 +586,43 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
             "flag `--gb-max-packets` does not apply to `fuzz` in single-run mode",
         ),
         (
-            &["fuzz", file, "--runs", "3", "--corpus", "8"],
-            "flag `--corpus` does not apply to `fuzz` in campaign mode",
+            &["fuzz", file, "--runs", "3", "--gb-max-packets", "8"],
+            "flag `--gb-max-packets` does not apply to `fuzz` in campaign mode",
         ),
         (
-            &["fuzz", file, "--merge-every", "8"],
-            "flag `--merge-every` does not apply to `fuzz` in single-run mode",
+            &["p4-fuzz", "l2_forward", "--gb-max-packets", "8"],
+            "flag `--gb-max-packets` does not apply to `p4-fuzz` in single-run mode",
         ),
         (
             &["p4-fuzz", "l2_forward", "--mutate-entries", "off"],
             "flag `--mutate-entries` does not apply to `p4-fuzz` in single-run mode",
         ),
         (
-            &["p4-fuzz", "l2_forward", "--mutants", "1", "--corpus", "8"],
-            "flag `--corpus` does not apply to `p4-fuzz` in mutants mode",
+            &[
+                "p4-fuzz",
+                "l2_forward",
+                "--mutants",
+                "1",
+                "--gb-max-packets",
+                "8",
+            ],
+            "flag `--gb-max-packets` does not apply to `p4-fuzz` in mutants mode",
+        ),
+        // The corpus capacity and the merge interval are fixed.
+        (
+            &["fuzz", file, "--greybox", "20", "--corpus", "8"],
+            "unknown flag `--corpus` for `fuzz`",
+        ),
+        (
+            &[
+                "p4-fuzz",
+                "l2_forward",
+                "--greybox",
+                "20",
+                "--merge-every",
+                "8",
+            ],
+            "unknown flag `--merge-every` for `p4-fuzz`",
         ),
         // Neither greybox oracle has a lane knob.
         (

@@ -19,12 +19,12 @@ fn druzhba(args: &[&str]) -> Output {
         .expect("spawn druzhba binary")
 }
 
+/// Four merge rounds of 2 shards x 64 executions after 4 bootstrap seeds.
 fn small_cfg() -> GreyboxConfig {
     GreyboxConfig {
-        executions: 200,
+        executions: 400,
         packets: 12,
         workers: 2,
-        merge_every: 32,
         ..GreyboxConfig::default()
     }
 }
@@ -128,10 +128,9 @@ fn greybox_reports_are_a_pure_function_of_seed_and_workers() {
     let def = p4_by_name("acl_ternary").expect("corpus program");
     let workload = def.workload().expect("lowers");
     let cfg = GreyboxConfig {
-        executions: 150,
+        executions: 400, // three merge rounds of 3 shards x 64
         packets: 8,
         workers: 3,
-        merge_every: 16,
         ..GreyboxConfig::default()
     };
     let a = p4_greybox_fuzz_test(&workload, &workload.entries, OptLevel::Fused, true, &cfg);

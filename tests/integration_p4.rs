@@ -15,7 +15,7 @@ use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::testing::{
     fuzz_campaign, fuzz_run, CampaignConfig, FuzzConfig, FuzzReport, VerdictClass,
 };
-use druzhba::p4hunt::{cross_model_check, p4_hunt, p4_replay, P4Detection, P4HuntConfig};
+use druzhba::p4hunt::{cross_model_check, p4_hunt, P4Detection, P4HuntConfig};
 use druzhba::programs::P4_PROGRAMS;
 
 /// One seeded run of the P4 target.
@@ -191,7 +191,7 @@ fn hunt_detects_every_fault_class_and_minimizes() {
         // report is self-contained) and replay the minimized trace.
         let entries = apply_fault(&workload.entries, &o.fault)
             .unwrap_or_else(|| panic!("{}: {:?} does not fit baseline", o.program, o.fault));
-        let v = p4_replay(workload, &entries, o.level, &mce.input);
+        let v = run_p4_case(workload, &entries, o.level, &mce.input);
         assert_eq!(
             v.class(),
             mce.verdict.class(),
@@ -295,7 +295,7 @@ fn injected_fault_minimizes_to_a_tiny_counterexample() {
         let mce = report.minimized.expect("minimized");
         assert!(mce.packets() <= 2, "{level:?}: {:?}", mce.input);
         assert_eq!(mce.verdict.class(), VerdictClass::ContainerMismatch);
-        let v = p4_replay(&w, &bad, level, &mce.input);
+        let v = run_p4_case(&w, &bad, level, &mce.input);
         assert_eq!(v.class(), mce.verdict.class(), "{level:?}");
     }
 }
