@@ -20,10 +20,11 @@
 //! zero-allocation tick-loop invariant.
 //!
 //! Hit counts are compared through AFL's logarithmic **buckets** (1, 2, 3,
-//! 4–7, 8–15, 16–31, 32–127, 128+): an input is *interesting* when it
-//! drives some edge into a higher bucket than any previous input
-//! ([`CoverageMap::accumulate_buckets`]), and a corpus entry is keyed by
-//! the bucketized map's FNV-1a [`CoverageMap::signature`].
+//! 4–7, 8–15, 16–31, 32–127, 128+): an input is *interesting*, and joins
+//! the greybox corpus, when it drives some edge into a higher bucket than
+//! any previous input ([`CoverageMap::accumulate_buckets`]). Tests that
+//! compare two runs' coverage classes use [`CoverageMap::signature`], an
+//! FNV-1a hash of the bucketized map.
 
 /// Number of edge counters in a map. A power of two so edge ids fold in
 /// with a mask; 4096 edges is comfortably above what the corpus programs
@@ -119,15 +120,6 @@ impl CoverageMap {
         self.counts.iter().all(|&c| c == 0)
     }
 
-    /// Indices of every covered edge, ascending.
-    pub fn covered_edges(&self) -> impl Iterator<Item = usize> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, _)| i)
-    }
-
     /// Zero every counter (reuse a map across executions without
     /// reallocating).
     pub fn clear(&mut self) {
@@ -187,9 +179,9 @@ impl CoverageMap {
         })
     }
 
-    /// FNV-1a hash over the bucketized counters — the corpus key. Stable
-    /// across processes and platforms (pure integer arithmetic), and
-    /// invariant under raw-count jitter within a bucket.
+    /// FNV-1a hash over the bucketized counters: stable across processes
+    /// and platforms (pure integer arithmetic), and invariant under
+    /// raw-count jitter within a bucket.
     pub fn signature(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         for &c in self.counts.iter() {

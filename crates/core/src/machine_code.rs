@@ -26,19 +26,13 @@ use crate::value::Value;
 /// values that program them.
 ///
 /// Internally ordered (BTreeMap) so that serialization, diffing, and error
-/// messages are deterministic. The map is shared copy-on-write, so a clone
-/// is a pointer copy and compares equal to its original without walking
-/// the pairs: a checker that caches the machine code it built compares it
-/// once per check.
-#[derive(Debug, Clone, Default, Eq)]
+/// messages are deterministic. The map is shared copy-on-write: a clone is
+/// a pointer copy, and `Arc`'s equality finds a clone equal to its
+/// original by pointer, without walking the pairs, which keeps a checker's
+/// per-check comparison against its cached machine code cheap.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineCode {
     pairs: Arc<BTreeMap<String, Value>>,
-}
-
-impl PartialEq for MachineCode {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.pairs, &other.pairs) || self.pairs == other.pairs
-    }
 }
 
 impl MachineCode {

@@ -552,15 +552,8 @@ impl Pipeline {
         out
     }
 
-    /// Execute one stage against a PHV (used by the tick-accurate
-    /// simulator, which holds one in-flight PHV per stage).
-    pub fn execute_stage(&mut self, stage: usize, input: &Phv) -> Phv {
-        let mut out = input.clone();
-        self.execute_stage_in_place(stage, &mut out);
-        out
-    }
-
-    /// Execute one stage in place, reusing generation-time buffers: zero
+    /// Execute one stage in place (the tick-accurate simulator holds one
+    /// in-flight PHV per stage), reusing generation-time buffers: zero
     /// heap allocations per call on every backend.
     pub fn execute_stage_in_place(&mut self, stage: usize, phv: &mut Phv) {
         let cov = self.cov.as_deref_mut();

@@ -10,21 +10,24 @@
 //!    ([`CoverageMap`], instrumented into all four ALU backends and the
 //!    P4 match-action engine);
 //! 2. inputs that reach new coverage (a higher hit-count *bucket* on any
-//!    edge) join a seed **corpus**, keyed by the bucketized map's
-//!    [`CoverageMap::signature`];
-//! 3. a **power schedule** picks the next parent, weighting seeds by the
-//!    rarity of the edges they cover (a seed that alone reaches an edge
-//!    outweighs the crowd on well-trodden paths);
+//!    edge, [`CoverageMap::accumulate_buckets`]) join a seed **corpus** of
+//!    at most 64 inputs, which evicts its oldest seed when full;
+//! 3. the next parent is a uniform draw from the corpus (a rarity-weighted
+//!    power schedule never beat it on the `greybox` bench);
 //! 4. a deterministic **mutation stack** (bit flips, boundary values,
 //!    packet duplication/removal/splicing — and, on the P4 side,
 //!    entry-pattern resampling and table-entry mutations) derives the
 //!    child input;
-//! 5. the loop runs in sharded **rounds** over
-//!    [`run_sharded`]: each round, every worker
-//!    fuzzes independently from the shared corpus snapshot, then the
-//!    shards' discoveries are merged deterministically (shard order, then
-//!    discovery order) before the next round — periodic cross-shard
-//!    corpus merging without any locking.
+//! 5. the loop runs in sharded **rounds** over [`run_sharded`]: each
+//!    round, every worker runs 64 executions independently from the
+//!    shared corpus snapshot, then the shards' discoveries are merged
+//!    deterministically (shard order, then discovery order) before the
+//!    next round — periodic cross-shard corpus merging without any
+//!    locking.
+//!
+//! Every execution is one guarded check of the stack's checker
+//! ([`AluChecker`] on the tick-accurate simulator, [`P4Checker`]) with
+//! coverage capture switched on.
 //!
 //! Everything is a pure function of `(GreyboxConfig, worker count)`: the
 //! per-shard RNG streams derive from [`shard_seed`], merging is ordered,
@@ -77,7 +80,7 @@ use druzhba_p4::tables::{parse_entries, render_entry, TableEntry};
 pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE};
 
 use crate::minimize::MinimizedCounterExample;
-use crate::p4::{materialize_pattern, P4Checker, P4Target, P4Traffic, P4Workload, PatternSeed};
+use crate::p4::{materialize_pattern, P4Checker, P4Target, P4Traffic, P4Workload};
 use crate::runtime::{default_workers, RuntimeOptions};
 use crate::snapshot;
 use crate::testing::{
@@ -131,7 +134,7 @@ pub struct GreyboxConfig {
     pub runtime: RuntimeOptions,
 }
 
-/// Seed-pool capacity; when full, the lowest-energy seed is evicted.
+/// Seed-pool capacity; when full, the oldest seed is evicted.
 const CORPUS_MAX: usize = 64;
 /// Executions each shard runs between corpus merges.
 const MERGE_EVERY: usize = 64;
@@ -407,10 +410,9 @@ pub struct P4TraceModel<'a> {
     input_bits: u32,
     mutate_entries: bool,
     max_packets: usize,
-    /// Per container: uniform-draw width (`None` = frozen metadata/drop).
-    widths: Vec<Option<u32>>,
-    /// Per container: entry-derived pattern templates.
-    candidates: Vec<Vec<PatternSeed>>,
+    /// The per-container widths (`None` = frozen metadata/drop) and
+    /// entry-derived pattern templates of the workload's traffic.
+    traffic: P4Traffic,
 }
 
 impl<'a> P4TraceModel<'a> {
@@ -421,16 +423,12 @@ impl<'a> P4TraceModel<'a> {
         mutate_entries: bool,
         max_packets: usize,
     ) -> Self {
-        // P4Traffic already derives the per-container widths and pattern
-        // pools; borrow its construction rather than duplicating it.
-        let traffic = P4Traffic::new(workload, 0, input_bits);
         P4TraceModel {
             workload,
             input_bits,
             mutate_entries,
             max_packets,
-            widths: traffic.widths.clone(),
-            candidates: traffic.candidates.clone(),
+            traffic: P4Traffic::new(workload, 0, input_bits),
         }
     }
 }
@@ -466,8 +464,8 @@ impl InputModel for P4TraceModel<'_> {
             }
             return;
         }
-        let widths = &self.widths;
-        let candidates = &self.candidates;
+        let widths = &self.traffic.widths;
+        let candidates = &self.traffic.candidates;
         let width_of = |c: usize| widths.get(c).copied().flatten();
         let mut fresh = |rng: &mut ValueGen| -> Phv {
             Phv::new(
@@ -529,11 +527,18 @@ impl InputModel for P4TraceModel<'_> {
 /// The checkers guard every check, so a panicking backend comes back as
 /// [`Verdict::BackendPanic`] and ends the campaign as a divergence.
 trait CoveredCheck<I> {
-    /// Differentially execute one greybox input.
-    fn check(&mut self, input: &I) -> Verdict;
-    /// The coverage map of the last check, read only after a check that
-    /// passed (and so ran with coverage on).
-    fn coverage(&self) -> &CoverageMap;
+    /// Differentially execute one greybox input: the coverage map of a
+    /// passing check, or the diverging verdict.
+    fn check(&mut self, input: &I) -> Result<&CoverageMap, Verdict>;
+}
+
+/// A passing check's coverage (which a check with coverage on always
+/// records), or the diverging verdict.
+fn covered(verdict: Verdict, coverage: Option<&CoverageMap>) -> Result<&CoverageMap, Verdict> {
+    verdict
+        .passed()
+        .then(|| coverage.expect("a passing check ran with coverage on"))
+        .ok_or(verdict)
 }
 
 /// The ALU stack's check: one machine code against a specification.
@@ -544,14 +549,9 @@ struct AluCheck<'a, S> {
 }
 
 impl<S: Specification> CoveredCheck<Trace> for AluCheck<'_, S> {
-    fn check(&mut self, input: &Trace) -> Verdict {
-        self.checker.check(&mut self.reference, self.mc, input)
-    }
-
-    fn coverage(&self) -> &CoverageMap {
-        self.checker
-            .coverage()
-            .expect("a passing check ran with coverage on")
+    fn check(&mut self, input: &Trace) -> Result<&CoverageMap, Verdict> {
+        let verdict = self.checker.check(&mut self.reference, self.mc, input);
+        covered(verdict, self.checker.coverage())
     }
 }
 
@@ -563,15 +563,10 @@ struct P4Check<'a> {
 }
 
 impl CoveredCheck<P4GreyboxInput> for P4Check<'_> {
-    fn check(&mut self, input: &P4GreyboxInput) -> Verdict {
+    fn check(&mut self, input: &P4GreyboxInput) -> Result<&CoverageMap, Verdict> {
         let entries = self.entries.unwrap_or(&input.entries);
-        self.checker.check(entries, &input.trace)
-    }
-
-    fn coverage(&self) -> &CoverageMap {
-        self.checker
-            .coverage()
-            .expect("a passing check ran with coverage on")
+        let verdict = self.checker.check(entries, &input.trace);
+        covered(verdict, self.checker.coverage())
     }
 }
 
@@ -579,70 +574,11 @@ impl CoveredCheck<P4GreyboxInput> for P4Check<'_> {
 // The corpus scheduler and sharded campaign loop.
 // ----------------------------------------------------------------------
 
-/// One corpus entry: the input plus the edges its execution covered.
-struct Seed<I> {
-    input: I,
-    edges: Vec<u16>,
-}
-
-/// Rarity-weighted energy: a seed earns `256 / freq(edge)` per covered
-/// edge (min 1), where `freq` counts how many corpus seeds reach the
-/// edge. Seeds holding rare edges dominate the draw; integer arithmetic
-/// keeps scheduling platform-independent.
-fn energy<I>(seed: &Seed<I>, freq: &[u32]) -> u64 {
-    1 + seed
-        .edges
-        .iter()
-        .map(|&e| u64::from((256 / freq[e as usize].max(1)).max(1)))
-        .sum::<u64>()
-}
-
-/// Draw a corpus index weighted by energy. `extra` extends the base
-/// corpus (shard-local finds). Deterministic per RNG state.
-fn pick_seed<I>(rng: &mut ValueGen, base: &[Seed<I>], extra: &[Seed<I>], freq: &[u32]) -> usize {
-    let total: u64 = base
-        .iter()
-        .chain(extra.iter())
-        .map(|s| energy(s, freq))
-        .sum();
-    // Compose a 64-bit draw from two 32-bit values; modulo bias is
-    // negligible against total energies far below 2^63.
-    let draw = ((u64::from(rng.value()) << 32) | u64::from(rng.value())) % total.max(1);
-    let mut acc = 0u64;
-    for (i, s) in base.iter().chain(extra.iter()).enumerate() {
-        acc += energy(s, freq);
-        if draw < acc {
-            return i;
-        }
-    }
-    base.len() + extra.len() - 1
-}
-
-/// What one shard brings back from a round.
-struct ShardOutcome<I> {
-    executed: usize,
-    /// `(local execution index, input, verdict)` of the shard's first
-    /// divergence, if any.
-    divergence: Option<(usize, I, Verdict)>,
-    /// Inputs that reached new coverage, with their raw per-execution
-    /// maps, in discovery order.
-    finds: Vec<(I, CoverageMap)>,
-}
-
-/// Statistics-and-divergence result of the generic engine.
-struct SearchResult<I> {
-    executions: usize,
-    rounds: usize,
-    corpus_size: usize,
-    edges_covered: usize,
-    first_divergence: Option<usize>,
-    divergence: Option<(I, Verdict)>,
-    truncated: bool,
-}
-
-/// Campaign state restored from a snapshot: executions so far, completed
-/// merge rounds, the global coverage map, and the corpus.
-type RestoredState<I> = (usize, usize, CoverageMap, Vec<Seed<I>>);
+/// What one shard brings back from a round: its first divergence, if any,
+/// as `(local execution index, input, verdict)`, and the inputs that
+/// reached new coverage with their raw per-execution maps, in discovery
+/// order.
+type ShardOutcome<I> = (Option<(usize, I, Verdict)>, Vec<(I, CoverageMap)>);
 
 /// Lowercase hex of a byte slice (the global coverage map in snapshots).
 fn hex_encode(bytes: &[u8]) -> String {
@@ -662,7 +598,9 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 /// The generic greybox loop: seed, then mutate-execute-merge rounds until
 /// the budget is spent, the wall clock runs out, or a divergence appears.
 /// `make_check` builds one check per worker (checks own mutable pipelines
-/// and are never shared across threads).
+/// and are never shared across threads). Returns the report, whose
+/// diverging trace and minimization the caller fills in, and the
+/// diverging input.
 ///
 /// Crash resilience (`cfg.runtime`):
 ///
@@ -679,7 +617,7 @@ fn greybox_search<M, C, F>(
     make_check: F,
     cfg: &GreyboxConfig,
     fingerprint: u64,
-) -> SearchResult<M::Input>
+) -> (GreyboxReport, Option<M::Input>)
 where
     M: InputModel,
     C: CoveredCheck<M::Input>,
@@ -689,35 +627,24 @@ where
     let deadline = cfg.runtime.deadline(Instant::now());
     let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
     let every = cfg.runtime.effective_every();
-    let mut corpus: Vec<Seed<M::Input>> = Vec::new();
-    let mut global = CoverageMap::new(); // per-edge max bucket observed
-    let mut freq = vec![0u32; COVERAGE_MAP_SIZE];
-    let mut executions = 0usize;
-    let mut rounds = 0usize;
     let mut first_divergence = None;
     let mut divergence = None;
     let mut truncated = false;
 
     // Serialize the campaign state: counters, the raw global coverage
     // counts, then one corpus seed per line in corpus order (order is
-    // load-bearing — `pick_seed` draws and eviction both walk the corpus
-    // by index).
+    // load-bearing — parent draws index the corpus, and eviction drops
+    // its oldest seed).
     let save_state =
-        |corpus: &[Seed<M::Input>], executions: usize, rounds: usize, global: &CoverageMap| {
+        |corpus: &[M::Input], executions: usize, rounds: usize, global: &CoverageMap| {
             let Some(dir) = ckpt_dir.as_deref() else {
                 return;
             };
             let mut lines = Vec::with_capacity(corpus.len() + 2);
             lines.push(format!("executions {executions} rounds {rounds}"));
             lines.push(format!("global {}", hex_encode(global.as_bytes())));
-            for seed in corpus {
-                let csv = seed
-                    .edges
-                    .iter()
-                    .map(u16::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
-                lines.push(format!("seed {csv} {}", model.encode_input(&seed.input)));
+            for input in corpus {
+                lines.push(format!("seed {}", model.encode_input(input)));
             }
             if let Err(e) = snapshot::save(dir, "greybox", fingerprint, &lines) {
                 eprintln!("warning: failed to write greybox checkpoint: {e}");
@@ -725,82 +652,51 @@ where
             snapshot::write_heartbeat(dir, "greybox", executions, budget, false);
         };
 
-    // Inverse of `save_state`; `None` rejects any malformed line and the
-    // campaign starts fresh (never trust a snapshot blindly).
-    let parse_state = |lines: &[String]| -> Option<RestoredState<M::Input>> {
+    // Inverse of `save_state`: (executions, rounds, global map, corpus).
+    // `None` rejects any malformed line and the campaign starts fresh
+    // (never trust a snapshot blindly).
+    let parse_state = |lines: &[String]| -> Option<(usize, usize, CoverageMap, Vec<M::Input>)> {
         let head = lines.first()?.strip_prefix("executions ")?;
         let (executed_txt, rounds_txt) = head.split_once(" rounds ")?;
         let executions: usize = executed_txt.parse().ok()?;
         let rounds: usize = rounds_txt.parse().ok()?;
         let global = CoverageMap::from_bytes(&hex_decode(lines.get(1)?.strip_prefix("global ")?)?)?;
-        let mut corpus = Vec::new();
-        for line in lines.get(2..)? {
-            let rest = line.strip_prefix("seed ")?;
-            let (csv, encoded) = rest.split_once(' ')?;
-            let edges: Vec<u16> = if csv.is_empty() {
-                Vec::new()
-            } else {
-                csv.split(',')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .ok()?
-            };
-            let input = model.decode_input(encoded)?;
-            corpus.push(Seed { input, edges });
-        }
+        let corpus = lines
+            .get(2..)?
+            .iter()
+            .map(|line| model.decode_input(line.strip_prefix("seed ")?))
+            .collect::<Option<_>>()?;
         Some((executions, rounds, global, corpus))
     };
 
-    let mut resumed = false;
-    if cfg.runtime.resume {
-        if let Some(dir) = ckpt_dir.as_deref() {
+    let restored = match (cfg.runtime.resume, ckpt_dir.as_deref()) {
+        (true, Some(dir)) => {
             let loaded = snapshot::load_latest(dir, "greybox", fingerprint);
             for w in &loaded.warnings {
                 eprintln!("warning: {w}");
             }
-            if let Some(lines) = loaded.lines {
-                if let Some((e, r, g, c)) = parse_state(&lines) {
-                    executions = e;
-                    rounds = r;
-                    global = g;
-                    corpus = c;
-                    for seed in &corpus {
-                        for &edge in &seed.edges {
-                            freq[edge as usize] += 1;
-                        }
-                    }
-                    resumed = true;
-                } else {
-                    eprintln!(
-                        "warning: greybox snapshot in {} is malformed; starting fresh",
-                        dir.display()
-                    );
-                }
+            let state = loaded.lines.as_deref().map(parse_state);
+            if matches!(state, Some(None)) {
+                eprintln!(
+                    "warning: greybox snapshot in {} is malformed; starting fresh",
+                    dir.display()
+                );
             }
+            state.flatten()
         }
-    }
+        _ => None,
+    };
+    let resumed = restored.is_some();
+    // `global` holds the per-edge max bucket observed.
+    let (mut executions, mut rounds, mut global, mut corpus) =
+        restored.unwrap_or_else(|| (0, 0, CoverageMap::new(), Vec::new()));
 
-    let add_seed = |corpus: &mut Vec<Seed<M::Input>>,
-                    freq: &mut Vec<u32>,
-                    input: M::Input,
-                    cov: &CoverageMap| {
-        let edges: Vec<u16> = cov.covered_edges().map(|e| e as u16).collect();
-        let seed = Seed { input, edges };
+    // A full corpus evicts its oldest seed.
+    let add_seed = |corpus: &mut Vec<M::Input>, input: M::Input| {
         if corpus.len() >= CORPUS_MAX {
-            // Evict the lowest-energy seed (ties: lowest index) — the one
-            // contributing least rarity to the schedule.
-            let victim = (0..corpus.len())
-                .min_by_key(|&i| (energy(&corpus[i], freq), i))
-                .expect("corpus is non-empty");
-            for &e in &corpus[victim].edges {
-                freq[e as usize] = freq[e as usize].saturating_sub(1);
-            }
-            corpus.swap_remove(victim);
+            corpus.remove(0);
         }
-        for &e in &seed.edges {
-            freq[e as usize] += 1;
-        }
-        corpus.push(seed);
+        corpus.push(input);
     };
 
     // Bootstrap: fresh traffic inputs, run serially (they're few).
@@ -815,16 +711,18 @@ where
             }
             let mut rng = ValueGen::new(shard_seed(cfg.seed ^ 0x5EED_0000, i as u64), 32);
             let input = model.seed_input(&mut rng, cfg.packets);
-            let verdict = check.check(&input);
             executions += 1;
-            if !verdict.passed() {
-                first_divergence = Some(executions);
-                divergence = Some((input, verdict));
-                break;
-            }
-            let cov = check.coverage();
-            if global.accumulate_buckets(cov) || corpus.is_empty() {
-                add_seed(&mut corpus, &mut freq, input, cov);
+            match check.check(&input) {
+                Err(verdict) => {
+                    first_divergence = Some(executions);
+                    divergence = Some((input, verdict));
+                    break;
+                }
+                Ok(cov) => {
+                    if global.accumulate_buckets(cov) || corpus.is_empty() {
+                        add_seed(&mut corpus, input);
+                    }
+                }
             }
         }
     }
@@ -836,61 +734,46 @@ where
             break;
         }
         rounds += 1;
-        let per_shard = MERGE_EVERY;
         let remaining = budget - executions;
-        let shards = cfg.workers.max(1).min(remaining.div_ceil(per_shard));
+        let shards = cfg.workers.max(1).min(remaining.div_ceil(MERGE_EVERY));
         let tasks: Vec<usize> = (0..shards)
-            .map(|s| per_shard.min(remaining.saturating_sub(s * per_shard)))
+            .map(|s| MERGE_EVERY.min(remaining - s * MERGE_EVERY))
             .collect();
         let corpus_ref = &corpus;
         let global_ref = &global;
-        let freq_ref = &freq;
         let round = rounds as u64;
         let outcomes: Vec<ShardOutcome<M::Input>> =
-            run_sharded(tasks, shards, |shard, shard_budget| {
+            run_sharded(tasks.clone(), shards, |shard, shard_budget| {
                 let mut check = make_check();
                 let mut rng = ValueGen::new(
                     shard_seed(cfg.seed ^ 0x6B0C_5000, round << 16 | shard as u64),
                     32,
                 );
                 let mut local_global = global_ref.clone();
-                let mut local_freq = freq_ref.to_vec();
                 let mut finds: Vec<(M::Input, CoverageMap)> = Vec::new();
-                let mut local_seeds: Vec<Seed<M::Input>> = Vec::new();
                 let mut divergence = None;
-                let mut executed = 0;
                 for k in 0..shard_budget {
-                    let pick = pick_seed(&mut rng, corpus_ref, &local_seeds, &local_freq);
-                    let mut input = if pick < corpus_ref.len() {
-                        corpus_ref[pick].input.clone()
-                    } else {
-                        local_seeds[pick - corpus_ref.len()].input.clone()
+                    // A uniform parent over the corpus and this shard's
+                    // finds so far.
+                    let pick = rng.value_below((corpus_ref.len() + finds.len()) as Value) as usize;
+                    let mut input = match corpus_ref.get(pick) {
+                        Some(seed) => seed.clone(),
+                        None => finds[pick - corpus_ref.len()].0.clone(),
                     };
                     model.mutate(&mut rng, &mut input);
-                    let verdict = check.check(&input);
-                    executed += 1;
-                    if !verdict.passed() {
-                        divergence = Some((k, input, verdict));
-                        break;
-                    }
-                    let cov = check.coverage();
-                    if local_global.accumulate_buckets(cov) {
-                        let edges: Vec<u16> = cov.covered_edges().map(|e| e as u16).collect();
-                        for &e in &edges {
-                            local_freq[e as usize] += 1;
+                    match check.check(&input) {
+                        Err(verdict) => {
+                            divergence = Some((k, input, verdict));
+                            break;
                         }
-                        local_seeds.push(Seed {
-                            input: input.clone(),
-                            edges,
-                        });
-                        finds.push((input, cov.clone()));
+                        Ok(cov) => {
+                            if local_global.accumulate_buckets(cov) {
+                                finds.push((input, cov.clone()));
+                            }
+                        }
                     }
                 }
-                ShardOutcome {
-                    executed,
-                    divergence,
-                    finds,
-                }
+                (divergence, finds)
             });
 
         // Deterministic merge: shard order, then discovery order. A find
@@ -898,17 +781,17 @@ where
         // shards discovered concurrently joins the corpus once.
         let base = executions;
         let mut best: Option<(usize, M::Input, Verdict)> = None;
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            executions += outcome.executed;
-            if let Some((k, input, verdict)) = outcome.divergence {
-                let ordinal = base + s * per_shard + k + 1;
+        for (s, (divergence, finds)) in outcomes.into_iter().enumerate() {
+            executions += divergence.as_ref().map_or(tasks[s], |(k, ..)| k + 1);
+            if let Some((k, input, verdict)) = divergence {
+                let ordinal = base + s * MERGE_EVERY + k + 1;
                 if best.as_ref().is_none_or(|(o, _, _)| ordinal < *o) {
                     best = Some((ordinal, input, verdict));
                 }
             }
-            for (input, cov) in outcome.finds {
+            for (input, cov) in finds {
                 if global.accumulate_buckets(&cov) {
-                    add_seed(&mut corpus, &mut freq, input, &cov);
+                    add_seed(&mut corpus, input);
                 }
             }
         }
@@ -926,15 +809,21 @@ where
         snapshot::write_heartbeat(dir, "greybox", executions, budget, truncated);
     }
 
-    SearchResult {
+    let (input, verdict) = divergence.unzip();
+    let report = GreyboxReport {
+        seed: cfg.seed,
         executions,
-        rounds,
-        corpus_size: corpus.len(),
         edges_covered: global.edges_covered(),
+        corpus_size: corpus.len(),
+        rounds,
         first_divergence,
-        divergence,
+        verdict: verdict.unwrap_or(Verdict::Pass),
+        diverging_input: None,
+        diverging_entries: None,
+        minimized: None,
         truncated,
-    }
+    };
+    (report, input)
 }
 
 // ----------------------------------------------------------------------
@@ -964,52 +853,20 @@ fn greybox_fingerprint<R: ?Sized, T: Target<R>>(
     snapshot::fingerprint_of(&parts)
 }
 
-impl<I> SearchResult<I> {
-    /// The same result with the diverging input mapped through `f`.
-    fn map_input<J>(self, f: impl FnOnce(I) -> J) -> SearchResult<J> {
-        SearchResult {
-            executions: self.executions,
-            rounds: self.rounds,
-            corpus_size: self.corpus_size,
-            edges_covered: self.edges_covered,
-            first_divergence: self.first_divergence,
-            divergence: self.divergence.map(|(input, v)| (f(input), v)),
-            truncated: self.truncated,
-        }
-    }
-}
-
-/// The greybox tail shared by both stacks: minimize the search's
-/// diverging trace through `target` (unless a panic or
-/// [`GreyboxConfig::minimize`] forbids it) and assemble the report.
-fn greybox_report<R: ?Sized, T: Target<R>>(
+/// The greybox tail shared by both stacks: record the diverging trace
+/// and minimize it through `target`, unless a panic or
+/// [`GreyboxConfig::minimize`] forbids it.
+fn minimize_divergence<R: ?Sized, T: Target<R>>(
     target: &T,
     reference: &mut R,
     cfg: &GreyboxConfig,
-    result: SearchResult<Trace>,
-    diverging_entries: Option<Vec<TableEntry>>,
-) -> GreyboxReport {
-    let (diverging_input, verdict) = match result.divergence {
-        Some((input, verdict)) => (Some(input), verdict),
-        None => (None, Verdict::Pass),
-    };
-    let minimized = match &diverging_input {
-        Some(input) if cfg.minimize && minimizable(&verdict) => target.minimize(reference, input),
-        _ => None,
-    };
-    GreyboxReport {
-        seed: cfg.seed,
-        executions: result.executions,
-        edges_covered: result.edges_covered,
-        corpus_size: result.corpus_size,
-        rounds: result.rounds,
-        first_divergence: result.first_divergence,
-        verdict,
-        diverging_input,
-        diverging_entries,
-        minimized,
-        truncated: result.truncated,
+    report: &mut GreyboxReport,
+    input: Trace,
+) {
+    if cfg.minimize && minimizable(&report.verdict) {
+        report.minimized = target.minimize(reference, &input);
     }
+    report.diverging_input = Some(input);
 }
 
 /// Run a coverage-guided greybox campaign on the ALU stack: the
@@ -1056,8 +913,11 @@ where
         }
     };
     let fingerprint = greybox_fingerprint::<S, _>(&target, None, cfg);
-    let result = greybox_search(&model, make_check, cfg, fingerprint);
-    greybox_report(&target, &mut make_spec(), cfg, result, None)
+    let (mut report, input) = greybox_search(&model, make_check, cfg, fingerprint);
+    if let Some(input) = input {
+        minimize_divergence(&target, &mut make_spec(), cfg, &mut report, input);
+    }
+    report
 }
 
 /// Run a coverage-guided greybox campaign on the P4 stack: the
@@ -1108,28 +968,24 @@ pub fn p4_greybox_fuzz_test(
         }
     };
     let fingerprint = greybox_fingerprint(&target, Some(format!("{mutate_entries:?}")), cfg);
-    let mut diverging_entries = None;
-    let result = greybox_search(&model, make_check, cfg, fingerprint).map_input(|input| {
-        diverging_entries = mutate_entries.then_some(input.entries);
-        input.trace
+    let (mut report, input) = greybox_search(&model, make_check, cfg, fingerprint);
+    let Some(P4GreyboxInput { trace, entries }) = input else {
+        return report;
+    };
+    // Shared-entries oracle: minimize with the diverging entry set
+    // installed on both sides (it validated, or it could not diverge).
+    let shared = mutate_entries.then(|| P4Workload {
+        entries,
+        ..workload.clone()
     });
-    match &diverging_entries {
-        // Shared-entries oracle: minimize with the diverging entry set
-        // installed on both sides (it validated, or it could not diverge).
-        Some(shared) => {
-            let shared = P4Workload {
-                entries: shared.clone(),
-                ..workload.clone()
-            };
-            let target = P4Target {
-                entries: &shared.entries,
-                workload: &shared,
-                level,
-            };
-            greybox_report(&target, &mut (), cfg, result, diverging_entries)
-        }
-        None => greybox_report(&target, &mut (), cfg, result, None),
-    }
+    let target = shared.as_ref().map_or(target, |shared| P4Target {
+        workload: shared,
+        entries: &shared.entries,
+        level,
+    });
+    minimize_divergence(&target, &mut (), cfg, &mut report, trace);
+    report.diverging_entries = shared.map(|shared| shared.entries);
+    report
 }
 
 #[cfg(test)]

@@ -342,13 +342,10 @@ impl<'a> P4Checker<'a> {
     }
 
     /// Record both sides' coverage of every later check, readable through
-    /// [`P4Checker::coverage`].
+    /// [`P4Checker::coverage`] (the next check rebuilds instrumented).
     pub fn enable_coverage(&mut self) {
         self.coverage = Some(CoverageMap::new());
-        if let Some((_, pipeline, interp)) = &mut self.built {
-            pipeline.enable_coverage();
-            interp.enable_coverage();
-        }
+        self.built = None;
     }
 
     /// The merged pipeline and reference coverage of the last check;

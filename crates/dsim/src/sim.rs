@@ -73,11 +73,6 @@ impl Simulator {
         &mut self.pipeline
     }
 
-    /// Consume the simulator, returning the pipeline.
-    pub fn into_pipeline(self) -> Pipeline {
-        self.pipeline
-    }
-
     /// Number of ticks executed so far.
     pub fn ticks(&self) -> u64 {
         self.ticks

@@ -329,12 +329,10 @@ impl<'a> AluChecker<'a> {
     }
 
     /// Record the coverage of every later check, readable through
-    /// [`AluChecker::coverage`].
+    /// [`AluChecker::coverage`] (the next check rebuilds instrumented).
     pub fn enable_coverage(&mut self) {
         self.coverage = true;
-        if let Some((_, sim)) = &mut self.built {
-            sim.pipeline_mut().enable_coverage();
-        }
+        self.built = None;
     }
 
     /// The pipeline coverage of the last check; `None` when coverage is

@@ -59,7 +59,7 @@ fn main() {
     assert_eq!(state[0][0][0], sum);
 
     // 5. Manual PHVs work too.
-    let mut pipeline = sim.into_pipeline();
+    let pipeline = sim.pipeline_mut();
     pipeline.reset();
     let out = pipeline.process(&Phv::new(vec![7, 0]));
     assert_eq!(out.get(1), 0, "first packet sees the zero state");
