@@ -28,7 +28,7 @@
 //!    reported as the fault's footprint.
 //!
 //! Every candidate evaluation costs one differential simulation, not a
-//! pipeline build: a minimization keeps one checker
+//! pipeline build: a search keeps one checker
 //! ([`AluChecker`], [`crate::p4::P4Checker`]) that holds one build per
 //! machine code or entry set, resets it before each check, and drops it
 //! after a captured panic. Value shrinking also remembers the values that
@@ -36,6 +36,23 @@
 //! simulating it. The [`MinimizeConfig::max_checks`] budget bounds the
 //! total, and the search degrades gracefully (returns the best reduction
 //! so far) when exhausted.
+//!
+//! **Which backend searches.** The four [`OptLevel`]s are one semantics
+//! at four speeds (DESIGN.md §12 proves them equal on every corpus
+//! program), so [`minimize`] and [`minimize_fault`] run their whole search
+//! on [`OptLevel::Fused`], the fastest backend, whatever level `opt`
+//! they are asked about. The result stands only if one replay of the
+//! reduced machine code and the minimized trace on `opt` gives the
+//! identical [`Verdict`]; that replay is not a minimization check and is
+//! not counted in [`MinimizedCounterExample::checks`]. When the original
+//! input diverges on `opt` but not on `Fused`, or the replay differs, the
+//! backends disagree, which is a dgen bug: one `warning:` line goes to
+//! stderr and the search reruns on `opt`, exactly as if `Fused` had never
+//! run. With `opt` = `Fused` there is one search and no replay. P4
+//! minimization ([`crate::p4::p4_minimize`]) stays on its evaluated
+//! level: it is bound by its check count, not by its backend.
+
+use std::cell::RefCell;
 
 use druzhba_core::{MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, PipelineSpec};
@@ -113,13 +130,90 @@ impl MinimizedCounterExample {
 /// the P4 workflow ([`crate::p4`]) passes a [`crate::p4::P4Checker`]
 /// closure — both share every reduction strategy below.
 struct Minimizer<'a> {
-    /// Differential oracle: evaluate one `(machine code, input)` pair.
-    oracle: &'a mut dyn FnMut(&MachineCode, &[Phv]) -> Verdict,
+    oracle: &'a mut Oracle<'a>,
     max_checks: usize,
     checks: usize,
 }
 
-impl Minimizer<'_> {
+/// Differential oracle: evaluate one `(machine code, input)` pair.
+type Oracle<'o> = dyn FnMut(&MachineCode, &[Phv]) -> Verdict + 'o;
+
+impl<'a> Minimizer<'a> {
+    fn new(oracle: &'a mut Oracle<'a>, max_checks: usize) -> Self {
+        Minimizer {
+            oracle,
+            max_checks,
+            checks: 0,
+        }
+    }
+
+    /// The whole trace minimization for a fixed machine code, starting
+    /// with the check of the original input. `None` when it passes.
+    fn search_trace(&mut self, mc: &MachineCode, input: &Trace) -> Option<MinimizedCounterExample> {
+        let original = self.check(mc, &input.phvs)?;
+        let target = original.class();
+        if target == VerdictClass::Pass {
+            return None;
+        }
+        let (phvs, verdict) = self.minimize_trace(mc, input, original, target);
+        Some(MinimizedCounterExample {
+            input: Trace::from_phvs(phvs),
+            verdict,
+            original_packets: input.len(),
+            essential_edits: None,
+            checks: self.checks,
+        })
+    }
+
+    /// The whole fault minimization: edit reduction against `good`, then
+    /// trace minimization for the reduced program. `None` when `input`
+    /// passes on `bad`.
+    fn search_fault(
+        &mut self,
+        good: &MachineCode,
+        bad: &MachineCode,
+        input: &Trace,
+    ) -> Option<(MachineCode, MinimizedCounterExample)> {
+        let original = self.check(bad, &input.phvs)?;
+        let target = original.class();
+        if target == VerdictClass::Pass {
+            return None;
+        }
+        // For incompatibilities the input is irrelevant — reduce edits
+        // against the empty trace so each candidate costs only a pipeline
+        // generation. (The empty-trace probe re-establishes the verdict
+        // there; the non-incompatible path reuses `original` rather than
+        // re-simulating the full trace it just checked.)
+        let (edit_phvs, baseline_verdict): (Vec<Phv>, Verdict) =
+            if target == VerdictClass::Incompatible {
+                let v = self.reproduces(bad, &[], target).unwrap_or(original);
+                (Vec::new(), v)
+            } else {
+                (input.phvs.clone(), original)
+            };
+        let (reduced, verdict) =
+            self.reduce_edits(good, bad.clone(), &edit_phvs, baseline_verdict, target);
+        let (phvs, verdict) = self.minimize_trace(&reduced, input, verdict, target);
+        let edits = diff_names(good, &reduced)
+            .into_iter()
+            .map(|name| MachineCodeEdit {
+                good: good.try_get(&name),
+                bad: reduced.try_get(&name),
+                name,
+            })
+            .collect();
+        Some((
+            reduced,
+            MinimizedCounterExample {
+                input: Trace::from_phvs(phvs),
+                verdict,
+                original_packets: input.len(),
+                essential_edits: Some(edits),
+                checks: self.checks,
+            },
+        ))
+    }
+
     /// Differentially evaluate one candidate, spending one check. Returns
     /// `None` when the budget is exhausted (callers treat that as "does
     /// not reproduce", which is always sound).
@@ -390,7 +484,8 @@ fn diff_names(a: &MachineCode, b: &MachineCode) -> Vec<String> {
 /// Returns `None` when `input` does not actually diverge (nothing to
 /// minimize). The result's [`MinimizedCounterExample::verdict`] has the
 /// same [`VerdictClass`] as the original divergence, and its input is
-/// never longer than `input`.
+/// never longer than `input`. The search runs on the fused backend and is
+/// confirmed on `opt` (see the module documentation).
 pub fn minimize<R: Specification + ?Sized>(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
@@ -399,43 +494,87 @@ pub fn minimize<R: Specification + ?Sized>(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<MinimizedCounterExample> {
-    let mut oracle = differential_oracle(pipeline_spec, opt, reference, cfg);
-    let mut m = Minimizer {
-        oracle: &mut oracle,
-        max_checks: cfg.max_checks,
-        checks: 0,
-    };
-    let original = m.check(mc, &input.phvs)?;
-    let target = original.class();
-    if target == VerdictClass::Pass {
-        return None;
+    let search = |m: &mut Minimizer| m.search_trace(mc, input).map(|mce| (mc.clone(), mce));
+    minimize_on_fused(pipeline_spec, opt, reference, cfg, &search).map(|(_, mce)| mce)
+}
+
+/// Run `search` on the fused backend when `opt` is another level, with
+/// [`search_fused_then_confirm`]; on `opt` itself when it is `Fused`.
+fn minimize_on_fused<R: Specification + ?Sized>(
+    pipeline_spec: &PipelineSpec,
+    opt: OptLevel,
+    reference: &mut R,
+    cfg: &MinimizeConfig,
+    search: &Search,
+) -> Option<(MachineCode, MinimizedCounterExample)> {
+    // Both oracles replay against the one specification, one at a time.
+    let reference = RefCell::new(reference);
+    let mut evaluated = differential_oracle(pipeline_spec, opt, &reference, cfg);
+    if opt == OptLevel::Fused {
+        return search(&mut Minimizer::new(&mut evaluated, cfg.max_checks));
     }
-    let (phvs, verdict) = m.minimize_trace(mc, input, original, target);
-    Some(MinimizedCounterExample {
-        input: Trace::from_phvs(phvs),
-        verdict,
-        original_packets: input.len(),
-        essential_edits: None,
-        checks: m.checks,
-    })
+    let mut fused = differential_oracle(pipeline_spec, OptLevel::Fused, &reference, cfg);
+    search_fused_then_confirm(&mut fused, &mut evaluated, opt, cfg.max_checks, search)
+}
+
+/// A whole minimization over one oracle: `(reduced machine code,
+/// counterexample)`, or `None` when the original input does not diverge.
+type Search<'s> = dyn Fn(&mut Minimizer) -> Option<(MachineCode, MinimizedCounterExample)> + 's;
+
+/// Run `search` on the `fused` oracle and accept its result only if one
+/// replay of the reduced machine code and minimized trace on `evaluated`
+/// gives the identical verdict. The confirmation is not a minimization
+/// check, so `checks` is not charged for it.
+///
+/// When the fused search finds no divergence but the evaluated one does,
+/// or the confirmation differs, the two backends disagree on this machine
+/// code — a dgen bug. Print one warning and return the search on
+/// `evaluated`, exactly as if the fused backend had never run.
+fn search_fused_then_confirm(
+    fused: &mut Oracle,
+    evaluated: &mut Oracle,
+    opt: OptLevel,
+    max_checks: usize,
+    search: &Search,
+) -> Option<(MachineCode, MinimizedCounterExample)> {
+    let fast = search(&mut Minimizer::new(fused, max_checks));
+    if let Some((mc, mce)) = &fast {
+        if evaluated(mc, &mce.input.phvs) == mce.verdict {
+            return fast;
+        }
+    }
+    let slow = search(&mut Minimizer::new(evaluated, max_checks));
+    if fast.is_some() || slow.is_some() {
+        eprintln!(
+            "warning: the fused and {} backends disagree on this machine code (a dgen bug); \
+             minimizing on {}",
+            opt.key(),
+            opt.key()
+        );
+    }
+    slow
 }
 
 /// The standard ALU-pipeline differential oracle used by [`minimize`] and
-/// [`minimize_fault`]: one [`AluChecker`] for the whole minimization, so a
-/// candidate rebuilds the pipeline only when its machine code changes.
-fn differential_oracle<'a, R: Specification + ?Sized>(
+/// [`minimize_fault`]: one [`AluChecker`] per backend for the whole
+/// minimization, so a candidate rebuilds the pipeline only when its
+/// machine code changes.
+fn differential_oracle<'a, 'r, R: Specification + ?Sized>(
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
-    reference: &'a mut R,
+    reference: &'a RefCell<&'r mut R>,
     cfg: &'a MinimizeConfig,
-) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + 'a {
+) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + use<'a, 'r, R> {
     let mut checker = AluChecker::new(
         pipeline_spec,
         opt,
         cfg.observable.as_deref(),
         &cfg.state_cells,
     );
-    move |mc, phvs| checker.check(reference, mc, &Trace::from_phvs(phvs.to_vec()))
+    move |mc, phvs| {
+        let reference = &mut **reference.borrow_mut();
+        checker.check(reference, mc, &Trace::from_phvs(phvs.to_vec()))
+    }
 }
 
 /// Minimize a failing input trace against an arbitrary differential
@@ -452,32 +591,15 @@ pub fn minimize_trace_with(
     input: &Trace,
     max_checks: usize,
 ) -> Option<MinimizedCounterExample> {
-    let fixed = MachineCode::new();
     let mut adapted = |_: &MachineCode, phvs: &[Phv]| oracle(phvs);
-    let mut m = Minimizer {
-        oracle: &mut adapted,
-        max_checks,
-        checks: 0,
-    };
-    let original = m.check(&fixed, &input.phvs)?;
-    let target = original.class();
-    if target == VerdictClass::Pass {
-        return None;
-    }
-    let (phvs, verdict) = m.minimize_trace(&fixed, input, original, target);
-    Some(MinimizedCounterExample {
-        input: Trace::from_phvs(phvs),
-        verdict,
-        original_packets: input.len(),
-        essential_edits: None,
-        checks: m.checks,
-    })
+    Minimizer::new(&mut adapted, max_checks).search_trace(&MachineCode::new(), input)
 }
 
 /// Minimize a failing input trace *and* the machine-code delta against a
 /// known-good baseline (the injected-fault workflow): non-essential pairs
 /// are reset to their baseline values first, then the trace is minimized
-/// for the reduced program.
+/// for the reduced program. Like [`minimize`], the search runs on the
+/// fused backend and is confirmed on `opt`.
 ///
 /// Returns the reduced machine code alongside the counterexample;
 /// [`MinimizedCounterExample::essential_edits`] lists the surviving delta.
@@ -491,50 +613,8 @@ pub fn minimize_fault(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
-    let mut oracle = differential_oracle(pipeline_spec, opt, reference, cfg);
-    let mut m = Minimizer {
-        oracle: &mut oracle,
-        max_checks: cfg.max_checks,
-        checks: 0,
-    };
-    let original = m.check(bad, &input.phvs)?;
-    let target = original.class();
-    if target == VerdictClass::Pass {
-        return None;
-    }
-    // For incompatibilities the input is irrelevant — reduce edits against
-    // the empty trace so each candidate costs only a pipeline generation.
-    // (The empty-trace probe re-establishes the verdict there; the
-    // non-incompatible path reuses `original` rather than re-simulating
-    // the full trace it just checked.)
-    let (edit_phvs, baseline_verdict): (Vec<Phv>, Verdict) = if target == VerdictClass::Incompatible
-    {
-        let v = m.reproduces(bad, &[], target).unwrap_or(original);
-        (Vec::new(), v)
-    } else {
-        (input.phvs.clone(), original)
-    };
-    let (reduced, verdict) =
-        m.reduce_edits(good, bad.clone(), &edit_phvs, baseline_verdict, target);
-    let (phvs, verdict) = m.minimize_trace(&reduced, input, verdict, target);
-    let edits = diff_names(good, &reduced)
-        .into_iter()
-        .map(|name| MachineCodeEdit {
-            good: good.try_get(&name),
-            bad: reduced.try_get(&name),
-            name,
-        })
-        .collect();
-    Some((
-        reduced,
-        MinimizedCounterExample {
-            input: Trace::from_phvs(phvs),
-            verdict,
-            original_packets: input.len(),
-            essential_edits: Some(edits),
-            checks: m.checks,
-        },
-    ))
+    let search = |m: &mut Minimizer| m.search_fault(good, bad, input);
+    minimize_on_fused(pipeline_spec, opt, reference, cfg, &search)
 }
 
 #[cfg(test)]
@@ -736,6 +816,15 @@ mod tests {
         assert_eq!(edits[0].bad, None);
     }
 
+    fn state_mismatch() -> Verdict {
+        Verdict::Mismatch(druzhba_core::trace::TraceMismatch::StateMismatch {
+            stage: 0,
+            slot: 0,
+            expected: Vec::new(),
+            actual: Vec::new(),
+        })
+    }
+
     /// Shrink one container of one packet against a counting oracle that
     /// diverges iff container 0 is at least 7. Returns the result and the
     /// number of oracle invocations.
@@ -744,12 +833,7 @@ mod tests {
         let mut oracle = |phvs: &[Phv]| {
             calls += 1;
             if phvs.first().is_some_and(|p| p.get(0) >= 7) {
-                Verdict::Mismatch(druzhba_core::trace::TraceMismatch::StateMismatch {
-                    stage: 0,
-                    slot: 0,
-                    expected: Vec::new(),
-                    actual: Vec::new(),
-                })
+                state_mismatch()
             } else {
                 Verdict::Pass
             }
@@ -808,5 +892,67 @@ mod tests {
         assert!(mce.packets() <= 100);
         assert!(mce.checks <= 3);
         assert_eq!(mce.verdict.class(), VerdictClass::ContainerMismatch);
+    }
+
+    /// The accumulator with the subtract fault, and a trace it diverges
+    /// on.
+    fn subtract_fault() -> (PipelineSpec, MachineCode, Trace) {
+        let (spec, mut mc) = setup();
+        mc.set("stateful_alu_0_0_arith_op_0", 1);
+        (spec, mc, random_trace(8, 200))
+    }
+
+    #[test]
+    fn disagreeing_fused_backend_falls_back_to_the_evaluated_level() {
+        let (spec, mc, input) = subtract_fault();
+        let cfg = MinimizeConfig::default();
+        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let mut reference = accumulator_spec();
+        let reference = RefCell::new(&mut reference);
+        let evaluated = || differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
+        let expected = search(&mut Minimizer::new(&mut evaluated(), cfg.max_checks));
+        assert!(expected.is_some(), "the fault diverges on Scc");
+
+        // A fused backend that never diverges, and one that diverges on
+        // every input with a verdict the evaluated level never gives.
+        let mut never = |_: &MachineCode, _: &[Phv]| Verdict::Pass;
+        let mut always = |_: &MachineCode, _: &[Phv]| state_mismatch();
+        for fused in [&mut never as &mut Oracle, &mut always] {
+            let got = search_fused_then_confirm(
+                fused,
+                &mut evaluated(),
+                OptLevel::Scc,
+                cfg.max_checks,
+                &search,
+            );
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn agreeing_fused_backend_is_confirmed_by_one_evaluated_replay() {
+        let (spec, mc, input) = subtract_fault();
+        let cfg = MinimizeConfig::default();
+        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let mut reference = accumulator_spec();
+        let reference = RefCell::new(&mut reference);
+        let mut scc = differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
+        let expected = search(&mut Minimizer::new(&mut scc, cfg.max_checks));
+
+        let mut fused = differential_oracle(&spec, OptLevel::Fused, &reference, &cfg);
+        let mut replays = 0;
+        let mut evaluated = |mc: &MachineCode, phvs: &[Phv]| {
+            replays += 1;
+            scc(mc, phvs)
+        };
+        let got = search_fused_then_confirm(
+            &mut fused,
+            &mut evaluated,
+            OptLevel::Scc,
+            cfg.max_checks,
+            &search,
+        );
+        assert_eq!(got, expected);
+        assert_eq!(replays, 1, "only the confirmation runs on Scc");
     }
 }

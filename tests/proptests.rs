@@ -353,6 +353,62 @@ mod minimize_props {
             }
         }
 
+        /// The search runs on the fused backend, but the result is
+        /// reported for the evaluated one: over corpus programs, all four
+        /// levels and live-value mutants, the reduced machine code and the
+        /// minimized trace replay on the *evaluated* level to exactly the
+        /// reported verdict, of the fuzz run's class. The trace-only
+        /// minimization of the unreduced mutant replays the same way.
+        #[test]
+        fn minimized_fault_replays_on_the_evaluated_level(
+            program in 0usize..PROGRAMS.len(),
+            level in 0usize..OptLevel::ALL.len(),
+            fault_seed in 0u64..10_000,
+            traffic_seed in 0u64..10_000,
+        ) {
+            let def = &PROGRAMS[program];
+            let comp = def.compile_cached().unwrap();
+            let spec = &comp.pipeline_spec;
+            let good = &comp.machine_code;
+            let Some((bad, _)) = FaultInjector::new(fault_seed).mutate_live_value(spec, good)
+            else {
+                return Ok(());
+            };
+            let opt = OptLevel::ALL[level];
+            let observable = comp.observable_containers();
+            let replay = |mc: &MachineCode, input: &Trace| {
+                run_case(
+                    spec,
+                    mc,
+                    opt,
+                    &mut def.interpreter_spec(&comp),
+                    input,
+                    Some(&observable),
+                    &comp.state_cells,
+                )
+            };
+            let input = TrafficGenerator::new(traffic_seed, spec.config.phv_length, 10).trace(300);
+            let fuzzed = replay(&bad, &input);
+            if fuzzed.passed() {
+                return Ok(()); // neutral on this traffic
+            }
+            let cfg = MinimizeConfig {
+                observable: Some(observable.clone()),
+                state_cells: comp.state_cells.clone(),
+                ..MinimizeConfig::default()
+            };
+            let mut reference = def.interpreter_spec(&comp);
+            let (reduced, mce) =
+                minimize_fault(spec, good, &bad, opt, &mut reference, &input, &cfg)
+                    .expect("a diverging input minimizes");
+            prop_assert_eq!(&replay(&reduced, &mce.input), &mce.verdict);
+            prop_assert_eq!(mce.verdict.class(), fuzzed.class());
+            let mce = minimize(spec, &bad, opt, &mut reference, &input, &cfg)
+                .expect("a diverging input minimizes");
+            prop_assert_eq!(&replay(&bad, &mce.input), &mce.verdict);
+            prop_assert_eq!(mce.verdict.class(), fuzzed.class());
+        }
+
         /// Minimization is idempotent enough to trust: minimizing an
         /// already-minimized input cannot grow it.
         #[test]
