@@ -9,20 +9,24 @@
 //! Domino state or the P4 registers ([`p4`]). No pass interprets an IR
 //! by itself.
 //!
-//! 1. **Static translation validation** ([`pipeline::translation_validate`],
+//! Every pass, and the symbolic verdict, reads off one build per program:
+//! a [`ProgramBuild`] of the Domino levels, or [`p4::analyze_p4`].
+//!
+//! 1. **Static translation validation** ([`ProgramBuild::tv`],
 //!    [`p4::analyze_p4`]): the source semantics (Unoptimized
 //!    transfer function, P4 HLIR) and every compiled form (specialized
 //!    pipeline, stack bytecode, fused register program, lowered `MatInstr`
 //!    program) are abstractly evaluated from the same abstract input; any
 //!    observable whose two abstractions are *disjoint* is a proven
 //!    miscompilation — no concrete execution of either side can agree
-//!    there.
+//!    there. A Domino level whose terms equal the source's is skipped:
+//!    identical terms have identical abstractions.
 //! 2. **Lint diagnostics**: statically unreachable `if`/mux arms, dead
 //!    stateful writes, certain-overflow arithmetic, division by a constant
 //!    zero, unreachable tables/entries/actions, always-match LPM prefixes,
 //!    reads of never-extracted headers. Diagnostics are deterministic and
 //!    machine-readable (see [`druzhba_core::diag`]).
-//! 3. **Generator screen** ([`pipeline::screen`]): classifies a generated
+//! 3. **Generator screen** ([`ProgramBuild::screen`]): classifies a generated
 //!    program as `Trivial` (provably constant observable outputs),
 //!    `Hazardous` (carries overflow/div-by-zero hazards), or
 //!    `Interesting` — a cheap validity filter in front of the expensive
@@ -43,12 +47,11 @@ pub mod term;
 pub use domain::{AbsVal, Interval, KnownBits, Tri};
 pub use p4::{abstract_input, analyze_p4, P4Abs, P4Analysis, P4TvMismatch};
 pub use pipeline::{
-    analyze_pipeline, flag_mutant, proven_dead_edges, screen, translation_validate, EdgeKey,
-    LintRecord, PipelineAbs, Screened, StaticFlag, TvMismatch, TvSite,
+    analyze_pipeline, flag_mutant, screen, symbolic_equivalent, symbolic_transfer,
+    symbolic_validate, symbolic_validate_level, translation_validate, EdgeKey, LintRecord,
+    PipelineAbs, ProgramBuild, Screened, StaticFlag, TvMismatch, TvSite,
 };
 pub use symbolic::{
-    p4_symbolic_entries_equivalent, p4_symbolic_validate, symbolic_equivalent, symbolic_lints,
-    symbolic_transfer, symbolic_validate, symbolic_validate_level, SymTransfer, SymbolicResidual,
-    SymbolicVerdict,
+    p4_symbolic_entries_equivalent, SymTransfer, SymbolicResidual, SymbolicVerdict,
 };
 pub use term::{Node, Sym, TermId, TermStore};

@@ -5,6 +5,8 @@
 //! [`analyze_p4`] runs both executors of [`crate::symbolic`] once, into
 //! one [`TermStore`] and from one symbolic entry state, and merges each
 //! side's paths into one term per layout container and register cell.
+//! The symbolic verdict compares those terms through the same loop as the
+//! Domino stack's.
 //! Registers persist across packets, so each side's register terms go
 //! through the join/widen fixpoint shared with the Domino stack
 //! ([`crate::pipeline`]); the frame terms are then evaluated there with
@@ -25,8 +27,8 @@ use druzhba_p4::tables::{bind, TableEntry};
 use crate::domain::AbsVal;
 use crate::pipeline::{fixpoint, read_sites, LintRecord};
 use crate::symbolic::{
-    merge_paths, p4_entry_path, p4_site, reg_layout, resolve_sym_stages, sym_run_hlir, sym_run_mat,
-    Site, Sites,
+    compare_transfers, merge_paths, p4_entry_path, p4_site, reg_layout, resolve_sym_stages,
+    sym_run_hlir, sym_run_mat, Site, Sites, SymbolicVerdict,
 };
 use crate::term::{Sym, TermId, TermStore};
 
@@ -64,6 +66,9 @@ pub struct P4Analysis {
     pub mismatches: Vec<P4TvMismatch>,
     /// Lints: `stage` is the applied-table index.
     pub lints: Vec<LintRecord>,
+    /// Symbolic validation of the lowered program against the HLIR over
+    /// every field, the drop flag and every register cell.
+    pub symbolic: SymbolicVerdict,
 }
 
 /// The abstract input the P4 passes share: parser-visible header fields
@@ -91,9 +96,10 @@ pub fn abstract_input(hlir: &Hlir, lowering: &RmtLowering) -> BTreeMap<FieldRef,
 }
 
 /// Abstractly run the HLIR semantics and the lowered fused program over
-/// `entries` from [`abstract_input`], validate one against the other, and
-/// lint the program. An executor that bails leaves its side all top, and
-/// a bail of the HLIR executor leaves only the structural lints.
+/// `entries` from [`abstract_input`], validate one against the other
+/// (abstractly and symbolically), and lint the program. An executor that
+/// bails leaves its side all top and the verdict `Unknown`, and a bail of
+/// the HLIR executor leaves only the structural lints.
 pub fn analyze_p4(
     hlir: &Hlir,
     entries: &[TableEntry],
@@ -127,7 +133,7 @@ fn analyze_lowered(
     };
     let mut sites = Sites::default();
     let source = resolve_sym_stages(hlir, entries, lowering)
-        .and_then(|stages| sym_run_hlir(&mut store, &stages, entry.clone(), Some(&mut sites)))
+        .and_then(|stages| sym_run_hlir(&mut store, &stages, entry.clone(), &mut sites))
         .and_then(|paths| merge_paths(&mut store, &paths));
     let lowered =
         sym_run_mat(&mut store, prog, entry).and_then(|paths| merge_paths(&mut store, &paths));
@@ -209,11 +215,19 @@ fn analyze_lowered(
             .collect(),
         frame,
     };
+    let symbolic = compare_transfers(
+        &store,
+        ("mat", source),
+        [("mat", lowered)],
+        |i| p4_site(hlir, lowering, i),
+        layout.phv_length(),
+    );
     Ok(P4Analysis {
         hlir: side(hframe, hregs),
         mat: side(mframe, mregs),
         mismatches,
         lints,
+        symbolic,
     })
 }
 

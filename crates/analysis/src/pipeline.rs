@@ -2,11 +2,16 @@
 //! it: static translation validation, lint extraction, and the generator
 //! screen.
 //!
-//! The analyzer does not interpret any IR itself. It runs the symbolic
-//! executor of [`crate::symbolic`] once over the very [`Pipeline`] the
-//! simulator generates, with every entry container and state variable a
-//! free symbol, and reads the abstraction off the resulting transfer DAG
-//! with [`TermStore::abs_eval`]. Cross-packet state is resolved by a
+//! The analyzer does not interpret any IR itself. A [`ProgramBuild`] runs
+//! the symbolic executor of [`crate::symbolic`] once per requested level
+//! over the very [`Pipeline`] the simulator generates, with every entry
+//! container and state variable a free symbol, all levels into one
+//! [`TermStore`]. Every analysis of the program reads off that one build:
+//! the abstraction at a level, read off the transfer DAG with
+//! [`TermStore::abs_eval`]; the abstract TV, which skips a level whose
+//! terms equal the source's; the symbolic verdict; the symbolic lints;
+//! and the screen. The free functions are short reads of a build of the
+//! levels they need. Cross-packet state is resolved by a
 //! join/widen fixpoint over the state terms: starting from all-zero state
 //! (the hardware reset), the state abstraction is pushed through the
 //! transfer function until it stops growing. The result over-approximates
@@ -17,14 +22,17 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use druzhba_core::{MachineCode, Result};
+use druzhba_core::{Error, MachineCode, Result};
 use druzhba_dgen::bytecode::Instr;
 use druzhba_dgen::fused::{FusedInstr, FUSED_SITE};
 use druzhba_dgen::pipeline::{validate_machine_code, PipelineSpec};
 use druzhba_dgen::{OptLevel, Pipeline};
 
 use crate::domain::{AbsVal, Tri};
-use crate::symbolic::{sym_run_pipeline, Decision, Site, Sites, SymTransfer, UnitLoc};
+use crate::symbolic::{
+    compare_transfers, fact_lints, flatten, source_bailed, sym_run_pipeline, Decision, Site, Sites,
+    SymTransfer, SymbolicVerdict, UnitLoc,
+};
 use crate::term::{Sym, TermId, TermStore};
 
 /// Maximum fixpoint iterations before declaring non-convergence (the
@@ -70,66 +78,324 @@ pub struct PipelineAbs {
     pub lints: Vec<LintRecord>,
 }
 
-/// Abstractly execute `(spec, mc)` at `level` from the abstract input
-/// `input` (one [`AbsVal`] per PHV container).
-///
-/// If the symbolic executor bails (path explosion), the result is the
-/// sound all-top abstraction: no lints, no dead edges, every edge live.
+// ---------------------------------------------------------------------
+// One build per program.
+// ---------------------------------------------------------------------
+
+/// One level of a [`ProgramBuild`]; `transfer` is `None` when the
+/// executor bailed.
+struct LevelBuild {
+    level: OptLevel,
+    pipeline: Pipeline,
+    transfer: Option<SymTransfer>,
+    sites: Sites,
+}
+
+/// Generate `(spec, mc)` at `level` and run the symbolic executor over it
+/// into `store`. Every Domino symbolic build goes through here.
+fn build_level(
+    store: &mut TermStore,
+    spec: &PipelineSpec,
+    mc: &MachineCode,
+    level: OptLevel,
+) -> Result<LevelBuild> {
+    let pipeline = Pipeline::generate(spec, mc, level)?;
+    let mut sites = Sites::default();
+    let transfer = sym_run_pipeline(store, &pipeline, spec, &mut sites);
+    Ok(LevelBuild {
+        level,
+        pipeline,
+        transfer,
+        sites,
+    })
+}
+
+/// The symbolic build of one program `(spec, mc)`: each requested level,
+/// built in [`OptLevel::ALL`] order, with its pipeline, transfer function
+/// and recorded sites, all in one [`TermStore`] so that terms compare by
+/// id.
+pub struct ProgramBuild<'a> {
+    spec: &'a PipelineSpec,
+    mc: &'a MachineCode,
+    store: TermStore,
+    levels: Vec<LevelBuild>,
+}
+
+impl<'a> ProgramBuild<'a> {
+    /// Build `levels` of `(spec, mc)`. Fails with the first level, in
+    /// [`OptLevel::ALL`] order, whose pipeline does not generate.
+    pub fn new(
+        spec: &'a PipelineSpec,
+        mc: &'a MachineCode,
+        levels: &[OptLevel],
+    ) -> std::result::Result<Self, (OptLevel, Error)> {
+        let mut store = TermStore::new();
+        let levels = OptLevel::ALL
+            .into_iter()
+            .filter(|level| levels.contains(level))
+            .map(|level| build_level(&mut store, spec, mc, level).map_err(|e| (level, e)))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(ProgramBuild {
+            spec,
+            mc,
+            store,
+            levels,
+        })
+    }
+
+    /// Panics if `level` was not built.
+    fn level(&self, level: OptLevel) -> &LevelBuild {
+        self.levels
+            .iter()
+            .find(|b| b.level == level)
+            .unwrap_or_else(|| panic!("level {} was not built", level.key()))
+    }
+
+    /// The source (Unoptimized) transfer function.
+    fn source(&self) -> Option<&SymTransfer> {
+        self.level(OptLevel::Unoptimized).transfer.as_ref()
+    }
+
+    /// The built levels other than the source, in [`OptLevel::ALL`] order.
+    fn compiled(&self) -> impl Iterator<Item = &LevelBuild> {
+        self.levels
+            .iter()
+            .filter(|b| b.level != OptLevel::Unoptimized)
+    }
+
+    /// The generated pipeline at `level`, never run.
+    pub fn pipeline(&self, level: OptLevel) -> &Pipeline {
+        &self.level(level).pipeline
+    }
+
+    /// The Unoptimized transfer function of another machine code, built
+    /// into this store.
+    fn transfer_of(&mut self, mc: &MachineCode) -> Result<Option<SymTransfer>> {
+        Ok(build_level(&mut self.store, self.spec, mc, OptLevel::Unoptimized)?.transfer)
+    }
+
+    /// The abstraction at `level` from `input` (one [`AbsVal`] per PHV
+    /// container); all top, with no lints and every edge live, if the
+    /// executor bailed.
+    pub fn abstraction(&self, level: OptLevel, input: &[AbsVal]) -> PipelineAbs {
+        let b = self.level(level);
+        let (store, spec, tr) = (&self.store, self.spec, b.transfer.as_ref());
+        let (phv, state) = abstract_run(store, tr, spec, input);
+        // The edges every packet records are live at the statically keyed
+        // levels, so the live list covers every edge the backend records.
+        let mut live_edges = match level {
+            OptLevel::SccInline | OptLevel::Fused => b.pipeline.fixed_edges(),
+            OptLevel::Unoptimized | OptLevel::Scc => Vec::new(),
+        };
+        // A bail leaves the recorded sites partial: read none of them, and
+        // keep every branch outcome live.
+        let seen = if tr.is_some() {
+            let cells: Vec<AbsVal> = state.iter().flatten().flatten().copied().collect();
+            let valuation = valuation(input, spec);
+            read_sites(store, &b.sites, &|s| valuation(s, &cells))
+        } else {
+            BTreeMap::new()
+        };
+
+        let mut dead_edges = Vec::new();
+        for (site, pc) in branch_sites(&b.pipeline) {
+            // The jump is taken when the tested value is falsy.
+            let truth = if tr.is_some() {
+                seen.get(&Site::Branch { site, pc }).map(|t| t[0].truth())
+            } else {
+                Some(Tri::Unknown)
+            };
+            for (taken, live) in [
+                (1, truth.is_some_and(|t| t != Tri::True)),
+                (0, truth.is_some_and(|t| t != Tri::False)),
+            ] {
+                if live {
+                    live_edges.push((site, pc, taken));
+                } else {
+                    dead_edges.push((site, pc, taken));
+                }
+            }
+        }
+
+        PipelineAbs {
+            level,
+            phv,
+            state,
+            dead_edges,
+            live_edges,
+            lints: lints(&seen),
+        }
+    }
+
+    /// The output containers and state cells whose abstractions under
+    /// `input` are disjoint between the source and a compiled level. A
+    /// level whose terms equal the source's is skipped: identical terms
+    /// have identical abstractions.
+    pub fn tv(&self, input: &[AbsVal]) -> Vec<TvMismatch> {
+        // Output containers, then state cells, as `flatten` lays them out.
+        let flat = |tr| {
+            let (phv, state) = abstract_run(&self.store, tr, self.spec, input);
+            phv.into_iter().chain(state.into_iter().flatten().flatten())
+        };
+        let source = self.source();
+        let mut reference: Option<Vec<AbsVal>> = None;
+        let mut out = Vec::new();
+        for b in self.compiled() {
+            if b.transfer.as_ref() == source {
+                continue;
+            }
+            let reference = reference.get_or_insert_with(|| flat(source).collect());
+            for (i, (&s, a)) in reference.iter().zip(flat(b.transfer.as_ref())).enumerate() {
+                if s.is_disjoint(a) {
+                    out.push(TvMismatch {
+                        level: b.level,
+                        site: TvSite::of_flat(self.spec, i),
+                        source: s,
+                        compiled: a,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The symbolic verdict of every built compiled level against the
+    /// source (`Proved`: identical canonical terms at every site).
+    pub fn verdict(&self) -> SymbolicVerdict {
+        let flat = |b: &LevelBuild| {
+            let terms = b.transfer.as_ref().map(|t| flatten(&t.phv, &t.state));
+            (b.level.key(), terms)
+        };
+        compare_transfers(
+            &self.store,
+            flat(self.level(OptLevel::Unoptimized)),
+            self.compiled().map(flat),
+            |i| TvSite::of_flat(self.spec, i).to_string(),
+            self.spec.config.phv_length,
+        )
+    }
+
+    /// The lints of symbolic facts about the source transfer function;
+    /// empty if the executor bailed.
+    pub fn symbolic_lints(&self) -> Vec<LintRecord> {
+        let b = self.level(OptLevel::Unoptimized);
+        b.transfer.as_ref().map_or_else(Vec::new, |tr| {
+            fact_lints(&self.store, &self.spec.config, tr, &b.sites)
+        })
+    }
+
+    /// Screen the program for fuzz-worthiness from top abstract inputs,
+    /// over the `observable` output containers (all when `None`).
+    pub fn screen(&self, observable: Option<&[usize]>) -> Screened {
+        let cfg = &self.spec.config;
+        let abs = self.abstraction(OptLevel::Unoptimized, &vec![AbsVal::top(); cfg.phv_length]);
+        let all: Vec<usize> = (0..cfg.phv_length).collect();
+        let obs = observable.unwrap_or(&all);
+
+        // Constant-output: with top inputs, a constant abstraction means
+        // the concrete output cannot depend on anything.
+        let constant = obs.iter().all(|&c| abs.phv[c].as_const().is_some());
+        // All-dead: no output mux ever drives an observable container.
+        let passthrough = obs.iter().all(|&c| {
+            (0..cfg.depth).all(|stage| {
+                self.mc
+                    .try_get(&druzhba_core::names::output_mux(stage, c))
+                    .unwrap_or(0)
+                    == 0
+            })
+        });
+        // State still counts as observable behavior (the differential
+        // oracles compare state cells), so a program is only trivial if
+        // its state abstraction is constant at the fixpoint too.
+        let state_const = abs
+            .state
+            .iter()
+            .flatten()
+            .flatten()
+            .all(|v| v.as_const().is_some());
+        if state_const && (constant || passthrough) {
+            return Screened::Trivial;
+        }
+        if abs.lints.iter().any(|l| HAZARD_CODES.contains(&l.code)) {
+            return Screened::Hazardous;
+        }
+        Screened::Interesting
+    }
+}
+
+/// [`ProgramBuild::abstraction`] of a one-level build.
 pub fn analyze_pipeline(
     spec: &PipelineSpec,
     mc: &MachineCode,
     level: OptLevel,
     input: &[AbsVal],
 ) -> Result<PipelineAbs> {
-    let pipeline = Pipeline::generate(spec, mc, level)?;
-    let mut store = TermStore::new();
-    let mut sites = Sites::default();
-    let tr = sym_run_pipeline(&mut store, &pipeline, spec, Some(&mut sites));
-    let (phv, state) = abstract_run(&store, tr.as_ref(), spec, input);
-    // The edges every packet records are live at the statically keyed
-    // levels, so the live list covers every edge the backend records.
-    let mut live_edges = match level {
-        OptLevel::SccInline | OptLevel::Fused => pipeline.fixed_edges(),
-        OptLevel::Unoptimized | OptLevel::Scc => Vec::new(),
-    };
-    // A bail leaves the recorded sites partial: read none of them, and
-    // keep every branch outcome live.
-    let seen = if tr.is_some() {
-        let cells: Vec<AbsVal> = state.iter().flatten().flatten().copied().collect();
-        let valuation = valuation(input, spec);
-        read_sites(&store, &sites, &|s| valuation(s, &cells))
-    } else {
-        BTreeMap::new()
-    };
+    let build = ProgramBuild::new(spec, mc, &[level]).map_err(|(_, e)| e)?;
+    Ok(build.abstraction(level, input))
+}
 
-    let mut dead_edges = Vec::new();
-    for (site, pc) in branch_sites(&pipeline) {
-        // The jump is taken when the tested value is falsy.
-        let truth = if tr.is_some() {
-            seen.get(&Site::Branch { site, pc }).map(|t| t[0].truth())
-        } else {
-            Some(Tri::Unknown)
-        };
-        for (taken, live) in [
-            (1, truth.is_some_and(|t| t != Tri::True)),
-            (0, truth.is_some_and(|t| t != Tri::False)),
-        ] {
-            if live {
-                live_edges.push((site, pc, taken));
-            } else {
-                dead_edges.push((site, pc, taken));
-            }
-        }
-    }
+/// [`ProgramBuild::tv`] of an all-level build. An empty result does not
+/// prove equivalence, but a non-empty one proves a bug.
+pub fn translation_validate(
+    spec: &PipelineSpec,
+    mc: &MachineCode,
+    input: &[AbsVal],
+) -> Result<Vec<TvMismatch>> {
+    let build = ProgramBuild::new(spec, mc, &OptLevel::ALL).map_err(|(_, e)| e)?;
+    Ok(build.tv(input))
+}
 
-    Ok(PipelineAbs {
-        level,
-        phv,
-        state,
-        dead_edges,
-        live_edges,
-        lints: lints(&seen),
-    })
+/// [`ProgramBuild::screen`] of an Unoptimized-only build.
+pub fn screen(
+    spec: &PipelineSpec,
+    mc: &MachineCode,
+    observable: Option<&[usize]>,
+) -> Result<Screened> {
+    let build = ProgramBuild::new(spec, mc, &[OptLevel::Unoptimized]).map_err(|(_, e)| e)?;
+    Ok(build.screen(observable))
+}
+
+/// [`ProgramBuild::verdict`] of an all-level build.
+pub fn symbolic_validate(spec: &PipelineSpec, mc: &MachineCode) -> SymbolicVerdict {
+    validate(spec, mc, &OptLevel::ALL)
+}
+
+/// [`ProgramBuild::verdict`] of `level` against the source.
+pub fn symbolic_validate_level(
+    spec: &PipelineSpec,
+    mc: &MachineCode,
+    level: OptLevel,
+) -> SymbolicVerdict {
+    validate(spec, mc, &[OptLevel::Unoptimized, level])
+}
+
+fn validate(spec: &PipelineSpec, mc: &MachineCode, levels: &[OptLevel]) -> SymbolicVerdict {
+    ProgramBuild::new(spec, mc, levels).map_or_else(
+        |_| source_bailed(OptLevel::Unoptimized.key()),
+        |b| b.verdict(),
+    )
+}
+
+/// Compare two machine codes' Unoptimized transfer functions in one
+/// store: `Some(true)` proves them equivalent on all packets and states,
+/// `Some(false)` means the canonical forms differ, `None` that an
+/// executor bailed.
+pub fn symbolic_equivalent(spec: &PipelineSpec, a: &MachineCode, b: &MachineCode) -> Option<bool> {
+    let mut build = ProgramBuild::new(spec, a, &[OptLevel::Unoptimized]).ok()?;
+    build.source()?;
+    let tb = build.transfer_of(b).ok()??;
+    Some(build.source() == Some(&tb))
+}
+
+/// The transfer function of `(spec, mc)` at `level`, built into `store`;
+/// `None` if the pipeline does not generate or the executor bails.
+pub fn symbolic_transfer(
+    store: &mut TermStore,
+    spec: &PipelineSpec,
+    mc: &MachineCode,
+    level: OptLevel,
+) -> Option<SymTransfer> {
+    build_level(store, spec, mc, level).ok()?.transfer
 }
 
 /// Join each site's terms over the visits whose path is abstractly
@@ -400,7 +666,8 @@ fn lints(seen: &BTreeMap<&Site, [AbsVal; 2]>) -> Vec<LintRecord> {
 // Translation validation.
 // ---------------------------------------------------------------------
 
-/// Where a translation-validation mismatch was observed.
+/// Where a translation-validation mismatch was observed; renders as
+/// `container[c]` or `state[stage][slot][var]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TvSite {
     /// An output PHV container.
@@ -413,6 +680,32 @@ pub enum TvSite {
     },
 }
 
+impl TvSite {
+    /// The site at index `i` of a flattened transfer function or
+    /// abstraction: the output containers, then the state cells stage-,
+    /// slot-, then var-major.
+    fn of_flat(spec: &PipelineSpec, i: usize) -> TvSite {
+        let Some(cell) = i.checked_sub(spec.config.phv_length) else {
+            return TvSite::Container(i);
+        };
+        let n_state = spec.stateful_alu.state_vars.len();
+        TvSite::State {
+            stage: cell / n_state / spec.config.width,
+            slot: cell / n_state % spec.config.width,
+            var: cell % n_state,
+        }
+    }
+}
+
+impl std::fmt::Display for TvSite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TvSite::Container(c) => write!(f, "container[{c}]"),
+            TvSite::State { stage, slot, var } => write!(f, "state[{stage}][{slot}][{var}]"),
+        }
+    }
+}
+
 /// Two compiled forms of the same program produced certainly-disjoint
 /// abstractions of the same output — a compiler bug, found statically.
 #[derive(Debug, Clone, PartialEq)]
@@ -422,58 +715,6 @@ pub struct TvMismatch {
     pub site: TvSite,
     pub source: AbsVal,
     pub compiled: AbsVal,
-}
-
-/// Statically validate that every compiled form of `(spec, mc)` agrees
-/// with the source (version-1) semantics on the abstract input: any
-/// output container or state cell whose abstractions are disjoint is
-/// reported. An empty result does not prove equivalence — it proves the
-/// over-approximations overlap — but a non-empty result proves a bug.
-pub fn translation_validate(
-    spec: &PipelineSpec,
-    mc: &MachineCode,
-    input: &[AbsVal],
-) -> Result<Vec<TvMismatch>> {
-    // All four transfer functions in one store.
-    let mut store = TermStore::new();
-    let mut transfer = |level| -> Result<Option<SymTransfer>> {
-        let pipeline = Pipeline::generate(spec, mc, level)?;
-        Ok(sym_run_pipeline(&mut store, &pipeline, spec, None))
-    };
-    let source = transfer(OptLevel::Unoptimized)?;
-    let compiled = [OptLevel::Scc, OptLevel::SccInline, OptLevel::Fused]
-        .map(|level| transfer(level).map(|tr| (level, tr)));
-    let (ref_phv, ref_state) = abstract_run(&store, source.as_ref(), spec, input);
-    let mut out = Vec::new();
-    for compiled in compiled {
-        let (level, tr) = compiled?;
-        let (phv, state) = abstract_run(&store, tr.as_ref(), spec, input);
-        for (c, (&s, &a)) in ref_phv.iter().zip(&phv).enumerate() {
-            if s.is_disjoint(a) {
-                out.push(TvMismatch {
-                    level,
-                    site: TvSite::Container(c),
-                    source: s,
-                    compiled: a,
-                });
-            }
-        }
-        for (stage, (srow, arow)) in ref_state.iter().zip(&state).enumerate() {
-            for (slot, (svars, avars)) in srow.iter().zip(arow).enumerate() {
-                for (var, (&s, &a)) in svars.iter().zip(avars).enumerate() {
-                    if s.is_disjoint(a) {
-                        out.push(TvMismatch {
-                            level,
-                            site: TvSite::State { stage, slot, var },
-                            source: s,
-                            compiled: a,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -505,48 +746,6 @@ impl Screened {
 
 /// Lint codes that make a program [`Screened::Hazardous`].
 const HAZARD_CODES: &[&str] = &["overflow", "div-by-zero"];
-
-/// Screen a configured program for fuzz-worthiness from top abstract
-/// inputs. `observable` limits the output containers considered (all
-/// when `None`).
-pub fn screen(
-    spec: &PipelineSpec,
-    mc: &MachineCode,
-    observable: Option<&[usize]>,
-) -> Result<Screened> {
-    let input = vec![AbsVal::top(); spec.config.phv_length];
-    let abs = analyze_pipeline(spec, mc, OptLevel::Unoptimized, &input)?;
-    let all: Vec<usize> = (0..spec.config.phv_length).collect();
-    let obs = observable.unwrap_or(&all);
-
-    // Constant-output: with top inputs, a constant abstraction means the
-    // concrete output cannot depend on anything.
-    let constant = obs.iter().all(|&c| abs.phv[c].as_const().is_some());
-    // All-dead: no output mux ever drives an observable container.
-    let passthrough = obs.iter().all(|&c| {
-        (0..spec.config.depth).all(|stage| {
-            mc.try_get(&druzhba_core::names::output_mux(stage, c))
-                .unwrap_or(0)
-                == 0
-        })
-    });
-    // State still counts as observable behavior (the differential oracles
-    // compare state cells), so a program is only trivial if its state
-    // abstraction is constant at the fixpoint too.
-    let state_const = abs
-        .state
-        .iter()
-        .flatten()
-        .flatten()
-        .all(|v| v.as_const().is_some());
-    if state_const && (constant || passthrough) {
-        return Ok(Screened::Trivial);
-    }
-    if abs.lints.iter().any(|l| HAZARD_CODES.contains(&l.code)) {
-        return Ok(Screened::Hazardous);
-    }
-    Ok(Screened::Interesting)
-}
 
 // ---------------------------------------------------------------------
 // Static fault flagging.
@@ -619,19 +818,17 @@ pub fn flag_mutant(
     if !validate_machine_code(spec, mutant).is_empty() {
         return StaticFlag::Structural;
     }
-    let (Ok(good), Ok(bad)) = (
-        Pipeline::generate(spec, baseline, OptLevel::Unoptimized),
-        Pipeline::generate(spec, mutant, OptLevel::Unoptimized),
-    ) else {
+    // Both transfer functions in one store, so they compare by id.
+    let Ok(mut build) = ProgramBuild::new(spec, baseline, &[OptLevel::Unoptimized]) else {
         return StaticFlag::Structural;
     };
-    // Both transfer functions in one store, so they compare by id.
-    let mut store = TermStore::new();
-    let good = sym_run_pipeline(&mut store, &good, spec, None);
-    let bad = sym_run_pipeline(&mut store, &bad, spec, None);
+    let Ok(bad) = build.transfer_of(mutant) else {
+        return StaticFlag::Structural;
+    };
+    let good = build.source();
     for probe in probes(spec.config.phv_length) {
-        if abstract_run(&store, good.as_ref(), spec, &probe)
-            != abstract_run(&store, bad.as_ref(), spec, &probe)
+        if abstract_run(&build.store, good, spec, &probe)
+            != abstract_run(&build.store, bad.as_ref(), spec, &probe)
         {
             return StaticFlag::Abstract;
         }
@@ -640,15 +837,9 @@ pub fn flag_mutant(
     // transfer functions. An executor bail leaves the mutant unflagged —
     // never flag without a definite difference.
     match (good, bad) {
-        (Some(g), Some(b)) if g != b => StaticFlag::Symbolic,
+        (Some(g), Some(b)) if *g != b => StaticFlag::Symbolic,
         _ => StaticFlag::Unflagged,
     }
-}
-
-/// The edges an analysis proves dead: those no abstractly possible path
-/// reaches (no dead edge is also live).
-pub fn proven_dead_edges(abs: &PipelineAbs) -> Vec<EdgeKey> {
-    abs.dead_edges.clone()
 }
 
 #[cfg(test)]
@@ -728,14 +919,11 @@ mod tests {
             let abs = analyze_pipeline(&spec, &mc, level, &input).expect("analyzes");
             assert_contains_runs(&spec, &mc, &abs, &[0, 3, 7]);
             // p == 3 is possible and avoidable: both branch outcomes live.
-            assert!(proven_dead_edges(&abs).is_empty(), "{abs:?}");
+            assert!(abs.dead_edges.is_empty(), "{abs:?}");
             // An impossible condition kills a branch side.
             let narrow = [AbsVal::range(8, 20), AbsVal::top()];
             let abs = analyze_pipeline(&spec, &mc, level, &narrow).expect("analyzes");
-            assert!(
-                !proven_dead_edges(&abs).is_empty(),
-                "p in [8,20] can never equal 3"
-            );
+            assert!(!abs.dead_edges.is_empty(), "p in [8,20] can never equal 3");
         }
     }
 
@@ -753,6 +941,75 @@ mod tests {
             "{:?}",
             abs.lints
         );
+    }
+
+    /// The verdict and the TV of a build whose Scc transfer is replaced by
+    /// a hand-built one that differs from the source at output container
+    /// 1 only: disjoint terms refute (and the TV sees the mismatch),
+    /// overlapping ones leave a residual (and the TV sees nothing).
+    #[test]
+    fn differing_site_refutes_when_disjoint_and_is_residual_when_overlapping() {
+        use crate::symbolic::SymbolicResidual;
+        let (spec, mc) = one_alu(
+            "name: hand_built\ntype: stateful\nstate variables: {s}\n\
+             hole variables: {}\npacket fields: {p}\ns = s + p;\n",
+        );
+        let levels = [OptLevel::Unoptimized, OptLevel::Scc];
+        let mut build = ProgramBuild::new(&spec, &mc, &levels).expect("builds");
+        let store = &mut build.store;
+        let p = store.sym(Sym::Phv(0), AbsVal::top());
+        let s = store.sym(
+            Sym::State {
+                stage: 0,
+                slot: 0,
+                var: 0,
+            },
+            AbsVal::top(),
+        );
+        let (one, two) = (store.konst(1), store.konst(2));
+        let transfer = |out| {
+            Some(SymTransfer {
+                phv: vec![p, out],
+                state: vec![vec![vec![s]]],
+            })
+        };
+        let top = [AbsVal::top(); 2];
+        build.levels[0].transfer = transfer(one);
+
+        build.levels[1].transfer = transfer(one);
+        assert_eq!(build.verdict(), SymbolicVerdict::Proved);
+        assert_eq!(build.tv(&top), []);
+
+        build.levels[1].transfer = transfer(two);
+        assert_eq!(
+            build.verdict(),
+            SymbolicVerdict::Refuted {
+                level: "scc",
+                site: "container[1]".to_string(),
+                cex: vec![0, 0],
+            }
+        );
+        assert_eq!(
+            build.tv(&top),
+            [TvMismatch {
+                level: OptLevel::Scc,
+                site: TvSite::Container(1),
+                source: AbsVal::constant(1),
+                compiled: AbsVal::constant(2),
+            }]
+        );
+
+        build.levels[1].transfer = transfer(p);
+        assert_eq!(
+            build.verdict(),
+            SymbolicVerdict::Unknown {
+                residuals: vec![SymbolicResidual {
+                    level: "scc",
+                    site: "container[1]".to_string(),
+                }],
+            }
+        );
+        assert_eq!(build.tv(&top), []);
     }
 
     #[test]

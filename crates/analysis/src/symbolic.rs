@@ -25,23 +25,30 @@
 //! pipeline merging (fused backend) meet in the same normal form.
 //!
 //! Executors bail to `None` (never a wrong term) on path explosion or
-//! structurally surprising programs; [`symbolic_validate`] then reports
-//! `Unknown` and callers fall back to bounded concrete verification.
+//! structurally surprising programs; the verdict is then `Unknown` and
+//! callers fall back to bounded concrete verification.
+//!
+//! ## One build, one compare loop
+//!
+//! A Domino program is built once per analysis: a
+//! [`ProgramBuild`](crate::pipeline::ProgramBuild) runs the executor for
+//! each requested level into one store, and the abstraction, the abstract
+//! TV, the verdict, the lints and the screen all read off that build. The
+//! verdict of both stacks comes from one compare loop,
+//! `compare_transfers`; the P4 one is part of `p4::analyze_p4`.
 //!
 //! ## Recorded sites
 //!
-//! The executors are also the abstract interpreters of
-//! `pipeline::analyze_pipeline` and `p4::analyze_p4`. On request they
-//! record a `Site` visit wherever a lint or a coverage edge is decided —
-//! each `if` arm, each arithmetic and division operand pair, each
-//! overwritten state write, each conditional jump, each P4 table-entry
-//! hit — with its terms and the decisions of its path.
+//! The executors are also the abstract interpreters of the build and of
+//! `p4::analyze_p4`. They record a `Site` visit wherever a lint or a
+//! coverage edge is decided — each `if` arm, each arithmetic and division
+//! operand pair, each overwritten state write, each conditional jump, each
+//! P4 table-entry hit — with its terms and the decisions of its path.
 
 use std::collections::{BTreeSet, HashMap};
 
 use druzhba_alu_dsl::ast::{AluSpec, BinOp, Expr, Stmt};
 use druzhba_core::value::Value;
-use druzhba_core::MachineCode;
 use druzhba_dgen::bytecode::{BytecodeProgram, Instr};
 use druzhba_dgen::fused::{FusedInstr, FUSED_SITE};
 use druzhba_dgen::pipeline::{AluUnit, Pipeline, PipelineSpec};
@@ -49,7 +56,7 @@ use druzhba_dgen::{FusedPipeline, OptLevel};
 
 use crate::domain::{AbsVal, Tri};
 use crate::pipeline::LintRecord;
-use crate::term::{Sym, TermId, TermStore};
+use crate::term::{Node, Sym, TermId, TermStore};
 
 /// Cap on simultaneously live whole-pipeline paths before an executor
 /// bails to `Unknown` (sound — never a wrong answer).
@@ -178,9 +185,9 @@ pub(crate) struct UnitLoc {
 }
 
 /// A program point whose abstract facts the analyzer reads back at the
-/// state fixpoint (`pipeline::analyze_pipeline`, `p4::analyze_p4`). An
-/// ALU-body `pc` is the pre-order statement index; a bytecode or fused
-/// `pc` is the instruction index.
+/// state fixpoint (`pipeline::ProgramBuild::abstraction`,
+/// `p4::analyze_p4`). An ALU-body `pc` is the pre-order statement index; a
+/// bytecode or fused `pc` is the instruction index.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Site {
     /// Arm `arm` of the `if` chain at `pc` (`arms` arms, and a non-empty
@@ -292,7 +299,7 @@ struct AluWalk<'a> {
     spec: &'a AluSpec,
     holes: &'a HashMap<String, Value>,
     operands: &'a [TermId],
-    rec: Option<Recorder<'a>>,
+    rec: Recorder<'a>,
     /// pc of the statement being evaluated (anchors operand sites).
     stmt_pc: u32,
     /// State writes of the current straight-line run not yet read:
@@ -306,7 +313,7 @@ impl<'a> AluWalk<'a> {
         spec: &'a AluSpec,
         holes: &'a HashMap<String, Value>,
         operands: &'a [TermId],
-        rec: Option<Recorder<'a>>,
+        rec: Recorder<'a>,
     ) -> Self {
         AluWalk {
             store,
@@ -325,7 +332,7 @@ impl<'a> AluWalk<'a> {
 
     /// The recorder, when this unit's lints count.
     fn linter(&mut self) -> Option<&mut Recorder<'a>> {
-        self.rec.as_mut().filter(|r| r.lint)
+        self.rec.lint.then_some(&mut self.rec)
     }
 
     /// Run the body; each completed path yields `(decisions, output,
@@ -636,7 +643,7 @@ fn sym_eval_bytecode(
     operands: &[TermId],
     state_in: &[TermId],
     site: u32,
-    mut rec: Option<Recorder>,
+    mut rec: Recorder,
 ) -> Option<AluPaths> {
     struct P {
         pc: usize,
@@ -700,10 +707,8 @@ fn sym_eval_bytecode(
                 }
                 Instr::JumpIfZero(target) => {
                     let v = p.stack.pop()?;
-                    if let Some(rec) = rec.as_mut() {
-                        let pc = p.pc as u32;
-                        rec.visit(Site::Branch { site, pc }, [v, v], &p.decisions);
-                    }
+                    let pc = p.pc as u32;
+                    rec.visit(Site::Branch { site, pc }, [v, v], &p.decisions);
                     match store.truth(v) {
                         Tri::True => p.pc += 1,
                         Tri::False => p.pc = target as usize,
@@ -747,7 +752,7 @@ fn exec_unit(
     unit: &AluUnit,
     phv: &[TermId],
     state_in: &[TermId],
-    rec: Option<Recorder>,
+    rec: Recorder,
 ) -> Option<AluPaths> {
     let spec = unit.spec();
     let zero = store.konst(0);
@@ -788,29 +793,13 @@ struct DecidedRelop {
     taken: bool,
 }
 
-/// Symbolically execute one pipeline invocation at `level` and merge all
-/// paths into the canonical per-site transfer function. The entry PHV and
-/// state are fresh symbols interned in `store` (shared across calls, so
-/// transfer functions from different levels or machine codes compare by
-/// id). Returns `None` if the pipeline does not generate or the executor
-/// bails (sound).
-pub fn symbolic_transfer(
-    store: &mut TermStore,
-    spec: &PipelineSpec,
-    mc: &MachineCode,
-    level: OptLevel,
-) -> Option<SymTransfer> {
-    let pipeline = Pipeline::generate(spec, mc, level).ok()?;
-    sym_run_pipeline(store, &pipeline, spec, None)
-}
-
 /// Symbolically execute one invocation of a generated pipeline, recording
-/// its sites into `sites` when given.
+/// its sites into `sites`.
 pub(crate) fn sym_run_pipeline(
     store: &mut TermStore,
     pipeline: &Pipeline,
     spec: &PipelineSpec,
-    sites: Option<&mut Sites>,
+    sites: &mut Sites,
 ) -> Option<SymTransfer> {
     let cfg = *pipeline.config();
     let n_state = spec.stateful_alu.state_vars.len();
@@ -864,8 +853,9 @@ pub(crate) fn sym_run_pipeline(
     })
 }
 
-/// Flatten a path's observables into the merge value vector.
-fn flatten(phv: &[TermId], state: &[Vec<Vec<TermId>>]) -> Vec<TermId> {
+/// Flatten a path's observables into the merge value vector: the output
+/// containers, then the state cells stage-, slot-, then var-major.
+pub(crate) fn flatten(phv: &[TermId], state: &[Vec<Vec<TermId>>]) -> Vec<TermId> {
     let mut v = phv.to_vec();
     for row in state {
         for slot in row {
@@ -881,15 +871,15 @@ fn flatten(phv: &[TermId], state: &[Vec<Vec<TermId>>]) -> Vec<TermId> {
 /// Unselected stateless ALUs are skipped on every backend (pure and
 /// unobservable; the fuser does not even emit them), which keeps the
 /// global decision sequences of staged and fused execution identical.
-/// When recording, an unselected ALU is still walked on every path for
-/// its sites (the concrete staged backends run it), without forking.
+/// An unselected ALU is still walked on every path for its sites (the
+/// concrete staged backends run it), without forking.
 fn sym_run_staged(
     store: &mut TermStore,
     pipeline: &Pipeline,
     cfg: &druzhba_core::PipelineConfig,
     phv0: Vec<TermId>,
     state0: Vec<Vec<Vec<TermId>>>,
-    mut sites: Option<&mut Sites>,
+    sites: &mut Sites,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let width = cfg.width;
     let zero = store.konst(0);
@@ -926,16 +916,14 @@ fn sym_run_staged(
                 stateful: false,
             };
             if !selected[slot] {
-                if let Some(sites) = sites.as_deref_mut() {
-                    for s in &sub {
-                        let rec = Recorder {
-                            sites: &mut *sites,
-                            unit: unit_loc,
-                            lint: false,
-                            prefix: &s.gp.decisions,
-                        };
-                        exec_unit(store, unit, &s.gp.phv, &[], Some(rec))?;
-                    }
+                for s in &sub {
+                    let rec = Recorder {
+                        sites: &mut *sites,
+                        unit: unit_loc,
+                        lint: false,
+                        prefix: &s.gp.decisions,
+                    };
+                    exec_unit(store, unit, &s.gp.phv, &[], rec)?;
                 }
                 for s in &mut sub {
                     s.stateless_out.push(zero);
@@ -944,12 +932,12 @@ fn sym_run_staged(
             }
             let mut next_sub = Vec::new();
             for s in sub {
-                let rec = sites.as_deref_mut().map(|sites| Recorder {
-                    sites,
+                let rec = Recorder {
+                    sites: &mut *sites,
                     unit: unit_loc,
                     lint: true,
                     prefix: &s.gp.decisions,
-                });
+                };
                 let results = exec_unit(store, unit, &s.gp.phv, &[], rec)?;
                 for (decs, out, _st) in results {
                     let mut s2 = StagePath {
@@ -977,12 +965,12 @@ fn sym_run_staged(
             let mut next_sub = Vec::new();
             for s in sub {
                 let state_in = s.gp.state[si][slot].clone();
-                let rec = sites.as_deref_mut().map(|sites| Recorder {
-                    sites,
+                let rec = Recorder {
+                    sites: &mut *sites,
                     unit: unit_loc,
                     lint: true,
                     prefix: &s.gp.decisions,
-                });
+                };
                 let results = exec_unit(store, unit, &s.gp.phv, &state_in, rec)?;
                 for (decs, out, st) in results {
                     let mut s2 = StagePath {
@@ -1036,7 +1024,7 @@ fn sym_run_fused(
     fp: &FusedPipeline,
     phv0: &[TermId],
     state0: &[Vec<Vec<TermId>>],
-    mut sites: Option<&mut Sites>,
+    sites: &mut Sites,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let phv_len = fp.phv_len();
     let zero = store.konst(0);
@@ -1133,16 +1121,14 @@ fn sym_run_fused(
                     (store.bin(op, p.frame[l as usize], i), target)
                 }
             };
-            if let Some(sites) = sites.as_deref_mut() {
-                sites.visits.push(Visit {
-                    site: Site::Branch {
-                        site: FUSED_SITE,
-                        pc: p.pc as u32,
-                    },
-                    terms: [cond, cond],
-                    decisions: p.decisions.clone(),
-                });
-            }
+            sites.visits.push(Visit {
+                site: Site::Branch {
+                    site: FUSED_SITE,
+                    pc: p.pc as u32,
+                },
+                terms: [cond, cond],
+                decisions: p.decisions.clone(),
+            });
             match store.truth(cond) {
                 Tri::True => p.pc += 1,
                 Tri::False => p.pc = target as usize,
@@ -1167,112 +1153,60 @@ fn sym_run_fused(
 }
 
 // ---------------------------------------------------------------------
-// Validation, equivalence, lints
+// Validation and lints
 // ---------------------------------------------------------------------
 
-/// Render a Domino comparison site.
-fn domino_site(cfg: &druzhba_core::PipelineConfig, index: usize, n_state: usize) -> String {
-    if index < cfg.phv_length {
-        return format!("container[{index}]");
+/// The `Unknown` verdict of a source side that has no transfer function.
+pub(crate) fn source_bailed(level: &'static str) -> SymbolicVerdict {
+    SymbolicVerdict::Unknown {
+        residuals: vec![SymbolicResidual {
+            level,
+            site: "<source not symbolically executable>".to_string(),
+        }],
     }
-    let flat = index - cfg.phv_length;
-    let per_stage = cfg.width * n_state;
-    let stage = flat / per_stage;
-    let slot = (flat % per_stage) / n_state.max(1);
-    let var = flat % n_state.max(1);
-    format!("state[{stage}][{slot}][{var}]")
 }
 
-/// Compare two transfer functions site by site, extending `residuals`
-/// and returning a refutation if any pair of terms is provably disjoint.
-fn compare_transfers(
+/// The symbolic verdict of both stacks: a flattened source transfer
+/// function against compiled ones, each keyed by its backend and `None`
+/// where the executor bailed, site by site. The first provably disjoint
+/// pair refutes, with an all-zeros witness PHV of `witness_len`
+/// containers; unequal but overlapping terms are residuals.
+pub(crate) fn compare_transfers(
     store: &TermStore,
-    cfg: &druzhba_core::PipelineConfig,
-    n_state: usize,
-    level: &'static str,
-    src: &SymTransfer,
-    cmp: &SymTransfer,
-    residuals: &mut Vec<SymbolicResidual>,
-) -> Option<SymbolicVerdict> {
-    let a = flatten(&src.phv, &src.state);
-    let b = flatten(&cmp.phv, &cmp.state);
-    for (i, (&ta, &tb)) in a.iter().zip(&b).enumerate() {
-        if ta == tb {
-            continue;
-        }
-        let site = domino_site(cfg, i, n_state);
-        if store.abs(ta).is_disjoint(store.abs(tb)) {
-            // Disjoint abstractions: *every* valuation is a witness.
-            let va = store.eval(ta, &|_| 0);
-            let vb = store.eval(tb, &|_| 0);
-            debug_assert_ne!(va, vb, "disjoint terms must differ under zeros");
-            if va != vb {
-                return Some(SymbolicVerdict::Refuted {
-                    level,
-                    site,
-                    cex: vec![0; cfg.phv_length],
-                });
-            }
-        }
-        residuals.push(SymbolicResidual { level, site });
-    }
-    None
-}
-
-/// Symbolically validate one compiled backend against the Unoptimized
-/// reference semantics.
-pub fn symbolic_validate_level(
-    spec: &PipelineSpec,
-    mc: &MachineCode,
-    level: OptLevel,
+    (source_level, src): (&'static str, Option<Vec<TermId>>),
+    compiled: impl IntoIterator<Item = (&'static str, Option<Vec<TermId>>)>,
+    site: impl Fn(usize) -> String,
+    witness_len: usize,
 ) -> SymbolicVerdict {
-    validate_levels(spec, mc, &[level])
-}
-
-/// Symbolically validate every compiled backend (`Scc`, `SccInline`,
-/// `Fused`) against the Unoptimized reference semantics: `Proved` means
-/// each observable container and stateful variable carries an identical
-/// canonical term — equivalence on all packets and all states, no
-/// packets executed.
-pub fn symbolic_validate(spec: &PipelineSpec, mc: &MachineCode) -> SymbolicVerdict {
-    validate_levels(
-        spec,
-        mc,
-        &[OptLevel::Scc, OptLevel::SccInline, OptLevel::Fused],
-    )
-}
-
-fn validate_levels(spec: &PipelineSpec, mc: &MachineCode, levels: &[OptLevel]) -> SymbolicVerdict {
-    let mut store = TermStore::new();
-    let cfg = spec.config;
-    let n_state = spec.stateful_alu.state_vars.len();
-    let Some(src) = symbolic_transfer(&mut store, spec, mc, OptLevel::Unoptimized) else {
-        return SymbolicVerdict::Unknown {
-            residuals: vec![SymbolicResidual {
-                level: OptLevel::Unoptimized.key(),
-                site: "<source not symbolically executable>".into(),
-            }],
-        };
+    let Some(src) = src else {
+        return source_bailed(source_level);
     };
     let mut residuals = Vec::new();
-    for &level in levels {
-        let Some(cmp) = symbolic_transfer(&mut store, spec, mc, level) else {
-            residuals.push(SymbolicResidual {
-                level: level.key(),
-                site: "<backend not symbolically executable>".into(),
-            });
+    for (level, cmp) in compiled {
+        let Some(cmp) = cmp else {
+            let site = "<backend not symbolically executable>".to_string();
+            residuals.push(SymbolicResidual { level, site });
             continue;
         };
-        if let Some(refuted) = compare_transfers(
-            &store,
-            &cfg,
-            n_state,
-            level.key(),
-            &src,
-            &cmp,
-            &mut residuals,
-        ) {
-            return refuted;
+        for (i, (&ta, &tb)) in src.iter().zip(&cmp).enumerate() {
+            if ta == tb {
+                continue;
+            }
+            let site = site(i);
+            if store.abs(ta).is_disjoint(store.abs(tb)) {
+                // Disjoint abstractions: *every* valuation is a witness.
+                let va = store.eval(ta, &|_| 0);
+                let vb = store.eval(tb, &|_| 0);
+                debug_assert_ne!(va, vb, "disjoint terms must differ under zeros");
+                if va != vb {
+                    return SymbolicVerdict::Refuted {
+                        level,
+                        site,
+                        cex: vec![0; witness_len],
+                    };
+                }
+            }
+            residuals.push(SymbolicResidual { level, site });
         }
     }
     if residuals.is_empty() {
@@ -1282,32 +1216,15 @@ fn validate_levels(spec: &PipelineSpec, mc: &MachineCode, levels: &[OptLevel]) -
     }
 }
 
-/// Prove two machine codes equivalent under the shared pipeline spec by
-/// comparing their Unoptimized symbolic transfer functions in one store.
-/// `Some(true)` is a *proof* of equivalence on all packets and states;
-/// `Some(false)` means the canonical forms differ (the `symbolic` static
-/// flag); `None` means an executor bailed.
-pub fn symbolic_equivalent(spec: &PipelineSpec, a: &MachineCode, b: &MachineCode) -> Option<bool> {
-    let mut store = TermStore::new();
-    let ta = symbolic_transfer(&mut store, spec, a, OptLevel::Unoptimized)?;
-    let tb = symbolic_transfer(&mut store, spec, b, OptLevel::Unoptimized)?;
-    Some(ta == tb)
-}
-
-/// Lints derived from symbolic facts about the Unoptimized transfer
-/// function: constant-output containers, state updates independent of
-/// packet input, and source rel-ops whose outcome is decided for every
-/// packet. Deterministic (sorted, deduped); empty if the executor bails.
-pub fn symbolic_lints(spec: &PipelineSpec, mc: &MachineCode) -> Vec<LintRecord> {
-    let Ok(pipeline) = Pipeline::generate(spec, mc, OptLevel::Unoptimized) else {
-        return Vec::new();
-    };
-    let mut store = TermStore::new();
-    let mut sites = Sites::default();
-    let Some(tr) = sym_run_pipeline(&mut store, &pipeline, spec, Some(&mut sites)) else {
-        return Vec::new();
-    };
-    let cfg = spec.config;
+/// Lints of symbolic facts about a transfer function `tr` and its
+/// recorded `sites`: constant-output containers, state updates
+/// independent of packet input, and rel-ops decided for every packet.
+pub(crate) fn fact_lints(
+    store: &TermStore,
+    cfg: &druzhba_core::PipelineConfig,
+    tr: &SymTransfer,
+    sites: &Sites,
+) -> Vec<LintRecord> {
     let mut out = Vec::new();
 
     for (c, &t) in tr.phv.iter().enumerate() {
@@ -1326,15 +1243,12 @@ pub fn symbolic_lints(spec: &PipelineSpec, mc: &MachineCode) -> Vec<LintRecord> 
     for (si, row) in tr.state.iter().enumerate() {
         for (slot, vars) in row.iter().enumerate() {
             for (var, &t) in vars.iter().enumerate() {
-                let init = store.sym(
-                    Sym::State {
-                        stage: si as u32,
-                        slot: slot as u32,
-                        var: var as u32,
-                    },
-                    AbsVal::top(),
-                );
-                if t != init && !store.depends_on_phv(t) {
+                let init = Node::Sym(Sym::State {
+                    stage: si as u32,
+                    slot: slot as u32,
+                    var: var as u32,
+                });
+                if store.node(t) != init && !store.depends_on_phv(t) {
                     out.push(LintRecord {
                         stage: si as u32,
                         pc: (1 << 15) | ((slot as u32) << 8) | (var as u32 & 0xFF),
@@ -1349,7 +1263,7 @@ pub fn symbolic_lints(spec: &PipelineSpec, mc: &MachineCode) -> Vec<LintRecord> 
         }
     }
 
-    let events: BTreeSet<DecidedRelop> = sites.relops.into_iter().collect();
+    let events: BTreeSet<DecidedRelop> = sites.relops.iter().copied().collect();
     for e in events {
         out.push(LintRecord {
             stage: e.stage,
@@ -1760,12 +1674,12 @@ fn pattern_cond(store: &mut TermStore, snap: &[TermId], pat: SymPat) -> TermId {
 /// at each boundary), tables in control order within a stage, entries
 /// first-hit in resolved order (≡ longest-prefix for LPM tables), the
 /// hit entry's action on the live frame. Each hit is recorded into
-/// `sites` when given.
+/// `sites`.
 pub(crate) fn sym_run_hlir(
     store: &mut TermStore,
     stages: &[Vec<SymTable>],
     entry_path: P4Path,
-    mut sites: Option<&mut Sites>,
+    sites: &mut Sites,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
     let mut paths = vec![entry_path];
     for stage in stages {
@@ -1790,16 +1704,14 @@ pub(crate) fn sym_run_hlir(
                 };
                 let Some(&pat) = entry.patterns.get(k) else {
                     // Hit: run the action, skip the rest of the table.
-                    if let Some(sites) = sites.as_deref_mut() {
-                        sites.visits.push(Visit {
-                            site: Site::Entry {
-                                table: table.table,
-                                entry: entry.index,
-                            },
-                            terms: [store.konst(1); 2],
-                            decisions: p.decisions.clone(),
-                        });
-                    }
+                    sites.visits.push(Visit {
+                        site: Site::Entry {
+                            table: table.table,
+                            entry: entry.index,
+                        },
+                        terms: [store.konst(1); 2],
+                        decisions: p.decisions.clone(),
+                    });
                     for &op in &entry.ops {
                         p4_apply_op(store, &mut p, op)?;
                     }
@@ -2006,71 +1918,6 @@ pub(crate) fn p4_site(hlir: &Hlir, lowering: &RmtLowering, index: usize) -> Stri
     format!("reg[{flat}]")
 }
 
-/// Symbolically validate the lowered fused `MatInstr` program against
-/// the HLIR match-action semantics: `Proved` means every output field,
-/// the drop flag, and every register cell carry identical canonical
-/// terms over symbolic packets *and* symbolic pre-states.
-pub fn p4_symbolic_validate(
-    hlir: &Hlir,
-    entries: &[TableEntry],
-    lowering: &RmtLowering,
-) -> SymbolicVerdict {
-    let unknown = |site: &str| SymbolicVerdict::Unknown {
-        residuals: vec![SymbolicResidual {
-            level: "mat",
-            site: site.to_string(),
-        }],
-    };
-    let Some(stages) = resolve_sym_stages(hlir, entries, lowering) else {
-        return unknown("<entries not bindable>");
-    };
-    let mut store = TermStore::new();
-    let entry_path = p4_entry_path(&mut store, hlir, lowering);
-    let Some(src_paths) = sym_run_hlir(&mut store, &stages, entry_path.clone(), None) else {
-        return unknown("<source not symbolically executable>");
-    };
-    let Some(src) = merge_paths(&mut store, &src_paths) else {
-        return unknown("<source paths not mergeable>");
-    };
-    let Ok(mat) = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused) else {
-        return unknown("<fused backend not generatable>");
-    };
-    let prog = mat
-        .fused_program()
-        .expect("fused level exposes its program");
-    let Some(cmp_paths) = sym_run_mat(&mut store, prog, entry_path) else {
-        return unknown("<backend not symbolically executable>");
-    };
-    let Some(cmp) = merge_paths(&mut store, &cmp_paths) else {
-        return unknown("<backend paths not mergeable>");
-    };
-
-    let mut residuals = Vec::new();
-    for (i, (&ta, &tb)) in src.iter().zip(&cmp).enumerate() {
-        if ta == tb {
-            continue;
-        }
-        let site = p4_site(hlir, lowering, i);
-        if store.abs(ta).is_disjoint(store.abs(tb)) {
-            let va = store.eval(ta, &|_| 0);
-            let vb = store.eval(tb, &|_| 0);
-            if va != vb {
-                return SymbolicVerdict::Refuted {
-                    level: "mat",
-                    site,
-                    cex: vec![0; lowering.layout.phv_length()],
-                };
-            }
-        }
-        residuals.push(SymbolicResidual { level: "mat", site });
-    }
-    if residuals.is_empty() {
-        SymbolicVerdict::Proved
-    } else {
-        SymbolicVerdict::Unknown { residuals }
-    }
-}
-
 /// Decide whether two table-entry sets drive the lowered pipeline to the
 /// same transfer function: both fused `MatInstr` programs are executed
 /// from one shared symbolic entry state and their merged observable
@@ -2104,6 +1951,7 @@ pub fn p4_symbolic_entries_equivalent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{symbolic_equivalent, symbolic_validate};
     use druzhba_programs::PROGRAMS;
 
     #[test]
@@ -2124,9 +1972,10 @@ mod tests {
     fn p4_corpus_symbolic_validation_proves_lowered_program() {
         for def in &druzhba_programs::P4_PROGRAMS {
             let w = def.workload().expect("corpus lowers");
-            let verdict = p4_symbolic_validate(&w.hlir, &w.entries, &w.lowering);
+            let analysis =
+                crate::p4::analyze_p4(&w.hlir, &w.entries, &w.lowering).expect("analyzes");
             assert_eq!(
-                verdict,
+                analysis.symbolic,
                 SymbolicVerdict::Proved,
                 "{}: expected a proof of lowering equivalence",
                 def.name

@@ -19,7 +19,6 @@ use druzhba_core::trace::TraceMismatch;
 use druzhba_core::{Error, MachineCode, Phv, Result, Trace};
 use druzhba_dgen::{LanePipeline, OptLevel, Pipeline, PipelineSpec};
 
-use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use crate::sim::Simulator;
 use crate::testing::{compare_against_spec, Specification, Verdict};
 
@@ -71,17 +70,14 @@ pub enum VerifyOutcome {
         /// Number of input traces checked.
         cases: u64,
     },
-    /// A concrete diverging input.
+    /// A concrete diverging input: the first in enumeration order, which
+    /// already biases toward small values. Callers that want it smaller
+    /// delta-debug it with [`minimize`](crate::minimize::minimize).
     CounterExample {
         /// The input trace that diverges.
         input: Trace,
         /// Where pipeline and specification disagree.
         mismatch: TraceMismatch,
-        /// The input further reduced by delta debugging (enumeration
-        /// order already biases toward small inputs, but value shrinking
-        /// and packet reduction usually tighten it more). Boxed to keep
-        /// the happy-path `Verified` variant small.
-        minimized: Option<Box<MinimizedCounterExample>>,
     },
 }
 
@@ -90,32 +86,6 @@ impl VerifyOutcome {
     pub fn verified(&self) -> bool {
         matches!(self, VerifyOutcome::Verified { .. })
     }
-}
-
-/// Delta-debug a concrete diverging input found by the enumeration (the
-/// odometer order already biases toward small values, but packet
-/// reduction and value shrinking usually tighten it further).
-fn minimize_counterexample(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    reference: &mut dyn Specification,
-    input: &Trace,
-    cfg: &VerifyConfig,
-) -> Option<Box<MinimizedCounterExample>> {
-    minimize(
-        pipeline_spec,
-        mc,
-        opt,
-        reference,
-        input,
-        &MinimizeConfig {
-            observable: cfg.observable.clone(),
-            state_cells: cfg.state_cells.clone(),
-            ..MinimizeConfig::default()
-        },
-    )
-    .map(Box::new)
 }
 
 /// Exhaustively check pipeline-vs-specification equivalence within the
@@ -169,7 +139,7 @@ pub fn verify_bounded(
     let nrel = cfg.relevant_containers.len();
     loop {
         let input = case_input(cfg, phv_length, |p, ci| assignment[p * nrel + ci]);
-        if let Some(cex) = check_case(&mut sim, (pipeline_spec, mc, opt), reference, cfg, input) {
+        if let Some(cex) = check_case(&mut sim, reference, cfg, input) {
             return Ok(cex);
         }
         checked += 1;
@@ -203,8 +173,7 @@ pub fn verify_bounded(
 /// compared in case order), so the first divergence found is the same
 /// case the scalar path would find first; that case is then re-run
 /// through the scalar simulator to build a [`VerifyOutcome`] **identical**
-/// to scalar mode's — same counterexample trace, mismatch, and
-/// minimization. The swept engine also lifts the scalar path's 31-bit
+/// to scalar mode's — same counterexample trace and mismatch. The swept engine also lifts the scalar path's 31-bit
 /// input wall to the full 32 bits (the budget check moves to 128-bit
 /// arithmetic so the case count cannot overflow).
 fn verify_bounded_lanes(
@@ -404,11 +373,9 @@ fn case_input(cfg: &VerifyConfig, phv_length: usize, value: impl Fn(usize, usize
 }
 
 /// Run `input` through `sim` and `reference`, both from clean state; the
-/// (minimized) counterexample when an observable container or a state
-/// cell disagrees.
+/// counterexample when an observable container or a state cell disagrees.
 fn check_case(
     sim: &mut Simulator,
-    (pipeline_spec, mc, opt): (&PipelineSpec, &MachineCode, OptLevel),
     reference: &mut dyn Specification,
     cfg: &VerifyConfig,
     input: Trace,
@@ -424,12 +391,7 @@ fn check_case(
     ) else {
         return None;
     };
-    let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-    Some(VerifyOutcome::CounterExample {
-        input,
-        mismatch,
-        minimized,
-    })
+    Some(VerifyOutcome::CounterExample { input, mismatch })
 }
 
 /// Re-run one diverging case through the scalar simulator and build the
@@ -446,13 +408,11 @@ fn scalar_recheck(
     input: Trace,
 ) -> Result<VerifyOutcome> {
     let mut sim = Simulator::new(Pipeline::generate(pipeline_spec, mc, opt)?);
-    check_case(&mut sim, (pipeline_spec, mc, opt), reference, cfg, input).ok_or_else(|| {
-        Error::Other {
-            message: "lane-swept enumeration found a divergence the scalar \
+    check_case(&mut sim, reference, cfg, input).ok_or_else(|| Error::Other {
+        message: "lane-swept enumeration found a divergence the scalar \
                       backend does not reproduce — this is a lane-engine bug, \
                       not a compiler bug"
-                .to_string(),
-        }
+            .to_string(),
     })
 }
 
@@ -556,6 +516,7 @@ pub fn verify_symbolic_first(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
     use crate::testing::ClosureSpec;
     use druzhba_alu_dsl::atoms::atom;
     use druzhba_core::PipelineConfig;
@@ -666,8 +627,26 @@ mod tests {
         assert!(err.to_string().contains("31-bit"), "{err}");
     }
 
+    /// Delta-debug a counterexample's input on the fused backend, with
+    /// the minimization config `druzhba verify` uses.
+    fn minimize_input(
+        spec: &PipelineSpec,
+        mc: &MachineCode,
+        reference: &mut dyn Specification,
+        input: &Trace,
+        cfg: &VerifyConfig,
+    ) -> MinimizedCounterExample {
+        let mcfg = MinimizeConfig {
+            observable: cfg.observable.clone(),
+            state_cells: cfg.state_cells.clone(),
+            ..MinimizeConfig::default()
+        };
+        minimize(spec, mc, OptLevel::Fused, reference, input, &mcfg)
+            .expect("a counterexample minimizes")
+    }
+
     #[test]
-    fn counterexample_carries_a_reproducing_minimization() {
+    fn counterexample_input_minimizes_to_a_reproducer() {
         let (spec, mut mc) = setup();
         mc.set("stateful_alu_0_0_arith_op_0", 1); // subtract instead of add
         let cfg = VerifyConfig {
@@ -680,13 +659,10 @@ mod tests {
         };
         let mut reference = accumulator_spec();
         let outcome = verify_bounded(&spec, &mc, OptLevel::Fused, &mut reference, &cfg).unwrap();
-        let VerifyOutcome::CounterExample {
-            input, minimized, ..
-        } = outcome
-        else {
+        let VerifyOutcome::CounterExample { input, .. } = outcome else {
             panic!("expected counterexample");
         };
-        let mce = minimized.expect("divergences carry a minimization");
+        let mce = minimize_input(&spec, &mc, &mut reference, &input, &cfg);
         assert!(mce.packets() <= input.len());
         // Replaying the minimized input still diverges in the same class.
         let mut reference = accumulator_spec();
@@ -887,8 +863,8 @@ mod tests {
     /// Satellite cross-check: for micro input domains (<= 2^16 cases),
     /// scalar and lane-swept enumeration reach the **same** outcome —
     /// equal `Verified` case counts, or an `==`-equal `CounterExample`
-    /// (same input trace, same mismatch, same minimization and therefore
-    /// the same verdict class) — at every lane width.
+    /// (same input trace and mismatch, so its minimization has the same
+    /// verdict class) — at every lane width.
     #[test]
     fn lane_swept_micro_domain_matches_scalar_exactly() {
         // Verified outcome: the clean accumulator, 8^3 = 512 cases.
@@ -927,14 +903,13 @@ mod tests {
         };
         let mut reference = threshold_reference();
         let scalar = verify_bounded(&spec, &mc, OptLevel::Fused, &mut reference, &cfg).unwrap();
-        let VerifyOutcome::CounterExample {
-            input, minimized, ..
-        } = &scalar
-        else {
+        let VerifyOutcome::CounterExample { input, .. } = &scalar else {
             panic!("expected counterexample, got {scalar:?}");
         };
         assert_eq!(input.phvs[0].get(0), 3);
-        let scalar_class = minimized.as_ref().expect("minimized").verdict.class();
+        let scalar_class = minimize_input(&spec, &mc, &mut reference, input, &cfg)
+            .verdict
+            .class();
         for lanes in [1usize, 8, 64] {
             let cfg = VerifyConfig {
                 lanes,
@@ -943,11 +918,13 @@ mod tests {
             let mut reference = threshold_reference();
             let swept = verify_bounded(&spec, &mc, OptLevel::Fused, &mut reference, &cfg).unwrap();
             assert_eq!(swept, scalar, "width {lanes}");
-            let VerifyOutcome::CounterExample { minimized, .. } = &swept else {
+            let VerifyOutcome::CounterExample { input, .. } = &swept else {
                 unreachable!("equality above");
             };
             assert_eq!(
-                minimized.as_ref().expect("minimized").verdict.class(),
+                minimize_input(&spec, &mc, &mut reference, input, &cfg)
+                    .verdict
+                    .class(),
                 scalar_class,
                 "width {lanes}: minimized verdict class"
             );

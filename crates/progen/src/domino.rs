@@ -4,10 +4,12 @@
 //! corpus idioms (accumulators, BLUE-style decay, predicated latches,
 //! if/else toggles, paired threshold counters), each over a jittered
 //! (depth, width, atom) grid. A candidate is only *emitted* after the
-//! full vet chain passes: parse round-trip, compilation, the
-//! [`screen`] classification (`Interesting` required), abstract
-//! translation validation (no certain mismatch at any OptLevel), and
-//! symbolic validation (not `Refuted`). Program `k` for a base seed is
+//! full vet chain passes: parse round-trip, compilation, the screen
+//! classification (`Interesting` required), abstract translation
+//! validation (no certain mismatch at any OptLevel), and symbolic
+//! validation (not `Refuted`). The last three read off one
+//! [`ProgramBuild`] of all four levels, so a candidate costs one symbolic
+//! execution per level. Program `k` for a base seed is
 //! found by trying candidate seeds derived from `(base, k, attempt)` in
 //! order, so generation is index-addressable: workers can generate
 //! program 733 without generating programs 0–732 first.
@@ -17,12 +19,11 @@
 //! bound is 0, so the certain-overflow lint (which would classify the
 //! candidate `Hazardous`) can never fire on a generated program.
 
-use druzhba_analysis::pipeline::{screen, translation_validate, Screened};
-use druzhba_analysis::symbolic::{symbolic_validate, SymbolicVerdict};
-use druzhba_analysis::AbsVal;
+use druzhba_analysis::{AbsVal, ProgramBuild, Screened, SymbolicVerdict};
 use druzhba_chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
 use druzhba_core::rng::ValueGen;
 use druzhba_core::Value;
+use druzhba_dgen::OptLevel;
 use druzhba_domino::ast::{BinOp, DominoExpr, DominoProgram, DominoStmt, StateDecl};
 use druzhba_domino::parse_program;
 use druzhba_dsim::shard_seed;
@@ -477,24 +478,31 @@ pub fn vet(cand: &DominoCandidate) -> Result<(DominoProgram, CompiledProgram), R
     let program = parse_program(&cand.source).map_err(|_| Reject::Parse)?;
     let cfg = CompilerConfig::new(cand.grid.depth, cand.grid.width, cand.grid.atom);
     let compiled = compile(&program, &cfg).map_err(|_| Reject::Compile)?;
-    let obs = compiled.observable_containers();
-    match screen(&compiled.pipeline_spec, &compiled.machine_code, Some(&obs)) {
-        Ok(Screened::Interesting) => {}
-        Ok(Screened::Trivial) => return Err(Reject::Trivial),
-        Ok(Screened::Hazardous) => return Err(Reject::Hazardous),
-        Err(_) => return Err(Reject::Compile),
-    }
-    let input = vec![AbsVal::top(); compiled.pipeline_spec.config.phv_length];
-    match translation_validate(&compiled.pipeline_spec, &compiled.machine_code, &input) {
-        Ok(mismatches) if mismatches.is_empty() => {}
-        _ => return Err(Reject::Tv),
-    }
-    if let SymbolicVerdict::Refuted { .. } =
-        symbolic_validate(&compiled.pipeline_spec, &compiled.machine_code)
-    {
-        return Err(Reject::Refuted);
-    }
+    screen_and_validate(&compiled)?;
     Ok((program, compiled))
+}
+
+/// The screen, the abstract TV and the symbolic verdict, in that order,
+/// read off one all-level build.
+fn screen_and_validate(compiled: &CompiledProgram) -> Result<(), Reject> {
+    let (spec, mc) = (&compiled.pipeline_spec, &compiled.machine_code);
+    let build = ProgramBuild::new(spec, mc, &OptLevel::ALL).map_err(|(level, _)| match level {
+        OptLevel::Unoptimized => Reject::Compile,
+        _ => Reject::Tv,
+    })?;
+    match build.screen(Some(&compiled.observable_containers())) {
+        Screened::Interesting => {}
+        Screened::Trivial => return Err(Reject::Trivial),
+        Screened::Hazardous => return Err(Reject::Hazardous),
+    }
+    let top = vec![AbsVal::top(); spec.config.phv_length];
+    if !build.tv(&top).is_empty() {
+        return Err(Reject::Tv);
+    }
+    match build.verdict() {
+        SymbolicVerdict::Refuted { .. } => Err(Reject::Refuted),
+        _ => Ok(()),
+    }
 }
 
 /// Candidate seed for `(base, index, attempt)`. The attempt occupies the
@@ -549,6 +557,7 @@ pub fn generate_domino(base: u64, count: u64) -> Vec<GeneratedDomino> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use druzhba_analysis::screen;
 
     #[test]
     fn candidate_is_deterministic() {

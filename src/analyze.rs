@@ -11,10 +11,7 @@
 
 use std::fmt::Write as _;
 
-use druzhba_analysis::{
-    analyze_p4, p4_symbolic_validate, proven_dead_edges, screen, symbolic_lints, symbolic_validate,
-    translation_validate, AbsVal, LintRecord, Screened, SymbolicVerdict, TvSite,
-};
+use druzhba_analysis::{analyze_p4, AbsVal, LintRecord, ProgramBuild, Screened, SymbolicVerdict};
 use druzhba_core::diag::{sort_diagnostics, Diagnostic, Severity};
 use druzhba_core::json::{array, Object, Raw};
 use druzhba_dgen::OptLevel;
@@ -214,13 +211,6 @@ fn lints_to_diags(name: &str, lints: &[LintRecord]) -> Vec<Diagnostic> {
     out
 }
 
-fn render_tv_site(site: TvSite) -> String {
-    match site {
-        TvSite::Container(c) => format!("container[{c}]"),
-        TvSite::State { stage, slot, var } => format!("state[{stage}][{slot}][{var}]"),
-    }
-}
-
 /// Known-imprecision list for one compiled Domino pipeline: branch
 /// edges the abstraction predicts live (under the campaign's input
 /// bit-width) that a deterministic seeded campaign never hits. The
@@ -228,20 +218,14 @@ fn render_tv_site(site: TvSite) -> String {
 /// × 256 PHVs) mirrors the greybox cross-check so the two lists agree.
 /// Entries are sorted and deduped; the list is a pure function of the
 /// program.
-fn imprecision_list(
-    spec: &druzhba_dgen::pipeline::PipelineSpec,
-    mc: &druzhba_core::MachineCode,
-) -> Result<Vec<String>, String> {
+fn imprecision_list(build: &ProgramBuild, len: usize) -> Vec<String> {
     use druzhba_core::coverage::edge_id;
-    let len = spec.config.phv_length;
     let mut out: Vec<String> = Vec::new();
     for bits in [10u32, 4] {
         let input = vec![AbsVal::bits(bits); len];
         for level in [OptLevel::SccInline, OptLevel::Fused] {
-            let abs = druzhba_analysis::analyze_pipeline(spec, mc, level, &input)
-                .map_err(|e| e.to_string())?;
-            let mut pipeline =
-                druzhba_dgen::Pipeline::generate(spec, mc, level).map_err(|e| e.to_string())?;
+            let abs = build.abstraction(level, &input);
+            let mut pipeline = build.pipeline(level).clone();
             pipeline.enable_coverage();
             for seed in 0..4u64 {
                 let trace = druzhba_dsim::TrafficGenerator::new(seed, len, bits).trace(256);
@@ -263,12 +247,13 @@ fn imprecision_list(
     }
     out.sort();
     out.dedup();
-    Ok(out)
+    out
 }
 
 /// Analyze one compiled Domino pipeline (name is only used for
-/// labeling). With `symbolic`, also run symbolic translation validation
-/// of every optimized backend against the source semantics.
+/// labeling). Every product reads off one all-level build. With
+/// `symbolic`, the report also carries the symbolic verdict of every
+/// optimized backend against the source semantics.
 pub fn analyze_compiled(
     name: &str,
     spec: &druzhba_dgen::pipeline::PipelineSpec,
@@ -276,41 +261,36 @@ pub fn analyze_compiled(
     observable: Option<&[usize]>,
     symbolic: bool,
 ) -> Result<ProgramAnalysis, String> {
-    let input = vec![AbsVal::top(); spec.config.phv_length];
+    let build =
+        ProgramBuild::new(spec, mc, &OptLevel::ALL).map_err(|(_, e)| format!("{name}: {e}"))?;
+    let top = vec![AbsVal::top(); spec.config.phv_length];
 
-    let tv = translation_validate(spec, mc, &input).map_err(|e| format!("{name}: {e}"))?;
-    let tv_mismatches: Vec<String> = tv
+    let tv_mismatches: Vec<String> = build
+        .tv(&top)
         .iter()
-        .map(|m| format!("{} vs source at {}", m.level.key(), render_tv_site(m.site)))
+        .map(|m| format!("{} vs source at {}", m.level.key(), m.site))
         .collect();
 
-    let abs = druzhba_analysis::analyze_pipeline(spec, mc, OptLevel::Unoptimized, &input)
-        .map_err(|e| format!("{name}: {e}"))?;
-    let mut lints = abs.lints.clone();
-    lints.extend(symbolic_lints(spec, mc));
+    let mut lints = build.abstraction(OptLevel::Unoptimized, &top).lints;
+    lints.extend(build.symbolic_lints());
     let diagnostics = lints_to_diags(name, &lints);
 
-    let verdict = screen(spec, mc, observable).map_err(|e| format!("{name}: {e}"))?;
-
-    let mut proven_dead = Vec::new();
-    for (label, level) in [
+    let proven_dead = [
         ("scc_inline", OptLevel::SccInline),
         ("fused", OptLevel::Fused),
-    ] {
-        let abs = druzhba_analysis::analyze_pipeline(spec, mc, level, &input)
-            .map_err(|e| format!("{name}: {e}"))?;
-        proven_dead.push((label, proven_dead_edges(&abs).len()));
-    }
+    ]
+    .map(|(label, level)| (label, build.abstraction(level, &top).dead_edges.len()))
+    .to_vec();
 
     Ok(ProgramAnalysis {
         name: name.to_string(),
         kind: "domino",
         tv_mismatches,
         diagnostics,
-        screen: Some(verdict),
+        screen: Some(build.screen(observable)),
         proven_dead,
-        imprecision: imprecision_list(spec, mc).map_err(|e| format!("{name}: {e}"))?,
-        symbolic: symbolic.then(|| symbolic_validate(spec, mc)),
+        imprecision: imprecision_list(&build, spec.config.phv_length),
+        symbolic: symbolic.then(|| build.verdict()),
     })
 }
 
@@ -350,8 +330,7 @@ pub fn analyze_p4_workload(
         screen: None,
         proven_dead: Vec::new(),
         imprecision: Vec::new(),
-        symbolic: symbolic
-            .then(|| p4_symbolic_validate(&workload.hlir, &workload.entries, &workload.lowering)),
+        symbolic: symbolic.then_some(analysis.symbolic),
     })
 }
 
@@ -398,5 +377,5 @@ pub fn predicted_dead_edges(
     let input = vec![container; spec.config.phv_length];
     let abs = druzhba_analysis::analyze_pipeline(spec, &compiled.machine_code, level, &input)
         .map_err(|e| format!("{}: {e}", def.name))?;
-    Ok(Some(proven_dead_edges(&abs)))
+    Ok(Some(abs.dead_edges))
 }

@@ -25,7 +25,7 @@ use druzhba::drmt::{solve, ScheduleConfig};
 use druzhba::dsim::coverage::{
     greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig, GreyboxReport,
 };
-use druzhba::dsim::minimize::MinimizedCounterExample;
+use druzhba::dsim::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use druzhba::dsim::p4::{P4Target, P4Workload};
 use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::snapshot;
@@ -1178,24 +1178,20 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
     }
     let (program, compiled) = compile_from(args)?;
     report(&compiled);
+    let cfg = VerifyConfig {
+        input_bits: bits,
+        packets,
+        relevant_containers: (0..compiled.input_fields.len()).collect(),
+        observable: Some(compiled.observable_containers()),
+        state_cells: compiled.state_cells.clone(),
+        max_cases,
+        lanes,
+    };
+    let (spec, mc) = (&compiled.pipeline_spec, &compiled.machine_code);
     for &level in &levels {
-        let mut spec = CompiledSpec::new(program.clone(), &compiled);
-        let outcome = verify_bounded(
-            &compiled.pipeline_spec,
-            &compiled.machine_code,
-            level,
-            &mut spec,
-            &VerifyConfig {
-                input_bits: bits,
-                packets,
-                relevant_containers: (0..compiled.input_fields.len()).collect(),
-                observable: Some(compiled.observable_containers()),
-                state_cells: compiled.state_cells.clone(),
-                max_cases,
-                lanes,
-            },
-        )
-        .map_err(|e| e.to_string())?;
+        let mut reference = CompiledSpec::new(program.clone(), &compiled);
+        let outcome =
+            verify_bounded(spec, mc, level, &mut reference, &cfg).map_err(|e| e.to_string())?;
         match outcome {
             VerifyOutcome::Verified { cases } => {
                 let mode = if lanes > 0 {
@@ -1209,17 +1205,18 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, String> {
                     level.key()
                 );
             }
-            VerifyOutcome::CounterExample {
-                input,
-                mismatch,
-                minimized,
-            } => {
+            VerifyOutcome::CounterExample { input, mismatch } => {
                 println!("counterexample[{}]: {mismatch}", level.key());
                 for (i, phv) in input.phvs.iter().enumerate() {
                     println!("  packet {i}: {phv}");
                 }
-                if let Some(mce) = &minimized {
-                    print_minimized(mce);
+                let mcfg = MinimizeConfig {
+                    observable: cfg.observable.clone(),
+                    state_cells: cfg.state_cells.clone(),
+                    ..MinimizeConfig::default()
+                };
+                if let Some(mce) = minimize(spec, mc, level, &mut reference, &input, &mcfg) {
+                    print_minimized(&mce);
                 }
                 return Err(format!(
                     "verification found a divergence at level {}",

@@ -379,6 +379,59 @@ fn verify_exhausts_small_input_space() {
     }
 }
 
+/// Bounded verification of `tests/fixtures/verify_threshold.domino`
+/// finds the `x > 1500` divergence at every level and through the lane
+/// sweep, and the CLI minimizes each counterexample before printing it.
+#[test]
+fn verify_prints_a_minimized_counterexample_at_every_level() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/verify_threshold.domino"
+    );
+    let base = [
+        "verify",
+        fixture,
+        "--depth",
+        "2",
+        "--width",
+        "1",
+        "--atom",
+        "if_else_raw",
+        "--bits",
+        "11",
+        "--packets",
+        "2",
+    ];
+    let runs: [(&[&str], &str); 5] = [
+        (&["--level", "0"], "unoptimized"),
+        (&["--level", "1"], "scc"),
+        (&["--level", "2"], "scc_inline"),
+        (&["--level", "3"], "fused"),
+        (&["--lanes", "64"], "fused"),
+    ];
+    for (flags, level) in runs {
+        let out = druzhba(&[&base[..], flags].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{flags:?}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.starts_with(&format!("counterexample[{level}]: ")),
+            "{flags:?}: stdout: {stdout}"
+        );
+        assert!(
+            stdout.ends_with(
+                "minimized counterexample: 1 of 2 packet(s), 5 differential check(s)\n  \
+                 packet 0: [1501, 0, 0]\n"
+            ),
+            "{flags:?}: stdout: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn verify_rejects_lane_flags_before_synthesis() {
     let rcp = concat!(
