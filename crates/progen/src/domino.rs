@@ -157,6 +157,11 @@ pub struct GeneratedDomino {
     pub program: DominoProgram,
     /// Compilation result (machine code, layout, observables).
     pub compiled: CompiledProgram,
+    /// The symbolic verdict of the compiled levels against the source
+    /// (never `Refuted`: vetting rejects those). `Proved` means the four
+    /// backends compute the same function on every packet and state
+    /// (DESIGN.md §12), so one backend's run speaks for all of them.
+    pub verdict: SymbolicVerdict,
 }
 
 impl GeneratedDomino {
@@ -165,6 +170,12 @@ impl GeneratedDomino {
     /// side of the differential loop.
     pub fn interpreter_spec(&self) -> CompiledSpec {
         CompiledSpec::new(self.program.clone(), &self.compiled)
+    }
+
+    /// True when [`GeneratedDomino::verdict`] proves every level equal to
+    /// the source.
+    pub fn proved(&self) -> bool {
+        self.verdict == SymbolicVerdict::Proved
     }
 
     /// The exact command that regenerates this program.
@@ -473,18 +484,22 @@ pub fn domino_candidate(seed: u64) -> DominoCandidate {
 }
 
 /// Run the full vet chain on a candidate. `Ok` carries the re-parsed
-/// program (proving the round-trip) and its compilation.
-pub fn vet(cand: &DominoCandidate) -> Result<(DominoProgram, CompiledProgram), Reject> {
+/// program (proving the round-trip), its compilation and its symbolic
+/// verdict.
+pub fn vet(
+    cand: &DominoCandidate,
+) -> Result<(DominoProgram, CompiledProgram, SymbolicVerdict), Reject> {
     let program = parse_program(&cand.source).map_err(|_| Reject::Parse)?;
     let cfg = CompilerConfig::new(cand.grid.depth, cand.grid.width, cand.grid.atom);
     let compiled = compile(&program, &cfg).map_err(|_| Reject::Compile)?;
-    screen_and_validate(&compiled)?;
-    Ok((program, compiled))
+    let verdict = screen_and_validate(&compiled)?;
+    Ok((program, compiled, verdict))
 }
 
 /// The screen, the abstract TV and the symbolic verdict, in that order,
-/// read off one all-level build.
-fn screen_and_validate(compiled: &CompiledProgram) -> Result<(), Reject> {
+/// read off one all-level build. `Ok` carries the verdict, which is never
+/// `Refuted`.
+fn screen_and_validate(compiled: &CompiledProgram) -> Result<SymbolicVerdict, Reject> {
     let (spec, mc) = (&compiled.pipeline_spec, &compiled.machine_code);
     let build = ProgramBuild::new(spec, mc, &OptLevel::ALL).map_err(|(level, _)| match level {
         OptLevel::Unoptimized => Reject::Compile,
@@ -501,7 +516,7 @@ fn screen_and_validate(compiled: &CompiledProgram) -> Result<(), Reject> {
     }
     match build.verdict() {
         SymbolicVerdict::Refuted { .. } => Err(Reject::Refuted),
-        _ => Ok(()),
+        verdict => Ok(verdict),
     }
 }
 
@@ -527,7 +542,7 @@ pub fn generate_domino_at(base: u64, index: u64) -> GeneratedDomino {
         let seed = candidate_seed(base, index, attempt);
         let cand = domino_candidate(seed);
         match vet(&cand) {
-            Ok((program, compiled)) => {
+            Ok((program, compiled, verdict)) => {
                 return GeneratedDomino {
                     name: format!("gen_{base:016x}_{index}"),
                     index,
@@ -538,6 +553,7 @@ pub fn generate_domino_at(base: u64, index: u64) -> GeneratedDomino {
                     source: cand.source,
                     program,
                     compiled,
+                    verdict,
                 };
             }
             Err(r) => rejects.add(r),

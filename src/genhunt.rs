@@ -11,10 +11,13 @@
 //!    the campaign is deterministic and byte-identical across `--jobs`
 //!    counts;
 //! 2. the *clean sweep*: every generated program runs seeded
-//!    differential fuzzing on every requested [`OptLevel`]. The programs
+//!    differential fuzzing for every requested [`OptLevel`]. The programs
 //!    are freshly compiled and statically vetted, so any divergence here
 //!    is a genuine compiler bug (the expected count is zero, and CI
-//!    treats nonzero as failure);
+//!    treats nonzero as failure). Vetting proves almost every program's
+//!    four backends equal (DESIGN.md §12); such a program replays each
+//!    level's traffic on one fused build, and only a fused run that does
+//!    not pass is rerun on its level;
 //! 3. optionally (`--faults N`), known faults are injected into each
 //!    generated program's machine code and hunted the usual way —
 //!    measuring detection power over an unbounded program space instead
@@ -40,7 +43,8 @@ use druzhba_dsim::runtime::{
     catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
 };
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
+use druzhba_dsim::testing::{fuzz_test, shard_seed, AluChecker, FuzzConfig, VerdictClass};
+use druzhba_dsim::TrafficGenerator;
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
 
 use crate::mutation::{rate, render_report, HuntFault, ROW_INDENT};
@@ -321,6 +325,7 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
 }
 
 /// One clean-sweep or fault-sweep divergence, for the JSON row.
+#[derive(Debug, PartialEq, Eq)]
 struct Divergence {
     level: OptLevel,
     seed: u64,
@@ -336,22 +341,7 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
 
     // Clean sweep: the program is freshly compiled and statically vetted,
     // so any divergence is a genuine compiler bug.
-    let mut clean: Vec<Divergence> = Vec::new();
-    for (li, &level) in cfg.levels.iter().enumerate() {
-        for run in 0..cfg.fuzz_runs.max(1) {
-            let seed = shard_seed(task_seed, (li * cfg.fuzz_runs.max(1) + run) as u64);
-            let (program, mc) = (&g.program, &g.compiled.machine_code);
-            let verdict = fuzz_class(cfg, (program, &g.compiled), mc, level, seed);
-            if verdict != VerdictClass::Pass {
-                clean.push(Divergence {
-                    level,
-                    seed,
-                    verdict,
-                });
-                break;
-            }
-        }
-    }
+    let clean = clean_sweep(cfg, &g, &g.compiled.machine_code, task_seed);
 
     // Fault sweep: inject known faults into the generated machine code
     // and hunt them, minimizing each divergence at the program level.
@@ -383,6 +373,77 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
         panicked: false,
         json,
     }
+}
+
+/// The clean sweep of `mc` on `g`'s grid: per requested level, up to
+/// `fuzz_runs` seeded runs, stopping at the level's first divergence.
+///
+/// When `g` is proved (DESIGN.md §12), every level computes the fused
+/// backend's function, so each run's traffic is replayed on one fused
+/// build instead of on the level itself. A fused run that does not pass
+/// is confirmed by a run on the level, whose own verdict is recorded; the
+/// two disagreeing means the proof is broken, which a stderr warning
+/// reports. An unproved program runs every level.
+fn clean_sweep(
+    cfg: &GenHuntConfig,
+    g: &GeneratedDomino,
+    mc: &MachineCode,
+    task_seed: u64,
+) -> Vec<Divergence> {
+    let comp = &g.compiled;
+    let observable = comp.observable_containers();
+    let mut fused = g.proved().then(|| {
+        let checker = AluChecker::new(
+            &comp.pipeline_spec,
+            OptLevel::Fused,
+            Some(&observable),
+            &comp.state_cells,
+        );
+        (checker, g.interpreter_spec())
+    });
+    let phv_length = comp.pipeline_spec.config.phv_length;
+    let runs = cfg.fuzz_runs.max(1);
+    let mut clean = Vec::new();
+    for (li, &level) in cfg.levels.iter().enumerate() {
+        for run in 0..runs {
+            let seed = shard_seed(task_seed, (li * runs + run) as u64);
+            let verdict = match &mut fused {
+                Some((checker, reference)) => {
+                    let input = TrafficGenerator::new(seed, phv_length, cfg.input_bits)
+                        .trace(cfg.fuzz_phvs);
+                    let fast = checker.check(reference, mc, &input).class();
+                    if fast == VerdictClass::Pass || level == OptLevel::Fused {
+                        fast
+                    } else {
+                        let own = fuzz_class(cfg, (&g.program, comp), mc, level, seed);
+                        if own != fast {
+                            eprintln!(
+                                "warning: program {} is proved equal on every backend, but the \
+                                 fused and {} backends disagree under traffic seed {seed} \
+                                 (fused: {}, {}: {}); a dgen or analysis bug",
+                                g.index,
+                                level.key(),
+                                fast.key(),
+                                level.key(),
+                                own.key()
+                            );
+                        }
+                        own
+                    }
+                }
+                None => fuzz_class(cfg, (&g.program, comp), mc, level, seed),
+            };
+            if verdict != VerdictClass::Pass {
+                clean.push(Divergence {
+                    level,
+                    seed,
+                    verdict,
+                });
+                break;
+            }
+        }
+    }
+    clean
 }
 
 /// The verdict class of one differential fuzz run of `mc` (the
@@ -526,4 +587,103 @@ fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) 
         )
         .field("faults", array(faults, None))
         .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use druzhba_analysis::SymbolicVerdict;
+
+    /// The clean sweep without the proof: every level runs every run
+    /// itself, stopping at its first divergence.
+    fn all_levels(
+        cfg: &GenHuntConfig,
+        g: &GeneratedDomino,
+        mc: &MachineCode,
+        task_seed: u64,
+    ) -> Vec<Divergence> {
+        let runs = cfg.fuzz_runs.max(1);
+        let mut out = Vec::new();
+        for (li, &level) in cfg.levels.iter().enumerate() {
+            for run in 0..runs {
+                let seed = shard_seed(task_seed, (li * runs + run) as u64);
+                let verdict = fuzz_class(cfg, (&g.program, &g.compiled), mc, level, seed);
+                if verdict != VerdictClass::Pass {
+                    out.push(Divergence {
+                        level,
+                        seed,
+                        verdict,
+                    });
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// Every order of the four levels.
+    fn level_orders() -> Vec<Vec<OptLevel>> {
+        (0..256usize)
+            .map(|n| [n % 4, n / 4 % 4, n / 16 % 4, n / 64])
+            .filter(|ix| (0..4).all(|i| ix[i + 1..].iter().all(|&j| j != ix[i])))
+            .map(|ix| ix.iter().map(|&i| OptLevel::ALL[i]).collect())
+            .collect()
+    }
+
+    /// Generated programs with their behavioural fault mutants: the
+    /// machine codes whose clean sweep diverges.
+    fn mutants() -> Vec<(GeneratedDomino, MachineCode)> {
+        let mut out = Vec::new();
+        for index in 0..3 {
+            let g = generate_domino_at(0x000D_122B, index);
+            for (k, kind) in FaultKind::BEHAVIORAL.into_iter().enumerate() {
+                let mut injector = FaultInjector::new(shard_seed(index, k as u64));
+                let spec = &g.compiled.pipeline_spec;
+                if let Some((bad, _)) = injector.inject(spec, &g.compiled.machine_code, kind) {
+                    out.push((g.clone(), bad));
+                }
+            }
+        }
+        out
+    }
+
+    /// Sweep each mutant in every level order and demand the all-levels
+    /// loop's divergences; returns how many sweeps diverged.
+    fn assert_sweeps_match(proved: bool) -> usize {
+        let mut diverged = 0;
+        for (mut g, bad) in mutants() {
+            assert!(g.proved(), "{}: generated programs prove", g.name);
+            if !proved {
+                g.verdict = SymbolicVerdict::Unknown { residuals: vec![] };
+            }
+            for levels in level_orders() {
+                let cfg = GenHuntConfig {
+                    levels,
+                    fuzz_phvs: 12,
+                    fuzz_runs: 2,
+                    ..GenHuntConfig::default()
+                };
+                let task_seed = shard_seed(cfg.seed ^ GENH_SALT, g.index);
+                let want = all_levels(&cfg, &g, &bad, task_seed);
+                let got = clean_sweep(&cfg, &g, &bad, task_seed);
+                assert_eq!(got, want, "{} under {:?}", g.name, cfg.levels);
+                diverged += usize::from(!got.is_empty());
+            }
+        }
+        diverged
+    }
+
+    /// A proved program's sweep runs on one fused build; a failing fused
+    /// run is confirmed on its level, so an injected fault (which every
+    /// backend implements alike) yields the all-levels loop's rows.
+    #[test]
+    fn proved_sweep_confirms_fused_failures_on_each_level() {
+        assert!(assert_sweeps_match(true) > 0, "some mutant must diverge");
+    }
+
+    /// Without a proof the sweep runs every level itself.
+    #[test]
+    fn unproved_sweep_runs_every_level() {
+        assert!(assert_sweeps_match(false) > 0, "some mutant must diverge");
+    }
 }
