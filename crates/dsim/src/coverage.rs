@@ -70,6 +70,7 @@
 //! assert!(report.corpus_size >= 1);
 //! ```
 
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use druzhba_core::value::max_for_bits;
@@ -81,10 +82,10 @@ pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE
 
 use crate::minimize::MinimizedCounterExample;
 use crate::p4::{materialize_pattern, P4Checker, P4Target, P4Traffic, P4Workload};
-use crate::runtime::{default_workers, RuntimeOptions};
+use crate::runtime::{catch_silent, default_workers, RuntimeOptions, WorkerPanic};
 use crate::snapshot;
 use crate::testing::{
-    minimizable, run_sharded, shard_seed, AluChecker, AluTarget, Specification, Target, Verdict,
+    minimizable, shard_seed, AluChecker, AluTarget, Specification, Target, Verdict,
 };
 
 // ----------------------------------------------------------------------
@@ -595,10 +596,105 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
+/// One round's order to a shard worker: the round number, the shard's
+/// execution budget, and the merged corpus and global coverage it starts
+/// from.
+type ShardJob<I> = (u64, usize, Arc<(Vec<I>, CoverageMap)>);
+
+/// The channels to one shard's worker thread.
+struct ShardWorker<I> {
+    jobs: mpsc::Sender<ShardJob<I>>,
+    done: mpsc::Receiver<Result<ShardOutcome<I>, WorkerPanic>>,
+}
+
+/// Spawn the worker of shard `shard`: it builds its check on its first
+/// job and runs every later round of that shard on the same check. A
+/// check never crosses threads (pipelines are not `Send`). The worker
+/// exits when its job channel closes.
+fn spawn_shard<'scope, 'env, M, C, F>(
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shard: usize,
+    model: &'env M,
+    make_check: &'env F,
+    seed: u64,
+) -> ShardWorker<M::Input>
+where
+    M: InputModel,
+    C: CoveredCheck<M::Input>,
+    F: Fn() -> C + Sync,
+{
+    let (jobs, job_rx) = mpsc::channel::<ShardJob<M::Input>>();
+    let (done_tx, done) = mpsc::channel();
+    scope.spawn(move || {
+        let mut check = None;
+        for (round, shard_budget, view) in job_rx {
+            let outcome = catch_silent(|| {
+                let check = check.get_or_insert_with(make_check);
+                let (corpus, global) = &*view;
+                run_shard(
+                    model,
+                    check,
+                    seed,
+                    (round, shard),
+                    shard_budget,
+                    corpus,
+                    global,
+                )
+            });
+            drop(view);
+            if done_tx.send(outcome).is_err() {
+                break;
+            }
+        }
+    });
+    ShardWorker { jobs, done }
+}
+
+/// One shard's round: `shard_budget` mutate-execute steps from uniform
+/// parents over the corpus and the shard's own finds so far, stopping at
+/// the first divergence.
+fn run_shard<M, C>(
+    model: &M,
+    check: &mut C,
+    seed: u64,
+    (round, shard): (u64, usize),
+    shard_budget: usize,
+    corpus: &[M::Input],
+    global: &CoverageMap,
+) -> ShardOutcome<M::Input>
+where
+    M: InputModel,
+    C: CoveredCheck<M::Input>,
+{
+    let mut rng = ValueGen::new(
+        shard_seed(seed ^ 0x6B0C_5000, round << 16 | shard as u64),
+        32,
+    );
+    let mut local_global = global.clone();
+    let mut finds: Vec<(M::Input, CoverageMap)> = Vec::new();
+    for k in 0..shard_budget {
+        let pick = rng.value_below((corpus.len() + finds.len()) as Value) as usize;
+        let mut input = match corpus.get(pick) {
+            Some(seed) => seed.clone(),
+            None => finds[pick - corpus.len()].0.clone(),
+        };
+        model.mutate(&mut rng, &mut input);
+        match check.check(&input) {
+            Err(verdict) => return (Some((k, input, verdict)), finds),
+            Ok(cov) => {
+                if local_global.accumulate_buckets(cov) {
+                    finds.push((input, cov.clone()));
+                }
+            }
+        }
+    }
+    (None, finds)
+}
+
 /// The generic greybox loop: seed, then mutate-execute-merge rounds until
 /// the budget is spent, the wall clock runs out, or a divergence appears.
-/// `make_check` builds one check per worker (checks own mutable pipelines
-/// and are never shared across threads). Returns the report, whose
+/// `make_check` builds one check per worker, kept across rounds (checks
+/// own mutable pipelines and are never shared across threads). Returns the report, whose
 /// diverging trace and minimization the caller fills in, and the
 /// diverging input.
 ///
@@ -727,84 +823,79 @@ where
         }
     }
 
-    // Guided rounds with periodic cross-shard merging.
-    while divergence.is_none() && !truncated && executions < budget {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            truncated = true;
-            break;
-        }
-        rounds += 1;
-        let remaining = budget - executions;
-        let shards = cfg.workers.max(1).min(remaining.div_ceil(MERGE_EVERY));
-        let tasks: Vec<usize> = (0..shards)
-            .map(|s| MERGE_EVERY.min(remaining - s * MERGE_EVERY))
-            .collect();
-        let corpus_ref = &corpus;
-        let global_ref = &global;
-        let round = rounds as u64;
-        let outcomes: Vec<ShardOutcome<M::Input>> =
-            run_sharded(tasks.clone(), shards, |shard, shard_budget| {
-                let mut check = make_check();
-                let mut rng = ValueGen::new(
-                    shard_seed(cfg.seed ^ 0x6B0C_5000, round << 16 | shard as u64),
-                    32,
-                );
-                let mut local_global = global_ref.clone();
-                let mut finds: Vec<(M::Input, CoverageMap)> = Vec::new();
-                let mut divergence = None;
-                for k in 0..shard_budget {
-                    // A uniform parent over the corpus and this shard's
-                    // finds so far.
-                    let pick = rng.value_below((corpus_ref.len() + finds.len()) as Value) as usize;
-                    let mut input = match corpus_ref.get(pick) {
-                        Some(seed) => seed.clone(),
-                        None => finds[pick - corpus_ref.len()].0.clone(),
-                    };
-                    model.mutate(&mut rng, &mut input);
-                    match check.check(&input) {
-                        Err(verdict) => {
-                            divergence = Some((k, input, verdict));
-                            break;
-                        }
-                        Ok(cov) => {
-                            if local_global.accumulate_buckets(cov) {
-                                finds.push((input, cov.clone()));
-                            }
-                        }
+    // Guided rounds with periodic cross-shard merging. Shard `s` runs on
+    // worker thread `s` in every round, and each worker keeps one check
+    // for the whole campaign, so a worker generates its pipeline once.
+    std::thread::scope(|scope| {
+        let mut workers: Vec<ShardWorker<M::Input>> = Vec::new();
+        while divergence.is_none() && !truncated && executions < budget {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                truncated = true;
+                break;
+            }
+            rounds += 1;
+            let remaining = budget - executions;
+            let shards = cfg.workers.max(1).min(remaining.div_ceil(MERGE_EVERY));
+            let tasks: Vec<usize> = (0..shards)
+                .map(|s| MERGE_EVERY.min(remaining - s * MERGE_EVERY))
+                .collect();
+            while workers.len() < shards {
+                workers.push(spawn_shard(
+                    scope,
+                    workers.len(),
+                    model,
+                    &make_check,
+                    cfg.seed,
+                ));
+            }
+            // The round's view moves to the workers and comes back once
+            // every shard has answered (each drops its handle first).
+            let view = Arc::new((std::mem::take(&mut corpus), std::mem::take(&mut global)));
+            for (w, &shard_budget) in workers.iter().zip(&tasks) {
+                let job = (rounds as u64, shard_budget, Arc::clone(&view));
+                w.jobs.send(job).expect("greybox shard worker is alive");
+            }
+            let outcomes: Vec<ShardOutcome<M::Input>> = (0..shards)
+                .map(|s| match workers[s].done.recv() {
+                    Ok(Ok(outcome)) => outcome,
+                    Ok(Err(p)) => panic!("greybox shard {s} panicked: {}", p.payload),
+                    Err(_) => panic!("greybox shard {s} died"),
+                })
+                .collect();
+            (corpus, global) = Arc::into_inner(view).expect("every shard released the view");
+
+            // Deterministic merge: shard order, then discovery order. A
+            // find is re-validated against the *merged* accumulator so a
+            // path two shards discovered concurrently joins the corpus
+            // once.
+            let base = executions;
+            let mut best: Option<(usize, M::Input, Verdict)> = None;
+            for (s, (divergence, finds)) in outcomes.into_iter().enumerate() {
+                executions += divergence.as_ref().map_or(tasks[s], |(k, ..)| k + 1);
+                if let Some((k, input, verdict)) = divergence {
+                    let ordinal = base + s * MERGE_EVERY + k + 1;
+                    if best.as_ref().is_none_or(|(o, _, _)| ordinal < *o) {
+                        best = Some((ordinal, input, verdict));
                     }
                 }
-                (divergence, finds)
-            });
-
-        // Deterministic merge: shard order, then discovery order. A find
-        // is re-validated against the *merged* accumulator so a path two
-        // shards discovered concurrently joins the corpus once.
-        let base = executions;
-        let mut best: Option<(usize, M::Input, Verdict)> = None;
-        for (s, (divergence, finds)) in outcomes.into_iter().enumerate() {
-            executions += divergence.as_ref().map_or(tasks[s], |(k, ..)| k + 1);
-            if let Some((k, input, verdict)) = divergence {
-                let ordinal = base + s * MERGE_EVERY + k + 1;
-                if best.as_ref().is_none_or(|(o, _, _)| ordinal < *o) {
-                    best = Some((ordinal, input, verdict));
+                for (input, cov) in finds {
+                    if global.accumulate_buckets(&cov) {
+                        add_seed(&mut corpus, input);
+                    }
                 }
             }
-            for (input, cov) in finds {
-                if global.accumulate_buckets(&cov) {
-                    add_seed(&mut corpus, input);
-                }
+            if let Some((ordinal, input, verdict)) = best {
+                first_divergence = Some(ordinal);
+                divergence = Some((input, verdict));
+            } else if rounds.is_multiple_of(every) || executions >= budget {
+                // A round boundary is a consistent cut: the merge above
+                // has already folded every shard's finds in, so the
+                // snapshot is exactly the state an uninterrupted run holds
+                // here.
+                save_state(&corpus, executions, rounds, &global);
             }
         }
-        if let Some((ordinal, input, verdict)) = best {
-            first_divergence = Some(ordinal);
-            divergence = Some((input, verdict));
-        } else if rounds.is_multiple_of(every) || executions >= budget {
-            // A round boundary is a consistent cut: the merge above has
-            // already folded every shard's finds in, so the snapshot is
-            // exactly the state an uninterrupted run holds here.
-            save_state(&corpus, executions, rounds, &global);
-        }
-    }
+    });
     if let Some(dir) = ckpt_dir.as_deref() {
         snapshot::write_heartbeat(dir, "greybox", executions, budget, truncated);
     }
