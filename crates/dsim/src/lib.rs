@@ -73,6 +73,4 @@ pub use testing::{
     VerdictClass,
 };
 pub use traffic::TrafficGenerator;
-pub use verify::{
-    verify_bounded, verify_symbolic_first, SymbolicVerifyOutcome, VerifyConfig, VerifyOutcome,
-};
+pub use verify::{verify_bounded, VerifyConfig, VerifyOutcome};

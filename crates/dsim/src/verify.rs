@@ -14,7 +14,6 @@
 //! guard/threshold bugs live: the §5.2 limited-range failures are
 //! distinguishable with 4-bit inputs and a handful of packets.
 
-use druzhba_analysis::{symbolic_validate_level, SymbolicResidual, SymbolicVerdict};
 use druzhba_core::trace::TraceMismatch;
 use druzhba_core::{Error, MachineCode, Phv, Result, Trace};
 use druzhba_dgen::{LanePipeline, OptLevel, Pipeline, PipelineSpec};
@@ -416,103 +415,6 @@ fn scalar_recheck(
     })
 }
 
-/// Outcome of proof-first verification ([`verify_symbolic_first`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymbolicVerifyOutcome {
-    /// The compiled program's canonical symbolic transfer function equals
-    /// the source semantics' term for term — equivalence holds over the
-    /// *entire* 32-bit input and state space, not just the bounds.
-    Proved,
-    /// Normalization left residual sites (unequal-but-not-disjoint terms,
-    /// a refutation, or an executor bail); bounded enumeration decided
-    /// them within the configured bounds.
-    Fallback {
-        /// The sites symbolic validation could not prove equal.
-        residuals: Vec<SymbolicResidual>,
-        /// What exhaustive enumeration concluded within the bounds.
-        outcome: VerifyOutcome,
-    },
-}
-
-impl SymbolicVerifyOutcome {
-    /// True if equivalence holds — by proof, or exhaustively within the
-    /// bounds after fallback.
-    pub fn verified(&self) -> bool {
-        match self {
-            SymbolicVerifyOutcome::Proved => true,
-            SymbolicVerifyOutcome::Fallback { outcome, .. } => outcome.verified(),
-        }
-    }
-}
-
-/// The Unoptimized backend of a machine code, viewed as a
-/// [`Specification`]: the reference side of translation validation. Each
-/// packet runs through a one-PHV trace so state persists across calls.
-struct SourceSpec {
-    sim: Simulator,
-    state_cells: Vec<(usize, usize, usize)>,
-    last_state: Option<druzhba_core::trace::StateSnapshot>,
-}
-
-impl Specification for SourceSpec {
-    fn reset(&mut self) {
-        self.sim.reset();
-        self.last_state = None;
-    }
-    fn process(&mut self, input: &Phv) -> Phv {
-        let out = self.sim.run(&Trace::from_phvs(vec![input.clone()]));
-        self.last_state = out.state.clone();
-        out.phvs.into_iter().next().expect("one PHV in, one out")
-    }
-    fn state(&self) -> Vec<druzhba_core::Value> {
-        let snapshot = self.last_state.as_deref().unwrap_or(&[]);
-        self.state_cells
-            .iter()
-            .map(|&(stage, slot, var)| {
-                snapshot
-                    .get(stage)
-                    .and_then(|s| s.get(slot))
-                    .and_then(|vars| vars.get(var))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
-}
-
-/// Proof-first translation validation: try symbolic validation
-/// (canonical term equality, which covers the full 32-bit input and
-/// state space), and fall back to [`verify_bounded`]'s exhaustive
-/// enumeration — compiled level against the Unoptimized backend of the
-/// *same* machine code — only on the residual sites the rewrite engine
-/// could not decide.
-///
-/// This relates the compiled program at `opt` to its own source
-/// semantics, the same obligation `symbolic_validate_level` discharges.
-/// To compare against an external specification (a mutant against the
-/// original program's interpreter, say), use [`verify_bounded`]
-/// directly.
-pub fn verify_symbolic_first(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    cfg: &VerifyConfig,
-) -> Result<SymbolicVerifyOutcome> {
-    let residuals = match symbolic_validate_level(pipeline_spec, mc, opt) {
-        SymbolicVerdict::Proved => return Ok(SymbolicVerifyOutcome::Proved),
-        SymbolicVerdict::Refuted { level, site, .. } => vec![SymbolicResidual { level, site }],
-        SymbolicVerdict::Unknown { residuals } => residuals,
-    };
-    let reference_pipeline = Pipeline::generate(pipeline_spec, mc, OptLevel::Unoptimized)?;
-    let mut reference = SourceSpec {
-        sim: Simulator::new(reference_pipeline),
-        state_cells: cfg.state_cells.clone(),
-        last_state: None,
-    };
-    let outcome = verify_bounded(pipeline_spec, mc, opt, &mut reference, cfg)?;
-    Ok(SymbolicVerifyOutcome::Fallback { residuals, outcome })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,70 +596,6 @@ mod tests {
         let outcome =
             verify_bounded(&spec, &mc, OptLevel::SccInline, &mut reference, &cfg).unwrap();
         assert_eq!(outcome, VerifyOutcome::Verified { cases: 1 });
-    }
-
-    /// A clean compiled program is proved symbolically — no enumeration
-    /// runs at all, and the claim covers the full domain.
-    #[test]
-    fn symbolic_first_proves_clean_program_without_enumeration() {
-        let (spec, mc) = setup();
-        let cfg = VerifyConfig {
-            input_bits: 3,
-            packets: 3,
-            relevant_containers: vec![0],
-            observable: Some(vec![1]),
-            state_cells: vec![(0, 0, 0)],
-            ..VerifyConfig::default()
-        };
-        let outcome = verify_symbolic_first(&spec, &mc, OptLevel::SccInline, &cfg).unwrap();
-        assert_eq!(outcome, SymbolicVerifyOutcome::Proved);
-        assert!(outcome.verified());
-    }
-
-    /// A *mutated* machine code is still translation-consistent: every
-    /// backend implements the mutated semantics, so proof-first
-    /// validation must never misreport the mutation as a miscompilation
-    /// (zero false refutations).
-    #[test]
-    fn symbolic_first_never_refutes_a_consistent_mutant() {
-        let (spec, mut mc) = setup();
-        mc.set("stateful_alu_0_0_arith_op_0", 1); // subtract instead of add
-        let cfg = VerifyConfig {
-            input_bits: 2,
-            packets: 2,
-            relevant_containers: vec![0],
-            observable: Some(vec![1]),
-            state_cells: vec![(0, 0, 0)],
-            ..VerifyConfig::default()
-        };
-        for level in [OptLevel::Scc, OptLevel::SccInline, OptLevel::Fused] {
-            let outcome = verify_symbolic_first(&spec, &mc, level, &cfg).unwrap();
-            assert!(outcome.verified(), "{level:?}: {outcome:?}");
-        }
-    }
-
-    /// The fallback reference — the Unoptimized backend wrapped as a
-    /// [`Specification`] — agrees with the compiled levels packet by
-    /// packet, including persistent state across `process` calls.
-    #[test]
-    fn source_spec_reference_tracks_unoptimized_backend() {
-        let (spec, mc) = setup();
-        let cfg = VerifyConfig {
-            input_bits: 2,
-            packets: 3,
-            relevant_containers: vec![0],
-            observable: Some(vec![1]),
-            state_cells: vec![(0, 0, 0)],
-            ..VerifyConfig::default()
-        };
-        let pipeline = Pipeline::generate(&spec, &mc, OptLevel::Unoptimized).unwrap();
-        let mut reference = SourceSpec {
-            sim: Simulator::new(pipeline),
-            state_cells: cfg.state_cells.clone(),
-            last_state: None,
-        };
-        let outcome = verify_bounded(&spec, &mc, OptLevel::Fused, &mut reference, &cfg).unwrap();
-        assert_eq!(outcome, VerifyOutcome::Verified { cases: 4u64.pow(3) });
     }
 
     /// Exhaustive verification catches the §5.2 limited-range bug class
