@@ -4,6 +4,8 @@
 //!   `Interesting` by the analysis screen, and passes a clean
 //!   differential sweep on all four backends across a seed sweep — no
 //!   panics, no `Hazardous` candidate ever leaks into a campaign;
+//! - the symbolic verdict a generated program carries equals a fresh
+//!   all-level build's;
 //! - generation is deterministic and index-addressable: identical
 //!   (seed, index) yields byte-identical program text, and a
 //!   `hunt --generate` report is byte-identical across worker counts;
@@ -11,7 +13,7 @@
 //!   reproducer that still diverges with the same `VerdictClass` and
 //!   never grows (the program dimension of `minimize_props`).
 
-use druzhba::analysis::pipeline::{screen, Screened};
+use druzhba::analysis::pipeline::{screen, ProgramBuild, Screened};
 use druzhba::chipmunk::{compile, CompiledSpec, CompilerConfig};
 use druzhba::core::MachineCode;
 use druzhba::dgen::OptLevel;
@@ -152,6 +154,22 @@ fn generation_is_deterministic_and_index_addressable() {
     let p4_batch = generate_p4(42, 3);
     for (i, g) in p4_batch.iter().enumerate() {
         assert_eq!(g.source, generate_p4_at(42, i as u64).source);
+    }
+}
+
+/// The symbolic verdict a generated program carries out of vetting is
+/// the one a fresh all-level build computes: the clean sweep's fused
+/// fast path trusts it, so it must not drift from the analysis.
+#[test]
+fn carried_verdict_matches_a_fresh_all_level_build() {
+    for seed in [0x000D_122B, 7] {
+        for g in generate_domino(seed, 50) {
+            let c = &g.compiled;
+            let fresh = ProgramBuild::new(&c.pipeline_spec, &c.machine_code, &OptLevel::ALL)
+                .expect("a vetted program builds at every level")
+                .verdict();
+            assert_eq!(g.verdict, fresh, "{}: carried verdict", g.name);
+        }
     }
 }
 
