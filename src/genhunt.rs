@@ -552,7 +552,9 @@ fn reproduces(
     fuzz_class(cfg, (candidate, &comp), &bad_mc, d.level, d.seed) == d.verdict
 }
 
-/// Render one program's JSON row.
+/// Render one program's JSON row. `proved` says whether the non-fused
+/// levels' clean verdicts come from the §12 proof and the fused replay
+/// rather than from running those levels.
 fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) -> String {
     let divergence = |d: &Divergence, row: Object| {
         row.field("level", d.level.key())
@@ -581,6 +583,7 @@ fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) 
         .field("atom", g.grid.atom)
         .field("recipe", g.recipe())
         .field("rejected", g.rejects.total())
+        .field("proved", g.proved())
         .field(
             "clean_divergences",
             array(clean.iter().map(|d| divergence(d, Object::new())), None),
@@ -685,5 +688,14 @@ mod tests {
     #[test]
     fn unproved_sweep_runs_every_level() {
         assert!(assert_sweeps_match(false) > 0, "some mutant must diverge");
+    }
+
+    /// A row says whether its clean sweep rode on the proof.
+    #[test]
+    fn rows_name_whether_the_sweep_was_proved() {
+        let mut g = generate_domino_at(0x000D_122B, 0);
+        assert!(program_json(&g, &[], &[]).contains(r#""proved": true"#));
+        g.verdict = SymbolicVerdict::Unknown { residuals: vec![] };
+        assert!(program_json(&g, &[], &[]).contains(r#""proved": false"#));
     }
 }
