@@ -159,13 +159,23 @@ pub fn array<T: Value>(items: impl IntoIterator<Item = T>, indent: Option<usize>
 fn enclose(out: &mut String, brackets: &str, entries: &[String], indent: Option<usize>) {
     let (open, close) = brackets.split_at(1);
     out.push_str(open);
-    match indent {
-        None => out.push_str(&entries.join(", ")),
-        Some(n) => {
-            let pad = " ".repeat(n);
-            let lines: Vec<String> = entries.iter().map(|e| format!("{pad}{e}")).collect();
-            let _ = write!(out, "\n{}\n{}", lines.join(",\n"), &pad[2.min(n)..]);
+    // Written in place: a campaign report's rows array is its bulk, and
+    // joining copies of it would multiply the report's peak memory.
+    let pad = " ".repeat(indent.unwrap_or(0));
+    let sep = if indent.is_some() { ",\n" } else { ", " };
+    if indent.is_some() {
+        out.push('\n');
+    }
+    for (i, entry) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
         }
+        out.push_str(&pad);
+        out.push_str(entry);
+    }
+    if let Some(n) = indent {
+        out.push('\n');
+        out.push_str(&pad[2.min(n)..]);
     }
     out.push_str(close);
 }

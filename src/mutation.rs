@@ -399,7 +399,9 @@ pub(crate) fn render_report<'a>(
         .field("config", config)
         .field("summary", summary)
         .field(rows_key, rows);
-    format!("{report}\n")
+    let mut out = report.to_string();
+    out.push('\n');
+    out
 }
 
 /// A rate as the reports print it: four decimals.
