@@ -18,12 +18,12 @@
 //!    packet duplication/removal/splicing — and, on the P4 side,
 //!    entry-pattern resampling and table-entry mutations) derives the
 //!    child input;
-//! 5. the loop runs in sharded **rounds** over [`run_sharded`]: each
-//!    round, every worker runs 64 executions independently from the
-//!    shared corpus snapshot, then the shards' discoveries are merged
-//!    deterministically (shard order, then discovery order) before the
-//!    next round — periodic cross-shard corpus merging without any
-//!    locking.
+//! 5. the loop runs in sharded **rounds**: each round, every shard runs
+//!    64 executions independently from the shared corpus snapshot, then
+//!    the shards' discoveries are merged deterministically (shard order,
+//!    then discovery order) before the next round — periodic cross-shard
+//!    corpus merging without any locking. Shard `s` runs on worker thread
+//!    `s` in every round, on one check built at its first round.
 //!
 //! Every execution is one guarded check of the stack's checker
 //! ([`AluChecker`] on the tick-accurate simulator, [`P4Checker`]) with
