@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use druzhba_analysis::StaticFlag;
-use druzhba_core::json::{array, Object, Raw};
+use druzhba_core::json::{array, Object, Raw, Value as _};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::minimize::MinimizedCounterExample;
 use druzhba_dsim::runtime::{run_resumable, Campaign, RecordCodec, RuntimeOptions};
@@ -399,7 +399,8 @@ pub(crate) fn render_report<'a>(
         .field("config", config)
         .field("summary", summary)
         .field(rows_key, rows);
-    let mut out = report.to_string();
+    let mut out = String::new();
+    report.write_json(&mut out);
     out.push('\n');
     out
 }
