@@ -694,9 +694,9 @@ where
 /// The generic greybox loop: seed, then mutate-execute-merge rounds until
 /// the budget is spent, the wall clock runs out, or a divergence appears.
 /// `make_check` builds one check per worker, kept across rounds (checks
-/// own mutable pipelines and are never shared across threads). Returns the report, whose
-/// diverging trace and minimization the caller fills in, and the
-/// diverging input.
+/// own mutable pipelines and are never shared across threads). Returns
+/// the report, whose diverging trace and minimization the caller fills
+/// in, and the diverging input.
 ///
 /// Crash resilience (`cfg.runtime`):
 ///
