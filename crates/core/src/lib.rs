@@ -14,7 +14,6 @@
 //! a `(String, Value)` tuple whose name identifies the primitive and whose
 //! value selects its behaviour.
 
-pub mod asm;
 pub mod config;
 pub mod coverage;
 pub mod diag;
@@ -28,7 +27,6 @@ pub mod rng;
 pub mod trace;
 pub mod value;
 
-pub use asm::Assembler;
 pub use config::PipelineConfig;
 pub use coverage::CoverageMap;
 pub use diag::{Diagnostic, Severity};

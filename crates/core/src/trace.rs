@@ -67,26 +67,37 @@ impl Trace {
                 actual: other.phvs.len(),
             });
         }
-        for (tick, (a, b)) in self.phvs.iter().zip(&other.phvs).enumerate() {
-            let indices: Vec<usize> = match observable {
-                Some(idx) => idx.to_vec(),
-                None => (0..a.len().max(b.len())).collect(),
-            };
-            for &c in &indices {
-                let va = a.try_get(c);
-                let vb = b.try_get(c);
-                if va != vb {
-                    return Some(TraceMismatch::ContainerMismatch {
-                        tick,
-                        container: c,
-                        expected: va,
-                        actual: vb,
-                    });
-                }
-            }
-        }
-        None
+        self.phvs
+            .iter()
+            .zip(&other.phvs)
+            .enumerate()
+            .find_map(|(tick, (a, b))| phv_mismatch(tick, a, b.containers(), observable))
     }
+}
+
+/// Compare one expected PHV against the containers of one actual PHV:
+/// the per-tick step of [`Trace::first_mismatch`], also called directly by
+/// comparators whose actual outputs are not a [`Trace`]. `observable`
+/// names the compared containers; `None` compares every container of
+/// either PHV. Returns the first differing container as a
+/// [`TraceMismatch::ContainerMismatch`] at `tick`.
+pub fn phv_mismatch(
+    tick: usize,
+    expected: &Phv,
+    actual: &[Value],
+    observable: Option<&[usize]>,
+) -> Option<TraceMismatch> {
+    let differs = |&c: &usize| expected.try_get(c) != actual.get(c).copied();
+    let container = match observable {
+        Some(idx) => idx.iter().copied().find(differs),
+        None => (0..expected.len().max(actual.len())).find(differs),
+    }?;
+    Some(TraceMismatch::ContainerMismatch {
+        tick,
+        container,
+        expected: expected.try_get(container),
+        actual: actual.get(container).copied(),
+    })
 }
 
 /// A divergence between an expected and an actual trace.
@@ -217,6 +228,15 @@ mod tests {
                 container: 1,
                 expected: Some(2),
                 actual: None
+            })
+        );
+        assert_eq!(
+            b.first_mismatch(&a, None),
+            Some(TraceMismatch::ContainerMismatch {
+                tick: 0,
+                container: 1,
+                expected: None,
+                actual: Some(2)
             })
         );
     }

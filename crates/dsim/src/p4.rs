@@ -224,11 +224,12 @@ impl P4Traffic {
     }
 }
 
-/// Compare the final stateful objects of the two executions; maps
-/// register/counter divergence onto [`TraceMismatch::StateMismatch`]
-/// with `stage` = object index (registers first, then counters) and
-/// `slot` = cell index.
-fn state_mismatch(
+/// Compare the final stateful objects of two executions, expected first
+/// (the pipeline in [`P4Checker`], the dRMT machine in the cross-model
+/// check); maps register/counter divergence onto
+/// [`TraceMismatch::StateMismatch`] with `stage` = object index
+/// (registers first, then counters) and `slot` = cell index.
+pub fn state_mismatch(
     expected_regs: &BTreeMap<String, Vec<Value>>,
     expected_ctrs: &BTreeMap<String, Vec<u64>>,
     actual_regs: &BTreeMap<String, Vec<Value>>,

@@ -14,7 +14,7 @@
 //! *assertion failures between the pipeline output trace and the
 //! specification's output trace*.
 
-use druzhba_core::trace::TraceMismatch;
+use druzhba_core::trace::{phv_mismatch, TraceMismatch};
 use druzhba_core::{CoverageMap, Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
@@ -46,11 +46,11 @@ pub trait Specification {
     }
 
     /// Allocation-free variant of [`Specification::process`]: write the
-    /// expected output into `out`. Hot enumeration loops (the lane-swept
-    /// verifier runs billions of cases) call this; the default simply
-    /// delegates, so existing specifications need no changes.
+    /// expected output into `out`. Every ALU check calls this (bounded
+    /// verification runs billions); the default simply delegates, so
+    /// existing specifications need no changes.
     ///
-    /// The verifier reuses one `out` buffer for every packet, so an
+    /// The comparison reuses one `out` buffer for every packet, so an
     /// implementation must write every output container, zero included:
     /// a container left untouched still holds the previous packet's value.
     fn process_into(&mut self, input: &Phv, out: &mut Phv) {
@@ -308,6 +308,7 @@ pub struct AluChecker<'a> {
     state_cells: &'a [(usize, usize, usize)],
     coverage: bool,
     built: Option<(MachineCode, Simulator)>,
+    comparator: SpecComparator,
 }
 
 impl<'a> AluChecker<'a> {
@@ -325,6 +326,7 @@ impl<'a> AluChecker<'a> {
             state_cells,
             coverage: false,
             built: None,
+            comparator: SpecComparator::new(pipeline_spec.config.phv_length),
         }
     }
 
@@ -383,48 +385,105 @@ impl<'a> AluChecker<'a> {
         sim.reset();
         sim.pipeline_mut().clear_coverage();
         let actual = sim.run(input);
-        compare_against_spec(reference, input, &actual, self.observable, self.state_cells)
+        let (observable, cells) = (self.observable, self.state_cells);
+        let mismatch = self
+            .comparator
+            .compare(reference, &input.phvs, &actual, observable, cells);
+        mismatch.map_or(Verdict::Pass, Verdict::Mismatch)
     }
 }
 
-/// Compare one pipeline output trace against the specification's expected
-/// behaviour on the same input — the assertion half of [`run_case`],
-/// shared with bounded verification ([`crate::verify`]), which executes
-/// the pipeline itself.
-pub(crate) fn compare_against_spec<R: Specification + ?Sized>(
-    reference: &mut R,
-    input: &Trace,
-    actual: &Trace,
-    observable: Option<&[usize]>,
-    state_cells: &[(usize, usize, usize)],
-) -> Verdict {
-    reference.reset();
-    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
+/// One pipeline execution as the [`SpecComparator`] reads it, in place: a
+/// simulator [`Trace`], or one lane of bounded verification's lane
+/// executor ([`crate::verify`]).
+pub(crate) trait Observed {
+    /// Output PHVs.
+    fn len(&self) -> usize;
+    /// The containers of output PHV `tick`.
+    fn phv(&self, tick: usize) -> &[Value];
+    /// Final value of state variable `var` of the stateful ALU at
+    /// `(stage, slot)`; `None` when that cell does not exist.
+    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value>;
+}
 
-    if let Some(m) = expected.first_mismatch(actual, observable) {
-        return Verdict::Mismatch(m);
+impl Observed for &Trace {
+    fn len(&self) -> usize {
+        self.phvs.len()
     }
-    if !state_cells.is_empty() {
-        let snapshot = actual.state.as_ref().expect("run records state");
-        let expected_state = reference.state();
-        for (i, &(stage, slot, var)) in state_cells.iter().enumerate() {
-            let actual_v = snapshot
-                .get(stage)
-                .and_then(|s| s.get(slot))
-                .and_then(|vars| vars.get(var))
-                .copied();
-            let expected_v = expected_state.get(i).copied();
-            if actual_v != expected_v {
-                return Verdict::Mismatch(TraceMismatch::StateMismatch {
-                    stage,
-                    slot,
-                    expected: expected_v.into_iter().collect(),
-                    actual: actual_v.into_iter().collect(),
-                });
-            }
+    fn phv(&self, tick: usize) -> &[Value] {
+        self.phvs[tick].containers()
+    }
+    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value> {
+        let snapshot = self.state.as_ref().expect("run records state");
+        snapshot.get(stage)?.get(slot)?.get(var).copied()
+    }
+}
+
+/// The ALU stack's one pipeline-versus-specification comparison (the
+/// paper's Fig. 5 assertion), made by every [`AluChecker`] check and every
+/// bounded verification case. It owns the reference's output buffers,
+/// reused across packets and cases.
+#[derive(Debug)]
+pub(crate) struct SpecComparator {
+    expected: Phv,
+    expected_state: Vec<Value>,
+}
+
+impl SpecComparator {
+    /// A comparator for pipelines of `phv_length` containers.
+    pub(crate) fn new(phv_length: usize) -> Self {
+        SpecComparator {
+            expected: Phv::zeroed(phv_length),
+            expected_state: Vec::new(),
         }
     }
-    Verdict::Pass
+
+    /// Step `reference` from reset over `input` through
+    /// [`Specification::process_into`], comparing each output with
+    /// `actual` in place, then compare the `state_cells` through
+    /// [`Specification::state_into`]. Returns what
+    /// [`Trace::first_mismatch`] returns on the reference's output trace
+    /// (a length mismatch first, then the first differing observable
+    /// container), else the first differing state cell. The reference
+    /// steps every packet even after a mismatch, so one that panics on a
+    /// late packet still panics.
+    pub(crate) fn compare<R: Specification + ?Sized, O: Observed>(
+        &mut self,
+        reference: &mut R,
+        input: &[Phv],
+        actual: O,
+        observable: Option<&[usize]>,
+        state_cells: &[(usize, usize, usize)],
+    ) -> Option<TraceMismatch> {
+        reference.reset();
+        let mut mismatch = (input.len() != actual.len()).then_some(TraceMismatch::LengthMismatch {
+            expected: input.len(),
+            actual: actual.len(),
+        });
+        for (tick, phv) in input.iter().enumerate() {
+            reference.process_into(phv, &mut self.expected);
+            if mismatch.is_none() {
+                mismatch = phv_mismatch(tick, &self.expected, actual.phv(tick), observable);
+            }
+        }
+        if mismatch.is_some() || state_cells.is_empty() {
+            return mismatch;
+        }
+        reference.state_into(&mut self.expected_state);
+        state_cells
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(stage, slot, var))| {
+                let expected = self.expected_state.get(i).copied();
+                let actual = actual.state_cell(stage, slot, var);
+                (expected != actual).then(|| TraceMismatch::StateMismatch {
+                    stage,
+                    slot,
+                    expected: expected.into_iter().collect(),
+                    actual: actual.into_iter().collect(),
+                })
+            })
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -888,6 +947,217 @@ mod tests {
             },
             |s| vec![*s],
         )
+    }
+
+    /// A reference replaying scripted outputs and a scripted final state,
+    /// panicking at packet `panic_at`. With `in_place` it writes into the
+    /// caller's buffer when the lengths agree, as `CompiledSpec` does.
+    struct Scripted {
+        outputs: Vec<Phv>,
+        state: Vec<Value>,
+        next: usize,
+        panic_at: Option<usize>,
+        in_place: bool,
+    }
+
+    impl Specification for Scripted {
+        fn reset(&mut self) {
+            self.next = 0;
+        }
+        fn process(&mut self, _: &Phv) -> Phv {
+            assert_ne!(Some(self.next), self.panic_at, "reference panics");
+            self.next += 1;
+            self.outputs[self.next - 1].clone()
+        }
+        fn state(&self) -> Vec<Value> {
+            self.state.clone()
+        }
+        fn process_into(&mut self, input: &Phv, out: &mut Phv) {
+            let phv = self.process(input);
+            if self.in_place && out.len() == phv.len() {
+                out.copy_from_slice(phv.containers());
+            } else {
+                *out = phv;
+            }
+        }
+    }
+
+    /// The comparison [`SpecComparator`] replaced: the reference's whole
+    /// output trace through [`Trace::first_mismatch`], then the state
+    /// cells in order.
+    fn old_comparison(
+        reference: &mut Scripted,
+        input: &Trace,
+        actual: &Trace,
+        observable: Option<&[usize]>,
+        state_cells: &[(usize, usize, usize)],
+    ) -> Option<TraceMismatch> {
+        reference.reset();
+        let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
+        if let Some(m) = expected.first_mismatch(actual, observable) {
+            return Some(m);
+        }
+        if state_cells.is_empty() {
+            return None;
+        }
+        let snapshot = actual.state.as_ref().expect("run records state");
+        let expected_state = reference.state();
+        for (i, &(stage, slot, var)) in state_cells.iter().enumerate() {
+            let actual_v = snapshot
+                .get(stage)
+                .and_then(|s| s.get(slot))
+                .and_then(|vars| vars.get(var))
+                .copied();
+            let expected_v = expected_state.get(i).copied();
+            if actual_v != expected_v {
+                return Some(TraceMismatch::StateMismatch {
+                    stage,
+                    slot,
+                    expected: expected_v.into_iter().collect(),
+                    actual: actual_v.into_iter().collect(),
+                });
+            }
+        }
+        None
+    }
+
+    /// The comparator returns exactly what the old definition returns on
+    /// seeded random traces: differing trace and PHV lengths, observable
+    /// sets of `None`, subsets and indices past the PHV, and state cells
+    /// inside and outside the snapshot. One comparator serves every case,
+    /// so its reused buffers are exercised too.
+    #[test]
+    fn comparator_equals_first_mismatch_then_state_cells() {
+        use druzhba_core::ValueGen;
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..4u64 {
+            let mut g = ValueGen::new(0xC0DE ^ seed, 32);
+            let mut comparator = SpecComparator::new(3);
+            for _ in 0..2_000 {
+                let phv_length = 1 + g.value_below(4) as usize;
+                let packets = g.value_below(4) as usize;
+                // A PHV of `len` containers valued 0 or 1 (so matches are common).
+                let phv = |g: &mut ValueGen, len: usize| {
+                    Phv::new((0..len).map(|_| g.value_below(2)).collect())
+                };
+                let input =
+                    Trace::from_phvs((0..packets).map(|_| phv(&mut g, phv_length)).collect());
+                let odd_len = |g: &mut ValueGen| match g.value_below(8) {
+                    0 => phv_length + 1,
+                    1 => phv_length - 1,
+                    _ => phv_length,
+                };
+                let outputs: Vec<Phv> = (0..packets)
+                    .map(|_| {
+                        let len = odd_len(&mut g);
+                        phv(&mut g, len)
+                    })
+                    .collect();
+                // The actual trace mostly copies the expected one.
+                let actual_packets = match g.value_below(10) {
+                    0 => packets + 1,
+                    1 if packets > 0 => packets - 1,
+                    _ => packets,
+                };
+                let phvs = (0..actual_packets)
+                    .map(|t| match outputs.get(t) {
+                        Some(o) if g.value_below(4) > 0 => o.clone(),
+                        _ => {
+                            let len = odd_len(&mut g);
+                            phv(&mut g, len)
+                        }
+                    })
+                    .collect();
+                let snapshot = (0..2)
+                    .map(|_| {
+                        (0..2)
+                            .map(|_| (0..2).map(|_| g.value_below(2)).collect())
+                            .collect()
+                    })
+                    .collect();
+                let actual = Trace {
+                    phvs,
+                    state: Some(snapshot),
+                };
+                let observable: Option<Vec<usize>> = (g.value_below(3) > 0).then(|| {
+                    (0..g.value_below(4))
+                        .map(|_| g.value_below(phv_length as Value + 2) as usize)
+                        .collect()
+                });
+                let state_cells: Vec<(usize, usize, usize)> = (0..g.value_below(3))
+                    .map(|_| {
+                        let mut at = || g.value_below(3) as usize;
+                        (at(), at(), at())
+                    })
+                    .collect();
+                let mut reference = Scripted {
+                    outputs,
+                    state: (0..g.value_below(4)).map(|_| g.value_below(2)).collect(),
+                    next: 0,
+                    panic_at: None,
+                    in_place: g.value_below(2) == 0,
+                };
+                let old = old_comparison(
+                    &mut reference,
+                    &input,
+                    &actual,
+                    observable.as_deref(),
+                    &state_cells,
+                );
+                let new = comparator.compare(
+                    &mut reference,
+                    &input.phvs,
+                    &actual,
+                    observable.as_deref(),
+                    &state_cells,
+                );
+                assert_eq!(
+                    new, old,
+                    "seed {seed}: {input:?} vs {actual:?}, {observable:?}"
+                );
+                seen.insert(new.map_or(VerdictClass::Pass, |m| Verdict::Mismatch(m).class()));
+            }
+        }
+        assert_eq!(seen.len(), 4, "every outcome class is exercised: {seen:?}");
+    }
+
+    /// The reference steps every packet even after a divergence, so one
+    /// that panics on a late packet panics through the comparator as it
+    /// did when the whole expected trace was built first.
+    #[test]
+    fn comparator_steps_a_late_panicking_reference() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let input = Trace::from_phvs(vec![Phv::zeroed(2); 3]);
+        let actual = Trace {
+            phvs: vec![Phv::new(vec![9, 9]); 3],
+            state: Some(Vec::new()),
+        };
+        let mut reference = Scripted {
+            outputs: vec![Phv::zeroed(2); 3],
+            state: Vec::new(),
+            next: 0,
+            panic_at: Some(2),
+            in_place: true,
+        };
+        let mut comparator = SpecComparator::new(2);
+        let new = catch_unwind(AssertUnwindSafe(|| {
+            comparator.compare(&mut reference, &input.phvs, &actual, None, &[])
+        }));
+        assert!(new.is_err(), "the late packet's panic surfaces");
+        let old = catch_unwind(AssertUnwindSafe(|| {
+            old_comparison(&mut reference, &input, &actual, None, &[])
+        }));
+        assert!(old.is_err());
+        // Without the panic, the divergence at packet 0 is reported.
+        reference.panic_at = None;
+        assert_eq!(
+            comparator.compare(&mut reference, &input.phvs, &actual, None, &[]),
+            old_comparison(&mut reference, &input, &actual, None, &[]),
+        );
+        assert!(matches!(
+            comparator.compare(&mut reference, &input.phvs, &actual, None, &[]),
+            Some(TraceMismatch::ContainerMismatch { tick: 0, .. })
+        ));
     }
 
     #[test]

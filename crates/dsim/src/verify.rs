@@ -15,11 +15,11 @@
 //! distinguishable with 4-bit inputs and a handful of packets.
 
 use druzhba_core::trace::TraceMismatch;
-use druzhba_core::{Error, MachineCode, Phv, Result, Trace};
-use druzhba_dgen::{LanePipeline, OptLevel, Pipeline, PipelineSpec};
+use druzhba_core::{Error, MachineCode, Phv, Result, Trace, Value};
+use druzhba_dgen::{LanePipeline, LaneSweep, OptLevel, Pipeline, PipelineSpec};
 
 use crate::sim::Simulator;
-use crate::testing::{compare_against_spec, Specification, Verdict};
+use crate::testing::{Observed, SpecComparator, Specification};
 
 /// Bounds and observation points for exhaustive verification.
 #[derive(Debug, Clone)]
@@ -80,15 +80,24 @@ pub enum VerifyOutcome {
     },
 }
 
-impl VerifyOutcome {
-    /// True if verification succeeded.
-    pub fn verified(&self) -> bool {
-        matches!(self, VerifyOutcome::Verified { .. })
-    }
-}
-
 /// Exhaustively check pipeline-vs-specification equivalence within the
 /// configured bounds.
+///
+/// One loop enumerates every case: an odometer over the `(packet,
+/// container)` slots fills batches of input traces in case order, an
+/// executor runs each batch, and the ALU stack's one spec comparison
+/// checks each case in order. The executor is the tick-accurate
+/// [`Simulator`] (one case per batch, any level) or, when `cfg.lanes > 0`,
+/// the lane-lowered fused program ([`druzhba_dgen::lanes`]), which pushes
+/// `cfg.lanes` cases through one instruction stream per pass, each lane an
+/// independent execution with its own state.
+///
+/// Both executors check cases in the same order, so the first divergence
+/// is the same case either way. A lane-found divergence is re-run on the
+/// simulator to build the [`VerifyOutcome`], so the counterexample is
+/// **identical** to the scalar one; a divergence the simulator does not
+/// reproduce is a lane-engine bug, reported as an error. The lane engine
+/// also lifts the scalar 31-bit input wall to the full 32 bits.
 pub fn verify_bounded(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
@@ -96,323 +105,250 @@ pub fn verify_bounded(
     reference: &mut dyn Specification,
     cfg: &VerifyConfig,
 ) -> Result<VerifyOutcome> {
-    if cfg.lanes > 0 {
-        return verify_bounded_lanes(pipeline_spec, mc, opt, reference, cfg);
-    }
-    // Refuse domains we cannot actually enumerate rather than silently
-    // clamping: reporting "verified" over a smaller domain than requested
-    // would be a false proof.
-    if cfg.input_bits > 31 {
-        return Err(Error::Other {
-            message: format!(
-                "bounded verification supports at most 31-bit inputs \
-                 (requested {} bits); clamping would silently verify a \
-                 smaller domain than asked for",
-                cfg.input_bits
-            ),
-        });
-    }
-    let slots = cfg.relevant_containers.len() * cfg.packets;
-    let values_per_slot = 1u64 << cfg.input_bits;
-    // An overflowing case count certainly exceeds any budget.
-    let cases = values_per_slot
-        .checked_pow(slots as u32)
-        .unwrap_or(u64::MAX);
-    if cases > cfg.max_cases {
-        return Err(Error::Other {
-            message: format!(
-                "bounded verification needs {cases} cases \
-                 (> budget {}); shrink bits/packets/containers",
-                cfg.max_cases
-            ),
-        });
-    }
+    check_bounds(opt, cfg)?;
     let pipeline = Pipeline::generate(pipeline_spec, mc, opt)?;
-    let mut sim = Simulator::new(pipeline);
     let phv_length = pipeline_spec.config.phv_length;
-
-    // Odometer over all (container, packet) slots.
-    let mut assignment = vec![0u32; slots];
-    let max = (values_per_slot - 1) as u32;
-    let mut checked = 0u64;
-    let nrel = cfg.relevant_containers.len();
-    loop {
-        let input = case_input(cfg, phv_length, |p, ci| assignment[p * nrel + ci]);
-        if let Some(cex) = check_case(&mut sim, reference, cfg, input) {
-            return Ok(cex);
-        }
-        checked += 1;
-
-        // Next assignment.
-        let mut i = 0;
-        loop {
-            if i == slots {
-                return Ok(VerifyOutcome::Verified { cases: checked });
-            }
-            if assignment[i] < max {
-                assignment[i] += 1;
-                break;
-            }
-            assignment[i] = 0;
-            i += 1;
-        }
-        if slots == 0 {
-            // Single (empty) assignment: one case total.
-            return Ok(VerifyOutcome::Verified { cases: checked });
-        }
+    let mut comparator = SpecComparator::new(phv_length);
+    if cfg.lanes == 0 {
+        let mut sim = Simulator::new(pipeline);
+        return Ok(enumerate(cfg, phv_length, 1, |batch| {
+            scalar_check(&mut sim, &mut comparator, reference, cfg, &batch[0]).map(|m| (0, m))
+        }));
     }
-}
-
-/// SIMD-swept exhaustive enumeration: lane-lower the fused program
-/// ([`druzhba_dgen::lanes`]) and push `cfg.lanes` enumerated inputs
-/// through one instruction stream per pass, each lane an independent
-/// execution with its own state.
-///
-/// Cases run in exactly the scalar odometer order (lanes are filled and
-/// compared in case order), so the first divergence found is the same
-/// case the scalar path would find first; that case is then re-run
-/// through the scalar simulator to build a [`VerifyOutcome`] **identical**
-/// to scalar mode's — same counterexample trace and mismatch. The swept engine also lifts the scalar path's 31-bit
-/// input wall to the full 32 bits (the budget check moves to 128-bit
-/// arithmetic so the case count cannot overflow).
-fn verify_bounded_lanes(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    reference: &mut dyn Specification,
-    cfg: &VerifyConfig,
-) -> Result<VerifyOutcome> {
-    if opt != OptLevel::Fused {
-        return Err(Error::Other {
-            message: format!(
-                "lane-swept verification requires the fused backend \
-                 (got {:?}); drop `lanes` for the scalar path",
-                opt
-            ),
-        });
-    }
-    if !druzhba_dgen::lanes::supported_width(cfg.lanes) {
-        return Err(Error::Other {
-            message: format!(
-                "unsupported lane width {} (supported: {:?})",
-                cfg.lanes,
-                druzhba_dgen::LANE_WIDTHS
-            ),
-        });
-    }
-    if cfg.input_bits > 32 {
-        return Err(Error::Other {
-            message: format!(
-                "lane-swept verification supports at most 32-bit inputs \
-                 (requested {} bits)",
-                cfg.input_bits
-            ),
-        });
-    }
-    let slots = cfg.relevant_containers.len() * cfg.packets;
-    let values_per_slot: u64 = 1u64 << cfg.input_bits;
-    let total: u128 = (values_per_slot as u128)
-        .checked_pow(slots as u32)
-        .unwrap_or(u128::MAX);
-    if total > u128::from(cfg.max_cases) {
-        return Err(Error::Other {
-            message: format!(
-                "bounded verification needs {total} cases \
-                 (> budget {}); shrink bits/packets/containers",
-                cfg.max_cases
-            ),
-        });
-    }
-
-    let pipeline = Pipeline::generate(pipeline_spec, mc, opt)?;
     let fused = pipeline.fused_program().expect("fused level");
     let lowered = LanePipeline::lower(fused).ok_or_else(|| Error::Other {
         message: "fused program is not lane-lowerable".to_string(),
     })?;
-    let width = cfg.lanes;
-    let mut sweep = lowered.sweep(width).expect("width validated above");
-    let phv_length = pipeline_spec.config.phv_length;
-    let nrel = cfg.relevant_containers.len();
-    let max = (values_per_slot - 1) as u32;
-
-    // Reused buffers — the hot loop is allocation-free.
-    let mut assignment = vec![0u32; slots];
-    let mut assign_buf = vec![0u32; slots.max(1) * width];
-    let mut out_buf = vec![0u32; cfg.packets * phv_length * width];
-    let mut scratch_in = Phv::zeroed(phv_length);
-    let mut scratch_out = Phv::zeroed(phv_length);
-    let mut expected_state: Vec<druzhba_core::Value> = Vec::new();
-    let mut checked = 0u64;
-    let mut done = false;
-
-    while !done {
-        // Fill up to `width` lanes from the shared odometer, in case
-        // order (cheap increments — no per-lane index arithmetic).
-        let mut active = 0;
-        while active < width && !done {
-            for (s, &v) in assignment.iter().enumerate() {
-                assign_buf[s * width + active] = v;
-            }
-            active += 1;
-            if slots == 0 {
-                done = true;
-                break;
-            }
-            let mut i = 0;
-            loop {
-                if i == slots {
-                    done = true;
-                    break;
-                }
-                if assignment[i] < max {
-                    assignment[i] += 1;
-                    break;
-                }
-                assignment[i] = 0;
-                i += 1;
-            }
-        }
-        if active == 0 {
-            break;
-        }
-
-        // Execute all lanes in lockstep, buffering every output PHV.
-        sweep.reset();
-        for p in 0..cfg.packets {
-            sweep.clear_phv();
-            for lane in 0..active {
-                for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
-                    sweep.set_input(lane, container, assign_buf[(p * nrel + ci) * width + lane]);
-                }
-            }
-            sweep.step(active);
-            for lane in 0..active {
-                for c in 0..phv_length {
-                    out_buf[(p * phv_length + c) * width + lane] = sweep.output(lane, c);
-                }
-            }
-        }
-
-        // Compare each lane against the reference, in case order, with
-        // exactly `Trace::first_mismatch`'s per-container semantics.
-        for lane in 0..active {
-            reference.reset();
-            let mut diverged = false;
-            'packets: for p in 0..cfg.packets {
-                for c in 0..phv_length {
-                    scratch_in.set(c, 0);
-                }
-                for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
-                    scratch_in.set(container, assign_buf[(p * nrel + ci) * width + lane]);
-                }
-                reference.process_into(&scratch_in, &mut scratch_out);
-                let compare = |c: usize| {
-                    let expected = scratch_out.try_get(c);
-                    let actual = if c < phv_length {
-                        Some(out_buf[(p * phv_length + c) * width + lane])
-                    } else {
-                        None
-                    };
-                    expected != actual
-                };
-                match cfg.observable.as_deref() {
-                    Some(obs) => {
-                        for &c in obs {
-                            if compare(c) {
-                                diverged = true;
-                                break 'packets;
-                            }
-                        }
-                    }
-                    None => {
-                        for c in 0..scratch_out.len().max(phv_length) {
-                            if compare(c) {
-                                diverged = true;
-                                break 'packets;
-                            }
-                        }
-                    }
-                }
-            }
-            if !diverged && !cfg.state_cells.is_empty() {
-                reference.state_into(&mut expected_state);
-                for (i, &(stage, slot, var)) in cfg.state_cells.iter().enumerate() {
-                    if sweep.state_value(lane, stage, slot, var) != expected_state.get(i).copied() {
-                        diverged = true;
-                        break;
-                    }
-                }
-            }
-            if diverged {
-                // Rebuild this case's input trace and re-run the *scalar*
-                // verification path on it so the returned outcome is
-                // byte-identical to what scalar mode would produce.
-                let input = case_input(cfg, phv_length, |p, ci| {
-                    assign_buf[(p * nrel + ci) * width + lane]
-                });
-                return scalar_recheck(pipeline_spec, mc, opt, reference, cfg, input);
-            }
-            checked += 1;
-        }
-    }
-    Ok(VerifyOutcome::Verified { cases: checked })
-}
-
-/// One enumerated case: `cfg.packets` PHVs whose relevant containers
-/// hold `value(packet, relevant container index)`, every other container 0.
-fn case_input(cfg: &VerifyConfig, phv_length: usize, value: impl Fn(usize, usize) -> u32) -> Trace {
-    let phvs = (0..cfg.packets).map(|p| {
-        let mut phv = Phv::zeroed(phv_length);
-        for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
-            phv.set(container, value(p, ci));
-        }
-        phv
+    let mut lanes = LaneExecutor {
+        sweep: lowered.sweep(cfg.lanes).expect("width validated above"),
+        inputs: &cfg.relevant_containers,
+        out: vec![0; cfg.lanes * cfg.packets * phv_length],
+        packets: cfg.packets,
+        phv_length,
+    };
+    let (observable, cells) = (cfg.observable.as_deref(), &cfg.state_cells[..]);
+    let outcome = enumerate(cfg, phv_length, cfg.lanes, |batch| {
+        lanes.run(batch);
+        batch.iter().enumerate().find_map(|(lane, case)| {
+            let actual = lanes.output(lane);
+            let mismatch = comparator.compare(reference, &case.phvs, actual, observable, cells);
+            mismatch.map(|m| (lane, m))
+        })
     });
-    Trace::from_phvs(phvs.collect())
+    match outcome {
+        VerifyOutcome::CounterExample { input, .. } => {
+            let sim = Simulator::new(pipeline);
+            scalar_recheck(sim, &mut comparator, reference, cfg, input)
+        }
+        verified => Ok(verified),
+    }
 }
 
-/// Run `input` through `sim` and `reference`, both from clean state; the
-/// counterexample when an observable container or a state cell disagrees.
-fn check_case(
+/// Check one case on the tick-accurate simulator, from reset.
+fn scalar_check(
     sim: &mut Simulator,
+    comparator: &mut SpecComparator,
     reference: &mut dyn Specification,
     cfg: &VerifyConfig,
-    input: Trace,
-) -> Option<VerifyOutcome> {
+    case: &Trace,
+) -> Option<TraceMismatch> {
     sim.reset();
-    let actual = sim.run(&input);
-    let Verdict::Mismatch(mismatch) = compare_against_spec(
-        reference,
-        &input,
-        &actual,
-        cfg.observable.as_deref(),
-        &cfg.state_cells,
-    ) else {
-        return None;
-    };
-    Some(VerifyOutcome::CounterExample { input, mismatch })
+    let actual = sim.run(case);
+    let observable = cfg.observable.as_deref();
+    comparator.compare(reference, &case.phvs, &actual, observable, &cfg.state_cells)
 }
 
-/// Re-run one diverging case through the scalar simulator and build the
-/// exact [`VerifyOutcome::CounterExample`] the scalar enumeration would
-/// have returned for it. A lane-detected divergence the scalar backend
-/// cannot reproduce is a lane-engine bug and reported as an error rather
-/// than a counterexample.
+/// Re-run one lane-found diverging case on the simulator and build the
+/// exact [`VerifyOutcome::CounterExample`] the scalar enumeration returns
+/// for it. A divergence the simulator does not reproduce is a lane-engine
+/// bug and reported as an error rather than a counterexample.
 fn scalar_recheck(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
+    mut sim: Simulator,
+    comparator: &mut SpecComparator,
     reference: &mut dyn Specification,
     cfg: &VerifyConfig,
     input: Trace,
 ) -> Result<VerifyOutcome> {
-    let mut sim = Simulator::new(Pipeline::generate(pipeline_spec, mc, opt)?);
-    check_case(&mut sim, reference, cfg, input).ok_or_else(|| Error::Other {
-        message: "lane-swept enumeration found a divergence the scalar \
+    match scalar_check(&mut sim, comparator, reference, cfg, &input) {
+        Some(mismatch) => Ok(VerifyOutcome::CounterExample { input, mismatch }),
+        None => Err(Error::Other {
+            message: "lane-swept enumeration found a divergence the scalar \
                       backend does not reproduce — this is a lane-engine bug, \
                       not a compiler bug"
-            .to_string(),
-    })
+                .to_string(),
+        }),
+    }
+}
+
+/// Refuse configurations the executor cannot honour and domains past the
+/// case budget. Refusing rather than clamping matters: reporting
+/// "verified" over a smaller domain than requested would be a false proof.
+fn check_bounds(opt: OptLevel, cfg: &VerifyConfig) -> Result<()> {
+    let refuse = |message: String| Err(Error::Other { message });
+    if cfg.lanes > 0 {
+        if opt != OptLevel::Fused {
+            return refuse(format!(
+                "lane-swept verification requires the fused backend \
+                 (got {opt:?}); drop `lanes` for the scalar path"
+            ));
+        }
+        if !druzhba_dgen::lanes::supported_width(cfg.lanes) {
+            return refuse(format!(
+                "unsupported lane width {} (supported: {:?})",
+                cfg.lanes,
+                druzhba_dgen::LANE_WIDTHS
+            ));
+        }
+        if cfg.input_bits > 32 {
+            return refuse(format!(
+                "lane-swept verification supports at most 32-bit inputs \
+                 (requested {} bits)",
+                cfg.input_bits
+            ));
+        }
+    } else if cfg.input_bits > 31 {
+        return refuse(format!(
+            "bounded verification supports at most 31-bit inputs \
+             (requested {} bits); clamping would silently verify a \
+             smaller domain than asked for",
+            cfg.input_bits
+        ));
+    }
+    let slots = cfg.relevant_containers.len() * cfg.packets;
+    // An overflowing count certainly exceeds any budget. The scalar
+    // path's message reports the count saturated at u64::MAX.
+    let cap = if cfg.lanes > 0 {
+        u128::MAX
+    } else {
+        u64::MAX.into()
+    };
+    let cases = (1u128 << cfg.input_bits)
+        .checked_pow(slots as u32)
+        .map_or(cap, |c| c.min(cap));
+    if cases > u128::from(cfg.max_cases) {
+        return refuse(format!(
+            "bounded verification needs {cases} cases \
+             (> budget {}); shrink bits/packets/containers",
+            cfg.max_cases
+        ));
+    }
+    Ok(())
+}
+
+/// The lane executor: every case of a batch in its own lane of the
+/// lane-lowered fused program, all lanes in lockstep, every output PHV
+/// buffered so the hot loop allocates nothing.
+struct LaneExecutor<'p> {
+    sweep: LaneSweep<'p>,
+    /// The containers a case may set; every other input container is 0.
+    inputs: &'p [usize],
+    /// Lane-major outputs: lane `l`'s packet `p` starts at
+    /// `(l * packets + p) * phv_length`.
+    out: Vec<Value>,
+    packets: usize,
+    phv_length: usize,
+}
+
+impl LaneExecutor<'_> {
+    /// Execute `batch` (at most one case per lane), each case from reset.
+    fn run(&mut self, batch: &[Trace]) {
+        let (n, packets) = (self.phv_length, self.packets);
+        self.sweep.reset();
+        for p in 0..packets {
+            self.sweep.clear_phv();
+            for (lane, case) in batch.iter().enumerate() {
+                for &c in self.inputs {
+                    self.sweep.set_input(lane, c, case.phvs[p].get(c));
+                }
+            }
+            self.sweep.step(batch.len());
+            for lane in 0..batch.len() {
+                let at = (lane * packets + p) * n;
+                for (c, v) in self.out[at..at + n].iter_mut().enumerate() {
+                    *v = self.sweep.output(lane, c);
+                }
+            }
+        }
+    }
+
+    /// What lane `lane` produced in the last batch.
+    fn output(&self, lane: usize) -> LaneOutput<'_> {
+        LaneOutput { exec: self, lane }
+    }
+}
+
+/// One lane's outputs in a [`LaneExecutor`]'s last batch.
+struct LaneOutput<'a> {
+    exec: &'a LaneExecutor<'a>,
+    lane: usize,
+}
+
+impl Observed for LaneOutput<'_> {
+    fn len(&self) -> usize {
+        self.exec.packets
+    }
+    fn phv(&self, tick: usize) -> &[Value] {
+        let n = self.exec.phv_length;
+        let at = (self.lane * self.exec.packets + tick) * n;
+        &self.exec.out[at..at + n]
+    }
+    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value> {
+        self.exec.sweep.state_value(self.lane, stage, slot, var)
+    }
+}
+
+/// The one enumeration loop: an odometer fills batches of up to `width`
+/// input traces in case order, and `check` executes a batch and compares
+/// its cases in order, returning the index and the mismatch of the first
+/// diverging one. Returns that case, or the number of cases checked.
+fn enumerate(
+    cfg: &VerifyConfig,
+    phv_length: usize,
+    width: usize,
+    mut check: impl FnMut(&[Trace]) -> Option<(usize, TraceMismatch)>,
+) -> VerifyOutcome {
+    let nrel = cfg.relevant_containers.len();
+    let max = ((1u64 << cfg.input_bits) - 1) as u32;
+    // Odometer over all (packet, container) slots; digit `p * nrel + ci`
+    // is relevant container `ci` of packet `p`. Every other container
+    // stays zero in every case, so the batch is filled in place.
+    let mut assignment = vec![0u32; nrel * cfg.packets];
+    let mut batch = vec![Trace::from_phvs(vec![Phv::zeroed(phv_length); cfg.packets]); width];
+    let mut checked = 0u64;
+    let mut more = true;
+    while more {
+        let mut active = 0;
+        while more && active < width {
+            for (p, phv) in batch[active].phvs.iter_mut().enumerate() {
+                for (ci, &container) in cfg.relevant_containers.iter().enumerate() {
+                    phv.set(container, assignment[p * nrel + ci]);
+                }
+            }
+            active += 1;
+            more = advance(&mut assignment, max);
+        }
+        if let Some((case, mismatch)) = check(&batch[..active]) {
+            return VerifyOutcome::CounterExample {
+                input: batch[case].clone(),
+                mismatch,
+            };
+        }
+        checked += active as u64;
+    }
+    VerifyOutcome::Verified { cases: checked }
+}
+
+/// Step the odometer to the next assignment; `false` once it wraps, i.e.
+/// every assignment has been visited (at once for zero digits).
+fn advance(assignment: &mut [u32], max: u32) -> bool {
+    for digit in assignment {
+        if *digit < max {
+            *digit += 1;
+            return true;
+        }
+        *digit = 0;
+    }
+    false
 }
 
 #[cfg(test)]

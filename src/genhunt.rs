@@ -128,13 +128,18 @@ pub struct GenRecord {
     pub minimized: usize,
     /// The worker died evaluating this program (pool-level panic).
     pub panicked: bool,
+    /// The program was proved equal on every backend, so its clean sweep
+    /// replayed each level's traffic on one fused build.
+    pub proved: bool,
     /// The rendered JSON row, carried verbatim through checkpoints.
     pub json: String,
 }
 
 /// One checkpoint line: tab-separated counters, the JSON row last (the
 /// only field that may contain tabs, hence `splitn` on decode). The line
-/// leads with the program index, which is also the task index.
+/// leads with the program index, which is also the task index. The field
+/// before the row is a flag set: 1 = panicked, 2 = proved; a line written
+/// before `proved` existed reads as unproved.
 impl RecordCodec for GenRecord {
     fn encode(&self, _idx: usize) -> Option<String> {
         Some(format!(
@@ -148,29 +153,32 @@ impl RecordCodec for GenRecord {
             self.faults_seeded,
             self.faults_detected,
             self.minimized,
-            u8::from(self.panicked),
+            u8::from(self.panicked) | u8::from(self.proved) << 1,
             self.json
         ))
     }
 
     fn decode(line: &str) -> Option<(usize, Self)> {
-        let mut parts = line.splitn(11, '\t');
+        let fields: Vec<&str> = line.splitn(11, '\t').collect();
+        let [index, name, grid, rejected, alarming, clean, seeded, detected, minimized, flags, json] =
+            fields[..]
+        else {
+            return None;
+        };
+        let flags: u8 = flags.parse().ok().filter(|&f| f <= 3)?;
         let record = GenRecord {
-            index: parts.next()?.parse().ok()?,
-            name: parts.next()?.to_string(),
-            grid: parts.next()?.to_string(),
-            rejected: parts.next()?.parse().ok()?,
-            alarming: parts.next()?.parse().ok()?,
-            clean_divergences: parts.next()?.parse().ok()?,
-            faults_seeded: parts.next()?.parse().ok()?,
-            faults_detected: parts.next()?.parse().ok()?,
-            minimized: parts.next()?.parse().ok()?,
-            panicked: match parts.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
-            },
-            json: parts.next()?.strip_prefix(ROW_INDENT)?.to_string(),
+            index: index.parse().ok()?,
+            name: name.to_string(),
+            grid: grid.to_string(),
+            rejected: rejected.parse().ok()?,
+            alarming: alarming.parse().ok()?,
+            clean_divergences: clean.parse().ok()?,
+            faults_seeded: seeded.parse().ok()?,
+            faults_detected: detected.parse().ok()?,
+            minimized: minimized.parse().ok()?,
+            panicked: flags & 1 != 0,
+            proved: flags & 2 != 0,
+            json: json.strip_prefix(ROW_INDENT)?.to_string(),
         };
         Some((usize::try_from(record.index).ok()?, record))
     }
@@ -226,6 +234,12 @@ impl GenHuntReport {
     /// Detected faults minimized to a program-level reproducer.
     pub fn minimized(&self) -> usize {
         self.records.iter().map(|r| r.minimized).sum()
+    }
+
+    /// Programs whose clean sweep ran on one fused build under the proof
+    /// that every backend computes the same function.
+    pub fn proved(&self) -> usize {
+        self.records.iter().filter(|r| r.proved).count()
     }
 
     /// Programs whose sweep died to a pool-level panic.
@@ -314,6 +328,7 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
                 faults_detected: 0,
                 minimized: 0,
                 panicked: true,
+                proved: false,
             }
         },
     );
@@ -360,6 +375,7 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
     let faults_detected = faults.iter().filter(|f| f.divergence.is_some()).count();
     let minimized = faults.iter().filter(|f| f.minimized.is_some()).count();
     let json = program_json(&g, &clean, &faults);
+    let proved = g.proved();
     GenRecord {
         index,
         name: g.name,
@@ -371,6 +387,7 @@ fn sweep_program(cfg: &GenHuntConfig, index: u64) -> GenRecord {
         faults_detected,
         minimized,
         panicked: false,
+        proved,
         json,
     }
 }
@@ -697,5 +714,32 @@ mod tests {
         assert!(program_json(&g, &[], &[]).contains(r#""proved": true"#));
         g.verdict = SymbolicVerdict::Unknown { residuals: vec![] };
         assert!(program_json(&g, &[], &[]).contains(r#""proved": false"#));
+    }
+
+    /// The checkpoint line carries the proved flag next to the panic flag,
+    /// so a resumed campaign's summary counts proved programs it did not
+    /// re-sweep.
+    #[test]
+    fn checkpoint_line_carries_the_proved_flag() {
+        let cfg = GenHuntConfig {
+            fuzz_phvs: 12,
+            fuzz_runs: 1,
+            ..GenHuntConfig::default()
+        };
+        let record = sweep_program(&cfg, 0);
+        assert!(record.proved && !record.panicked);
+        let line = record.encode(0).expect("every record is checkpointed");
+        assert_eq!(line.split('\t').nth(9), Some("2"));
+        assert_eq!(GenRecord::decode(&line), Some((0, record.clone())));
+        let both = GenRecord {
+            panicked: true,
+            ..record
+        };
+        let line = both.encode(0).expect("every record is checkpointed");
+        assert_eq!(line.split('\t').nth(9), Some("3"));
+        assert_eq!(GenRecord::decode(&line), Some((0, both)));
+        let mut fields: Vec<&str> = line.splitn(11, '\t').collect();
+        fields[9] = "4";
+        assert_eq!(GenRecord::decode(&fields.join("\t")), None);
     }
 }

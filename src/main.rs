@@ -1341,10 +1341,13 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<ExitCode, String> {
     let report = genhunt(&cfg)?;
 
     eprintln!(
-        "hunt --generate: {} program(s) swept over {} backend(s), {} candidate(s) \
-         rejected by the validity screen, {} clean divergence(s)",
+        "hunt --generate: {} program(s) over {} backend(s): {} proved and replayed on \
+         one fused build, {} swept on each backend; {} candidate(s) rejected by the \
+         validity screen, {} clean divergence(s)",
         report.programs(),
         cfg.levels.len(),
+        report.proved(),
+        report.programs() - report.proved(),
         report.rejected_candidates(),
         report.clean_divergences()
     );

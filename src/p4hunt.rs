@@ -20,16 +20,15 @@ use std::collections::BTreeMap;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
 use druzhba_core::json::{array, Object};
-use druzhba_core::Value;
-use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_drmt::{solve, DrmtMachine, ScheduleConfig};
 use druzhba_dsim::p4::{
-    P4Checker, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic, P4Workload,
+    state_mismatch, P4Checker, P4Fault, P4FaultInjector, P4FaultKind, P4Target, P4Traffic,
+    P4Workload,
 };
 use druzhba_dsim::runtime::{default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_run, shard_seed, FuzzConfig};
+use druzhba_dsim::testing::{fuzz_run, shard_seed, FuzzConfig, Verdict};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4ProgramDef, P4_PROGRAMS};
@@ -374,46 +373,35 @@ pub fn cross_model_check(
     packets: usize,
     input_bits: u32,
 ) -> Result<CrossModelReport, String> {
-    let layout = &workload.lowering.layout;
     let input = P4Traffic::new(workload, seed, input_bits).trace(packets);
-    let packet_list: Vec<druzhba_p4::exec::Packet> = input
-        .phvs
-        .iter()
-        .enumerate()
-        .map(|(i, phv)| layout.phv_to_packet(i as u64, phv))
-        .collect();
 
-    // Model 1: sequential reference interpreter.
-    let mut interp = workload.interpreter();
-    let (expected_packets, _) = interp.run(packet_list.clone());
-
-    // Model 2: staged RMT match-action pipeline (fused backend).
-    let mut pipeline = MatPipeline::generate(
-        &workload.hlir,
-        &workload.entries,
-        &workload.lowering,
-        OptLevel::Fused,
-    )
-    .map_err(|e| e.to_string())?;
-    let rmt_out = pipeline.run(&input);
-    for (i, (expected, actual)) in expected_packets.iter().zip(rmt_out.phvs.iter()).enumerate() {
-        let expected_phv = layout.packet_to_phv(expected);
-        if &expected_phv != actual {
-            return Err(format!(
-                "RMT pipeline diverges from interpreter on packet {i}: \
-                 expected {expected_phv}, got {actual}"
-            ));
+    // Models 1 and 2: the reference interpreter against the staged RMT
+    // match-action pipeline (fused backend), through the P4 stack's one
+    // comparison — every output packet, then registers and counters.
+    match P4Checker::new(workload, OptLevel::Fused).check(&workload.entries, &input) {
+        Verdict::Pass => {}
+        Verdict::Incompatible(e) => return Err(e.to_string()),
+        Verdict::Mismatch(m) => return Err(format!("RMT pipeline diverges from interpreter: {m}")),
+        Verdict::BackendPanic { payload } => {
+            return Err(format!("RMT pipeline panicked: {payload}"))
         }
     }
 
     // Model 3: scheduled dRMT machine — only when its pipelined
     // execution is guaranteed sequential-equivalent for this program.
-    type StatefulState = (BTreeMap<String, Vec<Value>>, BTreeMap<String, Vec<u64>>);
     let drmt_skipped = drmt_state_consistent(workload)
         .map(|obj| format!("stateful object `{obj}` is shared across tables"));
     let mut makespan = 0;
-    let mut drmt_state: Option<StatefulState> = None;
     if drmt_skipped.is_none() {
+        let layout = &workload.lowering.layout;
+        let packet_list: Vec<druzhba_p4::exec::Packet> = input
+            .phvs
+            .iter()
+            .enumerate()
+            .map(|(i, phv)| layout.phv_to_packet(i as u64, phv))
+            .collect();
+        let mut interp = workload.interpreter();
+        let (expected_packets, _) = interp.run(packet_list.clone());
         let dag = build_dag(&workload.hlir);
         let sched_cfg = ScheduleConfig::default();
         let schedule = solve(&dag, &sched_cfg).map_err(|e| e.to_string())?;
@@ -441,32 +429,13 @@ pub fn cross_model_check(
                 ));
             }
         }
-        drmt_state = Some((machine.registers().clone(), machine.counters().clone()));
-    }
-
-    // Final state: every participating model agrees.
-    let mut reg_views: Vec<(&str, BTreeMap<String, Vec<Value>>)> =
-        vec![("RMT pipeline", pipeline.registers())];
-    let mut ctr_views: Vec<(&str, BTreeMap<String, Vec<u64>>)> =
-        vec![("RMT pipeline", pipeline.counters())];
-    if let Some((regs, ctrs)) = drmt_state {
-        reg_views.push(("dRMT machine", regs));
-        ctr_views.push(("dRMT machine", ctrs));
-    }
-    for (model, regs) in &reg_views {
-        if regs != interp.registers() {
-            return Err(format!(
-                "{model} register state diverges: expected {:?}, got {regs:?}",
-                interp.registers()
-            ));
-        }
-    }
-    for (model, ctrs) in &ctr_views {
-        if ctrs != interp.counters() {
-            return Err(format!(
-                "{model} counter state diverges: expected {:?}, got {ctrs:?}",
-                interp.counters()
-            ));
+        if let Some(m) = state_mismatch(
+            interp.registers(),
+            interp.counters(),
+            machine.registers(),
+            machine.counters(),
+        ) {
+            return Err(format!("dRMT machine state diverges from interpreter: {m}"));
         }
     }
 
