@@ -304,11 +304,9 @@ pub fn run_case<R: Specification + ?Sized>(
 pub struct AluChecker<'a> {
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
-    observable: Option<&'a [usize]>,
-    state_cells: &'a [(usize, usize, usize)],
     coverage: bool,
     built: Option<(MachineCode, Simulator)>,
-    comparator: SpecComparator,
+    comparator: SpecComparator<'a>,
 }
 
 impl<'a> AluChecker<'a> {
@@ -319,14 +317,13 @@ impl<'a> AluChecker<'a> {
         observable: Option<&'a [usize]>,
         state_cells: &'a [(usize, usize, usize)],
     ) -> Self {
+        let phv_length = pipeline_spec.config.phv_length;
         AluChecker {
             pipeline_spec,
             opt,
-            observable,
-            state_cells,
             coverage: false,
             built: None,
-            comparator: SpecComparator::new(pipeline_spec.config.phv_length),
+            comparator: SpecComparator::new(phv_length, observable, state_cells),
         }
     }
 
@@ -385,10 +382,7 @@ impl<'a> AluChecker<'a> {
         sim.reset();
         sim.pipeline_mut().clear_coverage();
         let actual = sim.run(input);
-        let (observable, cells) = (self.observable, self.state_cells);
-        let mismatch = self
-            .comparator
-            .compare(reference, &input.phvs, &actual, observable, cells);
+        let mismatch = self.comparator.compare(reference, &input.phvs, &actual);
         mismatch.map_or(Verdict::Pass, Verdict::Mismatch)
     }
 }
@@ -421,18 +415,28 @@ impl Observed for &Trace {
 
 /// The ALU stack's one pipeline-versus-specification comparison (the
 /// paper's Fig. 5 assertion), made by every [`AluChecker`] check and every
-/// bounded verification case. It owns the reference's output buffers,
-/// reused across packets and cases.
+/// bounded verification case. It holds the observation points and the
+/// reference's output buffers, reused across packets and cases.
 #[derive(Debug)]
-pub(crate) struct SpecComparator {
+pub(crate) struct SpecComparator<'a> {
+    /// Containers compared (`None` = every container of either PHV).
+    observable: Option<&'a [usize]>,
+    /// State cells `(stage, slot, var)`, in [`Specification::state`] order.
+    state_cells: &'a [(usize, usize, usize)],
     expected: Phv,
     expected_state: Vec<Value>,
 }
 
-impl SpecComparator {
+impl<'a> SpecComparator<'a> {
     /// A comparator for pipelines of `phv_length` containers.
-    pub(crate) fn new(phv_length: usize) -> Self {
+    pub(crate) fn new(
+        phv_length: usize,
+        observable: Option<&'a [usize]>,
+        state_cells: &'a [(usize, usize, usize)],
+    ) -> Self {
         SpecComparator {
+            observable,
+            state_cells,
             expected: Phv::zeroed(phv_length),
             expected_state: Vec::new(),
         }
@@ -452,8 +456,6 @@ impl SpecComparator {
         reference: &mut R,
         input: &[Phv],
         actual: O,
-        observable: Option<&[usize]>,
-        state_cells: &[(usize, usize, usize)],
     ) -> Option<TraceMismatch> {
         reference.reset();
         let mut mismatch = (input.len() != actual.len()).then_some(TraceMismatch::LengthMismatch {
@@ -463,14 +465,14 @@ impl SpecComparator {
         for (tick, phv) in input.iter().enumerate() {
             reference.process_into(phv, &mut self.expected);
             if mismatch.is_none() {
-                mismatch = phv_mismatch(tick, &self.expected, actual.phv(tick), observable);
+                mismatch = phv_mismatch(tick, &self.expected, actual.phv(tick), self.observable);
             }
         }
-        if mismatch.is_some() || state_cells.is_empty() {
+        if mismatch.is_some() || self.state_cells.is_empty() {
             return mismatch;
         }
         reference.state_into(&mut self.expected_state);
-        state_cells
+        self.state_cells
             .iter()
             .enumerate()
             .find_map(|(i, &(stage, slot, var))| {
@@ -1024,15 +1026,15 @@ mod tests {
     /// The comparator returns exactly what the old definition returns on
     /// seeded random traces: differing trace and PHV lengths, observable
     /// sets of `None`, subsets and indices past the PHV, and state cells
-    /// inside and outside the snapshot. One comparator serves every case,
-    /// so its reused buffers are exercised too.
+    /// inside and outside the snapshot. Every comparator starts from a
+    /// 3-container buffer that it reuses across packets, so references
+    /// that write in place and ones that replace the buffer both run.
     #[test]
     fn comparator_equals_first_mismatch_then_state_cells() {
         use druzhba_core::ValueGen;
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..4u64 {
             let mut g = ValueGen::new(0xC0DE ^ seed, 32);
-            let mut comparator = SpecComparator::new(3);
             for _ in 0..2_000 {
                 let phv_length = 1 + g.value_below(4) as usize;
                 let packets = g.value_below(4) as usize;
@@ -1104,13 +1106,8 @@ mod tests {
                     observable.as_deref(),
                     &state_cells,
                 );
-                let new = comparator.compare(
-                    &mut reference,
-                    &input.phvs,
-                    &actual,
-                    observable.as_deref(),
-                    &state_cells,
-                );
+                let mut comparator = SpecComparator::new(3, observable.as_deref(), &state_cells);
+                let new = comparator.compare(&mut reference, &input.phvs, &actual);
                 assert_eq!(
                     new, old,
                     "seed {seed}: {input:?} vs {actual:?}, {observable:?}"
@@ -1139,9 +1136,9 @@ mod tests {
             panic_at: Some(2),
             in_place: true,
         };
-        let mut comparator = SpecComparator::new(2);
+        let mut comparator = SpecComparator::new(2, None, &[]);
         let new = catch_unwind(AssertUnwindSafe(|| {
-            comparator.compare(&mut reference, &input.phvs, &actual, None, &[])
+            comparator.compare(&mut reference, &input.phvs, &actual)
         }));
         assert!(new.is_err(), "the late packet's panic surfaces");
         let old = catch_unwind(AssertUnwindSafe(|| {
@@ -1151,11 +1148,11 @@ mod tests {
         // Without the panic, the divergence at packet 0 is reported.
         reference.panic_at = None;
         assert_eq!(
-            comparator.compare(&mut reference, &input.phvs, &actual, None, &[]),
+            comparator.compare(&mut reference, &input.phvs, &actual),
             old_comparison(&mut reference, &input, &actual, None, &[]),
         );
         assert!(matches!(
-            comparator.compare(&mut reference, &input.phvs, &actual, None, &[]),
+            comparator.compare(&mut reference, &input.phvs, &actual),
             Some(TraceMismatch::ContainerMismatch { tick: 0, .. })
         ));
     }

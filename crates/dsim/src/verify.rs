@@ -108,11 +108,12 @@ pub fn verify_bounded(
     check_bounds(opt, cfg)?;
     let pipeline = Pipeline::generate(pipeline_spec, mc, opt)?;
     let phv_length = pipeline_spec.config.phv_length;
-    let mut comparator = SpecComparator::new(phv_length);
+    let mut comparator =
+        SpecComparator::new(phv_length, cfg.observable.as_deref(), &cfg.state_cells);
     if cfg.lanes == 0 {
         let mut sim = Simulator::new(pipeline);
         return Ok(enumerate(cfg, phv_length, 1, |batch| {
-            scalar_check(&mut sim, &mut comparator, reference, cfg, &batch[0]).map(|m| (0, m))
+            scalar_check(&mut sim, &mut comparator, reference, &batch[0]).map(|m| (0, m))
         }));
     }
     let fused = pipeline.fused_program().expect("fused level");
@@ -126,19 +127,17 @@ pub fn verify_bounded(
         packets: cfg.packets,
         phv_length,
     };
-    let (observable, cells) = (cfg.observable.as_deref(), &cfg.state_cells[..]);
     let outcome = enumerate(cfg, phv_length, cfg.lanes, |batch| {
         lanes.run(batch);
         batch.iter().enumerate().find_map(|(lane, case)| {
-            let actual = lanes.output(lane);
-            let mismatch = comparator.compare(reference, &case.phvs, actual, observable, cells);
+            let mismatch = comparator.compare(reference, &case.phvs, lanes.output(lane));
             mismatch.map(|m| (lane, m))
         })
     });
     match outcome {
         VerifyOutcome::CounterExample { input, .. } => {
             let sim = Simulator::new(pipeline);
-            scalar_recheck(sim, &mut comparator, reference, cfg, input)
+            scalar_recheck(sim, &mut comparator, reference, input)
         }
         verified => Ok(verified),
     }
@@ -149,13 +148,11 @@ fn scalar_check(
     sim: &mut Simulator,
     comparator: &mut SpecComparator,
     reference: &mut dyn Specification,
-    cfg: &VerifyConfig,
     case: &Trace,
 ) -> Option<TraceMismatch> {
     sim.reset();
     let actual = sim.run(case);
-    let observable = cfg.observable.as_deref();
-    comparator.compare(reference, &case.phvs, &actual, observable, &cfg.state_cells)
+    comparator.compare(reference, &case.phvs, &actual)
 }
 
 /// Re-run one lane-found diverging case on the simulator and build the
@@ -166,10 +163,9 @@ fn scalar_recheck(
     mut sim: Simulator,
     comparator: &mut SpecComparator,
     reference: &mut dyn Specification,
-    cfg: &VerifyConfig,
     input: Trace,
 ) -> Result<VerifyOutcome> {
-    match scalar_check(&mut sim, comparator, reference, cfg, &input) {
+    match scalar_check(&mut sim, comparator, reference, &input) {
         Some(mismatch) => Ok(VerifyOutcome::CounterExample { input, mismatch }),
         None => Err(Error::Other {
             message: "lane-swept enumeration found a divergence the scalar \
