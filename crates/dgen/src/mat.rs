@@ -227,6 +227,13 @@ impl StateLayout {
         self.names.iter().position(|n| n == name).expect("resolved")
     }
 
+    /// Object `name`'s cells of `flat`. The last declaration of a name
+    /// wins, as in [`StateLayout::to_map`].
+    fn cells<'a, T>(&self, name: &str, flat: &'a [T]) -> Option<&'a [T]> {
+        let i = self.names.iter().rposition(|n| n == name)?;
+        Some(&flat[self.base[i]..self.base[i] + self.len[i]])
+    }
+
     fn to_map<T: Copy>(&self, flat: &[T]) -> BTreeMap<String, Vec<T>> {
         self.names
             .iter()
@@ -447,8 +454,16 @@ impl MatPipeline {
     /// Process one packet (a PHV under the lowering's layout) through
     /// every stage; returns the output PHV.
     pub fn process(&mut self, phv: &Phv) -> Phv {
+        Phv::new(self.step(phv).to_vec())
+    }
+
+    /// Process one packet like [`MatPipeline::process`], leaving the
+    /// output in the pipeline's frame: the returned containers stay valid
+    /// until the next packet, and the slot-based backends allocate
+    /// nothing.
+    pub fn step(&mut self, phv: &Phv) -> &[Value] {
         let mut cov = self.cov.as_deref_mut();
-        let out = match &mut self.backend {
+        match &mut self.backend {
             Backend::Interp(b) => {
                 // Version-1 semantics: the packet lives in string-keyed
                 // maps; every field access hashes names at runtime.
@@ -462,7 +477,7 @@ impl MatPipeline {
                         if !b.hlir.table_applies(t) {
                             continue;
                         }
-                        let Some(sel) = b.tables.table(t).lookup(&mut |f| snapshot.get(f)) else {
+                        let Some(sel) = b.tables.table(t).lookup(|p| snapshot.get(&p.field)) else {
                             if let Some(cov) = cov.as_deref_mut() {
                                 cov.hit(edge_id(MAT_TABLE_SITE, t as u32, 0));
                             }
@@ -490,7 +505,10 @@ impl MatPipeline {
                         }
                     }
                 }
-                self.layout.packet_to_phv(&packet)
+                for (v, (f, _)) in self.cur.iter_mut().zip(self.layout.fields()) {
+                    *v = packet.get(f);
+                }
+                self.cur[self.layout.drop_flag()] = Value::from(packet.dropped);
             }
             Backend::Resolved(b) => {
                 load_frame(&mut self.cur, phv);
@@ -515,7 +533,6 @@ impl MatPipeline {
                         }
                     }
                 }
-                Phv::new(self.cur.clone())
             }
             Backend::Bytecode(b) => {
                 load_frame(&mut self.cur, phv);
@@ -539,7 +556,6 @@ impl MatPipeline {
                         );
                     }
                 }
-                Phv::new(self.cur.clone())
             }
             Backend::Fused(b) => {
                 load_frame(&mut self.cur, phv);
@@ -557,9 +573,8 @@ impl MatPipeline {
                     cov.as_deref_mut(),
                     MAT_BRANCH_SITE,
                 );
-                Phv::new(self.cur.clone())
             }
-        };
+        }
         // Drop edge for the slot-based backends: the interpretive arm
         // already attributed drops to their table above.
         if !matches!(self.backend, Backend::Interp(_)) {
@@ -569,7 +584,7 @@ impl MatPipeline {
                 }
             }
         }
-        out
+        &self.cur
     }
 
     /// Run a whole input trace; the output trace holds one PHV per input
@@ -592,6 +607,24 @@ impl MatPipeline {
         match &self.backend {
             Backend::Interp(b) => b.counters.clone(),
             _ => self.ctr_layout.to_map(&self.ctrs),
+        }
+    }
+
+    /// The final cells of register `name` as [`MatPipeline::registers`]
+    /// holds them, read in place; `None` for an undeclared register.
+    pub fn register(&self, name: &str) -> Option<&[Value]> {
+        match &self.backend {
+            Backend::Interp(b) => b.registers.get(name).map(Vec::as_slice),
+            _ => self.state_layout.cells(name, &self.regs),
+        }
+    }
+
+    /// The final cells of counter `name` as [`MatPipeline::counters`]
+    /// holds them, read in place; `None` for an undeclared counter.
+    pub fn counter(&self, name: &str) -> Option<&[u64]> {
+        match &self.backend {
+            Backend::Interp(b) => b.counters.get(name).map(Vec::as_slice),
+            _ => self.ctr_layout.cells(name, &self.ctrs),
         }
     }
 

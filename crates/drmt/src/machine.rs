@@ -200,7 +200,7 @@ impl DrmtMachine {
                         fl.chosen[t] = self
                             .tables
                             .table(t)
-                            .lookup(&mut |f| packet.get(f))
+                            .lookup(|p| packet.get(&p.field))
                             .map(|sel| (sel.action.to_string(), sel.args.to_vec()));
                     }
                 }

@@ -556,17 +556,20 @@ impl<S: Specification> CoveredCheck<Trace> for AluCheck<'_, S> {
     }
 }
 
-/// The P4 stack's check: the target's fixed entries, or (`None`) each
-/// input's own entry set on both sides.
+/// The P4 stack's check: the target's fixed entries, or
+/// (`mutate_entries`) each input's own entry set on both sides.
 struct P4Check<'a> {
     checker: P4Checker<'a>,
-    entries: Option<&'a [TableEntry]>,
+    mutate_entries: bool,
 }
 
 impl CoveredCheck<P4GreyboxInput> for P4Check<'_> {
     fn check(&mut self, input: &P4GreyboxInput) -> Result<&CoverageMap, Verdict> {
-        let entries = self.entries.unwrap_or(&input.entries);
-        let verdict = self.checker.check(entries, &input.trace);
+        if self.mutate_entries {
+            // The one caller whose entry set changes between checks.
+            self.checker.set_entries(&input.entries);
+        }
+        let verdict = self.checker.check(&input.trace.phvs);
         covered(verdict, self.checker.coverage())
     }
 }
@@ -1050,12 +1053,12 @@ pub fn p4_greybox_fuzz_test(
         let mut checker = if mutate_entries {
             P4Checker::with_shared_entries(workload, level)
         } else {
-            P4Checker::new(workload, level)
+            P4Checker::new(workload, entries, level)
         };
         checker.enable_coverage();
         P4Check {
             checker,
-            entries: (!mutate_entries).then_some(entries),
+            mutate_entries,
         }
     };
     let fingerprint = greybox_fingerprint(&target, Some(format!("{mutate_entries:?}")), cfg);

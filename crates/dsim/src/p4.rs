@@ -32,9 +32,10 @@
 //!   (removed entries, mutated action arguments, mutated match values)
 //!   for mutation-driven hunt campaigns.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use druzhba_core::trace::TraceMismatch;
+use druzhba_core::trace::{phv_mismatch, TraceMismatch};
 use druzhba_core::{CoverageMap, Phv, Result, Trace, Value, ValueGen};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
@@ -228,45 +229,65 @@ impl P4Traffic {
 /// (the pipeline in [`P4Checker`], the dRMT machine in the cross-model
 /// check); maps register/counter divergence onto
 /// [`TraceMismatch::StateMismatch`] with `stage` = object index
-/// (registers first, then counters) and `slot` = cell index.
+/// (registers first, then counters, each by name) and `slot` = cell
+/// index.
 pub fn state_mismatch(
     expected_regs: &BTreeMap<String, Vec<Value>>,
     expected_ctrs: &BTreeMap<String, Vec<u64>>,
     actual_regs: &BTreeMap<String, Vec<Value>>,
     actual_ctrs: &BTreeMap<String, Vec<u64>>,
 ) -> Option<TraceMismatch> {
-    for (i, (name, expected)) in expected_regs.iter().enumerate() {
-        let actual = actual_regs.get(name).cloned().unwrap_or_default();
-        if let Some(slot) = (0..expected.len().max(actual.len()))
-            .find(|&c| expected.get(c).copied() != actual.get(c).copied())
-        {
-            return Some(TraceMismatch::StateMismatch {
-                stage: i,
-                slot,
-                expected: expected.get(slot).copied().into_iter().collect(),
-                actual: actual.get(slot).copied().into_iter().collect(),
-            });
-        }
-    }
+    stateful_mismatch(
+        by_name(expected_regs),
+        |name| actual_regs.get(name).map(Vec::as_slice),
+        by_name(expected_ctrs),
+        |name| actual_ctrs.get(name).map(Vec::as_slice),
+    )
+}
+
+/// [`state_mismatch`] over any by-name views: the expected objects as
+/// `(name, cells)` pairs in name order, the actual ones looked up by
+/// name.
+fn stateful_mismatch<'e, 'a>(
+    expected_regs: impl ExactSizeIterator<Item = (&'e str, &'e [Value])>,
+    actual_reg: impl Fn(&str) -> Option<&'a [Value]>,
+    expected_ctrs: impl Iterator<Item = (&'e str, &'e [u64])>,
+    actual_ctr: impl Fn(&str) -> Option<&'a [u64]>,
+) -> Option<TraceMismatch> {
     let regs = expected_regs.len();
-    for (i, (name, expected)) in expected_ctrs.iter().enumerate() {
-        let actual = actual_ctrs.get(name).cloned().unwrap_or_default();
-        if let Some(slot) = (0..expected.len().max(actual.len()))
-            .find(|&c| expected.get(c).copied() != actual.get(c).copied())
-        {
-            return Some(TraceMismatch::StateMismatch {
-                stage: regs + i,
-                slot,
-                expected: expected
-                    .get(slot)
-                    .map(|&v| v as Value)
-                    .into_iter()
-                    .collect(),
-                actual: actual.get(slot).map(|&v| v as Value).into_iter().collect(),
-            });
-        }
-    }
-    None
+    objects_mismatch(0, expected_regs, actual_reg, |v| v)
+        .or_else(|| objects_mismatch(regs, expected_ctrs, actual_ctr, |v| v as Value))
+}
+
+/// A by-name state map as `(name, cells)` pairs, in name order.
+fn by_name<T>(objects: &BTreeMap<String, Vec<T>>) -> impl ExactSizeIterator<Item = (&str, &[T])> {
+    objects
+        .iter()
+        .map(|(name, cells)| (name.as_str(), cells.as_slice()))
+}
+
+/// The per-kind step of [`state_mismatch`]: compare each expected object
+/// (numbered from `first`) with the actual object of the same name (an
+/// absent one has no cells), cell by cell, and return the first
+/// differing cell.
+fn objects_mismatch<'e, 'a, T: Copy + PartialEq + 'e + 'a>(
+    first: usize,
+    expected: impl Iterator<Item = (&'e str, &'e [T])>,
+    actual: impl Fn(&str) -> Option<&'a [T]>,
+    widen: impl Fn(T) -> Value,
+) -> Option<TraceMismatch> {
+    expected.enumerate().find_map(|(i, (name, expected))| {
+        let actual = actual(name).unwrap_or(&[]);
+        let slot =
+            (0..expected.len().max(actual.len())).find(|&c| expected.get(c) != actual.get(c))?;
+        let cell = |cells: &[T]| cells.get(slot).map(|&v| widen(v)).into_iter().collect();
+        Some(TraceMismatch::StateMismatch {
+            stage: first + i,
+            slot,
+            expected: cell(expected),
+            actual: cell(actual),
+        })
+    })
 }
 
 /// Differentially execute one concrete input trace: generate the
@@ -287,19 +308,25 @@ pub fn run_p4_case(
     level: OptLevel,
     input: &Trace,
 ) -> Verdict {
-    P4Checker::new(workload, level).check(entries, input)
+    P4Checker::new(workload, entries, level).check(&input.phvs)
 }
 
 /// The guarded generate → run → compare check of the P4 stack, keeping
 /// one built pipeline and reference interpreter across checks.
 ///
-/// A checker holds the workload and the backend, plus at most one
-/// `(entry set, MatPipeline, Interpreter)` build. A check rebuilds only
-/// when its entry set differs from the cached one, and resets both sides
-/// (registers and counters) before every run, so each verdict equals a
-/// fresh [`run_p4_case`] on the same inputs. [`p4_minimize`] keeps one
-/// checker for the whole minimization, so a check costs a simulation,
-/// not a pipeline generation and an HLIR clone.
+/// A checker holds the workload, the backend and the entry set the
+/// pipeline runs, plus at most one `(MatPipeline, Interpreter)` build.
+/// Its entry set changes only through [`P4Checker::set_entries`], so a
+/// check compares no entries: it resets both sides (registers and
+/// counters) and runs, and each verdict equals a fresh [`run_p4_case`] on
+/// the same inputs. [`p4_minimize`] keeps one checker for the whole
+/// minimization, so a check costs a simulation, not a pipeline
+/// generation.
+///
+/// A check steps the pipeline and the reference packet by packet, the
+/// reference into a reused buffer, compares each output in place through
+/// [`phv_mismatch`], then compares registers and counters in place (the
+/// numbering of [`state_mismatch`]). It allocates nothing.
 ///
 /// Generation, simulation and comparison all run under
 /// [`catch_silent`](crate::runtime::catch_silent). An entry set that does
@@ -313,32 +340,48 @@ pub fn run_p4_case(
 #[derive(Debug)]
 pub struct P4Checker<'a> {
     workload: &'a P4Workload,
+    entries: Cow<'a, [TableEntry]>,
     level: OptLevel,
     shared_entries: bool,
     coverage: Option<CoverageMap>,
-    built: Option<(Vec<TableEntry>, MatPipeline, Interpreter)>,
+    built: Option<(MatPipeline, Interpreter)>,
+    /// The reference's output buffer, reused across packets and checks.
+    expected: Phv,
 }
 
 impl<'a> P4Checker<'a> {
-    /// A checker with nothing built yet, whose reference runs the
-    /// workload's intended entries (the injected-fault oracle).
-    pub fn new(workload: &'a P4Workload, level: OptLevel) -> Self {
+    /// A checker with nothing built yet, whose pipeline runs `entries`
+    /// and whose reference runs the workload's intended entries (the
+    /// injected-fault oracle).
+    pub fn new(workload: &'a P4Workload, entries: &'a [TableEntry], level: OptLevel) -> Self {
         P4Checker {
             workload,
+            entries: Cow::Borrowed(entries),
             level,
             shared_entries: false,
             coverage: None,
             built: None,
+            expected: Phv::zeroed(workload.lowering.layout.phv_length()),
         }
     }
 
-    /// A checker whose reference runs each check's own entry set, so a
-    /// divergence is a compiler bug under those entries. A check whose
-    /// entries do not bind is skipped as [`Verdict::Pass`].
+    /// A checker whose reference runs the pipeline's own entry set, so a
+    /// divergence is a compiler bug under those entries; it starts on the
+    /// workload's intended entries. A check whose entries do not bind is
+    /// skipped as [`Verdict::Pass`].
     pub fn with_shared_entries(workload: &'a P4Workload, level: OptLevel) -> Self {
         P4Checker {
             shared_entries: true,
-            ..P4Checker::new(workload, level)
+            ..P4Checker::new(workload, &workload.entries, level)
+        }
+    }
+
+    /// Run later checks on `entries`. A set equal to the current one
+    /// keeps the build; any other drops it.
+    pub fn set_entries(&mut self, entries: &[TableEntry]) {
+        if *self.entries != *entries {
+            self.built = None;
+            self.entries = Cow::Owned(entries.to_vec());
         }
     }
 
@@ -355,10 +398,10 @@ impl<'a> P4Checker<'a> {
         self.coverage.as_ref()
     }
 
-    /// Differentially execute `input` on the pipeline generated from
-    /// `entries` (see [`run_p4_case`]).
-    pub fn check(&mut self, entries: &[TableEntry], input: &Trace) -> Verdict {
-        match crate::runtime::catch_silent(|| self.run(entries, input)) {
+    /// Differentially execute `input` on the pipeline generated from the
+    /// checker's entries (see [`run_p4_case`]).
+    pub fn check(&mut self, input: &[Phv]) -> Verdict {
+        match crate::runtime::catch_silent(|| self.run(input)) {
             Ok(verdict) => verdict,
             Err(p) => {
                 self.built = None;
@@ -367,22 +410,16 @@ impl<'a> P4Checker<'a> {
         }
     }
 
-    /// The unguarded check: (re)build when `entries` is not the cached
-    /// entry set, reset both sides, run, compare.
-    fn run(&mut self, entries: &[TableEntry], input: &Trace) -> Verdict {
+    /// The unguarded check: build if nothing is built, reset both sides,
+    /// run, compare.
+    fn run(&mut self, input: &[Phv]) -> Verdict {
         if let Some(cov) = &mut self.coverage {
             cov.clear();
         }
-        if self
-            .built
-            .as_ref()
-            .is_none_or(|(cached, ..)| cached != entries)
-        {
-            // Drop the old build first: at most one is ever alive.
-            self.built = None;
+        if self.built.is_none() {
             let w = self.workload;
             let mut interp = if self.shared_entries {
-                match Interpreter::new(&w.hlir, entries) {
+                match Interpreter::new(&w.hlir, &self.entries) {
                     Ok(interp) => interp,
                     Err(_) => return Verdict::Pass,
                 }
@@ -390,7 +427,7 @@ impl<'a> P4Checker<'a> {
                 w.interpreter()
             };
             let mut pipeline =
-                match MatPipeline::generate(&w.hlir, entries, &w.lowering, self.level) {
+                match MatPipeline::generate(&w.hlir, &self.entries, &w.lowering, self.level) {
                     Ok(p) => p,
                     Err(e) => return Verdict::Incompatible(e),
                 };
@@ -398,14 +435,14 @@ impl<'a> P4Checker<'a> {
                 pipeline.enable_coverage();
                 interp.enable_coverage();
             }
-            self.built = Some((entries.to_vec(), pipeline, interp));
+            self.built = Some((pipeline, interp));
         }
-        let (_, pipeline, interp) = self.built.as_mut().expect("built above");
+        let (pipeline, interp) = self.built.as_mut().expect("built above");
         pipeline.reset();
         interp.reset();
         pipeline.clear_coverage();
         interp.clear_coverage();
-        let verdict = p4_differential(pipeline, interp, input);
+        let verdict = p4_differential(pipeline, interp, input, &mut self.expected);
         if let Some(cov) = &mut self.coverage {
             for side in [pipeline.coverage(), interp.coverage()]
                 .into_iter()
@@ -418,39 +455,37 @@ impl<'a> P4Checker<'a> {
     }
 }
 
-/// The differential core of [`P4Checker`]: run one input trace through an
-/// already-generated pipeline and reference interpreter (both assumed
-/// freshly reset) and compare output traces and final register/counter
-/// state. Coverage maps attached to either side keep accumulating as usual.
-fn p4_differential(pipeline: &mut MatPipeline, interp: &mut Interpreter, input: &Trace) -> Verdict {
-    let actual = pipeline.run(input);
-
-    let layout = pipeline.layout();
-    let expected = Trace::from_phvs(
-        input
-            .phvs
-            .iter()
-            .enumerate()
-            .map(|(i, phv)| {
-                let mut packet = layout.phv_to_packet(i as u64, phv);
-                interp.process(&mut packet);
-                layout.packet_to_phv(&packet)
-            })
-            .collect(),
-    );
-
-    if let Some(m) = expected.first_mismatch(&actual, None) {
-        return Verdict::Mismatch(m);
+/// The differential core of [`P4Checker`]: step one input trace through
+/// an already-generated pipeline and reference interpreter (both assumed
+/// freshly reset), the reference into `expected`, and compare each output
+/// packet, then the final registers and counters. Both sides step every
+/// packet even after a mismatch, so one that panics on a late packet
+/// still panics. Coverage maps attached to either side keep accumulating
+/// as usual.
+fn p4_differential(
+    pipeline: &mut MatPipeline,
+    interp: &mut Interpreter,
+    input: &[Phv],
+    expected: &mut Phv,
+) -> Verdict {
+    let mut mismatch = None;
+    for (tick, phv) in input.iter().enumerate() {
+        let actual = pipeline.step(phv);
+        interp.process_phv(phv, expected);
+        if mismatch.is_none() {
+            mismatch = phv_mismatch(tick, expected, actual, None);
+        }
     }
-    if let Some(m) = state_mismatch(
-        interp.registers(),
-        interp.counters(),
-        &pipeline.registers(),
-        &pipeline.counters(),
-    ) {
-        return Verdict::Mismatch(m);
-    }
-    Verdict::Pass
+    mismatch
+        .or_else(|| {
+            stateful_mismatch(
+                interp.register_cells(),
+                |name| pipeline.register(name),
+                interp.counter_cells(),
+                |name| pipeline.counter(name),
+            )
+        })
+        .map_or(Verdict::Pass, Verdict::Mismatch)
 }
 
 /// The P4 stack as a differential [`Target`]: the match-action pipeline
@@ -513,8 +548,8 @@ pub fn p4_minimize(
     input: &Trace,
     max_checks: usize,
 ) -> Option<MinimizedCounterExample> {
-    let mut checker = P4Checker::new(workload, level);
-    let mut oracle = |phvs: &[Phv]| checker.check(entries, &Trace::from_phvs(phvs.to_vec()));
+    let mut checker = P4Checker::new(workload, entries, level);
+    let mut oracle = |phvs: &[Phv]| checker.check(phvs);
     minimize_trace_with(&mut oracle, input, max_checks)
 }
 
@@ -874,6 +909,55 @@ mod tests {
         let bad: Vec<TableEntry> = w.entries[..2].to_vec();
         let report = p4_fuzz(&w, &bad, OptLevel::Scc);
         assert!(!report.passed());
+    }
+
+    /// A fault that moves only a counter cell: the in-place comparison
+    /// reports the `StateMismatch` that `state_mismatch` gives on the two
+    /// sides' by-name maps, counters numbered after the registers.
+    #[test]
+    fn state_mismatch_numbering_matches_the_map_comparison() {
+        let src = r#"
+            header_type pkt_t { fields { dst : 8; } }
+            header pkt_t pkt;
+            parser start { extract(pkt); return ingress; }
+            register a_reg { width : 32; instance_count : 2; }
+            register b_reg { width : 32; instance_count : 2; }
+            counter hits { instance_count : 4; }
+            action tally(i) { count(hits, i); register_write(b_reg, 1, pkt.dst); }
+            table t { reads { pkt.dst : ternary; } actions { tally; } }
+            control ingress { apply(t); }
+        "#;
+        let w =
+            P4Workload::parse(src, "t : pkt.dst=0/0 => tally(1)\n", &RmtConfig::default()).unwrap();
+        let bad = parse_entries("t : pkt.dst=0/0 => tally(3)\n").unwrap();
+        let input = P4Traffic::new(&w, 5, 8).trace(3);
+        for level in OptLevel::ALL {
+            let verdict = run_p4_case(&w, &bad, level, &input);
+            let mut interp = w.interpreter();
+            let mut pipeline = MatPipeline::generate(&w.hlir, &bad, &w.lowering, level).unwrap();
+            pipeline.run(&input);
+            let mut out = Phv::zeroed(w.lowering.layout.phv_length());
+            for phv in &input.phvs {
+                interp.process_phv(phv, &mut out);
+            }
+            let by_maps = state_mismatch(
+                interp.registers(),
+                interp.counters(),
+                &pipeline.registers(),
+                &pipeline.counters(),
+            )
+            .expect("the counters differ");
+            assert_eq!(
+                by_maps,
+                TraceMismatch::StateMismatch {
+                    stage: 2,
+                    slot: 1,
+                    expected: vec![3],
+                    actual: vec![0],
+                }
+            );
+            assert_eq!(verdict, Verdict::Mismatch(by_maps), "{level:?}");
+        }
     }
 
     #[test]

@@ -211,16 +211,11 @@ fn check_bounds(opt: OptLevel, cfg: &VerifyConfig) -> Result<()> {
         ));
     }
     let slots = cfg.relevant_containers.len() * cfg.packets;
-    // An overflowing count certainly exceeds any budget. The scalar
-    // path's message reports the count saturated at u64::MAX.
-    let cap = if cfg.lanes > 0 {
-        u128::MAX
-    } else {
-        u64::MAX.into()
-    };
-    let cases = (1u128 << cfg.input_bits)
-        .checked_pow(slots as u32)
-        .map_or(cap, |c| c.min(cap));
+    // A count past u128 certainly exceeds any budget.
+    let cases = u32::try_from(slots)
+        .ok()
+        .and_then(|slots| (1u128 << cfg.input_bits).checked_pow(slots))
+        .unwrap_or(u128::MAX);
     if cases > u128::from(cfg.max_cases) {
         return refuse(format!(
             "bounded verification needs {cases} cases \

@@ -282,6 +282,16 @@ impl Parser<'_> {
         }
     }
 
+    /// The arguments of primitive `name`, which takes exactly `N`.
+    fn arity<const N: usize>(&self, name: &str, args: Vec<ActionArg>) -> Result<[ActionArg; N]> {
+        let argc = args.len();
+        args.try_into().map_err(|_| {
+            self.err(format!(
+                "primitive `{name}` expects {N} argument(s), got {argc}"
+            ))
+        })
+    }
+
     fn parse_primitive(&mut self, params: &[String]) -> Result<Primitive> {
         let name = self.expect_ident("primitive action")?;
         self.expect(&Tok::LParen, "`(`")?;
@@ -300,68 +310,57 @@ impl Parser<'_> {
         }
         self.expect(&Tok::Semi, "`;`")?;
 
-        let argc = args.len();
-        let arity = |n: usize| -> Result<()> {
-            if argc != n {
-                Err(self.err(format!(
-                    "primitive `{name}` expects {n} argument(s), got {argc}"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        let mut it = args.into_iter();
         Ok(match name.as_str() {
             "modify_field" => {
-                arity(2)?;
+                let [dst, src] = self.arity(&name, args)?;
                 Primitive::ModifyField {
-                    dst: self.arg_as_field(it.next().unwrap(), "modify_field dst")?,
-                    src: it.next().unwrap(),
+                    dst: self.arg_as_field(dst, "modify_field dst")?,
+                    src,
                 }
             }
             "add_to_field" => {
-                arity(2)?;
+                let [dst, src] = self.arity(&name, args)?;
                 Primitive::AddToField {
-                    dst: self.arg_as_field(it.next().unwrap(), "add_to_field dst")?,
-                    src: it.next().unwrap(),
+                    dst: self.arg_as_field(dst, "add_to_field dst")?,
+                    src,
                 }
             }
             "subtract_from_field" => {
-                arity(2)?;
+                let [dst, src] = self.arity(&name, args)?;
                 Primitive::SubtractFromField {
-                    dst: self.arg_as_field(it.next().unwrap(), "subtract_from_field dst")?,
-                    src: it.next().unwrap(),
+                    dst: self.arg_as_field(dst, "subtract_from_field dst")?,
+                    src,
                 }
             }
             "register_read" => {
-                arity(3)?;
+                let [dst, register, index] = self.arity(&name, args)?;
                 Primitive::RegisterRead {
-                    dst: self.arg_as_field(it.next().unwrap(), "register_read dst")?,
-                    register: self.arg_as_name(it.next().unwrap(), "register_read register")?,
-                    index: it.next().unwrap(),
+                    dst: self.arg_as_field(dst, "register_read dst")?,
+                    register: self.arg_as_name(register, "register_read register")?,
+                    index,
                 }
             }
             "register_write" => {
-                arity(3)?;
+                let [register, index, src] = self.arity(&name, args)?;
                 Primitive::RegisterWrite {
-                    register: self.arg_as_name(it.next().unwrap(), "register_write register")?,
-                    index: it.next().unwrap(),
-                    src: it.next().unwrap(),
+                    register: self.arg_as_name(register, "register_write register")?,
+                    index,
+                    src,
                 }
             }
             "count" => {
-                arity(2)?;
+                let [counter, index] = self.arity(&name, args)?;
                 Primitive::Count {
-                    counter: self.arg_as_name(it.next().unwrap(), "count counter")?,
-                    index: it.next().unwrap(),
+                    counter: self.arg_as_name(counter, "count counter")?,
+                    index,
                 }
             }
             "drop" => {
-                arity(0)?;
+                let [] = self.arity(&name, args)?;
                 Primitive::Drop
             }
             "no_op" => {
-                arity(0)?;
+                let [] = self.arity(&name, args)?;
                 Primitive::NoOp
             }
             other => return Err(self.err(format!("unknown primitive action `{other}`"))),
@@ -608,6 +607,40 @@ mod tests {
     fn rejects_unknown_primitive() {
         let src = "action a() { frobnicate(); } ";
         assert!(parse(&lex(src).unwrap()).is_err());
+    }
+
+    #[test]
+    fn primitive_arity_errors_name_the_expected_count() {
+        let cases = [
+            (
+                "modify_field(m.a)",
+                "primitive `modify_field` expects 2 argument(s), got 1",
+            ),
+            (
+                "add_to_field(m.a, 1, 2)",
+                "primitive `add_to_field` expects 2 argument(s), got 3",
+            ),
+            (
+                "subtract_from_field()",
+                "primitive `subtract_from_field` expects 2 argument(s), got 0",
+            ),
+            (
+                "register_read(m.a, r)",
+                "primitive `register_read` expects 3 argument(s), got 2",
+            ),
+            (
+                "register_write(r, 0, 1, 2)",
+                "primitive `register_write` expects 3 argument(s), got 4",
+            ),
+            ("count(c)", "primitive `count` expects 2 argument(s), got 1"),
+        ];
+        for (call, message) in cases {
+            let src = format!("action a() {{ {call}; }}");
+            match parse(&lex(&src).unwrap()) {
+                Err(Error::P4Parse { message: got, .. }) => assert_eq!(got, message, "{call}"),
+                other => panic!("{call}: expected an arity error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

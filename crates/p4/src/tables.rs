@@ -210,6 +210,10 @@ pub fn render_entry(entry: &TableEntry) -> String {
 pub struct BoundPattern {
     /// The matched field.
     pub field: FieldRef,
+    /// The field's container: its position in [`Hlir::fields`], which is
+    /// the [`crate::lower::FieldLayout`] order. A getter over a frame of
+    /// containers indexes it directly.
+    pub container: usize,
     /// Match kind from the table's `reads` declaration.
     pub kind: MatchKind,
     /// Declared bit width of the field.
@@ -290,15 +294,16 @@ pub struct TableRuntime {
 }
 
 impl TableRuntime {
-    /// Match a packet (presented as a field-read callback) against the
-    /// entries: the first hit in priority order wins, except that tables
-    /// with LPM fields prefer the entry with the longest total prefix
-    /// among all hits. On a miss the default action is selected, if any.
-    pub fn lookup(&self, get: &mut dyn FnMut(&FieldRef) -> Value) -> Option<Selected<'_>> {
+    /// Match a packet (presented as a callback reading the field of a
+    /// pattern) against the entries: the first hit in priority order
+    /// wins, except that tables with LPM fields prefer the entry with the
+    /// longest total prefix among all hits. On a miss the default action
+    /// is selected, if any.
+    pub fn lookup(&self, mut get: impl FnMut(&BoundPattern) -> Value) -> Option<Selected<'_>> {
         let mut best: Option<(usize, u64)> = None;
         'entry: for (i, entry) in self.entries.iter().enumerate() {
             for p in &entry.patterns {
-                if !p.matches(get(&p.field)) {
+                if !p.matches(get(p)) {
                     continue 'entry;
                 }
             }
@@ -394,10 +399,21 @@ pub fn bind(hlir: &Hlir, entries: &[TableEntry]) -> Result<ProgramTables> {
                     ),
                 });
             };
+            let Some((container, &(_, width))) = hlir
+                .fields
+                .iter()
+                .enumerate()
+                .find(|(_, (f, _))| f == &m.field)
+            else {
+                return Err(Error::Other {
+                    message: format!("entry matches undeclared field `{}`", m.field),
+                });
+            };
             patterns.push(BoundPattern {
                 field: m.field.clone(),
+                container,
                 kind,
-                width: hlir.field_width(&m.field).unwrap_or(32),
+                width,
                 value: m.value,
                 qualifier: m.qualifier,
             });
@@ -525,12 +541,12 @@ mod tests {
     fn exact_lookup_first_hit_wins_and_default_fires() {
         let tables = bound("exact_t : pkt.a=1 => set_a(10)\nexact_t : pkt.a=1 => set_a(20)\n");
         let t = tables.table(0);
-        let sel = t.lookup(&mut |_| 1).unwrap();
+        let sel = t.lookup(|_| 1).unwrap();
         assert_eq!(sel.action, "set_a");
         assert_eq!(sel.args, &[10]);
         assert_eq!(sel.entry, Some(0), "priority order");
         // Miss -> default action, no entry.
-        let sel = t.lookup(&mut |_| 9).unwrap();
+        let sel = t.lookup(|_| 9).unwrap();
         assert_eq!(sel.action, "nop");
         assert_eq!(sel.entry, None);
     }
@@ -542,11 +558,11 @@ mod tests {
              lpm_t : pkt.b=0x0A010000/16 => set_a(2)\n",
         );
         let t = tables.table(1);
-        let sel = t.lookup(&mut |_| 0x0A01_0203).unwrap();
+        let sel = t.lookup(|_| 0x0A01_0203).unwrap();
         assert_eq!(sel.args, &[2], "16-bit prefix beats 8-bit");
-        let sel = t.lookup(&mut |_| 0x0A99_0203).unwrap();
+        let sel = t.lookup(|_| 0x0A99_0203).unwrap();
         assert_eq!(sel.args, &[1]);
-        assert!(t.lookup(&mut |_| 0x0B00_0000).is_none(), "miss, no default");
+        assert!(t.lookup(|_| 0x0B00_0000).is_none(), "miss, no default");
     }
 
     #[test]

@@ -297,11 +297,11 @@ fn screen(
     {
         return None;
     }
-    let mut checker = P4Checker::new(workload, OptLevel::SccInline);
+    let mut checker = P4Checker::new(workload, entries, OptLevel::SccInline);
     for run in 0..cfg.fuzz_runs.max(1) {
         let seed = shard_seed(probe_seed, run as u64);
         let input = P4Traffic::new(workload, seed, cfg.input_bits).trace(cfg.fuzz_phvs);
-        if !checker.check(entries, &input).passed() {
+        if !checker.check(&input.phvs).passed() {
             return Some(seed);
         }
     }
@@ -378,7 +378,7 @@ pub fn cross_model_check(
     // Models 1 and 2: the reference interpreter against the staged RMT
     // match-action pipeline (fused backend), through the P4 stack's one
     // comparison — every output packet, then registers and counters.
-    match P4Checker::new(workload, OptLevel::Fused).check(&workload.entries, &input) {
+    match P4Checker::new(workload, &workload.entries, OptLevel::Fused).check(&input.phvs) {
         Verdict::Pass => {}
         Verdict::Incompatible(e) => return Err(e.to_string()),
         Verdict::Mismatch(m) => return Err(format!("RMT pipeline diverges from interpreter: {m}")),

@@ -433,6 +433,39 @@ fn verify_prints_a_minimized_counterexample_at_every_level() {
 }
 
 #[test]
+fn verify_refusal_reports_the_true_case_count_past_u64() {
+    // 9-bit inputs over 1 container x 8 packets: 2^72 cases, which the
+    // refusal must print in full rather than saturated at u64::MAX.
+    let rcp = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/programs/assets/rcp.domino"
+    );
+    let out = druzhba(&[
+        "verify",
+        rcp,
+        "--depth",
+        "3",
+        "--width",
+        "3",
+        "--atom",
+        "pred_raw",
+        "--bits",
+        "9",
+        "--packets",
+        "8",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains(
+            "error: bounded verification needs 4722366482869645213696 cases \
+             (> budget 10000000); shrink bits/packets/containers\n"
+        ),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn verify_rejects_lane_flags_before_synthesis() {
     let rcp = concat!(
         env!("CARGO_MANIFEST_DIR"),

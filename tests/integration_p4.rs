@@ -323,14 +323,15 @@ fn checker_verdicts_equal_fresh_run_p4_case() {
         unbound[0].table = "no_such_table".into();
         let sets = [w.entries.clone(), removed, mismatched, unbound];
         for level in OptLevel::ALL {
-            let mut checker = P4Checker::new(&w, level);
+            let mut checker = P4Checker::new(&w, &w.entries, level);
             let mut gen = ValueGen::new(level as u64, 32);
             for _ in 0..24 {
                 let entries = &sets[gen.value_below(4) as usize];
                 let len = gen.value_below(41) as usize;
                 let input = P4Traffic::new(&w, u64::from(gen.value()), 16).trace(len);
+                checker.set_entries(entries);
                 assert_eq!(
-                    checker.check(entries, &input),
+                    checker.check(&input.phvs),
                     run_p4_case(&w, entries, level, &input),
                     "{} at {level:?}",
                     def.name

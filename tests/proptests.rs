@@ -778,3 +778,94 @@ mod reference_specs {
         }
     }
 }
+
+/// The P4 reference interpreter, which resolves names once and steps a
+/// frame of containers, against a second sequential executor: the dRMT
+/// machine's `execute_sequential`, which still runs the string-keyed
+/// `execute_action` over field maps.
+mod p4_reference {
+    use proptest::prelude::*;
+
+    use druzhba::core::Phv;
+    use druzhba::drmt::machine::execute_sequential;
+    use druzhba::dsim::p4::{P4FaultInjector, P4FaultKind, P4Traffic};
+    use druzhba::p4::exec::{Interpreter, Packet};
+    use druzhba::programs::P4_PROGRAMS;
+
+    const PACKETS: usize = 48;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// On random 32-bit traffic, every corpus program under its
+        /// intended entries and under one fault of each injector class
+        /// gives the same packets and the same final registers and
+        /// counters on both executors. Odd-numbered packets carry a
+        /// random drop flag, so non-zero flags other than 1 occur; the
+        /// frame path must turn each into 1, as the field-map path does.
+        #[test]
+        fn resolved_interpreter_agrees_with_sequential_drmt(
+            seed in any::<u64>(),
+            flags in proptest::collection::vec(any::<u32>(), PACKETS),
+        ) {
+            for def in &P4_PROGRAMS {
+                let w = def.workload().unwrap();
+                let layout = &w.lowering.layout;
+                let mut injector = P4FaultInjector::new(seed);
+                let mut sets = vec![w.entries.clone()];
+                sets.extend(
+                    P4FaultKind::ALL
+                        .into_iter()
+                        .filter_map(|kind| injector.inject(&w.entries, kind).map(|(e, _)| e)),
+                );
+                let mut traffic = P4Traffic::new(&w, seed, 32);
+                let phvs: Vec<Phv> = flags
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &flag)| {
+                        let mut phv = traffic.phv();
+                        phv.set(layout.drop_flag(), if i % 2 == 1 { flag } else { 0 });
+                        phv
+                    })
+                    .collect();
+                let packets: Vec<Packet> = phvs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, phv)| layout.phv_to_packet(i as u64, phv))
+                    .collect();
+                for (set, entries) in sets.iter().enumerate() {
+                    let (want, want_regs, want_ctrs) =
+                        execute_sequential(&w.hlir, entries, &packets).unwrap();
+                    let mut by_packet = Interpreter::new(&w.hlir, entries).unwrap();
+                    let (got, _) = by_packet.run(packets.clone());
+                    prop_assert!(got == want, "{} set {set}: packets differ", def.name);
+                    let mut by_phv = Interpreter::new(&w.hlir, entries).unwrap();
+                    let mut out = Phv::zeroed(layout.phv_length());
+                    for (i, phv) in phvs.iter().enumerate() {
+                        by_phv.process_phv(phv, &mut out);
+                        let expected = layout.packet_to_phv(&want[i]);
+                        prop_assert!(
+                            out == expected,
+                            "{} set {set} packet {i} on {phv}: {out} != {expected}",
+                            def.name
+                        );
+                    }
+                    for interp in [&by_packet, &by_phv] {
+                        prop_assert!(
+                            *interp.registers() == want_regs,
+                            "{} set {set}: registers {:?} != {want_regs:?}",
+                            def.name,
+                            interp.registers()
+                        );
+                        prop_assert!(
+                            *interp.counters() == want_ctrs,
+                            "{} set {set}: counters {:?} != {want_ctrs:?}",
+                            def.name,
+                            interp.counters()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
