@@ -13,14 +13,14 @@
 //! a [`ProgramBuild`] of the Domino levels, or [`p4::analyze_p4`].
 //!
 //! 1. **Static translation validation** ([`ProgramBuild::tv`],
-//!    [`p4::analyze_p4`]): the source semantics (Unoptimized
-//!    transfer function, P4 HLIR) and every compiled form (specialized
-//!    pipeline, stack bytecode, fused register program, lowered `MatInstr`
-//!    program) are abstractly evaluated from the same abstract input; any
-//!    observable whose two abstractions are *disjoint* is a proven
-//!    miscompilation — no concrete execution of either side can agree
-//!    there. A Domino level whose terms equal the source's is skipped:
-//!    identical terms have identical abstractions.
+//!    [`p4::analyze_p4`]): the source semantics (Unoptimized transfer
+//!    function, the P4 Scc level's resolved tables) and every compiled
+//!    form (specialized pipeline, stack bytecode, fused register program,
+//!    lowered `MatInstr` program) are abstractly evaluated from the same
+//!    abstract input; any observable whose two abstractions are
+//!    *disjoint* is a proven miscompilation — no concrete execution of
+//!    either side can agree there. A Domino level whose terms equal the
+//!    source's is skipped: identical terms have identical abstractions.
 //! 2. **Lint diagnostics**: statically unreachable `if`/mux arms, dead
 //!    stateful writes, certain-overflow arithmetic, division by a constant
 //!    zero, unreachable tables/entries/actions, always-match LPM prefixes,

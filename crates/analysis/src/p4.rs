@@ -1,6 +1,8 @@
 //! Abstract analysis of the P4 stack, read off its symbolic executors: the
-//! HLIR match-action semantics on one side, the lowered fused `MatInstr`
-//! program on the other, and translation validation between them.
+//! source match-action semantics on one side, as the resolved tables of
+//! the `OptLevel::Scc` pipeline, the lowered fused `MatInstr` program
+//! built from those tables on the other, and translation validation
+//! between them.
 //!
 //! [`analyze_p4`] runs both executors of [`crate::symbolic`] once, into
 //! one [`TermStore`] and from one symbolic entry state, and merges each
@@ -11,7 +13,7 @@
 //! through the join/widen fixpoint shared with the Domino stack
 //! ([`crate::pipeline`]); the frame terms are then evaluated there with
 //! [`TermStore::abs_eval`]. The entry lints come from the table-entry hits
-//! the HLIR executor records: an entry none of whose hits lies on an
+//! the source executor records: an entry none of whose hits lies on an
 //! abstractly possible path can never match.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -27,8 +29,8 @@ use druzhba_p4::tables::{bind, TableEntry};
 use crate::domain::AbsVal;
 use crate::pipeline::{fixpoint, read_sites, LintRecord};
 use crate::symbolic::{
-    compare_transfers, merge_paths, p4_entry_path, p4_site, reg_layout, resolve_sym_stages,
-    sym_run_hlir, sym_run_mat, Site, Sites, SymbolicVerdict,
+    compare_transfers, merge_paths, p4_entry_path, p4_site, sym_run_hlir, sym_run_mat, Site, Sites,
+    SymbolicVerdict,
 };
 use crate::term::{Sym, TermId, TermStore};
 
@@ -57,7 +59,7 @@ pub struct P4TvMismatch {
 /// The static pass over one P4 workload.
 #[derive(Debug, Clone)]
 pub struct P4Analysis {
-    /// The HLIR (source) semantics.
+    /// The source semantics: the Scc level's resolved tables.
     pub hlir: P4Abs,
     /// The lowered fused `MatInstr` program.
     pub mat: P4Abs,
@@ -95,36 +97,41 @@ pub fn abstract_input(hlir: &Hlir, lowering: &RmtLowering) -> BTreeMap<FieldRef,
         .collect()
 }
 
-/// Abstractly run the HLIR semantics and the lowered fused program over
-/// `entries` from [`abstract_input`], validate one against the other
-/// (abstractly and symbolically), and lint the program. An executor that
-/// bails leaves its side all top and the verdict `Unknown`, and a bail of
-/// the HLIR executor leaves only the structural lints.
+/// Abstractly run the source semantics (the resolved tables of the
+/// `OptLevel::Scc` pipeline) and the lowered fused program over `entries`
+/// from [`abstract_input`], validate one against the other (abstractly
+/// and symbolically), and lint the program. An executor that bails leaves
+/// its side all top and the verdict `Unknown`, and a bail of the source
+/// executor leaves only the structural lints.
 pub fn analyze_p4(
     hlir: &Hlir,
     entries: &[TableEntry],
     lowering: &RmtLowering,
 ) -> Result<P4Analysis> {
-    let mat = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused)?;
-    let prog = mat
+    let scc = MatPipeline::generate(hlir, entries, lowering, OptLevel::Scc)?;
+    let fused = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused)?;
+    let prog = fused
         .fused_program()
         .expect("fused level exposes its program");
-    analyze_lowered(hlir, entries, lowering, prog)
+    analyze_lowered(hlir, entries, lowering, &scc, prog)
 }
 
-/// [`analyze_p4`] against the lowered program `prog`.
+/// [`analyze_p4`] of the source semantics, the resolved tables of the
+/// [`OptLevel::Scc`] pipeline `scc`, against the lowered program `prog`.
 fn analyze_lowered(
     hlir: &Hlir,
     entries: &[TableEntry],
     lowering: &RmtLowering,
+    scc: &MatPipeline,
     prog: &[MatInstr],
 ) -> Result<P4Analysis> {
     let tables = bind(hlir, entries)?;
     let layout = &lowering.layout;
+    let reg_file = scc.register_layout();
     // Both transfer functions in one store, from one entry state whose
     // symbols carry the abstract input.
     let mut store = TermStore::new();
-    let entry = p4_entry_path(&mut store, hlir, lowering);
+    let entry = p4_entry_path(&mut store, hlir, lowering, reg_file);
     let input: Vec<AbsVal> = entry.frame.iter().map(|&t| store.abs(t)).collect();
     let value = |s: Sym, regs: &[AbsVal]| match s {
         Sym::Phv(c) => input[c as usize],
@@ -132,12 +139,10 @@ fn analyze_lowered(
         Sym::State { .. } => AbsVal::top(),
     };
     let mut sites = Sites::default();
-    let source = resolve_sym_stages(hlir, entries, lowering)
-        .and_then(|stages| sym_run_hlir(&mut store, &stages, entry.clone(), &mut sites))
+    let source = sym_run_hlir(&mut store, scc, entry.clone(), &mut sites)
         .and_then(|paths| merge_paths(&mut store, &paths));
     let lowered =
         sym_run_mat(&mut store, prog, entry).and_then(|paths| merge_paths(&mut store, &paths));
-    let n_regs = reg_layout(hlir).1;
     let run = |transfer: Option<&Vec<TermId>>| match transfer {
         Some(t) => {
             let (frame, regs) = t.split_at(layout.phv_length());
@@ -145,7 +150,7 @@ fn analyze_lowered(
         }
         None => (
             vec![AbsVal::top(); layout.phv_length()],
-            vec![AbsVal::top(); n_regs],
+            vec![AbsVal::top(); reg_file.total()],
         ),
     };
     let (hframe, hregs) = run(source.as_ref());
@@ -158,7 +163,7 @@ fn analyze_lowered(
         .enumerate()
         .filter(|(_, (h, m))| h.is_disjoint(**m))
         .map(|(i, (&hlir_abs, &lowered_abs))| P4TvMismatch {
-            site: p4_site(hlir, lowering, i),
+            site: p4_site(lowering, reg_file, i),
             hlir: hlir_abs,
             lowered: lowered_abs,
         })
@@ -208,10 +213,9 @@ fn analyze_lowered(
             .filter_map(|(f, _)| Some((f.clone(), frame[layout.container(f)?])))
             .collect(),
         dropped: frame[layout.drop_flag()],
-        registers: reg_layout(hlir)
-            .0
-            .into_iter()
-            .map(|(name, base, len)| (name, regs[base..base + len].to_vec()))
+        registers: reg_file
+            .objects()
+            .map(|(name, base, len)| (name.to_string(), regs[base..base + len].to_vec()))
             .collect(),
         frame,
     };
@@ -219,7 +223,7 @@ fn analyze_lowered(
         &store,
         ("mat", source),
         [("mat", lowered)],
-        |i| p4_site(hlir, lowering, i),
+        |i| p4_site(lowering, reg_file, i),
         layout.phv_length(),
     );
     Ok(P4Analysis {
@@ -360,11 +364,12 @@ mod tests {
         let hlir = parse_p4(ONE_ENTRY).expect("parses");
         let entries = parse_entries("t : m.k=0 => set_x(5)\n").expect("entries parse");
         let lowering = lower(&hlir, &RmtConfig::default()).expect("lowers");
-        let mat =
-            MatPipeline::generate(&hlir, &entries, &lowering, OptLevel::Fused).expect("generates");
+        let generate = |level| MatPipeline::generate(&hlir, &entries, &lowering, level);
+        let scc = generate(OptLevel::Scc).expect("generates");
+        let mat = generate(OptLevel::Fused).expect("generates");
         let mut prog = mat.fused_program().expect("fused program").to_vec();
 
-        let clean = analyze_lowered(&hlir, &entries, &lowering, &prog).expect("analyzes");
+        let clean = analyze_lowered(&hlir, &entries, &lowering, &scc, &prog).expect("analyzes");
         assert_eq!(clean.mismatches, [], "the faithful lowering validates");
 
         let set = prog
@@ -378,7 +383,7 @@ mod tests {
             })
             .expect("the lowered program sets h.x to 5");
         *set = 6;
-        let altered = analyze_lowered(&hlir, &entries, &lowering, &prog).expect("analyzes");
+        let altered = analyze_lowered(&hlir, &entries, &lowering, &scc, &prog).expect("analyzes");
         assert_eq!(
             altered.mismatches,
             [P4TvMismatch {

@@ -1285,15 +1285,16 @@ pub(crate) fn fact_lints(
 }
 
 // ---------------------------------------------------------------------
-// The P4 stack: HLIR match-action semantics vs the lowered fused
-// MatInstr program.
+// The P4 stack: the tables the Scc level of `dgen::mat` resolves (the
+// source semantics) vs the lowered fused `MatInstr` program built from
+// them. Both executors walk what `MatPipeline::generate` built; this
+// module resolves no P4 of its own.
 // ---------------------------------------------------------------------
 
-use druzhba_dgen::mat::{MatInstr, MatPipeline, Src};
-use druzhba_p4::ast::{ActionArg, MatchKind, Primitive};
+use druzhba_dgen::mat::{MatInstr, MatPipeline, SlotOp, SlotPattern, Src, StateLayout};
 use druzhba_p4::hlir::Hlir;
 use druzhba_p4::lower::RmtLowering;
-use druzhba_p4::tables::{bind, TableEntry};
+use druzhba_p4::tables::TableEntry;
 
 /// Longest register-select chain built for a non-constant index before
 /// the executor bails.
@@ -1355,241 +1356,6 @@ fn reg_write_term(
     Some(())
 }
 
-/// A resolved match pattern over containers, pre-masked / pre-shifted
-/// exactly like the lowering (`mat.rs::resolve_entry`). Always-matching
-/// patterns (zero-length LPM prefixes) are dropped during resolution,
-/// mirroring `compile_table` emitting no instruction for them.
-#[derive(Clone, Copy)]
-enum SymPat {
-    Exact {
-        slot: usize,
-        value: Value,
-    },
-    Ternary {
-        slot: usize,
-        value: Value,
-        mask: Value,
-    },
-    Lpm {
-        slot: usize,
-        value: Value,
-        shift: u32,
-    },
-}
-
-/// A resolved action primitive over containers and flat register cells
-/// (counters are unobservable and resolve away; `no_op` is the dead
-/// self-copy the lowering also skips).
-#[derive(Clone, Copy)]
-enum SymOp {
-    Set {
-        dst: usize,
-        src: Src,
-    },
-    Add {
-        dst: usize,
-        src: Src,
-    },
-    Sub {
-        dst: usize,
-        src: Src,
-    },
-    RegRead {
-        dst: usize,
-        base: usize,
-        len: usize,
-        idx: Src,
-    },
-    RegWrite {
-        base: usize,
-        len: usize,
-        idx: Src,
-        src: Src,
-    },
-}
-
-struct SymEntry {
-    /// Index in file order (LPM tables re-sort their entries).
-    index: u32,
-    patterns: Vec<SymPat>,
-    ops: Vec<SymOp>,
-}
-
-pub(crate) struct SymTable {
-    /// HLIR applied-table index.
-    table: u32,
-    entries: Vec<SymEntry>,
-    default_ops: Option<Vec<SymOp>>,
-}
-
-/// Flat register layout mirror of `mat.rs::StateLayout`: declaration
-/// order, cumulative bases.
-pub(crate) fn reg_layout(hlir: &Hlir) -> (Vec<(String, usize, usize)>, usize) {
-    let mut decls = Vec::new();
-    let mut next = 0;
-    for r in &hlir.program.registers {
-        let len = r.instance_count as usize;
-        decls.push((r.name.clone(), next, len));
-        next += len;
-    }
-    (decls, next)
-}
-
-/// Resolve the program into per-stage symbolic tables, mirroring
-/// `resolve_stages`: guard-false tables eliminated, LPM entries sorted
-/// (total prefix desc, priority asc), patterns pre-masked/pre-shifted,
-/// entry arguments folded into the action ops.
-pub(crate) fn resolve_sym_stages(
-    hlir: &Hlir,
-    entries: &[TableEntry],
-    lowering: &RmtLowering,
-) -> Option<Vec<Vec<SymTable>>> {
-    let tables = bind(hlir, entries).ok()?;
-    let layout = &lowering.layout;
-    let (reg_decls, _) = reg_layout(hlir);
-    let reg_of = |name: &str| -> Option<(usize, usize)> {
-        reg_decls
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|&(_, base, len)| (base, len))
-    };
-    let drop_slot = layout.drop_flag();
-
-    let resolve_ops = |action_name: &str, args: &[Value]| -> Option<Vec<SymOp>> {
-        let action = hlir.program.action(action_name)?;
-        let src_of = |arg: &ActionArg| -> Option<Src> {
-            Some(match arg {
-                ActionArg::Const(v) => Src::Const(*v),
-                ActionArg::Field(f) => Src::Slot(layout.container(f)?),
-                ActionArg::Param(p) => {
-                    let idx = action.params.iter().position(|q| q == p);
-                    Src::Const(idx.and_then(|i| args.get(i)).copied().unwrap_or(0))
-                }
-                ActionArg::Stateful(_) => Src::Const(0),
-            })
-        };
-        let mut ops = Vec::new();
-        for prim in &action.body {
-            match prim {
-                Primitive::ModifyField { dst, src } => ops.push(SymOp::Set {
-                    dst: layout.container(dst)?,
-                    src: src_of(src)?,
-                }),
-                Primitive::AddToField { dst, src } => ops.push(SymOp::Add {
-                    dst: layout.container(dst)?,
-                    src: src_of(src)?,
-                }),
-                Primitive::SubtractFromField { dst, src } => ops.push(SymOp::Sub {
-                    dst: layout.container(dst)?,
-                    src: src_of(src)?,
-                }),
-                Primitive::RegisterRead {
-                    dst,
-                    register,
-                    index,
-                } => {
-                    let (base, len) = reg_of(register)?;
-                    ops.push(SymOp::RegRead {
-                        dst: layout.container(dst)?,
-                        base,
-                        len,
-                        idx: src_of(index)?,
-                    });
-                }
-                Primitive::RegisterWrite {
-                    register,
-                    index,
-                    src,
-                } => {
-                    let (base, len) = reg_of(register)?;
-                    ops.push(SymOp::RegWrite {
-                        base,
-                        len,
-                        idx: src_of(index)?,
-                        src: src_of(src)?,
-                    });
-                }
-                Primitive::Count { .. } => {}
-                Primitive::Drop => ops.push(SymOp::Set {
-                    dst: drop_slot,
-                    src: Src::Const(1),
-                }),
-                Primitive::NoOp => {}
-            }
-        }
-        Some(ops)
-    };
-
-    let mut stages = Vec::with_capacity(lowering.num_stages());
-    for table_indices in &lowering.stages {
-        let mut stage = Vec::new();
-        for &t in table_indices {
-            if !hlir.table_applies(t) {
-                continue;
-            }
-            let rt = tables.table(t);
-            let mut order: Vec<usize> = (0..rt.entries.len()).collect();
-            if rt.has_lpm {
-                order.sort_by(|&a, &b| {
-                    rt.entries[b]
-                        .lpm_score
-                        .cmp(&rt.entries[a].lpm_score)
-                        .then(a.cmp(&b))
-                });
-            }
-            let mut sym_entries = Vec::with_capacity(order.len());
-            for &ei in &order {
-                let e = &rt.entries[ei];
-                let mut patterns = Vec::new();
-                for p in &e.patterns {
-                    let slot = layout.container(&p.field)?;
-                    match p.kind {
-                        MatchKind::Exact => patterns.push(SymPat::Exact {
-                            slot,
-                            value: p.value,
-                        }),
-                        MatchKind::Ternary => {
-                            let mask = p.qualifier.unwrap_or(Value::MAX);
-                            patterns.push(SymPat::Ternary {
-                                slot,
-                                value: p.value & mask,
-                                mask,
-                            });
-                        }
-                        MatchKind::Lpm => {
-                            let len = p.lpm_len();
-                            let shift = p.width - len;
-                            if len > 0 && shift < 32 {
-                                patterns.push(SymPat::Lpm {
-                                    slot,
-                                    value: p.value >> shift,
-                                    shift,
-                                });
-                            }
-                        }
-                    }
-                }
-                sym_entries.push(SymEntry {
-                    index: ei as u32,
-                    patterns,
-                    ops: resolve_ops(&e.action, &e.args)?,
-                });
-            }
-            let default_ops = match &rt.default_action {
-                Some(name) => Some(resolve_ops(name, &[])?),
-                None => None,
-            };
-            stage.push(SymTable {
-                table: t as u32,
-                entries: sym_entries,
-                default_ops,
-            });
-        }
-        stages.push(stage);
-    }
-    Some(stages)
-}
-
 /// One in-flight path through the P4 pipeline (either executor).
 #[derive(Clone)]
 pub(crate) struct P4Path {
@@ -1614,73 +1380,77 @@ fn p4_src_term(store: &mut TermStore, frame: &[TermId], src: Src) -> TermId {
     }
 }
 
-fn p4_apply_op(store: &mut TermStore, p: &mut P4Path, op: SymOp) -> Option<()> {
+/// Apply one resolved primitive to the live frame. Register operands
+/// address `regs`; counters are unobservable and ignored; the `no_op`
+/// self-copy leaves the term unchanged.
+fn p4_apply_op(
+    store: &mut TermStore,
+    p: &mut P4Path,
+    op: SlotOp,
+    regs: &StateLayout,
+    drop_slot: usize,
+) -> Option<()> {
     match op {
-        SymOp::Set { dst, src } => p.frame[dst] = p4_src_term(store, &p.frame, src),
-        SymOp::Add { dst, src } => {
+        SlotOp::Set { dst, src } => p.frame[dst] = p4_src_term(store, &p.frame, src),
+        SlotOp::Add { dst, src } => {
             let v = p4_src_term(store, &p.frame, src);
             p.frame[dst] = store.bin(BinOp::Add, p.frame[dst], v);
         }
-        SymOp::Sub { dst, src } => {
+        SlotOp::Sub { dst, src } => {
             let v = p4_src_term(store, &p.frame, src);
             p.frame[dst] = store.bin(BinOp::Sub, p.frame[dst], v);
         }
-        SymOp::RegRead {
-            dst,
-            base,
-            len,
-            idx,
-        } => {
+        SlotOp::RegRead { dst, reg, idx } => {
+            let (base, len) = regs.span(reg);
             let i = p4_src_term(store, &p.frame, idx);
             p.frame[dst] = reg_read_term(store, &p.regs, base, len, i)?;
         }
-        SymOp::RegWrite {
-            base,
-            len,
-            idx,
-            src,
-        } => {
+        SlotOp::RegWrite { reg, idx, src } => {
+            let (base, len) = regs.span(reg);
             let i = p4_src_term(store, &p.frame, idx);
             let v = p4_src_term(store, &p.frame, src);
             reg_write_term(store, &mut p.regs, base, len, i, v)?;
         }
+        SlotOp::Count { .. } => {}
+        SlotOp::Drop => p.frame[drop_slot] = store.konst(1),
     }
     Some(())
 }
 
 /// The match condition of one pattern against the stage snapshot, built
-/// in the exact shape both executors share.
-fn pattern_cond(store: &mut TermStore, snap: &[TermId], pat: SymPat) -> TermId {
-    match pat {
-        SymPat::Exact { slot, value } => {
-            let v = store.konst(value);
-            store.bin(BinOp::Eq, snap[slot], v)
-        }
-        SymPat::Ternary { slot, value, mask } => {
+/// in the exact shape both executors share; `None` for a zero-length LPM
+/// prefix, which matches every packet and so adds no condition.
+fn pattern_cond(store: &mut TermStore, snap: &[TermId], pat: SlotPattern) -> Option<TermId> {
+    let (subject, value) = match pat {
+        SlotPattern::Exact { slot, value } => (snap[slot], value),
+        SlotPattern::Ternary { slot, value, mask } => {
             let m = store.konst(mask);
-            let masked = store.bit_and(snap[slot], m);
-            let v = store.konst(value);
-            store.bin(BinOp::Eq, masked, v)
+            (store.bit_and(snap[slot], m), value)
         }
-        SymPat::Lpm { slot, value, shift } => {
-            let shifted = store.shr(snap[slot], shift);
-            let v = store.konst(value);
-            store.bin(BinOp::Eq, shifted, v)
-        }
-    }
+        SlotPattern::Lpm { shift, .. } if shift >= 32 => return None,
+        SlotPattern::Lpm { slot, value, shift } => (store.shr(snap[slot], shift), value),
+    };
+    let v = store.konst(value);
+    Some(store.bin(BinOp::Eq, subject, v))
 }
 
-/// Symbolically execute the source semantics: stages in order (snapshot
-/// at each boundary), tables in control order within a stage, entries
-/// first-hit in resolved order (≡ longest-prefix for LPM tables), the
+/// Symbolically execute the source semantics: the resolved tables of
+/// `scc`, an [`OptLevel::Scc`] pipeline. Stages run in order (snapshot at
+/// each boundary), tables in control order within a stage, entries
+/// first-hit in resolved order (≡ longest-prefix for LPM tables), and the
 /// hit entry's action on the live frame. Each hit is recorded into
-/// `sites`.
+/// `sites` under the entry's file-order index.
 pub(crate) fn sym_run_hlir(
     store: &mut TermStore,
-    stages: &[Vec<SymTable>],
+    scc: &MatPipeline,
     entry_path: P4Path,
     sites: &mut Sites,
 ) -> Option<Vec<(Vec<Decision>, Vec<TermId>)>> {
+    let stages = scc
+        .resolved_stages()
+        .expect("the Scc level exposes its resolved tables");
+    let regs = scc.register_layout();
+    let drop_slot = scc.layout().drop_flag();
     let mut paths = vec![entry_path];
     for stage in stages {
         for p in &mut paths {
@@ -1694,10 +1464,8 @@ pub(crate) fn sym_run_hlir(
             while let Some((mut p, e, k)) = work.pop() {
                 let Some(entry) = table.entries.get(e) else {
                     // Every entry missed: default action (if any).
-                    if let Some(ops) = &table.default_ops {
-                        for &op in ops {
-                            p4_apply_op(store, &mut p, op)?;
-                        }
+                    for &op in table.default_action.iter().flatten() {
+                        p4_apply_op(store, &mut p, op, regs, drop_slot)?;
                     }
                     done.push(p);
                     continue;
@@ -1706,19 +1474,22 @@ pub(crate) fn sym_run_hlir(
                     // Hit: run the action, skip the rest of the table.
                     sites.visits.push(Visit {
                         site: Site::Entry {
-                            table: table.table,
-                            entry: entry.index,
+                            table: table.table as u32,
+                            entry: entry.index as u32,
                         },
                         terms: [store.konst(1); 2],
                         decisions: p.decisions.clone(),
                     });
-                    for &op in &entry.ops {
-                        p4_apply_op(store, &mut p, op)?;
+                    for &op in &entry.action {
+                        p4_apply_op(store, &mut p, op, regs, drop_slot)?;
                     }
                     done.push(p);
                     continue;
                 };
-                let cond = pattern_cond(store, &p.snap, pat);
+                let Some(cond) = pattern_cond(store, &p.snap, pat) else {
+                    work.push((p, e, k + 1));
+                    continue;
+                };
                 match store.truth(cond) {
                     Tri::True => work.push((p, e, k + 1)),
                     Tri::False => work.push((p, e + 1, 0)),
@@ -1771,46 +1542,14 @@ pub(crate) fn sym_run_mat(
                     p.snap.copy_from_slice(&p.frame);
                     pc += 1;
                 }
-                MatInstr::CmpExact { slot, value, miss } => {
-                    let cond = pattern_cond(store, &p.snap, SymPat::Exact { slot, value });
-                    match store.truth(cond) {
-                        Tri::True => pc += 1,
-                        Tri::False => pc = miss,
-                        Tri::Unknown => {
-                            let mut missed = p.clone();
-                            missed.decisions.push((cond, false));
-                            work.push((missed, miss));
-                            p.decisions.push((cond, true));
-                            pc += 1;
-                        }
-                    }
-                }
-                MatInstr::CmpTernary {
-                    slot,
-                    value,
-                    mask,
-                    miss,
-                } => {
-                    let cond = pattern_cond(store, &p.snap, SymPat::Ternary { slot, value, mask });
-                    match store.truth(cond) {
-                        Tri::True => pc += 1,
-                        Tri::False => pc = miss,
-                        Tri::Unknown => {
-                            let mut missed = p.clone();
-                            missed.decisions.push((cond, false));
-                            work.push((missed, miss));
-                            p.decisions.push((cond, true));
-                            pc += 1;
-                        }
-                    }
-                }
-                MatInstr::CmpLpm {
-                    slot,
-                    value,
-                    shift,
-                    miss,
-                } => {
-                    let cond = pattern_cond(store, &p.snap, SymPat::Lpm { slot, value, shift });
+                MatInstr::CmpExact { .. }
+                | MatInstr::CmpTernary { .. }
+                | MatInstr::CmpLpm { .. } => {
+                    let (pat, miss) = instr.compare().expect("a compare instruction");
+                    let Some(cond) = pattern_cond(store, &p.snap, pat) else {
+                        pc += 1;
+                        continue;
+                    };
                     match store.truth(cond) {
                         Tri::True => pc += 1,
                         Tri::False => pc = miss,
@@ -1870,8 +1609,14 @@ pub(crate) fn sym_run_mat(
 }
 
 /// The shared P4 entry state: container symbols with the abstract-input
-/// widths (metadata folds to 0), zero drop flag, register-cell symbols.
-pub(crate) fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLowering) -> P4Path {
+/// widths (metadata folds to 0), zero drop flag, one symbol per cell of
+/// the register layout `regs`.
+pub(crate) fn p4_entry_path(
+    store: &mut TermStore,
+    hlir: &Hlir,
+    lowering: &RmtLowering,
+    regs: &StateLayout,
+) -> P4Path {
     let layout = &lowering.layout;
     let phv_len = layout.phv_length();
     let input = crate::p4::abstract_input(hlir, lowering);
@@ -1881,8 +1626,7 @@ pub(crate) fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLo
             frame[c] = store.sym(Sym::Phv(c as u32), *abs);
         }
     }
-    let (_, total_regs) = reg_layout(hlir);
-    let regs: Vec<TermId> = (0..total_regs)
+    let regs: Vec<TermId> = (0..regs.total())
         .map(|i| store.sym(Sym::RegCell(i as u32), AbsVal::top()))
         .collect();
     P4Path {
@@ -1893,8 +1637,9 @@ pub(crate) fn p4_entry_path(store: &mut TermStore, hlir: &Hlir, lowering: &RmtLo
     }
 }
 
-/// Render a P4 comparison site: field name, `drop`, or register cell.
-pub(crate) fn p4_site(hlir: &Hlir, lowering: &RmtLowering, index: usize) -> String {
+/// Render a P4 comparison site: field name, `drop`, or the cell of a
+/// register of `regs`.
+pub(crate) fn p4_site(lowering: &RmtLowering, regs: &StateLayout, index: usize) -> String {
     let layout = &lowering.layout;
     let phv_len = layout.phv_length();
     if index < phv_len {
@@ -1909,7 +1654,7 @@ pub(crate) fn p4_site(hlir: &Hlir, lowering: &RmtLowering, index: usize) -> Stri
         return format!("container[{index}]");
     }
     let mut flat = index - phv_len;
-    for (name, _, len) in reg_layout(hlir).0 {
+    for (name, _, len) in regs.objects() {
         if flat < len {
             return format!("{name}[{flat}]");
         }
@@ -1933,18 +1678,19 @@ pub fn p4_symbolic_entries_equivalent(
     entries_b: &[TableEntry],
     lowering: &RmtLowering,
 ) -> Option<bool> {
+    let fused = |entries| MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused).ok();
+    let (a, b) = (fused(entries_a)?, fused(entries_b)?);
     let mut store = TermStore::new();
-    let entry_path = p4_entry_path(&mut store, hlir, lowering);
-    let mut transfer = |entries: &[TableEntry]| -> Option<Vec<TermId>> {
-        let mat = MatPipeline::generate(hlir, entries, lowering, OptLevel::Fused).ok()?;
+    let entry_path = p4_entry_path(&mut store, hlir, lowering, a.register_layout());
+    let mut transfer = |mat: &MatPipeline| -> Option<Vec<TermId>> {
         let prog = mat
             .fused_program()
             .expect("fused level exposes its program");
         let paths = sym_run_mat(&mut store, prog, entry_path.clone())?;
         merge_paths(&mut store, &paths)
     };
-    let ta = transfer(entries_a)?;
-    let tb = transfer(entries_b)?;
+    let ta = transfer(&a)?;
+    let tb = transfer(&b)?;
     Some(ta == tb)
 }
 

@@ -413,19 +413,6 @@ pub enum PExpr {
 }
 
 impl PExpr {
-    /// Atom outputs referenced by the expression.
-    pub fn atom_refs(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let PExpr::AtomOutput(g) = e {
-                if !out.contains(g) {
-                    out.push(*g);
-                }
-            }
-        });
-        out
-    }
-
     /// Pre-order visit.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PExpr)) {
         f(self);

@@ -54,11 +54,6 @@ impl PipelineConfig {
         Ok(())
     }
 
-    /// Total number of ALUs in the pipeline (stateless + stateful).
-    pub fn total_alus(&self) -> usize {
-        2 * self.depth * self.width
-    }
-
     /// The number of selectable inputs of every output mux: pass-through
     /// plus each stateless and each stateful ALU output of the stage.
     pub fn output_mux_inputs(&self) -> usize {
@@ -74,7 +69,6 @@ mod tests {
     fn new_defaults_phv_length_to_width() {
         let c = PipelineConfig::new(4, 2);
         assert_eq!(c.phv_length, 2);
-        assert_eq!(c.total_alus(), 16);
         assert_eq!(c.output_mux_inputs(), 5);
     }
 

@@ -156,20 +156,6 @@ impl MachineCode {
         }
     }
 
-    /// Names present in `expected` but missing here. The pipeline generator
-    /// uses this for up-front validation so that an incompatible program is
-    /// rejected before simulation starts.
-    pub fn missing_from<'a, I>(&self, expected: I) -> Vec<String>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        expected
-            .into_iter()
-            .filter(|name| !self.contains(name))
-            .map(str::to_string)
-            .collect()
-    }
-
     /// Serialize to the textual format parseable by [`MachineCode::parse`].
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -249,13 +235,6 @@ mod tests {
         assert_eq!(mc, back);
         // BTreeMap ordering makes the output deterministic.
         assert_eq!(text, "a = 1\nz = 9\n");
-    }
-
-    #[test]
-    fn missing_from_reports_absent_names() {
-        let mc = MachineCode::from_pairs([("a", 1)]);
-        let missing = mc.missing_from(["a", "b", "c"]);
-        assert_eq!(missing, vec!["b".to_string(), "c".to_string()]);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Phv {
             *dst = v;
         }
     }
-
-    /// Consume the PHV, returning its container values.
-    pub fn into_containers(self) -> Vec<Value> {
-        self.containers
-    }
 }
 
 impl fmt::Display for Phv {
@@ -159,7 +154,6 @@ mod tests {
     fn from_vec_preserves_order() {
         let p: Phv = vec![5, 6].into();
         assert_eq!(p.containers(), &[5, 6]);
-        assert_eq!(p.into_containers(), vec![5, 6]);
     }
 
     #[test]

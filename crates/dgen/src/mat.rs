@@ -32,6 +32,7 @@
 //! sorted order is the longest-prefix match, letting the compiled
 //! backends use straight-line first-hit chains.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use druzhba_core::coverage::{edge_id, CoverageMap};
@@ -123,20 +124,48 @@ pub enum MatInstr {
     Count { base: usize, len: usize, idx: Src },
 }
 
-/// A resolved match pattern over frame slots (the [`OptLevel::Scc`]
-/// representation).
+impl MatInstr {
+    /// A compare instruction's pattern and miss target; `None` for every
+    /// other instruction.
+    pub fn compare(&self) -> Option<(SlotPattern, usize)> {
+        match *self {
+            MatInstr::CmpExact { slot, value, miss } => {
+                Some((SlotPattern::Exact { slot, value }, miss))
+            }
+            MatInstr::CmpTernary {
+                slot,
+                value,
+                mask,
+                miss,
+            } => Some((SlotPattern::Ternary { slot, value, mask }, miss)),
+            MatInstr::CmpLpm {
+                slot,
+                value,
+                shift,
+                miss,
+            } => Some((SlotPattern::Lpm { slot, value, shift }, miss)),
+            _ => None,
+        }
+    }
+}
+
+/// A resolved match pattern over the stage-entry snapshot's slots (the
+/// [`OptLevel::Scc`] representation; the compiled backends emit one
+/// `Cmp*` instruction per pattern). Constants are pre-masked and
+/// pre-shifted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotPattern {
-    Exact {
-        slot: usize,
-        value: Value,
-    },
+pub enum SlotPattern {
+    /// `snap[slot] == value`.
+    Exact { slot: usize, value: Value },
+    /// `snap[slot] & mask == value`.
     Ternary {
         slot: usize,
         value: Value,
         mask: Value,
     },
-    /// `shift == 32` encodes a zero-length prefix (always matches).
+    /// `snap[slot] >> shift == value`; `shift == 32` encodes a
+    /// zero-length prefix, which always matches and compiles to no
+    /// instruction.
     Lpm {
         slot: usize,
         value: Value,
@@ -157,50 +186,64 @@ impl SlotPattern {
     }
 }
 
-/// A resolved action: primitive ops over frame slots with entry arguments
-/// folded in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SlotAction {
-    ops: Vec<SlotOp>,
-}
-
-/// One resolved primitive (the tree-walking [`OptLevel::Scc`] form; the
-/// compiled backends flatten these into [`MatInstr`]s).
+/// One resolved action primitive over frame slots, entry arguments folded
+/// in (the tree-walking [`OptLevel::Scc`] form; the compiled backends
+/// flatten these into [`MatInstr`]s). Register and counter operands index
+/// the objects of [`MatPipeline::register_layout`] and the counter
+/// layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotOp {
+pub enum SlotOp {
+    /// `cur[dst] = src`; `no_op` resolves to the self-copy of the drop
+    /// flag, which the compiled backends skip.
     Set { dst: usize, src: Src },
+    /// `cur[dst] = cur[dst].wrapping_add(src)`.
     Add { dst: usize, src: Src },
+    /// `cur[dst] = cur[dst].wrapping_sub(src)`.
     Sub { dst: usize, src: Src },
+    /// Read cell `idx` of register `reg` into `cur[dst]` (0 when `idx`
+    /// is out of range).
     RegRead { dst: usize, reg: usize, idx: Src },
+    /// Write `src` to cell `idx` of register `reg` (dropped when `idx` is
+    /// out of range).
     RegWrite { reg: usize, idx: Src, src: Src },
+    /// Increment cell `idx` of counter `ctr` (dropped when `idx` is out
+    /// of range).
     Count { ctr: usize, idx: Src },
+    /// Set the drop flag to 1.
     Drop,
 }
 
 /// One resolved entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SlotEntry {
-    patterns: Vec<SlotPattern>,
-    action: SlotAction,
-    /// Constant total LPM prefix length (see module docs).
-    lpm_score: u64,
+pub struct SlotEntry {
+    /// The entry's index among its table's entries in file order (LPM
+    /// tables re-sort their entries, so this is not its position).
+    pub index: usize,
+    /// Every pattern must match for the entry to hit.
+    pub patterns: Vec<SlotPattern>,
+    /// The action with the entry's arguments folded in.
+    pub action: Vec<SlotOp>,
 }
 
-/// One resolved table (guard-true tables only; statically-false guards
-/// are eliminated at generation time).
+/// One resolved table. Only tables whose validity guards hold are
+/// resolved; statically-false guards are eliminated at generation time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SlotTable {
-    /// Entries pre-sorted: LPM tables by (score desc, priority asc),
-    /// others in priority order.
-    entries: Vec<SlotEntry>,
-    default_action: Option<SlotAction>,
+pub struct SlotTable {
+    /// The table's index among the HLIR's applied tables.
+    pub table: usize,
+    /// Entries in selection order, the first hit wins: LPM tables sorted
+    /// by total prefix length descending, then file order; other tables
+    /// in file (priority) order.
+    pub entries: Vec<SlotEntry>,
+    /// The action taken when no entry hits.
+    pub default_action: Option<Vec<SlotOp>>,
 }
 
 /// Register/counter cell layout shared by the resolved and compiled
-/// backends: object `i` owns `len[i]` cells starting at `base[i]` of one
-/// flat array.
+/// backends: object `i` (in declaration order) owns `len[i]` cells
+/// starting at `base[i]` of one flat array.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct StateLayout {
+pub struct StateLayout {
     names: Vec<String>,
     base: Vec<usize>,
     len: Vec<usize>,
@@ -219,18 +262,29 @@ impl StateLayout {
         layout
     }
 
-    fn total(&self) -> usize {
+    /// The number of cells of all objects together.
+    pub fn total(&self) -> usize {
         self.base.last().map_or(0, |b| b + self.len.last().unwrap())
+    }
+
+    /// Object `i`'s first cell and cell count.
+    pub fn span(&self, i: usize) -> (usize, usize) {
+        (self.base[i], self.len[i])
+    }
+
+    /// Every object's name, first cell and cell count, in declaration
+    /// order.
+    pub fn objects(&self) -> impl Iterator<Item = (&str, usize, usize)> {
+        (0..self.names.len()).map(|i| (self.names[i].as_str(), self.base[i], self.len[i]))
     }
 
     fn index_of(&self, name: &str) -> usize {
         self.names.iter().position(|n| n == name).expect("resolved")
     }
 
-    /// Object `name`'s cells of `flat`. The last declaration of a name
-    /// wins, as in [`StateLayout::to_map`].
+    /// Object `name`'s cells of `flat`.
     fn cells<'a, T>(&self, name: &str, flat: &'a [T]) -> Option<&'a [T]> {
-        let i = self.names.iter().rposition(|n| n == name)?;
+        let i = self.names.iter().position(|n| n == name)?;
         Some(&flat[self.base[i]..self.base[i] + self.len[i]])
     }
 
@@ -522,7 +576,7 @@ impl MatPipeline {
                         }
                         if let Some(action) = selected.1 {
                             run_slot_ops(
-                                &action.ops,
+                                action,
                                 &mut self.cur,
                                 self.layout.drop_flag(),
                                 &self.state_layout,
@@ -636,6 +690,23 @@ impl MatPipeline {
             _ => None,
         }
     }
+
+    /// The resolved tables the [`OptLevel::Scc`] backend walks, per stage
+    /// in control order (the form the compiled backends are built from);
+    /// `None` on every other backend.
+    pub fn resolved_stages(&self) -> Option<&[Vec<SlotTable>]> {
+        match &self.backend {
+            Backend::Resolved(b) => Some(&b.stages),
+            _ => None,
+        }
+    }
+
+    /// The flat register layout: each register's cells, in declaration
+    /// order, as [`SlotOp`] register indices and [`MatInstr`] cell ranges
+    /// address them.
+    pub fn register_layout(&self) -> &StateLayout {
+        &self.state_layout
+    }
 }
 
 #[inline]
@@ -649,7 +720,7 @@ fn load_frame(cur: &mut [Value], phv: &Phv) {
 /// order wins; see the module docs for why that implements LPM). Returns
 /// the coverage outcome discriminator (`idx+2` hit, `1` default, `0`
 /// skip) alongside the action.
-fn select<'a>(table: &'a SlotTable, snap: &[Value]) -> (Value, Option<&'a SlotAction>) {
+fn select<'a>(table: &'a SlotTable, snap: &[Value]) -> (Value, Option<&'a [SlotOp]>) {
     for (i, entry) in table.entries.iter().enumerate() {
         if entry.patterns.iter().all(|p| p.matches(snap)) {
             return (i as Value + 2, Some(&entry.action));
@@ -678,12 +749,12 @@ fn run_slot_ops(
             SlotOp::Sub { dst, src } => cur[dst] = cur[dst].wrapping_sub(src.read(cur)),
             SlotOp::RegRead { dst, reg, idx } => {
                 let i = idx.read(cur) as usize;
-                let (base, len) = (regs_layout.base[reg], regs_layout.len[reg]);
+                let (base, len) = regs_layout.span(reg);
                 cur[dst] = if i < len { regs[base + i] } else { 0 };
             }
             SlotOp::RegWrite { reg, idx, src } => {
                 let i = idx.read(cur) as usize;
-                let (base, len) = (regs_layout.base[reg], regs_layout.len[reg]);
+                let (base, len) = regs_layout.span(reg);
                 let v = src.read(cur);
                 if i < len {
                     regs[base + i] = v;
@@ -691,7 +762,7 @@ fn run_slot_ops(
             }
             SlotOp::Count { ctr, idx } => {
                 let i = idx.read(cur) as usize;
-                let (base, len) = (ctrs_layout.base[ctr], ctrs_layout.len[ctr]);
+                let (base, len) = ctrs_layout.span(ctr);
                 if i < len {
                     ctrs[base + i] += 1;
                 }
@@ -822,9 +893,9 @@ fn resolve_action(
     layout: &FieldLayout,
     regs: &StateLayout,
     ctrs: &StateLayout,
-) -> SlotAction {
+) -> Vec<SlotOp> {
     let slot = |f| layout.container(f).expect("resolved");
-    let ops = action
+    action
         .body
         .iter()
         .map(|prim| match prim {
@@ -868,13 +939,13 @@ fn resolve_action(
                 src: Src::Slot(layout.drop_flag()),
             },
         })
-        .collect();
-    SlotAction { ops }
+        .collect()
 }
 
-/// Resolve one bound entry into slot patterns (constants pre-masked /
+/// Resolve bound entry `index` into slot patterns (constants pre-masked /
 /// pre-shifted).
 fn resolve_entry(
+    index: usize,
     entry: &BoundEntry,
     decl_action: &ActionDecl,
     layout: &FieldLayout,
@@ -920,9 +991,9 @@ fn resolve_entry(
         })
         .collect();
     SlotEntry {
+        index,
         patterns,
         action: resolve_action(decl_action, &entry.args, layout, regs, ctrs),
-        lpm_score: entry.lpm_score,
     }
 }
 
@@ -946,18 +1017,19 @@ fn resolve_stages(
                 continue;
             }
             let runtime = tables.table(t);
-            let mut entries: Vec<(u64, usize, SlotEntry)> = Vec::new();
+            let mut entries = Vec::with_capacity(runtime.entries.len());
             for (i, e) in runtime.entries.iter().enumerate() {
                 let Some(action) = hlir.program.action(&e.action) else {
                     return Err(Error::Other {
                         message: format!("entry action `{}` is not declared", e.action),
                     });
                 };
-                entries.push((e.lpm_score, i, resolve_entry(e, action, layout, regs, ctrs)));
+                entries.push(resolve_entry(i, e, action, layout, regs, ctrs));
             }
             if runtime.has_lpm {
-                // Longest total prefix first; stable on priority.
-                entries.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                // Longest total prefix first; the stable sort keeps file
+                // (priority) order among equal prefixes.
+                entries.sort_by_key(|e| Reverse(runtime.entries[e.index].lpm_score));
             }
             let default_action = match &runtime.default_action {
                 Some(name) => {
@@ -971,7 +1043,8 @@ fn resolve_stages(
                 None => None,
             };
             stages[s].push(SlotTable {
-                entries: entries.into_iter().map(|(_, _, e)| e).collect(),
+                table: t,
+                entries,
                 default_action,
             });
         }
@@ -1047,12 +1120,12 @@ fn compile_table(
 
 fn emit_action(
     program: &mut Vec<MatInstr>,
-    action: &SlotAction,
+    action: &[SlotOp],
     drop_slot: usize,
     regs: &StateLayout,
     ctrs: &StateLayout,
 ) {
-    for &op in &action.ops {
+    for &op in action {
         match op {
             SlotOp::Set { dst, src } => {
                 // The resolved no_op encoding (self-copy) is dead: skip.
@@ -1165,14 +1238,14 @@ pub fn emit_mat_pipeline(
                             conds.join(" && ")
                         };
                         let _ = writeln!(s, "        if {cond} {{");
-                        for &op in &entry.action.ops {
+                        for &op in &entry.action {
                             let _ = writeln!(s, "            {}", render_slot_op(op));
                         }
                         let _ = writeln!(s, "            break 'table_{stage}_{ti};");
                         let _ = writeln!(s, "        }}");
                     }
                     if let Some(default) = &table.default_action {
-                        for &op in &default.ops {
+                        for &op in default {
                             let _ = writeln!(s, "        {}", render_slot_op(op));
                         }
                     }
@@ -1251,21 +1324,15 @@ fn render_slot_op(op: SlotOp) -> String {
 fn render_instr(instr: &MatInstr) -> String {
     match *instr {
         MatInstr::Snapshot => "snapshot".to_string(),
-        MatInstr::CmpExact { slot, value, miss } => {
-            format!("cmp_exact   snap[{slot}] == {value} else -> {miss}")
+        MatInstr::CmpExact { .. } | MatInstr::CmpTernary { .. } | MatInstr::CmpLpm { .. } => {
+            let (pat, miss) = instr.compare().expect("a compare instruction");
+            let mnemonic = match pat {
+                SlotPattern::Exact { .. } => "cmp_exact",
+                SlotPattern::Ternary { .. } => "cmp_ternary",
+                SlotPattern::Lpm { .. } => "cmp_lpm",
+            };
+            format!("{mnemonic:<11} {} else -> {miss}", render_pattern(&pat))
         }
-        MatInstr::CmpTernary {
-            slot,
-            value,
-            mask,
-            miss,
-        } => format!("cmp_ternary snap[{slot}] & {mask:#x} == {value:#x} else -> {miss}"),
-        MatInstr::CmpLpm {
-            slot,
-            value,
-            shift,
-            miss,
-        } => format!("cmp_lpm     snap[{slot}] >> {shift} == {value:#x} else -> {miss}"),
         MatInstr::Jump { target } => format!("jump        -> {target}"),
         MatInstr::Set { dst, src } => format!("set         cur[{dst}] = {}", render_src(src)),
         MatInstr::Add { dst, src } => format!("add         cur[{dst}] += {}", render_src(src)),
@@ -1482,6 +1549,15 @@ mod tests {
             let out = p.process(&Phv::new(vec![0x0B00_0000, 0, 0]));
             assert_eq!(out.get(1), 0, "{level:?}: miss, no default");
         }
+        // The resolved entries keep their file-order indices.
+        let p = MatPipeline::generate(&hlir, &entries, &lowering, OptLevel::Scc).unwrap();
+        let stages = p
+            .resolved_stages()
+            .expect("the Scc level resolves its tables");
+        let route = &stages[0][0];
+        assert_eq!(route.table, 0);
+        let order: Vec<usize> = route.entries.iter().map(|e| e.index).collect();
+        assert_eq!(order, [1, 0]);
     }
 
     #[test]

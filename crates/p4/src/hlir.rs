@@ -88,6 +88,15 @@ impl Hlir {
 pub fn resolve(program: P4Program) -> Result<Hlir> {
     let err = |message: String| Error::P4Parse { line: 0, message };
 
+    // Every name is declared once per kind: a lookup by name finds the
+    // one declaration every layer resolves to.
+    check_unique("header type", program.header_types.iter().map(|d| &d.name))?;
+    check_unique("header instance", program.headers.iter().map(|d| &d.name))?;
+    check_unique("register", program.registers.iter().map(|d| &d.name))?;
+    check_unique("counter", program.counters.iter().map(|d| &d.name))?;
+    check_unique("action", program.actions.iter().map(|d| &d.name))?;
+    check_unique("table", program.tables.iter().map(|d| &d.name))?;
+
     // Flattened field list.
     let mut fields = Vec::new();
     for instance in &program.headers {
@@ -308,6 +317,18 @@ pub fn resolve(program: P4Program) -> Result<Hlir> {
     })
 }
 
+/// Reject a name that two declarations of `kind` share.
+fn check_unique<'a>(kind: &str, mut names: impl Iterator<Item = &'a String>) -> Result<()> {
+    let mut seen = BTreeSet::new();
+    match names.find(|n| !seen.insert(*n)) {
+        Some(name) => Err(Error::P4Parse {
+            line: 0,
+            message: format!("{kind} `{name}` is declared more than once"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// One `apply` site in control order: table name, control-nesting depth,
 /// and the `(header, negated)` validity-guard path leading to it.
 type AppliedTable = (String, usize, Vec<(String, bool)>);
@@ -438,6 +459,56 @@ mod tests {
                    table t { reads { x.a : exact; } actions { n; } }\n\
                    control ingress { apply(t); apply(t); }";
         assert!(parse_p4(src).is_err());
+    }
+
+    /// The error `resolve` gives `SAMPLE` with `extra` declared after it.
+    fn duplicate_error(extra: &str) -> String {
+        parse_p4(&format!("{SAMPLE}\n{extra}"))
+            .expect_err("a duplicate declaration is rejected")
+            .to_string()
+    }
+
+    #[test]
+    fn duplicate_header_type_rejected() {
+        assert!(duplicate_error("header_type h_t { fields { c : 8; } }")
+            .contains("header type `h_t` is declared more than once"));
+    }
+
+    #[test]
+    fn duplicate_header_instance_rejected() {
+        assert!(duplicate_error("header h_t pkt;")
+            .contains("header instance `pkt` is declared more than once"));
+        assert!(duplicate_error("metadata h_t pkt;")
+            .contains("header instance `pkt` is declared more than once"));
+    }
+
+    #[test]
+    fn duplicate_register_rejected() {
+        assert!(
+            duplicate_error("register r { width : 32; instance_count : 2; }")
+                .contains("register `r` is declared more than once")
+        );
+    }
+
+    #[test]
+    fn duplicate_counter_rejected() {
+        let c = "counter c { instance_count : 1; }";
+        assert!(duplicate_error(&format!("{c}\n{c}"))
+            .contains("counter `c` is declared more than once"));
+    }
+
+    #[test]
+    fn duplicate_action_rejected() {
+        assert!(duplicate_error("action fwd(port) { no_op(); }")
+            .contains("action `fwd` is declared more than once"));
+    }
+
+    #[test]
+    fn duplicate_table_rejected() {
+        assert!(
+            duplicate_error("table t1 { reads { pkt.b : exact; } actions { fwd; } }")
+                .contains("table `t1` is declared more than once")
+        );
     }
 
     #[test]

@@ -347,11 +347,6 @@ impl ProgramTables {
     pub fn table(&self, index: usize) -> &TableRuntime {
         &self.tables[index]
     }
-
-    /// Total number of bound entries across all tables.
-    pub fn entry_count(&self) -> usize {
-        self.tables.iter().map(|t| t.entries.len()).sum()
-    }
 }
 
 /// Validate a parsed entry list against a resolved program and bind it
@@ -569,6 +564,5 @@ mod tests {
     fn lpm_score_is_entry_constant() {
         let tables = bound("lpm_t : pkt.b=0x0A000000/8 => set_a(1)\n");
         assert_eq!(tables.table(1).entries[0].lpm_score, 8);
-        assert_eq!(tables.entry_count(), 1);
     }
 }

@@ -4,8 +4,8 @@
 //! For every Table 1 Domino program the driver runs static translation
 //! validation across all compiled backends, extracts lint diagnostics,
 //! and screens the program for fuzz-worthiness; for every P4 corpus
-//! program it validates the lowered `MatInstr` program against the HLIR
-//! semantics and reports the match-action lints. Output is deterministic
+//! program it validates the lowered `MatInstr` program against the
+//! resolved tables it was built from and reports the match-action lints. Output is deterministic
 //! (corpus order, diagnostics sorted by [`sort_diagnostics`]) so the JSON
 //! rendering can be pinned byte-for-byte under `tests/golden/`.
 

@@ -135,31 +135,55 @@ fn cli_p4_fuzz_lint_reports_diagnostics_before_fuzzing() {
 #[test]
 fn cli_analyze_reports_the_semantic_p4_lints() {
     // A zero-length LPM prefix, and a `resolve` entry keyed on a next hop
-    // that no `route` action ever sets.
+    // that no `route` action ever sets. The later files list a `/0` route
+    // before the `/8` one, so LPM selection re-sorts `route`, and every
+    // lint must still name its entry by its index in the file.
+    let cases = [
+        (
+            "lpm_router_lints",
+            [
+                "note [lpm-always-match] stage 0 pc 2: entry 1 of table `route` uses a \
+                 zero-length LPM prefix (matches every packet)",
+                "warning [unreachable-entry] stage 1 pc 2: entry 1 of table `resolve` can \
+                 never match any reachable packet",
+            ],
+        ),
+        (
+            "lpm_router_lints_reordered",
+            [
+                "note [lpm-always-match] stage 0 pc 1: entry 0 of table `route` uses a \
+                 zero-length LPM prefix (matches every packet)",
+                "warning [unreachable-entry] stage 1 pc 2: entry 1 of table `resolve` can \
+                 never match any reachable packet",
+            ],
+        ),
+        (
+            "lpm_router_shadowed",
+            [
+                "note [lpm-always-match] stage 0 pc 1: entry 0 of table `route` uses a \
+                 zero-length LPM prefix (matches every packet)",
+                "warning [unreachable-entry] stage 0 pc 2: entry 1 of table `route` can \
+                 never match any reachable packet",
+            ],
+        ),
+    ];
     let root = env!("CARGO_MANIFEST_DIR");
     let program = format!("{root}/crates/programs/assets/p4/lpm_router.p4");
-    let entries = format!("{root}/tests/fixtures/lpm_router_lints.entries");
-    let out = druzhba(&["analyze", &program, "--entries", &entries]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(
-        stdout.contains("lpm_router [p4]: 0 TV mismatch(es), 2 diagnostic(s)"),
-        "{stdout}"
-    );
-    let diagnostics: Vec<&str> = stdout
-        .lines()
-        .filter_map(|l| l.strip_prefix("  lpm_router: "))
-        .collect();
-    assert_eq!(
-        diagnostics,
-        [
-            "note [lpm-always-match] stage 0 pc 2: entry 1 of table `route` uses a \
-             zero-length LPM prefix (matches every packet)",
-            "warning [unreachable-entry] stage 1 pc 2: entry 1 of table `resolve` can \
-             never match any reachable packet",
-        ],
-        "{stdout}"
-    );
+    for (fixture, expected) in cases {
+        let entries = format!("{root}/tests/fixtures/{fixture}.entries");
+        let out = druzhba(&["analyze", &program, "--entries", &entries]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{fixture}: {stdout}");
+        assert!(
+            stdout.contains("lpm_router [p4]: 0 TV mismatch(es), 2 diagnostic(s)"),
+            "{fixture}: {stdout}"
+        );
+        let diagnostics: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix("  lpm_router: "))
+            .collect();
+        assert_eq!(diagnostics, expected, "{fixture}: {stdout}");
+    }
 }
 
 // ---------------------------------------------------------------------------

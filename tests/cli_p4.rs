@@ -221,6 +221,24 @@ fn p4_fuzz_rejects_unbindable_entries() {
 }
 
 #[test]
+fn p4_fuzz_rejects_a_duplicate_declaration() {
+    let (dir, p4) = write_demo();
+    std::fs::write(
+        &p4,
+        "header_type h_t { fields { a : 8; } }\nheader h_t pkt; header h_t pkt;\n",
+    )
+    .unwrap();
+    let out = druzhba(&["p4-fuzz", p4.to_str().unwrap(), "--phvs", "100"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.stdout, b"");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: P4 parse error at line 0: header instance `pkt` is declared more than once\n"
+    );
+}
+
+#[test]
 fn fuzz_rejects_p4_inputs_with_a_pointer() {
     let (dir, p4) = write_demo();
     let out = druzhba(&["fuzz", p4.to_str().unwrap()]);
