@@ -35,7 +35,6 @@
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use druzhba_core::coverage::{edge_id, CoverageMap};
 use druzhba_core::{Error, Phv, Result, Trace, Value};
 use druzhba_p4::ast::{ActionArg, ActionDecl, MatchKind, Primitive};
 use druzhba_p4::exec::{execute_action, initial_counters, initial_registers};
@@ -362,15 +361,7 @@ pub struct MatPipeline {
     /// Preallocated frame buffers (live + stage-entry snapshot).
     cur: Vec<Value>,
     snap: Vec<Value>,
-    /// Optional execution-coverage map ([`MatPipeline::enable_coverage`]).
-    cov: Option<Box<CoverageMap>>,
 }
-
-/// Coverage site tags for the match-action backends (distinct from the
-/// interpreter's so merged maps keep the two sides' edges apart).
-const MAT_TABLE_SITE: u32 = 0x3A71_0000;
-const MAT_BRANCH_SITE: u32 = 0x3A72_0000;
-const MAT_DROP_SITE: u32 = 0x3A73_0000;
 
 impl MatPipeline {
     /// Generate the pipeline description for a lowered program at the
@@ -452,32 +443,7 @@ impl MatPipeline {
             ctr_layout,
             cur: vec![0; phv_length],
             snap: vec![0; phv_length],
-            cov: None,
         })
-    }
-
-    /// Attach (or reset) an execution-coverage map: subsequent packets
-    /// record table-outcome edges (interpretive/resolved backends),
-    /// compare-and-jump branch edges (compiled backends), and drop edges.
-    /// One allocation here; the per-packet path stays allocation-free on
-    /// the fused backend.
-    pub fn enable_coverage(&mut self) {
-        match &mut self.cov {
-            Some(cov) => cov.clear(),
-            None => self.cov = Some(Box::new(CoverageMap::new())),
-        }
-    }
-
-    /// The coverage accumulated since [`MatPipeline::enable_coverage`].
-    pub fn coverage(&self) -> Option<&CoverageMap> {
-        self.cov.as_deref()
-    }
-
-    /// Zero the attached coverage map (no-op when disabled).
-    pub fn clear_coverage(&mut self) {
-        if let Some(cov) = &mut self.cov {
-            cov.clear();
-        }
     }
 
     /// The backend's optimization level.
@@ -516,7 +482,6 @@ impl MatPipeline {
     /// until the next packet, and the slot-based backends allocate
     /// nothing.
     pub fn step(&mut self, phv: &Phv) -> &[Value] {
-        let mut cov = self.cov.as_deref_mut();
         match &mut self.backend {
             Backend::Interp(b) => {
                 // Version-1 semantics: the packet lives in string-keyed
@@ -532,17 +497,9 @@ impl MatPipeline {
                             continue;
                         }
                         let Some(sel) = b.tables.table(t).lookup(|p| snapshot.get(&p.field)) else {
-                            if let Some(cov) = cov.as_deref_mut() {
-                                cov.hit(edge_id(MAT_TABLE_SITE, t as u32, 0));
-                            }
                             continue;
                         };
-                        if let Some(cov) = cov.as_deref_mut() {
-                            let outcome = sel.entry.map_or(1, |e| e as Value + 2);
-                            cov.hit(edge_id(MAT_TABLE_SITE, t as u32, outcome));
-                        }
                         let (name, args) = (sel.action.to_string(), sel.args.to_vec());
-                        let was_dropped = packet.dropped;
                         if let Some(action) = b.hlir.program.action(&name) {
                             execute_action(
                                 action,
@@ -551,11 +508,6 @@ impl MatPipeline {
                                 &mut b.registers,
                                 &mut b.counters,
                             );
-                        }
-                        if packet.dropped && !was_dropped {
-                            if let Some(cov) = cov.as_deref_mut() {
-                                cov.hit(edge_id(MAT_DROP_SITE, t as u32, 1));
-                            }
                         }
                     }
                 }
@@ -566,15 +518,10 @@ impl MatPipeline {
             }
             Backend::Resolved(b) => {
                 load_frame(&mut self.cur, phv);
-                for (stage, tabs) in b.stages.iter().enumerate() {
+                for tabs in &b.stages {
                     self.snap.copy_from_slice(&self.cur);
-                    for (ti, t) in tabs.iter().enumerate() {
-                        let selected = select(t, &self.snap);
-                        if let Some(cov) = cov.as_deref_mut() {
-                            let site = MAT_TABLE_SITE | ((stage as u32) << 8) | ti as u32;
-                            cov.hit(edge_id(site, 0, selected.0));
-                        }
-                        if let Some(action) = selected.1 {
+                    for t in tabs {
+                        if let Some(action) = select(t, &self.snap) {
                             run_slot_ops(
                                 action,
                                 &mut self.cur,
@@ -590,52 +537,28 @@ impl MatPipeline {
             }
             Backend::Bytecode(b) => {
                 load_frame(&mut self.cur, phv);
-                for (stage, tabs) in b.stages.iter().enumerate() {
+                for tabs in &b.stages {
                     self.snap.copy_from_slice(&self.cur);
-                    for (ti, prog) in tabs.iter().enumerate() {
-                        let site = MAT_BRANCH_SITE | ((stage as u32) << 8) | ti as u32;
-                        if let Some(cov) = cov.as_deref_mut() {
-                            // Per-table execution edge: default-only tables
-                            // compile to zero compares but still count.
-                            cov.hit(edge_id(site, 0xFFFF, 0));
-                        }
+                    for prog in tabs {
                         run_instrs(
                             prog,
                             &mut self.cur,
                             &mut self.snap,
                             &mut self.regs,
                             &mut self.ctrs,
-                            cov.as_deref_mut(),
-                            site,
                         );
                     }
                 }
             }
             Backend::Fused(b) => {
                 load_frame(&mut self.cur, phv);
-                if let Some(cov) = cov.as_deref_mut() {
-                    // Per-packet execution edge: a compare-free program
-                    // still produces a signal whose buckets track volume.
-                    cov.hit(edge_id(MAT_BRANCH_SITE, 0xFFFF, 0));
-                }
                 run_instrs(
                     &b.program,
                     &mut self.cur,
                     &mut self.snap,
                     &mut self.regs,
                     &mut self.ctrs,
-                    cov.as_deref_mut(),
-                    MAT_BRANCH_SITE,
                 );
-            }
-        }
-        // Drop edge for the slot-based backends: the interpretive arm
-        // already attributed drops to their table above.
-        if !matches!(self.backend, Backend::Interp(_)) {
-            if let Some(cov) = cov {
-                if self.cur[self.layout.drop_flag()] != 0 {
-                    cov.hit(edge_id(MAT_DROP_SITE, 0, 1));
-                }
             }
         }
         &self.cur
@@ -717,19 +640,15 @@ fn load_frame(cur: &mut [Value], phv: &Phv) {
 }
 
 /// Scan a resolved table for its selected action (first hit in sorted
-/// order wins; see the module docs for why that implements LPM). Returns
-/// the coverage outcome discriminator (`idx+2` hit, `1` default, `0`
-/// skip) alongside the action.
-fn select<'a>(table: &'a SlotTable, snap: &[Value]) -> (Value, Option<&'a [SlotOp]>) {
-    for (i, entry) in table.entries.iter().enumerate() {
-        if entry.patterns.iter().all(|p| p.matches(snap)) {
-            return (i as Value + 2, Some(&entry.action));
-        }
-    }
-    match &table.default_action {
-        Some(a) => (1, Some(a)),
-        None => (0, None),
-    }
+/// order wins; see the module docs for why that implements LPM); `None`
+/// when nothing hits and the table has no default action.
+fn select<'a>(table: &'a SlotTable, snap: &[Value]) -> Option<&'a [SlotOp]> {
+    table
+        .entries
+        .iter()
+        .find(|entry| entry.patterns.iter().all(|p| p.matches(snap)))
+        .map(|entry| entry.action.as_slice())
+        .or(table.default_action.as_deref())
 }
 
 /// Execute resolved primitive ops against the live frame.
@@ -773,31 +692,20 @@ fn run_slot_ops(
 }
 
 /// The compiled-instruction executor shared by the bytecode and fused
-/// backends: a single program-counter loop, no allocation. `cov`, when
-/// present, records one edge per compare decision (`(site, pc, taken)`).
+/// backends: a single program-counter loop, no allocation.
 fn run_instrs(
     program: &[MatInstr],
     cur: &mut [Value],
     snap: &mut [Value],
     regs: &mut [Value],
     ctrs: &mut [u64],
-    mut cov: Option<&mut CoverageMap>,
-    site: u32,
 ) {
-    macro_rules! cmp {
-        ($pc:expr, $miss_taken:expr) => {
-            if let Some(cov) = cov.as_deref_mut() {
-                cov.hit(edge_id(site, $pc as u32, u32::from($miss_taken)));
-            }
-        };
-    }
     let mut pc = 0;
     while pc < program.len() {
         match program[pc] {
             MatInstr::Snapshot => snap.copy_from_slice(cur),
             MatInstr::CmpExact { slot, value, miss } => {
                 let missed = snap[slot] != value;
-                cmp!(pc, missed);
                 if missed {
                     pc = miss;
                     continue;
@@ -810,7 +718,6 @@ fn run_instrs(
                 miss,
             } => {
                 let missed = snap[slot] & mask != value;
-                cmp!(pc, missed);
                 if missed {
                     pc = miss;
                     continue;
@@ -823,7 +730,6 @@ fn run_instrs(
                 miss,
             } => {
                 let missed = (snap[slot] >> shift) != value;
-                cmp!(pc, missed);
                 if missed {
                     pc = miss;
                     continue;
@@ -1482,44 +1388,6 @@ mod tests {
             p.reset();
             assert_eq!(p.registers()["last"][0], 0, "{level:?}");
             assert_eq!(p.counters()["total"][1], 0, "{level:?}");
-        }
-    }
-
-    #[test]
-    fn coverage_distinguishes_hit_from_miss_on_every_backend() {
-        for level in OptLevel::ALL {
-            let mut p = pipeline(level);
-            p.enable_coverage();
-            p.process(&packet_phv(level, 1)); // forward hit -> audit hit
-            let hit = p.coverage().unwrap().clone();
-            assert!(hit.edges_covered() > 0, "{level:?}");
-            p.clear_coverage();
-            p.reset();
-            p.process(&packet_phv(level, 99)); // miss -> default toss/drop
-            let miss = p.coverage().unwrap().clone();
-            assert_ne!(
-                hit.signature(),
-                miss.signature(),
-                "{level:?}: hit and miss paths must cover differently"
-            );
-        }
-    }
-
-    #[test]
-    fn coverage_does_not_change_behaviour() {
-        for level in OptLevel::ALL {
-            let mut plain = pipeline(level);
-            let mut inst = pipeline(level);
-            inst.enable_coverage();
-            for dst in [0, 1, 2, 99] {
-                assert_eq!(
-                    plain.process(&packet_phv(level, dst)),
-                    inst.process(&packet_phv(level, dst)),
-                    "{level:?}"
-                );
-            }
-            assert_eq!(plain.registers(), inst.registers(), "{level:?}");
-            assert_eq!(plain.counters(), inst.counters(), "{level:?}");
         }
     }
 

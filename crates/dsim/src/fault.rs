@@ -54,8 +54,8 @@ impl FaultKind {
     ];
 
     /// The three behavioural classes (everything but the hostile trap) —
-    /// what detection-power comparisons like the greybox-vs-random bench
-    /// race over, where a guaranteed panic would only add noise.
+    /// what generated-program fault sweeps inject, where a guaranteed
+    /// panic would only add noise.
     pub const BEHAVIORAL: [FaultKind; 3] = [
         FaultKind::RemovedPair,
         FaultKind::MutatedValue,

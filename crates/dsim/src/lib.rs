@@ -17,11 +17,11 @@
 //!   output traces; failures are classified the way the paper's case study
 //!   classifies them (machine code incompatible with the pipeline vs.
 //!   behavioural trace mismatch). Both differential stacks implement one
-//!   [`testing::Target`] trait, so one seeded run ([`testing::fuzz_run`]),
-//!   one resumable campaign ([`testing::fuzz_campaign`]) and one greybox
-//!   report serve both; the campaign scales the loop the way FP4 and
-//!   Gauntlet scale theirs: many independently seeded runs sharded across
-//!   OS threads, deterministic per run index;
+//!   [`testing::Target`] trait, so one seeded run ([`testing::fuzz_run`])
+//!   and one resumable campaign ([`testing::fuzz_campaign`]) serve both;
+//!   the campaign scales the loop the way FP4 and Gauntlet scale theirs:
+//!   many independently seeded runs sharded across OS threads,
+//!   deterministic per run index;
 //! - [`fault`] — machine-code fault injection used to validate that the
 //!   tester actually detects the §5.2 failure classes;
 //! - [`mod@minimize`] — counterexample minimization: solver-free delta
@@ -38,7 +38,7 @@
 //! differentially fuzzed against the sequential reference interpreter —
 //! seeded traffic ([`p4::P4Traffic`]), single-case checks
 //! ([`p4::run_p4_case`]), the stack's [`p4::P4Target`] for the shared
-//! seeded, campaign and greybox drivers,
+//! seeded and campaign drivers,
 //! table/action fault injection ([`p4::P4FaultInjector`]), and
 //! counterexample minimization through the shared oracle-generic engine
 //! ([`minimize::minimize_trace_with`]).
@@ -47,8 +47,12 @@
 //! [`debugger`], a bidirectional time-travel debugger over recorded
 //! simulations, and [`verify`], bounded exhaustive equivalence
 //! verification (a solver-free stand-in for the proposed SMT encoding).
+//!
+//! No driver here reads execution coverage. The ALU pipeline's coverage
+//! map ([`druzhba_core::coverage`]) has two readers outside this crate:
+//! the known-imprecision list of `druzhba analyze` and the dead-edge
+//! cross-check of the static analysis (`tests/analysis_soundness.rs`).
 
-pub mod coverage;
 pub mod debugger;
 pub mod fault;
 pub mod minimize;
@@ -60,7 +64,6 @@ pub mod testing;
 pub mod traffic;
 pub mod verify;
 
-pub use coverage::{greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig, GreyboxReport};
 pub use debugger::{TickRecord, TimeTravelDebugger};
 pub use minimize::{
     ddmin_items, minimize, minimize_fault, MachineCodeEdit, MinimizeConfig, MinimizedCounterExample,
@@ -68,7 +71,7 @@ pub use minimize::{
 pub use runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions, WorkerPanic};
 pub use sim::Simulator;
 pub use testing::{
-    fuzz_campaign, fuzz_run, fuzz_test, run_case, run_sharded, shard_seed, AluChecker, AluTarget,
+    fuzz_campaign, fuzz_run, fuzz_test, run_case, shard_seed, AluChecker, AluTarget,
     CampaignConfig, CampaignReport, FuzzConfig, FuzzReport, Specification, Target, Verdict,
     VerdictClass,
 };

@@ -2,7 +2,7 @@
 //! pipeline against the sequential reference interpreter.
 //!
 //! This is the paper's Fig. 5 loop applied to the §4 P4 direction, and
-//! the oracle structure greybox P4 testers (FP4) and compiler-bug hunters
+//! the oracle structure P4 fuzzers (FP4) and compiler-bug hunters
 //! (Gauntlet) rely on: two independent executable semantics of the same
 //! program — here [`druzhba_p4::exec::Interpreter`] (sequential
 //! per-packet) and [`druzhba_dgen::mat::MatPipeline`] (staged RMT at any
@@ -20,8 +20,8 @@
 //!   [`Verdict`] taxonomy (`Incompatible` when the entries cannot program
 //!   the pipeline, `Mismatch` on trace or state divergence);
 //! - [`P4Target`] — the stack as a differential
-//!   [`Target`], so seeded runs ([`crate::testing::fuzz_run`]), resumable campaigns
-//!   ([`crate::testing::fuzz_campaign`]) and greybox reports run on the
+//!   [`Target`], so seeded runs ([`crate::testing::fuzz_run`]) and resumable campaigns
+//!   ([`crate::testing::fuzz_campaign`]) run on the
 //!   same drivers as the ALU stack and return the standard
 //!   [`crate::testing::FuzzReport`] and [`crate::testing::CampaignReport`] (seed replay, worker-count
 //!   independence and all);
@@ -32,11 +32,10 @@
 //!   (removed entries, mutated action arguments, mutated match values)
 //!   for mutation-driven hunt campaigns.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use druzhba_core::trace::{phv_mismatch, TraceMismatch};
-use druzhba_core::{CoverageMap, Phv, Result, Trace, Value, ValueGen};
+use druzhba_core::{Phv, Result, Trace, Value, ValueGen};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
 use druzhba_p4::exec::Interpreter;
@@ -88,10 +87,8 @@ impl P4Workload {
 
 /// One entry-derived value template for a field: materializing it yields
 /// a value that satisfies the source pattern (free bits randomized).
-/// Shared with the greybox mutation stack ([`crate::coverage`]), whose
-/// entry-aware mutator resamples single fields from the same templates.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PatternSeed {
+struct PatternSeed {
     kind: druzhba_p4::ast::MatchKind,
     value: Value,
     qualifier: Option<Value>,
@@ -101,7 +98,7 @@ pub(crate) struct PatternSeed {
 /// Materialize a pattern template into a concrete field value: exact
 /// values verbatim, ternary with masked-out bits randomized, LPM prefixes
 /// with a random suffix. Deterministic per generator state.
-pub(crate) fn materialize_pattern(p: &PatternSeed, gen: &mut ValueGen) -> Value {
+fn materialize_pattern(p: &PatternSeed, gen: &mut ValueGen) -> Value {
     use druzhba_core::value::max_for_bits;
     use druzhba_p4::ast::MatchKind;
     let width_mask = max_for_bits(p.width);
@@ -131,8 +128,8 @@ pub(crate) fn materialize_pattern(p: &PatternSeed, gen: &mut ValueGen) -> Value 
 /// drop flag start at zero (the switch initializes metadata, not the
 /// wire).
 ///
-/// Generation is **entry-aware**, the way greybox P4 testers seed their
-/// traffic: for a field some table matches on, half the draws
+/// Generation is **entry-aware**, the way P4 fuzzers such as FP4 seed
+/// their traffic: for a field some table matches on, half the draws
 /// materialize a random installed entry's pattern (exact value; ternary
 /// value with masked-out bits randomized; LPM prefix with a random
 /// suffix) instead of a uniform value. Uniform traffic over wide fields
@@ -143,10 +140,10 @@ pub(crate) fn materialize_pattern(p: &PatternSeed, gen: &mut ValueGen) -> Value 
 pub struct P4Traffic {
     gen: ValueGen,
     /// Per container: the uniform-draw bit width (`None` = zero-init).
-    pub(crate) widths: Vec<Option<u32>>,
+    widths: Vec<Option<u32>>,
     /// Per container: entry-derived templates for fields that are
     /// matched on (empty = always uniform).
-    pub(crate) candidates: Vec<Vec<PatternSeed>>,
+    candidates: Vec<Vec<PatternSeed>>,
 }
 
 impl P4Traffic {
@@ -316,12 +313,11 @@ pub fn run_p4_case(
 ///
 /// A checker holds the workload, the backend and the entry set the
 /// pipeline runs, plus at most one `(MatPipeline, Interpreter)` build.
-/// Its entry set changes only through [`P4Checker::set_entries`], so a
-/// check compares no entries: it resets both sides (registers and
-/// counters) and runs, and each verdict equals a fresh [`run_p4_case`] on
-/// the same inputs. [`p4_minimize`] keeps one checker for the whole
-/// minimization, so a check costs a simulation, not a pipeline
-/// generation.
+/// Its entry set is fixed at construction, so a check compares no
+/// entries: it resets both sides (registers and counters) and runs, and
+/// each verdict equals a fresh [`run_p4_case`] on the same inputs.
+/// [`p4_minimize`] keeps one checker for the whole minimization, so a
+/// check costs a simulation, not a pipeline generation.
 ///
 /// A check steps the pipeline and the reference packet by packet, the
 /// reference into a reused buffer, compares each output in place through
@@ -332,18 +328,11 @@ pub fn run_p4_case(
 /// [`catch_silent`](crate::runtime::catch_silent). An entry set that does
 /// not bind ([`Verdict::Incompatible`]) caches nothing, and a captured
 /// panic drops the build.
-///
-/// Greybox campaigns ([`crate::coverage`]) also read each check's
-/// coverage map ([`P4Checker::enable_coverage`]), and their entry-mutating
-/// search runs the reference over the pipeline's own entries
-/// ([`P4Checker::with_shared_entries`]).
 #[derive(Debug)]
 pub struct P4Checker<'a> {
     workload: &'a P4Workload,
-    entries: Cow<'a, [TableEntry]>,
+    entries: &'a [TableEntry],
     level: OptLevel,
-    shared_entries: bool,
-    coverage: Option<CoverageMap>,
     built: Option<(MatPipeline, Interpreter)>,
     /// The reference's output buffer, reused across packets and checks.
     expected: Phv,
@@ -356,46 +345,11 @@ impl<'a> P4Checker<'a> {
     pub fn new(workload: &'a P4Workload, entries: &'a [TableEntry], level: OptLevel) -> Self {
         P4Checker {
             workload,
-            entries: Cow::Borrowed(entries),
+            entries,
             level,
-            shared_entries: false,
-            coverage: None,
             built: None,
             expected: Phv::zeroed(workload.lowering.layout.phv_length()),
         }
-    }
-
-    /// A checker whose reference runs the pipeline's own entry set, so a
-    /// divergence is a compiler bug under those entries; it starts on the
-    /// workload's intended entries. A check whose entries do not bind is
-    /// skipped as [`Verdict::Pass`].
-    pub fn with_shared_entries(workload: &'a P4Workload, level: OptLevel) -> Self {
-        P4Checker {
-            shared_entries: true,
-            ..P4Checker::new(workload, &workload.entries, level)
-        }
-    }
-
-    /// Run later checks on `entries`. A set equal to the current one
-    /// keeps the build; any other drops it.
-    pub fn set_entries(&mut self, entries: &[TableEntry]) {
-        if *self.entries != *entries {
-            self.built = None;
-            self.entries = Cow::Owned(entries.to_vec());
-        }
-    }
-
-    /// Record both sides' coverage of every later check, readable through
-    /// [`P4Checker::coverage`] (the next check rebuilds instrumented).
-    pub fn enable_coverage(&mut self) {
-        self.coverage = Some(CoverageMap::new());
-        self.built = None;
-    }
-
-    /// The merged pipeline and reference coverage of the last check;
-    /// `None` when coverage is off.
-    pub fn coverage(&self) -> Option<&CoverageMap> {
-        self.coverage.as_ref()
     }
 
     /// Differentially execute `input` on the pipeline generated from the
@@ -413,45 +367,19 @@ impl<'a> P4Checker<'a> {
     /// The unguarded check: build if nothing is built, reset both sides,
     /// run, compare.
     fn run(&mut self, input: &[Phv]) -> Verdict {
-        if let Some(cov) = &mut self.coverage {
-            cov.clear();
-        }
         if self.built.is_none() {
             let w = self.workload;
-            let mut interp = if self.shared_entries {
-                match Interpreter::new(&w.hlir, &self.entries) {
-                    Ok(interp) => interp,
-                    Err(_) => return Verdict::Pass,
-                }
-            } else {
-                w.interpreter()
-            };
-            let mut pipeline =
-                match MatPipeline::generate(&w.hlir, &self.entries, &w.lowering, self.level) {
+            let pipeline =
+                match MatPipeline::generate(&w.hlir, self.entries, &w.lowering, self.level) {
                     Ok(p) => p,
                     Err(e) => return Verdict::Incompatible(e),
                 };
-            if self.coverage.is_some() {
-                pipeline.enable_coverage();
-                interp.enable_coverage();
-            }
-            self.built = Some((pipeline, interp));
+            self.built = Some((pipeline, w.interpreter()));
         }
         let (pipeline, interp) = self.built.as_mut().expect("built above");
         pipeline.reset();
         interp.reset();
-        pipeline.clear_coverage();
-        interp.clear_coverage();
-        let verdict = p4_differential(pipeline, interp, input, &mut self.expected);
-        if let Some(cov) = &mut self.coverage {
-            for side in [pipeline.coverage(), interp.coverage()]
-                .into_iter()
-                .flatten()
-            {
-                cov.merge(side);
-            }
-        }
-        verdict
+        p4_differential(pipeline, interp, input, &mut self.expected)
     }
 }
 
@@ -460,8 +388,7 @@ impl<'a> P4Checker<'a> {
 /// freshly reset), the reference into `expected`, and compare each output
 /// packet, then the final registers and counters. Both sides step every
 /// packet even after a mismatch, so one that panics on a late packet
-/// still panics. Coverage maps attached to either side keep accumulating
-/// as usual.
+/// still panics.
 fn p4_differential(
     pipeline: &mut MatPipeline,
     interp: &mut Interpreter,
@@ -519,16 +446,10 @@ impl Target<()> for P4Target<'_> {
         p4_minimize(self.workload, self.entries, self.level, input, 3_000)
     }
 
-    /// The greybox snapshot also binds the program source; the seeded
-    /// campaign's binds only the entries (both as first written, so
-    /// existing checkpoints keep resuming).
-    fn program_parts(&self, greybox: bool) -> Vec<String> {
-        let mut parts = vec![format!("{:?}", self.level)];
-        if greybox {
-            parts.push(format!("{:?}", self.workload.hlir));
-        }
-        parts.push(format!("{:?}", self.entries));
-        parts
+    /// The seeded campaign's snapshot binds the entries, not the program
+    /// source (as first written, so existing checkpoints keep resuming).
+    fn program_parts(&self) -> Vec<String> {
+        vec![format!("{:?}", self.level), format!("{:?}", self.entries)]
     }
 
     fn observation_parts(&self) -> Vec<String> {

@@ -103,8 +103,7 @@ pub struct RuntimeOptions {
     /// checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence (`--every N`): a snapshot every N completed
-    /// units (evaluations for campaigns, merge rounds for greybox).
-    /// `0` is normalized to 1.
+    /// evaluations or runs. `0` is normalized to 1.
     pub checkpoint_every: usize,
     /// True for `--resume DIR`: load the latest good snapshot from
     /// `checkpoint_dir` before starting, degrading gracefully (fall back

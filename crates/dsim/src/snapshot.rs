@@ -39,8 +39,7 @@ use druzhba_core::json::Object;
 /// Current snapshot format version; bumped on incompatible layout change.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// FNV-1a over `bytes` — the same constants the coverage-map signature
-/// uses; stable across platforms and processes.
+/// FNV-1a over `bytes`; stable across platforms and processes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -113,7 +112,7 @@ pub enum SnapshotError {
         /// The version token found in the header.
         found: String,
     },
-    /// The header names a different snapshot kind (e.g. a greybox
+    /// The header names a different snapshot kind (e.g. a `p4-hunt`
     /// snapshot offered to a hunt resume).
     KindMismatch {
         /// The kind found in the header.
@@ -438,8 +437,8 @@ mod tests {
     fn kind_and_fingerprint_mismatches_are_rejected() {
         let dir = tmpdir("kindfp");
         save(&dir, "hunt", 7, &payload()).unwrap();
-        let as_greybox = load_latest(&dir, "greybox", 7);
-        assert_eq!(as_greybox.lines, None);
+        let as_p4_hunt = load_latest(&dir, "p4-hunt", 7);
+        assert_eq!(as_p4_hunt.lines, None);
         let other_config = load_latest(&dir, "hunt", 8);
         assert_eq!(other_config.lines, None);
         assert!(other_config.warnings[0].contains("fingerprint mismatch"));

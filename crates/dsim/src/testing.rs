@@ -15,13 +15,12 @@
 //! specification's output trace*.
 
 use druzhba_core::trace::{phv_mismatch, TraceMismatch};
-use druzhba_core::{CoverageMap, Error, MachineCode, Phv, Trace, Value};
+use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use crate::runtime::{
-    catch_silent, default_workers, run_resumable, run_stealing, Campaign, RecordCodec,
-    RuntimeOptions,
+    catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
 };
 use crate::sim::Simulator;
 use crate::snapshot;
@@ -296,15 +295,10 @@ pub fn run_case<R: Specification + ?Sized>(
 /// [`catch_silent`]. A machine code the pipeline rejects
 /// ([`Verdict::Incompatible`]) caches nothing, and a captured panic drops
 /// the build, so no half-mutated simulator outlives its panic.
-///
-/// Greybox campaigns ([`crate::coverage`]) also read each check's
-/// coverage map ([`AluChecker::enable_coverage`]); with coverage off, a
-/// check runs the uninstrumented pipeline.
 #[derive(Debug)]
 pub struct AluChecker<'a> {
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
-    coverage: bool,
     built: Option<(MachineCode, Simulator)>,
     comparator: SpecComparator<'a>,
 }
@@ -321,24 +315,9 @@ impl<'a> AluChecker<'a> {
         AluChecker {
             pipeline_spec,
             opt,
-            coverage: false,
             built: None,
             comparator: SpecComparator::new(phv_length, observable, state_cells),
         }
-    }
-
-    /// Record the coverage of every later check, readable through
-    /// [`AluChecker::coverage`] (the next check rebuilds instrumented).
-    pub fn enable_coverage(&mut self) {
-        self.coverage = true;
-        self.built = None;
-    }
-
-    /// The pipeline coverage of the last check; `None` when coverage is
-    /// off or that check built nothing (an incompatible machine code or a
-    /// panic).
-    pub fn coverage(&self) -> Option<&CoverageMap> {
-        self.built.as_ref()?.1.pipeline().coverage()
     }
 
     /// Differentially execute `input` on the pipeline `mc` programs,
@@ -369,18 +348,14 @@ impl<'a> AluChecker<'a> {
         if self.built.as_ref().is_none_or(|(cached, _)| cached != mc) {
             // Drop the old build first: at most one is ever alive.
             self.built = None;
-            let mut pipeline = match Pipeline::generate(self.pipeline_spec, mc, self.opt) {
+            let pipeline = match Pipeline::generate(self.pipeline_spec, mc, self.opt) {
                 Ok(p) => p,
                 Err(e) => return Verdict::Incompatible(e),
             };
-            if self.coverage {
-                pipeline.enable_coverage();
-            }
             self.built = Some((mc.clone(), Simulator::new(pipeline)));
         }
         let (_, sim) = self.built.as_mut().expect("built above");
         sim.reset();
-        sim.pipeline_mut().clear_coverage();
         let actual = sim.run(input);
         let mismatch = self.comparator.compare(reference, &input.phvs, &actual);
         mismatch.map_or(Verdict::Pass, Verdict::Mismatch)
@@ -499,12 +474,11 @@ impl<'a> SpecComparator<'a> {
 /// `R` is the mutable reference a check compares against — a
 /// [`Specification`] on the ALU stack ([`AluTarget`]), nothing (`()`) on
 /// the P4 stack ([`crate::p4::P4Target`]), whose reference interpreter is
-/// rebuilt inside every guarded case. The seeded run ([`fuzz_run`]), the
-/// resumable seeded campaign ([`fuzz_campaign`]) and the greybox report
-/// ([`crate::coverage`]) are written once over this trait and
-/// monomorphized per stack.
+/// rebuilt inside every guarded case. The seeded run ([`fuzz_run`]) and
+/// the resumable seeded campaign ([`fuzz_campaign`]) are written once
+/// over this trait and monomorphized per stack.
 pub trait Target<R: ?Sized>: Sync {
-    /// Stack label in snapshot fingerprints (`alu-campaign`, `greybox-p4`, …).
+    /// Stack label in snapshot fingerprints (`alu-campaign`, `p4-campaign`).
     const STACK: &'static str;
     /// Snapshot kind of the seeded campaign.
     const CAMPAIGN: &'static str;
@@ -520,8 +494,8 @@ pub trait Target<R: ?Sized>: Sync {
     fn minimize(&self, reference: &mut R, input: &Trace) -> Option<MinimizedCounterExample>;
 
     /// Fingerprint parts naming the program under test: the level, then
-    /// the code (`greybox` adds what the greybox snapshot also binds).
-    fn program_parts(&self, greybox: bool) -> Vec<String>;
+    /// the code.
+    fn program_parts(&self) -> Vec<String>;
 
     /// Fingerprint parts naming what the check observes.
     fn observation_parts(&self) -> Vec<String>;
@@ -597,7 +571,7 @@ impl<R: Specification + ?Sized> Target<R> for AluTarget<'_> {
         )
     }
 
-    fn program_parts(&self, _greybox: bool) -> Vec<String> {
+    fn program_parts(&self) -> Vec<String> {
         vec![format!("{:?}", self.opt), self.mc.to_text()]
     }
 
@@ -776,43 +750,6 @@ pub fn shard_seed(base: u64, run: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shard `items` across up to `workers` OS threads and map each through
-/// `f`, returning results in item order. `f` receives the item's global
-/// index and the item itself.
-///
-/// Backed by the work-stealing pool ([`crate::runtime::run_stealing`]):
-/// workers start on contiguous chunks but steal from the slowest shard
-/// instead of idling behind it, while results are still written into
-/// index-ordered slots — a pure function of the item list, never of
-/// scheduling. A panicking item no longer poisons the pool: **every other
-/// item completes first**, and only then does the lowest-index captured
-/// panic resurface here. Campaign drivers that must survive panics
-/// entirely use [`crate::runtime::run_stealing`] directly and record the
-/// per-item error.
-pub fn run_sharded<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut first_panic: Option<(usize, String)> = None;
-    for (i, r) in run_stealing(items, workers, f).into_iter().enumerate() {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                if first_panic.is_none() {
-                    first_panic = Some((i, p.payload));
-                }
-            }
-        }
-    }
-    if let Some((i, payload)) = first_panic {
-        panic!("sharded task {i} panicked (all other tasks completed): {payload}");
-    }
-    out
-}
-
 /// Run a deterministic multi-threaded fuzz campaign on any [`Target`]:
 /// `cfg.runs` independently seeded [`fuzz_run`]s on the resumable
 /// work-stealing engine ([`run_resumable`]), each against a fresh
@@ -842,7 +779,7 @@ where
 {
     let base = &cfg.base;
     let mut parts = vec![format!("{}-campaign", T::STACK)];
-    parts.extend(target.program_parts(false));
+    parts.extend(target.program_parts());
     parts.extend([
         cfg.runs.to_string(),
         base.num_phvs.to_string(),
@@ -1399,27 +1336,6 @@ mod tests {
         let (passed, _, _, panicked) = campaign.counts();
         assert_eq!(passed, 0);
         assert_eq!(panicked, 4, "every run records the panic, none aborts");
-    }
-
-    #[test]
-    fn run_sharded_completes_siblings_before_repanicking() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let completed = AtomicUsize::new(0);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded((0..20).collect(), 4, |_, i: usize| {
-                if i == 3 {
-                    panic!("poisoned item");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                i
-            })
-        }));
-        assert!(outcome.is_err(), "the panic still propagates");
-        assert_eq!(
-            completed.load(Ordering::Relaxed),
-            19,
-            "every other item completed before the panic resurfaced"
-        );
     }
 
     #[test]

@@ -45,7 +45,6 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
-use druzhba_core::coverage::{edge_id, CoverageMap};
 use druzhba_core::{Error, Phv, Result, Value};
 
 use crate::ast::{ActionArg, ActionDecl, FieldRef, Primitive};
@@ -229,11 +228,6 @@ pub fn initial_counters(hlir: &Hlir) -> BTreeMap<String, Vec<u64>> {
         .collect()
 }
 
-/// Coverage site tag for table-outcome edges (hit entry / default / skip).
-pub(crate) const COV_TABLE_SITE: u32 = 0x7AB1_E000;
-/// Coverage site tag for drop-transition edges.
-pub(crate) const COV_DROP_SITE: u32 = 0xD209_0000;
-
 /// An action operand, resolved when the interpreter is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Operand {
@@ -376,8 +370,6 @@ pub struct Interpreter {
     counter_view: OnceCell<BTreeMap<String, Vec<u64>>>,
     /// The [`Packet`] adapter's reused frame.
     scratch: Vec<Value>,
-    /// Optional execution-coverage map ([`Interpreter::enable_coverage`]).
-    cov: Option<Box<CoverageMap>>,
 }
 
 impl Interpreter {
@@ -446,40 +438,16 @@ impl Interpreter {
             counters,
             register_view: OnceCell::new(),
             counter_view: OnceCell::new(),
-            cov: None,
         })
     }
 
     /// Reset registers and counters to their initial (zero) state in
-    /// place (the coverage map, if any, is left as is — clear it
-    /// separately).
+    /// place.
     pub fn reset(&mut self) {
         self.registers.zero();
         self.counters.zero();
         self.register_view.take();
         self.counter_view.take();
-    }
-
-    /// Attach (or reset) an execution-coverage map: subsequent packets
-    /// record table-hit/miss/default edges, action-taken edges, and drop
-    /// transitions into it. Recording is allocation-free.
-    pub fn enable_coverage(&mut self) {
-        match &mut self.cov {
-            Some(cov) => cov.clear(),
-            None => self.cov = Some(Box::new(CoverageMap::new())),
-        }
-    }
-
-    /// The coverage accumulated since [`Interpreter::enable_coverage`].
-    pub fn coverage(&self) -> Option<&CoverageMap> {
-        self.cov.as_deref()
-    }
-
-    /// Zero the attached coverage map (no-op when disabled).
-    pub fn clear_coverage(&mut self) {
-        if let Some(cov) = &mut self.cov {
-            cov.clear();
-        }
     }
 
     /// Containers per packet frame: one per field of [`Hlir::fields`],
@@ -567,10 +535,6 @@ impl Interpreter {
         for applied in &self.applied {
             let t = applied.table;
             let Some(sel) = self.tables.tables[t].lookup(|p| frame[p.container]) else {
-                // Coverage: the table's skip edge (miss with no default).
-                if let Some(cov) = self.cov.as_deref_mut() {
-                    cov.hit(edge_id(COV_TABLE_SITE, t as u32, 0));
-                }
                 continue;
             };
             let action = match sel.entry {
@@ -579,14 +543,6 @@ impl Interpreter {
                     .default_action
                     .expect("a miss selects the default action"),
             };
-            if let Some(cov) = self.cov.as_deref_mut() {
-                // Table-outcome edge: which entry hit (or the default
-                // action, outcome 1). Entry → action binding is static,
-                // so this doubles as the action-taken edge.
-                let outcome = sel.entry.map_or(1, |e| e as Value + 2);
-                cov.hit(edge_id(COV_TABLE_SITE, t as u32, outcome));
-            }
-            let was_dropped = frame[drop] != 0;
             execute(
                 &self.actions[action].ops,
                 sel.args,
@@ -595,12 +551,6 @@ impl Interpreter {
                 &mut self.registers.cells,
                 &mut self.counters.cells,
             );
-            if frame[drop] != 0 && !was_dropped {
-                // Drop edge, attributed to the table whose action fired it.
-                if let Some(cov) = self.cov.as_deref_mut() {
-                    cov.hit(edge_id(COV_DROP_SITE, t as u32, 1));
-                }
-            }
             on_hit(t, sel.entry, action);
         }
     }

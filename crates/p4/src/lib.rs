@@ -76,7 +76,7 @@ pub use deps::{DependencyKind, TableDag};
 pub use exec::{Interpreter, Packet};
 pub use hlir::Hlir;
 pub use lower::{FieldLayout, RmtConfig, RmtLowering};
-pub use tables::{parse_entries, render_entry, ProgramTables, TableEntry};
+pub use tables::{parse_entries, ProgramTables, TableEntry};
 
 use druzhba_core::Result;
 

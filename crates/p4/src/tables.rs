@@ -165,41 +165,6 @@ fn parse_value(s: &str) -> std::result::Result<Value, String> {
     parsed.map_err(|_| format!("bad value `{s}`"))
 }
 
-/// Render one entry back into the entries-file syntax.
-///
-/// `parse_entries` on the rendered text reproduces the entry exactly,
-/// except `priority`, which the parser re-derives from file order — so a
-/// sequence of entries rendered in order round-trips completely.
-pub fn render_entry(entry: &TableEntry) -> String {
-    let matches = entry
-        .matches
-        .iter()
-        .map(|m| {
-            let mut clause = format!("{}.{}={}", m.field.header, m.field.field, m.value);
-            if let Some(q) = m.qualifier {
-                clause.push('/');
-                clause.push_str(&q.to_string());
-            }
-            clause
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let args = entry
-        .args
-        .iter()
-        .map(Value::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    if args.is_empty() {
-        format!("{} : {} => {}", entry.table, matches, entry.action)
-    } else {
-        format!(
-            "{} : {} => {}({})",
-            entry.table, matches, entry.action, args
-        )
-    }
-}
-
 // ----------------------------------------------------------------------
 // The bound runtime: entries validated against a program and compiled to
 // their declared match kinds and widths.
@@ -468,21 +433,6 @@ mod tests {
     fn action_without_parens_allowed() {
         let entries = parse_entries("t : f.a=1 => just_do_it\n").unwrap();
         assert_eq!(entries[0].action, "just_do_it");
-    }
-
-    #[test]
-    fn render_entry_round_trips() {
-        let text = "acl : ip.proto=6/255, ip.dst=10/240 => drop_it\n\
-                    fwd : eth.dst=42 => set_port(3)\n\
-                    fwd :  => flood(1, 2)\n";
-        let entries = parse_entries(text).unwrap();
-        let rendered = entries
-            .iter()
-            .map(render_entry)
-            .collect::<Vec<_>>()
-            .join("\n");
-        let reparsed = parse_entries(&rendered).unwrap();
-        assert_eq!(reparsed, entries);
     }
 
     #[test]

@@ -215,7 +215,8 @@ fn lints_to_diags(name: &str, lints: &[LintRecord]) -> Vec<Diagnostic> {
 /// edges the abstraction predicts live (under the campaign's input
 /// bit-width) that a deterministic seeded campaign never hits. The
 /// campaign shape (bit-widths 10 and 4, statically-keyed levels, 4 seeds
-/// × 256 PHVs) mirrors the greybox cross-check so the two lists agree.
+/// × 256 PHVs) mirrors the dead-edge cross-check in
+/// `tests/analysis_soundness.rs`, so the two lists agree.
 /// Entries are sorted and deduped; the list is a pure function of the
 /// program.
 fn imprecision_list(build: &ProgramBuild, len: usize) -> Vec<String> {
@@ -355,7 +356,7 @@ pub fn analyze_corpus(symbolic: bool) -> Result<CorpusAnalysis, String> {
 /// Predicted-dead coverage edges for one Domino program at one backend,
 /// assuming every input container carries at most `input_bits` bits —
 /// the abstraction of a fuzz campaign's bounded traffic generator (pass
-/// `>= 32` for an unconstrained input). Used by the greybox cross-check;
+/// `>= 32` for an unconstrained input). Used by the dead-edge cross-check;
 /// `None` for levels without statically-keyed edges.
 pub fn predicted_dead_edges(
     def: &ProgramDef,

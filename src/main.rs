@@ -22,9 +22,6 @@ use druzhba::dgen::mat::emit_mat_pipeline;
 use druzhba::dgen::OptLevel;
 use druzhba::domino::{parse_program, DominoProgram};
 use druzhba::drmt::{solve, ScheduleConfig};
-use druzhba::dsim::coverage::{
-    greybox_fuzz_test, p4_greybox_fuzz_test, GreyboxConfig, GreyboxReport,
-};
 use druzhba::dsim::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use druzhba::dsim::p4::{P4Target, P4Workload};
 use druzhba::dsim::runtime::RuntimeOptions;
@@ -97,7 +94,6 @@ const P4_PROGRAM: &str = "p4-program";
 const WHOLE_CORPUS: &str = "whole-corpus";
 const SINGLE: &str = "single-run";
 const CAMPAIGN: &str = "campaign";
-const GREYBOX: &str = "greybox";
 const MUTANTS: &str = "mutants";
 const CORPUS: &str = "corpus";
 const GENERATE: &str = "generate";
@@ -124,7 +120,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "fuzz", positional: "<file.domino>", run: cmd_fuzz,
-        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0")]],
+        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1")]],
         about: "differential fuzzing of every selected backend against the Domino program",
         flags: &[
             Flag { name: "depth", metavar: "D", modes: ALL, help: "pipeline stages of the synthesis grid" },
@@ -134,16 +130,13 @@ const COMMANDS: &[Command] = &[
             Flag { name: "seed", metavar: "S", modes: ALL, help: "traffic seed (decimal or 0x-hex)" },
             Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
             Flag { name: "bits", metavar: "B", modes: ALL, help: "bit width of generated input values" },
-            Flag { name: "greybox", metavar: "E", modes: ALL, help: "coverage-guided campaign with an E-execution budget" },
             Flag { name: "phvs", metavar: "N", modes: &[SINGLE, CAMPAIGN], help: "random PHVs per run" },
             Flag { name: "runs", metavar: "R", modes: &[SINGLE, CAMPAIGN], help: "independently seeded runs" },
-            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, GREYBOX], help: "worker threads" },
-            Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
-            Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
-            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "snapshot campaign progress into DIR" },
-            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
-            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX], help: "restore DIR's snapshot and keep checkpointing there" },
-            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN, GREYBOX], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
+            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN], help: "worker threads" },
+            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN], help: "snapshot campaign progress into DIR" },
+            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
+            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN], help: "restore DIR's snapshot and keep checkpointing there" },
+            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
         ],
     },
     Command {
@@ -232,7 +225,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "p4-fuzz", positional: "[<file.p4>|<p4-program>]", run: cmd_p4_fuzz,
         about: "differential fuzzing of the lowered RMT pipeline against the P4 reference interpreter",
-        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"), (GREYBOX, "--greybox E, E > 0"),
+        modes: &[&[(SINGLE, "the default"), (CAMPAIGN, "--runs R, R > 1"),
             (MUTANTS, "--mutants N, N > 0; a table/action-fault campaign (JSON report)")],
             &[(CORPUS, "no positional input (the whole P4 corpus) or a corpus program name"), (P4_FILE, "a .p4 file"),
             (GENERATE, "--generate N, N > 0; N generated, TV-vetted P4 workloads")]],
@@ -245,21 +238,17 @@ const COMMANDS: &[Command] = &[
             Flag { name: "seed", metavar: "S", modes: ALL, help: "traffic seed (decimal or 0x-hex)" },
             Flag { name: "level", metavar: "L", modes: ALL, help: "backends: 0|1|2|3 or a name, a comma list, or `all`" },
             Flag { name: "bits", metavar: "B", modes: ALL, help: "bit-width cap on randomized header fields" },
-            Flag { name: "greybox", metavar: "E", modes: ALL, help: "coverage-guided campaign with an E-execution budget" },
             Flag { name: "mutants", metavar: "N", modes: ALL, help: "mutants per fault class per program" },
             Flag { name: "phvs", metavar: "N", modes: &[SINGLE, CAMPAIGN, MUTANTS], help: "packets per run" },
             Flag { name: "runs", metavar: "R", modes: &[SINGLE, CAMPAIGN, MUTANTS], help: "independently seeded runs" },
-            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "worker threads" },
+            Flag { name: "jobs", metavar: "J", modes: &[CAMPAIGN, MUTANTS], help: "worker threads" },
             Flag { name: "cross-model", metavar: "on|off", modes: &[SINGLE, CAMPAIGN], help: "check interpreter == RMT(fused) == dRMT" },
-            Flag { name: "gb-packets", metavar: "P", modes: &[GREYBOX], help: "packets per initial seed input" },
-            Flag { name: "gb-max-packets", metavar: "N", modes: &[GREYBOX], help: "cap on a mutated trace's length" },
-            Flag { name: "mutate-entries", metavar: "on|off", modes: &[GREYBOX], help: "mutate the shared table entries alongside packets" },
             Flag { name: "case-budget", metavar: "N", modes: &[MUTANTS], help: "cap on differential batches per evaluation" },
             Flag { name: "out", metavar: "FILE", modes: &[MUTANTS], help: "write the JSON report to FILE" },
-            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "snapshot campaign progress into DIR" },
-            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
-            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "restore DIR's snapshot and keep checkpointing there" },
-            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN, GREYBOX, MUTANTS], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
+            Flag { name: "checkpoint", metavar: "DIR", modes: &[CAMPAIGN, MUTANTS], help: "snapshot campaign progress into DIR" },
+            Flag { name: "every", metavar: "N", modes: &[CAMPAIGN, MUTANTS], help: "snapshot every N completed tasks (needs --checkpoint/--resume)" },
+            Flag { name: "resume", metavar: "DIR", modes: &[CAMPAIGN, MUTANTS], help: "restore DIR's snapshot and keep checkpointing there" },
+            Flag { name: "budget-secs", metavar: "S", modes: &[CAMPAIGN, MUTANTS], help: "wall-clock budget; expiry ends in a partial report, exit 0" },
         ],
     },
     Command {
@@ -556,81 +545,9 @@ fn warn_truncated(what: &str, truncated: usize) {
     }
 }
 
-/// The greybox configuration of `fuzz --greybox` and `p4-fuzz --greybox`
-/// (defaults in [`GreyboxConfig`]).
-fn greybox_config(
-    args: &Args,
-    executions: usize,
-    seed: u64,
-    bits: u32,
-) -> Result<GreyboxConfig, String> {
-    let defaults = GreyboxConfig::default();
-    Ok(GreyboxConfig {
-        executions,
-        packets: args.get_usize("gb-packets", defaults.packets)?,
-        max_packets: args.get_usize("gb-max-packets", defaults.max_packets)?,
-        seed,
-        input_bits: bits,
-        workers: args.get_workers(defaults.workers)?,
-        minimize: true,
-        runtime: runtime_options(args)?,
-    })
-}
-
-/// One-line greybox campaign summary (the JSON-schema fields, human
-/// formatted): executions, edges, corpus, and where the first divergence
-/// landed.
-fn print_greybox(
-    label: &str,
-    level: OptLevel,
-    cfg: &GreyboxConfig,
-    report: &druzhba::dsim::GreyboxReport,
-) {
-    let outcome = match report.first_divergence {
-        Some(at) => format!("first divergence at execution {at}"),
-        None if report.truncated => "no divergence (budget-truncated)".to_string(),
-        None => "no divergence".to_string(),
-    };
-    if report.truncated {
-        eprintln!(
-            "warning: greybox[{label}]: wall-clock budget expired after {} of {} \
-             executions; the campaign is partial",
-            report.executions, cfg.executions
-        );
-    }
-    println!(
-        "greybox[{label}:{}]: {} executions x {} packets on {} workers \
-         ({} merge rounds) -> {} edges covered, corpus {}, {outcome}",
-        level.key(),
-        report.executions,
-        cfg.packets,
-        cfg.workers,
-        report.rounds,
-        report.edges_covered,
-        report.corpus_size,
-    );
-}
-
-/// The replay recipe for a greybox divergence: the campaign is a pure
-/// function of (seed, jobs), so re-running with both reproduces it
-/// byte-identically. `mode` carries campaign-mode flags that change the
-/// search space (e.g. `--mutate-entries off`).
-fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
-    let mut replay = format!(
-        "--greybox {} --seed {:#x} --jobs {} --gb-packets {}",
-        cfg.executions, cfg.seed, cfg.workers, cfg.packets
-    );
-    if cfg.max_packets != 0 {
-        let _ = write!(replay, " --gb-max-packets {}", cfg.max_packets);
-    }
-    replay + mode
-}
-
 /// The differential modes `fuzz` and `p4-fuzz` share, selected by flags:
-/// a greybox campaign (`--greybox E`), a seeded campaign (`--runs R`,
-/// R > 1) or one seeded run.
+/// a seeded campaign (`--runs R`, R > 1) or one seeded run.
 enum FuzzMode {
-    Greybox(GreyboxConfig),
     Campaign(CampaignConfig, RuntimeOptions),
     Single(FuzzConfig),
 }
@@ -641,19 +558,9 @@ impl FuzzMode {
     fn parse(args: &Args, (phvs, bits): (usize, u32)) -> Result<Self, String> {
         let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
         let bits = args.get_u32("bits", bits)?;
-        let executions = args.get_usize("greybox", 0)?;
-        if executions > 0 {
-            args.check_mode(GREYBOX)?;
-            return Ok(FuzzMode::Greybox(greybox_config(
-                args, executions, seed, bits,
-            )?));
-        }
         let runs = args.get_usize("runs", 1)?;
         if args.get_usize("jobs", 0)? > 0 && runs <= 1 {
-            return Err(
-                "--jobs shards a multi-run campaign; pass --runs R (R > 1) or --greybox E with it"
-                    .into(),
-            );
+            return Err("--jobs shards a multi-run campaign; pass --runs R (R > 1) with it".into());
         }
         let base = FuzzConfig {
             num_phvs: args.get_usize("phvs", phvs)?,
@@ -675,64 +582,33 @@ impl FuzzMode {
         Ok(FuzzMode::Campaign(campaign, runtime_options(args)?))
     }
 
-    /// The seeded run shape (`None` in greybox mode).
-    fn seeded(&self) -> Option<&FuzzConfig> {
+    /// The seeded run shape.
+    fn seeded(&self) -> &FuzzConfig {
         match self {
-            FuzzMode::Greybox(_) => None,
-            FuzzMode::Campaign(campaign, _) => Some(&campaign.base),
-            FuzzMode::Single(cfg) => Some(cfg),
+            FuzzMode::Campaign(campaign, _) => &campaign.base,
+            FuzzMode::Single(cfg) => cfg,
         }
     }
 
     /// Run this mode on `program`'s target at `level`, print its outcome,
     /// and turn a divergence into an error carrying the replay recipe. `p4`
-    /// marks the P4 stack; `replay` is appended to every recipe and
-    /// `greybox_mode` to the greybox flags; `greybox` runs the target's
-    /// greybox campaign.
+    /// marks the P4 stack; `replay` is appended to every recipe.
     fn run<R, T: Target<R>>(
         &self,
-        (program, p4, replay, greybox_mode): (&str, bool, &str, &str),
+        (program, p4, replay): (&str, bool, &str),
         level: OptLevel,
         target: &T,
         make_reference: impl Fn() -> R + Sync,
-        greybox: impl FnOnce(&GreyboxConfig) -> GreyboxReport,
     ) -> Result<(), String> {
         let p4 = p4.then_some(program);
         let lv = level.key();
         let tag = |alu: &str| p4.map_or(format!("{alu}[{lv}]"), |n| format!("p4-fuzz[{n}:{lv}]"));
         let unit = if p4.is_some() { "packets" } else { "PHVs" };
-        let found = |mode: &str| match p4 {
-            None => format!("{mode}fuzzing found a divergence at level {lv}"),
-            Some(n) => format!("p4 {mode}fuzzing found a divergence in `{n}` at level {lv}"),
+        let found = match p4 {
+            None => format!("fuzzing found a divergence at level {lv}"),
+            Some(n) => format!("p4 fuzzing found a divergence in `{n}` at level {lv}"),
         };
         let (failure, cfg, verdict) = match self {
-            FuzzMode::Greybox(cfg) => {
-                let cfg = &GreyboxConfig {
-                    runtime: scoped(&cfg.runtime, program, level),
-                    ..cfg.clone()
-                };
-                let report = greybox(cfg);
-                print_greybox(p4.unwrap_or("fuzz"), level, cfg, &report);
-                if report.passed() {
-                    return Ok(());
-                }
-                if let Some(mce) = &report.minimized {
-                    print_minimized(mce);
-                }
-                if let Some(entries) = &report.diverging_entries {
-                    eprintln!("diverging entry set ({} entries):", entries.len());
-                    for e in entries {
-                        eprintln!("  {e:?}");
-                    }
-                }
-                return Err(format!(
-                    "{} (replay with `{} --level {lv} --bits {}{replay}`): {:?}",
-                    found("greybox "),
-                    greybox_replay(cfg, greybox_mode),
-                    cfg.input_bits,
-                    report.verdict
-                ));
-            }
             FuzzMode::Campaign(campaign, runtime) => {
                 let runtime = scoped(runtime, program, level);
                 let report = fuzz_campaign(target, make_reference, campaign, &runtime);
@@ -777,8 +653,7 @@ impl FuzzMode {
             print_minimized(mce);
         }
         Err(format!(
-            "{} (replay with `--seed {:#x} --level {lv} --phvs {} --bits {}{replay}`){verdict}",
-            found(""),
+            "{found} (replay with `--seed {:#x} --level {lv} --phvs {} --bits {}{replay}`){verdict}",
             failure.seed,
             cfg.num_phvs,
             cfg.input_bits,
@@ -924,9 +799,6 @@ fn p4_lowering_report(name: &str, workload: &P4Workload) -> String {
 
 fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
     let mutants = args.get_usize("mutants", 0)?;
-    if args.get_usize("greybox", 0)? > 0 && mutants > 0 {
-        return Err("--greybox and --mutants are separate campaign modes; pick one".into());
-    }
     let mode = if mutants > 0 {
         args.check_mode(MUTANTS)?;
         None
@@ -936,7 +808,7 @@ fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
     let seed = args.get_seed("seed", FuzzConfig::default().seed)?;
     // `--generate N` swaps the corpus/file targets for N freshly
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
-    // plain runs, --mutants, --greybox, cross-model) composes unchanged.
+    // plain runs, --mutants, cross-model) composes unchanged.
     let generate = args.get_usize("generate", 0)?;
     args.check_mode(if generate > 0 {
         GENERATE
@@ -1013,14 +885,6 @@ fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
         return finish_hunt(&report, report.to_json(), cfg.levels.len(), args.get("out"));
     };
 
-    // Greybox mode: both sides run the same (mutated) entries unless
-    // --mutate-entries off pins the corpus entry set (DESIGN.md §9).
-    let mutate_entries = args.get_on_off("mutate-entries", true)?;
-    let greybox_mode = if mutate_entries {
-        ""
-    } else {
-        " --mutate-entries off"
-    };
     let cross_model = args.get_on_off("cross-model", true)?;
     for (name, workload) in &targets {
         for &level in &levels {
@@ -1029,16 +893,10 @@ fn cmd_p4_fuzz(args: &Args) -> Result<ExitCode, String> {
                 entries: &workload.entries,
                 level,
             };
-            mode.run(
-                (name, true, "", greybox_mode),
-                level,
-                &target,
-                || (),
-                |cfg| p4_greybox_fuzz_test(workload, &workload.entries, level, mutate_entries, cfg),
-            )?;
+            mode.run((name, true, ""), level, &target, || ())?;
         }
-        if let (true, Some(cfg)) = (cross_model, mode.seeded()) {
-            let packets = cfg.num_phvs.min(1_000);
+        if cross_model {
+            let packets = mode.seeded().num_phvs.min(1_000);
             let xm = cross_model_check(workload, seed, packets, bits)?;
             match &xm.drmt_skipped {
                 None => println!(
@@ -1126,23 +984,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
             observable: Some(&observable),
             state_cells: &compiled.state_cells,
         };
-        mode.run(
-            (&name, false, &replay, ""),
-            level,
-            &target,
-            make_spec,
-            |cfg| {
-                greybox_fuzz_test(
-                    target.pipeline_spec,
-                    target.mc,
-                    level,
-                    make_spec,
-                    target.observable,
-                    target.state_cells,
-                    cfg,
-                )
-            },
-        )?;
+        mode.run((&name, false, &replay), level, &target, make_spec)?;
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -126,9 +126,7 @@ pub struct MutantOutcome<F> {
     /// Differential batches executed up to and including the detecting
     /// one (each fresh fuzz run, the witness replay, and the bounded
     /// verification pass count as one batch; the full budget when
-    /// undetected). `BENCH_greybox.json` compares this
-    /// executions-to-detection figure against the greybox loop's
-    /// executions-to-first-divergence.
+    /// undetected).
     pub executions: usize,
     /// The observed divergence (`None` when undetected).
     pub verdict: Option<Verdict>,

@@ -571,7 +571,7 @@ fn unknown_flags_fail_loudly() {
     let file = write_sampling();
     let file = file.to_str().unwrap();
     let grid = ["--depth", "2", "--width", "1", "--atom", "if_else_raw"];
-    let cases: [(&[&str], &str, &str); 6] = [
+    let cases: [(&[&str], &str, &str); 8] = [
         (
             &["verify", file, "--bogus-flag", "5"],
             "--bogus-flag",
@@ -590,6 +590,13 @@ fn unknown_flags_fail_loudly() {
         (
             &["p4-fuzz", "l2_forward", "--phvs", "100", "--jsn"],
             "--jsn",
+            "p4-fuzz",
+        ),
+        // The deleted coverage-guided mode's selector, on both commands.
+        (&["fuzz", file, "--greybox", "10"], "--greybox", "fuzz"),
+        (
+            &["p4-fuzz", "l2_forward", "--greybox", "10"],
+            "--greybox",
             "p4-fuzz",
         ),
     ];
@@ -652,7 +659,7 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/programs/assets/rcp.domino"
     );
-    let cases: [(&[&str], &str); 22] = [
+    let cases: [(&[&str], &str); 15] = [
         // Only the mutant campaign writes a report or caps its cases.
         (
             &["p4-fuzz", "l2_forward", "--out", "x.json"],
@@ -662,61 +669,18 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
             &["p4-fuzz", "l2_forward", "--case-budget", "3"],
             "flag `--case-budget` does not apply to `p4-fuzz` in single-run mode",
         ),
-        // Greybox tuning outside `--greybox`, on both commands.
+        // Only the seeded campaign checkpoints.
         (
-            &["fuzz", file, "--gb-packets", "4"],
-            "flag `--gb-packets` does not apply to `fuzz` in single-run mode",
+            &["fuzz", file, "--checkpoint", "ckpt"],
+            "flag `--checkpoint` does not apply to `fuzz` in single-run mode",
         ),
+        // Only `verify` sweeps the lane engine.
         (
-            &["fuzz", file, "--gb-max-packets", "9"],
-            "flag `--gb-max-packets` does not apply to `fuzz` in single-run mode",
-        ),
-        (
-            &["fuzz", file, "--runs", "3", "--gb-max-packets", "8"],
-            "flag `--gb-max-packets` does not apply to `fuzz` in campaign mode",
-        ),
-        (
-            &["p4-fuzz", "l2_forward", "--gb-max-packets", "8"],
-            "flag `--gb-max-packets` does not apply to `p4-fuzz` in single-run mode",
-        ),
-        (
-            &["p4-fuzz", "l2_forward", "--mutate-entries", "off"],
-            "flag `--mutate-entries` does not apply to `p4-fuzz` in single-run mode",
-        ),
-        (
-            &[
-                "p4-fuzz",
-                "l2_forward",
-                "--mutants",
-                "1",
-                "--gb-max-packets",
-                "8",
-            ],
-            "flag `--gb-max-packets` does not apply to `p4-fuzz` in mutants mode",
-        ),
-        // The corpus capacity and the merge interval are fixed.
-        (
-            &["fuzz", file, "--greybox", "20", "--corpus", "8"],
-            "unknown flag `--corpus` for `fuzz`",
-        ),
-        (
-            &[
-                "p4-fuzz",
-                "l2_forward",
-                "--greybox",
-                "20",
-                "--merge-every",
-                "8",
-            ],
-            "unknown flag `--merge-every` for `p4-fuzz`",
-        ),
-        // Neither greybox oracle has a lane knob.
-        (
-            &["fuzz", file, "--greybox", "20", "--lanes", "32"],
+            &["fuzz", file, "--lanes", "32"],
             "unknown flag `--lanes` for `fuzz`",
         ),
         (
-            &["p4-fuzz", "--greybox", "20", "--lanes", "32"],
+            &["p4-fuzz", "--lanes", "32"],
             "unknown flag `--lanes` for `p4-fuzz`",
         ),
         // The generated-program hunt has no verification step.
@@ -872,12 +836,11 @@ fn help_and_the_fuzzing_guide_list_the_same_flags() {
         flags
     };
 
-    let greybox = "`--greybox`";
     let runtime = "Checkpoint, resume, and budgets";
     let cases: [(&str, Option<&str>, Vec<&str>); 5] = [
-        ("fuzz", None, vec!["`druzhba fuzz`", greybox, runtime]),
+        ("fuzz", None, vec!["`druzhba fuzz`", runtime]),
         ("verify", None, vec!["`druzhba verify"]),
-        ("p4-fuzz", None, vec!["`druzhba p4-fuzz`", greybox, runtime]),
+        ("p4-fuzz", None, vec!["`druzhba p4-fuzz`", runtime]),
         ("hunt", Some("corpus"), vec!["`druzhba hunt` ", runtime]),
         (
             "hunt",

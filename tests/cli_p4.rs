@@ -327,3 +327,22 @@ fn p4_fuzz_rejects_target_flags_its_target_does_not_read() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn p4_mutants_json_carries_executions_to_detection() {
+    let out = druzhba(&[
+        "p4-fuzz",
+        "l2_forward",
+        "--mutants",
+        "1",
+        "--phvs",
+        "400",
+        "--runs",
+        "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"executions_to_detection\":"),
+        "p4-fuzz --mutants JSON must surface executions-to-detection:\n{stdout}"
+    );
+}

@@ -284,7 +284,7 @@ fn multi_run_campaigns_resume_each_run_from_its_own_snapshot() {
     let bin = env!("CARGO_BIN_EXE_druzhba");
     let dir = std::env::temp_dir().join(format!("druzhba-keyed-resume-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let campaigns: [(&[&str], &str); 3] = [
+    let campaigns: [(&[&str], &str); 2] = [
         (
             &[
                 "p4-fuzz",
@@ -297,17 +297,6 @@ fn multi_run_campaigns_resume_each_run_from_its_own_snapshot() {
                 "all",
             ],
             "l2_forward/scc_inline/p4-campaign.snapshot",
-        ),
-        (
-            &[
-                "p4-fuzz",
-                "l2_forward",
-                "--greybox",
-                "200",
-                "--level",
-                "0,3",
-            ],
-            "l2_forward/fused/greybox.snapshot",
         ),
         (
             &["p4-fuzz", "--runs", "2", "--phvs", "200", "--level", "3"],

@@ -306,3 +306,30 @@ fn hunt_outcomes_all_classify_into_the_taxonomy() {
         "{taxonomy:?}"
     );
 }
+
+fn druzhba(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_druzhba"))
+        .args(args)
+        .output()
+        .expect("spawn druzhba binary")
+}
+
+#[test]
+fn hunt_json_carries_executions_to_detection() {
+    let out = druzhba(&[
+        "hunt",
+        "--programs",
+        "sampling",
+        "--mutants",
+        "1",
+        "--phvs",
+        "400",
+        "--runs",
+        "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"executions_to_detection\":"),
+        "hunt JSON must surface executions-to-detection:\n{stdout}"
+    );
+}

@@ -300,13 +300,13 @@ fn injected_fault_minimizes_to_a_tiny_counterexample() {
     }
 }
 
-/// One checker over a seeded sequence of checks gives every verdict a
-/// fresh `run_p4_case` gives, on every corpus workload and backend, while
-/// it switches between the intended entries, two injected faults and an
-/// entry set that does not bind. `flow_meter` writes registers and counts
-/// on every packet, so a checker that skipped `MatPipeline::reset` or
-/// `Interpreter::reset` would report state carried over from the trace
-/// before.
+/// One reused checker per entry set gives every verdict a fresh
+/// `run_p4_case` gives, on every corpus workload and backend, over a
+/// seeded sequence of checks that interleaves the intended entries, two
+/// injected faults and an entry set that does not bind. `flow_meter`
+/// writes registers and counts on every packet, so a checker that skipped
+/// `MatPipeline::reset` or `Interpreter::reset` would report state
+/// carried over from its trace before.
 #[test]
 fn checker_verdicts_equal_fresh_run_p4_case() {
     for def in &P4_PROGRAMS {
@@ -323,16 +323,18 @@ fn checker_verdicts_equal_fresh_run_p4_case() {
         unbound[0].table = "no_such_table".into();
         let sets = [w.entries.clone(), removed, mismatched, unbound];
         for level in OptLevel::ALL {
-            let mut checker = P4Checker::new(&w, &w.entries, level);
+            let mut checkers: Vec<P4Checker> = sets
+                .iter()
+                .map(|entries| P4Checker::new(&w, entries, level))
+                .collect();
             let mut gen = ValueGen::new(level as u64, 32);
             for _ in 0..24 {
-                let entries = &sets[gen.value_below(4) as usize];
+                let set = gen.value_below(4) as usize;
                 let len = gen.value_below(41) as usize;
                 let input = P4Traffic::new(&w, u64::from(gen.value()), 16).trace(len);
-                checker.set_entries(entries);
                 assert_eq!(
-                    checker.check(&input.phvs),
-                    run_p4_case(&w, entries, level, &input),
+                    checkers[set].check(&input.phvs),
+                    run_p4_case(&w, &sets[set], level, &input),
                     "{} at {level:?}",
                     def.name
                 );
