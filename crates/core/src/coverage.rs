@@ -80,16 +80,6 @@ impl CoverageMap {
         self.counts[slot & (COVERAGE_MAP_SIZE - 1)]
     }
 
-    /// Number of edges with a nonzero counter.
-    pub fn edges_covered(&self) -> usize {
-        self.counts.iter().filter(|&&c| c != 0).count()
-    }
-
-    /// True if no edge was hit.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
     /// Zero every counter (reuse a map across executions without
     /// reallocating).
     pub fn clear(&mut self) {
@@ -101,17 +91,24 @@ impl CoverageMap {
 mod tests {
     use super::*;
 
+    /// Number of slots with a nonzero counter.
+    fn edges_covered(m: &CoverageMap) -> usize {
+        (0..COVERAGE_MAP_SIZE)
+            .filter(|&slot| m.count(slot) != 0)
+            .count()
+    }
+
     #[test]
     fn hits_accumulate_and_saturate() {
         let mut m = CoverageMap::new();
-        assert!(m.is_empty());
+        assert_eq!(edges_covered(&m), 0);
         for _ in 0..300 {
             m.hit(7);
         }
         assert_eq!(m.count(7), 255, "counter saturates, never wraps");
         m.hit(7);
         assert_eq!(m.count(7), 255);
-        assert_eq!(m.edges_covered(), 1);
+        assert_eq!(edges_covered(&m), 1);
     }
 
     #[test]
@@ -120,7 +117,7 @@ mod tests {
         m.hit(3);
         m.hit(3 + COVERAGE_MAP_SIZE as u32);
         assert_eq!(m.count(3), 2, "ids fold modulo the map size");
-        assert_eq!(m.edges_covered(), 1);
+        assert_eq!(edges_covered(&m), 1);
     }
 
     #[test]
@@ -143,7 +140,7 @@ mod tests {
         m.hit(1);
         let ptr = m.counts.as_ptr();
         m.clear();
-        assert!(m.is_empty());
+        assert_eq!(edges_covered(&m), 0);
         assert_eq!(ptr, m.counts.as_ptr(), "clear reuses the buffer");
     }
 }

@@ -493,14 +493,6 @@ impl Pipeline {
         self.cov.as_deref()
     }
 
-    /// Zero the attached coverage map (no-op when disabled), keeping its
-    /// allocation for the next execution.
-    pub fn clear_coverage(&mut self) {
-        if let Some(cov) = &mut self.cov {
-            cov.clear();
-        }
-    }
-
     /// The pipeline's dimensions.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
@@ -901,23 +893,24 @@ mod tests {
         mc.set("stateful_alu_0_0_rel_op_0", 2);
         mc.set("stateful_alu_0_0_mux3_0", 2);
         mc.set("stateful_alu_0_0_const_0", 1);
+        let edges = |m: &CoverageMap| {
+            (0..COVERAGE_MAP_SIZE)
+                .filter(|&slot| m.count(slot) > 0)
+                .collect::<Vec<_>>()
+        };
         for level in OptLevel::ALL {
             let mut p = Pipeline::generate(&spec, &mc, level).unwrap();
             assert!(p.coverage().is_none(), "{level:?}: off by default");
             p.enable_coverage();
             p.process(&Phv::new(vec![0, 0]));
             let low = p.coverage().unwrap().clone();
-            assert!(low.edges_covered() > 0, "{level:?}: edges recorded");
-            p.clear_coverage();
+            assert!(!edges(&low).is_empty(), "{level:?}: edges recorded");
+            // Enabling again zeroes the attached map.
+            p.enable_coverage();
             p.reset();
             p.process(&Phv::new(vec![1, 0]));
             p.process(&Phv::new(vec![7, 0]));
             let high = p.coverage().unwrap().clone();
-            let edges = |m: &CoverageMap| {
-                (0..COVERAGE_MAP_SIZE)
-                    .filter(|&slot| m.count(slot) > 0)
-                    .collect::<Vec<_>>()
-            };
             assert_ne!(
                 edges(&low),
                 edges(&high),

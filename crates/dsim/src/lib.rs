@@ -68,7 +68,7 @@ pub use debugger::{TickRecord, TimeTravelDebugger};
 pub use minimize::{
     ddmin_items, minimize, minimize_fault, MachineCodeEdit, MinimizeConfig, MinimizedCounterExample,
 };
-pub use runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions, WorkerPanic};
+pub use runtime::{catch_silent, run_stealing_observed, RuntimeOptions, WorkerPanic};
 pub use sim::Simulator;
 pub use testing::{
     fuzz_campaign, fuzz_run, fuzz_test, run_case, shard_seed, AluChecker, AluTarget,

@@ -11,10 +11,10 @@
 //!   default panic-hook output suppressed, returning the payload as a
 //!   per-item [`WorkerPanic`] instead of aborting — the primitive behind
 //!   the `backend_panic` verdict class.
-//! - [`run_stealing`] / [`run_stealing_observed`] replace fixed-chunk
-//!   sharding with a chunked-deque stealing pool. Each worker starts with
-//!   a contiguous chunk, pops from its own front, and steals the back
-//!   half of a victim's deque when idle. **Scheduling is dynamic but the
+//! - [`run_stealing_observed`] replaces fixed-chunk sharding with a
+//!   chunked-deque stealing pool. Each worker starts with a contiguous
+//!   chunk, pops from its own front, and steals the back half of a
+//!   victim's deque when idle. **Scheduling is dynamic but the
 //!   result is not**: every item's output is written into the slot of its
 //!   original index, so any report that is a pure function of the ordered
 //!   results is identical across worker counts and steal interleavings.
@@ -241,21 +241,6 @@ where
     results
 }
 
-/// [`run_stealing_observed`] without a deadline or observer: every item
-/// runs, so the result vector is dense — index-ordered per-item
-/// `Result`s.
-pub fn run_stealing<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_stealing_observed(items, workers, None, f, |_, _| {})
-        .into_iter()
-        .map(|slot| slot.expect("no deadline: every item completes"))
-        .collect()
-}
-
 /// The checkpoint codec of one campaign's per-task record. The engine
 /// never builds or parses a snapshot line itself, so each campaign kind
 /// keeps its own on-disk line format.
@@ -401,6 +386,20 @@ fn checkpoint<R: RecordCodec>(campaign: &Campaign<'_>, slots: &[Option<R>], trun
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every item on the pool, no deadline or observer: the index-ordered
+    /// per-item results.
+    fn run_stealing<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, WorkerPanic>>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        run_stealing_observed(items, workers, None, f, |_, _| {})
+            .into_iter()
+            .map(|slot| slot.expect("no deadline: every item completes"))
+            .collect()
+    }
 
     #[test]
     fn results_are_index_ordered_for_any_worker_count() {

@@ -154,6 +154,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficGenerator;
     use druzhba_alu_dsl::atoms::atom;
+    use druzhba_core::coverage::COVERAGE_MAP_SIZE;
     use druzhba_core::{MachineCode, PipelineConfig};
     use druzhba_dgen::{expected_machine_code, OptLevel, PipelineSpec};
 
@@ -236,7 +237,10 @@ mod tests {
                     "trial {trial} {level:?}"
                 );
                 let coverage = tick_pipe.pipeline().coverage().unwrap();
-                assert!(!coverage.is_empty(), "trial {trial} {level:?}");
+                assert!(
+                    (0..COVERAGE_MAP_SIZE).any(|slot| coverage.count(slot) > 0),
+                    "trial {trial} {level:?}"
+                );
                 assert_eq!(
                     coverage,
                     immediate_pipe.coverage().unwrap(),

@@ -659,7 +659,7 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         env!("CARGO_MANIFEST_DIR"),
         "/crates/programs/assets/rcp.domino"
     );
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 17] = [
         // Only the mutant campaign writes a report or caps its cases.
         (
             &["p4-fuzz", "l2_forward", "--out", "x.json"],
@@ -668,6 +668,22 @@ fn mode_inapplicable_and_repeated_flags_fail_loudly() {
         (
             &["p4-fuzz", "l2_forward", "--case-budget", "3"],
             "flag `--case-budget` does not apply to `p4-fuzz` in single-run mode",
+        ),
+        (
+            &["p4-fuzz", "l2_forward", "--runs", "3", "--out", "x.json"],
+            "flag `--out` does not apply to `p4-fuzz` in campaign mode",
+        ),
+        // Only the plain runs add the cross-model check.
+        (
+            &[
+                "p4-fuzz",
+                "l2_forward",
+                "--mutants",
+                "1",
+                "--cross-model",
+                "off",
+            ],
+            "flag `--cross-model` does not apply to `p4-fuzz` in mutants mode",
         ),
         // Only the seeded campaign checkpoints.
         (
