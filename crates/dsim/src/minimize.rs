@@ -148,9 +148,15 @@ impl<'a> Minimizer<'a> {
     }
 
     /// The whole trace minimization for a fixed machine code, starting
-    /// with the check of the original input. `None` when it passes.
-    fn search_trace(&mut self, mc: &MachineCode, input: &Trace) -> Option<MinimizedCounterExample> {
-        let original = self.check(mc, &input.phvs)?;
+    /// with the check of the original input ([`Minimizer::original`]).
+    /// `None` when it passes.
+    fn search_trace(
+        &mut self,
+        mc: &MachineCode,
+        input: &Trace,
+        known: Option<&Verdict>,
+    ) -> Option<MinimizedCounterExample> {
+        let original = self.original(mc, &input.phvs, known)?;
         let target = original.class();
         if target == VerdictClass::Pass {
             return None;
@@ -166,15 +172,17 @@ impl<'a> Minimizer<'a> {
     }
 
     /// The whole fault minimization: edit reduction against `good`, then
-    /// trace minimization for the reduced program. `None` when `input`
-    /// passes on `bad`.
+    /// trace minimization for the reduced program. Starts with the check
+    /// of the original input on `bad` ([`Minimizer::original`]); `None`
+    /// when it passes.
     fn search_fault(
         &mut self,
         good: &MachineCode,
         bad: &MachineCode,
         input: &Trace,
+        known: Option<&Verdict>,
     ) -> Option<(MachineCode, MinimizedCounterExample)> {
-        let original = self.check(bad, &input.phvs)?;
+        let original = self.original(bad, &input.phvs, known)?;
         let target = original.class();
         if target == VerdictClass::Pass {
             return None;
@@ -223,6 +231,27 @@ impl<'a> Minimizer<'a> {
         }
         self.checks += 1;
         Some((self.oracle)(mc, phvs))
+    }
+
+    /// The check of the original input. `known` is a verdict the caller
+    /// already has for this `(mc, phvs)` on this oracle (a fuzz round's):
+    /// it is charged one check while budget remains, exactly as if it
+    /// were re-simulated, but is not simulated, so `checks`, budget
+    /// exhaustion and the result stay what the full re-check would give.
+    fn original(
+        &mut self,
+        mc: &MachineCode,
+        phvs: &[Phv],
+        known: Option<&Verdict>,
+    ) -> Option<Verdict> {
+        let Some(verdict) = known else {
+            return self.check(mc, phvs);
+        };
+        if self.checks >= self.max_checks {
+            return None;
+        }
+        self.checks += 1;
+        Some(verdict.clone())
     }
 
     /// Evaluate a candidate and return its verdict if it reproduces the
@@ -494,32 +523,58 @@ pub fn minimize<R: Specification + ?Sized>(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<MinimizedCounterExample> {
-    let search = |m: &mut Minimizer| m.search_trace(mc, input).map(|mce| (mc.clone(), mce));
-    minimize_on_fused(pipeline_spec, opt, reference, cfg, &search).map(|(_, mce)| mce)
+    minimize_known(pipeline_spec, mc, opt, reference, input, None, cfg)
+}
+
+/// [`minimize`], given `known`, the verdict of `input` on `mc` at `opt`
+/// when the caller already has it (see [`minimize_on_fused`]).
+pub(crate) fn minimize_known<R: Specification + ?Sized>(
+    pipeline_spec: &PipelineSpec,
+    mc: &MachineCode,
+    opt: OptLevel,
+    reference: &mut R,
+    input: &Trace,
+    known: Option<&Verdict>,
+    cfg: &MinimizeConfig,
+) -> Option<MinimizedCounterExample> {
+    let search = |m: &mut Minimizer, known: Option<&Verdict>| {
+        m.search_trace(mc, input, known)
+            .map(|mce| (mc.clone(), mce))
+    };
+    minimize_on_fused(pipeline_spec, opt, reference, cfg, known, &search).map(|(_, mce)| mce)
 }
 
 /// Run `search` on the fused backend when `opt` is another level, with
 /// [`search_fused_then_confirm`]; on `opt` itself when it is `Fused`.
+///
+/// `known` is the original input's verdict on `opt`, when the caller
+/// already has it. Only a search on `opt` itself takes it as its original
+/// check: on any other level the fused check of the original input is
+/// what detects a backend disagreement, so it is simulated.
 fn minimize_on_fused<R: Specification + ?Sized>(
     pipeline_spec: &PipelineSpec,
     opt: OptLevel,
     reference: &mut R,
     cfg: &MinimizeConfig,
+    known: Option<&Verdict>,
     search: &Search,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
     // Both oracles replay against the one specification, one at a time.
     let reference = RefCell::new(reference);
     let mut evaluated = differential_oracle(pipeline_spec, opt, &reference, cfg);
     if opt == OptLevel::Fused {
-        return search(&mut Minimizer::new(&mut evaluated, cfg.max_checks));
+        return search(&mut Minimizer::new(&mut evaluated, cfg.max_checks), known);
     }
     let mut fused = differential_oracle(pipeline_spec, OptLevel::Fused, &reference, cfg);
     search_fused_then_confirm(&mut fused, &mut evaluated, opt, cfg.max_checks, search)
 }
 
-/// A whole minimization over one oracle: `(reduced machine code,
-/// counterexample)`, or `None` when the original input does not diverge.
-type Search<'s> = dyn Fn(&mut Minimizer) -> Option<(MachineCode, MinimizedCounterExample)> + 's;
+/// A whole minimization over one oracle, given the original input's
+/// verdict on that oracle when the caller has it: `(reduced machine
+/// code, counterexample)`, or `None` when the original input does not
+/// diverge.
+type Search<'s> =
+    dyn Fn(&mut Minimizer, Option<&Verdict>) -> Option<(MachineCode, MinimizedCounterExample)> + 's;
 
 /// Run `search` on the `fused` oracle and accept its result only if one
 /// replay of the reduced machine code and minimized trace on `evaluated`
@@ -537,13 +592,13 @@ fn search_fused_then_confirm(
     max_checks: usize,
     search: &Search,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
-    let fast = search(&mut Minimizer::new(fused, max_checks));
+    let fast = search(&mut Minimizer::new(fused, max_checks), None);
     if let Some((mc, mce)) = &fast {
         if evaluated(mc, &mce.input.phvs) == mce.verdict {
             return fast;
         }
     }
-    let slow = search(&mut Minimizer::new(evaluated, max_checks));
+    let slow = search(&mut Minimizer::new(evaluated, max_checks), None);
     if fast.is_some() || slow.is_some() {
         eprintln!(
             "warning: the fused and {} backends disagree on this machine code (a dgen bug); \
@@ -591,8 +646,21 @@ pub fn minimize_trace_with(
     input: &Trace,
     max_checks: usize,
 ) -> Option<MinimizedCounterExample> {
+    minimize_trace_known(oracle, input, None, max_checks)
+}
+
+/// [`minimize_trace_with`], given `known`, the oracle's verdict on
+/// `input` when the caller already has it: that verdict is the original
+/// check, charged one check but not simulated, so the result equals
+/// [`minimize_trace_with`]'s, `checks` included.
+pub(crate) fn minimize_trace_known(
+    oracle: &mut dyn FnMut(&[Phv]) -> Verdict,
+    input: &Trace,
+    known: Option<&Verdict>,
+    max_checks: usize,
+) -> Option<MinimizedCounterExample> {
     let mut adapted = |_: &MachineCode, phvs: &[Phv]| oracle(phvs);
-    Minimizer::new(&mut adapted, max_checks).search_trace(&MachineCode::new(), input)
+    Minimizer::new(&mut adapted, max_checks).search_trace(&MachineCode::new(), input, known)
 }
 
 /// Minimize a failing input trace *and* the machine-code delta against a
@@ -613,8 +681,30 @@ pub fn minimize_fault(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
-    let search = |m: &mut Minimizer| m.search_fault(good, bad, input);
-    minimize_on_fused(pipeline_spec, opt, reference, cfg, &search)
+    minimize_fault_known(pipeline_spec, good, bad, opt, reference, input, None, cfg)
+}
+
+/// [`minimize_fault`], given `known`, the verdict of `input` on `bad` at
+/// `opt` when the caller already has it (a fuzz round's). On
+/// [`OptLevel::Fused`] the search takes that verdict as its original
+/// check, charged one check but not simulated, so the result equals
+/// [`minimize_fault`]'s, `checks` included. On any other level `known` is
+/// not used: the fused check of the original input is what detects a
+/// backend disagreement.
+#[allow(clippy::too_many_arguments)]
+pub fn minimize_fault_known(
+    pipeline_spec: &PipelineSpec,
+    good: &MachineCode,
+    bad: &MachineCode,
+    opt: OptLevel,
+    reference: &mut dyn Specification,
+    input: &Trace,
+    known: Option<&Verdict>,
+    cfg: &MinimizeConfig,
+) -> Option<(MachineCode, MinimizedCounterExample)> {
+    let search =
+        |m: &mut Minimizer, known: Option<&Verdict>| m.search_fault(good, bad, input, known);
+    minimize_on_fused(pipeline_spec, opt, reference, cfg, known, &search)
 }
 
 #[cfg(test)]
@@ -906,11 +996,14 @@ mod tests {
     fn disagreeing_fused_backend_falls_back_to_the_evaluated_level() {
         let (spec, mc, input) = subtract_fault();
         let cfg = MinimizeConfig::default();
-        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let search = |m: &mut Minimizer, known: Option<&Verdict>| {
+            m.search_trace(&mc, &input, known)
+                .map(|mce| (mc.clone(), mce))
+        };
         let mut reference = accumulator_spec();
         let reference = RefCell::new(&mut reference);
         let evaluated = || differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
-        let expected = search(&mut Minimizer::new(&mut evaluated(), cfg.max_checks));
+        let expected = search(&mut Minimizer::new(&mut evaluated(), cfg.max_checks), None);
         assert!(expected.is_some(), "the fault diverges on Scc");
 
         // A fused backend that never diverges, and one that diverges on
@@ -933,11 +1026,14 @@ mod tests {
     fn agreeing_fused_backend_is_confirmed_by_one_evaluated_replay() {
         let (spec, mc, input) = subtract_fault();
         let cfg = MinimizeConfig::default();
-        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let search = |m: &mut Minimizer, known: Option<&Verdict>| {
+            m.search_trace(&mc, &input, known)
+                .map(|mce| (mc.clone(), mce))
+        };
         let mut reference = accumulator_spec();
         let reference = RefCell::new(&mut reference);
         let mut scc = differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
-        let expected = search(&mut Minimizer::new(&mut scc, cfg.max_checks));
+        let expected = search(&mut Minimizer::new(&mut scc, cfg.max_checks), None);
 
         let mut fused = differential_oracle(&spec, OptLevel::Fused, &reference, &cfg);
         let mut replays = 0;

@@ -43,7 +43,7 @@ use druzhba_p4::hlir::Hlir;
 use druzhba_p4::lower::{lower, RmtConfig, RmtLowering};
 use druzhba_p4::tables::{bind, parse_entries, TableEntry};
 
-use crate::minimize::{minimize_trace_with, MinimizedCounterExample};
+use crate::minimize::{minimize_trace_known, minimize_trace_with, MinimizedCounterExample};
 use crate::testing::{Target, Verdict};
 
 /// A P4 program ready for differential testing: resolved source,
@@ -442,8 +442,17 @@ impl Target<()> for P4Target<'_> {
         run_p4_case(self.workload, self.entries, self.level, input)
     }
 
-    fn minimize(&self, _: &mut (), input: &Trace) -> Option<MinimizedCounterExample> {
-        p4_minimize(self.workload, self.entries, self.level, input, 3_000)
+    /// `verdict` is the original check on every level: the check is a
+    /// one-shot [`P4Checker`], the same the minimizer's first check is.
+    fn minimize(
+        &self,
+        _: &mut (),
+        input: &Trace,
+        verdict: &Verdict,
+    ) -> Option<MinimizedCounterExample> {
+        let mut checker = P4Checker::new(self.workload, self.entries, self.level);
+        let mut oracle = |phvs: &[Phv]| checker.check(phvs);
+        minimize_trace_known(&mut oracle, input, Some(verdict), 3_000)
     }
 
     /// The seeded campaign's snapshot binds the entries, not the program

@@ -18,7 +18,7 @@ use druzhba_core::trace::{phv_mismatch, TraceMismatch};
 use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
-use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
+use crate::minimize::{minimize_known, MinimizeConfig, MinimizedCounterExample};
 use crate::runtime::{
     catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
 };
@@ -490,8 +490,15 @@ pub trait Target<R: ?Sized>: Sync {
     fn check(&self, reference: &mut R, input: &Trace) -> Verdict;
 
     /// Minimize a diverging input through the shared delta-debugging
-    /// engine; `None` when `input` does not diverge.
-    fn minimize(&self, reference: &mut R, input: &Trace) -> Option<MinimizedCounterExample>;
+    /// engine; `None` when `input` does not diverge. `verdict` is
+    /// [`Target::check`]'s verdict on `input`, which the minimizer may
+    /// take as its original check instead of re-simulating it.
+    fn minimize(
+        &self,
+        reference: &mut R,
+        input: &Trace,
+        verdict: &Verdict,
+    ) -> Option<MinimizedCounterExample>;
 
     /// Fingerprint parts naming the program under test: the level, then
     /// the code.
@@ -556,13 +563,21 @@ impl<R: Specification + ?Sized> Target<R> for AluTarget<'_> {
         )
     }
 
-    fn minimize(&self, reference: &mut R, input: &Trace) -> Option<MinimizedCounterExample> {
-        minimize(
+    /// The original check is `verdict` only on [`OptLevel::Fused`], the
+    /// level the search runs on (see [`mod@crate::minimize`]).
+    fn minimize(
+        &self,
+        reference: &mut R,
+        input: &Trace,
+        verdict: &Verdict,
+    ) -> Option<MinimizedCounterExample> {
+        minimize_known(
             self.pipeline_spec,
             self.mc,
             self.opt,
             reference,
             input,
+            Some(verdict),
             &MinimizeConfig {
                 observable: self.observable.map(<[usize]>::to_vec),
                 state_cells: self.state_cells.to_vec(),
@@ -611,7 +626,7 @@ pub fn fuzz_run<R: ?Sized, T: Target<R>>(
         cfg.num_phvs
     };
     let minimized = if cfg.minimize && minimizable(&verdict) {
-        target.minimize(reference, &input)
+        target.minimize(reference, &input, &verdict)
     } else {
         None
     };

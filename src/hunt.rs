@@ -9,8 +9,8 @@
 //! mutant gets its static-analysis flag, and an unseedable structural
 //! class is an error. Each evaluation ends its ladder with bounded
 //! exhaustive verification, and every divergence is delta-debugged
-//! against the known-good baseline ([`minimize_fault`]) so the report
-//! carries the essential machine-code edits.
+//! against the known-good baseline ([`minimize_fault_known`]) so the
+//! report carries the essential machine-code edits.
 
 use druzhba_analysis::{flag_mutant, symbolic_equivalent, StaticFlag};
 use druzhba_chipmunk::CompiledProgram;
@@ -18,10 +18,10 @@ use druzhba_core::json::{array, Object};
 use druzhba_core::{MachineCode, Trace};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
-use druzhba_dsim::minimize::{minimize_fault, MinimizeConfig, MinimizedCounterExample};
+use druzhba_dsim::minimize::{minimize_fault_known, MinimizeConfig, MinimizedCounterExample};
 use druzhba_dsim::runtime::{catch_silent, default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, Verdict};
+use druzhba_dsim::testing::{fuzz_test, run_case, shard_seed, FuzzConfig, Verdict};
 use druzhba_dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba_dsim::TrafficGenerator;
 use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
@@ -421,26 +421,35 @@ fn evaluate(
         ..MinimizeConfig::default()
     };
     ladder.run(true, |seed| {
-        let (verdict, input) = match seed {
-            // One fuzz round against the mutant; on divergence, the
-            // failing input is rebuilt for minimization.
+        // `fuzzed`: the verdict is the check of `input` on `mc` at
+        // `level`, which the minimization may take as its original check.
+        let (verdict, input, fuzzed) = match seed {
+            // One fuzz round against the mutant, on one trace for the
+            // check and the minimization.
             Some(seed) => {
-                let fuzz_cfg = fuzz_config(cfg, comp, seed);
-                let report = fuzz_test(&comp.pipeline_spec, mc, level, &mut reference, &fuzz_cfg);
-                if report.passed() {
+                let phv_length = comp.pipeline_spec.config.phv_length;
+                let input =
+                    TrafficGenerator::new(seed, phv_length, cfg.input_bits).trace(cfg.fuzz_phvs);
+                let verdict = run_case(
+                    &comp.pipeline_spec,
+                    mc,
+                    level,
+                    &mut reference,
+                    &input,
+                    minimize_cfg.observable.as_deref(),
+                    &minimize_cfg.state_cells,
+                );
+                if verdict.passed() {
                     return None;
                 }
                 // A panicking backend can't be delta-debugged —
                 // minimization would rebuild it outside the panic guard
                 // and re-trip the abort. The replay recipe (seed + config)
                 // is the counterexample.
-                if matches!(report.verdict, Verdict::BackendPanic { .. }) {
-                    return Some((report.verdict, None));
+                if matches!(verdict, Verdict::BackendPanic { .. }) {
+                    return Some((verdict, None));
                 }
-                let phv_length = comp.pipeline_spec.config.phv_length;
-                let input =
-                    TrafficGenerator::new(seed, phv_length, cfg.input_bits).trace(cfg.fuzz_phvs);
-                (report.verdict, input)
+                (verdict, input, true)
             }
             // Bounded exhaustive verification over the input fields.
             None => match verify_bounded(
@@ -452,19 +461,20 @@ fn evaluate(
             ) {
                 Ok(VerifyOutcome::CounterExample {
                     input, mismatch, ..
-                }) => (Verdict::Mismatch(mismatch), input),
+                }) => (Verdict::Mismatch(mismatch), input, false),
                 _ => return None,
             },
         };
         // Delta-debug against the known-good baseline so the
         // counterexample carries the essential machine-code edits.
-        let minimized = minimize_fault(
+        let minimized = minimize_fault_known(
             &comp.pipeline_spec,
             &comp.machine_code,
             mc,
             level,
             &mut reference,
             &input,
+            fuzzed.then_some(&verdict),
             &minimize_cfg,
         )
         .map(|(_, mce)| mce);

@@ -8,8 +8,8 @@
 use druzhba::core::ValueGen;
 use druzhba::dgen::OptLevel;
 use druzhba::dsim::p4::{
-    apply_fault, run_p4_case, P4Checker, P4FaultInjector, P4FaultKind, P4Target, P4Traffic,
-    P4Workload,
+    apply_fault, p4_minimize, run_p4_case, P4Checker, P4FaultInjector, P4FaultKind, P4Target,
+    P4Traffic, P4Workload,
 };
 use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::testing::{
@@ -251,6 +251,48 @@ fn fuzz_detected_faults_replay_from_their_seed() {
         replayed += 1;
     }
     assert!(replayed > 0);
+}
+
+/// The hunt's fuzz round hands its verdict to the minimizer as the
+/// original check instead of re-simulating the full trace. On every
+/// diverging row of the golden configuration, the counterexample it
+/// reports equals, `checks` included, what `p4_minimize` gives when it
+/// re-simulates that trace from scratch.
+#[test]
+fn fuzz_round_minimization_equals_a_fresh_p4_minimize() {
+    let cfg = campaign_config();
+    let report = p4_hunt(&cfg).unwrap();
+    let mut compared = 0;
+    for o in &report.outcomes {
+        let seed = match &o.detection {
+            P4Detection::Fuzz { seed } | P4Detection::Witness { seed } => *seed,
+            P4Detection::Panic { .. } | P4Detection::Verify | P4Detection::Undetected => continue,
+        };
+        let workload = druzhba::programs::p4_by_name(&o.program)
+            .unwrap()
+            .workload()
+            .unwrap();
+        let entries = apply_fault(&workload.entries, &o.fault).expect("fault fits its baseline");
+        let input = P4Traffic::new(&workload, seed, cfg.input_bits).trace(cfg.fuzz_phvs);
+        let fresh = p4_minimize(&workload, &entries, o.level, &input, 3_000);
+        assert!(
+            fresh.is_some(),
+            "{}: {:?} does not diverge",
+            o.program,
+            o.fault
+        );
+        assert_eq!(
+            o.minimized, fresh,
+            "{}: {:?} at {:?}",
+            o.program, o.fault, o.level
+        );
+        compared += 1;
+    }
+    assert_eq!(
+        compared,
+        report.evaluations(),
+        "every row diverged by a seed"
+    );
 }
 
 #[test]
