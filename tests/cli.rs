@@ -424,7 +424,7 @@ fn verify_prints_a_minimized_counterexample_at_every_level() {
         );
         assert!(
             stdout.ends_with(
-                "minimized counterexample: 1 of 2 packet(s), 5 differential check(s)\n  \
+                "minimized counterexample: 1 of 2 packet(s), 14 differential check(s)\n  \
                  packet 0: [1501, 0, 0]\n"
             ),
             "{flags:?}: stdout: {stdout}"
