@@ -36,10 +36,9 @@
 //! caller that has just checked that input on the search's level (a fuzz
 //! round) hands its verdict in, and the search charges it one check
 //! without simulating it, so the counts and the result are those of a
-//! full re-check. The
-//! [`MinimizeConfig::max_checks`] budget bounds the total, and the search
-//! degrades gracefully (returns the best reduction so far) when
-//! exhausted.
+//! full re-check. The [`MinimizeConfig::max_checks`] budget bounds the
+//! total, and the search degrades gracefully (returns the best reduction
+//! so far) when exhausted.
 //!
 //! **Which backend searches.** The four [`OptLevel`]s are one semantics
 //! at four speeds (DESIGN.md §12 proves them equal on every corpus
@@ -54,9 +53,8 @@
 //! stderr and the search reruns on `opt`, exactly as if `Fused` had never
 //! run. With `opt` = `Fused` there is one search and no replay. P4
 //! minimization ([`crate::p4::p4_minimize`]) stays on its evaluated
-//! level: the p4-hunt benchmark's 408 minimizations spend 7,887 checks
-//! (19 each), most of them on traces of a few packets, so a faster
-//! backend has little left to save.
+//! level, where the p4-hunt benchmark's 408 minimizations spend 7,887
+//! checks in all.
 
 use std::cell::RefCell;
 
@@ -232,11 +230,16 @@ impl<'a> Minimizer<'a> {
     /// `None` when the budget is exhausted (callers treat that as "does
     /// not reproduce", which is always sound).
     fn check(&mut self, mc: &MachineCode, phvs: &[Phv]) -> Option<Verdict> {
+        self.charge().then(|| (self.oracle)(mc, phvs))
+    }
+
+    /// Spend one check of the budget; `false` when it is exhausted.
+    fn charge(&mut self) -> bool {
         if self.checks >= self.max_checks {
-            return None;
+            return false;
         }
         self.checks += 1;
-        Some((self.oracle)(mc, phvs))
+        true
     }
 
     /// The check of the original input. `known` is a verdict the caller
@@ -250,14 +253,10 @@ impl<'a> Minimizer<'a> {
         phvs: &[Phv],
         known: Option<&Verdict>,
     ) -> Option<Verdict> {
-        let Some(verdict) = known else {
-            return self.check(mc, phvs);
-        };
-        if self.checks >= self.max_checks {
-            return None;
+        match known {
+            Some(verdict) => self.charge().then(|| verdict.clone()),
+            None => self.check(mc, phvs),
         }
-        self.checks += 1;
-        Some(verdict.clone())
     }
 
     /// Evaluate a candidate and return its verdict if it reproduces the
