@@ -5,7 +5,9 @@
 //! recorded seed — the acceptance criteria of the bug-hunt workflow.
 
 use druzhba::dsim::fault::FaultKind;
+use druzhba::dsim::minimize::{minimize_fault, MinimizeConfig};
 use druzhba::dsim::testing::{fuzz_test, FuzzConfig, VerdictClass};
+use druzhba::dsim::TrafficGenerator;
 use druzhba::hunt::{hunt, replay, Detection, HuntConfig};
 use druzhba::programs::by_name;
 
@@ -197,6 +199,60 @@ fn hunt_fuzz_seeds_replay_the_divergence() {
         checked += 1;
     }
     assert!(checked > 0, "campaign found no fuzz-detected faults");
+}
+
+/// A fuzz round hands its verdict to the minimizer as the original check
+/// instead of re-simulating the trace. On every fuzz- or witness-detected
+/// row of the golden configuration, the counterexample it reports equals,
+/// `checks` included, what `minimize_fault` gives when it re-simulates
+/// that seed's trace from scratch.
+#[test]
+fn fuzz_round_minimization_equals_a_fresh_minimize_fault() {
+    let cfg = campaign_config();
+    let report = hunt(&cfg).unwrap();
+    let mut compared = 0;
+    for o in &report.outcomes {
+        let (Detection::Fuzz { seed } | Detection::Witness { seed }) = o.detection else {
+            continue;
+        };
+        let def = by_name(&o.program).unwrap();
+        let compiled = def.compile_cached().unwrap();
+        let bad = o
+            .fault
+            .apply(&compiled.machine_code)
+            .expect("fault fits its baseline");
+        let phv_length = compiled.pipeline_spec.config.phv_length;
+        let input = TrafficGenerator::new(seed, phv_length, cfg.input_bits).trace(cfg.fuzz_phvs);
+        let mut reference = def.interpreter_spec(&compiled);
+        let minimize_cfg = MinimizeConfig {
+            observable: Some(compiled.observable_containers()),
+            state_cells: compiled.state_cells.clone(),
+            ..MinimizeConfig::default()
+        };
+        let fresh = minimize_fault(
+            &compiled.pipeline_spec,
+            &compiled.machine_code,
+            &bad,
+            o.level,
+            &mut reference,
+            &input,
+            &minimize_cfg,
+        )
+        .map(|(_, mce)| mce);
+        assert!(
+            fresh.is_some(),
+            "{}: {:?} does not diverge",
+            o.program,
+            o.fault
+        );
+        assert_eq!(
+            o.minimized, fresh,
+            "{}: {:?} at {:?}",
+            o.program, o.fault, o.level
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 72, "every non-panic row diverged by a seed");
 }
 
 #[test]
