@@ -229,6 +229,10 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
         let mut injector = FaultInjector::new(shard_seed(cfg.seed, pi as u64));
         for kind in FaultKind::ALL {
             let mut seeded = Vec::new();
+            // Faults already probed and found behaviorally neutral: a
+            // redraw of the same fault must neither pay another
+            // screening probe nor inflate `neutral_discarded`.
+            let mut known_neutral: Vec<Fault> = Vec::new();
             // Draw until `mutants_per_class` *distinct* behavioral faults
             // are seeded (the injector may revisit a pair, and screened
             // candidates may prove neutral); bounded retries keep
@@ -242,7 +246,7 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
                 else {
                     break;
                 };
-                if seeded.contains(&fault) {
+                if seeded.contains(&fault) || known_neutral.contains(&fault) {
                     continue;
                 }
                 let witness = match kind {
@@ -262,6 +266,7 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
                             // fault — discard and redraw.
                             None => {
                                 neutral_discarded += 1;
+                                known_neutral.push(fault);
                                 continue;
                             }
                             Some(witness) => witness,

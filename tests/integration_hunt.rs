@@ -4,6 +4,7 @@
 //! reproduces, and every fuzz-detected divergence must replay from its
 //! recorded seed — the acceptance criteria of the bug-hunt workflow.
 
+use druzhba::dgen::OptLevel;
 use druzhba::dsim::fault::FaultKind;
 use druzhba::dsim::minimize::{minimize_fault, MinimizeConfig};
 use druzhba::dsim::testing::{fuzz_test, FuzzConfig, VerdictClass};
@@ -253,6 +254,25 @@ fn fuzz_round_minimization_equals_a_fresh_minimize_fault() {
         compared += 1;
     }
     assert_eq!(compared, 72, "every non-panic row diverged by a seed");
+}
+
+/// A value fault that screening found neutral is not screened again when
+/// the injector redraws it: on rcp at seed 3 the injector draws
+/// `MutatedValue output_mux_phv_1_4 4→0` a second time, and the redraw
+/// neither pays a probe nor counts as a second neutral discard.
+#[test]
+fn hunt_screens_a_redrawn_neutral_fault_once() {
+    let cfg = HuntConfig {
+        programs: vec!["rcp".into()],
+        seed: 3,
+        mutants_per_class: 8,
+        fuzz_phvs: 200,
+        fuzz_runs: 1,
+        levels: vec![OptLevel::Fused],
+        ..HuntConfig::default()
+    };
+    let report = hunt(&cfg).unwrap();
+    assert_eq!(report.neutral_discarded, 3);
 }
 
 #[test]
