@@ -40,8 +40,8 @@
 //! ([`p4::run_p4_case`]), the stack's [`p4::P4Target`] for the shared
 //! seeded and campaign drivers,
 //! table/action fault injection ([`p4::P4FaultInjector`]), and
-//! counterexample minimization through the shared oracle-generic engine
-//! ([`minimize::minimize_trace_with`]).
+//! counterexample minimization through the shared delta-debugging engine
+//! ([`p4::p4_minimize`]).
 //!
 //! Two of the paper's §7 future-work items are implemented as well:
 //! [`debugger`], a bidirectional time-travel debugger over recorded

@@ -22,8 +22,9 @@
 //!    shrunk toward zero while the divergence persists: zero first, else
 //!    a bisection down to a value whose predecessor no longer reproduces
 //!    (at most 33 checks for a 32-bit value).
-//! 3. **Machine-code reduction** (injected-fault cases, via
-//!    [`minimize_fault`]). Every pair on which the faulty program differs
+//! 3. **Machine-code reduction** (injected-fault cases: [`minimize_fault`],
+//!    or an [`AluTarget`] with a baseline). Every pair on which the faulty
+//!    program differs
 //!    from a known-good baseline is tentatively reset to its known-good
 //!    state; pairs whose reset kills the divergence are *essential* and
 //!    reported as the fault's footprint.
@@ -32,13 +33,19 @@
 //! pipeline build: a search keeps one checker
 //! ([`AluChecker`], [`crate::p4::P4Checker`]) that holds one build per
 //! machine code or entry set, resets it before each check, and drops it
-//! after a captured panic. The first check is the original input's; a
-//! caller that has just checked that input on the search's level (a fuzz
-//! round) hands its verdict in, and the search charges it one check
-//! without simulating it, so the counts and the result are those of a
-//! full re-check. The [`MinimizeConfig::max_checks`] budget bounds the
-//! total, and the search degrades gracefully (returns the best reduction
-//! so far) when exhausted.
+//! after a captured panic. The first check is the original input's. A
+//! fuzz round ([`crate::testing::fuzz_run`]) has just made that check
+//! and hands its verdict in through
+//! [`Target::minimize`](crate::testing::Target::minimize), the one way a
+//! caller's verdict reaches the search; when the check ran on the
+//! search's level, the search charges it one check without simulating
+//! it, so the counts and the result are those of a full re-check. Each
+//! stack has one function that takes the hand-off: `minimize_alu` for the
+//! ALU stack and `minimize_oracle` for the P4 stack. The public entry
+//! points ([`minimize`], [`minimize_fault`], [`crate::p4::p4_minimize`])
+//! simulate the original check. The [`MinimizeConfig::max_checks`]
+//! budget bounds the total, and the search degrades gracefully (returns
+//! the best reduction so far) when exhausted.
 //!
 //! **Which backend searches.** The four [`OptLevel`]s are one semantics
 //! at four speeds (DESIGN.md §12 proves them equal on every corpus
@@ -61,7 +68,7 @@ use std::cell::RefCell;
 use druzhba_core::{MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, PipelineSpec};
 
-use crate::testing::{AluChecker, Specification, Verdict, VerdictClass};
+use crate::testing::{AluChecker, AluTarget, Specification, Verdict, VerdictClass};
 
 /// Observation points and budget for a minimization run.
 #[derive(Debug, Clone)]
@@ -137,30 +144,29 @@ struct Minimizer<'a> {
     oracle: &'a mut Oracle<'a>,
     max_checks: usize,
     checks: usize,
+    /// The original input's verdict on this oracle, when the caller
+    /// already has it ([`Minimizer::original`]).
+    known: Option<Verdict>,
 }
 
 /// Differential oracle: evaluate one `(machine code, input)` pair.
 type Oracle<'o> = dyn FnMut(&MachineCode, &[Phv]) -> Verdict + 'o;
 
 impl<'a> Minimizer<'a> {
-    fn new(oracle: &'a mut Oracle<'a>, max_checks: usize) -> Self {
+    fn new(oracle: &'a mut Oracle<'a>, max_checks: usize, known: Option<&Verdict>) -> Self {
         Minimizer {
             oracle,
             max_checks,
             checks: 0,
+            known: known.cloned(),
         }
     }
 
     /// The whole trace minimization for a fixed machine code, starting
     /// with the check of the original input ([`Minimizer::original`]).
     /// `None` when it passes.
-    fn search_trace(
-        &mut self,
-        mc: &MachineCode,
-        input: &Trace,
-        known: Option<&Verdict>,
-    ) -> Option<MinimizedCounterExample> {
-        let original = self.original(mc, &input.phvs, known)?;
+    fn search_trace(&mut self, mc: &MachineCode, input: &Trace) -> Option<MinimizedCounterExample> {
+        let original = self.original(mc, &input.phvs)?;
         let target = original.class();
         if target == VerdictClass::Pass {
             return None;
@@ -184,9 +190,8 @@ impl<'a> Minimizer<'a> {
         good: &MachineCode,
         bad: &MachineCode,
         input: &Trace,
-        known: Option<&Verdict>,
     ) -> Option<(MachineCode, MinimizedCounterExample)> {
-        let original = self.original(bad, &input.phvs, known)?;
+        let original = self.original(bad, &input.phvs)?;
         let target = original.class();
         if target == VerdictClass::Pass {
             return None;
@@ -242,19 +247,14 @@ impl<'a> Minimizer<'a> {
         true
     }
 
-    /// The check of the original input. `known` is a verdict the caller
-    /// already has for this `(mc, phvs)` on this oracle (a fuzz round's):
-    /// it is charged one check while budget remains, exactly as if it
-    /// were re-simulated, but is not simulated, so `checks`, budget
-    /// exhaustion and the result stay what the full re-check would give.
-    fn original(
-        &mut self,
-        mc: &MachineCode,
-        phvs: &[Phv],
-        known: Option<&Verdict>,
-    ) -> Option<Verdict> {
-        match known {
-            Some(verdict) => self.charge().then(|| verdict.clone()),
+    /// The check of the original input. A `known` verdict the caller
+    /// handed in for this `(mc, phvs)` on this oracle (a fuzz round's) is
+    /// charged one check while budget remains, exactly as if it were
+    /// re-simulated, but is not simulated, so `checks`, budget exhaustion
+    /// and the result stay what the full re-check would give.
+    fn original(&mut self, mc: &MachineCode, phvs: &[Phv]) -> Option<Verdict> {
+        match self.known.take() {
+            Some(verdict) => self.charge().then_some(verdict),
             None => self.check(mc, phvs),
         }
     }
@@ -510,144 +510,15 @@ pub fn minimize<R: Specification + ?Sized>(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<MinimizedCounterExample> {
-    minimize_known(pipeline_spec, mc, opt, reference, input, None, cfg)
-}
-
-/// [`minimize`], given `known`, the verdict of `input` on `mc` at `opt`
-/// when the caller already has it (see [`minimize_on_fused`]).
-pub(crate) fn minimize_known<R: Specification + ?Sized>(
-    pipeline_spec: &PipelineSpec,
-    mc: &MachineCode,
-    opt: OptLevel,
-    reference: &mut R,
-    input: &Trace,
-    known: Option<&Verdict>,
-    cfg: &MinimizeConfig,
-) -> Option<MinimizedCounterExample> {
-    let search = |m: &mut Minimizer, known: Option<&Verdict>| {
-        m.search_trace(mc, input, known)
-            .map(|mce| (mc.clone(), mce))
-    };
-    minimize_on_fused(pipeline_spec, opt, reference, cfg, known, &search).map(|(_, mce)| mce)
-}
-
-/// Run `search` on the fused backend when `opt` is another level, with
-/// [`search_fused_then_confirm`]; on `opt` itself when it is `Fused`.
-///
-/// `known` is the original input's verdict on `opt`, when the caller
-/// already has it. Only a search on `opt` itself takes it as its original
-/// check: on any other level the fused check of the original input is
-/// what detects a backend disagreement, so it is simulated.
-fn minimize_on_fused<R: Specification + ?Sized>(
-    pipeline_spec: &PipelineSpec,
-    opt: OptLevel,
-    reference: &mut R,
-    cfg: &MinimizeConfig,
-    known: Option<&Verdict>,
-    search: &Search,
-) -> Option<(MachineCode, MinimizedCounterExample)> {
-    // Both oracles replay against the one specification, one at a time.
-    let reference = RefCell::new(reference);
-    let mut evaluated = differential_oracle(pipeline_spec, opt, &reference, cfg);
-    if opt == OptLevel::Fused {
-        return search(&mut Minimizer::new(&mut evaluated, cfg.max_checks), known);
-    }
-    let mut fused = differential_oracle(pipeline_spec, OptLevel::Fused, &reference, cfg);
-    search_fused_then_confirm(&mut fused, &mut evaluated, opt, cfg.max_checks, search)
-}
-
-/// A whole minimization over one oracle, given the original input's
-/// verdict on that oracle when the caller has it: `(reduced machine
-/// code, counterexample)`, or `None` when the original input does not
-/// diverge.
-type Search<'s> =
-    dyn Fn(&mut Minimizer, Option<&Verdict>) -> Option<(MachineCode, MinimizedCounterExample)> + 's;
-
-/// Run `search` on the `fused` oracle and accept its result only if one
-/// replay of the reduced machine code and minimized trace on `evaluated`
-/// gives the identical verdict. The confirmation is not a minimization
-/// check, so `checks` is not charged for it.
-///
-/// When the fused search finds no divergence but the evaluated one does,
-/// or the confirmation differs, the two backends disagree on this machine
-/// code — a dgen bug. Print one warning and return the search on
-/// `evaluated`, exactly as if the fused backend had never run.
-fn search_fused_then_confirm(
-    fused: &mut Oracle,
-    evaluated: &mut Oracle,
-    opt: OptLevel,
-    max_checks: usize,
-    search: &Search,
-) -> Option<(MachineCode, MinimizedCounterExample)> {
-    let fast = search(&mut Minimizer::new(fused, max_checks), None);
-    if let Some((mc, mce)) = &fast {
-        if evaluated(mc, &mce.input.phvs) == mce.verdict {
-            return fast;
-        }
-    }
-    let slow = search(&mut Minimizer::new(evaluated, max_checks), None);
-    if fast.is_some() || slow.is_some() {
-        eprintln!(
-            "warning: the fused and {} backends disagree on this machine code (a dgen bug); \
-             minimizing on {}",
-            opt.key(),
-            opt.key()
-        );
-    }
-    slow
-}
-
-/// The standard ALU-pipeline differential oracle used by [`minimize`] and
-/// [`minimize_fault`]: one [`AluChecker`] per backend for the whole
-/// minimization, so a candidate rebuilds the pipeline only when its
-/// machine code changes.
-fn differential_oracle<'a, 'r, R: Specification + ?Sized>(
-    pipeline_spec: &'a PipelineSpec,
-    opt: OptLevel,
-    reference: &'a RefCell<&'r mut R>,
-    cfg: &'a MinimizeConfig,
-) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + use<'a, 'r, R> {
-    let mut checker = AluChecker::new(
+    let target = AluTarget {
         pipeline_spec,
+        mc,
         opt,
-        cfg.observable.as_deref(),
-        &cfg.state_cells,
-    );
-    move |mc, phvs| {
-        let reference = &mut **reference.borrow_mut();
-        checker.check(reference, mc, &Trace::from_phvs(phvs.to_vec()))
-    }
-}
-
-/// Minimize a failing input trace against an arbitrary differential
-/// oracle — the program under test is fixed inside the closure (the P4
-/// workflow's interpreter-vs-pipeline check, a cross-model comparison,
-/// or anything else that maps an input trace to a [`Verdict`]).
-///
-/// Runs the same reduction pipeline as [`minimize`] — truncation at the
-/// diverging tick, prefix halving, packet ddmin, value shrinking — under
-/// the same `max_checks` budget. Returns `None` when `input` does not
-/// diverge.
-pub fn minimize_trace_with(
-    oracle: &mut dyn FnMut(&[Phv]) -> Verdict,
-    input: &Trace,
-    max_checks: usize,
-) -> Option<MinimizedCounterExample> {
-    minimize_trace_known(oracle, input, None, max_checks)
-}
-
-/// [`minimize_trace_with`], given `known`, the oracle's verdict on
-/// `input` when the caller already has it: that verdict is the original
-/// check, charged one check but not simulated, so the result equals
-/// [`minimize_trace_with`]'s, `checks` included.
-pub(crate) fn minimize_trace_known(
-    oracle: &mut dyn FnMut(&[Phv]) -> Verdict,
-    input: &Trace,
-    known: Option<&Verdict>,
-    max_checks: usize,
-) -> Option<MinimizedCounterExample> {
-    let mut adapted = |_: &MachineCode, phvs: &[Phv]| oracle(phvs);
-    Minimizer::new(&mut adapted, max_checks).search_trace(&MachineCode::new(), input, known)
+        observable: cfg.observable.as_deref(),
+        state_cells: &cfg.state_cells,
+        baseline: None,
+    };
+    minimize_alu(&target, reference, input, None, cfg.max_checks).map(|(_, mce)| mce)
 }
 
 /// Minimize a failing input trace *and* the machine-code delta against a
@@ -668,30 +539,130 @@ pub fn minimize_fault(
     input: &Trace,
     cfg: &MinimizeConfig,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
-    minimize_fault_known(pipeline_spec, good, bad, opt, reference, input, None, cfg)
+    let target = AluTarget {
+        pipeline_spec,
+        mc: bad,
+        opt,
+        observable: cfg.observable.as_deref(),
+        state_cells: &cfg.state_cells,
+        baseline: Some(good),
+    };
+    minimize_alu(&target, reference, input, None, cfg.max_checks)
 }
 
-/// [`minimize_fault`], given `known`, the verdict of `input` on `bad` at
-/// `opt` when the caller already has it (a fuzz round's). On
-/// [`OptLevel::Fused`] the search takes that verdict as its original
-/// check, charged one check but not simulated, so the result equals
-/// [`minimize_fault`]'s, `checks` included. On any other level `known` is
-/// not used: the fused check of the original input is what detects a
-/// backend disagreement.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_fault_known(
-    pipeline_spec: &PipelineSpec,
-    good: &MachineCode,
-    bad: &MachineCode,
-    opt: OptLevel,
-    reference: &mut dyn Specification,
+/// The ALU stack's one way into the minimizer, behind [`minimize`],
+/// [`minimize_fault`] and [`AluTarget`]'s
+/// [`Target::minimize`](crate::testing::Target::minimize): the fault
+/// search against [`AluTarget::baseline`] when the target has one, else
+/// the trace search for [`AluTarget::mc`]. Either runs on the fused
+/// backend and is confirmed on [`AluTarget::opt`] (see the module
+/// documentation).
+///
+/// `known` is the original input's verdict on `target.opt`, when the
+/// caller already has it (a fuzz round's). Only a search on `target.opt`
+/// itself takes it as its original check: on any other level the fused
+/// check of the original input is what detects a backend disagreement, so
+/// it is simulated.
+pub(crate) fn minimize_alu<R: Specification + ?Sized>(
+    target: &AluTarget,
+    reference: &mut R,
     input: &Trace,
     known: Option<&Verdict>,
-    cfg: &MinimizeConfig,
+    max_checks: usize,
 ) -> Option<(MachineCode, MinimizedCounterExample)> {
-    let search =
-        |m: &mut Minimizer, known: Option<&Verdict>| m.search_fault(good, bad, input, known);
-    minimize_on_fused(pipeline_spec, opt, reference, cfg, known, &search)
+    let mc = target.mc;
+    let search = |m: &mut Minimizer| match target.baseline {
+        Some(good) => m.search_fault(good, mc, input),
+        None => m.search_trace(mc, input).map(|mce| (mc.clone(), mce)),
+    };
+    // Both oracles replay against the one specification, one at a time.
+    let reference = RefCell::new(reference);
+    let mut evaluated = differential_oracle(target, target.opt, &reference);
+    if target.opt == OptLevel::Fused {
+        return search(&mut Minimizer::new(&mut evaluated, max_checks, known));
+    }
+    let mut fused = differential_oracle(target, OptLevel::Fused, &reference);
+    search_fused_then_confirm(&mut fused, &mut evaluated, target.opt, max_checks, &search)
+}
+
+/// A whole minimization over one oracle: `(reduced machine code,
+/// counterexample)`, or `None` when the original input does not diverge.
+type Search<'s> = dyn Fn(&mut Minimizer) -> Option<(MachineCode, MinimizedCounterExample)> + 's;
+
+/// Run `search` on the `fused` oracle and accept its result only if one
+/// replay of the reduced machine code and minimized trace on `evaluated`
+/// gives the identical verdict. The confirmation is not a minimization
+/// check, so `checks` is not charged for it.
+///
+/// When the fused search finds no divergence but the evaluated one does,
+/// or the confirmation differs, the two backends disagree on this machine
+/// code — a dgen bug. Print one warning and return the search on
+/// `evaluated`, exactly as if the fused backend had never run.
+fn search_fused_then_confirm(
+    fused: &mut Oracle,
+    evaluated: &mut Oracle,
+    opt: OptLevel,
+    max_checks: usize,
+    search: &Search,
+) -> Option<(MachineCode, MinimizedCounterExample)> {
+    let fast = search(&mut Minimizer::new(fused, max_checks, None));
+    if let Some((mc, mce)) = &fast {
+        if evaluated(mc, &mce.input.phvs) == mce.verdict {
+            return fast;
+        }
+    }
+    let slow = search(&mut Minimizer::new(evaluated, max_checks, None));
+    if fast.is_some() || slow.is_some() {
+        eprintln!(
+            "warning: the fused and {} backends disagree on this machine code (a dgen bug); \
+             minimizing on {}",
+            opt.key(),
+            opt.key()
+        );
+    }
+    slow
+}
+
+/// The ALU-pipeline differential oracle of `target` on backend `opt`: one
+/// [`AluChecker`] for the whole minimization, so a candidate rebuilds the
+/// pipeline only when its machine code changes.
+fn differential_oracle<'a, 'r, R: Specification + ?Sized>(
+    target: &AluTarget<'a>,
+    opt: OptLevel,
+    reference: &'a RefCell<&'r mut R>,
+) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + use<'a, 'r, R> {
+    let mut checker = AluChecker::new(
+        target.pipeline_spec,
+        opt,
+        target.observable,
+        target.state_cells,
+    );
+    move |mc, phvs| {
+        let reference = &mut **reference.borrow_mut();
+        checker.check(reference, mc, &Trace::from_phvs(phvs.to_vec()))
+    }
+}
+
+/// The P4 stack's one way into the minimizer, behind
+/// [`crate::p4::p4_minimize`] and [`crate::p4::P4Target`]'s
+/// [`Target::minimize`](crate::testing::Target::minimize): minimize a failing input trace against a
+/// differential oracle that fixes the program under test. It runs the
+/// same reduction pipeline as [`minimize`] — truncation at the diverging
+/// tick, prefix halving, packet ddmin, value shrinking — under the
+/// `max_checks` budget. Returns `None` when `input` does not diverge.
+///
+/// `known` is the oracle's verdict on `input` when the caller already has
+/// it: that verdict is the original check, charged one check but not
+/// simulated, so the result is the one a re-simulation gives, `checks`
+/// included.
+pub(crate) fn minimize_oracle(
+    oracle: &mut dyn FnMut(&[Phv]) -> Verdict,
+    input: &Trace,
+    known: Option<&Verdict>,
+    max_checks: usize,
+) -> Option<MinimizedCounterExample> {
+    let mut adapted = |_: &MachineCode, phvs: &[Phv]| oracle(phvs);
+    Minimizer::new(&mut adapted, max_checks, known).search_trace(&MachineCode::new(), input)
 }
 
 #[cfg(test)]
@@ -916,7 +887,7 @@ mod tests {
             }
         };
         let input = Trace::from_phvs(vec![Phv::new(vec![1000])]);
-        let mce = minimize_trace_with(&mut oracle, &input, max_checks).expect("diverges");
+        let mce = minimize_oracle(&mut oracle, &input, None, max_checks).expect("diverges");
         (mce, calls)
     }
 
@@ -975,18 +946,29 @@ mod tests {
         (spec, mc, random_trace(8, 200))
     }
 
+    /// The baseline-free target of `mc` on `Scc`, observing every
+    /// container.
+    fn scc_target<'a>(spec: &'a PipelineSpec, mc: &'a MachineCode) -> AluTarget<'a> {
+        AluTarget {
+            pipeline_spec: spec,
+            mc,
+            opt: OptLevel::Scc,
+            observable: None,
+            state_cells: &[],
+            baseline: None,
+        }
+    }
+
     #[test]
     fn disagreeing_fused_backend_falls_back_to_the_evaluated_level() {
         let (spec, mc, input) = subtract_fault();
         let cfg = MinimizeConfig::default();
-        let search = |m: &mut Minimizer, known: Option<&Verdict>| {
-            m.search_trace(&mc, &input, known)
-                .map(|mce| (mc.clone(), mce))
-        };
+        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let target = scc_target(&spec, &mc);
         let mut reference = accumulator_spec();
         let reference = RefCell::new(&mut reference);
-        let evaluated = || differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
-        let expected = search(&mut Minimizer::new(&mut evaluated(), cfg.max_checks), None);
+        let evaluated = || differential_oracle(&target, OptLevel::Scc, &reference);
+        let expected = search(&mut Minimizer::new(&mut evaluated(), cfg.max_checks, None));
         assert!(expected.is_some(), "the fault diverges on Scc");
 
         // A fused backend that never diverges, and one that diverges on
@@ -1009,16 +991,14 @@ mod tests {
     fn agreeing_fused_backend_is_confirmed_by_one_evaluated_replay() {
         let (spec, mc, input) = subtract_fault();
         let cfg = MinimizeConfig::default();
-        let search = |m: &mut Minimizer, known: Option<&Verdict>| {
-            m.search_trace(&mc, &input, known)
-                .map(|mce| (mc.clone(), mce))
-        };
+        let search = |m: &mut Minimizer| m.search_trace(&mc, &input).map(|mce| (mc.clone(), mce));
+        let target = scc_target(&spec, &mc);
         let mut reference = accumulator_spec();
         let reference = RefCell::new(&mut reference);
-        let mut scc = differential_oracle(&spec, OptLevel::Scc, &reference, &cfg);
-        let expected = search(&mut Minimizer::new(&mut scc, cfg.max_checks), None);
+        let mut scc = differential_oracle(&target, OptLevel::Scc, &reference);
+        let expected = search(&mut Minimizer::new(&mut scc, cfg.max_checks, None));
 
-        let mut fused = differential_oracle(&spec, OptLevel::Fused, &reference, &cfg);
+        let mut fused = differential_oracle(&target, OptLevel::Fused, &reference);
         let mut replays = 0;
         let mut evaluated = |mc: &MachineCode, phvs: &[Phv]| {
             replays += 1;

@@ -26,8 +26,7 @@
 //!   [`crate::testing::FuzzReport`] and [`crate::testing::CampaignReport`] (seed replay, worker-count
 //!   independence and all);
 //! - [`p4_minimize`] — counterexample minimization through the shared
-//!   oracle-generic delta-debugging engine
-//!   ([`minimize_trace_with`]);
+//!   delta-debugging engine of [`mod@crate::minimize`];
 //! - [`P4FaultInjector`] — deterministic table/action fault seeding
 //!   (removed entries, mutated action arguments, mutated match values)
 //!   for mutation-driven hunt campaigns.
@@ -43,7 +42,7 @@ use druzhba_p4::hlir::Hlir;
 use druzhba_p4::lower::{lower, RmtConfig, RmtLowering};
 use druzhba_p4::tables::{bind, parse_entries, TableEntry};
 
-use crate::minimize::{minimize_trace_known, minimize_trace_with, MinimizedCounterExample};
+use crate::minimize::{minimize_oracle, MinimizedCounterExample};
 use crate::testing::{Target, Verdict};
 
 /// A P4 program ready for differential testing: resolved source,
@@ -452,7 +451,7 @@ impl Target<()> for P4Target<'_> {
     ) -> Option<MinimizedCounterExample> {
         let mut checker = P4Checker::new(self.workload, self.entries, self.level);
         let mut oracle = |phvs: &[Phv]| checker.check(phvs);
-        minimize_trace_known(&mut oracle, input, Some(verdict), 3_000)
+        minimize_oracle(&mut oracle, input, Some(verdict), 3_000)
     }
 
     /// The seeded campaign's snapshot binds the entries, not the program
@@ -467,7 +466,7 @@ impl Target<()> for P4Target<'_> {
 }
 
 /// Minimize a failing input trace for a fixed entry set through the
-/// shared oracle-generic delta-debugging engine ([`minimize_trace_with`]):
+/// shared delta-debugging engine of [`mod@crate::minimize`]:
 /// truncation at the diverging tick, prefix halving, packet ddmin, and
 /// per-container value shrinking, every candidate re-checked through one
 /// [`P4Checker`] (one pipeline generation for the whole minimization).
@@ -480,7 +479,7 @@ pub fn p4_minimize(
 ) -> Option<MinimizedCounterExample> {
     let mut checker = P4Checker::new(workload, entries, level);
     let mut oracle = |phvs: &[Phv]| checker.check(phvs);
-    minimize_trace_with(&mut oracle, input, max_checks)
+    minimize_oracle(&mut oracle, input, None, max_checks)
 }
 
 // ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ use druzhba_core::trace::{phv_mismatch, TraceMismatch};
 use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
-use crate::minimize::{minimize_known, MinimizeConfig, MinimizedCounterExample};
+use crate::minimize::{minimize_alu, MinimizeConfig, MinimizedCounterExample};
 use crate::runtime::{
     catch_silent, default_workers, run_resumable, Campaign, RecordCodec, RuntimeOptions,
 };
@@ -522,11 +522,17 @@ pub struct AluTarget<'a> {
     pub observable: Option<&'a [usize]>,
     /// State cells compared against [`Specification::state`].
     pub state_cells: &'a [(usize, usize, usize)],
+    /// Known-good machine code that `mc` is a faulty variant of, when
+    /// there is one: minimization then also reduces `mc` toward it and
+    /// reports the essential edits ([`crate::minimize::minimize_fault`]).
+    /// A failing run with `None` minimizes only the trace
+    /// ([`crate::minimize::minimize`]).
+    pub baseline: Option<&'a MachineCode>,
 }
 
 impl<'a> AluTarget<'a> {
-    /// A target observing what `cfg` names ([`FuzzConfig::observable`],
-    /// [`FuzzConfig::state_cells`]).
+    /// A target without a baseline, observing what `cfg` names
+    /// ([`FuzzConfig::observable`], [`FuzzConfig::state_cells`]).
     pub fn new(
         pipeline_spec: &'a PipelineSpec,
         mc: &'a MachineCode,
@@ -539,6 +545,7 @@ impl<'a> AluTarget<'a> {
             opt,
             observable: cfg.observable.as_deref(),
             state_cells: &cfg.state_cells,
+            baseline: None,
         }
     }
 }
@@ -563,27 +570,18 @@ impl<R: Specification + ?Sized> Target<R> for AluTarget<'_> {
         )
     }
 
-    /// The original check is `verdict` only on [`OptLevel::Fused`], the
-    /// level the search runs on (see [`mod@crate::minimize`]).
+    /// The fault search when the target has a [`AluTarget::baseline`],
+    /// else the trace search. The original check is `verdict` only on
+    /// [`OptLevel::Fused`], the level the search runs on (see
+    /// [`mod@crate::minimize`]).
     fn minimize(
         &self,
         reference: &mut R,
         input: &Trace,
         verdict: &Verdict,
     ) -> Option<MinimizedCounterExample> {
-        minimize_known(
-            self.pipeline_spec,
-            self.mc,
-            self.opt,
-            reference,
-            input,
-            Some(verdict),
-            &MinimizeConfig {
-                observable: self.observable.map(<[usize]>::to_vec),
-                state_cells: self.state_cells.to_vec(),
-                ..MinimizeConfig::default()
-            },
-        )
+        let max_checks = MinimizeConfig::default().max_checks;
+        minimize_alu(self, reference, input, Some(verdict), max_checks).map(|(_, mce)| mce)
     }
 
     fn program_parts(&self) -> Vec<String> {

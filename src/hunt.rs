@@ -9,8 +9,10 @@
 //! mutant gets its static-analysis flag, and an unseedable structural
 //! class is an error. Each evaluation ends its ladder with bounded
 //! exhaustive verification, and every divergence is delta-debugged
-//! against the known-good baseline ([`minimize_fault_known`]) so the
-//! report carries the essential machine-code edits.
+//! against the known-good baseline so the report carries the essential
+//! machine-code edits: a fuzz round runs [`fuzz_run`] on an [`AluTarget`]
+//! whose [`AluTarget::baseline`] is the compiled program, and the verify
+//! rung calls [`minimize_fault`].
 
 use druzhba_analysis::{flag_mutant, symbolic_equivalent, StaticFlag};
 use druzhba_chipmunk::CompiledProgram;
@@ -18,12 +20,11 @@ use druzhba_core::json::{array, Object};
 use druzhba_core::{MachineCode, Trace};
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
-use druzhba_dsim::minimize::{minimize_fault_known, MinimizeConfig, MinimizedCounterExample};
+use druzhba_dsim::minimize::{minimize_fault, MinimizeConfig, MinimizedCounterExample};
 use druzhba_dsim::runtime::{catch_silent, default_workers, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_test, run_case, shard_seed, FuzzConfig, Verdict};
+use druzhba_dsim::testing::{fuzz_run, shard_seed, AluTarget, FuzzConfig, Verdict};
 use druzhba_dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
-use druzhba_dsim::TrafficGenerator;
 use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
 
 pub use crate::mutation::Detection;
@@ -354,17 +355,22 @@ fn screen_mutant(
         return None;
     }
     let mut reference = def.interpreter_spec(comp);
+    let observable = comp.observable_containers();
+    let target = AluTarget {
+        pipeline_spec: &comp.pipeline_spec,
+        mc,
+        opt: OptLevel::SccInline,
+        observable: Some(&observable),
+        state_cells: &comp.state_cells,
+        baseline: None,
+    };
     for run in 0..cfg.fuzz_runs.max(1) {
         let seed = shard_seed(probe_seed, run as u64);
-        let fuzz_cfg = fuzz_config(cfg, comp, seed);
-        let report = fuzz_test(
-            &comp.pipeline_spec,
-            mc,
-            OptLevel::SccInline,
-            &mut reference,
-            &fuzz_cfg,
-        );
-        if !report.passed() {
+        let probe = FuzzConfig {
+            minimize: false,
+            ..fuzz_round(cfg, seed)
+        };
+        if !fuzz_run(&target, &mut reference, &probe).passed() {
             return Some(Some(seed));
         }
     }
@@ -380,16 +386,15 @@ fn screen_mutant(
     }
 }
 
-/// One seeded fuzz run of `cfg`'s shape (shared by screening and
-/// evaluation).
-fn fuzz_config(cfg: &HuntConfig, comp: &CompiledProgram, seed: u64) -> FuzzConfig {
+/// One seeded fuzz round of `cfg`'s traffic shape, minimized on failure
+/// (shared by screening and evaluation; what a round observes is its
+/// [`AluTarget`]'s).
+fn fuzz_round(cfg: &HuntConfig, seed: u64) -> FuzzConfig {
     FuzzConfig {
         num_phvs: cfg.fuzz_phvs,
         seed,
         input_bits: cfg.input_bits,
-        observable: Some(comp.observable_containers()),
-        state_cells: comp.state_cells.clone(),
-        minimize: false,
+        ..FuzzConfig::default()
     }
 }
 
@@ -409,7 +414,9 @@ fn hunt_verify_config(cfg: &HuntConfig, comp: &CompiledProgram) -> VerifyConfig 
 }
 
 /// Evaluate one mutant on one backend: climb the fuzz → witness → verify
-/// ladder, minimizing whatever divergence it finds.
+/// ladder, minimizing whatever divergence it finds against the known-good
+/// baseline, so the counterexample carries the essential machine-code
+/// edits.
 fn evaluate(
     cfg: &HuntConfig,
     def: &ProgramDef,
@@ -420,70 +427,50 @@ fn evaluate(
 ) -> MutantOutcome {
     let mc = &mutant.payload;
     let mut reference = def.interpreter_spec(comp);
-    let minimize_cfg = MinimizeConfig {
-        observable: Some(comp.observable_containers()),
-        state_cells: comp.state_cells.clone(),
-        ..MinimizeConfig::default()
+    let observable = comp.observable_containers();
+    let target = AluTarget {
+        pipeline_spec: &comp.pipeline_spec,
+        mc,
+        opt: level,
+        observable: Some(&observable),
+        state_cells: &comp.state_cells,
+        baseline: Some(&comp.machine_code),
     };
     ladder.run(true, |seed| {
-        // `fuzzed`: the verdict is the check of `input` on `mc` at
-        // `level`, which the minimization may take as its original check.
-        let (verdict, input, fuzzed) = match seed {
-            // One fuzz round against the mutant, on one trace for the
-            // check and the minimization.
-            Some(seed) => {
-                let phv_length = comp.pipeline_spec.config.phv_length;
-                let input =
-                    TrafficGenerator::new(seed, phv_length, cfg.input_bits).trace(cfg.fuzz_phvs);
-                let verdict = run_case(
-                    &comp.pipeline_spec,
-                    mc,
-                    level,
-                    &mut reference,
-                    &input,
-                    minimize_cfg.observable.as_deref(),
-                    &minimize_cfg.state_cells,
-                );
-                if verdict.passed() {
-                    return None;
-                }
-                // A panicking backend can't be delta-debugged —
-                // minimization would rebuild it outside the panic guard
-                // and re-trip the abort. The replay recipe (seed + config)
-                // is the counterexample.
-                if matches!(verdict, Verdict::BackendPanic { .. }) {
-                    return Some((verdict, None));
-                }
-                (verdict, input, true)
-            }
-            // Bounded exhaustive verification over the input fields.
-            None => match verify_bounded(
-                &comp.pipeline_spec,
-                mc,
-                level,
-                &mut reference,
-                &hunt_verify_config(cfg, comp),
-            ) {
-                Ok(VerifyOutcome::CounterExample {
-                    input, mismatch, ..
-                }) => (Verdict::Mismatch(mismatch), input, false),
-                _ => return None,
-            },
+        // One minimized fuzz round (panics are never minimized).
+        if let Some(seed) = seed {
+            let report = fuzz_run(&target, &mut reference, &fuzz_round(cfg, seed));
+            return (!report.passed()).then_some((report.verdict, report.minimized));
+        }
+        // Bounded exhaustive verification over the input fields.
+        let Ok(VerifyOutcome::CounterExample {
+            input, mismatch, ..
+        }) = verify_bounded(
+            &comp.pipeline_spec,
+            mc,
+            level,
+            &mut reference,
+            &hunt_verify_config(cfg, comp),
+        )
+        else {
+            return None;
         };
-        // Delta-debug against the known-good baseline so the
-        // counterexample carries the essential machine-code edits.
-        let minimized = minimize_fault_known(
+        let minimize_cfg = MinimizeConfig {
+            observable: Some(observable.clone()),
+            state_cells: comp.state_cells.clone(),
+            ..MinimizeConfig::default()
+        };
+        let minimized = minimize_fault(
             &comp.pipeline_spec,
             &comp.machine_code,
             mc,
             level,
             &mut reference,
             &input,
-            fuzzed.then_some(&verdict),
             &minimize_cfg,
         )
         .map(|(_, mce)| mce);
-        Some((verdict, minimized))
+        Some((Verdict::Mismatch(mismatch), minimized))
     })
 }
 

@@ -983,6 +983,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
             opt: level,
             observable: Some(&observable),
             state_cells: &compiled.state_cells,
+            baseline: None,
         };
         mode.run((&name, false, &replay), level, &target, make_spec)?;
     }
