@@ -39,7 +39,7 @@ fn emitted_descriptions_compile_with_rustc() {
         return;
     }
     let (spec, mc) = sample();
-    let dir = std::env::temp_dir().join("druzhba-emit-test");
+    let dir = std::env::temp_dir().join(format!("druzhba-emit-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for opt in OptLevel::ALL {
         let src = emit_pipeline(&spec, &mc, opt).unwrap();
@@ -66,6 +66,7 @@ fn emitted_descriptions_compile_with_rustc() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn emitted_code_behaves_identically() {
         }
     }
 
-    let dir = std::env::temp_dir().join("druzhba-emit-behaviour");
+    let dir = std::env::temp_dir().join(format!("druzhba-emit-behaviour-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let state_vars = spec.stateful_alu.state_vars.len();
     let (depth, width) = (spec.config.depth, spec.config.width);
@@ -201,4 +202,5 @@ fn emitted_code_behaves_identically() {
             "{opt:?}: emitted pipeline diverges from in-process backends"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
