@@ -24,10 +24,9 @@
 //!    (at most 33 checks for a 32-bit value).
 //! 3. **Machine-code reduction** (injected-fault cases: [`minimize_fault`],
 //!    or an [`AluTarget`] with a baseline). Every pair on which the faulty
-//!    program differs
-//!    from a known-good baseline is tentatively reset to its known-good
-//!    state; pairs whose reset kills the divergence are *essential* and
-//!    reported as the fault's footprint.
+//!    program differs from a known-good baseline is tentatively reset to
+//!    its known-good state; pairs whose reset kills the divergence are
+//!    *essential* and reported as the fault's footprint.
 //!
 //! Every candidate evaluation costs one differential simulation, not a
 //! pipeline build: a search keeps one checker
