@@ -17,6 +17,16 @@
 //!   randomized inputs; counterexamples are added to the sample set and
 //!   synthesis reruns (up to [`SynthConfig::max_rounds`]).
 //!
+//! Enumeration runs on a *resolved probe*: each component's expression is
+//! resolved once into a private tree whose operands and state variables
+//! are indices and whose enumerated holes are slots of a vector, so a
+//! candidate is written in place and costs no hash-map clone or lookup.
+//! The tree evaluates through the opcode decoders of
+//! [`druzhba_dgen::eval`], so the semantics live in one place. CEGIS
+//! verification stays on [`eval_unoptimized`], the paper's version-1
+//! hash-map evaluator, and so checks whatever the enumeration picks
+//! independently of the probe.
+//!
 //! Verification inputs are drawn at [`SynthConfig::verify_bits`] bits. A
 //! deliberately *small* width reproduces the paper's §5.2 failure class:
 //! machine code that satisfies every sampled input but is wrong for larger
@@ -26,11 +36,13 @@
 
 use std::collections::HashMap;
 
-use druzhba_alu_dsl::{AluSpec, Expr, HoleDomain, Stmt};
+use druzhba_alu_dsl::{AluSpec, BinOp, Expr, HoleDomain, Stmt, UnOp};
 use druzhba_core::names::AluKind;
 use druzhba_core::value::{self, Value};
 use druzhba_core::{Error, Result, ValueGen};
-use druzhba_dgen::eval::eval_unoptimized;
+use druzhba_dgen::eval::{
+    apply_binop, apply_unop, arith_op, eval_unoptimized, mux2, mux3, opt, rel_op,
+};
 use druzhba_dgen::opt::specialize_partial;
 
 use crate::ir::{TExpr, TargetTree};
@@ -543,28 +555,7 @@ fn synth_component(
     cfg: &SynthConfig,
     holes: &mut HashMap<String, Value>,
 ) -> Result<()> {
-    // The holes this component owns (not yet assigned by earlier
-    // components).
-    let mut names: Vec<String> = Vec::new();
-    expr.visit(&mut |e| {
-        let h = match e {
-            Expr::CConst { hole }
-            | Expr::Opt { hole, .. }
-            | Expr::Mux2 { hole, .. }
-            | Expr::Mux3 { hole, .. }
-            | Expr::RelOp { hole, .. }
-            | Expr::ArithOp { hole, .. } => Some(hole.clone()),
-            Expr::Var(name) if atom.hole_vars.iter().any(|hv| &hv.name == name) => {
-                Some(name.clone())
-            }
-            _ => None,
-        };
-        if let Some(h) = h {
-            if !holes.contains_key(&h) && !names.contains(&h) {
-                names.push(h);
-            }
-        }
-    });
+    let names = free_holes(atom, expr, holes);
 
     // Candidate values per hole.
     let domains: Vec<Vec<Value>> = names
@@ -599,23 +590,16 @@ fn synth_component(
         });
     }
 
-    // Probe spec: evaluate just this expression.
-    let probe = AluSpec {
-        body: vec![Stmt::Return(expr.clone())],
-        ..atom.clone()
-    };
+    let probe = Probe::resolve(atom, expr, &names, holes);
+    // The target depends only on the sample, not on the candidate.
+    let wanted: Vec<Value> = samples.iter().map(expected).collect();
 
+    // `slots[i]` is always `domains[i][assignment[i]]`.
     let mut assignment = vec![0usize; names.len()];
+    let mut slots: Vec<Value> = domains.iter().map(|d| d[0]).collect();
     loop {
-        // Install the candidate assignment.
-        let mut candidate = holes.clone();
-        for (i, name) in names.iter().enumerate() {
-            candidate.insert(name.clone(), domains[i][assignment[i]]);
-        }
-        let ok = samples.iter().all(|s| {
-            let mut scratch = s.state.clone();
-            let got = eval_unoptimized(&probe, &candidate, &s.ops, &mut scratch).output;
-            let want = expected(s);
+        let ok = samples.iter().zip(&wanted).all(|(s, &want)| {
+            let got = probe.eval(&slots, &s.ops, &s.state);
             if truthy {
                 value::truthy(got) == value::truthy(want)
             } else {
@@ -623,8 +607,8 @@ fn synth_component(
             }
         });
         if ok {
-            for (i, name) in names.iter().enumerate() {
-                holes.insert(name.clone(), domains[i][assignment[i]]);
+            for (name, &v) in names.iter().zip(&slots) {
+                holes.insert(name.clone(), v);
             }
             return Ok(());
         }
@@ -641,10 +625,132 @@ fn synth_component(
             }
             assignment[i] += 1;
             if assignment[i] < domains[i].len() {
+                slots[i] = domains[i][assignment[i]];
                 break;
             }
             assignment[i] = 0;
+            slots[i] = domains[i][0];
             i += 1;
+        }
+    }
+}
+
+/// The holes `expr` reads that `holes` does not fix yet, in pre-order:
+/// the holes a component owns, and the odometer's digits.
+fn free_holes(atom: &AluSpec, expr: &Expr, holes: &HashMap<String, Value>) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    expr.visit(&mut |e| {
+        let h = match e {
+            Expr::CConst { hole }
+            | Expr::Opt { hole, .. }
+            | Expr::Mux2 { hole, .. }
+            | Expr::Mux3 { hole, .. }
+            | Expr::RelOp { hole, .. }
+            | Expr::ArithOp { hole, .. } => Some(hole),
+            Expr::Var(name) if atom.hole_vars.iter().any(|hv| &hv.name == name) => Some(name),
+            _ => None,
+        };
+        if let Some(h) = h {
+            if !holes.contains_key(h) && !names.contains(h) {
+                names.push(h.clone());
+            }
+        }
+    });
+    names
+}
+
+/// Where an enumerated component reads a machine-code hole from.
+#[derive(Debug, Clone, Copy)]
+enum Hole {
+    /// Fixed by an earlier component (or absent, read as 0).
+    Fixed(Value),
+    /// The candidate's value, at this index of the slot vector.
+    Slot(usize),
+}
+
+impl Hole {
+    #[inline]
+    fn get(self, slots: &[Value]) -> Value {
+        match self {
+            Hole::Fixed(v) => v,
+            Hole::Slot(i) => slots[i],
+        }
+    }
+}
+
+/// One atom expression resolved for enumeration: operands and state
+/// variables are indices and holes are [`Hole`]s, so a candidate costs no
+/// hash lookups or string comparisons. It evaluates to what
+/// [`eval_unoptimized`] gives for `return expr;` under the same holes
+/// (the `resolved_probe_equals_the_unoptimized_evaluator` test holds it
+/// to that), through the same opcode decoders.
+#[derive(Debug)]
+enum Probe {
+    Const(Value),
+    Op(usize),
+    State(usize),
+    Hole(Hole),
+    Opt(Hole, Box<Probe>),
+    Mux2(Hole, Box<Probe>, Box<Probe>),
+    Mux3(Hole, Box<Probe>, Box<Probe>, Box<Probe>),
+    RelOp(Hole, Box<Probe>, Box<Probe>),
+    ArithOp(Hole, Box<Probe>, Box<Probe>),
+    Binary(BinOp, Box<Probe>, Box<Probe>),
+    Unary(UnOp, Box<Probe>),
+}
+
+impl Probe {
+    /// Resolve `expr` of `atom`: hole `names[i]` reads slot `i`, any other
+    /// hole its value in `holes`, or 0 if it has none. A `Var` is a packet
+    /// field first, then a state variable, then a hole, as in
+    /// [`eval_unoptimized`].
+    fn resolve(
+        atom: &AluSpec,
+        expr: &Expr,
+        names: &[String],
+        holes: &HashMap<String, Value>,
+    ) -> Probe {
+        let hole = |name: &str| match names.iter().position(|n| n == name) {
+            Some(i) => Hole::Slot(i),
+            None => Hole::Fixed(holes.get(name).copied().unwrap_or(0)),
+        };
+        let go = |e: &Expr| Box::new(Probe::resolve(atom, e, names, holes));
+        match expr {
+            Expr::Const(v) => Probe::Const(*v),
+            Expr::Var(name) => {
+                if let Some(i) = atom.packet_field_index(name) {
+                    Probe::Op(i)
+                } else if let Some(i) = atom.state_var_index(name) {
+                    Probe::State(i)
+                } else {
+                    Probe::Hole(hole(name))
+                }
+            }
+            Expr::CConst { hole: h } => Probe::Hole(hole(h)),
+            Expr::Opt { hole: h, arg } => Probe::Opt(hole(h), go(arg)),
+            Expr::Mux2 { hole: h, a, b } => Probe::Mux2(hole(h), go(a), go(b)),
+            Expr::Mux3 { hole: h, a, b, c } => Probe::Mux3(hole(h), go(a), go(b), go(c)),
+            Expr::RelOp { hole: h, a, b } => Probe::RelOp(hole(h), go(a), go(b)),
+            Expr::ArithOp { hole: h, a, b } => Probe::ArithOp(hole(h), go(a), go(b)),
+            Expr::Binary { op, l, r } => Probe::Binary(*op, go(l), go(r)),
+            Expr::Unary { op, x } => Probe::Unary(*op, go(x)),
+        }
+    }
+
+    fn eval(&self, slots: &[Value], ops: &[Value], state: &[Value]) -> Value {
+        let ev = |p: &Probe| p.eval(slots, ops, state);
+        match self {
+            Probe::Const(v) => *v,
+            Probe::Op(i) => ops.get(*i).copied().unwrap_or(0),
+            Probe::State(i) => state.get(*i).copied().unwrap_or(0),
+            Probe::Hole(h) => h.get(slots),
+            Probe::Opt(h, x) => opt(h.get(slots), ev(x)),
+            Probe::Mux2(h, a, b) => mux2(h.get(slots), ev(a), ev(b)),
+            Probe::Mux3(h, a, b, c) => mux3(h.get(slots), ev(a), ev(b), ev(c)),
+            Probe::RelOp(h, a, b) => rel_op(h.get(slots), ev(a), ev(b)),
+            Probe::ArithOp(h, a, b) => arith_op(h.get(slots), ev(a), ev(b)),
+            Probe::Binary(op, l, r) => apply_binop(*op, ev(l), ev(r)),
+            Probe::Unary(op, x) => apply_unop(*op, ev(x)),
         }
     }
 }
@@ -1113,5 +1219,109 @@ mod tests {
         let mut state = vec![5];
         eval_unoptimized(&a, &good, &[0, 0], &mut state);
         assert_eq!(state[0], 6, "10-bit verification finds the == guard");
+    }
+
+    /// Every expression the matcher enumerates, with the spec it reads:
+    /// each (sub)expression of the stateful atoms' statements, and each
+    /// stateless ALU's body and its `specialize_partial` residual under
+    /// every control assignment.
+    fn enumerated_expressions() -> Vec<(AluSpec, Expr)> {
+        use druzhba_alu_dsl::ast::visit_stmts;
+        use druzhba_alu_dsl::atoms::{STATEFUL_ATOMS, STATELESS_ATOMS};
+        let mut out = Vec::new();
+        for name in STATEFUL_ATOMS {
+            let a = atom(name).unwrap();
+            let mut exprs = Vec::new();
+            visit_stmts(&a.body, &mut |e| exprs.push(e.clone()));
+            out.extend(exprs.into_iter().map(|e| (a.clone(), e)));
+        }
+        for name in STATELESS_ATOMS {
+            let alu = atom(name).unwrap();
+            let mut exprs = Vec::new();
+            visit_stmts(&alu.body, &mut |e| exprs.push(e.clone()));
+            out.extend(exprs.into_iter().map(|e| (alu.clone(), e)));
+            let bounds: Vec<Value> = alu
+                .hole_vars
+                .iter()
+                .map(|hv| HoleDomain::Bits(hv.bits).bound().min(256) as Value)
+                .collect();
+            let mut assignment = vec![0; bounds.len()];
+            'controls: loop {
+                let controls: HashMap<String, Value> = alu
+                    .hole_vars
+                    .iter()
+                    .zip(&assignment)
+                    .map(|(hv, &v)| (hv.name.clone(), v))
+                    .collect();
+                let residual = specialize_partial(&alu, &controls);
+                out.push((residual.clone(), body_as_expr(&residual)));
+                for i in 0..=bounds.len() {
+                    if i == bounds.len() {
+                        break 'controls;
+                    }
+                    assignment[i] += 1;
+                    if assignment[i] < bounds[i] {
+                        break;
+                    }
+                    assignment[i] = 0;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resolved_probe_equals_the_unoptimized_evaluator() {
+        let mut gen = ValueGen::new(0x9E50_1FED, 32);
+        // Hole values include out-of-domain ones (a mux3 selector of 7, a
+        // rel_op opcode of 9); data values favour small, equal operands.
+        let hole_value = |gen: &mut ValueGen| match gen.value_below(4) {
+            0 => [7, 9, 0x8000_0000, Value::MAX][gen.value_below(4) as usize],
+            1 => gen.value(),
+            _ => gen.value_below(4),
+        };
+        let data = |gen: &mut ValueGen| match gen.value_below(3) {
+            0 => gen.value(),
+            _ => gen.value_below(4),
+        };
+        let exprs = enumerated_expressions();
+        assert!(exprs.len() > 100, "{} expressions", exprs.len());
+        for (spec, expr) in &exprs {
+            let probe_spec = AluSpec {
+                body: vec![Stmt::Return(expr.clone())],
+                ..spec.clone()
+            };
+            let names = free_holes(spec, expr, &HashMap::new());
+            for _ in 0..64 {
+                // Each hole is enumerated, fixed by an earlier component,
+                // or absent.
+                let mut fixed = HashMap::new();
+                let mut slot_names = Vec::new();
+                for name in &names {
+                    match gen.value_below(3) {
+                        0 => slot_names.push(name.clone()),
+                        1 => {
+                            fixed.insert(name.clone(), hole_value(&mut gen));
+                        }
+                        _ => {}
+                    }
+                }
+                let slots: Vec<Value> = slot_names.iter().map(|_| hole_value(&mut gen)).collect();
+                let ops: Vec<Value> = (0..spec.operand_count()).map(|_| data(&mut gen)).collect();
+                let state: Vec<Value> =
+                    (0..spec.state_vars.len()).map(|_| data(&mut gen)).collect();
+
+                let probe = Probe::resolve(spec, expr, &slot_names, &fixed);
+                let got = probe.eval(&slots, &ops, &state);
+                let mut all = fixed.clone();
+                all.extend(slot_names.iter().cloned().zip(slots.iter().copied()));
+                let want = eval_unoptimized(&probe_spec, &all, &ops, &mut state.clone()).output;
+                assert_eq!(
+                    got, want,
+                    "`{expr}` of `{}` with holes {all:?}, operands {ops:?}, state {state:?}",
+                    spec.name
+                );
+            }
+        }
     }
 }
