@@ -10,6 +10,8 @@
 //! are `stateless_mux`, `stateless_arith`, `stateless_rel`,
 //! `stateless_select`, and `stateless_full`.
 
+use std::sync::OnceLock;
+
 use druzhba_core::{Error, Result};
 
 use crate::ast::AluSpec;
@@ -52,15 +54,23 @@ pub fn atom_source(name: &str) -> Option<&'static str> {
     })
 }
 
-/// Parse a named atom into an [`AluSpec`].
+/// Parse a named atom into an [`AluSpec`]. Each atom is parsed once per
+/// process; later calls return a copy of that parse.
 pub fn atom(name: &str) -> Result<AluSpec> {
-    let source = atom_source(name).ok_or_else(|| Error::Other {
-        message: format!(
-            "unknown atom `{name}` (available: {:?} and {:?})",
-            STATEFUL_ATOMS, STATELESS_ATOMS
-        ),
-    })?;
-    parse_alu(source)
+    const COUNT: usize = STATEFUL_ATOMS.len() + STATELESS_ATOMS.len();
+    static PARSED: [OnceLock<Result<AluSpec>>; COUNT] = [const { OnceLock::new() }; COUNT];
+    let (index, source) = STATEFUL_ATOMS
+        .iter()
+        .chain(&STATELESS_ATOMS)
+        .position(|&n| n == name)
+        .zip(atom_source(name))
+        .ok_or_else(|| Error::Other {
+            message: format!(
+                "unknown atom `{name}` (available: {:?} and {:?})",
+                STATEFUL_ATOMS, STATELESS_ATOMS
+            ),
+        })?;
+    PARSED[index].get_or_init(|| parse_alu(source)).clone()
 }
 
 #[cfg(test)]
