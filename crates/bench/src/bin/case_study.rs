@@ -24,7 +24,8 @@
 //! failing 5000-packet trace reduced to the few packets and small values
 //! that actually matter), the way the hunt campaign reports divergences.
 //!
-//! Usage: `cargo run -p druzhba-bench --release --bin case_study`
+//! Usage: `cargo run -p druzhba-bench --release --bin case_study`; exits 1
+//! if any phase-1 program has an unexpected mismatch.
 
 use druzhba_bench::compile_variant;
 use druzhba_chipmunk::{compile, SynthConfig};
@@ -204,4 +205,9 @@ fn main() {
     println!("  missing-pair failures detected: {incompatible} + 1 random injection");
     println!("  limited-range failures caught : {limited_range_failures}");
     println!("  unexpected mismatches         : {mismatches}");
+    if mismatches > 0 {
+        // A compiled program that fails its fuzz run on a correct grid is
+        // a compiler or simulator regression, not a finding.
+        std::process::exit(1);
+    }
 }
