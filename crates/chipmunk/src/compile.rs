@@ -166,7 +166,14 @@ fn try_grouping(
         stateless_alu.clone(),
     )?;
 
-    let mut mc = MachineCode::new();
+    // Every name of the grid starts at zero (pass-through output muxes,
+    // unused ALUs): the machine code must program the whole grid or dgen
+    // rejects it. Synthesis and routing below overwrite what they program.
+    let mut mc = MachineCode::from_pairs(
+        expected_machine_code(&pipeline_spec)
+            .into_iter()
+            .map(|(name, _)| (name, 0)),
+    );
 
     // Stateless nodes.
     for (i, node) in lowered.nodes.iter().enumerate() {
@@ -213,15 +220,6 @@ fn try_grouping(
             names::output_mux(stage, placement.atom_container[g]),
             (1 + cfg.width + slot) as Value,
         );
-    }
-
-    // Everything not yet programmed defaults to zero (pass-through output
-    // muxes, unused ALUs) — the machine code must still program the whole
-    // grid or dgen rejects it.
-    for (name, _) in expected_machine_code(&pipeline_spec) {
-        if !mc.contains(&name) {
-            mc.set(name, 0);
-        }
     }
 
     // State-cell mapping per program state variable.

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use druzhba_core::{Phv, Value};
 use druzhba_domino::{DominoProgram, Interpreter};
-use druzhba_dsim::testing::Specification;
+use druzhba_dsim::testing::{expect_by_case, LaneExpectation, Specification};
 
 use crate::compile::CompiledProgram;
 
@@ -56,6 +56,31 @@ impl CompiledSpec {
     pub fn expected_state(&self) -> Vec<Value> {
         self.state()
     }
+
+    /// [`Specification::expect_lanes`] at width `L`: every case starts
+    /// from the declared initial state, and each tick's output columns are
+    /// zeroed before the interpreter's lane step writes them.
+    fn expect_width<const L: usize>(
+        &self,
+        active: usize,
+        inputs: &[Value],
+        expected: &mut LaneExpectation,
+    ) {
+        let tick_len = expected.phv_len() * L;
+        let ticks = expected.ticks();
+        let init = self.interp.initial_state();
+        let (outputs, state) = expected.columns_mut(init.len());
+        for (column, &v) in state.chunks_exact_mut(L).zip(init) {
+            column.fill(v);
+        }
+        for t in 0..ticks {
+            let tick = t * tick_len..(t + 1) * tick_len;
+            let out = &mut outputs[tick.clone()];
+            out.fill(0);
+            self.interp
+                .step_lanes::<L>(&inputs[tick], out, state, active);
+        }
+    }
 }
 
 impl Specification for CompiledSpec {
@@ -87,6 +112,20 @@ impl Specification for CompiledSpec {
     fn state_into(&mut self, out: &mut Vec<Value>) {
         out.clear();
         out.extend_from_slice(&self.state);
+    }
+
+    /// All cases of the batch at once, through the interpreter's lane walk
+    /// at the batch width (one of [`druzhba_dgen::LANE_WIDTHS`]; any other
+    /// width runs case by case).
+    fn expect_lanes(&mut self, active: usize, inputs: &[Value], expected: &mut LaneExpectation) {
+        match expected.width() {
+            1 => self.expect_width::<1>(active, inputs, expected),
+            8 => self.expect_width::<8>(active, inputs, expected),
+            16 => self.expect_width::<16>(active, inputs, expected),
+            32 => self.expect_width::<32>(active, inputs, expected),
+            64 => self.expect_width::<64>(active, inputs, expected),
+            _ => expect_by_case(self, active, inputs, expected),
+        }
     }
 }
 
@@ -216,6 +255,55 @@ mod tests {
         let mut state = Vec::new();
         spec.state_into(&mut state);
         assert_eq!(state, [101]);
+    }
+
+    /// The interpreter's batched [`Specification::expect_lanes`] writes
+    /// what the case-by-case default writes, at every lane width: every
+    /// active lane's output columns at every tick, zeroes for a field
+    /// written on one branch only, and its state.
+    #[test]
+    fn lane_batches_equal_case_by_case() {
+        let sampling = "state int count = 0;\n\
+                        if (count == 2) { count = 0; pkt.sample = 1; }\n\
+                        else { count = count + pkt.x; pkt.sample = 0; }\n\
+                        pkt.y = pkt.x + 3;";
+        let one_branch = "state int s = 5;\nif (pkt.x == 1) { pkt.o = 7; s = s * 2; }";
+        let mut gen = druzhba_core::rng::ValueGen::new(0x1a7e, 32);
+        for (layout, src, cfg) in [
+            (sampling, sampling, CompilerConfig::new(2, 2, "if_else_raw")),
+            (
+                "pkt.o = pkt.x + 1;",
+                one_branch,
+                CompilerConfig::new(1, 1, "raw"),
+            ),
+        ] {
+            let (mut spec, _) = spec_over(layout, src, cfg);
+            for width in druzhba_dgen::LANE_WIDTHS {
+                let (n, ticks) = (spec.phv_length, 3);
+                let mut batched = LaneExpectation::new(width, n, ticks);
+                let mut by_case = LaneExpectation::new(width, n, ticks);
+                // Both expectations are reused, so a column the second
+                // batch leaves unwritten still holds the first batch's.
+                let mut active = 0;
+                for _ in 0..2 {
+                    active = 1 + gen.value_below(width as Value) as usize;
+                    let inputs: Vec<Value> =
+                        (0..ticks * n * width).map(|_| gen.value_below(3)).collect();
+                    spec.expect_lanes(active, &inputs, &mut batched);
+                    expect_by_case(&mut spec, active, &inputs, &mut by_case);
+                }
+                for l in 0..active {
+                    let lane = |e: &LaneExpectation| -> Vec<Value> {
+                        e.outputs().iter().skip(l).step_by(width).copied().collect()
+                    };
+                    assert_eq!(lane(&batched), lane(&by_case), "width {width} lane {l}");
+                    let state = |e: &LaneExpectation| -> Vec<Option<Value>> {
+                        (0..3).map(|i| e.state(l, i)).collect()
+                    };
+                    assert_eq!(state(&batched), state(&by_case), "width {width} lane {l}");
+                }
+            }
+        }
     }
 
     #[test]

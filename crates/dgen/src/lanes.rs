@@ -176,6 +176,24 @@ impl LaneSweep<'_> {
         Some(self.frame[(base as usize + var) * self.width + lane])
     }
 
+    /// Every lane's PHV registers, container-major: container `c` of lane
+    /// `l` is at `c * width + l`. Before [`LaneSweep::step`] they hold the
+    /// inputs, after it the outputs.
+    pub fn phv_rows(&self) -> &[Value] {
+        &self.frame[..self.lp.phv_len * self.width]
+    }
+
+    /// One state variable's column: its value in every lane, or `None` if
+    /// the (stage, slot, var) coordinate does not exist.
+    pub fn state_column(&self, stage: usize, slot: usize, var: usize) -> Option<&[Value]> {
+        let &(base, count) = self.lp.state_regs.get(stage)?.get(slot)?;
+        if var >= count as usize {
+            return None;
+        }
+        let at = (base as usize + var) * self.width;
+        Some(&self.frame[at..at + self.width])
+    }
+
     /// Push one packet through lanes `0..active`. Lanes `active..width`
     /// are masked out for the whole step: their PHV registers and state
     /// lanes are left untouched.
@@ -401,10 +419,15 @@ mod tests {
                         sweep.set_input(lane, c, phv.get(c));
                     }
                 }
+                assert_eq!(
+                    sweep.phv_rows()[..8],
+                    round.iter().map(|p| p.get(0)).collect::<Vec<_>>()
+                );
                 sweep.step(8);
                 for (lane, out) in lane_out[t].iter_mut().enumerate() {
                     for c in 0..phv_len {
                         out.set(c, sweep.output(lane, c));
+                        assert_eq!(sweep.phv_rows()[c * 8 + lane], out.get(c));
                     }
                 }
             }
@@ -423,6 +446,10 @@ mod tests {
                                 sweep.state_value(lane, stage, slot, var),
                                 Some(v),
                                 "trial {trial} lane {lane} state ({stage},{slot},{var})"
+                            );
+                            assert_eq!(
+                                sweep.state_column(stage, slot, var).map(|col| col[lane]),
+                                Some(v)
                             );
                         }
                     }
@@ -458,6 +485,8 @@ mod tests {
             }
             assert_eq!(sweep.state_value(lane, 0, 0, 0), Some(0));
         }
+        assert_eq!(sweep.state_column(2, 0, 0), None, "no stage 2");
+        assert_eq!(sweep.state_column(0, 0, 9), None, "no var 9");
         // Active lanes match scalar.
         for lane in 0..3 {
             let mut scalar = FusedPipeline::fuse(&spec, &mc);

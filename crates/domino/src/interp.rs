@@ -7,11 +7,19 @@
 //!
 //! Every name is resolved once, when the interpreter is built: a field
 //! read becomes an input-container index, a field write an
-//! output-container index, a state variable a state slot. A packet step
-//! is then a plain walk of the resolved tree with no hashing, no string
-//! comparison and no allocation. The walker shares no code with the
-//! compiler or the backends it checks beyond [`apply_binop`], the one
-//! definition of the total operator semantics.
+//! output-container index, a state variable a state slot. A step is then
+//! a plain walk of the resolved tree with no hashing, no string
+//! comparison and no allocation.
+//!
+//! The walk runs `L` packets at once ([`Interpreter::step_lanes`]): every
+//! container and state slot is a column of `L` lanes, an `if` becomes a
+//! then arm and an else arm under complementary lane masks (an arm no
+//! lane takes is skipped), and every store is masked, so a lane outside
+//! the mask keeps its bits. All operators are total, so evaluating an
+//! expression on lanes that do not use it is harmless. A one-packet
+//! [`Interpreter::step`] is the walk at width 1. The walker shares no
+//! code with the compiler or the backends it checks beyond
+//! [`apply_binop`], the one definition of the total operator semantics.
 
 use druzhba_core::value::{self, Value};
 use druzhba_core::Phv;
@@ -94,12 +102,39 @@ impl Interpreter {
     /// declaration order, [`Interpreter::initial_state`]'s length) in
     /// place. Containers the path does not write keep their value, so a
     /// caller that wants unwritten outputs to read 0 zeroes `out` first.
+    /// This is [`Interpreter::step_lanes`] at width 1.
     ///
     /// # Panics
     /// Panics if a resolved container is out of range for `input` or
     /// `out`, or `state` is shorter than the declared state.
     pub fn step(&self, input: &Phv, out: &mut Phv, state: &mut [Value]) {
-        exec_stmts(&self.body, input, out, state);
+        self.step_lanes::<1>(input.containers(), out.containers_mut(), state, 1);
+    }
+
+    /// Run the transaction on lanes `0..active` of `L` lanes at once, each
+    /// lane its own packet and its own state. Every operand is a column:
+    /// container `c` of lane `l` is `input[c * L + l]` (and
+    /// `out[c * L + l]`), state slot `s` of lane `l` is
+    /// `state[s * L + l]`. Each active lane ends exactly as [`step`] on
+    /// its own column values would leave it; lanes `active..L` are not
+    /// written at all.
+    ///
+    /// # Panics
+    /// Panics if a resolved container's column is out of range for
+    /// `input` or `out`, or a declared slot's column for `state`.
+    ///
+    /// [`step`]: Interpreter::step
+    pub fn step_lanes<const L: usize>(
+        &self,
+        input: &[Value],
+        out: &mut [Value],
+        state: &mut [Value],
+        active: usize,
+    ) {
+        let mut mask = [0; L];
+        mask.iter_mut().take(active).for_each(|m| *m = !0);
+        let mut lanes = Lanes { input, out, state };
+        lanes.exec(&self.body, &mask);
     }
 }
 
@@ -164,48 +199,95 @@ impl Resolver<'_> {
     }
 }
 
-fn exec_stmts(stmts: &[Stmt], input: &Phv, out: &mut Phv, state: &mut [Value]) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Output { container, value } => {
-                let v = eval(value, input, state);
-                out.set(*container, v);
+/// A lane mask: all ones for a lane the statement runs on, 0 otherwise.
+type Mask<const L: usize> = [Value; L];
+
+/// The columns one [`Interpreter::step_lanes`] call reads and writes.
+struct Lanes<'a, const L: usize> {
+    input: &'a [Value],
+    out: &'a mut [Value],
+    state: &'a mut [Value],
+}
+
+impl<const L: usize> Lanes<'_, L> {
+    fn exec(&mut self, stmts: &[Stmt], mask: &Mask<L>) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Output { container, value } => {
+                    let v = self.eval(value);
+                    store(&mut self.out[container * L..][..L], &v, mask);
+                }
+                Stmt::State { slot, value } => {
+                    let v = self.eval(value);
+                    store(&mut self.state[slot * L..][..L], &v, mask);
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    let cond = self.eval(cond);
+                    let taken: Mask<L> = std::array::from_fn(|i| {
+                        Value::from(value::truthy(cond[i])).wrapping_neg() & mask[i]
+                    });
+                    let not_taken: Mask<L> = std::array::from_fn(|i| !taken[i] & mask[i]);
+                    if taken.iter().any(|&m| m != 0) {
+                        self.exec(then_body, &taken);
+                    }
+                    if not_taken.iter().any(|&m| m != 0) {
+                        self.exec(else_body, &not_taken);
+                    }
+                }
             }
-            Stmt::State { slot, value } => {
-                state[*slot] = eval(value, input, state);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if value::truthy(eval(cond, input, state)) {
-                    exec_stmts(then_body, input, out, state);
-                } else {
-                    exec_stmts(else_body, input, out, state);
+        }
+    }
+
+    fn eval(&self, expr: &Expr) -> [Value; L] {
+        match expr {
+            Expr::Const(v) => [*v; L],
+            Expr::Input(container) => column(&self.input[container * L..]),
+            Expr::State(slot) => column(&self.state[slot * L..]),
+            Expr::Binary { op, l, r } => binop_lanes(*op, &self.eval(l), &self.eval(r)),
+            Expr::Unary { op, x } => {
+                let x = self.eval(x);
+                match op {
+                    UnOp::Neg => x.map(value::wneg),
+                    UnOp::Not => x.map(|x| value::from_bool(!value::truthy(x))),
                 }
             }
         }
     }
 }
 
-fn eval(expr: &Expr, input: &Phv, state: &[Value]) -> Value {
-    match expr {
-        Expr::Const(v) => *v,
-        Expr::Input(container) => input.get(*container),
-        Expr::State(slot) => state[*slot],
-        Expr::Binary { op, l, r } => apply_binop(*op, eval(l, input, state), eval(r, input, state)),
-        Expr::Unary { op, x } => {
-            let x = eval(x, input, state);
-            match op {
-                UnOp::Neg => value::wneg(x),
-                UnOp::Not => value::from_bool(!value::truthy(x)),
-            }
-        }
+/// The first `L` values of `from`.
+fn column<const L: usize>(from: &[Value]) -> [Value; L] {
+    let mut v = [0; L];
+    v.copy_from_slice(&from[..L]);
+    v
+}
+
+/// Write `v` into the lanes of `dst` that `mask` selects.
+fn store<const L: usize>(dst: &mut [Value], v: &[Value; L], mask: &Mask<L>) {
+    for ((d, &v), &m) in dst.iter_mut().zip(v).zip(mask) {
+        *d = (v & m) | (*d & !m);
     }
 }
 
+/// [`apply_binop`] lane by lane, with the operator fixed per loop so each
+/// loop compiles to that one operation.
+fn binop_lanes<const L: usize>(op: BinOp, a: &[Value; L], b: &[Value; L]) -> [Value; L] {
+    macro_rules! per_op {
+        ($($op:ident),*) => {
+            match op {
+                $(BinOp::$op => std::array::from_fn(|i| apply_binop(BinOp::$op, a[i], b[i])),)*
+            }
+        };
+    }
+    per_op!(Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Gt, Le, Ge, And, Or)
+}
+
 /// The shared total-semantics binary operators (identical to the ALU DSL's).
+#[inline]
 pub fn apply_binop(op: BinOp, a: Value, b: Value) -> Value {
     match op {
         BinOp::Add => value::wadd(a, b),

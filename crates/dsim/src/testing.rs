@@ -45,8 +45,9 @@ pub trait Specification {
     }
 
     /// Allocation-free variant of [`Specification::process`]: write the
-    /// expected output into `out`. Every ALU check calls this (bounded
-    /// verification runs billions); the default simply delegates, so
+    /// expected output into `out`. Every ALU check calls this, as does
+    /// the default [`Specification::expect_lanes`] (bounded verification
+    /// can run billions of packets); the default simply delegates, so
     /// existing specifications need no changes.
     ///
     /// The comparison reuses one `out` buffer for every packet, so an
@@ -62,6 +63,145 @@ pub trait Specification {
     fn state_into(&mut self, out: &mut Vec<Value>) {
         out.clear();
         out.extend(self.state());
+    }
+
+    /// Run cases `0..active` of a lane batch, each from reset, and write
+    /// what they are expected to produce into `expected`: every output PHV
+    /// and the final state, as columns of [`LaneExpectation::width`]
+    /// lanes. Packet `t` of case `l` is `inputs`' tick `t` in the same
+    /// column layout ([`LaneExpectation::outputs`]). Lane-swept bounded
+    /// verification calls this once per batch. The default runs the
+    /// cases one at a time through [`Specification::reset`],
+    /// [`Specification::process_into`] and [`Specification::state_into`]
+    /// ([`expect_by_case`]); a reference that can run many packets at once
+    /// overrides it.
+    fn expect_lanes(&mut self, active: usize, inputs: &[Value], expected: &mut LaneExpectation) {
+        expect_by_case(self, active, inputs, expected);
+    }
+}
+
+/// What a [`Specification`] expects of one batch of up to `width` cases of
+/// `ticks` packets each, stored as columns: one value per lane, lane `l`
+/// holding case `l`.
+#[derive(Debug, Clone)]
+pub struct LaneExpectation {
+    width: usize,
+    phv_len: usize,
+    ticks: usize,
+    /// See [`LaneExpectation::outputs`].
+    outputs: Vec<Value>,
+    /// `(lane, length)` of every expected output PHV whose length was not
+    /// `phv_len` (only a case-by-case reference can produce one).
+    odd_lengths: Vec<(usize, usize)>,
+    /// Expected state value `i` of lane `l` at `state[i * width + l]`, for
+    /// `i < state_len[l]`.
+    state: Vec<Value>,
+    state_len: Vec<usize>,
+    /// Buffers of [`expect_by_case`], reused across batches.
+    input: Phv,
+    output: Phv,
+    lane_state: Vec<Value>,
+}
+
+impl LaneExpectation {
+    /// An empty expectation for batches of up to `width` cases of `ticks`
+    /// packets through PHVs of `phv_len` containers.
+    pub fn new(width: usize, phv_len: usize, ticks: usize) -> Self {
+        LaneExpectation {
+            width,
+            phv_len,
+            ticks,
+            outputs: vec![0; ticks * phv_len * width],
+            odd_lengths: Vec::new(),
+            state: Vec::new(),
+            state_len: vec![0; width],
+            input: Phv::zeroed(phv_len),
+            output: Phv::zeroed(phv_len),
+            lane_state: Vec::new(),
+        }
+    }
+
+    /// Lanes per column.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Containers per PHV.
+    pub fn phv_len(&self) -> usize {
+        self.phv_len
+    }
+
+    /// Packets per case.
+    pub fn ticks(&self) -> usize {
+        self.ticks
+    }
+
+    /// The expected output columns: container `c` of lane `l` at tick `t`
+    /// is at `(t * phv_len + c) * width + l`, so each tick is
+    /// `phv_len * width` values, one column per container.
+    pub fn outputs(&self) -> &[Value] {
+        &self.outputs
+    }
+
+    /// Expected state value `i` of lane `l`, or `None` past that lane's
+    /// expected state.
+    pub fn state(&self, lane: usize, i: usize) -> Option<Value> {
+        (i < self.state_len[lane]).then(|| self.state[i * self.width + lane])
+    }
+
+    /// Writable columns for a reference that fills a whole batch at once:
+    /// the output columns ([`LaneExpectation::outputs`]) and `state_rows`
+    /// state columns (state value `i` of lane `l` at `i * width + l`),
+    /// which become every lane's expected state.
+    pub fn columns_mut(&mut self, state_rows: usize) -> (&mut [Value], &mut [Value]) {
+        self.odd_lengths.clear();
+        self.state_len.fill(state_rows);
+        self.state.resize(state_rows * self.width, 0);
+        (
+            &mut self.outputs,
+            &mut self.state[..state_rows * self.width],
+        )
+    }
+}
+
+/// [`Specification::expect_lanes`] one case at a time: for each lane in
+/// `0..active`, [`Specification::reset`], one
+/// [`Specification::process_into`] per tick on the lane's input column
+/// values, then [`Specification::state_into`]. The output buffer is
+/// reused across packets and cases, as [`Specification::process_into`]
+/// allows.
+pub fn expect_by_case<R: Specification + ?Sized>(
+    reference: &mut R,
+    active: usize,
+    inputs: &[Value],
+    expected: &mut LaneExpectation,
+) {
+    let (w, n) = (expected.width, expected.phv_len);
+    expected.odd_lengths.clear();
+    for lane in 0..active {
+        reference.reset();
+        for t in 0..expected.ticks {
+            let at = |c: usize| (t * n + c) * w + lane;
+            for (c, v) in expected.input.containers_mut().iter_mut().enumerate() {
+                *v = inputs[at(c)];
+            }
+            reference.process_into(&expected.input, &mut expected.output);
+            if expected.output.len() != n {
+                expected.odd_lengths.push((lane, expected.output.len()));
+            }
+            for c in 0..n {
+                expected.outputs[at(c)] = expected.output.try_get(c).unwrap_or(0);
+            }
+        }
+        reference.state_into(&mut expected.lane_state);
+        let rows = expected.lane_state.len();
+        if expected.state.len() < rows * w {
+            expected.state.resize(rows * w, 0);
+        }
+        for (i, &v) in expected.lane_state.iter().enumerate() {
+            expected.state[i * w + lane] = v;
+        }
+        expected.state_len[lane] = rows;
     }
 }
 
@@ -362,36 +502,13 @@ impl<'a> AluChecker<'a> {
     }
 }
 
-/// One pipeline execution as the [`SpecComparator`] reads it, in place: a
-/// simulator [`Trace`], or one lane of bounded verification's lane
-/// executor ([`crate::verify`]).
-pub(crate) trait Observed {
-    /// Output PHVs.
-    fn len(&self) -> usize;
-    /// The containers of output PHV `tick`.
-    fn phv(&self, tick: usize) -> &[Value];
-    /// Final value of state variable `var` of the stateful ALU at
-    /// `(stage, slot)`; `None` when that cell does not exist.
-    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value>;
-}
-
-impl Observed for &Trace {
-    fn len(&self) -> usize {
-        self.phvs.len()
-    }
-    fn phv(&self, tick: usize) -> &[Value] {
-        self.phvs[tick].containers()
-    }
-    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value> {
-        let snapshot = self.state.as_ref().expect("run records state");
-        snapshot.get(stage)?.get(slot)?.get(var).copied()
-    }
-}
-
 /// The ALU stack's one pipeline-versus-specification comparison (the
 /// paper's Fig. 5 assertion), made by every [`AluChecker`] check and every
-/// bounded verification case. It holds the observation points and the
-/// reference's output buffers, reused across packets and cases.
+/// bounded verification case: one case at a time
+/// ([`SpecComparator::compare`]) or, on the lane path, a batch of cases
+/// column by column under the same observation rules
+/// ([`SpecComparator::check_lanes`]). It holds the observation points and
+/// the reference's output buffers, reused across packets and cases.
 #[derive(Debug)]
 pub(crate) struct SpecComparator<'a> {
     /// Containers compared (`None` = every container of either PHV).
@@ -426,11 +543,11 @@ impl<'a> SpecComparator<'a> {
     /// container), else the first differing state cell. The reference
     /// steps every packet even after a mismatch, so one that panics on a
     /// late packet still panics.
-    pub(crate) fn compare<R: Specification + ?Sized, O: Observed>(
+    pub(crate) fn compare<R: Specification + ?Sized>(
         &mut self,
         reference: &mut R,
         input: &[Phv],
-        actual: O,
+        actual: &Trace,
     ) -> Option<TraceMismatch> {
         reference.reset();
         let mut mismatch = (input.len() != actual.len()).then_some(TraceMismatch::LengthMismatch {
@@ -440,19 +557,22 @@ impl<'a> SpecComparator<'a> {
         for (tick, phv) in input.iter().enumerate() {
             reference.process_into(phv, &mut self.expected);
             if mismatch.is_none() {
-                mismatch = phv_mismatch(tick, &self.expected, actual.phv(tick), self.observable);
+                let actual = actual.phvs[tick].containers();
+                mismatch = phv_mismatch(tick, &self.expected, actual, self.observable);
             }
         }
         if mismatch.is_some() || self.state_cells.is_empty() {
             return mismatch;
         }
         reference.state_into(&mut self.expected_state);
+        let snapshot = actual.state.as_ref().expect("run records state");
         self.state_cells
             .iter()
             .enumerate()
             .find_map(|(i, &(stage, slot, var))| {
                 let expected = self.expected_state.get(i).copied();
-                let actual = actual.state_cell(stage, slot, var);
+                let cell = |stage: &Vec<Vec<Value>>| stage.get(slot)?.get(var).copied();
+                let actual = snapshot.get(stage).and_then(cell);
                 (expected != actual).then(|| TraceMismatch::StateMismatch {
                     stage,
                     slot,
@@ -460,6 +580,66 @@ impl<'a> SpecComparator<'a> {
                     actual: actual.into_iter().collect(),
                 })
             })
+    }
+
+    /// The first of lanes `0..active` whose case diverges, under the
+    /// observation rules of [`SpecComparator::compare`]: lane `l` diverges
+    /// when `compare` would report a mismatch for case `l` of the batch
+    /// whose pipeline outputs are the `actual` columns (laid out as
+    /// [`LaneExpectation::outputs`]) and whose state cell `(stage, slot,
+    /// var)` is the column `actual_state` returns, `None` when the
+    /// pipeline has no such cell. `expected` is the reference's side of the
+    /// batch ([`Specification::expect_lanes`]).
+    ///
+    /// The observable containers (every container without a list) are
+    /// compared at every tick, then each state cell; a state cell missing
+    /// on one side only diverges on every lane that has the other side.
+    pub(crate) fn check_lanes<'s>(
+        &self,
+        expected: &LaneExpectation,
+        active: usize,
+        actual: &[Value],
+        actual_state: impl Fn(usize, usize, usize) -> Option<&'s [Value]>,
+    ) -> Option<usize> {
+        let (w, n) = (expected.width, expected.phv_len);
+        // Only lanes before the first divergence found so far can lower it.
+        let mut first = active;
+        let check_column = |first: &mut usize, at: usize| {
+            let (e, a) = (&expected.outputs[at..at + w], &actual[at..at + w]);
+            if let Some(l) = (0..*first).find(|&l| e[l] != a[l]) {
+                *first = l;
+            }
+        };
+        for t in 0..expected.ticks {
+            let column = |c: usize| (t * n + c) * w;
+            match self.observable {
+                // A listed container past the PHV is absent on both sides.
+                Some(list) => list
+                    .iter()
+                    .filter(|&&c| c < n)
+                    .for_each(|&c| check_column(&mut first, column(c))),
+                None => (0..n).for_each(|c| check_column(&mut first, column(c))),
+            }
+        }
+        // An expected PHV of another length has containers the pipeline's
+        // lacks, or lacks some it has; either diverges where observed.
+        for &(lane, len) in &expected.odd_lengths {
+            let absent_on_one_side = |&c: &usize| (c < len) != (c < n);
+            let observed = self
+                .observable
+                .is_none_or(|list| list.iter().any(absent_on_one_side));
+            if lane < first && observed {
+                first = lane;
+            }
+        }
+        for (i, &(stage, slot, var)) in self.state_cells.iter().enumerate() {
+            let column = actual_state(stage, slot, var);
+            let differs = |&l: &usize| expected.state(l, i) != column.map(|col| col[l]);
+            if let Some(l) = (0..first).find(differs) {
+                first = l;
+            }
+        }
+        (first < active).then_some(first)
     }
 }
 
@@ -1066,6 +1246,153 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 4, "every outcome class is exercised: {seen:?}");
+    }
+
+    /// A reference that adds `add` to every input container (an output of
+    /// `odd_len` containers when the first input is 1 and `odd_len` is
+    /// set) and whose state is the running sum of the first inputs,
+    /// `state_len` times over.
+    struct Echo {
+        add: Value,
+        odd_len: Option<usize>,
+        state_len: usize,
+        sum: Value,
+    }
+
+    impl Specification for Echo {
+        fn reset(&mut self) {
+            self.sum = 0;
+        }
+        fn process(&mut self, input: &Phv) -> Phv {
+            let first = input.try_get(0).unwrap_or(0);
+            self.sum = self.sum.wrapping_add(first);
+            let len = match self.odd_len {
+                Some(len) if first == 1 => len,
+                _ => input.len(),
+            };
+            let out = (0..len).map(|c| input.try_get(c).unwrap_or(0).wrapping_add(self.add));
+            Phv::new(out.collect())
+        }
+        fn state(&self) -> Vec<Value> {
+            vec![self.sum; self.state_len]
+        }
+    }
+
+    /// On seeded random batches, the column check names the first case
+    /// that `compare` finds diverging, through the default
+    /// case-by-case [`Specification::expect_lanes`]. The batches mix
+    /// observable lists (with containers past the PHV) and no list,
+    /// expected PHVs of another length, state cells the pipeline lacks and
+    /// expected states shorter than the cell list; about a quarter of the
+    /// lanes get one corrupted output or state value.
+    #[test]
+    fn column_check_finds_the_case_compare_finds() {
+        use druzhba_core::ValueGen;
+        let mut covered = std::collections::BTreeSet::new();
+        for seed in 0..4u64 {
+            let mut g = ValueGen::new(0xC01 ^ seed, 32);
+            for _ in 0..1_000 {
+                let n = 1 + g.value_below(3) as usize;
+                let ticks = g.value_below(3) as usize;
+                let width = [1, 8][g.value_below(2) as usize];
+                let active = 1 + g.value_below(width as Value) as usize;
+                let mut reference = Echo {
+                    add: g.value_below(2),
+                    odd_len: (g.value_below(4) == 0)
+                        .then(|| g.value_below(n as Value + 2) as usize),
+                    state_len: g.value_below(3) as usize,
+                    sum: 0,
+                };
+                let observable: Option<Vec<usize>> = (g.value_below(3) > 0).then(|| {
+                    (0..g.value_below(3))
+                        .map(|_| g.value_below(n as Value + 2) as usize)
+                        .collect()
+                });
+                // The pipeline has cells (stage, 0, var) for var < vars[stage].
+                let vars = [g.value_below(3) as usize, g.value_below(3) as usize];
+                let state_cells: Vec<(usize, usize, usize)> = (0..g.value_below(3))
+                    .map(|_| (g.value_below(3) as usize, 0, g.value_below(2) as usize))
+                    .collect();
+                let inputs: Vec<Value> = (0..ticks * n * width).map(|_| g.value_below(2)).collect();
+                let case = |l: usize| -> Vec<Phv> {
+                    let phv = |t: usize| (0..n).map(|c| inputs[(t * n + c) * width + l]).collect();
+                    (0..ticks).map(|t| Phv::new(phv(t))).collect()
+                };
+                // The pipeline's side starts as the reference's, state
+                // cells holding its sum, then some lanes are corrupted.
+                let mut actual = vec![0; ticks * n * width];
+                let mut cells: Vec<Vec<Vec<Value>>> =
+                    vars.iter().map(|&v| vec![vec![0; width]; v]).collect();
+                for l in 0..width {
+                    reference.reset();
+                    for (t, phv) in case(l).iter().enumerate() {
+                        let out = reference.process(phv);
+                        for c in 0..n {
+                            actual[(t * n + c) * width + l] = out.try_get(c).unwrap_or(0);
+                        }
+                    }
+                    for column in cells.iter_mut().flatten() {
+                        column[l] = reference.sum;
+                    }
+                    if g.value_below(4) == 0 {
+                        let stage = g.value_below(2) as usize;
+                        if g.value_below(2) == 0 && !actual.is_empty() {
+                            let at = g.value_below((ticks * n) as Value) as usize * width + l;
+                            actual[at] ^= 1;
+                        } else if let Some(column) = cells[stage].first_mut() {
+                            column[l] ^= 1;
+                        }
+                    }
+                }
+                let mut comparator = SpecComparator::new(n, observable.as_deref(), &state_cells);
+                let want = (0..active).find(|&l| {
+                    let lane_of = |column: &Vec<Value>| column[l];
+                    let trace = Trace {
+                        phvs: (0..ticks)
+                            .map(|t| {
+                                Phv::new((0..n).map(|c| actual[(t * n + c) * width + l]).collect())
+                            })
+                            .collect(),
+                        state: Some(
+                            cells
+                                .iter()
+                                .map(|stage| vec![stage.iter().map(lane_of).collect()])
+                                .collect(),
+                        ),
+                    };
+                    comparator
+                        .compare(&mut reference, &case(l), &trace)
+                        .is_some()
+                });
+                let mut expected = LaneExpectation::new(width, n, ticks);
+                reference.expect_lanes(active, &inputs, &mut expected);
+                let state = |stage: usize, slot: usize, var: usize| {
+                    let column = cells.get(stage).filter(|_| slot == 0)?.get(var)?;
+                    Some(column.as_slice())
+                };
+                let got = comparator.check_lanes(&expected, active, &actual, state);
+                assert_eq!(got, want, "seed {seed}: {observable:?} {state_cells:?}");
+                let lacks_a_cell = state_cells
+                    .iter()
+                    .any(|&(stage, _, var)| state(stage, 0, var).is_none());
+                for (label, hit) in [
+                    ("no observable list", observable.is_none() && want.is_some()),
+                    ("a missing cell", lacks_a_cell && want.is_some()),
+                    (
+                        "a short expected state",
+                        reference.state_len < state_cells.len(),
+                    ),
+                    ("an odd output length", !expected.odd_lengths.is_empty()),
+                    ("a divergence past lane 0", want.is_some_and(|l| l > 0)),
+                    ("an agreeing batch", want.is_none() && active > 1),
+                ] {
+                    if hit {
+                        covered.insert(label);
+                    }
+                }
+            }
+        }
+        assert_eq!(covered.len(), 6, "{covered:?}");
     }
 
     /// The reference steps every packet even after a divergence, so one

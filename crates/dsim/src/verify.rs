@@ -12,14 +12,17 @@
 //! The domain must be small (the case count is
 //! `2^(bits · containers · packets)`), which is exactly the regime where
 //! guard/threshold bugs live: the §5.2 limited-range failures are
-//! distinguishable with 4-bit inputs and a handful of packets.
+//! distinguishable with 4-bit inputs and a handful of packets. Lane-swept
+//! enumeration ([`VerifyConfig::lanes`]) runs both sides of the check a
+//! batch at a time: the pipeline on the SIMD lane engine, the reference
+//! through [`Specification::expect_lanes`], compared column by column.
 
 use druzhba_core::trace::TraceMismatch;
 use druzhba_core::{Error, MachineCode, Phv, Result, Trace, Value};
 use druzhba_dgen::{LanePipeline, LaneSweep, OptLevel, Pipeline, PipelineSpec};
 
 use crate::sim::Simulator;
-use crate::testing::{Observed, SpecComparator, Specification};
+use crate::testing::{LaneExpectation, SpecComparator, Specification};
 
 /// Bounds and observation points for exhaustive verification.
 #[derive(Debug, Clone)]
@@ -84,20 +87,27 @@ pub enum VerifyOutcome {
 /// configured bounds.
 ///
 /// One loop enumerates every case: an odometer over the `(packet,
-/// container)` slots fills batches of input traces in case order, an
-/// executor runs each batch, and the ALU stack's one spec comparison
-/// checks each case in order. The executor is the tick-accurate
-/// [`Simulator`] (one case per batch, any level) or, when `cfg.lanes > 0`,
-/// the lane-lowered fused program ([`druzhba_dgen::lanes`]), which pushes
-/// `cfg.lanes` cases through one instruction stream per pass, each lane an
-/// independent execution with its own state.
+/// container)` slots fills batches of input traces in case order, and each
+/// batch runs on one of two executors.
+///
+/// - Scalar (`cfg.lanes == 0`): the tick-accurate [`Simulator`] at any
+///   level, one case per batch, checked by the ALU stack's one spec
+///   comparison, the one every fuzz check makes.
+/// - Lanes (`cfg.lanes > 0`): the lane-lowered fused program
+///   ([`druzhba_dgen::lanes`]) pushes `cfg.lanes` cases through one
+///   instruction stream per pass, each lane an independent execution with
+///   its own state. The reference runs the same batch through
+///   [`Specification::expect_lanes`] (the Domino interpreter walks all
+///   lanes at once), and a column check under the same observation rules
+///   names the first diverging case of the batch.
 ///
 /// Both executors check cases in the same order, so the first divergence
 /// is the same case either way. A lane-found divergence is re-run on the
-/// simulator to build the [`VerifyOutcome`], so the counterexample is
-/// **identical** to the scalar one; a divergence the simulator does not
-/// reproduce is a lane-engine bug, reported as an error. The lane engine
-/// also lifts the scalar 31-bit input wall to the full 32 bits.
+/// simulator and compared there to build the [`VerifyOutcome`], so the
+/// counterexample is **identical** to the scalar one; a divergence the
+/// simulator does not reproduce is a lane-engine bug, reported as an
+/// error. The lane engine also lifts the scalar 31-bit input wall to the
+/// full 32 bits.
 pub fn verify_bounded(
     pipeline_spec: &PipelineSpec,
     mc: &MachineCode,
@@ -112,9 +122,13 @@ pub fn verify_bounded(
         SpecComparator::new(phv_length, cfg.observable.as_deref(), &cfg.state_cells);
     if cfg.lanes == 0 {
         let mut sim = Simulator::new(pipeline);
-        return Ok(enumerate(cfg, phv_length, 1, |batch| {
+        let found = enumerate(cfg, phv_length, 1, |batch| {
             scalar_check(&mut sim, &mut comparator, reference, &batch[0]).map(|m| (0, m))
-        }));
+        });
+        return Ok(match found {
+            Ok(cases) => VerifyOutcome::Verified { cases },
+            Err((input, mismatch)) => VerifyOutcome::CounterExample { input, mismatch },
+        });
     }
     let fused = pipeline.fused_program().expect("fused level");
     let lowered = LanePipeline::lower(fused).ok_or_else(|| Error::Other {
@@ -123,23 +137,24 @@ pub fn verify_bounded(
     let mut lanes = LaneExecutor {
         sweep: lowered.sweep(cfg.lanes).expect("width validated above"),
         inputs: &cfg.relevant_containers,
-        out: vec![0; cfg.lanes * cfg.packets * phv_length],
         packets: cfg.packets,
-        phv_length,
+        input_rows: vec![0; cfg.packets * phv_length * cfg.lanes],
+        output_rows: vec![0; cfg.packets * phv_length * cfg.lanes],
     };
-    let outcome = enumerate(cfg, phv_length, cfg.lanes, |batch| {
+    let mut expected = LaneExpectation::new(cfg.lanes, phv_length, cfg.packets);
+    let found = enumerate(cfg, phv_length, cfg.lanes, |batch| {
         lanes.run(batch);
-        batch.iter().enumerate().find_map(|(lane, case)| {
-            let mismatch = comparator.compare(reference, &case.phvs, lanes.output(lane));
-            mismatch.map(|m| (lane, m))
-        })
+        reference.expect_lanes(batch.len(), &lanes.input_rows, &mut expected);
+        let state = |stage, slot, var| lanes.sweep.state_column(stage, slot, var);
+        let lane = comparator.check_lanes(&expected, batch.len(), &lanes.output_rows, state);
+        lane.map(|lane| (lane, ()))
     });
-    match outcome {
-        VerifyOutcome::CounterExample { input, .. } => {
+    match found {
+        Ok(cases) => Ok(VerifyOutcome::Verified { cases }),
+        Err((input, ())) => {
             let sim = Simulator::new(pipeline);
             scalar_recheck(sim, &mut comparator, reference, input)
         }
-        verified => Ok(verified),
     }
 }
 
@@ -227,77 +242,51 @@ fn check_bounds(opt: OptLevel, cfg: &VerifyConfig) -> Result<()> {
 }
 
 /// The lane executor: every case of a batch in its own lane of the
-/// lane-lowered fused program, all lanes in lockstep, every output PHV
-/// buffered so the hot loop allocates nothing.
+/// lane-lowered fused program, all lanes in lockstep. It keeps each tick's
+/// PHV rows from before and after the step, so the hot loop allocates
+/// nothing.
 struct LaneExecutor<'p> {
     sweep: LaneSweep<'p>,
     /// The containers a case may set; every other input container is 0.
     inputs: &'p [usize],
-    /// Lane-major outputs: lane `l`'s packet `p` starts at
-    /// `(l * packets + p) * phv_length`.
-    out: Vec<Value>,
     packets: usize,
-    phv_length: usize,
+    /// Each tick's input rows, laid out as [`LaneExpectation::outputs`].
+    input_rows: Vec<Value>,
+    /// Each tick's output rows, in the same layout.
+    output_rows: Vec<Value>,
 }
 
 impl LaneExecutor<'_> {
     /// Execute `batch` (at most one case per lane), each case from reset.
     fn run(&mut self, batch: &[Trace]) {
-        let (n, packets) = (self.phv_length, self.packets);
+        let tick_len = self.sweep.phv_rows().len();
         self.sweep.reset();
-        for p in 0..packets {
+        for p in 0..self.packets {
             self.sweep.clear_phv();
             for (lane, case) in batch.iter().enumerate() {
                 for &c in self.inputs {
                     self.sweep.set_input(lane, c, case.phvs[p].get(c));
                 }
             }
+            let rows = p * tick_len..(p + 1) * tick_len;
+            self.input_rows[rows.clone()].copy_from_slice(self.sweep.phv_rows());
             self.sweep.step(batch.len());
-            for lane in 0..batch.len() {
-                let at = (lane * packets + p) * n;
-                for (c, v) in self.out[at..at + n].iter_mut().enumerate() {
-                    *v = self.sweep.output(lane, c);
-                }
-            }
+            self.output_rows[rows].copy_from_slice(self.sweep.phv_rows());
         }
-    }
-
-    /// What lane `lane` produced in the last batch.
-    fn output(&self, lane: usize) -> LaneOutput<'_> {
-        LaneOutput { exec: self, lane }
-    }
-}
-
-/// One lane's outputs in a [`LaneExecutor`]'s last batch.
-struct LaneOutput<'a> {
-    exec: &'a LaneExecutor<'a>,
-    lane: usize,
-}
-
-impl Observed for LaneOutput<'_> {
-    fn len(&self) -> usize {
-        self.exec.packets
-    }
-    fn phv(&self, tick: usize) -> &[Value] {
-        let n = self.exec.phv_length;
-        let at = (self.lane * self.exec.packets + tick) * n;
-        &self.exec.out[at..at + n]
-    }
-    fn state_cell(&self, stage: usize, slot: usize, var: usize) -> Option<Value> {
-        self.exec.sweep.state_value(self.lane, stage, slot, var)
     }
 }
 
 /// The one enumeration loop: an odometer fills batches of up to `width`
 /// input traces in case order, and `check` executes a batch and compares
-/// its cases in order, returning the index and the mismatch of the first
-/// diverging one. Returns that case, or the number of cases checked.
-fn enumerate(
+/// its cases, returning the index of the first diverging one with what it
+/// found out about it. Returns the number of cases checked, or that case
+/// and finding.
+fn enumerate<M>(
     cfg: &VerifyConfig,
     phv_length: usize,
     width: usize,
-    mut check: impl FnMut(&[Trace]) -> Option<(usize, TraceMismatch)>,
-) -> VerifyOutcome {
+    mut check: impl FnMut(&[Trace]) -> Option<(usize, M)>,
+) -> std::result::Result<u64, (Trace, M)> {
     let nrel = cfg.relevant_containers.len();
     let max = ((1u64 << cfg.input_bits) - 1) as u32;
     // Odometer over all (packet, container) slots; digit `p * nrel + ci`
@@ -318,15 +307,12 @@ fn enumerate(
             active += 1;
             more = advance(&mut assignment, max);
         }
-        if let Some((case, mismatch)) = check(&batch[..active]) {
-            return VerifyOutcome::CounterExample {
-                input: batch[case].clone(),
-                mismatch,
-            };
+        if let Some((case, found)) = check(&batch[..active]) {
+            return Err((batch.swap_remove(case), found));
         }
         checked += active as u64;
     }
-    VerifyOutcome::Verified { cases: checked }
+    Ok(checked)
 }
 
 /// Step the odometer to the next assignment; `false` once it wraps, i.e.

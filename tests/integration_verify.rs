@@ -2,7 +2,11 @@
 //! within small input bounds, equivalence with the specification is
 //! *proved*, not sampled — the realizable core of the paper's §7 plan.
 
-use druzhba::dgen::OptLevel;
+use druzhba::chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
+use druzhba::core::{MachineCode, Phv, Value};
+use druzhba::dgen::{OptLevel, LANE_WIDTHS};
+use druzhba::domino::parse_program;
+use druzhba::dsim::testing::{ClosureSpec, Specification};
 use druzhba::dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba::programs::by_name;
 
@@ -120,5 +124,110 @@ fn verification_produces_concrete_counterexample() {
             assert!(input.phvs.iter().any(|p| p.get(0) > 1));
         }
         other => panic!("expected counterexample, got {other:?}"),
+    }
+}
+
+/// Verify `mc` against a fresh reference from `reference` with the scalar
+/// fused backend, then at every lane width, and require one outcome.
+fn same_outcome_at_every_width(
+    compiled: &CompiledProgram,
+    mc: &MachineCode,
+    bits: u32,
+    packets: usize,
+    reference: &dyn Fn() -> Box<dyn Specification>,
+) -> VerifyOutcome {
+    let cfg = VerifyConfig {
+        input_bits: bits,
+        packets,
+        relevant_containers: (0..compiled.input_fields.len()).collect(),
+        observable: Some(compiled.observable_containers()),
+        state_cells: compiled.state_cells.clone(),
+        max_cases: 1 << 22,
+        lanes: 0,
+    };
+    let spec = &compiled.pipeline_spec;
+    let scalar = verify_bounded(spec, mc, OptLevel::Fused, &mut *reference(), &cfg).unwrap();
+    for lanes in LANE_WIDTHS {
+        let cfg = VerifyConfig {
+            lanes,
+            ..cfg.clone()
+        };
+        let swept = verify_bounded(spec, mc, OptLevel::Fused, &mut *reference(), &cfg).unwrap();
+        assert_eq!(swept, scalar, "width {lanes}");
+    }
+    scalar
+}
+
+/// Lane-swept verification reaches the scalar outcome at every width
+/// through both reference paths: the Domino interpreter, which runs a
+/// whole batch at once, and the hand-written specification, which runs
+/// case by case. Verified corpus programs and a corrupted `rcp` both.
+#[test]
+fn lane_outcomes_equal_scalar_through_both_reference_paths() {
+    for (name, bits, packets, cases) in [
+        ("rcp", 3, 3, 512),
+        ("sampling", 1, 12, 1),
+        ("stateful_firewall", 2, 2, 256),
+    ] {
+        let def = by_name(name).unwrap();
+        let compiled = def.compile_cached().unwrap();
+        let mc = &compiled.machine_code;
+        let interp = || Box::new(def.interpreter_spec(&compiled)) as Box<dyn Specification>;
+        let hand = || Box::new(def.hand_spec(&compiled)) as Box<dyn Specification>;
+        for reference in [&interp as &dyn Fn() -> _, &hand] {
+            let outcome = same_outcome_at_every_width(&compiled, mc, bits, packets, reference);
+            assert_eq!(outcome, VerifyOutcome::Verified { cases }, "{name}");
+        }
+    }
+    let def = by_name("rcp").unwrap();
+    let compiled = def.compile_cached().unwrap();
+    let mut bad = compiled.machine_code.clone();
+    let name = compiled
+        .machine_code
+        .iter()
+        .find(|(n, v)| n.contains("const") && *v == 30)
+        .map(|(n, _)| n.to_string())
+        .expect("the RTT limit lives in an immediate");
+    bad.set(name, 1);
+    let interp = || Box::new(def.interpreter_spec(&compiled)) as Box<dyn Specification>;
+    let hand = || Box::new(def.hand_spec(&compiled)) as Box<dyn Specification>;
+    for reference in [&interp as &dyn Fn() -> _, &hand] {
+        let outcome = same_outcome_at_every_width(&compiled, &bad, 3, 2, reference);
+        assert!(
+            matches!(outcome, VerifyOutcome::CounterExample { .. }),
+            "{outcome:?}"
+        );
+    }
+}
+
+/// The `verify_threshold` fixture's counterexample (x > 1500 lies outside
+/// the 10-bit synthesis range) is the same at every width, through the
+/// interpreter and through a hand-written closure reference.
+#[test]
+fn threshold_counterexample_is_the_same_at_every_width() {
+    let program = parse_program(include_str!("fixtures/verify_threshold.domino")).unwrap();
+    let compiled = compile(&program, &CompilerConfig::new(2, 1, "if_else_raw")).unwrap();
+    let big = compiled.output_fields["big"];
+    let phv_length = compiled.pipeline_spec.config.phv_length;
+    let interp =
+        || Box::new(CompiledSpec::new(program.clone(), &compiled)) as Box<dyn Specification>;
+    let hand = || {
+        let step = move |seen: &mut Value, input: &Phv| {
+            let mut out = Phv::zeroed(phv_length);
+            if input.get(0) > 1500 {
+                out.set(big, 1);
+                *seen = 1;
+            }
+            out
+        };
+        Box::new(ClosureSpec::new(0, step, |seen| vec![*seen])) as Box<dyn Specification>
+    };
+    let mc = &compiled.machine_code;
+    for reference in [&interp as &dyn Fn() -> _, &hand] {
+        let outcome = same_outcome_at_every_width(&compiled, mc, 11, 2, reference);
+        let VerifyOutcome::CounterExample { input, .. } = outcome else {
+            panic!("expected a counterexample, got {outcome:?}");
+        };
+        assert_eq!(input.phvs[0].get(0), 1501);
     }
 }

@@ -869,3 +869,194 @@ mod p4_reference {
         }
     }
 }
+
+/// The Domino interpreter's lane walk (`Interpreter::step_lanes`) against
+/// one packet at a time: at every lane width, each active lane ends as
+/// per-lane width-1 steps and as a plain walk of the unresolved AST would
+/// leave it, and every lane past `active` keeps its bits.
+mod lane_interpreter {
+    use proptest::prelude::*;
+
+    use druzhba::core::value::{self, Value};
+    use druzhba::core::Phv;
+    use druzhba::dgen::LANE_WIDTHS;
+    use druzhba::domino::interp::apply_binop;
+    use druzhba::domino::{parse_program, DominoExpr, DominoProgram, DominoStmt, Interpreter};
+    use druzhba::progen::domino_candidate;
+    use druzhba::programs::PROGRAMS;
+
+    use druzhba::alu_dsl::UnOp;
+
+    const PACKETS: usize = 3;
+
+    /// Division, modulo and both unary operators with field operands, so
+    /// zero divisors and wrapping negation occur.
+    const ARITH: &str = "state int q = 7;\n\
+        pkt.d = pkt.a / pkt.b;\n\
+        pkt.m = pkt.a % pkt.b;\n\
+        pkt.n = -pkt.a + !pkt.b;\n\
+        if (pkt.b == 0) { q = q - pkt.a; } else { q = q / pkt.b + q % pkt.b; pkt.e = q; }";
+
+    /// The AST walked by name, one packet: the oracle that shares no code
+    /// with the interpreter beyond `apply_binop`.
+    struct Walk<'a> {
+        program: &'a DominoProgram,
+        reads: &'a [String],
+        input: &'a [Value],
+        writes: &'a [String],
+        out: &'a mut [Value],
+        state: &'a mut [Value],
+    }
+
+    impl Walk<'_> {
+        fn stmts(&mut self, stmts: &[DominoStmt]) {
+            for stmt in stmts {
+                match stmt {
+                    DominoStmt::AssignField { field, value } => {
+                        let v = self.eval(value);
+                        let c = self.writes.iter().position(|f| f == field).unwrap();
+                        self.out[c] = v;
+                    }
+                    DominoStmt::AssignState { var, value } => {
+                        let v = self.eval(value);
+                        self.state[self.program.state_index(var).unwrap()] = v;
+                    }
+                    DominoStmt::If {
+                        cond,
+                        then_body,
+                        else_body,
+                    } => {
+                        if value::truthy(self.eval(cond)) {
+                            self.stmts(then_body);
+                        } else {
+                            self.stmts(else_body);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn eval(&self, expr: &DominoExpr) -> Value {
+            match expr {
+                DominoExpr::Const(v) => *v,
+                DominoExpr::Field(f) => self.input[self.reads.iter().position(|r| r == f).unwrap()],
+                DominoExpr::State(s) => self.state[self.program.state_index(s).unwrap()],
+                DominoExpr::Binary { op, l, r } => apply_binop(*op, self.eval(l), self.eval(r)),
+                DominoExpr::Unary { op: UnOp::Neg, x } => value::wneg(self.eval(x)),
+                DominoExpr::Unary { op: UnOp::Not, x } => {
+                    value::from_bool(!value::truthy(self.eval(x)))
+                }
+            }
+        }
+    }
+
+    /// Run `program` for `PACKETS` packets on `L` lanes, lanes `0..active`
+    /// active, from columns filled with `next()` draws, and check every
+    /// lane against width-1 steps and against [`Walk`].
+    fn check_width<const L: usize>(
+        program: &DominoProgram,
+        active: usize,
+        next: &mut impl FnMut() -> Value,
+    ) -> Result<(), String> {
+        let (reads, writes) = (program.fields_read(), program.fields_written());
+        let n = reads.len().max(writes.len()).max(1);
+        let position = |fields: &[String], f: &str| fields.iter().position(|x| x == f);
+        let interp = Interpreter::new(program, |f| position(&reads, f), |f| position(&writes, f));
+        let slots = program.state_vars.len();
+        let mut column = |len: usize| (0..len * L).map(|_| next()).collect::<Vec<Value>>();
+        let (mut out, mut state) = (column(n), column(slots));
+        let inputs: Vec<Vec<Value>> = (0..PACKETS).map(|_| column(n)).collect();
+        let (out0, state0) = (out.clone(), state.clone());
+        for input in &inputs {
+            interp.step_lanes::<L>(input, &mut out, &mut state, active);
+        }
+        // Lane `l`'s values of a set of columns.
+        let lane = |cols: &[Value], l: usize| -> Vec<Value> {
+            cols.iter().skip(l).step_by(L).copied().collect()
+        };
+        for l in 0..L {
+            let (got_out, got_state) = (lane(&out, l), lane(&state, l));
+            if l >= active {
+                if got_out != lane(&out0, l) || got_state != lane(&state0, l) {
+                    return Err(format!(
+                        "width {L}: inactive lane {l} of {active} was written"
+                    ));
+                }
+                continue;
+            }
+            let mut phv_out = Phv::new(lane(&out0, l));
+            let mut scalar_state = lane(&state0, l);
+            let mut walk_out = phv_out.containers().to_vec();
+            let mut walk_state = scalar_state.clone();
+            for input in &inputs {
+                let input = lane(input, l);
+                interp.step(&Phv::new(input.clone()), &mut phv_out, &mut scalar_state);
+                let mut walk = Walk {
+                    program,
+                    reads: &reads,
+                    input: &input,
+                    writes: &writes,
+                    out: &mut walk_out,
+                    state: &mut walk_state,
+                };
+                walk.stmts(&program.body);
+            }
+            for (what, out, state) in [
+                ("width-1 step", phv_out.containers(), &scalar_state),
+                ("AST walk", &walk_out[..], &walk_state),
+            ] {
+                if got_out != out || got_state != *state {
+                    return Err(format!(
+                        "width {L} lane {l} of {active}: lanes {got_out:?}/{got_state:?}, \
+                         {what} {out:?}/{state:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The 12 corpus programs, four generated candidates and a program
+        /// dividing by its inputs, at every width in `LANE_WIDTHS` with a
+        /// random active-lane count. Each value is 0, within 3 of 2^32, a
+        /// small value, or a 32-bit draw shifted right by 0..32 bits.
+        #[test]
+        fn lane_walk_equals_per_lane_steps(
+            seed in any::<u64>(),
+            actives in proptest::collection::vec(0usize..65, LANE_WIDTHS.len()),
+            draws in proptest::collection::vec((any::<u32>(), 0u32..4), 512),
+        ) {
+            let mut programs: Vec<DominoProgram> = PROGRAMS.iter().map(|p| p.parse()).collect();
+            programs.extend((0..4).map(|k| domino_candidate(seed.wrapping_add(k)).program));
+            programs.push(parse_program(ARITH).unwrap());
+            let mut at = 0;
+            let mut next = || {
+                let (v, kind) = draws[at % draws.len()];
+                at += 1;
+                match kind {
+                    0 => 0,
+                    1 => u32::MAX - v % 4,
+                    2 => v % 16,
+                    _ => v >> (v % 32),
+                }
+            };
+            for program in &programs {
+                for (&width, &active) in LANE_WIDTHS.iter().zip(&actives) {
+                    let active = active % (width + 1);
+                    let checked = match width {
+                        1 => check_width::<1>(program, active, &mut next),
+                        8 => check_width::<8>(program, active, &mut next),
+                        16 => check_width::<16>(program, active, &mut next),
+                        32 => check_width::<32>(program, active, &mut next),
+                        64 => check_width::<64>(program, active, &mut next),
+                        _ => unreachable!("LANE_WIDTHS"),
+                    };
+                    prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+                }
+            }
+        }
+    }
+}
